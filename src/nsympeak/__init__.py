@@ -2,7 +2,9 @@
 
 Exact-arithmetic models of the algebra of noncommutative symmetric
 functions in the complete and ribbon bases, the descent-algebra internal
-product through a permutation oracle, the one-parameter transform family
+product through the matrix (Mackey) formula of Garsia-Reutenauer and
+Gelfand-Krob-Lascoux-Leclerc-Retakh-Thibon (section 5 of
+*Noncommutative symmetric functions*), the one-parameter transform family
 theta_q with its root-of-unity normalization, and for each order N >= 2
 the peak subalgebra spanned by the split-poset sums Sigma_I with its
 rho, primed-rho and T companions, projector, membership solver, closed
@@ -32,13 +34,7 @@ from .compositions import (
     peak_set_of_permutation,
     ribbon_factorization,
 )
-from .descent import (
-    CapacityError,
-    DescentTable,
-    build_descent_table,
-    descent_class,
-    internal_product,
-)
+from .descent import CapacityError, internal_product
 from .elements import NsymElement, R, S, coproduct_S, multiply, one, zero
 from .peak import (
     PeakContext,
@@ -81,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CyclotomicNumber",
-    "DescentTable",
     "GradedSeries",
     "NsymElement",
     "PeakContext",
@@ -90,7 +85,6 @@ __all__ = [
     "T_basis",
     "T_membership",
     "Theta",
-    "build_descent_table",
     "classical_peak_function",
     "compositions_of",
     "conjugate",
@@ -99,7 +93,6 @@ __all__ = [
     "decomp_S_on_rho",
     "decomp_theta_R",
     "decomp_theta_S",
-    "descent_class",
     "descent_composition",
     "descent_set",
     "det_formula",

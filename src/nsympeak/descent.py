@@ -1,264 +1,103 @@
-"""Descent classes of the symmetric group and the internal product.
+"""The internal product of noncommutative symmetric functions.
 
-The descent class of a composition I of n is the set of permutations of
-1..n whose descent composition equals I; the formal sums of these classes
-span a subalgebra of the group algebra. This module materializes that
-structure: class enumeration through an exhaustive permutation oracle,
-structure constants c^K_{I,J} of class-sum products, and the induced
-internal product on NsymElement values through the correspondence that
-sends the class sum of I to the ribbon R_I, reversing products.
-
-Permutations multiply by (s t)(i) = s(t(i)). Everything here is exact
-integer combinatorics, but the oracle enumerates all n! permutations, so
-weights above a configurable limit (default 8) raise CapacityError
-instead of grinding. Computed structure constants are persisted to a
-versioned JSON cache, one file per weight, under $NSYMPEAK_CACHE_DIR
-(default ~/.cache/nsympeak); a full table is built eagerly for small
-weights and pair by pair above that.
+This is the product of Solomon's descent algebra.  In the complete basis
+it is the matrix (Mackey) formula: S^I * S^J is the sum of S^(M read row
+by row, zeros dropped) over the nonnegative integer matrices M with row
+sums I and column sums J (Garsia and Reutenauer, 1989; Gelfand, Krob,
+Lascoux, Leclerc, Retakh and Thibon, *Noncommutative symmetric
+functions*, 1995, section 5).  Components of different weights multiply
+to zero.  When R_I stands for the sum of the permutations of descent
+composition I, F * G is the class product of G's classes by F's, with
+(s t)(i) = s(t(i)).  A product needing more than MAX_WORD_PAIRS pairs of
+S words raises CapacityError.
 """
-
-from __future__ import annotations
 
 import collections
 import functools
-import itertools
-import json
-import os
-import pathlib
-import tempfile
 
-from .compositions import canonical_key, check_composition, descent_composition
 from .elements import NsymElement
 
-ORACLE_LIMIT_DEFAULT = 8
-FULL_TABLE_MAX = 6
-CACHE_FORMAT_VERSION = 1
+MAX_WORD_PAIRS = 1 << 18
 
 
 class CapacityError(Exception):
-    """Raised when a computation would exceed the permutation oracle limit."""
+    """Raised when an internal product needs more than MAX_WORD_PAIRS S-word pairs."""
 
 
-def _check_capacity(n, oracle_limit):
-    if n > oracle_limit:
-        raise CapacityError(
-            f"weight {n} exceeds the permutation oracle limit {oracle_limit}"
-        )
+def _words_by_weight(F):
+    """How many S words each weight of F expands to, counted without expanding."""
+    counts = collections.Counter()
+    for I in F.terms:
+        counts[sum(I)] += 1 if F.basis == "S" else 1 << max(len(I) - 1, 0)
+    return counts
 
 
 @functools.cache
-def _classes_by_weight(n):
-    """All of S_n bucketed by descent composition."""
-    buckets = collections.defaultdict(list)
-    for perm in itertools.permutations(range(1, n + 1)):
-        buckets[descent_composition(perm)].append(perm)
-    return dict(buckets)
-
-
-def descent_class(I, oracle_limit=ORACLE_LIMIT_DEFAULT):
-    """All permutations whose descent composition equals I."""
-    I = check_composition(I)
-    n = sum(I)
-    _check_capacity(n, oracle_limit)
-    return list(_classes_by_weight(n)[I])
-
-
-def _class_product(I, J, n):
-    """Structure constants of (class sum of I) times (class sum of J).
-
-    Each permutation of a class K is hit the same number of times (the
-    products of class sums stay in the span of class sums), so the
-    coefficient of K is the pair count landing in K over the size of K.
-    """
-    classes = _classes_by_weight(n)
-    tally = collections.Counter()
-    for s in classes[I]:
-        for t in classes[J]:
-            tally[descent_composition(tuple(s[x - 1] for x in t))] += 1
-    out = {}
-    for K, hits in tally.items():
-        c, rem = divmod(hits, len(classes[K]))
-        if rem:
-            raise RuntimeError(
-                f"class product left the descent algebra at {I} * {J}"
-            )
-        out[K] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cache location and file format
-
-
-def cache_dir():
-    root = os.environ.get("NSYMPEAK_CACHE_DIR")
-    if root:
-        return pathlib.Path(root)
-    return pathlib.Path.home() / ".cache" / "nsympeak"
-
-
-def _cache_path(n):
-    return cache_dir() / f"descent-table-v{CACHE_FORMAT_VERSION}-n{n}.json"
-
-
-def _load_entries(path):
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if payload.get("version") != CACHE_FORMAT_VERSION:
-        return {}
-    out = {}
-    for I, J, K, c in payload["entries"]:
-        key = (tuple(I), tuple(J))
-        out.setdefault(key, {})[tuple(K)] = int(c)
-    return out
-
-
-def _dump_entries(path, n, entries):
-    quads = []
-    for (I, J), const in entries.items():
-        for K, c in const.items():
-            quads.append((I, J, K, c))
-    quads.sort(
-        key=lambda q: (canonical_key(q[0]), canonical_key(q[1]), canonical_key(q[2]))
+def _first_rows(total, J):
+    """Each first row of M with sum ``total`` under the column sums J,
+    as (its nonzero entries, the nonzero column sums left over)."""
+    if not J:
+        return (((), ()),) if total == 0 else ()
+    j = J[0]
+    return tuple(
+        ((x,) * (x > 0) + head, (j - x,) * (x < j) + left)
+        for x in range(min(total, j) + 1)
+        for head, left in _first_rows(total - x, J[1:])
     )
-    payload = {
-        "version": CACHE_FORMAT_VERSION,
-        "n": n,
-        "entries": [[list(I), list(J), list(K), c] for I, J, K, c in quads],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
-# ---------------------------------------------------------------------------
-# the table
+@functools.cache
+def _word_product(I, J):
+    """S^I * S^J as {K: multiplicity}; I and J have the same weight.
 
-
-class DescentTable:
-    """Structure constants of class-sum products in one weight.
-
-    ``entries`` maps a pair (I, J) to {K: c} with class(I)·class(J) =
-    sum of c · class(K). Missing pairs are computed from the oracle on
-    demand; ``save`` persists everything computed so far, merging with
-    whatever another process may have written meanwhile.
+    The first row of M is chosen first, and the remaining rows form a
+    matrix for I[1:] and the leftover column sums, zero columns dropped.
+    The returned dict is shared by every caller and must not be changed.
     """
-
-    __slots__ = ("n", "oracle_limit", "entries", "_dirty")
-
-    def __init__(self, n, oracle_limit=ORACLE_LIMIT_DEFAULT, use_cache=True):
-        self.n = n
-        self.oracle_limit = oracle_limit
-        self.entries = _load_entries(_cache_path(n)) if use_cache else {}
-        self._dirty = False
-
-    def product(self, I, J):
-        I, J = check_composition(I), check_composition(J)
-        if sum(I) != self.n or sum(J) != self.n:
-            raise ValueError(f"table is for weight {self.n}: got {I}, {J}")
-        key = (I, J)
-        got = self.entries.get(key)
-        if got is None:
-            _check_capacity(self.n, self.oracle_limit)
-            got = _class_product(I, J, self.n)
-            self.entries[key] = got
-            self._dirty = True
-        return got
-
-    def complete(self):
-        """Fill in every pair of classes of this weight."""
-        _check_capacity(self.n, self.oracle_limit)
-        classes = sorted(_classes_by_weight(self.n), key=canonical_key)
-        for I in classes:
-            for J in classes:
-                self.product(I, J)
-        return self
-
-    def save(self):
-        if not self._dirty:
-            return
-        path = _cache_path(self.n)
-        merged = _load_entries(path)
-        merged.update(self.entries)
-        self.entries = merged
-        _dump_entries(path, self.n, merged)
-        self._dirty = False
-
-
-_tables = {}
-
-
-def build_descent_table(n, oracle_limit=ORACLE_LIMIT_DEFAULT):
-    """The complete table for weight n, built, cached, and persisted."""
-    _check_capacity(n, oracle_limit)
-    table = _table_for(n, oracle_limit)
-    table.complete()
-    table.save()
-    return table
-
-
-def _table_for(n, oracle_limit):
-    table = _tables.get(n)
-    if table is None:
-        table = DescentTable(n, oracle_limit)
-        if n <= min(FULL_TABLE_MAX, oracle_limit) and not table.entries:
-            table.complete()
-            table.save()
-        _tables[n] = table
-    table.oracle_limit = max(table.oracle_limit, oracle_limit)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# the internal product
-
-
-def internal_product(F, G, oracle_limit=ORACLE_LIMIT_DEFAULT):
-    """The product induced by composing permutations, G's classes first.
-
-    Both operands may be inhomogeneous; components of different weights
-    multiply to zero. Each same-weight pair of ribbon terms R_I (from F)
-    and R_J (from G) contributes through the class product of J by I,
-    because the correspondence with class sums reverses multiplication.
-    """
-    Fr = F.to_basis("R")
-    Gr = G.to_basis("R")
-    by_weight_F = collections.defaultdict(list)
-    for I, a in Fr.terms.items():
-        by_weight_F[sum(I)].append((I, a))
-    by_weight_G = collections.defaultdict(list)
-    for J, b in Gr.terms.items():
-        by_weight_G[sum(J)].append((J, b))
+    if not I:
+        return {(): 1}
     out = {}
-    touched = []
-    for n, f_terms in by_weight_F.items():
-        g_terms = by_weight_G.get(n)
-        if not g_terms:
-            continue
-        table = _table_for(n, oracle_limit)
-        touched.append(table)
-        for I, a in f_terms:
-            for J, b in g_terms:
+    rest = I[1:]
+    for head, left in _first_rows(I[0], J):
+        for K, c in _word_product(rest, left).items():
+            K = head + K
+            out[K] = out.get(K, 0) + c
+    return out
+
+
+def _words_by_coefficient(F):
+    """{coefficient: [S words]} for F in the S basis."""
+    out = collections.defaultdict(list)
+    for I, a in F.to_basis("S").terms.items():
+        out[a].append(I)
+    return out
+
+
+def internal_product(F, G):
+    """F * G, returned in the ribbon basis.
+
+    Both operands may be inhomogeneous.  Each same-weight pair of S words,
+    S^I from F and S^J from G, contributes S^I * S^J by the matrix formula.
+    Words are grouped by coefficient, so most of the summing is on integers.
+    """
+    f_words, g_words = _words_by_weight(F), _words_by_weight(G)
+    pairs = sum(c * g_words[n] for n, c in f_words.items())
+    if pairs > MAX_WORD_PAIRS:
+        raise CapacityError(
+            f"internal product needs {pairs} S-word pairs, "
+            f"above the limit {MAX_WORD_PAIRS}"
+        )
+    out = {}
+    for n in f_words.keys() & g_words.keys():
+        f_groups = _words_by_coefficient(F.homogeneous_component(n))
+        g_groups = _words_by_coefficient(G.homogeneous_component(n))
+        for a, f_list in f_groups.items():
+            for b, g_list in g_groups.items():
+                counts = collections.Counter()
+                for I in f_list:
+                    for J in g_list:
+                        counts.update(_word_product(I, J))
                 ab = a * b
-                for K, c in table.product(J, I).items():
-                    prev = out.get(K)
-                    cur = ab * c if prev is None else prev + ab * c
-                    if cur:
-                        out[K] = cur
-                    else:
-                        out.pop(K, None)
-    for table in touched:
-        table.save()
-    return NsymElement("R", out)
+                for K, c in counts.items():
+                    out[K] = out.get(K, 0) + ab * c
+    return NsymElement("S", out).to_basis("R")

@@ -341,7 +341,7 @@ def scalar_from_text(text, N=None):
     if "z" not in text:
         try:
             return Fraction(text)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational {text!r}") from exc
     if N is None:
         raise ValueError("a z-polynomial scalar needs a conductor N")
@@ -353,7 +353,10 @@ def scalar_from_text(text, N=None):
             raise ValueError(f"cannot parse scalar {text!r} at position {pos}")
         sign = -1 if m.group("sign") == "-" else 1
         zpart = m.group("zc") or m.group("z")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in scalar {text!r}") from exc
         if zpart is None:
             k = 0
         elif zpart == "z":
@@ -379,8 +382,14 @@ def scalar_to_json(x):
     }
 
 
+def _fraction_from_json(obj):
+    if obj["den"] == 0:
+        raise ValueError("zero denominator in a JSON coefficient")
+    return Fraction(obj["num"], obj["den"])
+
+
 def scalar_from_json(obj):
     if "num" in obj:
-        return Fraction(obj["num"], obj["den"])
-    coeffs = [Fraction(c["num"], c["den"]) for c in obj["coeffs"]]
+        return _fraction_from_json(obj)
+    coeffs = [_fraction_from_json(c) for c in obj["coeffs"]]
     return make_cyclotomic(obj["N"], coeffs)

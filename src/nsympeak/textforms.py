@@ -158,7 +158,10 @@ def parse_element_terms(text, N=None):
                 mr = _RATIONAL.match(text, pos)
                 if not mr:
                     raise ElementParseError("expected a term", pos)
-                coeff = Fraction(mr.group(0).replace(" ", ""))
+                try:
+                    coeff = Fraction(mr.group(0).replace(" ", ""))
+                except ZeroDivisionError as exc:
+                    raise ElementParseError("zero denominator", pos) from exc
                 pos = _skip_ws(text, mr.end())
             else:
                 coeff = Fraction(1)
@@ -245,13 +248,23 @@ def element_to_json(element):
 
 def terms_from_json(obj):
     """Inverse of terms_to_json: (basis name, {comp: coeff})."""
-    name = obj["basis"]
+    try:
+        name = obj["basis"]
+        entries = list(obj["terms"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            'a JSON element needs a "basis" and a list of "terms"'
+        ) from exc
     if name not in BASIS_NAMES:
         raise ValueError(f"unknown basis name {name!r}")
     terms = {}
-    for entry in obj["terms"]:
-        comp = check_composition(tuple(entry["comp"]))
-        _accumulate(terms, comp, scalar_from_json(entry["coeff"]))
+    for entry in entries:
+        try:
+            comp = check_composition(tuple(entry["comp"]))
+            coeff = scalar_from_json(entry["coeff"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad JSON term {json.dumps(entry)}") from exc
+        _accumulate(terms, comp, coeff)
     return name, terms
 
 

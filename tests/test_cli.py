@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process."""
 
 import json
+import time
 
 import pytest
 
@@ -78,9 +79,37 @@ def test_internal_weight_mismatch(capsys):
 
 
 def test_internal_capacity(capsys):
-    rc, _, err = run(capsys, "internal", "R[9]", "R[9]")
+    ones = "R[" + ",".join(["1"] * 24) + "]"
+    start = time.monotonic()
+    rc, out, err = run(capsys, "internal", ones, ones)
+    assert time.monotonic() - start < 1
     assert rc == 4
-    assert "oracle limit" in err
+    assert out == ""
+    assert err.startswith("error:") and "S-word pairs" in err
+    # Weight 9 is no longer out of reach.
+    rc, out, _ = run(capsys, "internal", "R[9]", "R[9]")
+    assert rc == 0
+    assert out.strip() == "R[9]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "1/0*S[1]", "--to", "R"],
+        ["expand", '{"basis": "S", "terms": [{"comp": [1], '
+                   '"coeff": {"num": 1, "den": 0}}]}'],
+        ["expand", '{"basis": "S"}'],
+        ["bases", "--n", "3", "--N", "1"],
+        ["hilbert", "--N", "0", "--max-n", "4"],
+    ],
+    ids=["zero-denominator", "json-zero-den", "json-no-terms", "bases-N1",
+         "hilbert-N0"],
+)
+def test_bad_input_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_hilbert_rows(capsys):
@@ -215,6 +244,20 @@ def test_verify_json_format(capsys):
     assert obj["pass"] is True
     assert obj["checks"] > 0
     assert obj["counterexample"] is None
+
+
+def test_verify_zero_checks_fails(capsys):
+    rc, out, _ = run(capsys, "verify", "basis", "--max-n", "-1")
+    assert rc == 1
+    assert "verify basis: 0 checks" in out
+    assert "verify basis: FAIL" in out
+    rc, out, _ = run(capsys, "verify", "basis", "--max-n", "-1",
+                     "--format", "json")
+    assert rc == 1
+    obj = json.loads(out)
+    assert obj["pass"] is False
+    assert obj["checks"] == 0
+    assert "no checks ran" in obj["counterexample"]
 
 
 def test_verify_failure_exit(capsys, monkeypatch):

@@ -1,35 +1,85 @@
-"""Tests for the composition-of-permutations product and its table cache."""
+"""Tests for the internal product, against a permutation oracle.
 
+The oracle buckets all of S_n by descent composition and multiplies
+class sums permutation by permutation, (s t)(i) = s(t(i)).  It shares no
+code with the matrix formula in ``nsympeak.descent``, and it is only
+affordable up to weight 7.
+"""
+
+import collections
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from nsympeak.compositions import compositions_of
-from nsympeak.descent import (
-    CapacityError,
-    DescentTable,
-    build_descent_table,
-    cache_dir,
-    descent_class,
-    internal_product,
-)
-from nsympeak.elements import R, S, one, zero
+from nsympeak.compositions import compositions_of, descent_composition
+from nsympeak.descent import MAX_WORD_PAIRS, CapacityError, internal_product
+from nsympeak.elements import NsymElement, R, S, one, zero
+from nsympeak.peak import PeakContext, rho_basis, rho_membership
 from nsympeak.series import psi
 
 
+@functools.cache
+def _classes(n):
+    """All of S_n bucketed by descent composition."""
+    buckets = collections.defaultdict(list)
+    for perm in itertools.permutations(range(1, n + 1)):
+        buckets[descent_composition(perm)].append(perm)
+    return dict(buckets)
+
+
+def _class_product(I, J):
+    """{K: c} with (class sum of I)(class sum of J) = sum of c * class sum of K.
+
+    Each permutation of a class K is hit the same number of times, so the
+    coefficient of K is the pair count landing in K over the size of K.
+    """
+    classes = _classes(sum(I))
+    tally = collections.Counter()
+    for s in classes[I]:
+        for t in classes[J]:
+            tally[descent_composition(tuple(s[x - 1] for x in t))] += 1
+    out = {}
+    for K, hits in tally.items():
+        c, rem = divmod(hits, len(classes[K]))
+        assert rem == 0, f"class product left the descent algebra at {I}, {J}"
+        out[K] = c
+    return out
+
+
 def test_descent_class_sizes_weight_3():
-    sizes = {I: len(descent_class(I)) for I in compositions_of(3)}
+    sizes = {I: len(_classes(3)[I]) for I in compositions_of(3)}
     assert sizes == {(3,): 1, (2, 1): 2, (1, 2): 2, (1, 1, 1): 1}
-    assert descent_class((3,)) == [(1, 2, 3)]
+    assert _classes(3)[(3,)] == [(1, 2, 3)]
 
 
 def test_descent_class_sizes_sum_to_factorial():
-    import math
-
     for n in range(1, 6):
-        assert sum(len(descent_class(I)) for I in compositions_of(n)) == (
-            math.factorial(n)
-        )
+        assert sum(len(c) for c in _classes(n).values()) == math.factorial(n)
+
+
+def test_agrees_with_permutation_oracle():
+    # R_I * R_J is the class product of J by I: the correspondence with
+    # class sums reverses products.
+    pairs = [
+        (I, J)
+        for n in range(1, 7)
+        for I in compositions_of(n)
+        for J in compositions_of(n)
+    ]
+    assert len(pairs) == 1365
+    pairs += [
+        ((3, 4), (2, 5)),
+        ((2, 2, 3), (1, 3, 3)),
+        ((1, 2, 1, 3), (4, 3)),
+        ((1, 1, 1, 1, 1, 1, 1), (3, 1, 3)),
+    ]
+    for I, J in pairs:
+        assert internal_product(R(*I), R(*J)) == NsymElement(
+            "R", _class_product(J, I)
+        ), (I, J)
 
 
 def test_internal_product_weight_3_values():
@@ -75,11 +125,10 @@ def test_mass_conservation():
     # Counting pairs: the coefficients weighted by class size recover
     # |class I| * |class J|.
     for n in range(1, 6):
-        table = build_descent_table(n)
-        sizes = {I: len(descent_class(I)) for I in compositions_of(n)}
+        sizes = {I: len(c) for I, c in _classes(n).items()}
         for I in compositions_of(n):
             for J in compositions_of(n):
-                coeffs = table.product(I, J)
+                coeffs = internal_product(R(*I), R(*J)).terms
                 assert (
                     sum(c * sizes[K] for K, c in coeffs.items())
                     == sizes[I] * sizes[J]
@@ -87,65 +136,30 @@ def test_mass_conservation():
 
 
 def test_lie_idempotents():
-    for n in (2, 3, 4):
+    # Weight 7 is past what the permutation oracle affords in a test.
+    for n in range(1, 8):
         p = psi(n)
         assert internal_product(p, p) == p.scale(n)
 
 
+def test_order_3_span_closed_at_weight_9():
+    ctx = PeakContext(3)
+    for I, J in (
+        ((1,) * 9, (2, 1, 2, 1, 2, 1)),
+        ((3, 3, 2, 1), (1,) * 9),
+    ):
+        prod = internal_product(rho_basis(I, ctx), rho_basis(J, ctx))
+        assert prod
+        assert rho_membership(prod, ctx) is not None
+
+
 def test_capacity_limit():
+    # R[1^24] stands for 2^23 S words; the pairs are counted before
+    # anything is expanded.
+    big = R(*[1] * 24)
+    with pytest.raises(CapacityError, match=str(MAX_WORD_PAIRS)):
+        internal_product(big, big)
     with pytest.raises(CapacityError):
-        descent_class((9,))
-    with pytest.raises(CapacityError):
-        internal_product(R(9), R(9))
-    # A tighter limit gates fresh oracle work (cached entries still serve).
-    fresh = DescentTable(4, oracle_limit=3, use_cache=False)
-    with pytest.raises(CapacityError):
-        fresh.product((4,), (4,))
-
-
-def test_table_weight_mismatch():
-    table = DescentTable(3, use_cache=False)
-    with pytest.raises(ValueError):
-        table.product((2, 1), (2,))
-
-
-def test_cache_round_trip(monkeypatch, tmp_path):
-    monkeypatch.setenv("NSYMPEAK_CACHE_DIR", str(tmp_path))
-    assert cache_dir() == tmp_path
-    table = DescentTable(3, use_cache=False)
-    table.complete()
-    table.save()
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    # A fresh table reads everything back and never needs the oracle:
-    # a limit below the weight would make any recomputation raise.
-    reread = DescentTable(3, oracle_limit=0)
-    assert reread.entries == table.entries
-    assert reread.product((2, 1), (2, 1)) == {
-        (1, 1, 1): 1, (1, 2): 1, (3,): 1,
-    }
-
-
-def test_cache_merge_preserves_other_entries(monkeypatch, tmp_path):
-    monkeypatch.setenv("NSYMPEAK_CACHE_DIR", str(tmp_path))
-    first = DescentTable(3, use_cache=False)
-    first.product((2, 1), (2, 1))
-    first.save()
-    second = DescentTable(3, use_cache=False)
-    second.product((1, 2), (1, 2))
-    second.save()
-    merged = DescentTable(3, oracle_limit=0)
-    assert ((2, 1), (2, 1)) in merged.entries
-    assert ((1, 2), (1, 2)) in merged.entries
-
-
-def test_cache_ignores_garbage(monkeypatch, tmp_path):
-    monkeypatch.setenv("NSYMPEAK_CACHE_DIR", str(tmp_path))
-    probe = DescentTable(2, use_cache=False)
-    probe.complete()
-    probe.save()
-    path = next(tmp_path.iterdir())
-    path.write_text("{ not json")
-    table = DescentTable(2)
-    assert table.entries == {}
-    assert table.product((1, 1), (1, 1)) == {(2,): 1}
+        internal_product(big, S(*[1] * 24) + S(24))
+    # Only same-weight pairs count.
+    assert internal_product(big, R(*[1] * 23)) == zero("R")
