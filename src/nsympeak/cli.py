@@ -48,7 +48,7 @@ from .compositions import (
     peak_compositions_of,
 )
 from .descent import CapacityError, internal_product
-from .elements import NsymElement, R, S, multiply, zero
+from .elements import NsymElement, R, S, linear_combination, multiply
 from .peak import (
     PeakContext,
     T_basis,
@@ -84,7 +84,6 @@ from .series import (
 )
 from .scalars import scalar_pow, scalar_to_json, scalar_to_text, zeta
 from .textforms import (
-    ElementParseError,
     coords_to_text,
     composition_to_text,
     parse_any_element,
@@ -94,7 +93,7 @@ from .textforms import (
 PEAK_BASES = ("Sigma", "rho", "T")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags or inputs; maps to exit code 2."""
 
 
@@ -127,10 +126,9 @@ def _element_from_terms(name, terms, N):
         return expand_sigma_coords(terms, ctx)
     if name == "rho":
         return expand_rho_coords(terms, ctx)
-    out = zero("R")
-    for K, c in terms.items():
-        out = out + T_basis(K, ctx).scale(c)
-    return out
+    return linear_combination(
+        "R", ((T_basis(K, ctx), c) for K, c in terms.items())
+    )
 
 
 def _coords_in_basis(element, target, N):
@@ -210,6 +208,8 @@ def _need_order(N):
 
 def cmd_hilbert(args):
     _need_order(args.N)
+    if args.max_n < 0:
+        raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     dims = [hilbert_dim(n, args.N) for n in range(args.max_n + 1)]
     for n in range(min(args.max_n, 14) + 1):
         if len(G_set(n, args.N)) != dims[n]:
@@ -643,9 +643,13 @@ def _suite_peak_classical(args, report):
     for n in range(exp_max + 1):
         for I in compositions_of(n):
             want = theta_q(R(*I), Fraction(-1))
-            got = zero("R")
-            for J, c in theta_minus1_ribbon_expansion(I).items():
-                got = got + classical_peak_function(J).scale(c)
+            got = linear_combination(
+                "R",
+                (
+                    (classical_peak_function(J), c)
+                    for J, c in theta_minus1_ribbon_expansion(I).items()
+                ),
+            )
             if got != want:
                 report.fail(f"I={_fmt_comp(I)}: expansion mismatch")
                 return
@@ -827,12 +831,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ElementParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotMemberError as exc:
         print("NOT_MEMBER")
         print(f"error: {exc}", file=sys.stderr)
@@ -841,6 +839,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
+        # UsageError, ElementParseError and every other input error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

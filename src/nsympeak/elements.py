@@ -61,14 +61,7 @@ class NsymElement:
             raise ValueError(f"basis must be 'S' or 'R', got {basis!r}")
         clean = {}
         for comp, coeff in terms.items():
-            comp = check_composition(comp)
-            coeff = _as_scalar(coeff)
-            if comp in clean:
-                coeff = clean[comp] + coeff
-            if coeff:
-                clean[comp] = coeff
-            else:
-                clean.pop(comp, None)
+            add_term(clean, check_composition(comp), _as_scalar(coeff))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
 
@@ -107,10 +100,9 @@ class NsymElement:
     def __add__(self, other):
         if not isinstance(other, NsymElement):
             return NotImplemented
-        other = other.to_basis(self.basis)
         merged = dict(self.terms)
-        for comp, coeff in other.terms.items():
-            merged[comp] = merged.get(comp, _ZERO) + coeff
+        for comp, coeff in other.to_basis(self.basis).terms.items():
+            add_term(merged, comp, coeff)
         return NsymElement(self.basis, merged)
 
     def __sub__(self, other):
@@ -163,28 +155,26 @@ class NsymElement:
         return bool(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for comp in self.support():
-            coeff = self.terms[comp]
-            word = (
-                "1" if comp == ()
-                else f"{self.basis}[{','.join(map(str, comp))}]"
-            )
-            pieces.append((coeff, word))
-        out = []
-        for coeff, word in pieces:
-            text = _coeff_text(coeff, word)
-            if not out:
-                out.append(text)
-            elif text.startswith("-"):
-                out.append(" - " + text[1:])
-            else:
-                out.append(" + " + text)
-        return "".join(out)
+        return coords_to_text(self.terms, self.basis)
 
     __repr__ = __str__
+
+
+def coords_to_text(coords, name):
+    """Render {comp: coeff} as a signed sum of name[...] words, unit as 1."""
+    if not coords:
+        return "0"
+    out = []
+    for comp in sorted(coords, key=display_key):
+        word = name + "[" + ",".join(map(str, comp)) + "]" if comp else "1"
+        text = _coeff_text(coords[comp], word)
+        if not out:
+            out.append(text)
+        elif text.startswith("-"):
+            out.append(" - " + text[1:])
+        else:
+            out.append(" + " + text)
+    return "".join(out)
 
 
 def _coeff_text(coeff, word):
@@ -197,6 +187,39 @@ def _coeff_text(coeff, word):
     if coeff == -1:
         return "-" + word
     return f"{coeff}*{word}"
+
+
+# ---------------------------------------------------------------------------
+# linear combinations
+
+
+def add_term(terms, comp, c):
+    """Add c to terms[comp] in place, dropping the entry when it cancels."""
+    cur = terms.get(comp)
+    if cur is not None:
+        c = cur + c
+    if c:
+        terms[comp] = c
+    else:
+        terms.pop(comp, None)
+
+
+def linear_combination(basis, pairs):
+    """The sum of c*F over the (F, c) pairs, built in one pass in ``basis``.
+
+    A coefficient equal to 1 adds F's terms without multiplying them.
+    """
+    terms = {}
+    for F, c in pairs:
+        F = F.to_basis(basis)
+        if c == 1:
+            for comp, v in F.terms.items():
+                add_term(terms, comp, v)
+        else:
+            c = _as_scalar(c)
+            for comp, v in F.terms.items():
+                add_term(terms, comp, c * v)
+    return NsymElement(basis, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +255,7 @@ def s_to_r(F):
     out = {}
     for I, coeff in F.terms.items():
         for J in _coarsenings(I):
-            out[J] = out.get(J, _ZERO) + coeff
+            add_term(out, J, coeff)
     return NsymElement("R", out)
 
 
@@ -243,9 +266,9 @@ def r_to_s(F):
     out = {}
     for I, coeff in F.terms.items():
         li = len(I)
+        neg = -coeff
         for J in _coarsenings(I):
-            sign = -1 if (li - len(J)) % 2 else 1
-            out[J] = out.get(J, _ZERO) + sign * coeff
+            add_term(out, J, neg if (li - len(J)) % 2 else coeff)
     return NsymElement("S", out)
 
 
@@ -269,14 +292,13 @@ def multiply(F, G):
     if F.basis == "S":
         for I, a in F.terms.items():
             for J, b in G.terms.items():
-                K = I + J
-                out[K] = out.get(K, _ZERO) + a * b
+                add_term(out, I + J, a * b)
     else:
         for I, a in F.terms.items():
             for J, b in G.terms.items():
                 ab = a * b
                 for K in _ribbon_word_product(I, J):
-                    out[K] = out.get(K, _ZERO) + ab
+                    add_term(out, K, ab)
     return NsymElement(F.basis, out)
 
 

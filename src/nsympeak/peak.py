@@ -21,7 +21,10 @@ docstrings state it precisely.
 Decomposition results are returned as plain coordinate dicts mapping a
 composition in G to its scalar, since Sigma and rho are not storage
 bases of NsymElement; ``expand_sigma_coords`` and ``expand_rho_coords``
-turn them back into ribbon-basis elements.
+turn them back into ribbon-basis elements. Every Sigma, rho, rho(t) and
+pi_N expansion is a set of Sigma coordinates handed to
+``expand_sigma_coords``, which adds each coordinate over its lower set
+in one pass; rho coordinates move to Sigma coordinates first.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .compositions import (
     admissible_peaks,
     aligned_positions,
     b_stat,
-    canonical_key,
     check_composition,
     compositions_of,
     descent_set,
@@ -45,7 +47,7 @@ from .compositions import (
     lower_set,
     peak_set_of_composition,
 )
-from .elements import NsymElement, S, R, multiply, one, zero
+from .elements import NsymElement, S, R, add_term, multiply, one
 from .scalars import scalar_pow, zeta, zeta_pow
 from .series import GradedSeries, unit_series
 
@@ -112,28 +114,27 @@ def sigma_basis(I, ctx):
     return NsymElement("R", {J: _ONE for J in ctx.lower(I)})
 
 
+def _rho_t(I, t, ctx, sign):
+    """Sum of t^(l(I) + sign*l(J)) Sigma_J over the J in G below I."""
+    I = _require_G(I, ctx)
+    li = len(I)
+    return expand_sigma_coords(
+        {
+            J: scalar_pow(t, li + sign * len(J))
+            for J in ctx.lower(I)
+            if ctx.in_G(J)
+        },
+        ctx,
+    )
+
+
 def rho_t_basis(I, t, ctx):
     """The t-deformation: sum of t^(l(I)-l(J)) Sigma_J over J in G below I.
 
     At t = -1 this is rho_I; at t = 0 it collapses to Sigma_I alone and
     is no longer part of a basis family, though still a valid element.
     """
-    I = _require_G(I, ctx)
-    out = {}
-    li = len(I)
-    for J in ctx.lower(I):
-        if not ctx.in_G(J):
-            continue
-        c = scalar_pow(t, li - len(J))
-        if not c:
-            continue
-        for K in ctx.lower(J):
-            cur = out.get(K, 0) + c
-            if cur:
-                out[K] = cur
-            else:
-                out.pop(K, None)
-    return NsymElement("R", out)
+    return _rho_t(I, t, ctx, -1)
 
 
 def rho_basis(I, ctx):
@@ -146,32 +147,15 @@ def rho_t_primed_basis(I, t, ctx):
 
     Satisfies rho'_I(t) = t^(2 l(I)) rho_I(1/t) for t != 0.
     """
-    I = _require_G(I, ctx)
-    out = {}
-    li = len(I)
-    for J in ctx.lower(I):
-        if not ctx.in_G(J):
-            continue
-        c = scalar_pow(t, li + len(J))
-        if not c:
-            continue
-        for K in ctx.lower(J):
-            cur = out.get(K, 0) + c
-            if cur:
-                out[K] = cur
-            else:
-                out.pop(K, None)
-    return NsymElement("R", out)
+    return _rho_t(I, t, ctx, 1)
 
 
 def sigma_from_rho(I, ctx):
     """Rebuild Sigma_I as the sign-free sum of rho_J over J in G below I."""
     I = _require_G(I, ctx)
-    out = zero("R")
-    for J in ctx.lower(I):
-        if ctx.in_G(J):
-            out = out + rho_basis(J, ctx)
-    return out
+    return expand_rho_coords(
+        {J: _ONE for J in ctx.lower(I) if ctx.in_G(J)}, ctx
+    )
 
 
 def T_basis(K, ctx):
@@ -189,18 +173,28 @@ def T_basis(K, ctx):
 
 def expand_sigma_coords(coords, ctx):
     """Turn {J: c} Sigma-coordinates into a ribbon-basis element."""
-    out = zero("R")
+    terms = {}
     for J, c in coords.items():
-        out = out + sigma_basis(J, ctx).scale(c)
-    return out
+        for K in ctx.lower(_require_G(J, ctx)):
+            add_term(terms, K, c)
+    return NsymElement("R", terms)
 
 
 def expand_rho_coords(coords, ctx):
-    """Turn {J: c} rho-coordinates into a ribbon-basis element."""
-    out = zero("R")
-    for J, c in coords.items():
-        out = out + rho_basis(J, ctx).scale(c)
-    return out
+    """Turn {J: c} rho-coordinates into a ribbon-basis element.
+
+    rho_I is the sum of (-1)^(l(I)-l(J)) Sigma_J over the J in G below
+    I, so the coordinates move to the Sigma family first.
+    """
+    sig = {}
+    for I, c in coords.items():
+        I = _require_G(I, ctx)
+        li = len(I)
+        neg = -c
+        for J in ctx.lower(I):
+            if ctx.in_G(J):
+                add_term(sig, J, neg if (li - len(J)) % 2 else c)
+    return expand_sigma_coords(sig, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +203,9 @@ def expand_rho_coords(coords, ctx):
 
 def pi_N(F, ctx):
     """Send S^I to Sigma_I when I is in G, to zero otherwise, linearly."""
-    Fs = F.to_basis("S")
-    out = zero("R")
-    for I, coeff in Fs.terms.items():
-        if ctx.in_G(I):
-            out = out + sigma_basis(I, ctx).scale(coeff)
-    return out
+    return expand_sigma_coords(
+        {I: c for I, c in F.to_basis("S").terms.items() if ctx.in_G(I)}, ctx
+    )
 
 
 def membership(F, ctx, weight_limit=20):
@@ -241,12 +232,9 @@ def membership(F, ctx, weight_limit=20):
         if not c:
             continue
         coords[J] = c
+        neg = -c
         for K in ctx.lower(J):
-            cur = residual.get(K, 0) - c
-            if cur:
-                residual[K] = cur
-            else:
-                residual.pop(K, None)
+            add_term(residual, K, neg)
     if residual:
         return None
     return coords
@@ -264,13 +252,8 @@ def rho_membership(F, ctx, weight_limit=20):
     out = {}
     for I, c in sig.items():
         for J in ctx.lower(I):
-            if not ctx.in_G(J):
-                continue
-            cur = out.get(J, 0) + c
-            if cur:
-                out[J] = cur
-            else:
-                out.pop(J, None)
+            if ctx.in_G(J):
+                add_term(out, J, c)
     return out
 
 
@@ -457,23 +440,25 @@ def decomp_R_on_rho(I, ctx):
 # tracks the graded components.
 
 
-def _block_ribbon(N, i, j):
-    return R(*((N,) * i + (j,)))
+def _block_series(ctx, order, coeff, js):
+    """coeff(i, j) R_(N^i j) in degree N*i+j, over i >= 0 and j in js."""
+    N = ctx.N
+    return GradedSeries(
+        order,
+        {
+            N * i + j: NsymElement("R", {(N,) * i + (j,): coeff(i, j)})
+            for i in range(order // N + 1)
+            for j in js
+            if N * i + j <= order
+        },
+    )
 
 
 def tangent_element_series(ctx, order):
     """The alternating sum of the block generators, graded by weight."""
-    N = ctx.N
-    coeffs = {}
-    for i in range(order // N + 1):
-        sign = _ONE if (i + 1) % 2 == 0 else -_ONE
-        for j in range(1, N):
-            d = N * i + j
-            if d > order:
-                continue
-            term = _block_ribbon(N, i, j).scale(sign)
-            coeffs[d] = coeffs.get(d, zero("R")) + term
-    return GradedSeries(order, coeffs)
+    return _block_series(
+        ctx, order, lambda i, j: _ONE if i % 2 else -_ONE, range(1, ctx.N)
+    )
 
 
 def rho_ones_series(ctx, order, t=None):
@@ -511,16 +496,7 @@ def sigma_lambda_N(ctx, order):
     order) telescopes to 1; this is the sign normalization under which
     the stated product identity holds.
     """
-    N = ctx.N
-    coeffs = {0: one("R")}
-    for i in range(order // N + 1):
-        sign = _ONE if i % 2 == 0 else -_ONE
-        for j in range(1, N):
-            d = N * i + j
-            if d > order:
-                continue
-            coeffs[d] = coeffs.get(d, zero("R")) + _block_ribbon(N, i, j).scale(sign)
-    sig = GradedSeries(order, coeffs)
+    sig = unit_series(order) - tangent_element_series(ctx, order)
     lam = rho_ones_series(ctx, order)
     return sig, lam, sig * lam == unit_series(order)
 
@@ -531,16 +507,9 @@ def tangent_zeta_element_series(ctx, order):
     At order 2 the deformation coefficient collapses to (-1)^i, the
     negative of the plain tangent element's sign.
     """
-    N = ctx.N
-    coeffs = {}
-    for i in range(order // N + 1):
-        for j in range(1, N):
-            d = N * i + j
-            if d > order:
-                continue
-            c = ctx.zeta_power(j - i - 1)
-            coeffs[d] = coeffs.get(d, zero("R")) + _block_ribbon(N, i, j).scale(c)
-    return GradedSeries(order, coeffs)
+    return _block_series(
+        ctx, order, lambda i, j: ctx.zeta_power(j - i - 1), range(1, ctx.N)
+    )
 
 
 def tangent_zeta_series(ctx, order):
@@ -570,16 +539,6 @@ def lemma_rnij_series(ctx, j, order):
     if not 1 <= j <= N - 1:
         raise ValueError(f"need 1 <= j <= N-1, got j={j}")
 
-    def block_series(jj):
-        coeffs = {}
-        for m in range(order // N + 1):
-            d = m * N + jj
-            if d > order:
-                continue
-            sign = _ONE if m % 2 == 0 else -_ONE
-            coeffs[d] = _block_ribbon(N, m, jj).scale(sign)
-        return GradedSeries(order, coeffs)
-
     s_multiples = GradedSeries(
         order,
         {d: (one("S") if d == 0 else S(d)) for d in range(0, order + 1, N)},
@@ -587,11 +546,13 @@ def lemma_rnij_series(ctx, j, order):
     s_congruent = GradedSeries(
         order, {d: S(d) for d in range(j, order + 1, N)}
     )
-    first = block_series(j) == s_multiples.inverse() * s_congruent
+    block = _block_series(
+        ctx, order, lambda i, _: -_ONE if i % 2 else _ONE, (j,)
+    )
+    first = block == s_multiples.inverse() * s_congruent
 
-    total = unit_series(order)
-    for jj in range(1, N):
-        total = total + block_series(jj)
+    # One plus the block series over all j is sigma_N = 1 - t.
+    total = unit_series(order) - tangent_element_series(ctx, order)
     lam = GradedSeries(
         order,
         {

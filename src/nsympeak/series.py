@@ -26,7 +26,7 @@ import functools
 from fractions import Fraction
 
 from .compositions import compositions_of, canonical_key
-from .elements import NsymElement, S, one, zero, multiply
+from .elements import NsymElement, S, linear_combination, multiply, one, zero
 from .scalars import scalar_inv, scalar_pow, zeta
 
 DEFAULT_ORDER = 12
@@ -83,15 +83,13 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out = {}
-        for da, ea in self.coeffs.items():
-            for db, eb in other.coeffs.items():
-                deg = da + db
-                if deg > order:
-                    continue
-                prod = multiply(ea, eb)
-                out[deg] = out.get(deg, zero()) + prod
-        return GradedSeries(order, out)
+        return GradedSeries(
+            order,
+            {
+                deg: _convolve(self.coeffs, other.coeffs, deg)
+                for deg in range(order + 1)
+            },
+        )
 
     def inverse(self):
         """Degreewise two-sided inverse; needs a scalar unit constant term."""
@@ -103,17 +101,11 @@ class GradedSeries:
         c0 = scalar_inv(head.terms[()])
         inv = {0: one().scale(c0)}
         for deg in range(1, self.order + 1):
-            acc = zero()
-            for j in range(1, deg + 1):
-                aj = self.coeffs.get(j)
-                if aj is None:
-                    continue
-                bk = inv.get(deg - j)
-                if bk is None:
-                    continue
-                acc = acc + multiply(aj, bk)
+            # inv has no degree-deg entry yet, so the constant term of
+            # self drops out of the convolution.
+            acc = _convolve(self.coeffs, inv, deg)
             if acc:
-                inv[deg] = (-acc).scale(c0)
+                inv[deg] = acc.scale(-c0)
         return GradedSeries(self.order, inv)
 
     def derivative(self):
@@ -138,6 +130,18 @@ class GradedSeries:
         return " + ".join(bits) + f" + O(t^{self.order + 1})"
 
     __repr__ = __str__
+
+
+def _convolve(left, right, deg):
+    """The degree-deg coefficient of a product of coefficient dicts."""
+    return linear_combination(
+        "S",
+        (
+            (multiply(a, right[deg - d]), _ONE)
+            for d, a in left.items()
+            if deg - d in right
+        ),
+    )
 
 
 def unit_series(order):
@@ -192,16 +196,30 @@ def _generator(n, q):
     return got
 
 
+def _extend(F, gen, scale=None):
+    """The linear, multiplicative extension of S_n -> scale * gen(n) to F.
+
+    Each S word's product is seeded with its coefficient (times
+    scale^l(I)), so no generator image is ever rescaled.
+    """
+
+    def image(I, coeff):
+        if scale is not None and I:
+            coeff = coeff * scalar_pow(scale, len(I))
+        piece = NsymElement("S", {(): coeff})
+        for part in I:
+            piece = multiply(piece, gen(part))
+        return piece
+
+    return linear_combination(
+        "S",
+        ((image(I, c), _ONE) for I, c in F.to_basis("S").terms.items()),
+    )
+
+
 def theta_q(F, q):
     """Apply the transform: multiplicative over S words, linear overall."""
-    Fs = F.to_basis("S")
-    out = zero()
-    for I, coeff in Fs.terms.items():
-        piece = one().scale(coeff)
-        for part in I:
-            piece = multiply(piece, _generator(part, q))
-        out = out + piece
-    return out
+    return _extend(F, lambda part: _generator(part, q))
 
 
 def Theta(F, N):
@@ -213,23 +231,10 @@ def Theta(F, N):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    Fs = F.to_basis("S")
     if N == 1:
-        gen = psi
-    else:
-        z = zeta(N)
-        scale = scalar_inv(1 - z)
-
-        def gen(part):
-            return _generator(part, z).scale(scale)
-
-    out = zero()
-    for I, coeff in Fs.terms.items():
-        piece = one().scale(coeff)
-        for part in I:
-            piece = multiply(piece, gen(part))
-        out = out + piece
-    return out
+        return _extend(F, psi)
+    z = zeta(N)
+    return _extend(F, lambda part: _generator(part, z), scalar_inv(1 - z))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ import re
 from fractions import Fraction
 
 from .compositions import check_composition, display_key
-from .elements import NsymElement, _coeff_text
+# coords_to_text is the element printer, re-exported as part of this API.
+from .elements import NsymElement, add_term, coords_to_text
 from .scalars import scalar_from_json, scalar_from_text, scalar_to_json
 
 BASIS_NAMES = ("S", "R", "Sigma", "rho", "T")
@@ -168,7 +169,7 @@ def parse_element_terms(text, N=None):
                 name, comp, pos = word
                 pos = _skip_ws(text, pos)
                 basis = _merge_basis(basis, name, pos)
-                _accumulate(terms, comp, sign * coeff)
+                add_term(terms, comp, sign * coeff)
                 continue
 
         if pos < len(text) and text[pos] == "*":
@@ -179,9 +180,9 @@ def parse_element_terms(text, N=None):
             name, comp, pos = word
             pos = _skip_ws(text, pos)
             basis = _merge_basis(basis, name, pos)
-            _accumulate(terms, comp, sign * coeff)
+            add_term(terms, comp, sign * coeff)
         else:
-            _accumulate(terms, (), sign * coeff)
+            add_term(terms, (), sign * coeff)
     return basis, terms
 
 
@@ -193,14 +194,6 @@ def _merge_basis(basis, name, pos):
     raise ElementParseError(f"mixed basis words {basis} and {name}", pos)
 
 
-def _accumulate(terms, comp, coeff):
-    cur = terms.get(comp, 0) + coeff
-    if cur:
-        terms[comp] = cur
-    else:
-        terms.pop(comp, None)
-
-
 def element_from_text(text, N=None, default_basis="S"):
     """Parse an S or R literal into an NsymElement."""
     basis, terms = parse_element_terms(text, N)
@@ -209,23 +202,6 @@ def element_from_text(text, N=None, default_basis="S"):
     if basis not in ELEMENT_BASES:
         raise ValueError(f"{basis} words are coordinates, not a storage basis")
     return NsymElement(basis, terms)
-
-
-def coords_to_text(coords, name):
-    """Render a {comp: coeff} coordinate vector the way elements print."""
-    if not coords:
-        return "0"
-    out = []
-    for comp in sorted(coords, key=display_key):
-        word = name + "[" + ",".join(map(str, comp)) + "]" if comp else "1"
-        text = _coeff_text(coords[comp], word)
-        if not out:
-            out.append(text)
-        elif text.startswith("-"):
-            out.append(" - " + text[1:])
-        else:
-            out.append(" + " + text)
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +240,7 @@ def terms_from_json(obj):
             coeff = scalar_from_json(entry["coeff"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad JSON term {json.dumps(entry)}") from exc
-        _accumulate(terms, comp, coeff)
+        add_term(terms, comp, coeff)
     return name, terms
 
 

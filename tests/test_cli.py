@@ -101,9 +101,10 @@ def test_internal_capacity(capsys):
         ["expand", '{"basis": "S"}'],
         ["bases", "--n", "3", "--N", "1"],
         ["hilbert", "--N", "0", "--max-n", "4"],
+        ["hilbert", "--N", "2", "--max-n", "-1"],
     ],
     ids=["zero-denominator", "json-zero-den", "json-no-terms", "bases-N1",
-         "hilbert-N0"],
+         "hilbert-N0", "hilbert-negative-max-n"],
 )
 def test_bad_input_exits_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
