@@ -34,8 +34,8 @@ from .compositions import (
     peak_set_of_permutation,
     ribbon_factorization,
 )
-from .descent import CapacityError, internal_product
-from .elements import NsymElement, R, S, coproduct_S, multiply, one, zero
+from .descent import internal_product
+from .elements import CapacityError, NsymElement, R, S, coproduct_S, multiply, one, zero
 from .peak import (
     PeakContext,
     T_basis,

@@ -47,8 +47,8 @@ from .compositions import (
     hilbert_dim,
     peak_compositions_of,
 )
-from .descent import CapacityError, internal_product
-from .elements import NsymElement, R, S, linear_combination, multiply
+from .descent import internal_product
+from .elements import CapacityError, NsymElement, R, S, linear_combination, multiply
 from .peak import (
     PeakContext,
     T_basis,

@@ -15,20 +15,17 @@ S words raises CapacityError.
 import collections
 import functools
 
-from .elements import NsymElement
+from .compositions import num_compositions
+from .elements import CapacityError, NsymElement
 
 MAX_WORD_PAIRS = 1 << 18
-
-
-class CapacityError(Exception):
-    """Raised when an internal product needs more than MAX_WORD_PAIRS S-word pairs."""
 
 
 def _words_by_weight(F):
     """How many S words each weight of F expands to, counted without expanding."""
     counts = collections.Counter()
     for I in F.terms:
-        counts[sum(I)] += 1 if F.basis == "S" else 1 << max(len(I) - 1, 0)
+        counts[sum(I)] += 1 if F.basis == "S" else num_compositions(len(I))
     return counts
 
 

@@ -14,6 +14,9 @@ S^J over the same interval. Products concatenate compositions in
 the S basis; in the R basis the two-term ribbon rule applies
 (concatenate, or glue at the seam). Elements are immutable values: all
 operations return new objects.
+
+A basis change first counts its 2^(l(I)-1) words per word I and raises
+CapacityError (exit code 4 on the command line) above MAX_EXPANSION_TERMS.
 """
 
 from __future__ import annotations
@@ -25,11 +28,18 @@ from .compositions import (
     descent_set,
     display_key,
     composition_from_descents,
+    num_compositions,
 )
 from .scalars import CyclotomicNumber
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+MAX_EXPANSION_TERMS = 1 << 21
+
+
+class CapacityError(Exception):
+    """Raised when a computation would exceed one of the stated size limits."""
 
 
 def _as_scalar(c):
@@ -38,6 +48,16 @@ def _as_scalar(c):
     if isinstance(c, (Fraction, CyclotomicNumber)):
         return c
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
+
+
+def _check_expansion(F):
+    # I has one coarsening per composition of its length l(I).
+    total = sum(num_compositions(len(I)) for I in F.terms)
+    if total > MAX_EXPANSION_TERMS:
+        raise CapacityError(
+            f"basis change needs {total} terms, "
+            f"above the limit {MAX_EXPANSION_TERMS}"
+        )
 
 
 def _coarsenings(I):
@@ -252,6 +272,7 @@ def s_to_r(F):
     """Expand S words into ribbons: S^I = sum of R_J over J coarser than I."""
     if F.basis != "S":
         raise ValueError(f"expected an S-basis element, got basis {F.basis!r}")
+    _check_expansion(F)
     out = {}
     for I, coeff in F.terms.items():
         for J in _coarsenings(I):
@@ -263,6 +284,7 @@ def r_to_s(F):
     """Expand ribbons into S words by the alternating triangular sum."""
     if F.basis != "R":
         raise ValueError(f"expected an R-basis element, got basis {F.basis!r}")
+    _check_expansion(F)
     out = {}
     for I, coeff in F.terms.items():
         li = len(I)

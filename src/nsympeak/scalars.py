@@ -5,6 +5,13 @@ represented by their coefficient vector modulo the N-th cyclotomic polynomial
 Phi_N, so the representation has degree < phi(N) and division always works
 (the quotient ring is a field).
 
+A sum of two reduced vectors is already reduced, so +, - and negation work
+entry by entry and reduce nothing. A product is the schoolbook product
+folded back below degree phi(N) through the monic integer polynomial Phi_N,
+top degree first. The inverse of a is the product of its other Galois
+conjugates sigma_k(a) (k prime to N, k != 1; sigma_k sends zeta to zeta^k)
+divided by the norm, a times that product, which is rational.
+
 Arithmetic auto-demotes: whenever a cyclotomic result turns out to be purely
 rational (all coefficients above degree 0 vanish) it is returned as a
 Fraction. As a consequence every rational value has exactly one
@@ -21,6 +28,7 @@ carried out of band.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 
@@ -28,65 +36,35 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of dense rational polynomials (low-to-high)."""
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    inv_lead = _ONE / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        if c != 0:
-            q[k] = c
-            for j, y in enumerate(b):
-                a[k + j] -= c * y
-    return _poly_trim(q), _poly_trim(a)
+def _fold(a, p):
+    """Divide the list a by the monic p in place, top degree first; a ends
+    as the remainder (its first deg p entries) followed by the quotient."""
+    m = len(p) - 1
+    for k in range(len(a) - 1, m - 1, -1):
+        c = a[k]
+        if c:
+            for j in range(m):
+                if p[j]:
+                    a[k - m + j] -= c * p[j]
 
 
 @functools.cache
 def cyclotomic_polynomial(N):
     """Coefficients of Phi_N, low degree first, as exact Fractions.
 
-    Computed by exact division of x^N - 1 by the product of Phi_d over the
-    proper divisors d of N.
+    Computed from x^N - 1 by exact division by Phi_d for each proper
+    divisor d of N.
     """
     if N < 1:
         raise ValueError("conductor must be >= 1")
-    num = [-_ONE] + [_ZERO] * (N - 1) + [_ONE]
-    den = [_ONE]
+    q = [-_ONE] + [_ZERO] * (N - 1) + [_ONE]
     for d in range(1, N):
         if N % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise AssertionError(f"x^{N}-1 not divisible by product of Phi_d")
+            m = euler_phi(d)
+            _fold(q, cyclotomic_polynomial(d))
+            if any(q[:m]):
+                raise AssertionError(f"x^{N}-1 not divisible by Phi_{d}")
+            q = q[m:]
     return tuple(q)
 
 
@@ -95,10 +73,25 @@ def euler_phi(N):
     return len(cyclotomic_polynomial(N)) - 1
 
 
-def _reduce_mod_phi(coeffs, N):
-    phi = cyclotomic_polynomial(N)
-    _, r = _poly_divmod(coeffs, list(phi))
-    return r
+def _demoted(N, cs):
+    """The scalar with reduced coefficients cs, built without validation."""
+    if not any(cs[1:]):
+        return cs[0]
+    x = object.__new__(CyclotomicNumber)
+    x.N = N
+    x.coeffs = tuple(cs)
+    return x
+
+
+def _reduce(N, a):
+    """The demoted scalar of the zeta-polynomial a, a list of Fractions.
+
+    Degrees >= phi(N) are folded through the monic Phi_N; a is consumed.
+    """
+    d = euler_phi(N)
+    _fold(a, cyclotomic_polynomial(N))
+    a += [_ZERO] * (d - len(a))
+    return _demoted(N, a[:d])
 
 
 class CyclotomicNumber:
@@ -124,23 +117,21 @@ class CyclotomicNumber:
     # -- coercion helpers --------------------------------------------------
 
     def _coerce(self, other):
-        """Return other as a coefficient same-conductor CyclotomicNumber, or None."""
+        """other's coefficient tuple at this conductor, or None if it is no scalar."""
         if isinstance(other, CyclotomicNumber):
             if other.N != self.N:
                 raise ValueError(
                     f"conductor mismatch: {self.N} vs {other.N} "
                     "(no automatic lifting)"
                 )
-            return other
+            return other.coeffs
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.N, [Fraction(other)])
+            return (Fraction(other),) + (_ZERO,) * (len(self.coeffs) - 1)
         return None
 
     def demote(self):
         """Return an equal Fraction if this value is rational, else self."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0] if self.coeffs else _ZERO
-        return self
+        return self if any(self.coeffs[1:]) else self.coeffs[0]
 
     # -- ring operations ---------------------------------------------------
 
@@ -148,64 +139,66 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return make_cyclotomic(self.N, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _demoted(self.N, [a + b if b else a for a, b in zip(self.coeffs, o)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return make_cyclotomic(self.N, [-a for a in self.coeffs])
+        return _demoted(self.N, [-a for a in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return make_cyclotomic(self.N, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return _demoted(self.N, [a - b if b else a for a, b in zip(self.coeffs, o)])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _demoted(self.N, [b - a if a else b for a, b in zip(self.coeffs, o)])
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        return make_cyclotomic(self.N, _reduce_mod_phi(prod, self.N))
+        prod = [_ZERO] * (2 * len(o) - 1)
+        for i, x in enumerate(o):
+            if x:
+                for j, y in enumerate(self.coeffs):
+                    if y:
+                        prod[i + j] += x * y
+        return _reduce(self.N, prod)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        f = _poly_trim(self.coeffs)
-        if not f:
+        """1/a = (product of the conjugates sigma_k(a), k != 1) / norm(a).
+
+        sigma_k sends zeta^i to zeta^(ik mod N); the norm, a times the
+        product, is rational, so only one rational is inverted.
+        """
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        g = list(cyclotomic_polynomial(self.N))
-        # extended gcd in Q[x]: maintain s with s*f = r (mod Phi_N)
-        r0, r1 = g, f
-        s0, s1 = [], [_ONE]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible mod Phi_N")
-        lead = r0[0]
-        inv = [c / lead for c in s0]
-        return make_cyclotomic(self.N, _reduce_mod_phi(inv, self.N))
+        N = self.N
+        others = _ONE
+        for k in range(2, N):
+            if math.gcd(k, N) == 1:
+                a = [_ZERO] * N
+                for i, c in enumerate(self.coeffs):
+                    a[i * k % N] = c
+                others = _reduce(N, a) * others
+        return others * (_ONE / (self * others))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._coerce(other) is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * scalar_inv(other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._coerce(other) is None:
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -224,26 +217,21 @@ class CyclotomicNumber:
     # -- comparisons and hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            d = self.demote()
-            return not isinstance(d, CyclotomicNumber) and d == Fraction(other)
-        if isinstance(other, CyclotomicNumber):
-            if other.N != self.N:
-                a, b = self.demote(), other.demote()
-                if isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber):
-                    return False
-                return a == b
+        if isinstance(other, CyclotomicNumber) and other.N == self.N:
             return self.coeffs == other.coeffs
-        return NotImplemented
+        if isinstance(other, CyclotomicNumber):
+            other = other.demote()
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        a = self.demote()
+        return is_rational(a) and is_rational(other) and a == other
 
     def __hash__(self):
         d = self.demote()
-        if not isinstance(d, CyclotomicNumber):
-            return hash(d)
-        return hash((self.N, self.coeffs))
+        return hash((self.N, self.coeffs)) if d is self else hash(d)
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.coeffs)
 
     def __repr__(self):
         return f"CyclotomicNumber({self.N}, {scalar_to_text(self)!r})"
@@ -254,9 +242,7 @@ class CyclotomicNumber:
 
 def make_cyclotomic(N, coeffs):
     """Build a scalar from zeta-polynomial coefficients, reduced and demoted."""
-    reduced = _reduce_mod_phi([Fraction(c) for c in coeffs], N)
-    value = CyclotomicNumber(N, reduced)
-    return value.demote()
+    return _reduce(N, [Fraction(c) for c in coeffs])
 
 
 def zeta(N):
@@ -274,18 +260,11 @@ def zeta_pow(N, k):
 
 def scalar_pow(x, k):
     """x**k for a Scalar x and integer k (negative k inverts first)."""
-    if isinstance(x, CyclotomicNumber):
-        return x ** k
-    x = Fraction(x)
-    if k < 0:
-        return Fraction(1) / (x ** (-k))
-    return x ** k
+    return (x if isinstance(x, CyclotomicNumber) else Fraction(x)) ** k
 
 
 def scalar_inv(x):
-    if isinstance(x, CyclotomicNumber):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
+    return x.inverse() if isinstance(x, CyclotomicNumber) else _ONE / Fraction(x)
 
 
 def is_rational(x):
@@ -365,10 +344,7 @@ def scalar_from_text(text, N=None):
             k = int(zpart[2:])
         coeffs[k] = coeffs.get(k, _ZERO) + sign * coeff
         pos = m.end()
-    vec = [_ZERO] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        vec[k] = c
-    return make_cyclotomic(N, vec)
+    return make_cyclotomic(N, [coeffs.get(k, _ZERO) for k in range(max(coeffs) + 1)])
 
 
 def scalar_to_json(x):

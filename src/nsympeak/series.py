@@ -26,7 +26,7 @@ import functools
 from fractions import Fraction
 
 from .compositions import compositions_of, canonical_key
-from .elements import NsymElement, S, linear_combination, multiply, one, zero
+from .elements import NsymElement, S, add_term, linear_combination, multiply, one, zero
 from .scalars import scalar_inv, scalar_pow, zeta
 
 DEFAULT_ORDER = 12
@@ -65,7 +65,7 @@ class GradedSeries:
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for deg, elt in other.coeffs.items():
-            out[deg] = out.get(deg, zero()) + elt
+            out[deg] = out[deg] + elt if deg in out else elt
         return GradedSeries(order, out)
 
     def __sub__(self, other):
@@ -83,12 +83,10 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         order = min(self.order, other.order)
+        left, right = _in_S(self.coeffs), _in_S(other.coeffs)
         return GradedSeries(
             order,
-            {
-                deg: _convolve(self.coeffs, other.coeffs, deg)
-                for deg in range(order + 1)
-            },
+            {deg: _convolve(left, right, deg) for deg in range(order + 1)},
         )
 
     def inverse(self):
@@ -99,11 +97,12 @@ class GradedSeries:
                 "series inverse needs an invertible scalar constant term"
             )
         c0 = scalar_inv(head.terms[()])
+        coeffs = _in_S(self.coeffs)
         inv = {0: one().scale(c0)}
         for deg in range(1, self.order + 1):
             # inv has no degree-deg entry yet, so the constant term of
             # self drops out of the convolution.
-            acc = _convolve(self.coeffs, inv, deg)
+            acc = _convolve(coeffs, inv, deg)
             if acc:
                 inv[deg] = acc.scale(-c0)
         return GradedSeries(self.order, inv)
@@ -132,16 +131,21 @@ class GradedSeries:
     __repr__ = __str__
 
 
+def _in_S(coeffs):
+    """The coefficient dict with every element in the S basis."""
+    return {deg: elt.to_basis("S") for deg, elt in coeffs.items()}
+
+
 def _convolve(left, right, deg):
-    """The degree-deg coefficient of a product of coefficient dicts."""
-    return linear_combination(
-        "S",
-        (
-            (multiply(a, right[deg - d]), _ONE)
-            for d, a in left.items()
-            if deg - d in right
-        ),
-    )
+    """The degree-deg coefficient of a product of S-basis coefficient dicts."""
+    terms = {}
+    for d, a in left.items():
+        b = right.get(deg - d)
+        if b is not None:
+            for I, x in a.terms.items():
+                for J, y in b.terms.items():
+                    add_term(terms, I + J, x * y)
+    return NsymElement("S", terms)
 
 
 def unit_series(order):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from nsympeak import cli
+from nsympeak.elements import MAX_EXPANSION_TERMS
 
 
 def run(capsys, *argv):
@@ -90,6 +91,20 @@ def test_internal_capacity(capsys):
     rc, out, _ = run(capsys, "internal", "R[9]", "R[9]")
     assert rc == 0
     assert out.strip() == "R[9]"
+
+
+def test_expand_capacity(capsys):
+    # S[1^30] has 2^29 ribbons; S[30] is the single ribbon R[30].
+    ones = "S[" + ",".join(["1"] * 30) + "]"
+    start = time.monotonic()
+    rc, out, err = run(capsys, "expand", ones, "--to", "R")
+    assert time.monotonic() - start < 1
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error:") and str(MAX_EXPANSION_TERMS) in err
+    rc, out, _ = run(capsys, "expand", "S[30]", "--to", "R")
+    assert rc == 0
+    assert out.strip() == "R[30]"
 
 
 @pytest.mark.parametrize(

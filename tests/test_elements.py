@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from nsympeak import elements
 from nsympeak.compositions import compositions_of
 from nsympeak.elements import (
+    CapacityError,
     NsymElement,
     R,
     S,
@@ -57,6 +59,21 @@ def test_r_to_s_small():
     assert R(1, 1, 1).to_basis("S") == (
         S(1, 1, 1) - S(2, 1) - S(1, 2) + S(3)
     )
+
+
+def test_basis_change_capacity(monkeypatch):
+    # S[1^23] and R[1^23] each stand for 2^22 words, counted up front.
+    with pytest.raises(CapacityError, match=str(elements.MAX_EXPANSION_TERMS)):
+        S(*[1] * 23).to_basis("R")
+    with pytest.raises(CapacityError):
+        R(*[1] * 23).to_basis("S")
+    # The count is the sum of 2^(l(I)-1) over the words, limit included.
+    monkeypatch.setattr(elements, "MAX_EXPANSION_TERMS", 5)
+    assert len((S(1, 1, 1) + S(2)).to_basis("R").terms) == 5
+    with pytest.raises(CapacityError, match="6 terms"):
+        (S(1, 1, 1) + S(1, 1)).to_basis("R")
+    with pytest.raises(CapacityError):
+        R(1, 1, 1, 1).to_basis("S")
 
 
 def test_basis_round_trip_exhaustive():

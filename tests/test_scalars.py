@@ -67,7 +67,7 @@ def test_zeta_pow_reduces_exponents():
 
 def test_inverse_and_division():
     rng = random.Random(7)
-    for N in (3, 4, 5, 6):
+    for N in (3, 4, 5, 6, 9, 15):
         d = euler_phi(N)
         for _ in range(12):
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
@@ -78,6 +78,13 @@ def test_inverse_and_division():
     one_minus = 1 - zeta(3)
     inv = scalar_inv(one_minus)
     assert inv == make_cyclotomic(3, [Fraction(2, 3), Fraction(1, 3)])
+    # A rational held in a raw instance inverts to a Fraction.
+    assert type(CyclotomicNumber(5, [2]).inverse()) is Fraction
+    assert CyclotomicNumber(5, [2]).inverse() == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicNumber(5, [0]).inverse()
+    with pytest.raises(ZeroDivisionError):
+        zeta(5) / 0
 
 
 def test_conductor_mismatch_rejected():

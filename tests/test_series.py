@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nsympeak.elements import NsymElement, R, S, multiply, one, zero
+from nsympeak.peak import PeakContext, tangent_element_series
 from nsympeak.scalars import zeta
 from nsympeak.series import (
     GradedSeries,
@@ -63,6 +64,19 @@ def test_series_plumbing():
         GradedSeries(2, {1: "S1"})
     scaled = sigma_series(3, q=2)
     assert scaled.coefficient(2) == 4 * S(2)
+
+
+def test_add_keeps_the_basis_of_each_coefficient():
+    t = tangent_element_series(PeakContext(3), 4)
+    diff = unit_series(4) - t
+    assert diff.coefficient(0) == one()
+    assert sorted(t.coeffs) == [1, 2, 4]
+    for deg, elt in t.coeffs.items():
+        assert diff.coefficient(deg).basis == "R"
+        assert diff.coefficient(deg).terms == (-elt).terms
+    # Products and inverses still read ribbon coefficients correctly.
+    mixed = GradedSeries(3, {0: one("R"), 2: R(1, 1)})
+    assert mixed * mixed.inverse() == unit_series(3)
 
 
 def test_psi_series_alignment():
