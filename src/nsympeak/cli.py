@@ -105,10 +105,6 @@ class NotMemberError(Exception):
 # shared plumbing
 
 
-def _fmt_comp(I):
-    return composition_to_text(I)
-
-
 def _need_ctx(N, what):
     if N is None:
         raise UsageError(f"{what} needs --N")
@@ -327,11 +323,14 @@ def cmd_bases(args):
         )
     else:
         print(f"n={args.n} N={args.N} dim={dim}")
-        print("F: " + ", ".join(_fmt_comp(I) for I in fam_f))
-        print("G: " + ", ".join(_fmt_comp(I) for I in fam_g))
+        print("F: " + ", ".join(composition_to_text(I) for I in fam_f))
+        print("G: " + ", ".join(composition_to_text(I) for I in fam_g))
         print(
             "epsilon: "
-            + ", ".join(f"{_fmt_comp(I)} -> {_fmt_comp(K)}" for I, K in pairs)
+            + ", ".join(
+                f"{composition_to_text(I)} -> {composition_to_text(K)}"
+                for I, K in pairs
+            )
         )
     return 0
 
@@ -403,7 +402,7 @@ def _suite_basis(args, report):
                     if J in members and J != K and len(J) >= len(K):
                         report.fail(
                             f"N={N}: triangularity broken at "
-                            f"{_fmt_comp(J)} inside {_fmt_comp(K)}"
+                            f"{composition_to_text(J)} inside {composition_to_text(K)}"
                         )
                         return
                 report.checks += 1
@@ -412,7 +411,7 @@ def _suite_basis(args, report):
                 coords = membership(image, ctx)
                 if coords is None:
                     report.fail(
-                        f"N={N}: transform of S{_fmt_comp(K)} outside span"
+                        f"N={N}: transform of S{composition_to_text(K)} outside span"
                     )
                     return
                 report.checks += 1
@@ -434,14 +433,15 @@ def _suite_product(args, report):
                         lhs = multiply(si, sigma_basis(J, ctx))
                         if lhs != sigma_basis(I + J, ctx):
                             report.fail(
-                                f"N={N} I={_fmt_comp(I)} J={_fmt_comp(J)}"
+                                f"N={N} I={composition_to_text(I)} "
+                                f"J={composition_to_text(J)}"
                             )
                             return
                         report.checks += 1
         for n in range(max_w + 1):
             for I in G_set(n, N):
                 if T_basis(epsilon(I, N), ctx) != sigma_basis(I, ctx):
-                    report.fail(f"N={N} I={_fmt_comp(I)}: T identity")
+                    report.fail(f"N={N} I={composition_to_text(I)}: T identity")
                     return
                 report.checks += 1
 
@@ -455,13 +455,13 @@ def _suite_projector(args, report):
                 word = NsymElement("S", {K: 1})
                 image = pi_N(word, ctx)
                 if pi_N(image, ctx) != image:
-                    report.fail(f"N={N} K={_fmt_comp(K)}: not idempotent")
+                    report.fail(f"N={N} K={composition_to_text(K)}: not idempotent")
                     return
                 if image and membership(image, ctx) is None:
-                    report.fail(f"N={N} K={_fmt_comp(K)}: image not in span")
+                    report.fail(f"N={N} K={composition_to_text(K)}: image not in span")
                     return
                 if ctx.in_G(K) and image != sigma_basis(K, ctx):
-                    report.fail(f"N={N} K={_fmt_comp(K)}: wrong fixed image")
+                    report.fail(f"N={N} K={composition_to_text(K)}: wrong fixed image")
                     return
                 report.checks += 1
 
@@ -474,13 +474,14 @@ def _suite_morphism(args, report):
         report.checks += 1
         if not ok:
             I, J = failure
-            report.fail(f"N={N} I={_fmt_comp(I)} J={_fmt_comp(J)}")
+            report.fail(f"N={N} I={composition_to_text(I)} J={composition_to_text(J)}")
             return
         if hypothesis_cx is not None:
             I, J = hypothesis_cx
             report.notes.append(
                 f"N={N}: dropping the ideal hypothesis fails first at "
-                f"I={_fmt_comp(I)}, J={_fmt_comp(J)} (hypothesis necessary)"
+                f"I={composition_to_text(I)}, J={composition_to_text(J)} "
+                "(hypothesis necessary)"
             )
 
 
@@ -491,7 +492,7 @@ def _suite_ideal(args, report):
         for n in range(1, max_n + 1):
             for I in G_set(n, N):
                 if not in_T_ideal(sigma_basis(I, ctx), N):
-                    report.fail(f"N={N} I={_fmt_comp(I)}")
+                    report.fail(f"N={N} I={composition_to_text(I)}")
                     return
                 report.checks += 1
 
@@ -513,7 +514,7 @@ def _decomp_suite(kind, args, report):
                 got = expander(coords, ctx)
                 oracle = theta_q(base(*I), ctx.zeta).to_basis("R")
                 if got != oracle:
-                    report.fail(f"N={N} I={_fmt_comp(I)}")
+                    report.fail(f"N={N} I={composition_to_text(I)}")
                     return
                 report.checks += 1
 
@@ -611,7 +612,7 @@ def _suite_theta1_psi(args, report):
                 word = NsymElement("S", {I: 1})
                 star = internal_product(word, gen)
                 if theta_q(word, q) != star:
-                    report.fail(f"q={q} I={_fmt_comp(I)}: star identity")
+                    report.fail(f"q={q} I={composition_to_text(I)}: star identity")
                     return
                 report.checks += 1
 
@@ -628,15 +629,15 @@ def _suite_peak_classical(args, report):
         for I in reps:
             pk = classical_peak_function(I)
             if not pk:
-                report.fail(f"n={n} I={_fmt_comp(I)}: empty peak function")
+                report.fail(f"n={n} I={composition_to_text(I)}: empty peak function")
                 return
             support = set(pk.to_basis("R").terms)
             if support & seen:
-                report.fail(f"n={n} I={_fmt_comp(I)}: supports overlap")
+                report.fail(f"n={n} I={composition_to_text(I)}: supports overlap")
                 return
             seen |= support
             if membership(pk, ctx) is None:
-                report.fail(f"n={n} I={_fmt_comp(I)}: peak function outside")
+                report.fail(f"n={n} I={composition_to_text(I)}: peak function outside")
                 return
             report.checks += 1
     exp_max = min(max_n, 7)
@@ -651,7 +652,7 @@ def _suite_peak_classical(args, report):
                 ),
             )
             if got != want:
-                report.fail(f"I={_fmt_comp(I)}: expansion mismatch")
+                report.fail(f"I={composition_to_text(I)}: expansion mismatch")
                 return
             report.checks += 1
 
@@ -736,12 +737,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def common(p):
         p.add_argument("--N", type=int, help="root order for peak bases")
-        if fmt:
-            p.add_argument(
-                "--format", choices=("text", "json"), default="text"
-            )
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("expand", help="rewrite an element in a chosen basis")
     p.add_argument("expr")

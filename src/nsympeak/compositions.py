@@ -14,6 +14,13 @@ The module also carries the order-N split poset on compositions of n
 (cover moves replace one part i_k by (j, i_k - j) with j in [1, N-1]), the
 index families F and G exchanged by the block bijection epsilon, and the
 alignment statistics used by the transform decomposition formulas.
+
+Lower sets of the split poset have a closed form: J lies below I iff D(J)
+is a subset of D(I) that keeps the descent after every part i_k >= N.
+``lower_set`` enumerates them directly in canonical order; with no N it
+gives the reverse-refinement interval {J : D(J) contained in D(I)} that
+the S/R basis change sums over, and ``compositions_of(n)`` is that
+interval below (1^n). It is the only composition enumerator.
 """
 
 from __future__ import annotations
@@ -88,13 +95,7 @@ def compositions_of(n):
     """All 2^(n-1) compositions of n in canonical (descent bitmask) order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return [()]
-    out = []
-    for mask in range(1 << (n - 1)):
-        descents = [d for d in range(1, n) if mask & (1 << (d - 1))]
-        out.append(composition_from_descents(descents, n))
-    return out
+    return lower_set((1,) * n)
 
 
 def reverse_refines(I, J):
@@ -116,13 +117,6 @@ def conjugate(parts):
 
 # ---------------------------------------------------------------------------
 # permutations
-
-
-def check_permutation(images):
-    images = tuple(int(x) for x in images)
-    if sorted(images) != list(range(1, len(images) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-    return images
 
 
 def descent_composition(perm):
@@ -198,23 +192,27 @@ def merge_predecessors(I, N):
     return out
 
 
-def lower_set(I, N):
-    """All J below I in the split poset (J coarser), including I itself.
+def lower_set(I, N=None):
+    """All J below I in the order-N split poset (J coarser), I included.
 
-    Computed by closing downward under merges; every strict predecessor has
-    strictly smaller length, so the closure is finite and quick.
+    Closed form: D(J) is a subset of D(I) that keeps the descent after
+    every part i_k >= N, because a run of parts of I merges into one part
+    iff each non-final part of the run is < N (merge it right to left).
+    With N None every descent may go: {J : D(J) contained in D(I)}.
+    J is built part by part; each cut is a higher bit than the ones
+    before it, so listing merged words before kept ones gives canonical
+    order with no sort.
     """
-    seen = {tuple(I)}
-    frontier = [tuple(I)]
-    while frontier:
-        nxt = []
-        for J in frontier:
-            for K in merge_predecessors(J, N):
-                if K not in seen:
-                    seen.add(K)
-                    nxt.append(K)
-        frontier = nxt
-    return sorted(seen, key=canonical_key)
+    if not I:
+        return [()]
+    out = [(I[0],)]
+    for prev, p in zip(I, I[1:]):
+        kept = [J + (p,) for J in out]
+        if N is None or prev < N:
+            out = [J[:-1] + (J[-1] + p,) for J in out] + kept
+        else:
+            out = kept
+    return out
 
 
 def poset_leq(J, I, N):

@@ -25,9 +25,8 @@ from fractions import Fraction
 
 from .compositions import (
     check_composition,
-    descent_set,
     display_key,
-    composition_from_descents,
+    lower_set,
     num_compositions,
 )
 from .scalars import CyclotomicNumber
@@ -50,25 +49,12 @@ def _as_scalar(c):
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
 
-def _check_expansion(F):
-    # I has one coarsening per composition of its length l(I).
-    total = sum(num_compositions(len(I)) for I in F.terms)
+def check_expansion(total, what):
+    """Raise CapacityError when ``what`` needs more than MAX_EXPANSION_TERMS."""
     if total > MAX_EXPANSION_TERMS:
         raise CapacityError(
-            f"basis change needs {total} terms, "
-            f"above the limit {MAX_EXPANSION_TERMS}"
+            f"{what} needs {total} terms, above the limit {MAX_EXPANSION_TERMS}"
         )
-
-
-def _coarsenings(I):
-    """All J with D(J) contained in D(I), i.e. the compositions I refines."""
-    ds = sorted(descent_set(I))
-    n = sum(I)
-    out = []
-    for mask in range(1 << len(ds)):
-        subset = [d for k, d in enumerate(ds) if mask & (1 << k)]
-        out.append(composition_from_descents(subset, n))
-    return out
 
 
 class NsymElement:
@@ -272,10 +258,11 @@ def s_to_r(F):
     """Expand S words into ribbons: S^I = sum of R_J over J coarser than I."""
     if F.basis != "S":
         raise ValueError(f"expected an S-basis element, got basis {F.basis!r}")
-    _check_expansion(F)
+    # Each word I has one coarsening per composition of its length l(I).
+    check_expansion(sum(num_compositions(len(I)) for I in F.terms), "basis change")
     out = {}
     for I, coeff in F.terms.items():
-        for J in _coarsenings(I):
+        for J in lower_set(I):
             add_term(out, J, coeff)
     return NsymElement("R", out)
 
@@ -284,12 +271,12 @@ def r_to_s(F):
     """Expand ribbons into S words by the alternating triangular sum."""
     if F.basis != "R":
         raise ValueError(f"expected an R-basis element, got basis {F.basis!r}")
-    _check_expansion(F)
+    check_expansion(sum(num_compositions(len(I)) for I in F.terms), "basis change")
     out = {}
     for I, coeff in F.terms.items():
         li = len(I)
         neg = -coeff
-        for J in _coarsenings(I):
+        for J in lower_set(I):
             add_term(out, J, neg if (li - len(J)) % 2 else coeff)
     return NsymElement("S", out)
 

@@ -35,6 +35,7 @@ from .compositions import (
     G_set,
     admissible_peaks,
     aligned_positions,
+    alpha_stat,
     b_stat,
     check_composition,
     compositions_of,
@@ -47,11 +48,13 @@ from .compositions import (
     lower_set,
     peak_set_of_composition,
 )
-from .elements import NsymElement, S, R, add_term, multiply, one
+from .elements import CapacityError, NsymElement, S, R, add_term, multiply, one
 from .scalars import scalar_pow, zeta, zeta_pow
 from .series import GradedSeries, unit_series
 
 _ONE = Fraction(1)
+
+MAX_MEMBERSHIP_WEIGHT = 20
 
 
 class PeakContext:
@@ -208,13 +211,14 @@ def pi_N(F, ctx):
     )
 
 
-def membership(F, ctx, weight_limit=20):
+def membership(F, ctx):
     """Coordinates of F in the Sigma basis, or None when F is outside.
 
     The system is triangular: Sigma_J is R_J plus ribbons of strictly
     smaller length, so peeling candidates by decreasing length makes
     each coordinate read off directly; a nonzero final residue proves
-    non-membership. Input must be homogeneous.
+    non-membership. Input must be homogeneous, of weight at most
+    MAX_MEMBERSHIP_WEIGHT (CapacityError above it).
     """
     Fr = F.to_basis("R")
     if Fr.is_zero():
@@ -223,8 +227,10 @@ def membership(F, ctx, weight_limit=20):
     if len(ws) != 1:
         raise ValueError(f"membership needs a homogeneous element, weights {ws}")
     n = ws[0]
-    if n > weight_limit:
-        raise ValueError(f"weight {n} exceeds the membership limit {weight_limit}")
+    if n > MAX_MEMBERSHIP_WEIGHT:
+        raise CapacityError(
+            f"weight {n} exceeds the membership limit {MAX_MEMBERSHIP_WEIGHT}"
+        )
     residual = dict(Fr.terms)
     coords = {}
     for J in sorted(ctx.G(n), key=len, reverse=True):
@@ -240,13 +246,13 @@ def membership(F, ctx, weight_limit=20):
     return coords
 
 
-def rho_membership(F, ctx, weight_limit=20):
+def rho_membership(F, ctx):
     """Coordinates of F in the rho family, or None when outside.
 
     Each Sigma_I is the sign-free sum of rho_J over the J in G below I,
     so the Sigma coordinates push forward by summing over lower sets.
     """
-    sig = membership(F, ctx, weight_limit)
+    sig = membership(F, ctx)
     if sig is None:
         return None
     out = {}
@@ -257,13 +263,13 @@ def rho_membership(F, ctx, weight_limit=20):
     return out
 
 
-def T_membership(F, ctx, weight_limit=20):
+def T_membership(F, ctx):
     """Coordinates of F on the T products, or None when outside.
 
     Sigma_I equals the T product indexed by the block image of I, so the
     Sigma coordinates transport along that bijection.
     """
-    sig = membership(F, ctx, weight_limit)
+    sig = membership(F, ctx)
     if sig is None:
         return None
     return {epsilon(I, ctx.N): c for I, c in sig.items()}
@@ -314,11 +320,14 @@ def theta_minus1_ribbon_expansion(I):
     n = sum(I)
     if n == 0:
         return {(): _ONE}
-    gate = admissible_peaks(I)
+    # The words whose descents lie in the gate are the coarsenings of the
+    # composition cut at the gate (n itself is never a descent).
+    cuts = sorted(admissible_peaks(I) - {n})
+    gate = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
     out = {}
-    for J in compositions_of(n):
+    for J in lower_set(gate):
         d = descent_set(J)
-        if d <= gate and is_valid_peak_set(d, n):
+        if is_valid_peak_set(d, n):
             out[J] = Fraction(2) ** (len(d) + 1)
     return out
 
@@ -368,17 +377,11 @@ def decomp_theta_R(I, ctx):
     n = sum(I)
     if n == 0:
         return {(): _ONE}
-    di = descent_set(I)
     li = len(I)
     out = {}
     for J in ctx.G(n):
+        a = alpha_stat(I, J)
         coeff = _ONE if (li - len(J)) % 2 == 0 else -_ONE
-        a = 0
-        acc = 0
-        for p in J[:-1]:
-            acc += p
-            if acc not in di:
-                a += p
         coeff = coeff * ctx.zeta_power(a) * (1 - ctx.zeta_power(J[-1]))
         if coeff:
             out[J] = coeff

@@ -25,8 +25,10 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .compositions import compositions_of, canonical_key
-from .elements import NsymElement, S, add_term, linear_combination, multiply, one, zero
+from .compositions import compositions_of
+from .elements import (
+    NsymElement, S, add_term, check_expansion, linear_combination, multiply, one, zero
+)
 from .scalars import scalar_inv, scalar_pow, zeta
 
 DEFAULT_ORDER = 12
@@ -205,7 +207,13 @@ def _extend(F, gen, scale=None):
 
     Each S word's product is seeded with its coefficient (times
     scale^l(I)), so no generator image is ever rescaled.
+
+    The image of S_i has at most 2^(i-1) S words, so that of S^I has at
+    most 2^(|I|-l(I)); the sum of these bounds is checked before
+    anything is built.
     """
+    F = F.to_basis("S")
+    check_expansion(sum(1 << (sum(I) - len(I)) for I in F.terms), "transform")
 
     def image(I, coeff):
         if scale is not None and I:
@@ -217,7 +225,7 @@ def _extend(F, gen, scale=None):
 
     return linear_combination(
         "S",
-        ((image(I, c), _ONE) for I, c in F.to_basis("S").terms.items()),
+        ((image(I, c), _ONE) for I, c in F.terms.items()),
     )
 
 
@@ -265,7 +273,7 @@ class TransformMatrix:
 def theta_matrix(n, q):
     if n < 1:
         raise ValueError("n must be >= 1")
-    comps = sorted(compositions_of(n), key=canonical_key)
+    comps = compositions_of(n)
     index = {I: i for i, I in enumerate(comps)}
     dim = len(comps)
     rows = [[Fraction(0)] * dim for _ in range(dim)]

@@ -107,6 +107,24 @@ def test_expand_capacity(capsys):
     assert out.strip() == "R[30]"
 
 
+def test_membership_capacity(capsys):
+    rc, out, err = run(capsys, "expand", "R[21]", "--to", "Sigma", "--N", "2")
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_theta_capacity(capsys):
+    # The image of S[2^22] may have 2^22 S words; 2^21 is the limit.
+    twos = "S[" + ",".join(["2"] * 22) + "]"
+    start = time.monotonic()
+    rc, out, err = run(capsys, "theta", twos, "--q", "2", "--to", "S")
+    assert time.monotonic() - start < 1
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error:") and str(MAX_EXPANSION_TERMS) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

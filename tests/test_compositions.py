@@ -1,5 +1,6 @@
 """Compositions, descent and peak statistics, and the split poset."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,35 @@ def test_lower_set_examples():
     assert set(lower_set((1, 1, 2), 3)) == set(lower_set((1, 1, 2), 2))
     assert set(lower_set((2, 1, 1), 3)) == {(2, 1, 1), (3, 1), (2, 2), (4,)}
     assert lower_set((), 2) == [()]
+
+
+def _merge_closure(I, N):
+    """Everything reachable from I by merge_predecessors, I included."""
+    seen = {I}
+    frontier = [I]
+    while frontier:
+        nxt = []
+        for J in frontier:
+            for K in merge_predecessors(J, N):
+                if K not in seen:
+                    seen.add(K)
+                    nxt.append(K)
+        frontier = nxt
+    return sorted(seen, key=canonical_key)
+
+
+def test_lower_set_closed_form():
+    for n in range(10):
+        for I in compositions_of(n):
+            for N in (2, 3, 4, 5):
+                assert lower_set(I, N) == _merge_closure(I, N)
+            ds = sorted(descent_set(I))
+            coarser = [
+                composition_from_descents(sub, n)
+                for r in range(len(ds) + 1)
+                for sub in itertools.combinations(ds, r)
+            ]
+            assert lower_set(I) == sorted(coarser, key=canonical_key)
 
 
 def test_poset_order_consistency():

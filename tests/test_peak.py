@@ -13,7 +13,7 @@ from nsympeak.compositions import (
     peak_set_of_composition,
 )
 from nsympeak.descent import internal_product
-from nsympeak.elements import NsymElement, R, S, multiply, one, zero
+from nsympeak.elements import CapacityError, NsymElement, R, S, multiply, one, zero
 from nsympeak.peak import (
     PeakContext,
     T_basis,
@@ -123,7 +123,7 @@ def test_membership_values(ctx2, ctx3):
 def test_membership_guards(ctx2):
     with pytest.raises(ValueError):
         membership(R(2) + R(3), ctx2)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapacityError):
         membership(R(21), ctx2)
 
 
