@@ -26,11 +26,15 @@ column sums J (Gelfand, Krob, Lascoux, Leclerc, Retakh and Thibon,
 
 Exit codes: 0 success, 1 a verification check failed or a suite ran no
 checks, 2 usage or parse errors, 3 the element fell outside the
-requested span (NOT_MEMBER), 4 an internal product needing more S-word
-pairs than ``descent.MAX_WORD_PAIRS``.
+requested span (NOT_MEMBER), 4 a size limit: an internal product
+needing more S-word pairs than ``descent.MAX_WORD_PAIRS``, an S/R basis
+change or a transform (``theta``) that would build more than
+``elements.MAX_EXPANSION_TERMS`` terms, or a peak-basis target asked for
+an element heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``.
 
 Verification scales default to the acceptance scales of the test suite;
-``--N``, ``--n``, ``--max-n``, ``--q`` and ``--order`` override them.
+``SUITES`` lists the flags each suite reads to override them, and any
+other flag but ``--format`` is a usage error.
 """
 
 import argparse
@@ -283,9 +287,7 @@ def cmd_tangent(args):
         "root-deformed": tangent_zeta_series(ctx, order)[2],
     }
     if args.N == 2:
-        t = tangent_element_series(ctx, order)
-        tz = tangent_zeta_element_series(ctx, order)
-        results["order-2-specialization"] = tz == t.scale(Fraction(-1))
+        results["order-2-specialization"] = _deforms_to_signed(ctx, order)
     ok = all(results.values())
     if args.format == "json":
         print(json.dumps({"N": args.N, "order": order, "results": results}))
@@ -337,25 +339,12 @@ def cmd_bases(args):
 
 # ---------------------------------------------------------------------------
 # verification suites
-
-
-class SuiteReport:
-    __slots__ = ("passed", "checks", "counterexample", "notes")
-
-    def __init__(self):
-        self.passed = True
-        self.checks = 0
-        self.counterexample = None
-        self.notes = []
-
-    def fail(self, counterexample):
-        self.passed = False
-        if self.counterexample is None:
-            self.counterexample = counterexample
-
-
-def _ns(args, default):
-    return [args.N] if args.N is not None else list(default)
+#
+# Each suite is a generator over its checks: it yields None for a check
+# that passed and a counterexample for one that failed.  cmd_verify stops
+# at the first counterexample and does not resume the suite, so a yielded
+# counterexample ends the suite and a note added after a suite's loops
+# appears only on a pass.
 
 
 ADOPTED_READINGS = {
@@ -387,210 +376,181 @@ ADOPTED_READINGS = {
 }
 
 
-def _suite_basis(args, report):
-    max_n = args.max_n if args.max_n is not None else 8
-    for N in _ns(args, (2, 3, 4)):
+def _suite_basis(notes, ns, max_n):
+    for N in ns:
         ctx = PeakContext(N)
         for n in range(max_n + 1):
             fam = ctx.G(n)
             if len(fam) != hilbert_dim(n, N):
-                report.fail(f"N={N} n={n}: |G| != dimension table")
-                return
+                yield f"N={N} n={n}: |G| != dimension table"
             members = set(fam)
             for K in fam:
                 for J in ctx.lower(K):
                     if J in members and J != K and len(J) >= len(K):
-                        report.fail(
+                        yield (
                             f"N={N}: triangularity broken at "
                             f"{composition_to_text(J)} inside {composition_to_text(K)}"
                         )
-                        return
-                report.checks += 1
+                yield None
             for K in compositions_of(n):
                 image = Theta(NsymElement("S", {K: 1}), N)
-                coords = membership(image, ctx)
-                if coords is None:
-                    report.fail(
-                        f"N={N}: transform of S{composition_to_text(K)} outside span"
-                    )
-                    return
-                report.checks += 1
-    report.notes.append(
+                if membership(image, ctx) is None:
+                    yield f"N={N}: transform of S{composition_to_text(K)} outside span"
+                yield None
+    notes.append(
         "independence: each Sigma uses only strictly shorter words below "
         "it, so the family is triangular with unit diagonal"
     )
 
 
-def _suite_product(args, report):
-    max_w = args.max_n if args.max_n is not None else 8
-    for N in _ns(args, (2, 3, 4)):
+def _suite_product(notes, ns, max_n):
+    for N in ns:
         ctx = PeakContext(N)
-        for total in range(max_w + 1):
+        for total in range(max_n + 1):
             for a in range(total + 1):
                 for I in G_set(a, N):
                     si = sigma_basis(I, ctx)
                     for J in G_set(total - a, N):
                         lhs = multiply(si, sigma_basis(J, ctx))
                         if lhs != sigma_basis(I + J, ctx):
-                            report.fail(
+                            yield (
                                 f"N={N} I={composition_to_text(I)} "
                                 f"J={composition_to_text(J)}"
                             )
-                            return
-                        report.checks += 1
-        for n in range(max_w + 1):
+                        yield None
+        for n in range(max_n + 1):
             for I in G_set(n, N):
                 if T_basis(epsilon(I, N), ctx) != sigma_basis(I, ctx):
-                    report.fail(f"N={N} I={composition_to_text(I)}: T identity")
-                    return
-                report.checks += 1
+                    yield f"N={N} I={composition_to_text(I)}: T identity"
+                yield None
 
 
-def _suite_projector(args, report):
-    max_n = args.max_n if args.max_n is not None else 7
-    for N in _ns(args, (2, 3)):
+def _suite_projector(notes, ns, max_n):
+    for N in ns:
         ctx = PeakContext(N)
         for n in range(max_n + 1):
             for K in compositions_of(n):
                 word = NsymElement("S", {K: 1})
                 image = pi_N(word, ctx)
                 if pi_N(image, ctx) != image:
-                    report.fail(f"N={N} K={composition_to_text(K)}: not idempotent")
-                    return
+                    yield f"N={N} K={composition_to_text(K)}: not idempotent"
                 if image and membership(image, ctx) is None:
-                    report.fail(f"N={N} K={composition_to_text(K)}: image not in span")
-                    return
+                    yield f"N={N} K={composition_to_text(K)}: image not in span"
                 if ctx.in_G(K) and image != sigma_basis(K, ctx):
-                    report.fail(f"N={N} K={composition_to_text(K)}: wrong fixed image")
-                    return
-                report.checks += 1
+                    yield f"N={N} K={composition_to_text(K)}: wrong fixed image"
+                yield None
 
 
-def _suite_morphism(args, report):
-    max_n = args.max_n if args.max_n is not None else 7
-    for N in _ns(args, (2, 3)):
-        ctx = PeakContext(N)
-        ok, hypothesis_cx, failure = morphism_check(ctx, max_n)
-        report.checks += 1
+def _suite_morphism(notes, ns, max_n):
+    for N in ns:
+        ok, hypothesis_cx, failure = morphism_check(PeakContext(N), max_n)
         if not ok:
             I, J = failure
-            report.fail(f"N={N} I={composition_to_text(I)} J={composition_to_text(J)}")
-            return
+            yield f"N={N} I={composition_to_text(I)} J={composition_to_text(J)}"
+        yield None
         if hypothesis_cx is not None:
             I, J = hypothesis_cx
-            report.notes.append(
+            notes.append(
                 f"N={N}: dropping the ideal hypothesis fails first at "
                 f"I={composition_to_text(I)}, J={composition_to_text(J)} "
                 "(hypothesis necessary)"
             )
 
 
-def _suite_ideal(args, report):
-    max_n = args.max_n if args.max_n is not None else 7
-    for N in _ns(args, (2, 3)):
+def _suite_ideal(notes, ns, max_n):
+    for N in ns:
         ctx = PeakContext(N)
         for n in range(1, max_n + 1):
             for I in G_set(n, N):
                 if not in_T_ideal(sigma_basis(I, ctx), N):
-                    report.fail(f"N={N} I={composition_to_text(I)}")
-                    return
-                report.checks += 1
+                    yield f"N={N} I={composition_to_text(I)}"
+                yield None
 
 
-def _decomp_suite(kind, args, report):
-    formula, base, expander = {
-        "decomp-S": (decomp_theta_S, S, expand_sigma_coords),
-        "decomp-R": (decomp_theta_R, R, expand_sigma_coords),
-        "decomp-S-rho": (decomp_S_on_rho, S, expand_rho_coords),
-        "decomp-R-rho": (decomp_R_on_rho, R, expand_rho_coords),
-    }[kind]
-    max_n = args.max_n if args.max_n is not None else 6
-    report.notes.append(ADOPTED_READINGS[kind])
-    for N in _ns(args, (2, 3, 4)):
-        ctx = PeakContext(N)
-        for n in range(max_n + 1):
-            for I in compositions_of(n):
-                coords = formula(I, ctx)
-                got = expander(coords, ctx)
-                oracle = theta_q(base(*I), ctx.zeta).to_basis("R")
-                if got != oracle:
-                    report.fail(f"N={N} I={composition_to_text(I)}")
-                    return
-                report.checks += 1
+def _decomp_suite(kind):
+    # The functions are looked up when the suite runs, not when SUITES is
+    # built, so a wrapper rebound on their module (bench/tracer.py) runs.
+    def checks(notes, ns, max_n):
+        formula, base, expander = {
+            "decomp-S": (decomp_theta_S, S, expand_sigma_coords),
+            "decomp-R": (decomp_theta_R, R, expand_sigma_coords),
+            "decomp-S-rho": (decomp_S_on_rho, S, expand_rho_coords),
+            "decomp-R-rho": (decomp_R_on_rho, R, expand_rho_coords),
+        }[kind]
+        notes.append(ADOPTED_READINGS[kind])
+        for N in ns:
+            ctx = PeakContext(N)
+            for n in range(max_n + 1):
+                for I in compositions_of(n):
+                    got = expander(formula(I, ctx), ctx)
+                    if got != theta_q(base(*I), ctx.zeta).to_basis("R"):
+                        yield f"N={N} I={composition_to_text(I)}"
+                    yield None
+
+    return checks
 
 
-def _suite_tangent(args, report):
-    order = args.order if args.order is not None else 8
-    for N in _ns(args, (2, 3, 4)):
-        ctx = PeakContext(N)
-        if not tangent_series(ctx, order)[2]:
-            report.fail(f"N={N} order={order}")
-            return
-        report.checks += 1
+def _series_suite(kind):
+    """Checks a series identity's verdict (item [2]); looked up at run time."""
+
+    def checks(notes, ns, order):
+        identity = {"tangent": tangent_series, "sigma-lambda": sigma_lambda_N}[kind]
+        for N in ns:
+            if not identity(PeakContext(N), order)[2]:
+                yield f"N={N} order={order}"
+            yield None
+
+    return checks
 
 
-def _suite_sigma_lambda(args, report):
-    order = args.order if args.order is not None else 8
-    for N in _ns(args, (2, 3, 4)):
-        ctx = PeakContext(N)
-        if not sigma_lambda_N(ctx, order)[2]:
-            report.fail(f"N={N} order={order}")
-            return
-        report.checks += 1
+def _deforms_to_signed(ctx, order):
+    """At N = 2 the root-deformed tangent element is minus the plain one."""
+    t = tangent_element_series(ctx, order)
+    return tangent_zeta_element_series(ctx, order) == t.scale(Fraction(-1))
 
 
-def _suite_tangent_zeta(args, report):
-    order = args.order if args.order is not None else 8
-    for N in _ns(args, (2, 3, 4)):
+def _suite_tangent_zeta(notes, ns, order):
+    for N in ns:
         ctx = PeakContext(N)
         if not tangent_zeta_series(ctx, order)[2]:
-            report.fail(f"N={N} order={order}")
-            return
-        report.checks += 1
+            yield f"N={N} order={order}"
+        yield None
         if N == 2:
-            t = tangent_element_series(ctx, order)
-            tz = tangent_zeta_element_series(ctx, order)
-            if tz != t.scale(Fraction(-1)):
-                report.fail("N=2: deformed element is not minus the plain one")
-                return
-            report.checks += 1
-            report.notes.append(
+            if not _deforms_to_signed(ctx, order):
+                yield "N=2: deformed element is not minus the plain one"
+            yield None
+            notes.append(
                 "N=2: the deformation reproduces the classical signed case"
             )
 
 
-def _suite_det(args, report):
-    max_n = args.max_n if args.max_n is not None else 5
-    ns = [args.n] if args.n is not None else list(range(1, max_n + 1))
-    if args.q is not None:
-        qs = [_parse_q(args.q, args.N)]
+def _suite_det(notes, N, n, max_n, q):
+    ns = [n] if n is not None else range(1, max_n + 1)
+    if q is not None:
+        qs = [_parse_q(q, N)]
     else:
         qs = [Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(5, 7)]
     for n in ns:
-        for q in qs:
-            if det_theta(n, q) != det_formula(n, q):
-                report.fail(f"n={n} q={scalar_to_text(q)}")
-                return
-            report.checks += 1
-    if args.q is None:
+        for value in qs:
+            if det_theta(n, value) != det_formula(n, value):
+                yield f"n={n} q={scalar_to_text(value)}"
+            yield None
+    if q is None:
         for N in (2, 3):
             for n in ns:
                 if not N <= n:
                     continue
                 if det_theta(n, zeta(N)) != 0:
-                    report.fail(f"n={n} root order {N}: determinant not zero")
-                    return
-                report.checks += 1
+                    yield f"n={n} root order {N}: determinant not zero"
+                yield None
 
 
-def _suite_theta1_psi(args, report):
-    max_n = args.max_n if args.max_n is not None else 10
+def _suite_theta1_psi(notes, ns, max_n):
     for n in range(1, max_n + 1):
         if Theta(S(n), 1) != psi(n):
-            report.fail(f"n={n}: normalized transform at 1 is not psi")
-            return
-        report.checks += 1
-    for N in _ns(args, (2, 3, 4)):
+            yield f"n={n}: normalized transform at 1 is not psi"
+        yield None
+    for N in ns:
         ctx = PeakContext(N)
         for n in range(1, max_n + 1):
             hooks = NsymElement(
@@ -601,9 +561,8 @@ def _suite_theta1_psi(args, report):
                 },
             )
             if Theta(S(n), N).to_basis("R") != hooks:
-                report.fail(f"N={N} n={n}: hook expansion")
-                return
-            report.checks += 1
+                yield f"N={N} n={n}: hook expansion"
+            yield None
     star_max = 6
     for q in (Fraction(2), Fraction(1, 2)):
         for n in range(1, star_max + 1):
@@ -612,34 +571,28 @@ def _suite_theta1_psi(args, report):
                 word = NsymElement("S", {I: 1})
                 star = internal_product(word, gen)
                 if theta_q(word, q) != star:
-                    report.fail(f"q={q} I={composition_to_text(I)}: star identity")
-                    return
-                report.checks += 1
+                    yield f"q={q} I={composition_to_text(I)}: star identity"
+                yield None
 
 
-def _suite_peak_classical(args, report):
+def _suite_peak_classical(notes, max_n):
     ctx = PeakContext(2)
-    max_n = args.max_n if args.max_n is not None else 8
     for n in range(max_n + 1):
         reps = peak_compositions_of(n)
         if len(reps) != hilbert_dim(n, 2):
-            report.fail(f"n={n}: peak count != dimension")
-            return
+            yield f"n={n}: peak count != dimension"
         seen = set()
         for I in reps:
             pk = classical_peak_function(I)
             if not pk:
-                report.fail(f"n={n} I={composition_to_text(I)}: empty peak function")
-                return
+                yield f"n={n} I={composition_to_text(I)}: empty peak function"
             support = set(pk.to_basis("R").terms)
             if support & seen:
-                report.fail(f"n={n} I={composition_to_text(I)}: supports overlap")
-                return
+                yield f"n={n} I={composition_to_text(I)}: supports overlap"
             seen |= support
             if membership(pk, ctx) is None:
-                report.fail(f"n={n} I={composition_to_text(I)}: peak function outside")
-                return
-            report.checks += 1
+                yield f"n={n} I={composition_to_text(I)}: peak function outside"
+            yield None
     exp_max = min(max_n, 7)
     for n in range(exp_max + 1):
         for I in compositions_of(n):
@@ -652,77 +605,88 @@ def _suite_peak_classical(args, report):
                 ),
             )
             if got != want:
-                report.fail(f"I={composition_to_text(I)}: expansion mismatch")
-                return
-            report.checks += 1
+                yield f"I={composition_to_text(I)}: expansion mismatch"
+            yield None
 
 
-def _suite_rnij(args, report):
-    order = args.order if args.order is not None else 9
-    for N in _ns(args, (2, 3)):
+def _suite_rnij(notes, ns, order):
+    for N in ns:
         ctx = PeakContext(N)
         for j in range(1, N):
             first, second = lemma_rnij_series(ctx, j, order)
-            if not first:
-                report.fail(f"N={N} j={j}: single-block series")
-                return
-            if not second:
-                report.fail(f"N={N} j={j}: inverse product series")
-                return
-            report.checks += 2
+            yield None if first else f"N={N} j={j}: single-block series"
+            yield None if second else f"N={N} j={j}: inverse product series"
 
 
+# name: (checks, default root orders, {flag it reads: default scale}).
+# A suite with root orders also reads --N, which runs that order alone;
+# the others fix their orders themselves.  Any other flag but --format
+# is refused.
 SUITES = {
-    "basis": _suite_basis,
-    "product": _suite_product,
-    "projector": _suite_projector,
-    "morphism": _suite_morphism,
-    "ideal": _suite_ideal,
-    "decomp-S": lambda a, r: _decomp_suite("decomp-S", a, r),
-    "decomp-R": lambda a, r: _decomp_suite("decomp-R", a, r),
-    "decomp-S-rho": lambda a, r: _decomp_suite("decomp-S-rho", a, r),
-    "decomp-R-rho": lambda a, r: _decomp_suite("decomp-R-rho", a, r),
-    "tangent": _suite_tangent,
-    "tangent-zeta": _suite_tangent_zeta,
-    "sigma-lambda": _suite_sigma_lambda,
-    "det": _suite_det,
-    "theta1-psi": _suite_theta1_psi,
-    "peak-classical": _suite_peak_classical,
-    "rnij-series": _suite_rnij,
+    "basis": (_suite_basis, (2, 3, 4), {"max_n": 8}),
+    "product": (_suite_product, (2, 3, 4), {"max_n": 8}),
+    "projector": (_suite_projector, (2, 3), {"max_n": 7}),
+    "morphism": (_suite_morphism, (2, 3), {"max_n": 7}),
+    "ideal": (_suite_ideal, (2, 3), {"max_n": 7}),
+    **{
+        kind: (_decomp_suite(kind), (2, 3, 4), {"max_n": 6})
+        for kind in ADOPTED_READINGS
+    },
+    "tangent": (_series_suite("tangent"), (2, 3, 4), {"order": 8}),
+    "tangent-zeta": (_suite_tangent_zeta, (2, 3, 4), {"order": 8}),
+    "sigma-lambda": (_series_suite("sigma-lambda"), (2, 3, 4), {"order": 8}),
+    "det": (_suite_det, (), {"N": None, "n": None, "max_n": 5, "q": None}),
+    "theta1-psi": (_suite_theta1_psi, (2, 3, 4), {"max_n": 10}),
+    "peak-classical": (_suite_peak_classical, (), {"max_n": 8}),
+    "rnij-series": (_suite_rnij, (2, 3), {"order": 9}),
 }
 
 
 def cmd_verify(args):
-    runner = SUITES.get(args.suite)
-    if runner is None:
+    if args.suite not in SUITES:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from "
             + ", ".join(sorted(SUITES))
         )
-    report = SuiteReport()
-    runner(args, report)
-    if report.checks == 0:
-        report.fail("no checks ran at these scales")
+    suite, roots, defaults = SUITES[args.suite]
+    scales = {}
+    for flag in ("N", "n", "max_n", "q", "order"):
+        value = getattr(args, flag)
+        if flag == "N" and roots:
+            scales["ns"] = roots if value is None else (value,)
+        elif flag in defaults:
+            scales[flag] = defaults[flag] if value is None else value
+        elif value is not None:
+            flag = flag.replace("_", "-")
+            raise UsageError(f"verify {args.suite} does not take --{flag}")
+    notes, checks, counterexample = [], 0, None
+    for counterexample in suite(notes, **scales):
+        if counterexample is not None:
+            break
+        checks += 1
+    if checks == 0 and counterexample is None:
+        counterexample = "no checks ran at these scales"
+    passed = counterexample is None
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "suite": args.suite,
-                    "pass": report.passed,
-                    "checks": report.checks,
-                    "counterexample": report.counterexample,
-                    "notes": report.notes,
+                    "pass": passed,
+                    "checks": checks,
+                    "counterexample": counterexample,
+                    "notes": notes,
                 }
             )
         )
     else:
-        for note in report.notes:
+        for note in notes:
             print(f"verify {args.suite}: {note}")
-        print(f"verify {args.suite}: {report.checks} checks")
-        if report.counterexample is not None:
-            print(f"verify {args.suite}: counterexample: {report.counterexample}")
-        print(f"verify {args.suite}: {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+        print(f"verify {args.suite}: {checks} checks")
+        if counterexample is not None:
+            print(f"verify {args.suite}: counterexample: {counterexample}")
+        print(f"verify {args.suite}: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

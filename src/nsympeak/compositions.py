@@ -98,13 +98,6 @@ def compositions_of(n):
     return lower_set((1,) * n)
 
 
-def reverse_refines(I, J):
-    """True iff D(I) is contained in D(J), i.e. J refines I."""
-    if sum(I) != sum(J):
-        raise ValueError(f"weight mismatch: {I} vs {J}")
-    return descent_set(I) <= descent_set(J)
-
-
 def conjugate(parts):
     """Conjugate composition (ribbon transpose): D(I~) = {n-d : d not in D(I)}."""
     n = sum(parts)
@@ -171,27 +164,6 @@ def peak_compositions_of(n):
 # the order-N split poset
 
 
-def split_successors(I, N):
-    """Covers above I: replace one part i_k by (j, i_k - j), j in [1, N-1]."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    out = set()
-    for k, p in enumerate(I):
-        for j in range(1, N):
-            if p - j >= 1:
-                out.add(I[:k] + (j, p - j) + I[k + 1:])
-    return sorted(out, key=canonical_key)
-
-
-def merge_predecessors(I, N):
-    """Covers below I: merge an adjacent pair (j, m) with j in [1, N-1]."""
-    out = set()
-    for k in range(len(I) - 1):
-        if 1 <= I[k] <= N - 1:
-            out.add(I[:k] + (I[k] + I[k + 1],) + I[k + 2:])
-    return out
-
-
 def lower_set(I, N=None):
     """All J below I in the order-N split poset (J coarser), I included.
 
@@ -213,13 +185,6 @@ def lower_set(I, N=None):
         else:
             out = kept
     return out
-
-
-def poset_leq(J, I, N):
-    """True iff J <= I in the order-N split poset (I reachable from J by splits)."""
-    if sum(J) != sum(I):
-        raise ValueError(f"weight mismatch: {J} vs {I}")
-    return tuple(J) in set(lower_set(I, N))
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +315,6 @@ def ribbon_factorization(I, J):
                     remainder = J[jpos]
         segments.append(tuple(seg))
     return segments
-
-
-def reassemble_ribbon(segments, I, J):
-    """Glue ribbon_factorization output back together (used by tests)."""
-    cuts = set()
-    acc = 0
-    for p in I[:-1]:
-        acc += p
-        cuts.add(acc)
-    bound = descent_set(J) | {sum(J)}
-    out = list(segments[0]) if segments else []
-    acc = sum(segments[0]) if segments else 0
-    for seg in segments[1:]:
-        if acc in bound:
-            out.extend(seg)      # cut fell on a part boundary of J
-        else:
-            out[-1] += seg[0]    # cut split a part of J: fuse back
-            out.extend(seg[1:])
-        acc += sum(seg)
-    return tuple(out)
 
 
 def h_stat(I, J):

@@ -153,14 +153,6 @@ def rho_t_primed_basis(I, t, ctx):
     return _rho_t(I, t, ctx, 1)
 
 
-def sigma_from_rho(I, ctx):
-    """Rebuild Sigma_I as the sign-free sum of rho_J over J in G below I."""
-    I = _require_G(I, ctx)
-    return expand_rho_coords(
-        {J: _ONE for J in ctx.lower(I) if ctx.in_G(J)}, ctx
-    )
-
-
 def T_basis(K, ctx):
     """T_K: the product of the ribbons R_(N^i j) over the parts N*i+j of K."""
     K = check_composition(K)

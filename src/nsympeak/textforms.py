@@ -1,6 +1,6 @@
-"""Text and JSON forms for compositions, position sets, and elements.
+"""Text and JSON forms for compositions and elements.
 
-Compositions print as ``[1,2,1]`` and sets of positions as ``{1,4,5}``.
+Compositions print as ``[1,2,1]``.
 An element literal is a signed sum of terms such as::
 
     2*S[2,1] - 1/3*S[1,1,2]
@@ -50,7 +50,7 @@ class ElementParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# compositions and position sets
+# compositions
 
 
 def composition_to_text(parts):
@@ -69,23 +69,6 @@ def composition_from_text(text):
     except ValueError as exc:
         raise ValueError(f"bad composition text {text!r}") from exc
     return check_composition(parts)
-
-
-def positions_to_text(positions):
-    return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
-
-
-def positions_from_text(text):
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"position-set text must be braced: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return frozenset()
-    try:
-        return frozenset(int(p) for p in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad position-set text {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""Reference helpers that only the tests use.
+
+Each one restates something the library computes another way: the
+covers of the order-N split poset, poset order, reverse refinement,
+regluing a ribbon factorization, Sigma rebuilt from rho, and the text
+form of position sets.
+"""
+
+from fractions import Fraction
+
+from nsympeak.compositions import canonical_key, descent_set, lower_set
+from nsympeak.peak import expand_rho_coords
+
+
+def split_successors(I, N):
+    """Covers above I: replace one part i_k by (j, i_k - j), j in [1, N-1]."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    out = set()
+    for k, p in enumerate(I):
+        for j in range(1, N):
+            if p - j >= 1:
+                out.add(I[:k] + (j, p - j) + I[k + 1:])
+    return sorted(out, key=canonical_key)
+
+
+def merge_predecessors(I, N):
+    """Covers below I: merge an adjacent pair (j, m) with j in [1, N-1]."""
+    out = set()
+    for k in range(len(I) - 1):
+        if 1 <= I[k] <= N - 1:
+            out.add(I[:k] + (I[k] + I[k + 1],) + I[k + 2:])
+    return out
+
+
+def poset_leq(J, I, N):
+    """True iff J <= I in the order-N split poset (I reachable from J by splits)."""
+    if sum(J) != sum(I):
+        raise ValueError(f"weight mismatch: {J} vs {I}")
+    return tuple(J) in set(lower_set(I, N))
+
+
+def reverse_refines(I, J):
+    """True iff D(I) is contained in D(J), i.e. J refines I."""
+    if sum(I) != sum(J):
+        raise ValueError(f"weight mismatch: {I} vs {J}")
+    return descent_set(I) <= descent_set(J)
+
+
+def reassemble_ribbon(segments, I, J):
+    """Glue ribbon_factorization(I, J) output back together into J."""
+    bound = descent_set(J) | {sum(J)}
+    out = list(segments[0]) if segments else []
+    acc = sum(segments[0]) if segments else 0
+    for seg in segments[1:]:
+        if acc in bound:
+            out.extend(seg)      # cut fell on a part boundary of J
+        else:
+            out[-1] += seg[0]    # cut split a part of J: fuse back
+            out.extend(seg[1:])
+        acc += sum(seg)
+    return tuple(out)
+
+
+def sigma_from_rho(I, ctx):
+    """Rebuild Sigma_I as the sign-free sum of rho_J over J in G below I."""
+    if not ctx.in_G(I):
+        raise ValueError(f"{I} is not in the order-{ctx.N} index family")
+    return expand_rho_coords(
+        {J: Fraction(1) for J in ctx.lower(I) if ctx.in_G(J)}, ctx
+    )
+
+
+def positions_to_text(positions):
+    return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
+
+
+def positions_from_text(text):
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"position-set text must be braced: {text!r}")
+    body = text[1:-1].strip()
+    if not body:
+        return frozenset()
+    try:
+        return frozenset(int(p) for p in body.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad position-set text {text!r}") from exc

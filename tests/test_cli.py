@@ -295,15 +295,107 @@ def test_verify_zero_checks_fails(capsys):
 
 
 def test_verify_failure_exit(capsys, monkeypatch):
-    def broken(args, report):
-        report.checks += 1
-        report.fail("I=(2,1) J=(1,1)")
+    # Break a real check: the third Sigma tested (I = [2,1]) leaves the ideal.
+    calls = []
+    in_T_ideal = cli.in_T_ideal
 
-    monkeypatch.setitem(cli.SUITES, "ideal", broken)
+    def third_fails(F, N):
+        calls.append(F)
+        return len(calls) != 3 and in_T_ideal(F, N)
+
+    monkeypatch.setattr(cli, "in_T_ideal", third_fails)
     rc, out, _ = run(capsys, "verify", "ideal")
     assert rc == 1
+    assert "verify ideal: 2 checks" in out
     assert "verify ideal: FAIL" in out
-    assert "counterexample: I=(2,1) J=(1,1)" in out
+    assert "counterexample: N=2 I=[2,1]" in out
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["peak-classical", "--N", "3"],
+        ["basis", "--order", "3"],
+        ["ideal", "--q", "2"],
+        ["tangent", "--max-n", "3"],
+        ["det", "--order", "2"],
+    ],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_verify_rejects_unread_flags(capsys, argv):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: verify {argv[0]} does not take {argv[1]}\n"
+
+
+# Each suite's --format json line at a reduced scale: any change to a
+# check count, a note or a counterexample shows up here.
+PINNED_REPORTS = [
+    ("basis", "--max-n", '{"suite": "basis", "pass": true, "checks": 84, '
+     '"counterexample": null, "notes": ["independence: each Sigma uses only '
+     'strictly shorter words below it, so the family is triangular with unit '
+     'diagonal"]}'),
+    ("product", "--max-n", '{"suite": "product", "pass": true, "checks": 145, '
+     '"counterexample": null, "notes": []}'),
+    ("projector", "--max-n", '{"suite": "projector", "pass": true, '
+     '"checks": 32, "counterexample": null, "notes": []}'),
+    ("morphism", "--max-n", '{"suite": "morphism", "pass": true, "checks": 2, '
+     '"counterexample": null, "notes": ["N=2: dropping the ideal hypothesis '
+     'fails first at I=[2], J=[1] (hypothesis necessary)", "N=3: dropping the '
+     'ideal hypothesis fails first at I=[3], J=[1] (hypothesis necessary)"]}'),
+    ("ideal", "--max-n", '{"suite": "ideal", "pass": true, "checks": 19, '
+     '"counterexample": null, "notes": []}'),
+    ("decomp-S", "--max-n", '{"suite": "decomp-S", "pass": true, "checks": 48, '
+     '"counterexample": null, "notes": ["adopted reading: J runs over the '
+     'members of G whose descent set contains D(I); a position of J is aligned '
+     'when its running sum is a partial sum of I; each aligned part j '
+     'contributes (1 - z^j), with a global twist z^(n - sum of aligned parts) '
+     'and sign (-1)^(l(I) - l(J))"]}'),
+    ("decomp-R", "--max-n", '{"suite": "decomp-R", "pass": true, "checks": 48, '
+     '"counterexample": null, "notes": ["adopted reading: J runs over all of G '
+     'at the same weight (no order restriction); the z exponent adds the '
+     'non-final parts of J whose running sums are not descents of I; the '
+     'factor is (1 - z^(last part of J)) with sign (-1)^(l(I) - l(J))"]}'),
+    ("decomp-S-rho", "--max-n", '{"suite": "decomp-S-rho", "pass": true, '
+     '"checks": 48, "counterexample": null, "notes": ["adopted reading: J runs '
+     'over the members of G whose ribbon cut along I exists and yields only '
+     'hook pieces; the coefficient is (1 - z)^l(I) (-z)^h with h the total '
+     'count of leading ones across the pieces"]}'),
+    ("decomp-R-rho", "--max-n", '{"suite": "decomp-R-rho", "pass": true, '
+     '"checks": 48, "counterexample": null, "notes": ["adopted reading: J '
+     'contributes when its peak set sits inside the admissible positions D(I) '
+     'xor (D(I) + 1); the coefficient is (1 - z)^(hook count of J) (-z)^b with '
+     'b = |(1 + (D(I) - D(J))) u (D(J) - D(I))|"]}'),
+    ("tangent", "--order", '{"suite": "tangent", "pass": true, "checks": 3, '
+     '"counterexample": null, "notes": []}'),
+    ("tangent-zeta", "--order", '{"suite": "tangent-zeta", "pass": true, '
+     '"checks": 4, "counterexample": null, "notes": ["N=2: the deformation '
+     'reproduces the classical signed case"]}'),
+    ("sigma-lambda", "--order", '{"suite": "sigma-lambda", "pass": true, '
+     '"checks": 3, "counterexample": null, "notes": []}'),
+    ("det", "--max-n", '{"suite": "det", "pass": true, "checks": 21, '
+     '"counterexample": null, "notes": []}'),
+    ("theta1-psi", "--max-n", '{"suite": "theta1-psi", "pass": true, '
+     '"checks": 142, "counterexample": null, "notes": []}'),
+    ("peak-classical", "--max-n", '{"suite": "peak-classical", "pass": true, '
+     '"checks": 24, "counterexample": null, "notes": []}'),
+    ("rnij-series", "--order", '{"suite": "rnij-series", "pass": true, '
+     '"checks": 6, "counterexample": null, "notes": []}'),
+]
+
+
+def test_pinned_reports_cover_every_suite():
+    assert [suite for suite, _, _ in PINNED_REPORTS] == list(cli.SUITES)
+
+
+@pytest.mark.parametrize("suite,flag,line", PINNED_REPORTS,
+                         ids=[suite for suite, _, _ in PINNED_REPORTS])
+def test_verify_pinned_report(capsys, suite, flag, line):
+    rc, out, _ = run(capsys, "verify", suite, flag, "4", "--format", "json")
+    assert rc == 0
+    assert out == line + "\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

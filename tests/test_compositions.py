@@ -30,19 +30,21 @@ from nsympeak.compositions import (
     is_in_G,
     is_valid_peak_set,
     lower_set,
-    merge_predecessors,
     num_compositions,
     part_count,
     peak_composition,
     peak_compositions_of,
     peak_set_of_composition,
     peak_set_of_permutation,
+    ribbon_factorization,
+    weight,
+)
+from oracles import (
+    merge_predecessors,
     poset_leq,
     reassemble_ribbon,
     reverse_refines,
-    ribbon_factorization,
     split_successors,
-    weight,
 )
 
 

@@ -36,7 +36,6 @@ from nsympeak.peak import (
     rho_t_basis,
     rho_t_primed_basis,
     sigma_basis,
-    sigma_from_rho,
     sigma_lambda_N,
     tangent_element_series,
     tangent_series,
@@ -45,6 +44,7 @@ from nsympeak.peak import (
     theta_minus1_ribbon_expansion,
 )
 from nsympeak.series import Theta, theta_q
+from oracles import sigma_from_rho
 
 
 @pytest.fixture(scope="module")

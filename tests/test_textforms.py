@@ -16,11 +16,10 @@ from nsympeak.textforms import (
     element_to_json,
     parse_any_element,
     parse_element_terms,
-    positions_from_text,
-    positions_to_text,
     terms_from_json,
     terms_to_json,
 )
+from oracles import positions_from_text, positions_to_text
 
 
 def test_composition_text():
