@@ -15,13 +15,25 @@ the S basis; in the R basis the two-term ribbon rule applies
 (concatenate, or glue at the seam). Elements are immutable values: all
 operations return new objects.
 
+One element holds scalars of at most one conductor: the constructor
+refuses two conductors with the scalars module's conductor-mismatch
+ValueError. That is what lets the maps whose coefficients are all in
+{-1, 0, 1} (the basis changes here, the Sigma/rho expansions and the
+membership peel in the peak module) run on integers. Such a map commutes
+with taking the zeta-coordinates of a Q(zeta_N) coefficient, so
+``split_terms`` writes the coefficients once as phi(N) integer dicts over
+one common denominator, the map runs on each dict, and ``join_terms``
+rebuilds and demotes one scalar per output word.
+
 A basis change first counts its 2^(l(I)-1) words per word I and raises
 CapacityError (exit code 4 on the command line) above MAX_EXPANSION_TERMS.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 
 from .compositions import (
     check_composition,
@@ -29,7 +41,7 @@ from .compositions import (
     lower_set,
     num_compositions,
 )
-from .scalars import CyclotomicNumber
+from .scalars import CyclotomicNumber, _demoted, euler_phi
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,8 +80,18 @@ class NsymElement:
         clean = {}
         for comp, coeff in terms.items():
             add_term(clean, check_composition(comp), _as_scalar(coeff))
+        conductor(clean.values())
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, basis, terms):
+        """Wrap a dict whose keys are compositions and whose values are
+        nonzero scalars of one conductor, as ``add_term`` leaves them."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "basis", basis)
+        object.__setattr__(F, "terms", terms)
+        return F
 
     def __setattr__(self, name, value):
         raise AttributeError("NsymElement is immutable")
@@ -196,6 +218,85 @@ def _coeff_text(coeff, word):
 
 
 # ---------------------------------------------------------------------------
+# integer zeta-components
+
+
+def conductor(values):
+    """The one conductor of the cyclotomic scalars in values, or None.
+
+    Two different conductors raise the conductor-mismatch ValueError.
+    """
+    N = None
+    for c in values:
+        if isinstance(c, CyclotomicNumber) and c.N != N:
+            if N is not None:
+                raise ValueError(
+                    f"conductor mismatch: {N} vs {c.N} (no automatic lifting)"
+                )
+            N = c.N
+    return N
+
+
+def split_terms(terms):
+    """Write {comp: scalar} as integer zeta-components: (N, den, parts).
+
+    N is the conductor (None when every value is rational), den the least
+    common denominator of all coordinates, and parts[k] maps each comp to
+    den times the zeta^k coordinate of its scalar, zeros left out; there
+    are phi(N) parts, or one over Q.
+    """
+    N = conductor(terms.values())
+    coords = {
+        comp: c.coeffs if isinstance(c, CyclotomicNumber) else (c,)
+        for comp, c in terms.items()
+    }
+    den = math.lcm(*{x.denominator for cs in coords.values() for x in cs})
+    parts = [{} for _ in range(euler_phi(N) if N else 1)]
+    for comp, cs in coords.items():
+        for part, x in zip(parts, cs):
+            if x:
+                part[comp] = x.numerator * (den // x.denominator)
+    return N, den, parts
+
+
+def join_terms(N, den, parts):
+    """Inverse of split_terms: {comp: scalar}, words that cancelled dropped.
+
+    Over Q (N None) there is one part, and _demoted returns its Fraction.
+    """
+    out = {}
+    for comp in dict.fromkeys(chain.from_iterable(parts)):
+        vs = [part.get(comp, 0) for part in parts]
+        if any(vs):
+            out[comp] = _demoted(N, [Fraction(v, den) if v else _ZERO for v in vs])
+    return out
+
+
+def lower_sums(parts, lower, signed=False):
+    """Push each integer part {I: v} forward to {J: sum of +-v} over J in lower(I).
+
+    The sign is (-1)^(l(I) - l(J)) when signed, + otherwise; lower(I)
+    is computed once per word for all the parts.
+    """
+    outs = [{} for _ in parts]
+    for I in dict.fromkeys(chain.from_iterable(parts)):
+        even, odd = lower(I), ()
+        if signed:
+            li = len(I)
+            odd = [J for J in even if (li - len(J)) & 1]
+            even = [J for J in even if not (li - len(J)) & 1]
+        for part, out in zip(parts, outs):
+            v = part.get(I)
+            if v:
+                get = out.get
+                for J in even:
+                    out[J] = get(J, 0) + v
+                for J in odd:
+                    out[J] = get(J, 0) - v
+    return outs
+
+
+# ---------------------------------------------------------------------------
 # linear combinations
 
 
@@ -225,7 +326,8 @@ def linear_combination(basis, pairs):
             c = _as_scalar(c)
             for comp, v in F.terms.items():
                 add_term(terms, comp, c * v)
-    return NsymElement(basis, terms)
+    conductor(terms.values())  # the pairs may come from two fields
+    return NsymElement._trusted(basis, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +360,22 @@ def s_to_r(F):
     """Expand S words into ribbons: S^I = sum of R_J over J coarser than I."""
     if F.basis != "S":
         raise ValueError(f"expected an S-basis element, got basis {F.basis!r}")
-    # Each word I has one coarsening per composition of its length l(I).
-    check_expansion(sum(num_compositions(len(I)) for I in F.terms), "basis change")
-    out = {}
-    for I, coeff in F.terms.items():
-        for J in lower_set(I):
-            add_term(out, J, coeff)
-    return NsymElement("R", out)
+    return _change_basis(F, "R", False)
 
 
 def r_to_s(F):
     """Expand ribbons into S words by the alternating triangular sum."""
     if F.basis != "R":
         raise ValueError(f"expected an R-basis element, got basis {F.basis!r}")
+    return _change_basis(F, "S", True)
+
+
+def _change_basis(F, basis, signed):
+    # Each word I has one coarsening per composition of its length l(I).
     check_expansion(sum(num_compositions(len(I)) for I in F.terms), "basis change")
-    out = {}
-    for I, coeff in F.terms.items():
-        li = len(I)
-        neg = -coeff
-        for J in lower_set(I):
-            add_term(out, J, neg if (li - len(J)) % 2 else coeff)
-    return NsymElement("S", out)
+    N, den, parts = split_terms(F.terms)
+    parts = lower_sums(parts, lower_set, signed)
+    return NsymElement._trusted(basis, join_terms(N, den, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +405,7 @@ def multiply(F, G):
                 ab = a * b
                 for K in _ribbon_word_product(I, J):
                     add_term(out, K, ab)
-    return NsymElement(F.basis, out)
+    return NsymElement._trusted(F.basis, out)
 
 
 def coproduct_S(n):

@@ -25,6 +25,14 @@ turn them back into ribbon-basis elements. Every Sigma, rho, rho(t) and
 pi_N expansion is a set of Sigma coordinates handed to
 ``expand_sigma_coords``, which adds each coordinate over its lower set
 in one pass; rho coordinates move to Sigma coordinates first.
+
+Those expansions, the membership peel and the rho push-forward all have
+coefficients in {-1, 0, 1}, so they run on the integer zeta-components
+of the elements module: ``split_terms`` once on the way in, integer adds
+over the lower sets, ``join_terms`` once per output word on the way out.
+The peel runs component by component: J is in its own lower set and
+every other word there is shorter, so the coordinate of J is read off
+each component's residue the same way.
 """
 
 from __future__ import annotations
@@ -48,7 +56,17 @@ from .compositions import (
     lower_set,
     peak_set_of_composition,
 )
-from .elements import CapacityError, NsymElement, S, R, add_term, multiply, one
+from .elements import (
+    CapacityError,
+    NsymElement,
+    S,
+    R,
+    join_terms,
+    lower_sums,
+    multiply,
+    one,
+    split_terms,
+)
 from .scalars import scalar_pow, zeta, zeta_pow
 from .series import GradedSeries, unit_series
 
@@ -90,6 +108,9 @@ class PeakContext:
     def in_G(self, I):
         return is_in_G(I, self.N)
 
+    def lower_in_G(self, I):
+        return [J for J in self.lower(I) if is_in_G(J, self.N)]
+
     def zeta_power(self, k):
         return zeta_pow(self.N, k)
 
@@ -114,7 +135,7 @@ def _require_G(I, ctx):
 def sigma_basis(I, ctx):
     """Sigma_I: the sum of R_J over the lower set of I in the split poset."""
     I = _require_G(I, ctx)
-    return NsymElement("R", {J: _ONE for J in ctx.lower(I)})
+    return NsymElement._trusted("R", {J: _ONE for J in ctx.lower(I)})
 
 
 def _rho_t(I, t, ctx, sign):
@@ -122,11 +143,7 @@ def _rho_t(I, t, ctx, sign):
     I = _require_G(I, ctx)
     li = len(I)
     return expand_sigma_coords(
-        {
-            J: scalar_pow(t, li + sign * len(J))
-            for J in ctx.lower(I)
-            if ctx.in_G(J)
-        },
+        {J: scalar_pow(t, li + sign * len(J)) for J in ctx.lower_in_G(I)},
         ctx,
     )
 
@@ -166,13 +183,15 @@ def T_basis(K, ctx):
     return out
 
 
+def _split_G(coords, ctx):
+    return split_terms({_require_G(J, ctx): c for J, c in coords.items()})
+
+
 def expand_sigma_coords(coords, ctx):
     """Turn {J: c} Sigma-coordinates into a ribbon-basis element."""
-    terms = {}
-    for J, c in coords.items():
-        for K in ctx.lower(_require_G(J, ctx)):
-            add_term(terms, K, c)
-    return NsymElement("R", terms)
+    N, den, parts = _split_G(coords, ctx)
+    parts = lower_sums(parts, ctx.lower)
+    return NsymElement._trusted("R", join_terms(N, den, parts))
 
 
 def expand_rho_coords(coords, ctx):
@@ -181,15 +200,9 @@ def expand_rho_coords(coords, ctx):
     rho_I is the sum of (-1)^(l(I)-l(J)) Sigma_J over the J in G below
     I, so the coordinates move to the Sigma family first.
     """
-    sig = {}
-    for I, c in coords.items():
-        I = _require_G(I, ctx)
-        li = len(I)
-        neg = -c
-        for J in ctx.lower(I):
-            if ctx.in_G(J):
-                add_term(sig, J, neg if (li - len(J)) % 2 else c)
-    return expand_sigma_coords(sig, ctx)
+    N, den, parts = _split_G(coords, ctx)
+    parts = lower_sums(lower_sums(parts, ctx.lower_in_G, True), ctx.lower)
+    return NsymElement._trusted("R", join_terms(N, den, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +216,35 @@ def pi_N(F, ctx):
     )
 
 
+def _sigma_parts(F, ctx):
+    """membership's peel, returning (N, den, parts) as split_terms does."""
+    Fr = F.to_basis("R")
+    ws = Fr.weights()
+    if len(ws) > 1:
+        raise ValueError(f"membership needs a homogeneous element, weights {ws}")
+    if ws and ws[0] > MAX_MEMBERSHIP_WEIGHT:
+        raise CapacityError(
+            f"weight {ws[0]} exceeds the membership limit {MAX_MEMBERSHIP_WEIGHT}"
+        )
+    N, den, parts = split_terms(Fr.terms)
+    if not ws:
+        return N, den, parts
+    candidates = sorted(ctx.G(ws[0]), key=len, reverse=True)
+    coords = []
+    for residual in parts:
+        got = {}
+        for J in candidates:
+            c = residual.get(J)
+            if c:
+                got[J] = c
+                for K in ctx.lower(J):
+                    residual[K] = residual.get(K, 0) - c
+        if any(residual.values()):
+            return None
+        coords.append(got)
+    return N, den, coords
+
+
 def membership(F, ctx):
     """Coordinates of F in the Sigma basis, or None when F is outside.
 
@@ -212,30 +254,8 @@ def membership(F, ctx):
     non-membership. Input must be homogeneous, of weight at most
     MAX_MEMBERSHIP_WEIGHT (CapacityError above it).
     """
-    Fr = F.to_basis("R")
-    if Fr.is_zero():
-        return {}
-    ws = Fr.weights()
-    if len(ws) != 1:
-        raise ValueError(f"membership needs a homogeneous element, weights {ws}")
-    n = ws[0]
-    if n > MAX_MEMBERSHIP_WEIGHT:
-        raise CapacityError(
-            f"weight {n} exceeds the membership limit {MAX_MEMBERSHIP_WEIGHT}"
-        )
-    residual = dict(Fr.terms)
-    coords = {}
-    for J in sorted(ctx.G(n), key=len, reverse=True):
-        c = residual.get(J)
-        if not c:
-            continue
-        coords[J] = c
-        neg = -c
-        for K in ctx.lower(J):
-            add_term(residual, K, neg)
-    if residual:
-        return None
-    return coords
+    got = _sigma_parts(F, ctx)
+    return None if got is None else join_terms(*got)
 
 
 def rho_membership(F, ctx):
@@ -244,15 +264,11 @@ def rho_membership(F, ctx):
     Each Sigma_I is the sign-free sum of rho_J over the J in G below I,
     so the Sigma coordinates push forward by summing over lower sets.
     """
-    sig = membership(F, ctx)
-    if sig is None:
+    got = _sigma_parts(F, ctx)
+    if got is None:
         return None
-    out = {}
-    for I, c in sig.items():
-        for J in ctx.lower(I):
-            if ctx.in_G(J):
-                add_term(out, J, c)
-    return out
+    N, den, parts = got
+    return join_terms(N, den, lower_sums(parts, ctx.lower_in_G))
 
 
 def T_membership(F, ctx):

@@ -24,8 +24,9 @@ JSON uses one stable shape for both cases::
 
     {"basis": "R", "terms": [{"comp": [2,1], "coeff": {"num": 1, "den": 1}}]}
 
-with coefficients encoded as in :mod:`nsympeak.scalars`.  JSON output
-round-trips through :func:`parse_any_element`.
+with coefficients encoded as in :mod:`nsympeak.scalars`; the irrational
+ones must share one conductor.  JSON output round-trips through
+:func:`parse_any_element`.
 """
 
 import json
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from .compositions import check_composition, display_key
 # coords_to_text is the element printer, re-exported as part of this API.
-from .elements import NsymElement, add_term, coords_to_text
+from .elements import NsymElement, add_term, conductor, coords_to_text
 from .scalars import scalar_from_json, scalar_from_text, scalar_to_json
 
 BASIS_NAMES = ("S", "R", "Sigma", "rho", "T")
@@ -224,6 +225,7 @@ def terms_from_json(obj):
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad JSON term {json.dumps(entry)}") from exc
         add_term(terms, comp, coeff)
+    conductor(terms.values())
     return name, terms
 
 

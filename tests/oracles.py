@@ -2,13 +2,16 @@
 
 Each one restates something the library computes another way: the
 covers of the order-N split poset, poset order, reverse refinement,
-regluing a ribbon factorization, Sigma rebuilt from rho, and the text
-form of position sets.
+regluing a ribbon factorization, Sigma rebuilt from rho, the text
+form of position sets, and the {-1, 0, 1} linear maps (S<->R, the
+Sigma/rho expansions and membership) with one scalar add per term
+instead of integer zeta-components.
 """
 
 from fractions import Fraction
 
 from nsympeak.compositions import canonical_key, descent_set, lower_set
+from nsympeak.elements import NsymElement, add_term
 from nsympeak.peak import expand_rho_coords
 
 
@@ -86,3 +89,77 @@ def positions_from_text(text):
         return frozenset(int(p) for p in body.split(","))
     except ValueError as exc:
         raise ValueError(f"bad position-set text {text!r}") from exc
+
+
+# ---------------------------------------------------------------------------
+# the {-1, 0, 1} linear maps, one scalar add per term
+
+
+def s_to_r_per_term(F):
+    """S^I = sum of R_J over J coarser than I, term by term."""
+    out = {}
+    for I, coeff in F.terms.items():
+        for J in lower_set(I):
+            add_term(out, J, coeff)
+    return NsymElement("R", out)
+
+
+def r_to_s_per_term(F):
+    """R_I = sum of (-1)^(l(I)-l(J)) S^J over J coarser than I."""
+    out = {}
+    for I, coeff in F.terms.items():
+        li = len(I)
+        neg = -coeff
+        for J in lower_set(I):
+            add_term(out, J, neg if (li - len(J)) % 2 else coeff)
+    return NsymElement("S", out)
+
+
+def expand_sigma_per_term(coords, ctx):
+    terms = {}
+    for J, c in coords.items():
+        for K in ctx.lower(J):
+            add_term(terms, K, c)
+    return NsymElement("R", terms)
+
+
+def expand_rho_per_term(coords, ctx):
+    sig = {}
+    for I, c in coords.items():
+        li = len(I)
+        neg = -c
+        for J in ctx.lower(I):
+            if ctx.in_G(J):
+                add_term(sig, J, neg if (li - len(J)) % 2 else c)
+    return expand_sigma_per_term(sig, ctx)
+
+
+def membership_per_term(F, ctx):
+    """Peel Sigma_J off F by decreasing length of J; None if a residue stays."""
+    Fr = F if F.basis == "R" else s_to_r_per_term(F)
+    residual = dict(Fr.terms)
+    coords = {}
+    for n in Fr.weights():
+        for J in sorted(ctx.G(n), key=len, reverse=True):
+            c = residual.get(J)
+            if not c:
+                continue
+            coords[J] = c
+            neg = -c
+            for K in ctx.lower(J):
+                add_term(residual, K, neg)
+    if residual:
+        return None
+    return coords
+
+
+def rho_membership_per_term(F, ctx):
+    sig = membership_per_term(F, ctx)
+    if sig is None:
+        return None
+    out = {}
+    for I, c in sig.items():
+        for J in ctx.lower(I):
+            if ctx.in_G(J):
+                add_term(out, J, c)
+    return out

@@ -320,6 +320,8 @@ def test_verify_failure_exit(capsys, monkeypatch):
         ["ideal", "--q", "2"],
         ["tangent", "--max-n", "3"],
         ["det", "--order", "2"],
+        ["det", "--N", "5", "--max-n", "2"],
+        ["det", "--N", "3", "--q", "2"],
     ],
     ids=lambda argv: "-".join(argv).replace("--", ""),
 )
@@ -327,7 +329,63 @@ def test_verify_rejects_unread_flags(capsys, argv):
     rc, out, err = run(capsys, "verify", *argv)
     assert rc == 2
     assert out == ""
-    assert err == f"error: verify {argv[0]} does not take {argv[1]}\n"
+    # det reads --N only to pin the root of --q zeta.
+    tail = " without --q zeta" if argv[:2] == ["det", "--N"] else ""
+    assert err == f"error: verify {argv[0]} does not take {argv[1]}{tail}\n"
+
+
+def _zeta_json(N):
+    zero, one = {"num": 0, "den": 1}, {"num": 1, "den": 1}
+    return {"N": N, "coeffs": [zero, one]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "--to", "R"], ["expand", "--to", "S"], ["convert"]],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_mixed_conductors_refused_at_input(capsys, argv):
+    # z of Q(zeta_3) on one word and z of Q(zeta_4) on another: no single
+    # field holds both, so the input is refused however it is used.
+    terms = [{"comp": [1], "coeff": _zeta_json(3)},
+             {"comp": [2], "coeff": _zeta_json(4)}]
+    for basis in ("S", "T"):
+        expr = json.dumps({"basis": basis, "terms": terms})
+        rc, out, err = run(capsys, argv[0], expr, *argv[1:], "--N", "3")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: conductor mismatch: 3 vs 4 (no automatic lifting)\n"
+
+
+def test_verify_det_reads_N_with_zeta(capsys):
+    rc, out, _ = run(capsys, "verify", "det", "--N", "3", "--q", "zeta")
+    assert rc == 0
+    assert "verify det: 5 checks" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tangent", "--order", "0"],
+        ["tangent-zeta", "--order", "0"],
+        ["sigma-lambda", "--order", "0"],
+        ["rnij-series", "--order", "0"],
+        ["morphism", "--max-n", "0"],
+    ],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_verify_degenerate_scale_runs_no_checks(capsys, argv):
+    # At order 0 both sides of a series identity are the constant 1, and
+    # at max-n 0 no product has its left factor in the ideal.
+    rc, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {
+        "suite": argv[0],
+        "pass": False,
+        "checks": 0,
+        "counterexample": "no checks ran at these scales",
+        "notes": [],
+    }
 
 
 # Each suite's --format json line at a reduced scale: any change to a

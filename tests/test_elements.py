@@ -13,6 +13,7 @@ from nsympeak.elements import (
     R,
     S,
     coproduct_S,
+    linear_combination,
     multiply,
     one,
     zero,
@@ -40,6 +41,15 @@ def test_bad_inputs():
         NsymElement("Q", {(1,): 1})
     with pytest.raises(ValueError):
         S(2).to_basis("Q")
+
+
+def test_mixed_conductors_refused():
+    with pytest.raises(ValueError, match="conductor mismatch: 3 vs 4"):
+        NsymElement("S", {(1,): zeta(3), (2,): zeta(4)})
+    with pytest.raises(ValueError, match="conductor mismatch: 3 vs 4"):
+        linear_combination("R", [(R(1), zeta(3)), (R(2), zeta(4))])
+    # One conductor with rationals beside it is fine.
+    assert NsymElement("S", {(1,): zeta(3), (2,): 1}).to_basis("R")
 
 
 def test_s_to_r_small():

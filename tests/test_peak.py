@@ -13,7 +13,17 @@ from nsympeak.compositions import (
     peak_set_of_composition,
 )
 from nsympeak.descent import internal_product
-from nsympeak.elements import CapacityError, NsymElement, R, S, multiply, one, zero
+from nsympeak.elements import (
+    CapacityError,
+    NsymElement,
+    R,
+    S,
+    multiply,
+    one,
+    r_to_s,
+    s_to_r,
+    zero,
+)
 from nsympeak.peak import (
     PeakContext,
     T_basis,
@@ -43,8 +53,9 @@ from nsympeak.peak import (
     tangent_zeta_series,
     theta_minus1_ribbon_expansion,
 )
+from nsympeak.scalars import CyclotomicNumber, zeta
 from nsympeak.series import Theta, theta_q
-from oracles import sigma_from_rho
+from oracles import s_to_r_per_term, sigma_from_rho
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +363,29 @@ def test_block_generator_series(ctx2, ctx3):
     assert lemma_rnij_series(ctx2, 1, 7) == (True, True)
     assert lemma_rnij_series(ctx3, 1, 7) == (True, True)
     assert lemma_rnij_series(ctx3, 2, 7) == (True, True)
+
+
+def test_linear_maps_make_no_cyclotomic_adds(monkeypatch):
+    # The {-1, 0, 1} maps run on integer zeta-components: a scalar add
+    # inside them means a per-term path came back.
+    ctx = PeakContext(3)
+    z = zeta(3)
+    coords = {J: z + k for k, J in enumerate(ctx.G(6))}
+    F = expand_sigma_coords(coords, ctx)
+    rho = rho_membership(F, ctx)
+    Fs = r_to_s(F)
+    adds = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        def counted(self, other, _op=getattr(CyclotomicNumber, name)):
+            adds.append(name)
+            return _op(self, other)
+        monkeypatch.setattr(CyclotomicNumber, name, counted)
+    assert s_to_r(Fs).terms == F.terms
+    assert r_to_s(F).terms == Fs.terms
+    assert membership(F, ctx) == coords
+    assert membership(Fs, ctx) == coords
+    assert expand_rho_coords(rho, ctx).terms == F.terms
+    assert adds == []
+    # The wrapper does see the adds of the per-term oracle.
+    s_to_r_per_term(Fs)
+    assert adds

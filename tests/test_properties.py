@@ -1,5 +1,6 @@
 """Property tests: the scalar field axioms, the text and JSON round trips,
-one-pass linear combinations and the peak round trips."""
+one-pass linear combinations, the peak round trips and the {-1, 0, 1}
+linear maps against their per-term oracles."""
 
 import json
 from fractions import Fraction
@@ -7,7 +8,16 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from nsympeak.compositions import compositions_of
-from nsympeak.elements import NsymElement, coords_to_text, linear_combination, zero
+from nsympeak.elements import (
+    NsymElement,
+    R,
+    add_term,
+    coords_to_text,
+    linear_combination,
+    r_to_s,
+    s_to_r,
+    zero,
+)
 from nsympeak.peak import (
     PeakContext,
     expand_rho_coords,
@@ -28,9 +38,18 @@ from nsympeak.scalars import (
     scalar_inv,
     scalar_to_json,
     scalar_to_text,
+    zeta,
 )
 from nsympeak.series import unit_series
 from nsympeak.textforms import parse_element_terms, terms_from_json, terms_to_json
+from oracles import (
+    expand_rho_per_term,
+    expand_sigma_per_term,
+    membership_per_term,
+    r_to_s_per_term,
+    rho_membership_per_term,
+    s_to_r_per_term,
+)
 
 MAX_WEIGHT = 6
 CONTEXTS = {N: PeakContext(N) for N in (2, 3, 4)}
@@ -230,3 +249,84 @@ def test_element_text_and_json_round_trip(drawn):
     assert parse_element_terms(coords_to_text(terms, basis), N) == (basis, terms)
     as_json = json.loads(json.dumps(terms_to_json(basis, terms)))
     assert terms_from_json(as_json) == (basis, terms)
+
+
+# The integer zeta-component maps against their per-term oracles, over Q
+# (field 1) and Q(zeta_N), with coefficients that cancel in the images.
+ORACLE_FIELDS = (1, 3, 4, 5, 8)
+assorted = st.builds(
+    Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7, 12))
+)
+
+
+def mixed_scalars(N):
+    """Rationals with assorted denominators, and over Q(zeta_N) also
+    irrational values (N is 1 for Q alone)."""
+    if N == 1:
+        return assorted
+    irrational = st.lists(assorted, min_size=2, max_size=euler_phi(N)).map(
+        lambda cs: make_cyclotomic(N, cs)
+    )
+    return st.one_of(assorted, irrational)
+
+
+@st.composite
+def cancelling_terms(draw, words, N):
+    """{word: scalar} made of single terms and of pairs c*I - c*J, whose
+    images share words that cancel."""
+    terms = {}
+    for I, c in draw(st.lists(st.tuples(words, mixed_scalars(N)), max_size=3)):
+        add_term(terms, I, c)
+    for I, J, c in draw(
+        st.lists(st.tuples(words, words, mixed_scalars(N)), max_size=3)
+    ):
+        add_term(terms, I, c)
+        add_term(terms, J, -c)
+    return terms
+
+
+def _exact(coords):
+    """coords with each scalar as its JSON form, so the type and the
+    conductor are compared too."""
+    if coords is None:
+        return None
+    return {comp: scalar_to_json(c) for comp, c in coords.items()}
+
+
+@PROPERTY
+@given(st.sampled_from(ORACLE_FIELDS).flatmap(
+    lambda N: cancelling_terms(weights.flatmap(compositions), N)))
+def test_basis_changes_match_per_term_oracle(terms):
+    for basis, fast, oracle in (
+        ("S", s_to_r, s_to_r_per_term),
+        ("R", r_to_s, r_to_s_per_term),
+    ):
+        F = NsymElement(basis, terms)
+        got, want = fast(F), oracle(F)
+        assert got.basis == want.basis
+        assert _exact(got.terms) == _exact(want.terms)
+
+
+@PROPERTY
+@given(st.data())
+def test_peak_maps_match_per_term_oracle(data):
+    ctx = CONTEXTS[data.draw(st.sampled_from(sorted(CONTEXTS)))]
+    N = data.draw(st.sampled_from(ORACLE_FIELDS))
+    n = data.draw(weights)
+    coords = data.draw(cancelling_terms(st.sampled_from(ctx.G(n)), N))
+    for fast, oracle in (
+        (expand_sigma_coords, expand_sigma_per_term),
+        (expand_rho_coords, expand_rho_per_term),
+    ):
+        got, want = fast(coords, ctx), oracle(coords, ctx)
+        assert _exact(got.terms) == _exact(want.terms)
+    inside = expand_sigma_coords(coords, ctx)
+    stray = R(*data.draw(compositions(n))).scale(data.draw(mixed_scalars(N)))
+    # A stray ribbon times zeta lies in the zeta^1 component alone.
+    tilted = inside + stray.scale(zeta(N))
+    for F in (inside, inside + stray, tilted, tilted.to_basis("S")):
+        for fast, oracle in (
+            (membership, membership_per_term),
+            (rho_membership, rho_membership_per_term),
+        ):
+            assert _exact(fast(F, ctx)) == _exact(oracle(F, ctx))
