@@ -62,11 +62,13 @@ from .peak import (
 )
 from .scalars import CyclotomicNumber, make_cyclotomic, zeta, zeta_pow
 from .series import (
-    GradedSeries,
     Theta,
     det_formula,
     det_theta,
+    hook_sum,
     psi,
+    series_inverse,
+    series_product,
     sigma_series,
     theta_q,
     theta_q_generator,
@@ -77,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "CyclotomicNumber",
-    "GradedSeries",
     "NsymElement",
     "PeakContext",
     "R",
@@ -105,6 +106,7 @@ __all__ = [
     "G_set",
     "hilbert_dim",
     "hook_factorization",
+    "hook_sum",
     "in_T_ideal",
     "internal_product",
     "is_in_F",
@@ -125,6 +127,8 @@ __all__ = [
     "rho_t_basis",
     "rho_t_primed_basis",
     "ribbon_factorization",
+    "series_inverse",
+    "series_product",
     "sigma_basis",
     "sigma_lambda_N",
     "sigma_series",

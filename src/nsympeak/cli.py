@@ -28,7 +28,8 @@ Exit codes: 0 success, 1 a verification check failed or a suite ran no
 checks, 2 usage or parse errors, 3 the element fell outside the
 requested span (NOT_MEMBER), 4 a size limit: an internal product
 needing more S-word pairs than ``descent.MAX_WORD_PAIRS``, an S/R basis
-change or a transform (``theta``) that would build more than
+change, a transform (``theta``) or a transform matrix (``det-theta``,
+``verify det``) that would build more than
 ``elements.MAX_EXPANSION_TERMS`` terms, or a peak-basis target asked for
 an element heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``.
 
@@ -85,8 +86,9 @@ from .series import (
     psi,
     theta_q,
     theta_q_generator,
+    theta_q_series,
 )
-from .scalars import scalar_pow, scalar_to_json, scalar_to_text, zeta
+from .scalars import scalar_inv, scalar_to_json, scalar_to_text, zeta
 from .textforms import (
     coords_to_text,
     composition_to_text,
@@ -559,16 +561,10 @@ def _suite_theta1_psi(notes, ns, max_n):
             yield f"n={n}: normalized transform at 1 is not psi"
         yield None
     for N in ns:
-        ctx = PeakContext(N)
+        z = PeakContext(N).zeta  # N < 2 is refused here
+        gens = theta_q_series(z, max_n).scale(scalar_inv(1 - z))
         for n in range(1, max_n + 1):
-            hooks = NsymElement(
-                "R",
-                {
-                    (1,) * i + (n - i,): scalar_pow(-ctx.zeta, i)
-                    for i in range(n)
-                },
-            )
-            if Theta(S(n), N).to_basis("R") != hooks:
+            if Theta(S(n), N) != gens.homogeneous_component(n):
                 yield f"N={N} n={n}: hook expansion"
             yield None
     star_max = 6

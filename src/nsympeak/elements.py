@@ -108,20 +108,13 @@ class NsymElement:
         return sorted({sum(comp) for comp in self.terms})
 
     def homogeneous_component(self, n):
-        return NsymElement(
+        return NsymElement._trusted(
             self.basis,
             {c: v for c, v in self.terms.items() if sum(c) == n},
         )
 
     def is_homogeneous(self):
         return len(self.weights()) <= 1
-
-    def support(self):
-        """Words in display order (ascending weight, finest word first)."""
-        return sorted(self.terms, key=display_key)
-
-    def map_coefficients(self, fn):
-        return NsymElement(self.basis, {c: fn(v) for c, v in self.terms.items()})
 
     # -- linear structure ---------------------------------------------------
 
@@ -139,11 +132,18 @@ class NsymElement:
         return self + (-other)
 
     def __neg__(self):
-        return NsymElement(self.basis, {c: -v for c, v in self.terms.items()})
+        return NsymElement._trusted(
+            self.basis, {c: -v for c, v in self.terms.items()}
+        )
 
     def scale(self, scalar):
+        """scalar times self; a scalar of another conductor raises ValueError."""
         scalar = _as_scalar(scalar)
-        return NsymElement(
+        if not scalar:
+            return NsymElement._trusted(self.basis, {})
+        # Nonzero times nonzero is nonzero, and a product of two
+        # conductors raises the mismatch, so the terms stay clean.
+        return NsymElement._trusted(
             self.basis, {c: scalar * v for c, v in self.terms.items()}
         )
 

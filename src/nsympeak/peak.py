@@ -11,12 +11,13 @@ functions.
 
 It also carries the closed decomposition formulas for the transformed
 elements theta_zeta(S^I) and theta_zeta(R_I) in Sigma and rho
-coordinates, and the tangent-style series identities. The series-defined
-transform from the series module is the oracle everywhere: each closed
-formula here is a verified view of it, never the definition. Where the
-source statements of those formulas admit more than one reading, the
-implemented reading is the one that agrees with the oracle; the
-docstrings state it precisely.
+coordinates, and the tangent-style series identities. The transform
+theta_q of the series module is the oracle everywhere: each closed
+formula here is a verified view of it, never the definition, and
+theta_q's own closed hook-sum generator is checked against its series
+definition. Where the source statements of those formulas admit more
+than one reading, the implemented reading is the one that agrees with
+the oracle; the docstrings state it precisely.
 
 Decomposition results are returned as plain coordinate dicts mapping a
 composition in G to its scalar, since Sigma and rho are not storage
@@ -59,16 +60,16 @@ from .compositions import (
 from .elements import (
     CapacityError,
     NsymElement,
-    S,
     R,
     join_terms,
+    linear_combination,
     lower_sums,
     multiply,
     one,
     split_terms,
 )
 from .scalars import scalar_pow, zeta, zeta_pow
-from .series import GradedSeries, unit_series
+from .series import series_inverse, series_product
 
 _ONE = Fraction(1)
 
@@ -447,17 +448,18 @@ def decomp_R_on_rho(I, ctx):
 # tangent-style series identities
 #
 # These series live over the grading of Sym itself: the coefficient in
-# degree d is homogeneous of weight d, so ordinary series arithmetic
-# tracks the graded components.
+# degree d is homogeneous of weight d, so a series truncated at ``order``
+# is the element of its words of weight <= order, and the truncated
+# product and inverse of the series module track the graded components.
 
 
 def _block_series(ctx, order, coeff, js):
     """coeff(i, j) R_(N^i j) in degree N*i+j, over i >= 0 and j in js."""
     N = ctx.N
-    return GradedSeries(
-        order,
+    return NsymElement(
+        "R",
         {
-            N * i + j: NsymElement("R", {(N,) * i + (j,): coeff(i, j)})
+            (N,) * i + (j,): coeff(i, j)
             for i in range(order // N + 1)
             for j in js
             if N * i + j <= order
@@ -480,21 +482,20 @@ def rho_ones_series(ctx, order, t=None):
     below actually satisfies); with t omitted, degree n carries
     (-1)^n rho_(1^n).
     """
-    coeffs = {0: one("R")}
+    pairs = [(one("R"), _ONE)]
     for n in range(1, order + 1):
         ones = (1,) * n
         if t is None:
-            sign = _ONE if n % 2 == 0 else -_ONE
-            coeffs[n] = rho_basis(ones, ctx).scale(sign)
+            pairs.append((rho_basis(ones, ctx), _ONE if n % 2 == 0 else -_ONE))
         else:
-            coeffs[n] = rho_t_basis(ones, t, ctx)
-    return GradedSeries(order, coeffs)
+            pairs.append((rho_t_basis(ones, t, ctx), _ONE))
+    return linear_combination("R", pairs)
 
 
 def tangent_series(ctx, order):
     """Check (1 - t)^{-1} = sum of (-1)^n rho_(1^n): returns both sides."""
     t = tangent_element_series(ctx, order)
-    lhs = (unit_series(order) - t).inverse()
+    lhs = series_inverse(one("R") - t, order)
     rhs = rho_ones_series(ctx, order)
     return lhs, rhs, lhs == rhs
 
@@ -507,9 +508,9 @@ def sigma_lambda_N(ctx, order):
     order) telescopes to 1; this is the sign normalization under which
     the stated product identity holds.
     """
-    sig = unit_series(order) - tangent_element_series(ctx, order)
+    sig = one("R") - tangent_element_series(ctx, order)
     lam = rho_ones_series(ctx, order)
-    return sig, lam, sig * lam == unit_series(order)
+    return sig, lam, series_product(sig, lam, order) == one()
 
 
 def tangent_zeta_element_series(ctx, order):
@@ -532,7 +533,7 @@ def tangent_zeta_series(ctx, order):
     deformation at zeta).
     """
     t = tangent_zeta_element_series(ctx, order)
-    lhs = (unit_series(order) - t).inverse()
+    lhs = series_inverse(one("R") - t, order)
     rhs = rho_ones_series(ctx, order, t=ctx.zeta)
     return lhs, rhs, lhs == rhs
 
@@ -550,28 +551,25 @@ def lemma_rnij_series(ctx, j, order):
     if not 1 <= j <= N - 1:
         raise ValueError(f"need 1 <= j <= N-1, got j={j}")
 
-    s_multiples = GradedSeries(
-        order,
-        {d: (one("S") if d == 0 else S(d)) for d in range(0, order + 1, N)},
+    s_multiples = NsymElement(
+        "S", {(d,) if d else (): _ONE for d in range(0, order + 1, N)}
     )
-    s_congruent = GradedSeries(
-        order, {d: S(d) for d in range(j, order + 1, N)}
-    )
+    s_congruent = NsymElement("S", {(d,): _ONE for d in range(j, order + 1, N)})
     block = _block_series(
         ctx, order, lambda i, _: -_ONE if i % 2 else _ONE, (j,)
     )
-    first = block == s_multiples.inverse() * s_congruent
+    first = block == series_product(
+        series_inverse(s_multiples, order), s_congruent, order
+    )
 
     # One plus the block series over all j is sigma_N = 1 - t.
-    total = unit_series(order) - tangent_element_series(ctx, order)
-    lam = GradedSeries(
-        order,
-        {
-            d: (one("R") if d == 0 else R(*((1,) * d)).scale(scalar_pow(-_ONE, d)))
-            for d in range(order + 1)
-        },
+    total = one("R") - tangent_element_series(ctx, order)
+    lam = NsymElement(
+        "R", {(1,) * d: -_ONE if d % 2 else _ONE for d in range(order + 1)}
     )
-    second = total.inverse() == lam * s_multiples
+    second = series_inverse(total, order) == series_product(
+        lam, s_multiples, order
+    )
     return first, second
 
 

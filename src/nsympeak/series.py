@@ -1,19 +1,28 @@
 """Truncated series over Sym and the one-parameter basis transform.
 
-A GradedSeries is a formal power series in one central variable t whose
-coefficients are NsymElement values, truncated inclusively at ``order``;
-arithmetic never claims precision beyond the smaller operand order. The
-generating series sigma(t) of complete functions, its logarithmic
-derivative (whose coefficients are the power sums), and the transform
-sending S_n to S_n((1-q)A) are all built from this type.
+The series here are t-series whose degree-d coefficient is homogeneous
+of weight d, so each one is an NsymElement whose words all have weight
+at most a truncation ``order``: t is read off the grading. The one
+truncated product and the one truncated inverse never build a word
+heavier than ``order``. The generating series sigma(t) of complete
+functions is such an element, and the power sums are read off the
+logarithmic derivative sigma^{-1} sigma'.
 
-The transform theta_q is computed from its series definition: the
-degree-n coefficient of sigma_{qt}(A)^{-1} sigma_t(A). It extends
-multiplicatively over S words. Theta is the normalization theta_q/(1-q)
-at q a primitive root of unity, with the q -> 1 limit given by power
-sums. Determinants of the transform on one weight are computed by exact
-Gaussian elimination in the S basis, alongside the closed product
-formula they are known to match.
+The transform theta_q sends S_n to S_n((1-q)A). Its generator has the
+closed hook form (Krob-Leclerc-Thibon, *Noncommutative symmetric
+functions II: transformations of alphabets*, 1997)
+
+    theta_q(S_n) = (1-q) * sum over i < n of (-q)^i R_(1^i, n-i),
+
+and theta_q extends it multiplicatively over S words. Theta is the
+normalization theta_q/(1-q) at q = zeta_N: it extends S_n to the hook
+sum alone, which at N = 1 (zeta_1 = 1) is the power sum of weight n
+(Gelfand et al., *Noncommutative symmetric functions*, 1995, section 4).
+The series definition of the generator, the degree-n coefficient of
+sigma_{qt}(A)^{-1} sigma_t(A), stays as the oracle the closed form is
+checked against. Determinants of the transform on one weight are
+computed by exact Gaussian elimination in the S basis, alongside the
+closed product formula they are known to match.
 
 Scalars stay exact throughout: Fractions, or cyclotomics when q is a
 root of unity. Polynomial identities in q are checked by evaluating both
@@ -25,188 +34,131 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .compositions import compositions_of
+from .compositions import compositions_of, num_compositions
 from .elements import (
-    NsymElement, S, add_term, check_expansion, linear_combination, multiply, one, zero
+    NsymElement, add_term, check_expansion, linear_combination, multiply
 )
 from .scalars import scalar_inv, scalar_pow, zeta
-
-DEFAULT_ORDER = 12
 
 _ONE = Fraction(1)
 
 
-class GradedSeries:
-    """A t-series with NsymElement coefficients, truncated at ``order``."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        clean = {}
-        for deg, elt in coeffs.items():
-            if not isinstance(elt, NsymElement):
-                raise TypeError(f"coefficient at degree {deg} is not an element")
-            if deg < 0:
-                raise ValueError("degrees must be >= 0")
-            if deg <= order and elt:
-                clean[deg] = elt
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSeries is immutable")
-
-    def coefficient(self, deg):
-        if deg > self.order:
-            raise ValueError(f"degree {deg} beyond truncation order {self.order}")
-        return self.coeffs.get(deg, zero())
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for deg, elt in other.coeffs.items():
-            out[deg] = out[deg] + elt if deg in out else elt
-        return GradedSeries(order, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GradedSeries(self.order, {d: -e for d, e in self.coeffs.items()})
-
-    def scale(self, scalar):
-        return GradedSeries(
-            self.order, {d: e.scale(scalar) for d, e in self.coeffs.items()}
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        left, right = _in_S(self.coeffs), _in_S(other.coeffs)
-        return GradedSeries(
-            order,
-            {deg: _convolve(left, right, deg) for deg in range(order + 1)},
-        )
-
-    def inverse(self):
-        """Degreewise two-sided inverse; needs a scalar unit constant term."""
-        head = self.coeffs.get(0)
-        if head is None or set(head.terms) != {()}:
-            raise ValueError(
-                "series inverse needs an invertible scalar constant term"
-            )
-        c0 = scalar_inv(head.terms[()])
-        coeffs = _in_S(self.coeffs)
-        inv = {0: one().scale(c0)}
-        for deg in range(1, self.order + 1):
-            # inv has no degree-deg entry yet, so the constant term of
-            # self drops out of the convolution.
-            acc = _convolve(coeffs, inv, deg)
-            if acc:
-                inv[deg] = acc.scale(-c0)
-        return GradedSeries(self.order, inv)
-
-    def derivative(self):
-        if self.order == 0:
-            return GradedSeries(0, {})
-        return GradedSeries(
-            self.order - 1,
-            {d - 1: e.scale(d) for d, e in self.coeffs.items() if d >= 1},
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return f"0 + O(t^{self.order + 1})"
-        bits = [
-            f"({self.coeffs[d]})*t^{d}" for d in sorted(self.coeffs)
-        ]
-        return " + ".join(bits) + f" + O(t^{self.order + 1})"
-
-    __repr__ = __str__
+# ---------------------------------------------------------------------------
+# truncated series
 
 
-def _in_S(coeffs):
-    """The coefficient dict with every element in the S basis."""
-    return {deg: elt.to_basis("S") for deg, elt in coeffs.items()}
+def _by_weight(F):
+    """F's S-basis terms grouped by weight: {weight: [(word, coeff), ...]}."""
+    out = {}
+    for I, c in F.to_basis("S").terms.items():
+        out.setdefault(sum(I), []).append((I, c))
+    return out
 
 
-def _convolve(left, right, deg):
-    """The degree-deg coefficient of a product of S-basis coefficient dicts."""
+def series_product(F, G, order):
+    """The product F*G truncated at weight ``order``, in the S basis.
+
+    Only the pairs of words whose weights add up to at most ``order``
+    are multiplied.
+    """
+    right = _by_weight(G)
     terms = {}
-    for d, a in left.items():
-        b = right.get(deg - d)
-        if b is not None:
-            for I, x in a.terms.items():
-                for J, y in b.terms.items():
-                    add_term(terms, I + J, x * y)
-    return NsymElement("S", terms)
+    for I, a in F.to_basis("S").terms.items():
+        room = order - sum(I)
+        for w, words in right.items():
+            if w <= room:
+                for J, b in words:
+                    add_term(terms, I + J, a * b)
+    return NsymElement._trusted("S", terms)
 
 
-def unit_series(order):
-    return GradedSeries(order, {0: one()})
+def series_inverse(F, order):
+    """The two-sided inverse of F truncated at weight ``order``, in the S basis.
+
+    F needs an invertible scalar constant term c. The inverse's weight-n
+    component is -1/c times the sum over d in [1, n] of F's weight-d
+    component times the inverse's weight-(n-d) component.
+    """
+    parts = _by_weight(F)
+    head = parts.pop(0, None)
+    if head is None:
+        raise ValueError("series inverse needs an invertible scalar constant term")
+    c = scalar_inv(head[0][1])
+    inv = [[((), c)]]
+    for n in range(1, order + 1):
+        acc = {}
+        for d, words in parts.items():
+            if d <= n:
+                for I, a in words:
+                    for J, b in inv[n - d]:
+                        add_term(acc, I + J, a * b)
+        inv.append([(K, -c * v) for K, v in acc.items()])
+    return NsymElement._trusted("S", {K: v for words in inv for K, v in words})
 
 
 def sigma_series(order, q=_ONE):
-    """sigma(qt): degree-k coefficient q^k S_k (S_0 being the unit)."""
-    coeffs = {0: one()}
-    for k in range(1, order + 1):
-        coeffs[k] = S(k).scale(scalar_pow(q, k))
-    return GradedSeries(order, coeffs)
+    """sigma(qt) up to weight ``order``: the sum of q^k S_k (S_0 the unit)."""
+    return NsymElement(
+        "S", {(k,) if k else (): scalar_pow(q, k) for k in range(order + 1)}
+    )
 
 
-def psi_series(order):
-    """sigma(t)^{-1} sigma'(t); degree k carries the power sum of weight k+1."""
-    sig = sigma_series(order)
-    return sig.inverse() * sig.derivative()
-
-
-@functools.cache
 def psi(n):
-    """The power sum of weight n, as an S-basis element."""
+    """The power sum of weight n, as an S-basis element.
+
+    It is the t^(n-1) coefficient of sigma(t)^{-1} sigma'(t): the sum
+    over k < n of (n-k) [sigma^{-1}]_k S_(n-k).
+    """
     if n < 1:
         raise ValueError("power sums start at weight 1")
-    return psi_series(n).coefficient(n - 1).to_basis("S")
+    inv = series_inverse(sigma_series(n - 1), n - 1)
+    return NsymElement._trusted(
+        "S",
+        {J + (n - sum(J),): (n - sum(J)) * b for J, b in inv.terms.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
 # the (1-q)-transform
 
 
+def theta_q_series(q, order):
+    """sigma_{qt}^{-1} sigma_t up to weight ``order``: the generators' oracle."""
+    return series_product(
+        series_inverse(sigma_series(order, q), order), sigma_series(order), order
+    )
+
+
 def theta_q_generator(n, q, order=None):
-    """The image of S_n: degree-n coefficient of sigma_{qt}^{-1} sigma_t."""
+    """The image of S_n from the series: degree n of sigma_{qt}^{-1} sigma_t."""
     if order is None:
         order = n
     if n > order:
         raise ValueError(f"need n <= order, got n={n}, order={order}")
-    ser = sigma_series(order, q).inverse() * sigma_series(order)
-    return ser.coefficient(n)
+    return theta_q_series(q, order).homogeneous_component(n)
 
 
-_gen_cache = {}
+def hook_sum(n, q):
+    """The sum of (-q)^i R_(1^i, n-i) over i < n, zero coefficients dropped.
+
+    (1-q) times it is theta_q(S_n); at q = 1 it is the power sum psi(n).
+    """
+    return NsymElement(
+        "R", {(1,) * i + (n - i,): scalar_pow(-q, i) for i in range(n)}
+    )
 
 
-def _generator(n, q):
-    key = (n, q)
-    got = _gen_cache.get(key)
-    if got is None:
-        got = theta_q_generator(n, q).to_basis("S")
-        _gen_cache[key] = got
-    return got
+@functools.cache
+def _generator(n, q, scale):
+    """scale * hook_sum(n, q), in the S basis (scaled while it has n terms)."""
+    return hook_sum(n, q).scale(scale).to_basis("S")
 
 
-def _extend(F, gen, scale=None):
-    """The linear, multiplicative extension of S_n -> scale * gen(n) to F.
+def _extend(F, q, scale):
+    """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q) to F.
 
-    Each S word's product is seeded with its coefficient (times
-    scale^l(I)), so no generator image is ever rescaled.
+    Each S word's product is seeded with its coefficient, so no
+    generator image is ever rescaled.
 
     The image of S_i has at most 2^(i-1) S words, so that of S^I has at
     most 2^(|I|-l(I)); the sum of these bounds is checked before
@@ -216,11 +168,9 @@ def _extend(F, gen, scale=None):
     check_expansion(sum(1 << (sum(I) - len(I)) for I in F.terms), "transform")
 
     def image(I, coeff):
-        if scale is not None and I:
-            coeff = coeff * scalar_pow(scale, len(I))
-        piece = NsymElement("S", {(): coeff})
+        piece = NsymElement._trusted("S", {(): coeff})
         for part in I:
-            piece = multiply(piece, gen(part))
+            piece = multiply(piece, _generator(part, q, scale))
         return piece
 
     return linear_combination(
@@ -231,22 +181,18 @@ def _extend(F, gen, scale=None):
 
 def theta_q(F, q):
     """Apply the transform: multiplicative over S words, linear overall."""
-    return _extend(F, lambda part: _generator(part, q))
+    return _extend(F, q, 1 - q)
 
 
 def Theta(F, N):
     """The normalized transform theta_zeta/(1-zeta) at the order-N root.
 
-    Each generator image is divided by 1 - zeta before the multiplicative
-    extension. At N = 1 that quotient degenerates; the limit sends S_n to
-    the power sum of weight n, which is what this computes.
+    It extends S_n -> hook_sum(n, zeta_N); at N = 1 that is the power
+    sum of weight n, the q -> 1 limit of theta_q/(1-q).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N == 1:
-        return _extend(F, psi)
-    z = zeta(N)
-    return _extend(F, lambda part: _generator(part, z), scalar_inv(1 - z))
+    return _extend(F, zeta(N), _ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +219,7 @@ class TransformMatrix:
 def theta_matrix(n, q):
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_expansion(num_compositions(n) ** 2, "transform matrix")
     comps = compositions_of(n)
     index = {I: i for i, I in enumerate(comps)}
     dim = len(comps)

@@ -125,6 +125,31 @@ def test_theta_capacity(capsys):
     assert err.startswith("error:") and str(MAX_EXPANSION_TERMS) in err
 
 
+def test_theta_of_a_long_word_of_ones(capsys):
+    # The S-basis extension multiplies 15 one-word generators; writing
+    # S[1^15] in ribbons first would need a basis change of 3^14 terms.
+    ones = "S[" + ",".join(["1"] * 15) + "]"
+    rc, out, _ = run(capsys, "theta", ones, "--q", "2", "--to", "S")
+    assert rc == 0
+    assert out == "-" + ones + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("det-theta", "--n", "20", "--q", "2"), ("verify", "det", "--n", "12")],
+    ids=["det-theta", "verify-det"],
+)
+def test_transform_matrix_capacity(capsys, argv):
+    # The weight-n matrix has 4^(n-1) entries: n = 12 is past 2^21.
+    start = time.monotonic()
+    rc, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert str(MAX_EXPANSION_TERMS) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

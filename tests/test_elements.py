@@ -52,6 +52,16 @@ def test_mixed_conductors_refused():
     assert NsymElement("S", {(1,): zeta(3), (2,): 1}).to_basis("R")
 
 
+def test_scale_zero_and_foreign_conductor():
+    F = NsymElement("R", {(1,): zeta(3), (2,): 1})
+    killed = F.scale(0)
+    assert killed.basis == "R" and killed.terms == {}
+    with pytest.raises(ValueError, match="conductor mismatch: 4 vs 3"):
+        F.scale(zeta(4))
+    assert (-F).terms == {(1,): -zeta(3), (2,): Fraction(-1)}
+    assert F.scale(-1).terms == (-F).terms
+
+
 def test_s_to_r_small():
     # S words expand over coarser ribbons: descent subsets.
     assert S(2).to_basis("R") == R(2)

@@ -334,13 +334,13 @@ def test_tangent_series(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         lhs, rhs, ok = tangent_series(ctx, 7)
         assert ok
-        assert lhs.coefficient(0) == one("R")
+        assert lhs.homogeneous_component(0) == one("R")
     t2 = tangent_element_series(ctx2, 6)
-    assert t2.coefficient(1) == -R(1)
-    assert t2.coefficient(3) == R(2, 1)
+    assert t2.homogeneous_component(1) == -R(1)
+    assert t2.homogeneous_component(3) == R(2, 1)
     ones = rho_ones_series(ctx2, 4)
-    assert ones.coefficient(1) == -rho_basis((1,), ctx2)
-    assert ones.coefficient(2) == rho_basis((1, 1), ctx2)
+    assert ones.homogeneous_component(1) == -rho_basis((1,), ctx2)
+    assert ones.homogeneous_component(2) == rho_basis((1, 1), ctx2)
 
 
 def test_sigma_lambda_identity(ctx2, ctx3):

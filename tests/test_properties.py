@@ -14,6 +14,7 @@ from nsympeak.elements import (
     add_term,
     coords_to_text,
     linear_combination,
+    one,
     r_to_s,
     s_to_r,
     zero,
@@ -40,7 +41,6 @@ from nsympeak.scalars import (
     scalar_to_text,
     zeta,
 )
-from nsympeak.series import unit_series
 from nsympeak.textforms import parse_element_terms, terms_from_json, terms_to_json
 from oracles import (
     expand_rho_per_term,
@@ -169,7 +169,7 @@ def test_rho_round_trip(projection):
 def test_sigma_N_is_one_minus_tangent_element(N, order):
     ctx = CONTEXTS[N]
     sig = sigma_lambda_N(ctx, order)[0]
-    assert sig == unit_series(order) - tangent_element_series(ctx, order)
+    assert sig == one("R") - tangent_element_series(ctx, order)
 
 
 @PROPERTY

@@ -1,4 +1,4 @@
-"""Tests for graded series, power sums, the q-transform, determinants."""
+"""Tests for truncated series, power sums, the q-transform, determinants."""
 
 from fractions import Fraction
 
@@ -6,20 +6,20 @@ import pytest
 
 from nsympeak.elements import NsymElement, R, S, multiply, one, zero
 from nsympeak.peak import PeakContext, tangent_element_series
-from nsympeak.scalars import zeta
+from nsympeak.scalars import scalar_inv, zeta
 from nsympeak.series import (
-    GradedSeries,
     Theta,
     det_formula,
     det_theta,
+    hook_sum,
     matrix_determinant,
     psi,
-    psi_series,
+    series_inverse,
+    series_product,
     sigma_series,
     theta_matrix,
     theta_q,
     theta_q_generator,
-    unit_series,
 )
 
 
@@ -44,45 +44,44 @@ def test_power_sums_are_alternating_hooks():
 
 def test_sigma_series_inverse():
     sig = sigma_series(6)
-    assert sig.inverse() * sig == unit_series(6)
-    assert sig * sig.inverse() == unit_series(6)
+    inv = series_inverse(sig, 6)
+    assert series_product(inv, sig, 6) == one()
+    assert series_product(sig, inv, 6) == one()
 
 
 def test_series_plumbing():
     sig = sigma_series(4)
-    assert sig.coefficient(3) == S(3)
-    assert sig.coefficient(0) == one()
-    with pytest.raises(ValueError):
-        sig.coefficient(5)
+    assert sig.homogeneous_component(3) == S(3)
+    assert sig.homogeneous_component(0) == one()
     with pytest.raises(AttributeError):
-        sig.order = 10
-    # Derivative shifts degrees down and multiplies by the old degree.
-    assert sig.derivative().coefficient(2) == 3 * S(3)
+        sig.terms = {}
     with pytest.raises(ValueError):
-        GradedSeries(3, {0: zero()}).inverse()
-    with pytest.raises(TypeError):
-        GradedSeries(2, {1: "S1"})
+        series_inverse(zero(), 3)
     scaled = sigma_series(3, q=2)
-    assert scaled.coefficient(2) == 4 * S(2)
+    assert scaled.homogeneous_component(2) == 4 * S(2)
+
+
+def test_truncation_builds_no_heavier_word():
+    sig = sigma_series(5)
+    assert series_product(sig, sig, 3).weights() == [0, 1, 2, 3]
+    assert series_inverse(sig, 3).weights() == [0, 1, 2, 3]
+    # Words of an operand above the order are ignored, not multiplied.
+    assert series_product(S(4), sig, 3) == zero()
 
 
 def test_add_keeps_the_basis_of_each_coefficient():
     t = tangent_element_series(PeakContext(3), 4)
-    diff = unit_series(4) - t
-    assert diff.coefficient(0) == one()
-    assert sorted(t.coeffs) == [1, 2, 4]
-    for deg, elt in t.coeffs.items():
-        assert diff.coefficient(deg).basis == "R"
-        assert diff.coefficient(deg).terms == (-elt).terms
+    diff = one("R") - t
+    assert diff.homogeneous_component(0) == one()
+    assert t.weights() == [1, 2, 4]
+    for deg in t.weights():
+        assert diff.homogeneous_component(deg).basis == "R"
+        assert diff.homogeneous_component(deg).terms == (
+            -t.homogeneous_component(deg)
+        ).terms
     # Products and inverses still read ribbon coefficients correctly.
-    mixed = GradedSeries(3, {0: one("R"), 2: R(1, 1)})
-    assert mixed * mixed.inverse() == unit_series(3)
-
-
-def test_psi_series_alignment():
-    ser = psi_series(5)
-    for n in range(1, 6):
-        assert ser.coefficient(n - 1).to_basis("S") == psi(n)
+    mixed = one("R") + R(1, 1)
+    assert series_product(mixed, series_inverse(mixed, 3), 3) == one()
 
 
 def test_generator_images():
@@ -116,16 +115,29 @@ def test_normalized_transform():
     got = Theta(S(3), 3).to_basis("R")
     want = R(1, 1, 1).scale(-1 - z) + R(1, 2).scale(-z) + R(3)
     assert got == want
-    # Alternating-hook shape in every weight and root order.
+    # Against the series definition theta_zeta(S_n)/(1 - zeta).
     for N in (2, 3, 4):
         zN = zeta(N)
         for n in range(1, 6):
-            expect = zero("R")
-            for i in range(n):
-                word = (1,) * i + (n - i,)
-                coeff = (-zN) ** i if N > 1 else Fraction(-1) ** i
-                expect = expect + NsymElement("R", {word: coeff})
-            assert Theta(S(n), N).to_basis("R") == expect
+            expect = theta_q_generator(n, zN).scale(scalar_inv(1 - zN))
+            assert Theta(S(n), N) == expect
+
+
+_QS = {str(q): Fraction(q) for q in ("0", "1", "-1", "2", "1/2", "5/7")}
+_QS.update({f"zeta{N}": zeta(N) for N in (2, 3, 4, 5, 8)})
+
+
+@pytest.mark.parametrize("q", _QS.values(), ids=_QS.keys())
+def test_hook_sum_is_the_series_generator(q):
+    for n in range(1, 9):
+        assert hook_sum(n, q).scale(1 - q) == theta_q_generator(n, q)
+
+
+def test_hook_sum_at_one_is_psi():
+    for n in range(1, 11):
+        assert hook_sum(n, 1) == psi(n)
+    # q = 0 keeps only the one-part ribbon.
+    assert hook_sum(4, 0) == R(4)
 
 
 def test_matrix_determinant_basics():
