@@ -28,10 +28,13 @@ Exit codes: 0 success, 1 a verification check failed or a suite ran no
 checks, 2 usage or parse errors, 3 the element fell outside the
 requested span (NOT_MEMBER), 4 a size limit: an internal product
 needing more S-word pairs than ``descent.MAX_WORD_PAIRS``, an S/R basis
-change, a transform (``theta``) or a transform matrix (``det-theta``,
-``verify det``) that would build more than
-``elements.MAX_EXPANSION_TERMS`` terms, or a peak-basis target asked for
-an element heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``.
+change or a transform (``theta``) that would build more than
+``elements.MAX_EXPANSION_TERMS`` terms, a transform determinant
+(``det-theta``, ``verify det``) at a weight n with 4^(n-1) above that
+limit, a peak-basis target asked for an element heavier than
+``peak.MAX_MEMBERSHIP_WEIGHT``, or an exact value to print whose
+numerator or denominator has more digits than Python converts to text
+(``sys.get_int_max_str_digits()``).
 
 Verification scales default to the acceptance scales of the test suite;
 ``SUITES`` lists the flags each suite reads to override them, and any
@@ -213,9 +216,6 @@ def cmd_hilbert(args):
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     dims = [hilbert_dim(n, args.N) for n in range(args.max_n + 1)]
-    for n in range(min(args.max_n, 14) + 1):
-        if len(G_set(n, args.N)) != dims[n]:
-            raise RuntimeError(f"dimension table disagrees with |G| at n={n}")
     if args.format == "json":
         print(json.dumps({"N": args.N, "max_n": args.max_n, "dims": dims}))
     else:
@@ -274,9 +274,11 @@ def cmd_det_theta(args):
             )
         )
     else:
-        print(f"det = {scalar_to_text(det)}")
-        print(f"formula = {scalar_to_text(formula)}")
-        print(f"equal: {'yes' if equal else 'NO'}")
+        print(
+            f"det = {scalar_to_text(det)}\n"
+            f"formula = {scalar_to_text(formula)}\n"
+            f"equal: {'yes' if equal else 'NO'}"
+        )
     return 0 if equal else 1
 
 

@@ -36,10 +36,6 @@ def check_composition(parts):
     return parts
 
 
-def weight(parts):
-    return sum(parts)
-
-
 def descent_set(parts):
     """Partial sums of the composition, excluding the total weight."""
     out = []

@@ -41,16 +41,14 @@ from .compositions import (
     lower_set,
     num_compositions,
 )
-from .scalars import CyclotomicNumber, _demoted, euler_phi
+from .scalars import (
+    CapacityError, CyclotomicNumber, _demoted, euler_phi, scalar_to_text
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 MAX_EXPANSION_TERMS = 1 << 21
-
-
-class CapacityError(Exception):
-    """Raised when a computation would exceed one of the stated size limits."""
 
 
 def _as_scalar(c):
@@ -97,9 +95,6 @@ class NsymElement:
         raise AttributeError("NsymElement is immutable")
 
     # -- inspection ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def coefficient(self, comp):
         return self.terms.get(check_composition(comp), _ZERO)
@@ -207,14 +202,14 @@ def coords_to_text(coords, name):
 
 def _coeff_text(coeff, word):
     if isinstance(coeff, CyclotomicNumber):
-        return f"({coeff})*{word}"
+        return f"({scalar_to_text(coeff)})*{word}"
     if word == "1":
-        return str(coeff)
+        return scalar_to_text(coeff)
     if coeff == 1:
         return word
     if coeff == -1:
         return "-" + word
-    return f"{coeff}*{word}"
+    return f"{scalar_to_text(coeff)}*{word}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ poset's lower sets. This module provides those sums, the alternating
 companions rho_I and their t-deformations, the multiplicative T basis
 indexed by the partner family F, the projector pi_N whose image is the
 subalgebra, a membership solver, and the classical order-2 layer of peak
-functions.
+functions, each built directly from the descent sets with a given peak
+set.
 
 It also carries the closed decomposition formulas for the transformed
 elements theta_zeta(S^I) and theta_zeta(R_I) in Sigma and rho
@@ -39,6 +40,8 @@ each component's residue the same way.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, product
+from operator import mul
 
 from .compositions import (
     G_set,
@@ -47,11 +50,11 @@ from .compositions import (
     alpha_stat,
     b_stat,
     check_composition,
+    composition_from_descents,
     compositions_of,
     descent_set,
     epsilon,
     h_stat,
-    hook_factorization,
     is_in_G,
     is_valid_peak_set,
     lower_set,
@@ -302,18 +305,29 @@ def in_T_ideal(F, N):
 
 
 def classical_peak_function(I):
-    """Pi_I: the sum of ribbons R_J over J with peak set equal to D(I)."""
+    """Pi_I: the sum of ribbons R_J over J with peak set equal to D(I).
+
+    J has peak set P exactly when D(J) is a union of runs of consecutive
+    positions, one from each p in P and optionally one from 1, each
+    ending at least two before the next starts and the last by n - 1.
+    The words are built from every choice of run ends.
+    """
     I = check_composition(I)
     n = sum(I)
-    target = descent_set(I)
-    if not is_valid_peak_set(target, n):
+    peaks = sorted(descent_set(I))
+    if not is_valid_peak_set(peaks, n):
         raise ValueError(f"descent set of {I} is not a peak set for weight {n}")
-    return NsymElement(
+    if n == 0:
+        return one("R")
+    starts = [0, *peaks]  # the run from 0 is the optional run from 1
+    ends = [range(s, t - 1) for s, t in zip(starts, [*peaks, n + 1])]
+    return NsymElement._trusted(
         "R",
         {
-            J: _ONE
-            for J in compositions_of(n)
-            if peak_set_of_composition(J) == target
+            composition_from_descents(
+                [d for s, e in zip(starts, es) for d in range(s or 1, e + 1)], n
+            ): _ONE
+            for es in product(*ends)
         },
     )
 
@@ -409,12 +423,13 @@ def decomp_S_on_rho(I, ctx):
     if n == 0:
         return {(): _ONE}
     lead = scalar_pow(1 - ctx.zeta, len(I))
+    twist = list(accumulate([-ctx.zeta] * n, mul, initial=_ONE))
     out = {}
     for J in ctx.G(n):
         h = h_stat(I, J)
         if h is None:
             continue
-        coeff = lead * scalar_pow(-ctx.zeta, h)
+        coeff = lead * twist[h]
         if coeff:
             out[J] = coeff
     return out
@@ -432,13 +447,14 @@ def decomp_R_on_rho(I, ctx):
     n = sum(I)
     if n == 0:
         return {(): _ONE}
+    hooks = list(accumulate([1 - ctx.zeta] * n, mul, initial=_ONE))
+    twist = list(accumulate([-ctx.zeta] * n, mul, initial=_ONE))
     out = {}
     for J in ctx.G(n):
         b = b_stat(I, J)
         if b is None:
             continue
-        _, hl, _ = hook_factorization(J)
-        coeff = scalar_pow(1 - ctx.zeta, hl) * scalar_pow(-ctx.zeta, b)
+        coeff = hooks[len(peak_set_of_composition(J)) + 1] * twist[b]
         if coeff:
             out[J] = coeff
     return out

@@ -30,10 +30,15 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class CapacityError(Exception):
+    """Raised when a computation would exceed one of the stated size limits."""
 
 
 def _fold(a, p):
@@ -275,10 +280,30 @@ def is_rational(x):
 # text and JSON forms
 
 
+def _check_digits(x):
+    """Raise CapacityError if a numerator or denominator of the scalar x
+    has more digits than int-to-text conversion allows
+    (sys.get_int_max_str_digits())."""
+    limit = sys.get_int_max_str_digits()
+    for c in x.coeffs if isinstance(x, CyclotomicNumber) else (x,):
+        for a in (abs(c.numerator), c.denominator):
+            # Only a number of more than 3 * limit bits can be over.
+            if limit and a.bit_length() > 3 * limit and a >= 10**limit:
+                digits = int((a.bit_length() - 1) * math.log10(2))
+                while a >= 10**digits:
+                    digits += 1
+                raise CapacityError(
+                    f"an exact value has {digits} digits, above Python's limit "
+                    f"of {limit} for integer string conversion "
+                    "(sys.get_int_max_str_digits())"
+                )
+
+
 def scalar_to_text(x):
     """Render a Scalar: "p/q" for rationals, a polynomial in z otherwise."""
     if isinstance(x, int):
         x = Fraction(x)
+    _check_digits(x)
     if isinstance(x, Fraction):
         return str(x)
     parts = []
@@ -350,6 +375,7 @@ def scalar_from_text(text, N=None):
 def scalar_to_json(x):
     if isinstance(x, int):
         x = Fraction(x)
+    _check_digits(x)
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     return {

@@ -20,9 +20,9 @@ sum alone, which at N = 1 (zeta_1 = 1) is the power sum of weight n
 (Gelfand et al., *Noncommutative symmetric functions*, 1995, section 4).
 The series definition of the generator, the degree-n coefficient of
 sigma_{qt}(A)^{-1} sigma_t(A), stays as the oracle the closed form is
-checked against. Determinants of the transform on one weight are
-computed by exact Gaussian elimination in the S basis, alongside the
-closed product formula they are known to match.
+checked against. theta_q is triangular in the S basis, so its
+determinant on one weight is the product of the diagonal coefficients of
+the S-word images, and it is compared with the closed product formula.
 
 Scalars stay exact throughout: Fractions, or cyclotomics when q is a
 root of unity. Polynomial identities in q are checked by evaluating both
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .compositions import compositions_of, num_compositions
 from .elements import (
-    NsymElement, add_term, check_expansion, linear_combination, multiply
+    NsymElement, S, add_term, check_expansion, linear_combination, multiply
 )
 from .scalars import scalar_inv, scalar_pow, zeta
 
@@ -196,71 +196,26 @@ def Theta(F, N):
 
 
 # ---------------------------------------------------------------------------
-# matrices and determinants on one weight
-
-
-class TransformMatrix:
-    """The transform on one weight, written in the S basis.
-
-    ``comps`` lists the compositions of n in canonical order; ``rows`` is
-    a square array with rows[i][j] the coefficient of the S word of
-    comps[i] in the image of the S word of comps[j].
-    """
-
-    __slots__ = ("n", "q", "comps", "rows")
-
-    def __init__(self, n, q, comps, rows):
-        self.n = n
-        self.q = q
-        self.comps = comps
-        self.rows = rows
-
-
-def theta_matrix(n, q):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_expansion(num_compositions(n) ** 2, "transform matrix")
-    comps = compositions_of(n)
-    index = {I: i for i, I in enumerate(comps)}
-    dim = len(comps)
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for j, I in enumerate(comps):
-        image = theta_q(NsymElement("S", {I: 1}), q)
-        for K, coeff in image.terms.items():
-            rows[index[K]][j] = coeff
-    return TransformMatrix(n, q, comps, rows)
-
-
-def matrix_determinant(rows):
-    """Exact determinant by Gaussian elimination over the scalar field."""
-    m = [list(r) for r in rows]
-    dim = len(m)
-    det = _ONE
-    for col in range(dim):
-        pivot = None
-        for r in range(col, dim):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0) * det
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        lead = m[col][col]
-        det = det * lead
-        inv = scalar_inv(lead)
-        for r in range(col + 1, dim):
-            factor = m[r][col]
-            if not factor:
-                continue
-            factor = factor * inv
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+# the determinant on one weight
 
 
 def det_theta(n, q):
-    return matrix_determinant(theta_matrix(n, q).rows)
+    """The determinant of theta_q on Sym_n, from its diagonal in the S basis.
+
+    Every word of theta_q(S^I), a product of the theta_q(S_i), refines I,
+    and the refinements of I come after I in canonical order. So the
+    transform is triangular, and its determinant is the product over I
+    of the S^I coefficients of the images, the products of the (1 - q^i).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # 4^(n-1) bounds the 3^(n-1) image terms and the determinant's size
+    # (at n = 12: 4,711 digits at q = 2 and 12,473 at q = -3).
+    check_expansion(num_compositions(n) ** 2, "transform determinant")
+    det = _ONE
+    for I in compositions_of(n):
+        det = det * theta_q(S(*I), q).coefficient(I)
+    return det
 
 
 def det_formula(n, q):

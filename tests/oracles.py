@@ -3,16 +3,28 @@
 Each one restates something the library computes another way: the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
-form of position sets, and the {-1, 0, 1} linear maps (S<->R, the
+form of position sets, the {-1, 0, 1} linear maps (S<->R, the
 Sigma/rho expansions and membership) with one scalar add per term
-instead of integer zeta-components.
+instead of integer zeta-components, the transform's dense matrix on
+one weight with its determinant by Gaussian elimination, and the
+classical peak functions by filtering every ribbon by its peak set.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
-from nsympeak.compositions import canonical_key, descent_set, lower_set
-from nsympeak.elements import NsymElement, add_term
+from nsympeak.compositions import (
+    canonical_key,
+    composition_from_descents,
+    compositions_of,
+    descent_set,
+    lower_set,
+    peak_set_of_composition,
+)
+from nsympeak.elements import NsymElement, S, add_term
 from nsympeak.peak import expand_rho_coords
+from nsympeak.scalars import scalar_inv
+from nsympeak.series import theta_q
 
 
 def split_successors(I, N):
@@ -163,3 +175,57 @@ def rho_membership_per_term(F, ctx):
             if ctx.in_G(J):
                 add_term(out, J, c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the transform's matrix on one weight, and the classical peak functions
+
+
+TransformMatrix = namedtuple("TransformMatrix", "comps rows")
+
+
+def theta_matrix(n, q):
+    """The transform on weight n in the S basis: comps lists the
+    compositions of n in canonical order, and rows[i][j] is the S word
+    of comps[i]'s coefficient in the image of the S word of comps[j]."""
+    comps = compositions_of(n)
+    index = {I: i for i, I in enumerate(comps)}
+    rows = [[Fraction(0)] * len(comps) for _ in comps]
+    for j, I in enumerate(comps):
+        for K, coeff in theta_q(S(*I), q).terms.items():
+            rows[index[K]][j] = coeff
+    return TransformMatrix(comps, rows)
+
+
+def matrix_determinant(rows):
+    """Exact determinant by Gaussian elimination over the scalar field."""
+    m = [list(r) for r in rows]
+    dim = len(m)
+    det = Fraction(1)
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        lead = m[col][col]
+        det = det * lead
+        inv = scalar_inv(lead)
+        for r in range(col + 1, dim):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def classical_peak_functions_filtered(n):
+    """{I: Pi_I} over the peak compositions I of n, each Pi_I the sum of
+    the ribbons of weight n filtered by their peak set D(I)."""
+    by_peaks = {}
+    for J in compositions_of(n):
+        by_peaks.setdefault(peak_set_of_composition(J), {})[J] = 1
+    return {
+        composition_from_descents(P, n): NsymElement("R", terms)
+        for P, terms in by_peaks.items()
+    }

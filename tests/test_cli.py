@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -201,6 +202,34 @@ def test_theta_plain_and_normalized(capsys):
                      "--normalized")
     assert rc == 0
     assert out.strip() == "(-1 - z)*R[1,1,1] + (-z)*R[1,2] + R[3]"
+
+
+def test_det_theta_weight_10_in_time(capsys):
+    start = time.monotonic()
+    rc, out, _ = run(capsys, "det-theta", "--n", "10", "--q", "2")
+    assert time.monotonic() - start < 5
+    assert rc == 0
+    assert out.endswith("equal: yes\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (("det-theta", "--n", "8", "--q=1000000"), 6144),
+        (("theta", "S[2]", "--q=" + "7" * 3000), 6000),
+        (("det-theta", "--n", "11", "--q=-3"), 5722),
+    ],
+    ids=["det-theta-big-q", "theta-big-q", "det-theta-n11"],
+)
+def test_digit_limit_is_capacity(capsys, argv, digits, fmt):
+    # Values past Python's int-to-text limit are a size limit, not bad input.
+    rc, out, err = run(capsys, *argv, "--format", fmt)
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"{digits} digits" in err
+    assert str(sys.get_int_max_str_digits()) in err
 
 
 def test_theta_normalized_needs_N(capsys):

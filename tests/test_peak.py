@@ -55,7 +55,11 @@ from nsympeak.peak import (
 )
 from nsympeak.scalars import CyclotomicNumber, zeta
 from nsympeak.series import Theta, theta_q
-from oracles import s_to_r_per_term, sigma_from_rho
+from oracles import (
+    classical_peak_functions_filtered,
+    s_to_r_per_term,
+    sigma_from_rho,
+)
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +279,16 @@ def test_classical_supports_partition():
                 assert J not in seen, "supports overlap"
                 seen[J] = I
         assert len(seen) == len(list(compositions_of(n)))
+
+
+def test_classical_peak_function_matches_filter():
+    # Every peak composition of weight <= 12, the unit at weight 0 included.
+    assert classical_peak_function(()) == one("R")
+    for n in range(13):
+        filtered = classical_peak_functions_filtered(n)
+        assert len(filtered) == hilbert_dim(n, 2)
+        for I, want in filtered.items():
+            assert classical_peak_function(I) == want
 
 
 def test_theta_minus1_expansion():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsympeak.compositions import compositions_of, descent_set
 from nsympeak.elements import NsymElement, R, S, multiply, one, zero
 from nsympeak.peak import PeakContext, tangent_element_series
 from nsympeak.scalars import scalar_inv, zeta
@@ -12,15 +13,14 @@ from nsympeak.series import (
     det_formula,
     det_theta,
     hook_sum,
-    matrix_determinant,
     psi,
     series_inverse,
     series_product,
     sigma_series,
-    theta_matrix,
     theta_q,
     theta_q_generator,
 )
+from oracles import matrix_determinant, theta_matrix
 
 
 def _psi_direct(n):
@@ -178,3 +178,27 @@ def test_det_vanishes_at_low_order_roots():
     nonzero = det_theta(2, zeta(3))
     assert nonzero == 3 * (1 - zeta(3))
     assert nonzero != 0
+
+
+_DET_QS = (2, Fraction(1, 2), -3, Fraction(5, 7), zeta(2), zeta(3), zeta(4), zeta(5))
+
+
+def test_det_theta_matches_elimination():
+    for n in range(1, 7):
+        for q in _DET_QS:
+            assert det_theta(n, q) == matrix_determinant(theta_matrix(n, q).rows)
+
+
+def test_theta_triangular_in_S():
+    # Every word of theta_q(S^I) refines I, and the S^I coefficient is
+    # the product of the (1 - q^i) over the parts of I.
+    for q in (2, Fraction(5, 7), zeta(3)):
+        for n in range(1, 8):
+            for I in compositions_of(n):
+                image = theta_q(S(*I), q)
+                for K in image.terms:
+                    assert descent_set(I) <= descent_set(K)
+                diagonal = 1
+                for i in I:
+                    diagonal = diagonal * (1 - q**i)
+                assert image.coefficient(I) == diagonal
