@@ -91,7 +91,7 @@ from .series import (
     theta_q_generator,
     theta_q_series,
 )
-from .scalars import scalar_inv, scalar_to_json, scalar_to_text, zeta
+from .scalars import read_signed_sum, scalar_inv, scalar_to_json, scalar_to_text, zeta
 from .textforms import (
     coords_to_text,
     composition_to_text,
@@ -175,14 +175,18 @@ def _print_in_basis(element, target, N, fmt):
 
 
 def _parse_q(text, N):
+    """--q is zeta (needs --N) or one rational, [sign]digits[/digits]."""
     if text == "zeta":
         if N is None:
             raise UsageError("--q zeta needs --N for the root order")
         return zeta(N)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r} for --q") from exc
+        (_, q, power), *more = read_signed_sum(text)
+    except ValueError as exc:
+        raise UsageError(f"--q takes zeta or a rational p/q: {exc}") from exc
+    if more or power is not None:
+        raise UsageError("--q takes zeta or a rational p/q, not a sum or a z term")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +249,13 @@ def cmd_internal(args):
 def cmd_theta(args):
     name, terms = parse_any_element(args.expr, args.N)
     element = _element_from_terms(name, terms, args.N)
+    q = _parse_q(args.q, args.N)
     if args.normalized:
         if args.q != "zeta":
             raise UsageError("--normalized applies to --q zeta")
-        if args.N is None:
-            raise UsageError("--q zeta needs --N for the root order")
         image = Theta(element, args.N)
     else:
-        image = theta_q(element, _parse_q(args.q, args.N))
+        image = theta_q(element, q)
     return _print_in_basis(image, args.to, args.N, args.format)
 
 

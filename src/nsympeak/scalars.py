@@ -22,7 +22,10 @@ is no automatic conductor lifting.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as
 polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
-carried out of band.
+carried out of band. This module owns the one reader of typed-in numbers:
+read_signed_sum reads scalar text, element literals (with the words of
+nsympeak.textforms) and the CLI's --q, and _read_rational is the one place
+digits become a Fraction, refused past sys.get_int_max_str_digits().
 """
 
 from __future__ import annotations
@@ -329,47 +332,117 @@ def scalar_to_text(x):
     return " ".join(parts) if parts else "0"
 
 
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-          (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<zc>z(?:\^\d+)?))?
-          | (?P<z>z(?:\^\d+)?)
-        )\s*""",
-    re.VERBOSE,
-)
+class ParseError(ValueError):
+    """Parse failure that remembers where in the input it happened."""
+
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at position {position})")
+        self.message = message
+        self.position = position
+
+
+_SPACE = re.compile(r"\s*")
+_RATIONAL = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+_Z_POWER = re.compile(r"z(?:\^(\d+))?")
+
+
+def typed_int(digits, position):
+    """int(digits) for digits typed at position (a leading '-' allowed),
+    refused past Python's int-to-text limit with the count and the limit."""
+    count = len(digits) - digits.startswith("-")
+    limit = sys.get_int_max_str_digits()
+    if limit and count > limit:
+        raise ParseError(
+            f"a typed number has {count} digits, above Python's limit of "
+            f"{limit} for integer string conversion "
+            "(sys.get_int_max_str_digits())",
+            position,
+        )
+    return int(digits)
+
+
+def _read_rational(text, pos, stop):
+    """(value, end) for digits and an optional /digits at text[pos:stop],
+    or (None, pos) when no digit starts there."""
+    m = _RATIONAL.match(text, pos, stop)
+    if m is None:
+        return None, pos
+    num = typed_int(m.group(1), m.start(1))
+    den = typed_int(m.group(2) or "1", m.start(2))
+    if not den:
+        raise ParseError("zero denominator", pos)
+    return Fraction(num, den), m.end()
+
+
+def _read_z_power(text, pos, stop):
+    """(k, end) for z^k (z alone is z^1) at pos, or None."""
+    m = _Z_POWER.match(text, pos, stop)
+    return m and (typed_int(m.group(1) or "1", m.start(1)), m.end())
+
+
+def read_signed_sum(text, N=None, read_word=None, start=0, stop=None):
+    """[(position, signed coefficient, atom or None)] for the terms of
+    the signed sum text[start:stop]; positions are offsets into text.
+
+    Each term is a coefficient (_read_rational), an atom, or both joined
+    by '*'.  The atoms are the powers z^k, read as k, or with read_word
+    what read_word(text, pos, stop) reads as (atom, end); then a
+    coefficient may also be a parenthesized z-polynomial in zeta_N.
+    """
+    stop = len(text) if stop is None else stop
+    read_atom = read_word or _read_z_power
+    terms = []
+    pos = _SPACE.match(text, start, stop).end()
+    while True:
+        negative = text.startswith("-", pos, stop)
+        if negative or text.startswith("+", pos, stop):
+            pos = _SPACE.match(text, pos + 1, stop).end()
+        elif terms:
+            raise ParseError("expected '+' or '-' between terms", pos)
+        at = pos
+        if read_word and text.startswith("(", pos, stop):
+            close = text.find(")", pos, stop)
+            if close < 0:
+                raise ParseError("unclosed '('", pos)
+            inner = read_signed_sum(text, start=pos + 1, stop=close)
+            coeff, pos = _z_polynomial(inner, N), close + 1
+        else:
+            coeff, pos = _read_rational(text, pos, stop)
+        atom = None
+        after = _SPACE.match(text, pos, stop).end()
+        if coeff is None or text.startswith("*", after, stop):
+            if coeff is None:
+                coeff = _ONE
+            else:
+                pos = _SPACE.match(text, after + 1, stop).end()
+            found = read_atom(text, pos, stop)
+            if found is None:
+                raise ParseError("expected a term", pos)
+            atom, pos = found
+        terms.append((at, -coeff if negative else coeff, atom))
+        pos = _SPACE.match(text, pos, stop).end()
+        if pos == stop:
+            return terms
+
+
+def _z_polynomial(terms, N):
+    """The scalar that read_signed_sum terms over the powers of z spell,
+    z standing for zeta_N; a Fraction when no term has a power of z."""
+    coeffs = {}
+    for pos, c, k in terms:
+        if k is not None and (N is None or N < 1):
+            raise ParseError("a z-polynomial scalar needs a conductor N >= 1", pos)
+        k = k % N if k else 0  # z^N = 1
+        coeffs[k] = coeffs.get(k, _ZERO) + c
+    top = max(coeffs)
+    if not top:
+        return coeffs[0]
+    return make_cyclotomic(N, [coeffs.get(k, _ZERO) for k in range(top + 1)])
 
 
 def scalar_from_text(text, N=None):
     """Parse "p/q" or a z-polynomial like "1/2 - z + z^2" (needs N)."""
-    text = text.strip()
-    if "z" not in text:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational {text!r}") from exc
-    if N is None:
-        raise ValueError("a z-polynomial scalar needs a conductor N")
-    coeffs = {}
-    pos = 0
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse scalar {text!r} at position {pos}")
-        sign = -1 if m.group("sign") == "-" else 1
-        zpart = m.group("zc") or m.group("z")
-        try:
-            coeff = Fraction(m.group("coeff") or 1)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in scalar {text!r}") from exc
-        if zpart is None:
-            k = 0
-        elif zpart == "z":
-            k = 1
-        else:
-            k = int(zpart[2:])
-        coeffs[k] = coeffs.get(k, _ZERO) + sign * coeff
-        pos = m.end()
-    return make_cyclotomic(N, [coeffs.get(k, _ZERO) for k in range(max(coeffs) + 1)])
+    return _z_polynomial(read_signed_sum(text), N)
 
 
 def scalar_to_json(x):

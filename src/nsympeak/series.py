@@ -129,13 +129,9 @@ def theta_q_series(q, order):
     )
 
 
-def theta_q_generator(n, q, order=None):
+def theta_q_generator(n, q):
     """The image of S_n from the series: degree n of sigma_{qt}^{-1} sigma_t."""
-    if order is None:
-        order = n
-    if n > order:
-        raise ValueError(f"need n <= order, got n={n}, order={order}")
-    return theta_q_series(q, order).homogeneous_component(n)
+    return theta_q_series(q, n).homogeneous_component(n)
 
 
 def hook_sum(n, q):

@@ -7,12 +7,14 @@ An element literal is a signed sum of terms such as::
     (1 - z^2)*R[3] + R[1,2]
     rho[1,1,1] + rho[2,1]
 
-Each term is an optional coefficient (a rational, or a parenthesized
-z-polynomial when a root order N is supplied) attached with ``*`` to a
-basis word.  Basis words are one of ``S``, ``R``, ``Sigma``, ``rho``,
-``T`` followed by a bracketed composition; the bare word ``1`` stands
-for the unit (the empty composition).  A literal must stick to a single
-basis name throughout.
+Terms are separated by ``+`` or ``-``.  Each is a coefficient, a basis
+word, or a coefficient, ``*`` and a basis word.  A coefficient is a
+rational ``p`` or ``p/q``, or, when a root order N is supplied, a
+parenthesized z-polynomial with the same separators.  Basis words are
+``S``, ``R``, ``Sigma``, ``rho`` or ``T`` followed by a bracketed
+composition; ``1`` after ``*``, like a term with no word, is the unit.
+A literal sticks to one basis name.  The reader is the one of
+:mod:`nsympeak.scalars` (``read_signed_sum``); this module reads words.
 
 ``S`` and ``R`` literals become :class:`~nsympeak.elements.NsymElement`
 values directly.  ``Sigma``/``rho``/``T`` literals are coordinate
@@ -31,23 +33,15 @@ ones must share one conductor.  JSON output round-trips through
 
 import json
 import re
-from fractions import Fraction
 
 from .compositions import check_composition, display_key
 # coords_to_text is the element printer, re-exported as part of this API.
 from .elements import NsymElement, add_term, conductor, coords_to_text
-from .scalars import scalar_from_json, scalar_from_text, scalar_to_json
+# The literal grammar's errors are the reader's: one class, two names.
+from .scalars import ParseError as ElementParseError
+from .scalars import read_signed_sum, scalar_from_json, scalar_to_json, typed_int
 
 BASIS_NAMES = ("S", "R", "Sigma", "rho", "T")
-ELEMENT_BASES = ("S", "R")
-
-
-class ElementParseError(ValueError):
-    """Parse failure that remembers where in the input it happened."""
-
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 # ---------------------------------------------------------------------------
@@ -62,48 +56,14 @@ def composition_from_text(text):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"composition text must be bracketed: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return ()
-    try:
-        parts = tuple(int(p) for p in body.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad composition text {text!r}") from exc
-    return check_composition(parts)
+    body = text[1:-1]
+    return check_composition(body.split(",") if body.strip() else ())
 
 
 # ---------------------------------------------------------------------------
 # element literals
 
-_SKIP = re.compile(r"\s*")
-_RATIONAL = re.compile(r"\d+(?:\s*/\s*\d+)?")
 _WORD = re.compile(r"(S|Sigma|R|rho|T)\[([0-9,\s]*)\]")
-_PAREN = re.compile(r"\(([^()]*)\)")
-
-
-def _skip_ws(text, pos):
-    return _SKIP.match(text, pos).end()
-
-
-def _parse_word(text, pos):
-    """Read a basis word at pos; return (basis, comp, new_pos) or None."""
-    if text.startswith("1", pos):
-        nxt = pos + 1
-        if nxt >= len(text) or not (text[nxt].isdigit() or text[nxt] in "/[.*"):
-            return (None, (), nxt)
-    m = _WORD.match(text, pos)
-    if not m:
-        return None
-    body = m.group(2).strip()
-    if body:
-        try:
-            comp = tuple(int(p) for p in body.split(","))
-            check_composition(comp)
-        except ValueError as exc:
-            raise ElementParseError(str(exc), pos) from exc
-    else:
-        comp = ()
-    return (m.group(1), comp, m.end())
 
 
 def parse_element_terms(text, N=None):
@@ -115,77 +75,34 @@ def parse_element_terms(text, N=None):
     coefficients.
     """
     basis = None
+
+    def read_word(text, pos, stop):
+        """(composition, end) for a basis word or the unit word 1 at pos."""
+        nonlocal basis
+        if text.startswith("1", pos, stop):
+            return (), pos + 1
+        m = _WORD.match(text, pos, stop)
+        if m is None:
+            return None
+        name = m.group(1)
+        if basis not in (None, name):
+            raise ElementParseError(f"mixed basis words {basis} and {name}", pos)
+        basis = name
+        try:
+            return composition_from_text(text[m.end(1):m.end()]), m.end()
+        except ValueError as exc:
+            raise ElementParseError(str(exc), pos) from exc
+
     terms = {}
-    pos = _skip_ws(text, 0)
-    if pos == len(text):
-        raise ElementParseError("empty element text", pos)
-    first = True
-    while pos < len(text):
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos = _skip_ws(text, pos + 1)
-        elif not first:
-            raise ElementParseError("expected '+' or '-' between terms", pos)
-        first = False
-
-        coeff = None
-        mp = _PAREN.match(text, pos)
-        if mp:
-            try:
-                coeff = scalar_from_text(mp.group(1), N)
-            except ValueError as exc:
-                raise ElementParseError(str(exc), pos) from exc
-            pos = _skip_ws(text, mp.end())
-        else:
-            word = _parse_word(text, pos)
-            if word is None:
-                mr = _RATIONAL.match(text, pos)
-                if not mr:
-                    raise ElementParseError("expected a term", pos)
-                try:
-                    coeff = Fraction(mr.group(0).replace(" ", ""))
-                except ZeroDivisionError as exc:
-                    raise ElementParseError("zero denominator", pos) from exc
-                pos = _skip_ws(text, mr.end())
-            else:
-                coeff = Fraction(1)
-                name, comp, pos = word
-                pos = _skip_ws(text, pos)
-                basis = _merge_basis(basis, name, pos)
-                add_term(terms, comp, sign * coeff)
-                continue
-
-        if pos < len(text) and text[pos] == "*":
-            pos = _skip_ws(text, pos + 1)
-            word = _parse_word(text, pos)
-            if word is None:
-                raise ElementParseError("expected a basis word after '*'", pos)
-            name, comp, pos = word
-            pos = _skip_ws(text, pos)
-            basis = _merge_basis(basis, name, pos)
-            add_term(terms, comp, sign * coeff)
-        else:
-            add_term(terms, (), sign * coeff)
+    for _, coeff, comp in read_signed_sum(text, N, read_word):
+        add_term(terms, comp or (), coeff)  # a term without a word: the unit
     return basis, terms
-
-
-def _merge_basis(basis, name, pos):
-    if name is None:
-        return basis
-    if basis is None or basis == name:
-        return name
-    raise ElementParseError(f"mixed basis words {basis} and {name}", pos)
 
 
 def element_from_text(text, N=None, default_basis="S"):
     """Parse an S or R literal into an NsymElement."""
     basis, terms = parse_element_terms(text, N)
-    if basis is None:
-        basis = default_basis
-    if basis not in ELEMENT_BASES:
-        raise ValueError(f"{basis} words are coordinates, not a storage basis")
-    return NsymElement(basis, terms)
+    return NsymElement(basis or default_basis, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +147,7 @@ def terms_from_json(obj):
 
 
 def element_from_json(obj):
-    name, terms = terms_from_json(obj)
-    if name not in ELEMENT_BASES:
-        raise ValueError(f"{name} words are coordinates, not a storage basis")
-    return NsymElement(name, terms)
+    return NsymElement(*terms_from_json(obj))
 
 
 def parse_any_element(text, N=None):
@@ -248,5 +162,13 @@ def parse_any_element(text, N=None):
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ElementParseError(f"bad JSON: {exc.msg}", exc.pos) from exc
+        except ValueError:
+            # Only int() past the digit limit gets here; json says not where.
+            try:
+                for m in re.finditer(r"\d+", stripped):
+                    typed_int(m.group(), m.start())
+            except ElementParseError as exc:
+                raise ElementParseError(f"bad JSON: {exc.message}", exc.position)
+            raise
         return terms_from_json(obj)
     return parse_element_terms(text, N)

@@ -232,6 +232,72 @@ def test_digit_limit_is_capacity(capsys, argv, digits, fmt):
     assert str(sys.get_int_max_str_digits()) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "(2z)*S[1]", "--to", "S", "--N", "5"],
+        ["expand", "(z z)*S[1]", "--to", "S", "--N", "5"],
+        ["expand", "(z^2 3)*R[2]", "--N", "5"],
+    ],
+    ids=["2z", "z-z", "z2-3"],
+)
+def test_juxtaposed_z_terms_refused(capsys, argv):
+    # Inside parentheses as outside, two terms need a sign between them.
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "expected '+' or '-' between terms" in err
+
+
+def test_spaced_unit_coefficient(capsys):
+    rc, out, _ = run(capsys, "expand", "1 * S[2]", "--to", "S")
+    assert rc == 0
+    assert out == "S[2]\n"
+
+
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", _LONG + "*S[1]", "--to", "R"],
+        ["theta", "S[1]", "--q=" + _LONG],
+        ["convert", '{"basis": "S", "terms": [{"comp": [1], '
+                    '"coeff": {"num": %s, "den": 1}}]}' % _LONG],
+    ],
+    ids=["literal", "q", "json"],
+)
+def test_over_long_input_number(capsys, argv):
+    # Refused as bad input in one short line that does not echo the digits.
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err) < 200
+    assert "5000 digits" in err
+    assert str(sys.get_int_max_str_digits()) in err
+    assert "(at position " in err
+
+
+@pytest.mark.parametrize("q", ["1e10000000", "0.5"])
+def test_q_is_one_rational(capsys, q):
+    # No exponent or decimal forms: 10^10000000 is never built.
+    start = time.monotonic()
+    rc, out, err = run(capsys, "theta", "S[1]", "--q", q)
+    assert time.monotonic() - start < 1
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --q")
+
+
+def test_error_inside_parentheses_has_one_position(capsys):
+    rc, _, err = run(capsys, "expand", "S[1] + (1 + y)*S[2]", "--N", "3")
+    assert rc == 2
+    assert err.count("position") == 1
+    assert "(at position 12)" in err
+
+
 def test_theta_normalized_needs_N(capsys):
     rc, _, err = run(capsys, "theta", "S[2]", "--q", "zeta")
     assert rc == 2

@@ -3,8 +3,10 @@ one-pass linear combinations, the peak round trips and the {-1, 0, 1}
 linear maps against their per-term oracles."""
 
 import json
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nsympeak.compositions import compositions_of
@@ -41,7 +43,14 @@ from nsympeak.scalars import (
     scalar_to_text,
     zeta,
 )
-from nsympeak.textforms import parse_element_terms, terms_from_json, terms_to_json
+from nsympeak.textforms import (
+    BASIS_NAMES,
+    ElementParseError,
+    composition_to_text,
+    parse_element_terms,
+    terms_from_json,
+    terms_to_json,
+)
 from oracles import (
     expand_rho_per_term,
     expand_sigma_per_term,
@@ -249,6 +258,49 @@ def test_element_text_and_json_round_trip(drawn):
     assert parse_element_terms(coords_to_text(terms, basis), N) == (basis, terms)
     as_json = json.loads(json.dumps(terms_to_json(basis, terms)))
     assert terms_from_json(as_json) == (basis, terms)
+
+
+@st.composite
+def printed(draw):
+    """A printed scalar or element over one field, with its parser."""
+    N, basis, terms = draw(element_terms())
+    if draw(st.booleans()):
+        text = scalar_to_text(draw(scalars(N)))
+        return text, lambda text: scalar_from_text(text, N)
+    return coords_to_text(terms, basis), lambda text: parse_element_terms(text, N)
+
+
+@PROPERTY
+@given(printed(), st.data())
+def test_a_missing_sign_between_terms_is_refused(drawn, data):
+    # Printed terms are joined by " + " or " - ", inside parentheses too;
+    # with the sign deleted the two terms are juxtaposed, never summed.
+    text, parse = drawn
+    signs = [m.start() + 1 for m in re.finditer(r" [+-] ", text)]
+    assume(signs)
+    at = data.draw(st.sampled_from(signs))
+    with pytest.raises(ElementParseError):
+        parse(text[:at] + text[at + 1:])
+
+
+@PROPERTY
+@given(
+    st.sampled_from(ROUND_TRIP_FIELDS).flatmap(lambda N: st.tuples(
+        st.just(N),
+        st.one_of(st.sampled_from((Fraction(1), Fraction(-1))), scalars(N)),
+    )),
+    st.sampled_from(BASIS_NAMES),
+    st.integers(0, 4).flatmap(compositions),
+)
+def test_spaced_coefficient_times_word(drawn, name, comp):
+    N, c = drawn
+    coeff = scalar_to_text(c)
+    if isinstance(c, CyclotomicNumber):
+        coeff = f"({coeff})"
+    word = name + composition_to_text(comp) if comp else "1"
+    basis, terms = parse_element_terms(f"{coeff} * {word}", N)
+    assert basis == (name if comp else None)
+    assert terms == ({comp: c} if c else {})
 
 
 # The integer zeta-component maps against their per-term oracles, over Q

@@ -90,8 +90,6 @@ def test_generator_images():
     # At q = 1 the transform kills every positive weight.
     for n in (1, 2, 3):
         assert theta_q_generator(n, 1) == zero()
-    with pytest.raises(ValueError):
-        theta_q_generator(4, 2, order=3)
 
 
 def test_theta_q_values():
