@@ -22,8 +22,9 @@ ValueError. That is what lets the maps whose coefficients are all in
 membership peel in the peak module) run on integers. Such a map commutes
 with taking the zeta-coordinates of a Q(zeta_N) coefficient, so
 ``split_terms`` writes the coefficients once as phi(N) integer dicts over
-one common denominator, the map runs on each dict, and ``join_terms``
-rebuilds and demotes one scalar per output word.
+one common denominator, read straight off each scalar's integer
+numerators, the map runs on each dict, and ``join_terms`` rebuilds one
+scalar per output word with one gcd.
 
 A basis change first counts its 2^(l(I)-1) words per word I and raises
 CapacityError (exit code 4 on the command line) above MAX_EXPANSION_TERMS.
@@ -236,34 +237,40 @@ def split_terms(terms):
     """Write {comp: scalar} as integer zeta-components: (N, den, parts).
 
     N is the conductor (None when every value is rational), den the least
-    common denominator of all coordinates, and parts[k] maps each comp to
+    common denominator of all the values, and parts[k] maps each comp to
     den times the zeta^k coordinate of its scalar, zeros left out; there
-    are phi(N) parts, or one over Q.
+    are phi(N) parts, or one over Q. A cyclotomic value's numerators are
+    read as they are stored, scaled when its den is not the common one.
     """
     N = conductor(terms.values())
-    coords = {
-        comp: c.coeffs if isinstance(c, CyclotomicNumber) else (c,)
-        for comp, c in terms.items()
-    }
-    den = math.lcm(*{x.denominator for cs in coords.values() for x in cs})
+    den = math.lcm(*{
+        c.den if isinstance(c, CyclotomicNumber) else c.denominator
+        for c in terms.values()
+    })
     parts = [{} for _ in range(euler_phi(N) if N else 1)]
-    for comp, cs in coords.items():
-        for part, x in zip(parts, cs):
-            if x:
-                part[comp] = x.numerator * (den // x.denominator)
+    for comp, c in terms.items():
+        if isinstance(c, CyclotomicNumber):
+            m = den // c.den
+            for part, v in zip(parts, c.nums):
+                if v:
+                    part[comp] = v * m
+        elif c:
+            parts[0][comp] = c.numerator * (den // c.denominator)
     return N, den, parts
 
 
 def join_terms(N, den, parts):
     """Inverse of split_terms: {comp: scalar}, words that cancelled dropped.
 
-    Over Q (N None) there is one part, and _demoted returns its Fraction.
+    Each output word's scalar is its column of the parts over den,
+    reduced by one gcd (a Fraction over Q, where N is None and there is
+    one part).
     """
     out = {}
     for comp in dict.fromkeys(chain.from_iterable(parts)):
         vs = [part.get(comp, 0) for part in parts]
         if any(vs):
-            out[comp] = _demoted(N, [Fraction(v, den) if v else _ZERO for v in vs])
+            out[comp] = _demoted(N, vs, den)
     return out
 
 

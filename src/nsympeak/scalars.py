@@ -1,16 +1,22 @@
 """Exact scalar arithmetic over Q and over the cyclotomic fields Q(zeta_N).
 
-Rationals are plain ``fractions.Fraction`` objects. Cyclotomic numbers are
-represented by their coefficient vector modulo the N-th cyclotomic polynomial
-Phi_N, so the representation has degree < phi(N) and division always works
-(the quotient ring is a field).
+Rationals are plain ``fractions.Fraction`` objects. A cyclotomic number is
+its coordinate vector on 1, zeta, ..., zeta^(phi(N)-1): a polynomial in
+zeta reduced modulo the N-th cyclotomic polynomial Phi_N, so division
+always works (the quotient ring is a field). As in FLINT's fmpq_poly and
+ANTIC's nf_elem, the vector is stored as phi(N) integer numerators over
+one common denominator: ``nums`` and ``den``, with den > 0 and
+gcd(den, *nums) == 1, so every value has exactly one form.
 
-A sum of two reduced vectors is already reduced, so +, - and negation work
-entry by entry and reduce nothing. A product is the schoolbook product
-folded back below degree phi(N) through the monic integer polynomial Phi_N,
-top degree first. The inverse of a is the product of its other Galois
-conjugates sigma_k(a) (k prime to N, k != 1; sigma_k sends zeta to zeta^k)
-divided by the norm, a times that product, which is rational.
+A sum brings both vectors to one denominator, cross-multiplying only when
+the denominators differ. A product is the schoolbook product of the
+numerators folded back below degree phi(N) through the monic integer
+polynomial Phi_N, top degree first, over the product of the denominators.
+Either ends in one gcd. The inverse of a is the product of its other
+Galois conjugates sigma_k(a) (k prime to N, k != 1; sigma_k sends zeta to
+zeta^k) divided by the norm, a times that product, which is rational.
+Phi_N itself is the product of (x^d - 1)^mu(N/d) over the divisors d of N,
+built on ints. Fraction entries are made only to print (``coeffs``).
 
 Arithmetic auto-demotes: whenever a cyclotomic result turns out to be purely
 rational (all coefficients above degree 0 vanish) it is returned as a
@@ -25,12 +31,15 @@ polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
 carried out of band. This module owns the one reader of typed-in numbers:
 read_signed_sum reads scalar text, element literals (with the words of
 nsympeak.textforms) and the CLI's --q, and _read_rational is the one place
-digits become a Fraction, refused past sys.get_int_max_str_digits().
+digits become a Fraction, refused past sys.get_int_max_str_digits(). The
+JSON reader takes integers only: a float, a bool or a string where a
+number belongs is refused.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import re
 import sys
@@ -44,36 +53,47 @@ class CapacityError(Exception):
     """Raised when a computation would exceed one of the stated size limits."""
 
 
-def _fold(a, p):
-    """Divide the list a by the monic p in place, top degree first; a ends
-    as the remainder (its first deg p entries) followed by the quotient."""
-    m = len(p) - 1
-    for k in range(len(a) - 1, m - 1, -1):
-        c = a[k]
-        if c:
-            for j in range(m):
-                if p[j]:
-                    a[k - m + j] -= c * p[j]
+def _prime_factors(N):
+    primes = []
+    p = 2
+    while p * p <= N:
+        if N % p == 0:
+            primes.append(p)
+            while N % p == 0:
+                N //= p
+        p += 1
+    return primes + [N] if N > 1 else primes
 
 
 @functools.cache
 def cyclotomic_polynomial(N):
-    """Coefficients of Phi_N, low degree first, as exact Fractions.
+    """Coefficients of Phi_N, low degree first, as ints.
 
-    Computed from x^N - 1 by exact division by Phi_d for each proper
-    divisor d of N.
+    Phi_N is the product of (x^d - 1)^mu(N/d) over the divisors d of N.
+    mu(N/d) is nonzero only for d = N/e with e a product of distinct
+    primes of N, and is then (-1)^(number of those primes). The factors
+    with mu = +1 are multiplied in first and those with mu = -1 then
+    divided out exactly; each step is linear in the degree.
     """
     if N < 1:
         raise ValueError("conductor must be >= 1")
-    q = [-_ONE] + [_ZERO] * (N - 1) + [_ONE]
-    for d in range(1, N):
-        if N % d == 0:
-            m = euler_phi(d)
-            _fold(q, cyclotomic_polynomial(d))
-            if any(q[:m]):
-                raise AssertionError(f"x^{N}-1 not divisible by Phi_{d}")
-            q = q[m:]
-    return tuple(q)
+    primes = _prime_factors(N)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        e = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        (down if mask.bit_count() & 1 else up).append(N // e)
+    poly = [1]
+    for d in up:  # times x^d - 1
+        out = [-c for c in poly] + [0] * d
+        for i, c in enumerate(poly):
+            if c:
+                out[i + d] += c
+        poly = out
+    for d in down:  # the quotient q of poly by x^d - 1: q[i] = q[i-d] - poly[i]
+        poly = [-c for c in poly[:len(poly) - d]]
+        for i in range(d, len(poly)):
+            poly[i] += poly[i - d]
+    return tuple(poly)
 
 
 @functools.cache
@@ -81,102 +101,161 @@ def euler_phi(N):
     return len(cyclotomic_polynomial(N)) - 1
 
 
-def _demoted(N, cs):
-    """The scalar with reduced coefficients cs, built without validation."""
-    if not any(cs[1:]):
-        return cs[0]
+@functools.cache
+def _taps(N):
+    """(offset, c) for each nonzero non-leading coefficient c of the monic
+    Phi_N, the offset being its degree minus phi(N)."""
+    p = cyclotomic_polynomial(N)
+    m = len(p) - 1
+    return tuple((j - m, c) for j, c in enumerate(p[:m]) if c)
+
+
+def _fold(N, a):
+    """The int zeta-polynomial a (a list, consumed) reduced mod Phi_N,
+    as a list of phi(N) ints: degrees >= phi(N) are folded through the
+    monic Phi_N, top degree first."""
+    d = euler_phi(N)
+    taps = _taps(N)
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k]
+        if c:
+            for j, t in taps:
+                a[k + j] -= c * t
+    a += [0] * (d - len(a))
+    del a[d:]
+    return a
+
+
+def _reduce(N, a, den):
+    """The demoted scalar a/den for the int zeta-polynomial a (consumed)."""
+    return _demoted(N, _fold(N, a), den)
+
+
+def _demoted(N, nums, den):
+    """The scalar nums/den (a list of ints over an int den > 0) built
+    without validation: a Fraction when nums[1:] vanish, otherwise
+    reduced by one gcd."""
+    if not any(nums[1:]):
+        return Fraction(nums[0], den)
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
     x = object.__new__(CyclotomicNumber)
     x.N = N
-    x.coeffs = tuple(cs)
+    x.nums = tuple(nums)
+    x.den = den
     return x
 
 
-def _reduce(N, a):
-    """The demoted scalar of the zeta-polynomial a, a list of Fractions.
+def _over_one_denominator(coeffs):
+    """(nums, den) for rationals coeffs: den the least common denominator."""
+    cs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
-    Degrees >= phi(N) are folded through the monic Phi_N; a is consumed.
-    """
-    d = euler_phi(N)
-    _fold(a, cyclotomic_polynomial(N))
-    a += [_ZERO] * (d - len(a))
-    return _demoted(N, a[:d])
+
+def _times(a, b):
+    """The schoolbook product of the int vectors a and b, as a list."""
+    out = [0] * (len(a) + len(b) - 1)
+    bs = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in bs:
+                out[i + j] += x * y
+    return out
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_N), stored as a polynomial in zeta mod Phi_N.
+    """An element of Q(zeta_N): the polynomial in zeta mod Phi_N with
+    coefficients nums[k] / den.
 
-    ``coeffs`` is a tuple of Fractions of length euler_phi(N) (trailing zeros
-    kept so the length is fixed). Instances are immutable and hashable.
-    Construct values through :func:`zeta` and arithmetic rather than the raw
-    constructor; :func:`make_cyclotomic` reduces and demotes for you.
+    ``nums`` is a tuple of euler_phi(N) ints (trailing zeros kept so the
+    length is fixed) and ``den`` an int > 0 with gcd(den, *nums) == 1.
+    ``coeffs`` derives the reduced Fraction coefficients, for printing.
+    Instances are immutable and hashable. Construct values through
+    :func:`zeta` and arithmetic rather than the raw constructor;
+    :func:`make_cyclotomic` reduces and demotes for you.
     """
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ("N", "nums", "den")
 
     def __init__(self, N, coeffs):
-        self.N = N
+        nums, den = _over_one_denominator(coeffs)
         d = euler_phi(N)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > d:
+        if len(nums) > d:
             raise ValueError("coefficient vector longer than phi(N)")
-        cs += [_ZERO] * (d - len(cs))
-        self.coeffs = tuple(cs)
+        self.N = N
+        self.nums = tuple(nums) + (0,) * (d - len(nums))
+        self.den = den
 
-    # -- coercion helpers --------------------------------------------------
+    @property
+    def coeffs(self):
+        """The zeta-coordinates as reduced Fractions, made on each read."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
-    def _coerce(self, other):
-        """other's coefficient tuple at this conductor, or None if it is no scalar."""
-        if isinstance(other, CyclotomicNumber):
-            if other.N != self.N:
-                raise ValueError(
-                    f"conductor mismatch: {self.N} vs {other.N} "
-                    "(no automatic lifting)"
-                )
-            return other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return (Fraction(other),) + (_ZERO,) * (len(self.coeffs) - 1)
-        return None
+    def _same_field(self, other):
+        if other.N != self.N:
+            raise ValueError(
+                f"conductor mismatch: {self.N} vs {other.N} "
+                "(no automatic lifting)"
+            )
 
     def demote(self):
         """Return an equal Fraction if this value is rational, else self."""
-        return self if any(self.coeffs[1:]) else self.coeffs[0]
+        return self if any(self.nums[1:]) else Fraction(self.nums[0], self.den)
 
     # -- ring operations ---------------------------------------------------
 
+    def _plus(self, other, sign):
+        """(nums, den) of self + sign*other, or None if other is no scalar."""
+        a, da = self.nums, self.den
+        if isinstance(other, CyclotomicNumber):
+            self._same_field(other)
+            b, db = other.nums, other.den
+            if sign < 0:
+                b = [-y for y in b]
+            if da == db:
+                return [x + y for x, y in zip(a, b)], da
+            return [x * db + y * da for x, y in zip(a, b)], da * db
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            nums = [x * q for x in a] if q != 1 else list(a)
+            nums[0] += sign * p * da
+            return nums, da * q
+        return None
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _demoted(self.N, [a + b if b else a for a, b in zip(self.coeffs, o)])
+        got = self._plus(other, 1)
+        return NotImplemented if got is None else _demoted(self.N, *got)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _demoted(self.N, [-a for a in self.coeffs])
+        return _demoted(self.N, [-v for v in self.nums], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _demoted(self.N, [a - b if b else a for a, b in zip(self.coeffs, o)])
+        got = self._plus(other, -1)
+        return NotImplemented if got is None else _demoted(self.N, *got)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        got = self._plus(other, -1)
+        if got is None:
             return NotImplemented
-        return _demoted(self.N, [b - a if a else b for a, b in zip(self.coeffs, o)])
+        nums, den = got
+        return _demoted(self.N, [-v for v in nums], den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prod = [_ZERO] * (2 * len(o) - 1)
-        for i, x in enumerate(o):
-            if x:
-                for j, y in enumerate(self.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        return _reduce(self.N, prod)
+        if isinstance(other, CyclotomicNumber):
+            self._same_field(other)
+            prod = _times(self.nums, other.nums)
+            return _reduce(self.N, prod, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return _demoted(
+                self.N, [v * p for v in self.nums], self.den * other.denominator
+            )
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -184,27 +263,33 @@ class CyclotomicNumber:
         """1/a = (product of the conjugates sigma_k(a), k != 1) / norm(a).
 
         sigma_k sends zeta^i to zeta^(ik mod N); the norm, a times the
-        product, is rational, so only one rational is inverted.
+        product, is rational. On numerators over den: with P the product
+        of the sigma_k(nums) and n the constant term of nums * P, 1/a is
+        P * den / n.
         """
-        if not self:
+        if not any(self.nums):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        N = self.N
-        others = _ONE
+        N, a = self.N, self.nums
+        d = len(a)
+        others = [1] + [0] * (d - 1)
         for k in range(2, N):
             if math.gcd(k, N) == 1:
-                a = [_ZERO] * N
-                for i, c in enumerate(self.coeffs):
-                    a[i * k % N] = c
-                others = _reduce(N, a) * others
-        return others * (_ONE / (self * others))
+                conj = [0] * N
+                for i, c in enumerate(a):
+                    conj[i * k % N] = c
+                others = _fold(N, _times(_fold(N, conj), others))
+        # For N >= 3 the conjugates pair off as complex conjugates, so the
+        # norm is positive; for N <= 2 the value is a Fraction's.
+        norm = _fold(N, _times(a, others))[0]
+        return _demoted(N, [v * self.den for v in others], norm)
 
     def __truediv__(self, other):
-        if self._coerce(other) is None:
+        if not isinstance(other, (int, Fraction, CyclotomicNumber)):
             return NotImplemented
         return self * scalar_inv(other)
 
     def __rtruediv__(self, other):
-        if self._coerce(other) is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self.inverse() * other
 
@@ -226,7 +311,7 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber) and other.N == self.N:
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, CyclotomicNumber):
             other = other.demote()
         elif not isinstance(other, (int, Fraction)):
@@ -236,10 +321,10 @@ class CyclotomicNumber:
 
     def __hash__(self):
         d = self.demote()
-        return hash((self.N, self.coeffs)) if d is self else hash(d)
+        return hash((self.N, self.nums, self.den)) if d is self else hash(d)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __repr__(self):
         return f"CyclotomicNumber({self.N}, {scalar_to_text(self)!r})"
@@ -250,20 +335,20 @@ class CyclotomicNumber:
 
 def make_cyclotomic(N, coeffs):
     """Build a scalar from zeta-polynomial coefficients, reduced and demoted."""
-    return _reduce(N, [Fraction(c) for c in coeffs])
+    return _reduce(N, *_over_one_denominator(coeffs))
 
 
 def zeta(N):
     """A primitive N-th root of unity as a Scalar (Fraction when N <= 2)."""
     if N < 1:
         raise ValueError("conductor must be >= 1")
-    return make_cyclotomic(N, [_ZERO, _ONE] if N > 1 else [_ONE])
+    return _reduce(N, [0, 1] if N > 1 else [1], 1)
 
 
 def zeta_pow(N, k):
     """zeta_N^k, with the exponent reduced mod N first."""
     k %= N
-    return make_cyclotomic(N, [_ZERO] * k + [_ONE])
+    return _reduce(N, [0] * k + [1], 1)
 
 
 def scalar_pow(x, k):
@@ -284,15 +369,26 @@ def is_rational(x):
 
 
 def _check_digits(x):
-    """Raise CapacityError if a numerator or denominator of the scalar x
-    has more digits than int-to-text conversion allows
-    (sys.get_int_max_str_digits())."""
+    """Raise CapacityError if a numerator or denominator of a printed
+    entry of the scalar x has more digits than int-to-text conversion
+    allows (sys.get_int_max_str_digits())."""
     limit = sys.get_int_max_str_digits()
-    for c in x.coeffs if isinstance(x, CyclotomicNumber) else (x,):
+    if not limit:
+        return
+    # Only a number of more than 3 * limit bits can be over. A printed
+    # entry v/den reduces to a numerator <= |v| and a denominator <= den,
+    # so the entries are made only when some v or den is that long.
+    if isinstance(x, CyclotomicNumber):
+        if all(v.bit_length() <= 3 * limit for v in (x.den, *x.nums)):
+            return
+        entries = x.coeffs
+    else:
+        entries = (x,)
+    for c in entries:
         for a in (abs(c.numerator), c.denominator):
-            # Only a number of more than 3 * limit bits can be over.
-            if limit and a.bit_length() > 3 * limit and a >= 10**limit:
-                digits = int((a.bit_length() - 1) * math.log10(2))
+            if a.bit_length() > 3 * limit and a >= 10**limit:
+                # A lower bound, as log10(2) > 0.30102; counted up exactly.
+                digits = (a.bit_length() - 1) * 30102 // 100000
                 while a >= 10**digits:
                     digits += 1
                 raise CapacityError(
@@ -457,14 +553,25 @@ def scalar_to_json(x):
     }
 
 
+def json_int(value, what):
+    """value if it is an int, as JSON's what must be; ValueError for a
+    float, a bool, a string or anything else."""
+    if type(value) is not int:
+        raise ValueError(
+            f"{what} must be a JSON integer, not {json.dumps(value, default=repr)}"
+        )
+    return value
+
+
 def _fraction_from_json(obj):
-    if obj["den"] == 0:
+    num, den = json_int(obj["num"], '"num"'), json_int(obj["den"], '"den"')
+    if den == 0:
         raise ValueError("zero denominator in a JSON coefficient")
-    return Fraction(obj["num"], obj["den"])
+    return Fraction(num, den)
 
 
 def scalar_from_json(obj):
     if "num" in obj:
         return _fraction_from_json(obj)
     coeffs = [_fraction_from_json(c) for c in obj["coeffs"]]
-    return make_cyclotomic(obj["N"], coeffs)
+    return make_cyclotomic(json_int(obj["N"], '"N"'), coeffs)

@@ -27,7 +27,9 @@ JSON uses one stable shape for both cases::
     {"basis": "R", "terms": [{"comp": [2,1], "coeff": {"num": 1, "den": 1}}]}
 
 with coefficients encoded as in :mod:`nsympeak.scalars`; the irrational
-ones must share one conductor.  JSON output round-trips through
+ones must share one conductor. Composition parts, like the numbers of a
+coefficient, must be JSON integers: a float, a bool or a string is
+refused, not coerced.  JSON output round-trips through
 :func:`parse_any_element`.
 """
 
@@ -39,7 +41,9 @@ from .compositions import check_composition, display_key
 from .elements import NsymElement, add_term, conductor, coords_to_text
 # The literal grammar's errors are the reader's: one class, two names.
 from .scalars import ParseError as ElementParseError
-from .scalars import read_signed_sum, scalar_from_json, scalar_to_json, typed_int
+from .scalars import (
+    json_int, read_signed_sum, scalar_from_json, scalar_to_json, typed_int
+)
 
 BASIS_NAMES = ("S", "R", "Sigma", "rho", "T")
 
@@ -137,10 +141,13 @@ def terms_from_json(obj):
     terms = {}
     for entry in entries:
         try:
-            comp = check_composition(tuple(entry["comp"]))
+            parts = entry["comp"]
             coeff = scalar_from_json(entry["coeff"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad JSON term {json.dumps(entry)}") from exc
+        if not isinstance(parts, list):
+            raise ValueError(f"bad JSON term {json.dumps(entry)}")
+        comp = check_composition([json_int(p, 'a "comp" part') for p in parts])
         add_term(terms, comp, coeff)
     conductor(terms.values())
     return name, terms

@@ -6,10 +6,14 @@ regluing a ribbon factorization, Sigma rebuilt from rho, the text
 form of position sets, the {-1, 0, 1} linear maps (S<->R, the
 Sigma/rho expansions and membership) with one scalar add per term
 instead of integer zeta-components, the transform's dense matrix on
-one weight with its determinant by Gaussian elimination, and the
-classical peak functions by filtering every ribbon by its peak set.
+one weight with its determinant by Gaussian elimination, the
+classical peak functions by filtering every ribbon by its peak set,
+Phi_N by dividing x^N - 1 by Phi_d for every proper divisor d, and
+cyclotomic numbers as tuples of Fractions.
 """
 
+import functools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -229,3 +233,136 @@ def classical_peak_functions_filtered(n):
         composition_from_descents(P, n): NsymElement("R", terms)
         for P, terms in by_peaks.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic numbers as Fraction tuples, over Phi_N by division
+
+
+def _fold(a, p):
+    """Divide the list a by the monic p in place, top degree first; a ends
+    as the remainder (its first deg p entries) followed by the quotient."""
+    m = len(p) - 1
+    for k in range(len(a) - 1, m - 1, -1):
+        c = a[k]
+        if c:
+            for j in range(m):
+                if p[j]:
+                    a[k - m + j] -= c * p[j]
+
+
+@functools.cache
+def cyclotomic_polynomial_by_division(N):
+    """Phi_N as ints, low degree first: x^N - 1 divided exactly by
+    Phi_d for each proper divisor d of N."""
+    q = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            p = cyclotomic_polynomial_by_division(d)
+            m = len(p) - 1
+            _fold(q, p)
+            if any(q[:m]):
+                raise AssertionError(f"x^{N}-1 not divisible by Phi_{d}")
+            q = q[m:]
+    return tuple(q)
+
+
+def _fraction_demoted(N, cs):
+    if not any(cs[1:]):
+        return cs[0]
+    x = object.__new__(FractionCyclotomic)
+    x.N = N
+    x.coeffs = tuple(cs)
+    return x
+
+
+def _fraction_reduce(N, a):
+    p = cyclotomic_polynomial_by_division(N)
+    d = len(p) - 1
+    _fold(a, p)
+    a += [Fraction(0)] * (d - len(a))
+    return _fraction_demoted(N, a[:d])
+
+
+def fraction_cyclotomic(N, coeffs):
+    """The value of the zeta_N-polynomial coeffs, reduced and demoted."""
+    return _fraction_reduce(N, [Fraction(c) for c in coeffs])
+
+
+class FractionCyclotomic:
+    """Q(zeta_N) as a tuple of phi(N) Fraction coefficients mod Phi_N,
+    every product entry its own Fraction; a rational result is a
+    Fraction."""
+
+    __slots__ = ("N", "coeffs")
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyclotomic):
+            if other.N != self.N:
+                raise ValueError("conductor mismatch")
+            return other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return (Fraction(other),) + (Fraction(0),) * (len(self.coeffs) - 1)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _fraction_demoted(self.N, [a + b for a, b in zip(self.coeffs, o)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _fraction_demoted(self.N, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        prod = [Fraction(0)] * (2 * len(o) - 1)
+        for i, x in enumerate(o):
+            for j, y in enumerate(self.coeffs):
+                prod[i + j] += x * y
+        return _fraction_reduce(self.N, prod)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """The other Galois conjugates' product over the norm."""
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero")
+        N = self.N
+        others = Fraction(1)
+        for k in range(2, N):
+            if math.gcd(k, N) == 1:
+                a = [Fraction(0)] * N
+                for i, c in enumerate(self.coeffs):
+                    a[i * k % N] = c
+                others = _fraction_reduce(N, a) * others
+        return others * (1 / (self * others))
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = Fraction(1)
+        for _ in range(k):
+            result = self * result
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, FractionCyclotomic):
+            return self.N == other.N and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.N, self.coeffs))
+
+    def __bool__(self):
+        return any(self.coeffs)

@@ -172,6 +172,34 @@ def test_bad_input_exits_2(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def _json_with(field, bad):
+    """A one-term JSON element whose field (a composition part, a
+    coefficient's num or den, or its conductor N) holds bad."""
+    num, den, N, part = 1, 1, 3, 2
+    if field == "comp":
+        part = bad
+    elif field == "num":
+        num = bad
+    elif field == "den":
+        den = bad
+    else:
+        N = bad
+    coeff = {"N": N, "coeffs": [{"num": 0, "den": 1}, {"num": num, "den": den}]}
+    return json.dumps({"basis": "S", "terms": [{"comp": [1, part], "coeff": coeff}]})
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", ["comp", "num", "den", "N"])
+def test_json_numbers_must_be_integers(capsys, field, bad):
+    # int() would read 1.9 and true as 1 and "2" as 2; each is refused.
+    assert run(capsys, "convert", _json_with(field, 2))[0] == 0
+    rc, out, err = run(capsys, "convert", _json_with(field, bad))
+    assert rc == 2
+    assert out == ""
+    what = 'a "comp" part' if field == "comp" else f'"{field}"'
+    assert err == f"error: {what} must be a JSON integer, not {json.dumps(bad)}\n"
+
+
 def test_hilbert_rows(capsys):
     rc, out, _ = run(capsys, "hilbert", "--N", "2", "--max-n", "6")
     assert rc == 0
@@ -230,6 +258,37 @@ def test_digit_limit_is_capacity(capsys, argv, digits, fmt):
     assert err.count("\n") == 1 and err.startswith("error:")
     assert f"{digits} digits" in err
     assert str(sys.get_int_max_str_digits()) in err
+
+
+def test_digit_limit_is_per_printed_entry(capsys):
+    # 1/p + 1/q*z is stored over the common denominator p*q, which is past
+    # the limit; each printed entry is not, so the value prints.
+    limit = sys.get_int_max_str_digits()
+    p, q = 2 ** (2 * limit), 3 ** (5 * limit // 4)
+    assert len(str(p)) < limit and len(str(q)) < limit
+    assert p * q > 10**limit
+    expr = f"(1/{p} + 1/{q}*z)*S[1]"
+    rc, out, _ = run(capsys, "expand", expr, "--N", "3", "--to", "R")
+    assert rc == 0
+    assert out == f"(1/{p} + 1/{q}*z)*R[1]\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_digit_limit_on_a_cyclotomic_entry(capsys, fmt):
+    rc, out, err = run(capsys, "theta", "(z)*S[2]", "--N", "3",
+                       "--q=" + "7" * 3000, "--format", fmt)
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "6000 digits" in err
+
+
+def test_large_conductor_in_time(capsys):
+    # N = 60060 has 64 squarefree divisors; Phi_N has degree 11520.
+    start = time.monotonic()
+    rc, out, _ = run(capsys, "expand", "(z)*S[1]", "--N", "60060", "--to", "R")
+    assert time.monotonic() - start < 5
+    assert rc == 0
+    assert out == "(z)*R[1]\n"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
-"""Property tests: the scalar field axioms, the text and JSON round trips,
+"""Property tests: the scalar field axioms, the integer-numerator scalars
+against the Fraction-tuple oracle, the text and JSON round trips,
 one-pass linear combinations, the peak round trips and the {-1, 0, 1}
 linear maps against their per-term oracles."""
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -39,6 +41,7 @@ from nsympeak.scalars import (
     scalar_from_json,
     scalar_from_text,
     scalar_inv,
+    scalar_pow,
     scalar_to_json,
     scalar_to_text,
     zeta,
@@ -52,8 +55,10 @@ from nsympeak.textforms import (
     terms_to_json,
 )
 from oracles import (
+    FractionCyclotomic,
     expand_rho_per_term,
     expand_sigma_per_term,
+    fraction_cyclotomic,
     membership_per_term,
     r_to_s_per_term,
     rho_membership_per_term,
@@ -220,6 +225,94 @@ def test_product_matches_long_division(drawn):
     N, (a, b) = drawn
     got = make_cyclotomic(N, a) * make_cyclotomic(N, b)
     assert _coefficients(got, N) == _product_by_long_division(N, a, b)
+
+
+# The integer-numerator scalars against the Fraction-tuple oracle, with
+# denominators that share factors so that sums and products reduce.
+ORACLE_CONDUCTORS = (3, 4, 5, 8, 12)
+oracle_fractions = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12, 35))
+)
+
+
+@st.composite
+def oracle_pairs(draw, count):
+    """A conductor and count (scalar, oracle) pairs of equal value, some
+    rational, some from polynomials long enough to need reducing."""
+    N = draw(st.sampled_from(ORACLE_CONDUCTORS))
+    poly = st.lists(oracle_fractions, min_size=1, max_size=N + 1)
+    polys = [draw(poly) for _ in range(count)]
+    return N, [(make_cyclotomic(N, p), fraction_cyclotomic(N, p)) for p in polys]
+
+
+def _coordinates(x, N):
+    """The zeta-coordinates of a scalar or an oracle value, as Fractions."""
+    if isinstance(x, (CyclotomicNumber, FractionCyclotomic)):
+        assert x.N == N
+        return tuple(x.coeffs)
+    assert type(x) is Fraction
+    return (x,) + (Fraction(0),) * (euler_phi(N) - 1)
+
+
+def _assert_canonical(x):
+    """A rational is a Fraction; an irrational has phi(N) int numerators,
+    some above degree 0, over an int den > 0 sharing no factor with them."""
+    if type(x) is Fraction:
+        return
+    assert type(x) is CyclotomicNumber
+    assert len(x.nums) == euler_phi(x.N)
+    assert all(type(v) is int for v in (x.den, *x.nums))
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert any(x.nums[1:])
+
+
+def _agrees(got, want, N):
+    _assert_canonical(got)
+    assert type(got) is Fraction or type(want) is FractionCyclotomic
+    assert _coordinates(got, N) == _coordinates(want, N)
+
+
+@PROPERTY
+@given(oracle_pairs(2), oracle_fractions, st.integers(-3, 3))
+def test_arithmetic_matches_fraction_tuple_oracle(drawn, r, k):
+    N, ((x, xo), (y, yo)) = drawn
+    for got, want in (
+        (x, xo), (-x, -xo), (x + y, xo + yo), (x - y, xo - yo),
+        (x * y, xo * yo), (x + r, xo + r), (r - x, r - xo), (x * r, xo * r),
+        (r * y, r * yo),
+    ):
+        _agrees(got, want, N)
+    assert (x == y) == (_coordinates(x, N) == _coordinates(y, N))
+    if x:
+        want = xo.inverse() if isinstance(xo, FractionCyclotomic) else 1 / xo
+        _agrees(scalar_inv(x), want, N)
+    if x or k >= 0:
+        _agrees(scalar_pow(x, k), xo ** k, N)
+
+
+@PROPERTY
+@given(oracle_pairs(3), oracle_fractions)
+def test_equal_values_hash_equal(drawn, r):
+    # Equal values reached by different routes have one canonical form.
+    N, ((x, _), (y, _), (z, _)) = drawn
+    routes = [
+        ((x * y) * z, x * (y * z)),
+        (x * (y + z), x * y + x * z),
+        ((x + y) - y, x),
+        ((x - r) + r, x),
+        (x * r + y * r, (x + y) * r),
+    ]
+    if y:
+        routes.append(((x * y) * scalar_inv(y), x))
+    for a, b in routes:
+        _assert_canonical(a)
+        assert a == b
+        assert hash(a) == hash(b)
+    # The raw constructor does not demote, yet compares and hashes alike.
+    raw = CyclotomicNumber(N, [r])
+    assert raw == r
+    assert hash(raw) == hash(r)
 
 
 ROUND_TRIP_FIELDS = (1, 3, 4, 5)

@@ -20,6 +20,7 @@ from nsympeak.scalars import (
     zeta,
     zeta_pow,
 )
+from oracles import cyclotomic_polynomial_by_division
 
 
 def test_cyclotomic_polynomials():
@@ -30,6 +31,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     for N in range(1, 13):
         assert len(cyclotomic_polynomial(N)) - 1 == euler_phi(N)
+
+
+def test_cyclotomic_polynomial_matches_division():
+    # The Moebius product against x^N - 1 divided by every Phi_d, d | N.
+    for N in range(1, 301):
+        phi = cyclotomic_polynomial(N)
+        assert all(type(c) is int for c in phi)
+        assert phi == cyclotomic_polynomial_by_division(N)
 
 
 def test_euler_phi():
@@ -81,6 +90,7 @@ def test_inverse_and_division():
     # A rational held in a raw instance inverts to a Fraction.
     assert type(CyclotomicNumber(5, [2]).inverse()) is Fraction
     assert CyclotomicNumber(5, [2]).inverse() == Fraction(1, 2)
+    assert CyclotomicNumber(2, [Fraction(-2, 3)]).inverse() == Fraction(-3, 2)
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber(5, [0]).inverse()
     with pytest.raises(ZeroDivisionError):
