@@ -36,12 +36,18 @@ limit, a peak-basis target asked for an element heavier than
 numerator or denominator has more digits than Python converts to text
 (``sys.get_int_max_str_digits()``).
 
+``main(argv)`` returns the exit code instead of exiting (argparse's own
+usage errors and ``--help`` raise ``SystemExit``).  It may be called
+repeatedly in one process, and it builds its parser once: the first call
+builds it and every later call reuses it.
+
 Verification scales default to the acceptance scales of the test suite;
 ``SUITES`` lists the flags each suite reads to override them, and any
 other flag but ``--format`` is a usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -288,6 +294,8 @@ def cmd_det_theta(args):
 def cmd_tangent(args):
     ctx = PeakContext(args.N)
     order = args.order
+    if order < 0:
+        raise UsageError(f"--order must be >= 0, got {order}")
     results = {
         "geometric-inverse": tangent_series(ctx, order)[2],
         "sigma-lambda": sigma_lambda_N(ctx, order)[2],
@@ -504,8 +512,8 @@ def _series_suite(kind):
 
     def checks(notes, ns, order):
         identity = {"tangent": tangent_series, "sigma-lambda": sigma_lambda_N}[kind]
-        if order == 0:
-            return  # both sides are the constant series 1
+        if order <= 0:
+            return  # both sides are the constant series 1, or no terms
         for N in ns:
             if not identity(PeakContext(N), order)[2]:
                 yield f"N={N} order={order}"
@@ -521,8 +529,8 @@ def _deforms_to_signed(ctx, order):
 
 
 def _suite_tangent_zeta(notes, ns, order):
-    if order == 0:
-        return  # both sides are the constant series 1
+    if order <= 0:
+        return  # both sides are the constant series 1, or no terms
     for N in ns:
         ctx = PeakContext(N)
         if not tangent_zeta_series(ctx, order)[2]:
@@ -619,8 +627,8 @@ def _suite_peak_classical(notes, max_n):
 
 
 def _suite_rnij(notes, ns, order):
-    if order == 0:
-        return  # both sides are the constant series 1
+    if order <= 0:
+        return  # both sides are the constant series 1, or no terms
     for N in ns:
         ctx = PeakContext(N)
         for j in range(1, N):
@@ -704,7 +712,15 @@ def cmd_verify(args):
 # parser wiring
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built on the first call and returned
+    again to every later one in the process.
+
+    The parser is shared: callers must not mutate it (add arguments, set
+    defaults).  It is built on first use, not at import, so the handlers
+    it records are the ``cmd_*`` functions bound at that time.
+    """
     parser = argparse.ArgumentParser(
         prog="nsympeak",
         description="higher-order peak algebras inside noncommutative "

@@ -30,9 +30,14 @@ import itertools
 
 
 def check_composition(parts):
-    parts = tuple(int(p) for p in parts)
-    if any(p < 1 for p in parts):
-        raise ValueError(f"composition parts must be >= 1: {parts}")
+    """parts as a tuple; ValueError unless each part is an int >= 1
+    (a bool or a float is refused, not truncated)."""
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"composition parts must be ints, not {p!r}: {parts}")
+        if p < 1:
+            raise ValueError(f"composition parts must be >= 1: {parts}")
     return parts
 
 

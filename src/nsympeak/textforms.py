@@ -61,7 +61,9 @@ def composition_from_text(text):
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"composition text must be bracketed: {text!r}")
     body = text[1:-1]
-    return check_composition(body.split(",") if body.strip() else ())
+    return check_composition(
+        [int(p) for p in body.split(",")] if body.strip() else ()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,10 @@ def test_transform_matrix_capacity(capsys, argv):
         ["bases", "--n", "3", "--N", "1"],
         ["hilbert", "--N", "0", "--max-n", "4"],
         ["hilbert", "--N", "2", "--max-n", "-1"],
+        ["tangent", "--N", "2", "--order", "-1"],
     ],
     ids=["zero-denominator", "json-zero-den", "json-no-terms", "bases-N1",
-         "hilbert-N0", "hilbert-negative-max-n"],
+         "hilbert-N0", "hilbert-negative-max-n", "tangent-negative-order"],
 )
 def test_bad_input_exits_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -549,13 +550,18 @@ def test_verify_det_reads_N_with_zeta(capsys):
         ["tangent-zeta", "--order", "0"],
         ["sigma-lambda", "--order", "0"],
         ["rnij-series", "--order", "0"],
+        ["tangent", "--order", "-2"],
+        ["tangent-zeta", "--order", "-1"],
+        ["sigma-lambda", "--order", "-1"],
+        ["rnij-series", "--order", "-1"],
         ["morphism", "--max-n", "0"],
     ],
     ids=lambda argv: "-".join(argv).replace("--", ""),
 )
 def test_verify_degenerate_scale_runs_no_checks(capsys, argv):
-    # At order 0 both sides of a series identity are the constant 1, and
-    # at max-n 0 no product has its left factor in the ideal.
+    # At order 0 both sides of a series identity are the constant 1, a
+    # negative order has no terms to compare, and at max-n 0 no product
+    # has its left factor in the ideal.
     rc, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert rc == 1
     assert json.loads(out) == {
@@ -640,3 +646,52 @@ def test_missing_subcommand_is_usage_error(capsys):
         cli.main([])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_tangent_refuses_a_negative_order(capsys):
+    rc, out, err = run(capsys, "tangent", "--N", "2", "--order", "-1")
+    assert (rc, out, err) == (2, "", "error: --order must be >= 0, got -1\n")
+
+
+_ONES_24 = "R[" + ",".join(["1"] * 24) + "]"
+
+# One argv per outcome: each exit code main returns, argparse's own
+# errors (SystemExit 2) and help (SystemExit 0).
+REPEATED_ARGVS = [
+    ["expand", "S[1,1]", "--to", "R"],
+    ["verify", "ideal", "--max-n", "3", "--format", "json"],
+    ["verify", "basis", "--max-n", "-1"],
+    ["expand", "R[3]", "--to", "Sigma", "--N", "3"],
+    ["tangent", "--N", "2", "--order", "-1"],
+    ["verify", "basis", "--order", "3"],
+    ["internal", _ONES_24, _ONES_24],
+    ["hilbert", "--N", "2", "--max-n", "x"],
+    ["expand", "S[1]", "--to", "Q"],
+    ["frobnicate"],
+    [],
+    ["--help"],
+    ["expand", "--help"],
+    ["hilbert", "--N", "3", "--max-n", "6"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_repeats_with_one_parser(capsys, monkeypatch):
+    # The parser is built once per process and shared by every call, so
+    # no call may leave state in it that changes a later call's outcome.
+    assert cli.build_parser() is cli.build_parser()
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        want = [_outcome(capsys, argv) for argv in REPEATED_ARGVS]
+    codes = {code for code, _, _ in want}
+    assert {0, 1, 2, 3, 4, ("SystemExit", 0), ("SystemExit", 2)} <= codes
+    for _ in range(2):
+        assert [_outcome(capsys, argv) for argv in REPEATED_ARGVS] == want

@@ -56,6 +56,14 @@ def test_check_composition_rejects_bad_parts():
     assert check_composition([2, 1]) == (2, 1)
 
 
+@pytest.mark.parametrize("bad", [(1.9, 1), (1, True), (2.0,), ("2",)],
+                         ids=["float", "bool", "integral-float", "string"])
+def test_check_composition_refuses_parts_that_are_not_ints(bad):
+    # int() would truncate 1.9 to 1 and read True as 1; each is refused.
+    with pytest.raises(ValueError, match="composition parts must be ints"):
+        check_composition(bad)
+
+
 def test_descent_set_examples():
     assert descent_set((1, 3, 1, 4, 2)) == frozenset({1, 4, 5, 9})
     assert descent_set((3,)) == frozenset()

@@ -43,6 +43,20 @@ def test_bad_inputs():
         S(2).to_basis("Q")
 
 
+def test_parts_must_be_ints():
+    # Neither constructors nor term keys truncate a float or read a bool.
+    with pytest.raises(ValueError, match="must be ints"):
+        S(1.9, True)
+    with pytest.raises(ValueError, match="must be ints"):
+        S(2, True)
+    with pytest.raises(ValueError, match="must be ints"):
+        R(2.0)
+    with pytest.raises(ValueError, match="must be ints"):
+        NsymElement("S", {(2.5,): 1})
+    with pytest.raises(ValueError, match="must be ints"):
+        S(2).coefficient((2.0,))
+
+
 def test_mixed_conductors_refused():
     with pytest.raises(ValueError, match="conductor mismatch: 3 vs 4"):
         NsymElement("S", {(1,): zeta(3), (2,): zeta(4)})
