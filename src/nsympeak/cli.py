@@ -27,14 +27,16 @@ column sums J (Gelfand, Krob, Lascoux, Leclerc, Retakh and Thibon,
 Exit codes: 0 success, 1 a verification check failed or a suite ran no
 checks, 2 usage or parse errors, 3 the element fell outside the
 requested span (NOT_MEMBER), 4 a size limit: an internal product
-needing more S-word pairs than ``descent.MAX_WORD_PAIRS``, an S/R basis
-change or a transform (``theta``) that would build more than
-``elements.MAX_EXPANSION_TERMS`` terms, a transform determinant
-(``det-theta``, ``verify det``) at a weight n with 4^(n-1) above that
-limit, a peak-basis target asked for an element heavier than
-``peak.MAX_MEMBERSHIP_WEIGHT``, or an exact value to print whose
-numerator or denominator has more digits than Python converts to text
-(``sys.get_int_max_str_digits()``).
+needing more S-word pairs than ``descent.MAX_WORD_PAIRS``, a root order
+above ``scalars.MAX_CONDUCTOR``, an S/R basis change or a transform
+(``theta``) that would build more than ``elements.MAX_EXPANSION_TERMS``
+terms (``theta`` builds in the basis it prints while its work stays
+within ``series.MAX_RECURSION_TERMS``, and through S words past it),
+a transform determinant (``det-theta``, ``verify det``) at a weight n
+with 4^(n-1) above that limit, a peak-basis target asked for an element
+heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``, or an exact value to print
+whose numerator or denominator has more digits than Python converts to
+text (``sys.get_int_max_str_digits()``).
 
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called
@@ -256,12 +258,13 @@ def cmd_theta(args):
     name, terms = parse_any_element(args.expr, args.N)
     element = _element_from_terms(name, terms, args.N)
     q = _parse_q(args.q, args.N)
+    basis = "S" if args.to == "S" else "R"
     if args.normalized:
         if args.q != "zeta":
             raise UsageError("--normalized applies to --q zeta")
-        image = Theta(element, args.N)
+        image = Theta(element, args.N, basis)
     else:
-        image = theta_q(element, q)
+        image = theta_q(element, q, basis)
     return _print_in_basis(image, args.to, args.N, args.format)
 
 
@@ -408,7 +411,7 @@ def _suite_basis(notes, ns, max_n):
                         )
                 yield None
             for K in compositions_of(n):
-                image = Theta(NsymElement("S", {K: 1}), N)
+                image = Theta(NsymElement("S", {K: 1}), N, "R")
                 if membership(image, ctx) is None:
                     yield f"N={N}: transform of S{composition_to_text(K)} outside span"
                 yield None
@@ -500,7 +503,7 @@ def _decomp_suite(kind):
             for n in range(max_n + 1):
                 for I in compositions_of(n):
                     got = expander(formula(I, ctx), ctx)
-                    if got != theta_q(base(*I), ctx.zeta).to_basis("R"):
+                    if got != theta_q(base(*I), ctx.zeta, "R"):
                         yield f"N={N} I={composition_to_text(I)}"
                     yield None
 
@@ -587,7 +590,7 @@ def _suite_theta1_psi(notes, ns, max_n):
             for I in compositions_of(n):
                 word = NsymElement("S", {I: 1})
                 star = internal_product(word, gen)
-                if theta_q(word, q) != star:
+                if theta_q(word, q, "R") != star:
                     yield f"q={q} I={composition_to_text(I)}: star identity"
                 yield None
 
@@ -613,7 +616,7 @@ def _suite_peak_classical(notes, max_n):
     exp_max = min(max_n, 7)
     for n in range(exp_max + 1):
         for I in compositions_of(n):
-            want = theta_q(R(*I), Fraction(-1))
+            want = theta_q(R(*I), Fraction(-1), "R")
             got = linear_combination(
                 "R",
                 (

@@ -9,7 +9,8 @@ functions*, 1995, section 5).  Components of different weights multiply
 to zero.  When R_I stands for the sum of the permutations of descent
 composition I, F * G is the class product of G's classes by F's, with
 (s t)(i) = s(t(i)).  A product needing more than MAX_WORD_PAIRS pairs of
-S words raises CapacityError.
+S words, counted after each operand's S words have merged, raises
+CapacityError.
 """
 
 import collections
@@ -22,11 +23,20 @@ MAX_WORD_PAIRS = 1 << 18
 
 
 def _words_by_weight(F):
-    """How many S words each weight of F expands to, counted without expanding."""
+    """F, expanded into S words where that merges words, and how many S
+    words each weight of it holds once merged.
+
+    The 2^(l(I)-1) S words of one ribbon R_I are distinct, so a weight
+    holding one ribbon is counted without expanding it; an element with
+    two ribbons of one weight is expanded first.
+    """
+    per_weight = collections.Counter(sum(I) for I in F.terms)
+    if F.basis == "R" and max(per_weight.values(), default=0) > 1:
+        F = F.to_basis("S")
     counts = collections.Counter()
     for I in F.terms:
         counts[sum(I)] += 1 if F.basis == "S" else num_compositions(len(I))
-    return counts
+    return F, counts
 
 
 @functools.cache
@@ -74,10 +84,11 @@ def internal_product(F, G):
     """F * G, returned in the ribbon basis.
 
     Both operands may be inhomogeneous.  Each same-weight pair of S words,
-    S^I from F and S^J from G, contributes S^I * S^J by the matrix formula.
+    S^I from F and S^J from G, contributes S^I * S^J by the matrix formula;
+    the pairs are counted over the merged S words (``_words_by_weight``).
     Words are grouped by coefficient, so most of the summing is on integers.
     """
-    f_words, g_words = _words_by_weight(F), _words_by_weight(G)
+    (F, f_words), (G, g_words) = _words_by_weight(F), _words_by_weight(G)
     pairs = sum(c * g_words[n] for n, c in f_words.items())
     if pairs > MAX_WORD_PAIRS:
         raise CapacityError(

@@ -16,7 +16,8 @@ Either ends in one gcd. The inverse of a is the product of its other
 Galois conjugates sigma_k(a) (k prime to N, k != 1; sigma_k sends zeta to
 zeta^k) divided by the norm, a times that product, which is rational.
 Phi_N itself is the product of (x^d - 1)^mu(N/d) over the divisors d of N,
-built on ints. Fraction entries are made only to print (``coeffs``).
+built on ints; a conductor above MAX_CONDUCTOR = 2^18 raises CapacityError
+before it is factored. Fraction entries are made only to print (``coeffs``).
 
 Arithmetic auto-demotes: whenever a cyclotomic result turns out to be purely
 rational (all coefficients above degree 0 vanish) it is returned as a
@@ -53,6 +54,11 @@ class CapacityError(Exception):
     """Raised when a computation would exceed one of the stated size limits."""
 
 
+# Phi_N has up to N + 1 coefficients and a scalar of Q(zeta_N) phi(N)
+# numerators, so the conductor is refused above this, before N is factored.
+MAX_CONDUCTOR = 1 << 18
+
+
 def _prime_factors(N):
     primes = []
     p = 2
@@ -70,6 +76,7 @@ def cyclotomic_polynomial(N):
     """Coefficients of Phi_N, low degree first, as ints.
 
     Phi_N is the product of (x^d - 1)^mu(N/d) over the divisors d of N.
+    N above MAX_CONDUCTOR raises CapacityError.
     mu(N/d) is nonzero only for d = N/e with e a product of distinct
     primes of N, and is then (-1)^(number of those primes). The factors
     with mu = +1 are multiplied in first and those with mu = -1 then
@@ -77,6 +84,10 @@ def cyclotomic_polynomial(N):
     """
     if N < 1:
         raise ValueError("conductor must be >= 1")
+    if N > MAX_CONDUCTOR:
+        raise CapacityError(
+            f"conductor {N} is above the limit {MAX_CONDUCTOR}"
+        )
     primes = _prime_factors(N)
     up, down = [], []
     for mask in range(1 << len(primes)):

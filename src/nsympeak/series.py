@@ -14,10 +14,17 @@ functions II: transformations of alphabets*, 1997)
 
     theta_q(S_n) = (1-q) * sum over i < n of (-q)^i R_(1^i, n-i),
 
-and theta_q extends it multiplicatively over S words. Theta is the
+and theta_q extends it linearly and multiplicatively. Theta is the
 normalization theta_q/(1-q) at q = zeta_N: it extends S_n to the hook
 sum alone, which at N = 1 (zeta_1 = 1) is the power sum of weight n
 (Gelfand et al., *Noncommutative symmetric functions*, 1995, section 4).
+Both are built over the input's own words, in the basis the caller reads:
+an S word's image is the product of its parts' generator images, and a
+ribbon's follows the ribbon product rule R_H R_a = R_(H.a) + R_(H glued
+to a) (ibid., section 3), so ribbons are not expanded into S words.
+Past a stated amount of work the transform goes through S words in the
+S basis instead, where the limits of the S words and of the basis
+change apply.
 The series definition of the generator, the degree-n coefficient of
 sigma_{qt}(A)^{-1} sigma_t(A), stays as the oracle the closed form is
 checked against. theta_q is triangular in the S basis, so its
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate
 
 from .compositions import compositions_of, num_compositions
 from .elements import (
@@ -41,6 +49,11 @@ from .elements import (
 from .scalars import scalar_inv, scalar_pow, zeta
 
 _ONE = Fraction(1)
+
+# The work, in terms added (``_recursion_terms``), above which a request
+# is transformed through S words. Near it, theta of S[2^9, 1] printed as
+# ribbons took 6.6 s at zeta_3 and 10 s at zeta_7 on a 2-CPU Xeon machine.
+MAX_RECURSION_TERMS = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -145,50 +158,140 @@ def hook_sum(n, q):
 
 
 @functools.cache
-def _generator(n, q, scale):
-    """scale * hook_sum(n, q), in the S basis (scaled while it has n terms)."""
-    return hook_sum(n, q).scale(scale).to_basis("S")
+def _generator(n, q, scale, basis):
+    """scale * hook_sum(n, q) in ``basis`` (scaled while it has n terms)."""
+    return hook_sum(n, q).scale(scale).to_basis(basis)
 
 
-def _extend(F, q, scale):
-    """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q) to F.
+def _image(I, c, ribbons, q, scale, basis):
+    """c times the image of the S word I, or of the ribbon R_I when
+    ``ribbons``, in ``basis``.
 
-    Each S word's product is seeded with its coefficient, so no
-    generator image is ever rescaled.
-
-    The image of S_i has at most 2^(i-1) S words, so that of S^I has at
-    most 2^(|I|-l(I)); the sum of these bounds is checked before
-    anything is built.
+    image(H.a) = image(H) * G_a, G_a the image of S_a. Ribbons multiply
+    as R_H * R_a = R_(H.a) + R_(H glued to a), H glued to a being H with
+    a added to its last part, so the image of that word is subtracted
+    too. For R_I, row[m] holds at step k the image of
+    (i_1, ..., i_k, i_(k+1) + ... + i_(m+1)): every such word, read from
+    the prefix row[k-1] and the glued word row[m] of the step before.
+    The first generator images are seeded with c, so no image is rescaled.
     """
-    F = F.to_basis("S")
-    check_expansion(sum(1 << (sum(I) - len(I)) for I in F.terms), "transform")
+    def gen(a):
+        return _generator(a, q, scale, basis)
 
-    def image(I, coeff):
-        piece = NsymElement._trusted("S", {(): coeff})
-        for part in I:
-            piece = multiply(piece, _generator(part, q, scale))
-        return piece
+    def seeded(a):
+        return gen(a) if c == 1 else gen(a).scale(c)
 
+    if not I:
+        return NsymElement._trusted(basis, {(): c})
+    if not ribbons:
+        image = seeded(I[0])
+        for a in I[1:]:
+            image = multiply(image, gen(a))
+        return image
+    row = [seeded(s) for s in accumulate(I)]
+    for k in range(1, len(I)):
+        head = row[k - 1]
+        for m, s in enumerate(accumulate(I[k:]), k):
+            image = multiply(head, gen(s))
+            for K, v in row[m].terms.items():
+                add_term(image.terms, K, -v)
+            row[m] = image
+    return row[-1]
+
+
+def _at_most_words(x, w):
+    """min(x, 2^(w-1)), the number of compositions of w, without building
+    2^(w-1) when x is smaller."""
+    return x if x.bit_length() < w else min(x, 1 << (w - 1))
+
+
+def _recursion_terms(F, scale, basis):
+    """Bound the work of ``_image`` on F's words in ``basis``: one per
+    product plus the terms it adds, summed until it passes
+    MAX_RECURSION_TERMS.
+
+    A product image(H) * G_a adds |image(H)| |G_a| terms, twice that on
+    ribbons (concatenated and glued), and a glued word adds its image's
+    terms. An image of weight w has at most 2^(w-1) words; G_a has at
+    most a terms in R and 2^(a-1) in S, and none when ``scale`` is zero.
+    """
+    def gen(a):
+        return 0 if not scale else a if basis == "R" else 1 << (a - 1)
+
+    times = 2 if basis == "R" else 1
+    total = 0
+    for I in F.terms:
+        weights = list(accumulate(I))
+        if F.basis == "S":
+            size = gen(I[0]) if I else 0
+            for a, w in zip(I[1:], weights[1:]):
+                added = size * gen(a) * times
+                total += 1 + added
+                size = _at_most_words(added, w)
+        else:
+            row = [gen(s) for s in weights]
+            for k in range(1, len(I)):
+                head = row[k - 1]
+                for m, s in enumerate(accumulate(I[k:]), k):
+                    added = head * gen(s) * times + row[m]
+                    total += 1 + added
+                    row[m] = _at_most_words(added, weights[m])
+                if total > MAX_RECURSION_TERMS:
+                    break
+        if total > MAX_RECURSION_TERMS:
+            break
+    return total
+
+
+def _extend(F, q, scale, basis):
+    """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q)
+    to F, in ``basis``: ``_image`` of each of F's own words, S words or
+    ribbons.
+
+    S words transformed in the S basis are refused, before anything is
+    built, above MAX_EXPANSION_TERMS S words, counted as 2^(|I|-l(I)) per
+    word I. Any other pair of bases runs ``_image`` when its work, bounded
+    by ``_recursion_terms``, is at most MAX_RECURSION_TERMS; a larger
+    request is transformed as F's S words in the S basis and then changed
+    to ``basis``, and those steps' own limits apply.
+    """
+    if basis not in ("S", "R"):
+        raise ValueError(f"unknown basis {basis!r}")
+    ribbons = F.basis == "R"
+    if F.basis == basis == "S":
+        check_expansion(sum(1 << (sum(I) - len(I)) for I in F.terms), "transform")
+    elif _recursion_terms(F, scale, basis) > MAX_RECURSION_TERMS:
+        return _extend(F.to_basis("S"), q, scale, "S").to_basis(basis)
     return linear_combination(
-        "S",
-        ((image(I, c), _ONE) for I, c in F.terms.items()),
+        basis,
+        (
+            (_image(I, c, ribbons, q, scale, basis), _ONE)
+            for I, c in F.terms.items()
+        ),
     )
 
 
-def theta_q(F, q):
-    """Apply the transform: multiplicative over S words, linear overall."""
-    return _extend(F, q, 1 - q)
+def theta_q(F, q, basis="S"):
+    """Apply the transform: multiplicative, linear, and returned in ``basis``.
+
+    ``basis`` names the representation the caller reads, as
+    ``NsymElement.to_basis`` does. The image is built over F's own words
+    in that basis, ribbons by the ribbon product rule, unless the work
+    passes MAX_RECURSION_TERMS (see ``_extend``).
+    """
+    return _extend(F, q, 1 - q, basis)
 
 
-def Theta(F, N):
+def Theta(F, N, basis="S"):
     """The normalized transform theta_zeta/(1-zeta) at the order-N root.
 
     It extends S_n -> hook_sum(n, zeta_N); at N = 1 that is the power
-    sum of weight n, the q -> 1 limit of theta_q/(1-q).
+    sum of weight n, the q -> 1 limit of theta_q/(1-q). ``basis`` is the
+    output basis, as for theta_q.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _extend(F, zeta(N), _ONE)
+    return _extend(F, zeta(N), _ONE, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ form of position sets, the {-1, 0, 1} linear maps (S<->R, the
 Sigma/rho expansions and membership) with one scalar add per term
 instead of integer zeta-components, the transform's dense matrix on
 one weight with its determinant by Gaussian elimination, the
+transform itself as one product of S-basis generator images per S
+word, the
 classical peak functions by filtering every ribbon by its peak set,
 Phi_N by dividing x^N - 1 by Phi_d for every proper divisor d, and
 cyclotomic numbers as tuples of Fractions.
@@ -25,10 +27,10 @@ from nsympeak.compositions import (
     lower_set,
     peak_set_of_composition,
 )
-from nsympeak.elements import NsymElement, S, add_term
+from nsympeak.elements import NsymElement, S, add_term, multiply
 from nsympeak.peak import expand_rho_coords
 from nsympeak.scalars import scalar_inv
-from nsympeak.series import theta_q
+from nsympeak.series import hook_sum, theta_q
 
 
 def split_successors(I, N):
@@ -183,6 +185,25 @@ def rho_membership_per_term(F, ctx):
 
 # ---------------------------------------------------------------------------
 # the transform's matrix on one weight, and the classical peak functions
+
+
+def theta_by_S_words(F, q, scale):
+    """The extension of S_n -> scale * hook_sum(n, q) to F, in the S basis,
+    word by word: F is written in S words, and each word's image is the
+    product of the S-basis generator images of its parts, seeded with the
+    word's coefficient.  theta_q is scale 1 - q; Theta is scale 1 at zeta_N."""
+    @functools.cache
+    def generator(part):
+        return hook_sum(part, q).scale(scale).to_basis("S")
+
+    terms = {}
+    for I, c in F.to_basis("S").terms.items():
+        piece = NsymElement("S", {(): c})
+        for part in I:
+            piece = multiply(piece, generator(part))
+        for K, v in piece.terms.items():
+            add_term(terms, K, v)
+    return NsymElement("S", terms)
 
 
 TransformMatrix = namedtuple("TransformMatrix", "comps rows")

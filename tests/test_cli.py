@@ -135,6 +135,63 @@ def test_theta_of_a_long_word_of_ones(capsys):
     assert out == "-" + ones + "\n"
 
 
+# theta "R[1^14]" --q zeta --N 3 as printed when ribbons were first
+# expanded into their 2^13 S words.
+R_ONES_14_IMAGE = (
+    "(1 - z)*R[1,1,1,1,1,1,1,1,1,1,1,1,1,1]"
+    " + (-1 - 2*z)*R[1,1,1,1,1,1,1,1,1,1,1,1,2]"
+    " + (-2 - z)*R[1,1,1,1,1,1,1,1,1,1,1,3]"
+    " + (-1 + z)*R[1,1,1,1,1,1,1,1,1,1,4]"
+    " + (1 + 2*z)*R[1,1,1,1,1,1,1,1,1,5]"
+    " + (2 + z)*R[1,1,1,1,1,1,1,1,6]"
+    " + (1 - z)*R[1,1,1,1,1,1,1,7]"
+    " + (-1 - 2*z)*R[1,1,1,1,1,1,8]"
+    " + (-2 - z)*R[1,1,1,1,1,9]"
+    " + (-1 + z)*R[1,1,1,1,10]"
+    " + (1 + 2*z)*R[1,1,1,11]"
+    " + (2 + z)*R[1,1,12]"
+    " + (1 - z)*R[1,13]"
+    " + (-1 - 2*z)*R[14]\n"
+)
+
+
+def test_theta_of_a_long_ribbon_of_ones(capsys):
+    ones = "R[" + ",".join(["1"] * 14) + "]"
+    start = time.monotonic()
+    rc, out, _ = run(capsys, "theta", ones, "--q", "zeta", "--N", "3")
+    assert time.monotonic() - start < 1
+    assert rc == 0
+    assert out == R_ONES_14_IMAGE
+
+
+def test_theta_of_a_ribbon_of_twos(capsys):
+    # Through its 128 S words the change back to ribbons was refused.
+    twos = "R[" + ",".join(["2"] * 8) + "]"
+    rc, out, _ = run(capsys, "theta", twos, "--q", "zeta", "--N", "3")
+    assert rc == 0
+    assert out.startswith("(-2 - z)*R[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1] + ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "S[" + ",".join(["2"] * 10) + "]", "--q", "zeta", "--N", "3",
+         "--to", "R"),
+        ("theta", "S[" + ",".join(["2"] * 22) + "]", "--q", "2"),
+        ("expand", "(z)*S[1]", "--N", "4000037", "--to", "R"),
+        ("theta", "S[1]", "--q", "zeta", "--N", "4000037"),
+    ],
+    ids=["theta-twos-10", "theta-twos-22", "expand-conductor", "theta-conductor"],
+)
+def test_refused_within_a_second(capsys, argv):
+    start = time.monotonic()
+    rc, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [("det-theta", "--n", "20", "--q", "2"), ("verify", "det", "--n", "12")],

@@ -15,8 +15,9 @@ from fractions import Fraction
 import pytest
 
 from nsympeak.compositions import compositions_of, descent_composition
+from nsympeak import descent
 from nsympeak.descent import MAX_WORD_PAIRS, CapacityError, internal_product
-from nsympeak.elements import NsymElement, R, S, one, zero
+from nsympeak.elements import NsymElement, R, S, linear_combination, one, zero
 from nsympeak.peak import PeakContext, rho_basis, rho_membership
 from nsympeak.series import psi
 
@@ -103,6 +104,7 @@ def test_identity_class():
 
 def test_weight_zero_and_cross_weight():
     assert internal_product(one("S"), one("S")) == one("R")
+    assert internal_product(one("R"), one("R") + R(1)) == one("R")
     # Components of different weights multiply to zero.
     assert internal_product(R(2), R(3)) == zero("R")
     f = R(2, 1) + R(1, 1)
@@ -163,3 +165,23 @@ def test_capacity_limit():
         internal_product(big, S(*[1] * 24) + S(24))
     # Only same-weight pairs count.
     assert internal_product(big, R(*[1] * 23)) == zero("R")
+
+
+def test_pairs_are_counted_after_merging():
+    # The 64 ribbons of weight 7 sum to the single word S[1^7]: one pair,
+    # not 729^2 before merging.
+    every = linear_combination("R", ((R(*I), 1) for I in compositions_of(7)))
+    assert every == S(*[1] * 7)
+    assert internal_product(every, every) == internal_product(
+        S(*[1] * 7), S(*[1] * 7)
+    )
+    # One ribbon's 2^(l-1) S words are distinct: R[1^10] * R[1^10] is
+    # exactly at the limit, counted without expanding.
+    _, counts = descent._words_by_weight(R(*[1] * 10))
+    assert counts == {10: 512} and 512 * 512 == MAX_WORD_PAIRS
+    # R[1^11] + R[2,1^9] merges to 512 S words: 1024 * 512 pairs.
+    merged = R(*[1] * 11) + R(2, *[1] * 9)
+    F, counts = descent._words_by_weight(merged)
+    assert F.basis == "S" and counts == {11: 512}
+    with pytest.raises(CapacityError, match=str(1024 * 512)):
+        internal_product(R(*[1] * 11), merged)

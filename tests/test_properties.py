@@ -1,7 +1,8 @@
 """Property tests: the scalar field axioms, the integer-numerator scalars
 against the Fraction-tuple oracle, the text and JSON round trips,
 one-pass linear combinations, the peak round trips and the {-1, 0, 1}
-linear maps against their per-term oracles."""
+linear maps against their per-term oracles, and the transform against
+its S-word chain."""
 
 import json
 import math
@@ -33,6 +34,7 @@ from nsympeak.peak import (
     sigma_lambda_N,
     tangent_element_series,
 )
+from nsympeak.series import Theta, theta_q
 from nsympeak.scalars import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -63,6 +65,7 @@ from oracles import (
     r_to_s_per_term,
     rho_membership_per_term,
     s_to_r_per_term,
+    theta_by_S_words,
 )
 
 MAX_WEIGHT = 6
@@ -475,3 +478,31 @@ def test_peak_maps_match_per_term_oracle(data):
             (rho_membership, rho_membership_per_term),
         ):
             assert _exact(fast(F, ctx)) == _exact(oracle(F, ctx))
+
+
+# q with the conductors of the coefficients it may meet: a rational q
+# meets any field, zeta_N only Q and Q(zeta_N).
+TRANSFORM_QS = [
+    (Fraction(2), ORACLE_FIELDS), (Fraction(1, 2), ORACLE_FIELDS),
+    (Fraction(-1), ORACLE_FIELDS), (Fraction(1), ORACLE_FIELDS),
+    (zeta(3), (1, 3)), (zeta(4), (1, 4)),
+]
+
+
+@PROPERTY
+@given(st.data())
+def test_transform_matches_the_S_word_chain(data):
+    q, fields = data.draw(st.sampled_from(TRANSFORM_QS))
+    N = data.draw(st.sampled_from(fields))
+    terms = data.draw(cancelling_terms(weights.flatmap(compositions), N))
+    F = NsymElement(data.draw(st.sampled_from("SR")), terms)
+    want = theta_by_S_words(F, q, 1 - q)
+    for basis in "SR":
+        got = theta_q(F, q, basis)
+        assert got.basis == basis
+        assert _exact(got.to_basis("S").terms) == _exact(want.terms)
+    if N in (1, 3, 4):
+        root = N if N > 1 else data.draw(st.sampled_from((1, 2, 3, 4)))
+        want = theta_by_S_words(F, zeta(root), 1)
+        for basis in "SR":
+            assert Theta(F, root, basis) == want

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from nsympeak import series
 from nsympeak.compositions import compositions_of, descent_set
-from nsympeak.elements import NsymElement, R, S, multiply, one, zero
+from nsympeak.elements import CapacityError, NsymElement, R, S, multiply, one, zero
 from nsympeak.peak import PeakContext, tangent_element_series
 from nsympeak.scalars import scalar_inv, zeta
 from nsympeak.series import (
@@ -20,7 +21,7 @@ from nsympeak.series import (
     theta_q,
     theta_q_generator,
 )
-from oracles import matrix_determinant, theta_matrix
+from oracles import matrix_determinant, theta_by_S_words, theta_matrix
 
 
 def _psi_direct(n):
@@ -119,6 +120,84 @@ def test_normalized_transform():
         for n in range(1, 6):
             expect = theta_q_generator(n, zN).scale(scalar_inv(1 - zN))
             assert Theta(S(n), N) == expect
+
+
+_ROUTE_QS = {str(q): Fraction(q) for q in ("2", "1/2", "-1", "1")}
+_ROUTE_QS.update({f"zeta{N}": zeta(N) for N in (3, 4)})
+
+
+@pytest.mark.parametrize("q", _ROUTE_QS.values(), ids=_ROUTE_QS.keys())
+def test_transform_of_every_word_matches_the_S_word_chain(q):
+    # Ribbons go through the ribbon product rule, S words through their
+    # prefixes; both output bases agree with one S-word chain per word.
+    for n in range(8):
+        for I in compositions_of(n):
+            for word in (S(*I), R(*I)):
+                want = theta_by_S_words(word, q, 1 - q)
+                for basis in "SR":
+                    got = theta_q(word, q, basis)
+                    assert got.basis == basis
+                    assert got == want, (word, basis)
+
+
+def test_normalized_transform_matches_the_S_word_chain():
+    for N in (1, 2, 3, 4):
+        zN = zeta(N)
+        for n in range(7):
+            for I in compositions_of(n):
+                for word in (S(*I), R(*I)):
+                    want = theta_by_S_words(word, zN, 1)
+                    for basis in "SR":
+                        got = Theta(word, N, basis)
+                        assert got.basis == basis
+                        assert got == want, (word, N, basis)
+
+
+def test_transform_past_the_recursion_limit_goes_through_S_words(monkeypatch):
+    # With no room for the recursion, every request but S words in the
+    # S basis is transformed as S words in S and changed to its basis.
+    monkeypatch.setattr(series, "MAX_RECURSION_TERMS", 0)
+    q = zeta(3)
+    for n in range(6):
+        for I in compositions_of(n):
+            for word in (S(*I), R(*I)):
+                want = theta_by_S_words(word, q, 1 - q)
+                for basis in "SR":
+                    got = theta_q(word, q, basis)
+                    assert got.basis == basis
+                    assert got == want
+
+
+def test_transform_refuses_large_S_images_in_time():
+    # The recursion in R would add about 7 * 10^5 terms for S[2^10];
+    # through S words, the change to ribbons is refused before it runs.
+    with pytest.raises(CapacityError):
+        theta_q(S(*[2] * 10), zeta(3), "R")
+    with pytest.raises(CapacityError):
+        theta_q(S(*[2] * 22), 2, "R")
+
+
+def test_transform_at_one_is_zero_on_long_words():
+    # theta_1 kills every word of positive weight, without building any.
+    assert theta_q(R(*[1] * 40), 1, "R") == zero("R")
+    assert theta_q(S(*[1] * 40) + 3 * S(), 1, "R") == 3 * one("R")
+
+
+def test_transform_output_basis_is_checked():
+    with pytest.raises(ValueError, match="unknown basis"):
+        theta_q(S(1), 2, "Sigma")
+    with pytest.raises(ValueError, match="unknown basis"):
+        Theta(S(1), 3, "T")
+
+
+def test_transform_refuses_a_second_conductor():
+    F = R(2, 1).scale(zeta(3)) + S(1).to_basis("R")
+    for basis in "SR":
+        for G in (F, F.to_basis("S")):
+            with pytest.raises(ValueError, match="conductor mismatch"):
+                theta_q(G, zeta(4), basis)
+            with pytest.raises(ValueError, match="conductor mismatch"):
+                Theta(G, 4, basis)
 
 
 _QS = {str(q): Fraction(q) for q in ("0", "1", "-1", "2", "1/2", "5/7")}
