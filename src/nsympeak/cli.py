@@ -16,7 +16,8 @@ Elements are written in the literal grammar of :mod:`nsympeak.textforms`
 (for example ``"2*S[2,1] - 1/3*S[1,1,2]"`` or ``"rho[1,1,1]"``) or as
 the JSON these commands emit with ``--format json``; JSON input is
 recognized by its leading brace.  ``Sigma``, ``rho`` and ``T`` literals
-and targets need ``--N`` to pin the root order.
+and targets need ``--N`` to pin the root order; a ``T[K]`` literal is
+read as Sigma of the inverse block image of K (T_K = Sigma_{eps^-1(K)}).
 
 ``internal`` computes the descent-algebra product from the matrix
 (Mackey) formula of :mod:`nsympeak.descent`: S^I * S^J sums S^(M read
@@ -34,9 +35,11 @@ terms (``theta`` builds in the basis it prints while its work stays
 within ``series.MAX_RECURSION_TERMS``, and through S words past it),
 a transform determinant (``det-theta``, ``verify det``) at a weight n
 with 4^(n-1) above that limit, a peak-basis target asked for an element
-heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``, or an exact value to print
-whose numerator or denominator has more digits than Python converts to
-text (``sys.get_int_max_str_digits()``).
+heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``, ``bases`` at a weight n
+whose 2^(n-1) compositions exceed ``elements.MAX_EXPANSION_TERMS``, or an
+exact value to print (a ``hilbert`` dimension among them) whose
+numerator or denominator has more digits than Python converts to text
+(``sys.get_int_max_str_digits()``).
 
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called
@@ -61,10 +64,13 @@ from .compositions import (
     display_key,
     epsilon,
     hilbert_dim,
+    num_compositions,
     peak_compositions_of,
 )
 from .descent import internal_product
-from .elements import CapacityError, NsymElement, R, S, linear_combination, multiply
+from .elements import (
+    CapacityError, NsymElement, R, S, check_expansion, linear_combination, multiply
+)
 from .peak import (
     PeakContext,
     T_basis,
@@ -74,6 +80,7 @@ from .peak import (
     decomp_S_on_rho,
     decomp_theta_R,
     decomp_theta_S,
+    expand_T_coords,
     expand_rho_coords,
     expand_sigma_coords,
     in_T_ideal,
@@ -101,14 +108,12 @@ from .series import (
 )
 from .scalars import read_signed_sum, scalar_inv, scalar_to_json, scalar_to_text, zeta
 from .textforms import (
+    BASIS_NAMES,
     coords_to_text,
     composition_to_text,
     parse_any_element,
     terms_to_json,
 )
-
-PEAK_BASES = ("Sigma", "rho", "T")
-
 
 class UsageError(ValueError):
     """Bad flags or inputs; maps to exit code 2."""
@@ -128,58 +133,43 @@ def _need_ctx(N, what):
     return PeakContext(N)
 
 
+def _peak_basis(name):
+    """(coordinates -> ribbon element, element -> coordinates or None) for
+    a peak basis name; None for S, R or no name.  Built per call, not at
+    import, so a wrapper rebound on peak (bench/tracer.py) runs."""
+    return {
+        "Sigma": (expand_sigma_coords, membership),
+        "rho": (expand_rho_coords, rho_membership),
+        "T": (expand_T_coords, T_membership),
+    }.get(name)
+
+
 def _element_from_terms(name, terms, N):
     """Build the ribbon-or-complete element a parsed literal denotes."""
-    if name is None or name == "S":
-        return NsymElement("S", terms)
-    if name == "R":
-        return NsymElement("R", terms)
-    ctx = _need_ctx(N, f"a {name} literal")
-    if name == "Sigma":
-        return expand_sigma_coords(terms, ctx)
-    if name == "rho":
-        return expand_rho_coords(terms, ctx)
-    return linear_combination(
-        "R", ((T_basis(K, ctx), c) for K, c in terms.items())
-    )
+    peak = _peak_basis(name)
+    if peak is None:
+        return NsymElement(name or "S", terms)
+    return peak[0](terms, _need_ctx(N, f"a {name} literal"))
 
 
-def _coords_in_basis(element, target, N):
-    """Coordinates of element in a peak family, or NotMemberError."""
-    ctx = _need_ctx(N, f"target basis {target}")
-    as_r = element.to_basis("R")
-    if len(as_r.weights()) > 1:
-        raise UsageError(
-            f"target basis {target} needs a homogeneous element, "
-            f"weights {as_r.weights()}"
-        )
-    solver = {
-        "Sigma": membership,
-        "rho": rho_membership,
-        "T": T_membership,
-    }[target]
-    coords = solver(as_r, ctx)
+def _print_terms(name, terms, fmt):
+    if fmt == "json":
+        print(json.dumps(terms_to_json(name, terms)))
+    else:
+        print(coords_to_text(terms, name))
+    return 0
+
+
+def _print_in_basis(element, target, N, fmt):
+    peak = _peak_basis(target)
+    if peak is None:
+        return _print_terms(target, element.to_basis(target).terms, fmt)
+    coords = peak[1](element, _need_ctx(N, f"target basis {target}"))
     if coords is None:
         raise NotMemberError(
             f"element is outside the order-{N} span (no {target} coordinates)"
         )
-    return coords
-
-
-def _print_in_basis(element, target, N, fmt):
-    if target in ("S", "R"):
-        out = element.to_basis(target)
-        if fmt == "json":
-            print(json.dumps(terms_to_json(out.basis, out.terms)))
-        else:
-            print(out)
-        return 0
-    coords = _coords_in_basis(element, target, N)
-    if fmt == "json":
-        print(json.dumps(terms_to_json(target, coords)))
-    else:
-        print(coords_to_text(coords, target))
-    return 0
+    return _print_terms(target, coords, fmt)
 
 
 def _parse_q(text, N):
@@ -209,13 +199,7 @@ def cmd_expand(args):
 
 def cmd_convert(args):
     name, terms = parse_any_element(args.expr, args.N)
-    if name is None:
-        name = "S"
-    if args.format == "json":
-        print(json.dumps(terms_to_json(name, terms)))
-    else:
-        print(coords_to_text(terms, name))
-    return 0
+    return _print_terms(name or "S", terms, args.format)
 
 
 def _need_order(N):
@@ -228,6 +212,7 @@ def cmd_hilbert(args):
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     dims = [hilbert_dim(n, args.N) for n in range(args.max_n + 1)]
+    scalar_to_text(max(dims))  # CapacityError past the digit limit
     if args.format == "json":
         print(json.dumps({"N": args.N, "max_n": args.max_n, "dims": dims}))
     else:
@@ -249,7 +234,7 @@ def cmd_internal(args):
     product = internal_product(el_a, el_b)
     target = args.to
     if target == "auto":
-        tags = [t for t in (name_a, name_b) if t in PEAK_BASES]
+        tags = [t for t in (name_a, name_b) if _peak_basis(t)]
         target = tags[0] if tags else "R"
     return _print_in_basis(product, target, args.N, args.format)
 
@@ -318,6 +303,8 @@ def cmd_tangent(args):
 
 def cmd_bases(args):
     _need_order(args.N)
+    # F_set and G_set each filter all 2^(n-1) compositions of n.
+    check_expansion(num_compositions(args.n), f"listing the compositions of {args.n}")
     fam_f = sorted(F_set(args.n, args.N), key=display_key)
     fam_g = sorted(G_set(args.n, args.N), key=display_key)
     dim = hilbert_dim(args.n, args.N)
@@ -733,13 +720,10 @@ def build_parser():
 
     def common(p):
         p.add_argument("--N", type=int, help="root order for peak bases")
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("expand", help="rewrite an element in a chosen basis")
     p.add_argument("expr")
-    p.add_argument(
-        "--to", default="R", choices=("S", "R", "Sigma", "rho", "T")
-    )
+    p.add_argument("--to", default="R", choices=BASIS_NAMES)
     common(p)
     p.set_defaults(handler=cmd_expand)
 
@@ -751,7 +735,6 @@ def build_parser():
     p = sub.add_parser("hilbert", help="dimension table for one root order")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("verify", help="run a named property sweep")
@@ -761,7 +744,6 @@ def build_parser():
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--q")
     p.add_argument("--order", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser(
@@ -769,11 +751,7 @@ def build_parser():
     )
     p.add_argument("expr_a")
     p.add_argument("expr_b")
-    p.add_argument(
-        "--to",
-        default="auto",
-        choices=("auto", "S", "R", "Sigma", "rho", "T"),
-    )
+    p.add_argument("--to", default="auto", choices=("auto", *BASIS_NAMES))
     common(p)
     p.set_defaults(handler=cmd_internal)
 
@@ -785,9 +763,7 @@ def build_parser():
         action="store_true",
         help="divide each generator image by 1 - zeta",
     )
-    p.add_argument(
-        "--to", default="R", choices=("S", "R", "Sigma", "rho", "T")
-    )
+    p.add_argument("--to", default="R", choices=BASIS_NAMES)
     common(p)
     p.set_defaults(handler=cmd_theta)
 
@@ -804,7 +780,6 @@ def build_parser():
     )
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_tangent)
 
     p = sub.add_parser(
@@ -812,9 +787,11 @@ def build_parser():
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_bases)
 
+    # Last on every subcommand, so each one's usage line ends with it.
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -248,7 +248,7 @@ def hilbert_dim(n, N):
         return 0
     if n == 0:
         return 1
-    total = sum(hilbert_dim(n - k, N) for k in range(1, N + 1))
+    total = sum(hilbert_dim(n - k, N) for k in range(1, min(N, n) + 1))
     if n == N:
         total -= 1
     return total
@@ -396,6 +396,8 @@ def aligned_positions(I, J):
 
 
 def num_compositions(n):
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return 1 if n == 0 else 1 << (n - 1)
 
 

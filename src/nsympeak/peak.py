@@ -22,11 +22,12 @@ the oracle; the docstrings state it precisely.
 
 Decomposition results are returned as plain coordinate dicts mapping a
 composition in G to its scalar, since Sigma and rho are not storage
-bases of NsymElement; ``expand_sigma_coords`` and ``expand_rho_coords``
-turn them back into ribbon-basis elements. Every Sigma, rho, rho(t) and
-pi_N expansion is a set of Sigma coordinates handed to
-``expand_sigma_coords``, which adds each coordinate over its lower set
-in one pass; rho coordinates move to Sigma coordinates first.
+bases of NsymElement; ``expand_sigma_coords``, ``expand_rho_coords``
+and ``expand_T_coords`` turn them back into ribbon-basis elements. Every
+Sigma, rho, rho(t), T and pi_N expansion is a set of Sigma coordinates
+handed to ``expand_sigma_coords``, which adds each coordinate over its
+lower set in one pass; rho coordinates move to Sigma coordinates first,
+T coordinates along the block bijection (T_K = Sigma_{epsilon^-1(K)}).
 
 Those expansions, the membership peel and the rho push-forward all have
 coefficients in {-1, 0, 1}, so they run on the integer zeta-components
@@ -54,6 +55,7 @@ from .compositions import (
     compositions_of,
     descent_set,
     epsilon,
+    epsilon_inv,
     h_stat,
     is_in_G,
     is_valid_peak_set,
@@ -207,6 +209,17 @@ def expand_rho_coords(coords, ctx):
     N, den, parts = _split_G(coords, ctx)
     parts = lower_sums(lower_sums(parts, ctx.lower_in_G, True), ctx.lower)
     return NsymElement._trusted("R", join_terms(N, den, parts))
+
+
+def expand_T_coords(coords, ctx):
+    """Turn {K: c} T-coordinates into a ribbon-basis element.
+
+    T_K is Sigma of the inverse block image of K (K in F, its image in
+    G), so the coordinates move to the Sigma family along the bijection.
+    """
+    return expand_sigma_coords(
+        {epsilon_inv(K, ctx.N): c for K, c in coords.items()}, ctx
+    )
 
 
 # ---------------------------------------------------------------------------

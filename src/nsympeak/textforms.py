@@ -12,7 +12,8 @@ word, or a coefficient, ``*`` and a basis word.  A coefficient is a
 rational ``p`` or ``p/q``, or, when a root order N is supplied, a
 parenthesized z-polynomial with the same separators.  Basis words are
 ``S``, ``R``, ``Sigma``, ``rho`` or ``T`` followed by a bracketed
-composition; ``1`` after ``*``, like a term with no word, is the unit.
+composition (``BASIS_NAMES``, the one list of the five names); ``1``
+after ``*``, like a term with no word, is the unit.
 A literal sticks to one basis name.  The reader is the one of
 :mod:`nsympeak.scalars` (``read_signed_sum``); this module reads words.
 
@@ -69,7 +70,7 @@ def composition_from_text(text):
 # ---------------------------------------------------------------------------
 # element literals
 
-_WORD = re.compile(r"(S|Sigma|R|rho|T)\[([0-9,\s]*)\]")
+_WORD = re.compile(rf"({'|'.join(BASIS_NAMES)})\[([0-9,\s]*)\]")
 
 
 def parse_element_terms(text, N=None):

@@ -45,6 +45,19 @@ def test_expand_to_rho_and_T(capsys):
     assert out.strip() == "T[4]"
 
 
+def test_T_literals_round_trip(capsys):
+    # T_K is Sigma of epsilon^-1(K): T[4] is Sigma[3,1], T[2] is Sigma[2].
+    rc, out, _ = run(capsys, "expand", "T[4,2] + 2*T[1]", "--N", "3", "--to", "R")
+    assert (rc, out) == (0, "2*R[1] + R[3,1,2] + R[3,3]\n")
+    literal = "2*T[5,1] + T[4,2]"
+    rc, out, _ = run(capsys, "expand", literal, "--N", "3", "--to", "T")
+    assert (rc, out) == (0, literal + "\n")
+    # A peak target needs a homogeneous element.
+    rc, out, err = run(capsys, "expand", "T[4,2] + 2*T[1]", "--N", "3", "--to", "T")
+    assert (rc, out) == (2, "")
+    assert err == "error: membership needs a homogeneous element, weights [1, 6]\n"
+
+
 def test_expand_peak_words_back_to_ribbons(capsys):
     rc, out, _ = run(capsys, "expand", "rho[1,1,1]", "--to", "R", "--N", "3")
     assert rc == 0
@@ -180,8 +193,11 @@ def test_theta_of_a_ribbon_of_twos(capsys):
         ("theta", "S[" + ",".join(["2"] * 22) + "]", "--q", "2"),
         ("expand", "(z)*S[1]", "--N", "4000037", "--to", "R"),
         ("theta", "S[1]", "--q", "zeta", "--N", "4000037"),
+        ("bases", "--n", "23", "--N", "2"),
+        ("bases", "--n", "40", "--N", "2"),
     ],
-    ids=["theta-twos-10", "theta-twos-22", "expand-conductor", "theta-conductor"],
+    ids=["theta-twos-10", "theta-twos-22", "expand-conductor", "theta-conductor",
+         "bases-23", "bases-40"],
 )
 def test_refused_within_a_second(capsys, argv):
     start = time.monotonic()
@@ -215,13 +231,16 @@ def test_transform_matrix_capacity(capsys, argv):
         ["expand", '{"basis": "S", "terms": [{"comp": [1], '
                    '"coeff": {"num": 1, "den": 0}}]}'],
         ["expand", '{"basis": "S"}'],
+        ["expand", "T[3]", "--N", "3"],
         ["bases", "--n", "3", "--N", "1"],
+        ["bases", "--n", "-1", "--N", "3"],
         ["hilbert", "--N", "0", "--max-n", "4"],
         ["hilbert", "--N", "2", "--max-n", "-1"],
         ["tangent", "--N", "2", "--order", "-1"],
     ],
-    ids=["zero-denominator", "json-zero-den", "json-no-terms", "bases-N1",
-         "hilbert-N0", "hilbert-negative-max-n", "tangent-negative-order"],
+    ids=["zero-denominator", "json-zero-den", "json-no-terms", "T-part-N",
+         "bases-N1", "bases-negative-n", "hilbert-N0", "hilbert-negative-max-n",
+         "tangent-negative-order"],
 )
 def test_bad_input_exits_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -270,6 +289,14 @@ def test_hilbert_rows(capsys):
     assert out.strip() == "1 1 2 4 8"
 
 
+def test_hilbert_large_N_in_time(capsys):
+    # Parts above n never occur, so the order N does not set the work.
+    start = time.monotonic()
+    rc, out, _ = run(capsys, "hilbert", "--N", "4000037", "--max-n", "3")
+    assert time.monotonic() - start < 1
+    assert (rc, out) == (0, "1 1 2 4\n")
+
+
 def test_hilbert_json(capsys):
     rc, out, _ = run(capsys, "hilbert", "--N", "2", "--max-n", "4",
                      "--format", "json")
@@ -305,8 +332,9 @@ def test_det_theta_weight_10_in_time(capsys):
         (("det-theta", "--n", "8", "--q=1000000"), 6144),
         (("theta", "S[2]", "--q=" + "7" * 3000), 6000),
         (("det-theta", "--n", "11", "--q=-3"), 5722),
+        (("hilbert", "--N", "2", "--max-n", "30000"), 6270),
     ],
-    ids=["det-theta-big-q", "theta-big-q", "det-theta-n11"],
+    ids=["det-theta-big-q", "theta-big-q", "det-theta-n11", "hilbert-fib-30000"],
 )
 def test_digit_limit_is_capacity(capsys, argv, digits, fmt):
     # Values past Python's int-to-text limit are a size limit, not bad input.

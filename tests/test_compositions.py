@@ -83,6 +83,9 @@ def test_enumeration_canonical_order():
         keys = [canonical_key(I) for I in comps]
         assert keys == sorted(keys)
     assert compositions_of(0) == [()]
+    for count in (compositions_of, num_compositions):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count(-1)
 
 
 def test_reverse_refinement_is_descent_containment():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nsympeak.compositions import (
+    F_set,
     G_set,
     compositions_of,
     epsilon,
@@ -33,6 +34,7 @@ from nsympeak.peak import (
     decomp_S_on_rho,
     decomp_theta_R,
     decomp_theta_S,
+    expand_T_coords,
     expand_rho_coords,
     expand_sigma_coords,
     in_T_ideal,
@@ -205,6 +207,23 @@ def test_T_identity(ctx2, ctx3):
         for n in range(6):
             for I in ctx.G(n):
                 assert T_basis(epsilon(I, ctx.N), ctx) == sigma_basis(I, ctx)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_expand_T_coords_matches_T_products(N):
+    # Oracle: the ribbon product definition of T_K, for every K in F.
+    ctx = PeakContext(N)
+    for n in range(9):
+        for K in F_set(n, N):
+            assert expand_T_coords({K: 1}, ctx) == T_basis(K, ctx), K
+
+
+def test_expand_T_coords(ctx3):
+    coords = {(4, 2): 1, (1,): 2}
+    assert expand_T_coords(coords, ctx3) == T_basis((4, 2), ctx3) + 2 * R(1)
+    assert T_membership(expand_T_coords({(5, 1): 3}, ctx3), ctx3) == {(5, 1): 3}
+    with pytest.raises(ValueError, match="divisible by N=3"):
+        expand_T_coords({(3,): 1}, ctx3)
 
 
 def test_T_membership(ctx3):
