@@ -64,6 +64,7 @@ from .compositions import (
     display_key,
     epsilon,
     hilbert_dim,
+    hilbert_dims,
     num_compositions,
     peak_compositions_of,
 )
@@ -211,7 +212,7 @@ def cmd_hilbert(args):
     _need_order(args.N)
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
-    dims = [hilbert_dim(n, args.N) for n in range(args.max_n + 1)]
+    dims = hilbert_dims(args.max_n, args.N)
     scalar_to_text(max(dims))  # CapacityError past the digit limit
     if args.format == "json":
         print(json.dumps({"N": args.N, "max_n": args.max_n, "dims": dims}))
@@ -303,7 +304,8 @@ def cmd_tangent(args):
 
 def cmd_bases(args):
     _need_order(args.N)
-    # F_set and G_set each filter all 2^(n-1) compositions of n.
+    # Bounds the listing: F_set and G_set build only their own words, but
+    # for N > n each family holds all 2^(n-1) compositions of n.
     check_expansion(num_compositions(args.n), f"listing the compositions of {args.n}")
     fam_f = sorted(F_set(args.n, args.N), key=display_key)
     fam_g = sorted(G_set(args.n, args.N), key=display_key)
@@ -413,9 +415,9 @@ def _suite_product(notes, ns, max_n):
         ctx = PeakContext(N)
         for total in range(max_n + 1):
             for a in range(total + 1):
-                for I in G_set(a, N):
+                for I in ctx.G(a):
                     si = sigma_basis(I, ctx)
-                    for J in G_set(total - a, N):
+                    for J in ctx.G(total - a):
                         lhs = multiply(si, sigma_basis(J, ctx))
                         if lhs != sigma_basis(I + J, ctx):
                             yield (
@@ -424,7 +426,7 @@ def _suite_product(notes, ns, max_n):
                             )
                         yield None
         for n in range(max_n + 1):
-            for I in G_set(n, N):
+            for I in ctx.G(n):
                 if T_basis(epsilon(I, N), ctx) != sigma_basis(I, ctx):
                     yield f"N={N} I={composition_to_text(I)}: T identity"
                 yield None
@@ -468,7 +470,7 @@ def _suite_ideal(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
         for n in range(1, max_n + 1):
-            for I in G_set(n, N):
+            for I in ctx.G(n):
                 if not in_T_ideal(sigma_basis(I, ctx), N):
                     yield f"N={N} I={composition_to_text(I)}"
                 yield None

@@ -20,12 +20,13 @@ is a subset of D(I) that keeps the descent after every part i_k >= N.
 ``lower_set`` enumerates them directly in canonical order; with no N it
 gives the reverse-refinement interval {J : D(J) contained in D(I)} that
 the S/R basis change sums over, and ``compositions_of(n)`` is that
-interval below (1^n). It is the only composition enumerator.
+interval below (1^n). The index families F and G and the peak
+compositions are built the same way, one unit at a time, a word dropped
+as soon as one of its finished parts leaves the family.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 
@@ -155,10 +156,29 @@ def is_valid_peak_set(peaks, n):
 
 
 def peak_compositions_of(n):
-    """Compositions of n whose descent set is a valid peak set, canonical order."""
-    return [
-        I for I in compositions_of(n) if is_valid_peak_set(descent_set(I), n)
-    ]
+    """Compositions of n whose descent set is a valid peak set, canonical order.
+
+    Those are the compositions whose parts, all but the last, are >= 2.
+    """
+    return _unit_by_unit(n, lambda p: True, lambda p: p >= 2)
+
+
+def _unit_by_unit(n, may_grow, may_cut):
+    """The compositions of n built one unit at a time: each word grows
+    its last part p by one if may_grow(p) and starts a new part after p
+    if may_cut(p). A cut is a higher descent than any before it, so
+    listing grown words before cut ones keeps canonical order, as in
+    ``lower_set``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return [()]
+    out = [(1,)]
+    for _ in range(n - 1):
+        out = [I[:-1] + (I[-1] + 1,) for I in out if may_grow(I[-1])] + [
+            I + (1,) for I in out if may_cut(I[-1])
+        ]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +224,14 @@ def is_in_G(I, N):
 
 def F_set(n, N):
     """Compositions of n with no part divisible by N, canonical order."""
-    return [I for I in compositions_of(n) if is_in_F(I, N)]
+    out = _unit_by_unit(n, lambda p: True, lambda p: p % N)
+    return [I for I in out if not I or I[-1] % N]
 
 
 def G_set(n, N):
     """Compositions of n with parts in [1,N] and last part in [1,N-1]."""
-    return [I for I in compositions_of(n) if is_in_G(I, N)]
+    out = _unit_by_unit(n, lambda p: p < N, lambda p: True)
+    return [I for I in out if not I or I[-1] < N]
 
 
 def epsilon(I, N):
@@ -241,17 +263,27 @@ def epsilon_inv(K, N):
     return tuple(out)
 
 
-@functools.cache
+def hilbert_dims(max_n, N):
+    """[h(0), ..., h(max_n)], h(n) the coefficient of t^n in
+    (1 - t^N) / (1 - t - t^2 - ... - t^N).
+
+    h(0) = 1 and h(n) = h(n-1) + ... + h(n-min(N, n)) - [n = N], the
+    sum kept as a running window.
+    """
+    dims = [1]
+    window = 1
+    for n in range(1, max_n + 1):
+        h = window - (n == N)
+        dims.append(h)
+        window += h
+        if n >= N:
+            window -= dims[n - N]
+    return dims
+
+
 def hilbert_dim(n, N):
     """Coefficient of t^n in (1 - t^N) / (1 - t - t^2 - ... - t^N)."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = sum(hilbert_dim(n - k, N) for k in range(1, min(N, n) + 1))
-    if n == N:
-        total -= 1
-    return total
+    return hilbert_dims(n, N)[-1] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ refuses two conductors with the scalars module's conductor-mismatch
 ValueError. That is what lets the maps whose coefficients are all in
 {-1, 0, 1} (the basis changes here, the Sigma/rho expansions and the
 membership peel in the peak module) run on integers. Such a map commutes
-with taking the zeta-coordinates of a Q(zeta_N) coefficient, so
-``split_terms`` writes the coefficients once as phi(N) integer dicts over
-one common denominator, read straight off each scalar's integer
-numerators, the map runs on each dict, and ``join_terms`` rebuilds one
-scalar per output word with one gcd.
+with taking the zeta-coordinates of a Q(zeta_N) coefficient, so the
+coefficients are written once as the scalars module's integer
+zeta-columns (``split_terms``), ``lower_sums`` runs the map on each
+column, and ``join_terms`` rebuilds one scalar per output word.
 
 A basis change first counts its 2^(l(I)-1) words per word I and raises
 CapacityError (exit code 4 on the command line) above MAX_EXPANSION_TERMS.
@@ -32,7 +31,6 @@ CapacityError (exit code 4 on the command line) above MAX_EXPANSION_TERMS.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import chain
 
@@ -43,7 +41,8 @@ from .compositions import (
     num_compositions,
 )
 from .scalars import (
-    CapacityError, CyclotomicNumber, _demoted, euler_phi, scalar_to_text
+    CapacityError, CyclotomicNumber, conductor, join_terms, scalar_to_text,
+    split_terms,
 )
 
 _ZERO = Fraction(0)
@@ -214,64 +213,7 @@ def _coeff_text(coeff, word):
 
 
 # ---------------------------------------------------------------------------
-# integer zeta-components
-
-
-def conductor(values):
-    """The one conductor of the cyclotomic scalars in values, or None.
-
-    Two different conductors raise the conductor-mismatch ValueError.
-    """
-    N = None
-    for c in values:
-        if isinstance(c, CyclotomicNumber) and c.N != N:
-            if N is not None:
-                raise ValueError(
-                    f"conductor mismatch: {N} vs {c.N} (no automatic lifting)"
-                )
-            N = c.N
-    return N
-
-
-def split_terms(terms):
-    """Write {comp: scalar} as integer zeta-components: (N, den, parts).
-
-    N is the conductor (None when every value is rational), den the least
-    common denominator of all the values, and parts[k] maps each comp to
-    den times the zeta^k coordinate of its scalar, zeros left out; there
-    are phi(N) parts, or one over Q. A cyclotomic value's numerators are
-    read as they are stored, scaled when its den is not the common one.
-    """
-    N = conductor(terms.values())
-    den = math.lcm(*{
-        c.den if isinstance(c, CyclotomicNumber) else c.denominator
-        for c in terms.values()
-    })
-    parts = [{} for _ in range(euler_phi(N) if N else 1)]
-    for comp, c in terms.items():
-        if isinstance(c, CyclotomicNumber):
-            m = den // c.den
-            for part, v in zip(parts, c.nums):
-                if v:
-                    part[comp] = v * m
-        elif c:
-            parts[0][comp] = c.numerator * (den // c.denominator)
-    return N, den, parts
-
-
-def join_terms(N, den, parts):
-    """Inverse of split_terms: {comp: scalar}, words that cancelled dropped.
-
-    Each output word's scalar is its column of the parts over den,
-    reduced by one gcd (a Fraction over Q, where N is None and there is
-    one part).
-    """
-    out = {}
-    for comp in dict.fromkeys(chain.from_iterable(parts)):
-        vs = [part.get(comp, 0) for part in parts]
-        if any(vs):
-            out[comp] = _demoted(N, vs, den)
-    return out
+# maps on integer zeta-columns
 
 
 def lower_sums(parts, lower, signed=False):

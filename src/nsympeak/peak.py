@@ -30,9 +30,10 @@ lower set in one pass; rho coordinates move to Sigma coordinates first,
 T coordinates along the block bijection (T_K = Sigma_{epsilon^-1(K)}).
 
 Those expansions, the membership peel and the rho push-forward all have
-coefficients in {-1, 0, 1}, so they run on the integer zeta-components
-of the elements module: ``split_terms`` once on the way in, integer adds
-over the lower sets, ``join_terms`` once per output word on the way out.
+coefficients in {-1, 0, 1}, so they run on the integer zeta-columns of
+the scalars module: ``split_terms`` once on the way in, integer adds over
+the lower sets (``elements.lower_sums``), ``join_terms`` once per output
+word on the way out.
 The peel runs component by component: J is in its own lower set and
 every other word there is shorter, so the coordinate of J is read off
 each component's residue the same way.
@@ -66,14 +67,12 @@ from .elements import (
     CapacityError,
     NsymElement,
     R,
-    join_terms,
     linear_combination,
     lower_sums,
     multiply,
     one,
-    split_terms,
 )
-from .scalars import scalar_pow, zeta, zeta_pow
+from .scalars import join_terms, scalar_pow, split_terms, zeta, zeta_pow
 from .series import series_inverse, series_product
 
 _ONE = Fraction(1)

@@ -19,13 +19,24 @@ Phi_N itself is the product of (x^d - 1)^mu(N/d) over the divisors d of N,
 built on ints; a conductor above MAX_CONDUCTOR = 2^18 raises CapacityError
 before it is factored. Fraction entries are made only to print (``coeffs``).
 
-Arithmetic auto-demotes: whenever a cyclotomic result turns out to be purely
-rational (all coefficients above degree 0 vanish) it is returned as a
-Fraction. As a consequence every rational value has exactly one
-representation, zero tests are uniform, and the degenerate conductors N = 1
-(zeta = 1) and N = 2 (zeta = -1) transparently collapse into Q. Mixing two
-genuinely irrational values of different conductors raises ValueError; there
-is no automatic conductor lifting.
+Every value has one form. A rational is a Fraction, and a
+CyclotomicNumber is always irrational: values come only from ``zeta``,
+``zeta_pow``, ``make_cyclotomic``, the text and JSON readers and
+arithmetic, and each of them ends in one step that returns a Fraction
+when the coordinates above degree 0 vanish and reduces by one gcd
+otherwise. So equality and hashing compare the stored form, an instance
+is never zero, and the degenerate conductors N = 1 (zeta = 1) and N = 2
+(zeta = -1) collapse into Q. The class has no public constructor and
+serves isinstance checks. Mixing two irrational values of different
+conductors raises the conductor-mismatch ValueError of ``conductor``;
+there is no automatic conductor lifting.
+
+The module also owns the integer zeta-columns: ``split_terms`` writes a
+dict of scalars as phi(N) integer dicts over one common denominator,
+read straight off the stored numerators, and ``join_terms`` rebuilds one
+scalar per key. Maps whose coefficients are all in {-1, 0, 1} (the basis
+changes, the Sigma/rho expansions and the membership peel) run on those
+integers in nsympeak.elements and nsympeak.peak.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as
 polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
@@ -45,6 +56,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -145,7 +157,7 @@ def _reduce(N, a, den):
 def _demoted(N, nums, den):
     """The scalar nums/den (a list of ints over an int den > 0) built
     without validation: a Fraction when nums[1:] vanish, otherwise
-    reduced by one gcd."""
+    reduced by one gcd. Every CyclotomicNumber is made here."""
     if not any(nums[1:]):
         return Fraction(nums[0], den)
     g = math.gcd(den, *nums)
@@ -157,13 +169,6 @@ def _demoted(N, nums, den):
     x.nums = tuple(nums)
     x.den = den
     return x
-
-
-def _over_one_denominator(coeffs):
-    """(nums, den) for rationals coeffs: den the least common denominator."""
-    cs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _times(a, b):
@@ -182,23 +187,16 @@ class CyclotomicNumber:
     coefficients nums[k] / den.
 
     ``nums`` is a tuple of euler_phi(N) ints (trailing zeros kept so the
-    length is fixed) and ``den`` an int > 0 with gcd(den, *nums) == 1.
-    ``coeffs`` derives the reduced Fraction coefficients, for printing.
-    Instances are immutable and hashable. Construct values through
-    :func:`zeta` and arithmetic rather than the raw constructor;
-    :func:`make_cyclotomic` reduces and demotes for you.
+    length is fixed), one above degree 0 at least nonzero, and ``den``
+    an int > 0 with gcd(den, *nums) == 1. ``coeffs`` derives the reduced
+    Fraction coefficients, for printing. Instances are immutable and
+    hashable. There is no public constructor: values come from
+    :func:`zeta`, :func:`zeta_pow`, :func:`make_cyclotomic`, the readers
+    and arithmetic, so an instance is never rational and never equal to
+    an int or a Fraction.
     """
 
     __slots__ = ("N", "nums", "den")
-
-    def __init__(self, N, coeffs):
-        nums, den = _over_one_denominator(coeffs)
-        d = euler_phi(N)
-        if len(nums) > d:
-            raise ValueError("coefficient vector longer than phi(N)")
-        self.N = N
-        self.nums = tuple(nums) + (0,) * (d - len(nums))
-        self.den = den
 
     @property
     def coeffs(self):
@@ -207,14 +205,7 @@ class CyclotomicNumber:
 
     def _same_field(self, other):
         if other.N != self.N:
-            raise ValueError(
-                f"conductor mismatch: {self.N} vs {other.N} "
-                "(no automatic lifting)"
-            )
-
-    def demote(self):
-        """Return an equal Fraction if this value is rational, else self."""
-        return self if any(self.nums[1:]) else Fraction(self.nums[0], self.den)
+            conductor((self, other))  # raises the mismatch
 
     # -- ring operations ---------------------------------------------------
 
@@ -278,8 +269,6 @@ class CyclotomicNumber:
         of the sigma_k(nums) and n the constant term of nums * P, 1/a is
         P * den / n.
         """
-        if not any(self.nums):
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
         N, a = self.N, self.nums
         d = len(a)
         others = [1] + [0] * (d - 1)
@@ -289,8 +278,7 @@ class CyclotomicNumber:
                 for i, c in enumerate(a):
                     conj[i * k % N] = c
                 others = _fold(N, _times(_fold(N, conj), others))
-        # For N >= 3 the conjugates pair off as complex conjugates, so the
-        # norm is positive; for N <= 2 the value is a Fraction's.
+        # The conjugates pair off as complex conjugates: the norm is > 0.
         norm = _fold(N, _times(a, others))[0]
         return _demoted(N, [v * self.den for v in others], norm)
 
@@ -321,21 +309,12 @@ class CyclotomicNumber:
     # -- comparisons and hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, CyclotomicNumber) and other.N == self.N:
-            return self.nums == other.nums and self.den == other.den
-        if isinstance(other, CyclotomicNumber):
-            other = other.demote()
-        elif not isinstance(other, (int, Fraction)):
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        a = self.demote()
-        return is_rational(a) and is_rational(other) and a == other
+        return (self.N, self.nums, self.den) == (other.N, other.nums, other.den)
 
     def __hash__(self):
-        d = self.demote()
-        return hash((self.N, self.nums, self.den)) if d is self else hash(d)
-
-    def __bool__(self):
-        return any(self.nums)
+        return hash((self.N, self.nums, self.den))
 
     def __repr__(self):
         return f"CyclotomicNumber({self.N}, {scalar_to_text(self)!r})"
@@ -346,7 +325,9 @@ class CyclotomicNumber:
 
 def make_cyclotomic(N, coeffs):
     """Build a scalar from zeta-polynomial coefficients, reduced and demoted."""
-    return _reduce(N, *_over_one_denominator(coeffs))
+    cs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in cs))
+    return _reduce(N, [c.numerator * (den // c.denominator) for c in cs], den)
 
 
 def zeta(N):
@@ -373,6 +354,66 @@ def scalar_inv(x):
 
 def is_rational(x):
     return isinstance(x, (int, Fraction))
+
+
+# ---------------------------------------------------------------------------
+# integer zeta-columns
+
+
+def conductor(values):
+    """The one conductor of the cyclotomic scalars in values, or None.
+
+    Two different conductors raise the conductor-mismatch ValueError.
+    """
+    N = None
+    for c in values:
+        if isinstance(c, CyclotomicNumber) and c.N != N:
+            if N is not None:
+                raise ValueError(
+                    f"conductor mismatch: {N} vs {c.N} (no automatic lifting)"
+                )
+            N = c.N
+    return N
+
+
+def split_terms(terms):
+    """Write {key: scalar} as integer zeta-columns: (N, den, parts).
+
+    N is the conductor (None when every value is rational), den the least
+    common denominator of all the values, and parts[k] maps each key to
+    den times the zeta^k coordinate of its scalar, zeros left out; there
+    are phi(N) parts, or one over Q. A cyclotomic value's numerators are
+    read as they are stored, scaled when its den is not the common one.
+    """
+    N = conductor(terms.values())
+    den = math.lcm(*{
+        c.den if isinstance(c, CyclotomicNumber) else c.denominator
+        for c in terms.values()
+    })
+    parts = [{} for _ in range(euler_phi(N) if N else 1)]
+    for key, c in terms.items():
+        if isinstance(c, CyclotomicNumber):
+            m = den // c.den
+            for part, v in zip(parts, c.nums):
+                if v:
+                    part[key] = v * m
+        elif c:
+            parts[0][key] = c.numerator * (den // c.denominator)
+    return N, den, parts
+
+
+def join_terms(N, den, parts):
+    """Inverse of split_terms: {key: scalar}, keys that cancelled dropped.
+
+    Each key's scalar is its column of the parts over den, reduced by
+    one gcd (a Fraction over Q, where N is None and there is one part).
+    """
+    out = {}
+    for key in dict.fromkeys(chain.from_iterable(parts)):
+        vs = [part.get(key, 0) for part in parts]
+        if any(vs):
+            out[key] = _demoted(N, vs, den)
+    return out
 
 
 # ---------------------------------------------------------------------------

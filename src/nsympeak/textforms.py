@@ -39,11 +39,12 @@ import re
 
 from .compositions import check_composition, display_key
 # coords_to_text is the element printer, re-exported as part of this API.
-from .elements import NsymElement, add_term, conductor, coords_to_text
+from .elements import NsymElement, add_term, coords_to_text
 # The literal grammar's errors are the reader's: one class, two names.
 from .scalars import ParseError as ElementParseError
 from .scalars import (
-    json_int, read_signed_sum, scalar_from_json, scalar_to_json, typed_int
+    conductor, json_int, read_signed_sum, scalar_from_json, scalar_to_json,
+    typed_int,
 )
 
 BASIS_NAMES = ("S", "R", "Sigma", "rho", "T")

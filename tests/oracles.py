@@ -10,7 +10,8 @@ one weight with its determinant by Gaussian elimination, the
 transform itself as one product of S-basis generator images per S
 word, the
 classical peak functions by filtering every ribbon by its peak set,
-Phi_N by dividing x^N - 1 by Phi_d for every proper divisor d, and
+the index families F and G and the peak compositions by filtering
+every composition of n, Phi_N by dividing x^N - 1 by Phi_d for every proper divisor d, and
 cyclotomic numbers as tuples of Fractions.
 """
 
@@ -24,6 +25,9 @@ from nsympeak.compositions import (
     composition_from_descents,
     compositions_of,
     descent_set,
+    is_in_F,
+    is_in_G,
+    is_valid_peak_set,
     lower_set,
     peak_set_of_composition,
 )
@@ -254,6 +258,20 @@ def classical_peak_functions_filtered(n):
         composition_from_descents(P, n): NsymElement("R", terms)
         for P, terms in by_peaks.items()
     }
+
+
+def F_set_filtered(n, N):
+    return [I for I in compositions_of(n) if is_in_F(I, N)]
+
+
+def G_set_filtered(n, N):
+    return [I for I in compositions_of(n) if is_in_G(I, N)]
+
+
+def peak_compositions_filtered(n):
+    return [
+        I for I in compositions_of(n) if is_valid_peak_set(descent_set(I), n)
+    ]
 
 
 # ---------------------------------------------------------------------------

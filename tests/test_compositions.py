@@ -39,7 +39,10 @@ from nsympeak.compositions import (
     ribbon_factorization,
 )
 from oracles import (
+    F_set_filtered,
+    G_set_filtered,
     merge_predecessors,
+    peak_compositions_filtered,
     poset_leq,
     reassemble_ribbon,
     reverse_refines,
@@ -242,6 +245,19 @@ def test_index_families():
     assert is_in_G((), 5) and is_in_F((), 5)
 
 
+def test_built_families_match_filters():
+    # Built unit by unit, in canonical order, as filtering every
+    # composition of n lists them.
+    for n in range(15):
+        assert peak_compositions_of(n) == peak_compositions_filtered(n)
+        for N in range(2, 8):
+            assert G_set(n, N) == G_set_filtered(n, N)
+            assert F_set(n, N) == F_set_filtered(n, N)
+    for build in (lambda n: F_set(n, 3), lambda n: G_set(n, 3), peak_compositions_of):
+        with pytest.raises(ValueError):
+            build(-1)
+
+
 def test_block_bijection():
     assert epsilon((3, 1), 3) == (4,)
     assert epsilon((3, 3, 2), 3) == (8,)
@@ -266,6 +282,16 @@ def test_dimension_table():
             assert hilbert_dim(n, N) == len(G_set(n, N)) == len(F_set(n, N))
             if 0 < n < N:
                 assert hilbert_dim(n, N) == 2 ** (n - 1)
+        assert hilbert_dim(-1, N) == 0
+
+
+def test_dimension_at_large_weight():
+    # A cold call far past what recursion on n would reach: for N = 2,
+    # h(n) is the Fibonacci number F(n), F(0) = 0 and F(1) = 1.
+    a, b = 0, 1
+    for _ in range(3000):
+        a, b = b, a + b
+    assert hilbert_dim(3000, 2) == a
 
 
 def test_hook_factorization_example():

@@ -312,10 +312,14 @@ def test_equal_values_hash_equal(drawn, r):
         _assert_canonical(a)
         assert a == b
         assert hash(a) == hash(b)
-    # The raw constructor does not demote, yet compares and hashes alike.
-    raw = CyclotomicNumber(N, [r])
-    assert raw == r
-    assert hash(raw) == hash(r)
+    # There is no raw constructor; a rational coordinate vector is built
+    # as a Fraction, which compares and hashes as the rational it is.
+    with pytest.raises(TypeError):
+        CyclotomicNumber(N, [r])
+    built = make_cyclotomic(N, [r])
+    assert type(built) is Fraction
+    assert built == r
+    assert hash(built) == hash(r)
 
 
 ROUND_TRIP_FIELDS = (1, 3, 4, 5)

@@ -87,12 +87,15 @@ def test_inverse_and_division():
     one_minus = 1 - zeta(3)
     inv = scalar_inv(one_minus)
     assert inv == make_cyclotomic(3, [Fraction(2, 3), Fraction(1, 3)])
-    # A rational held in a raw instance inverts to a Fraction.
-    assert type(CyclotomicNumber(5, [2]).inverse()) is Fraction
-    assert CyclotomicNumber(5, [2]).inverse() == Fraction(1, 2)
-    assert CyclotomicNumber(2, [Fraction(-2, 3)]).inverse() == Fraction(-3, 2)
+    # No raw instance holds a rational: one is built only as a Fraction.
+    with pytest.raises(TypeError):
+        CyclotomicNumber(5, [2])
+    assert type(make_cyclotomic(5, [2])) is Fraction
+    assert make_cyclotomic(5, [2]) == Fraction(2)
+    assert hash(make_cyclotomic(5, [2])) == hash(Fraction(2))
+    assert scalar_inv(make_cyclotomic(2, [Fraction(-2, 3)])) == Fraction(-3, 2)
     with pytest.raises(ZeroDivisionError):
-        CyclotomicNumber(5, [0]).inverse()
+        scalar_inv(make_cyclotomic(5, [0]))
     with pytest.raises(ZeroDivisionError):
         zeta(5) / 0
 
