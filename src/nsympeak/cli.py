@@ -27,19 +27,13 @@ column sums J (Gelfand, Krob, Lascoux, Leclerc, Retakh and Thibon,
 
 Exit codes: 0 success, 1 a verification check failed or a suite ran no
 checks, 2 usage or parse errors, 3 the element fell outside the
-requested span (NOT_MEMBER), 4 a size limit: an internal product
-needing more S-word pairs than ``descent.MAX_WORD_PAIRS``, a root order
-above ``scalars.MAX_CONDUCTOR``, an S/R basis change or a transform
-(``theta``) that would build more than ``elements.MAX_EXPANSION_TERMS``
-terms (``theta`` builds in the basis it prints while its work stays
-within ``series.MAX_RECURSION_TERMS``, and through S words past it),
-a transform determinant (``det-theta``, ``verify det``) at a weight n
-with 4^(n-1) above that limit, a peak-basis target asked for an element
-heavier than ``peak.MAX_MEMBERSHIP_WEIGHT``, ``bases`` at a weight n
-whose 2^(n-1) compositions exceed ``elements.MAX_EXPANSION_TERMS``, or an
-exact value to print (a ``hilbert`` dimension among them) whose
-numerator or denominator has more digits than Python converts to text
-(``sys.get_int_max_str_digits()``).
+requested span (NOT_MEMBER), 4 a size limit, refused before the work
+through ``scalars.check_limit``: ``descent.MAX_WORD_PAIRS``,
+``elements.MAX_EXPANSION_TERMS``, ``peak.MAX_MEMBERSHIP_WEIGHT`` or
+``scalars.MAX_CONDUCTOR``, or an exact value to print with more digits
+than Python converts to text (``sys.get_int_max_str_digits()``).  The
+README tabulates what each limit counts.  ``series.MAX_RECURSION_TERMS``
+refuses nothing: past it ``theta`` builds through S words.
 
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called

@@ -9,15 +9,19 @@ functions*, 1995, section 5).  Components of different weights multiply
 to zero.  When R_I stands for the sum of the permutations of descent
 composition I, F * G is the class product of G's classes by F's, with
 (s t)(i) = s(t(i)).  A product needing more than MAX_WORD_PAIRS pairs of
-S words, counted after each operand's S words have merged, raises
-CapacityError.
+S words, counted after each operand's S words have merged, is refused
+through ``scalars.check_limit``, and so is, through
+``elements.check_expansion``, one whose longest S words at the shared
+weights already stand for more than MAX_EXPANSION_TERMS ribbons; both
+counts come before anything is built.
 """
 
 import collections
 import functools
 
 from .compositions import num_compositions
-from .elements import CapacityError, NsymElement
+from .elements import CapacityError, NsymElement, check_expansion
+from .scalars import check_limit
 
 MAX_WORD_PAIRS = 1 << 18
 
@@ -86,19 +90,23 @@ def internal_product(F, G):
     Both operands may be inhomogeneous.  Each same-weight pair of S words,
     S^I from F and S^J from G, contributes S^I * S^J by the matrix formula;
     the pairs are counted over the merged S words (``_words_by_weight``).
+    Every word of S^I * S^J has at least max(l(I), l(J)) parts, so the
+    result's ribbons are bounded from below, and refused, before any
+    product is built; a product that would cancel to zero is refused too.
     Words are grouped by coefficient, so most of the summing is on integers.
     """
     (F, f_words), (G, g_words) = _words_by_weight(F), _words_by_weight(G)
     pairs = sum(c * g_words[n] for n, c in f_words.items())
-    if pairs > MAX_WORD_PAIRS:
-        raise CapacityError(
-            f"internal product needs {pairs} S-word pairs, "
-            f"above the limit {MAX_WORD_PAIRS}"
-        )
+    check_limit(pairs, MAX_WORD_PAIRS, "internal product", "S-word pairs")
+    parts = [(F.homogeneous_component(n), G.homogeneous_component(n))
+             for n in f_words.keys() & g_words.keys()]
+    # The longest S word of each shared weight bounds the ribbons from below.
+    longest = (max(len(I) for h in f_g for I in h.terms) for f_g in parts)
+    check_expansion(sum(map(num_compositions, longest)), "internal product in ribbons")
     out = {}
-    for n in f_words.keys() & g_words.keys():
-        f_groups = _words_by_coefficient(F.homogeneous_component(n))
-        g_groups = _words_by_coefficient(G.homogeneous_component(n))
+    for f, g in parts:
+        f_groups = _words_by_coefficient(f)
+        g_groups = _words_by_coefficient(g)
         for a, f_list in f_groups.items():
             for b, g_list in g_groups.items():
                 counts = collections.Counter()

@@ -25,8 +25,10 @@ coefficients are written once as the scalars module's integer
 zeta-columns (``split_terms``), ``lower_sums`` runs the map on each
 column, and ``join_terms`` rebuilds one scalar per output word.
 
-A basis change first counts its 2^(l(I)-1) words per word I and raises
-CapacityError (exit code 4 on the command line) above MAX_EXPANSION_TERMS.
+A basis change first counts its 2^(l(I)-1) words per word I and is
+refused above MAX_EXPANSION_TERMS by ``check_expansion``, which goes
+through the scalars module's ``check_limit`` (CapacityError, exit code 4
+on the command line).
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .compositions import (
     num_compositions,
 )
 from .scalars import (
-    CapacityError, CyclotomicNumber, conductor, join_terms, scalar_to_text,
-    split_terms,
+    CapacityError, CyclotomicNumber, check_limit, conductor, join_terms,
+    scalar_to_text, split_terms,
 )
 
 _ZERO = Fraction(0)
@@ -60,11 +62,9 @@ def _as_scalar(c):
 
 
 def check_expansion(total, what):
-    """Raise CapacityError when ``what`` needs more than MAX_EXPANSION_TERMS."""
-    if total > MAX_EXPANSION_TERMS:
-        raise CapacityError(
-            f"{what} needs {total} terms, above the limit {MAX_EXPANSION_TERMS}"
-        )
+    """Refuse, through ``check_limit``, ``what`` needing more than
+    MAX_EXPANSION_TERMS terms (read at call time)."""
+    check_limit(total, MAX_EXPANSION_TERMS, what, "terms")
 
 
 class NsymElement:

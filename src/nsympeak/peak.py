@@ -36,7 +36,9 @@ the lower sets (``elements.lower_sums``), ``join_terms`` once per output
 word on the way out.
 The peel runs component by component: J is in its own lower set and
 every other word there is shorter, so the coordinate of J is read off
-each component's residue the same way.
+each component's residue the same way. An element heavier than
+MAX_MEMBERSHIP_WEIGHT is refused before the peel, through the scalars
+module's ``check_limit``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .compositions import (
     peak_set_of_composition,
 )
 from .elements import (
-    CapacityError,
     NsymElement,
     R,
     linear_combination,
@@ -72,7 +73,7 @@ from .elements import (
     multiply,
     one,
 )
-from .scalars import join_terms, scalar_pow, split_terms, zeta, zeta_pow
+from .scalars import check_limit, join_terms, scalar_pow, split_terms, zeta, zeta_pow
 from .series import series_inverse, series_product
 
 _ONE = Fraction(1)
@@ -238,10 +239,7 @@ def _sigma_parts(F, ctx):
     ws = Fr.weights()
     if len(ws) > 1:
         raise ValueError(f"membership needs a homogeneous element, weights {ws}")
-    if ws and ws[0] > MAX_MEMBERSHIP_WEIGHT:
-        raise CapacityError(
-            f"weight {ws[0]} exceeds the membership limit {MAX_MEMBERSHIP_WEIGHT}"
-        )
+    check_limit(max(ws, default=0), MAX_MEMBERSHIP_WEIGHT, "membership", "weight units")
     N, den, parts = split_terms(Fr.terms)
     if not ws:
         return N, den, parts
@@ -268,7 +266,7 @@ def membership(F, ctx):
     smaller length, so peeling candidates by decreasing length makes
     each coordinate read off directly; a nonzero final residue proves
     non-membership. Input must be homogeneous, of weight at most
-    MAX_MEMBERSHIP_WEIGHT (CapacityError above it).
+    MAX_MEMBERSHIP_WEIGHT (refused through ``check_limit`` above it).
     """
     got = _sigma_parts(F, ctx)
     return None if got is None else join_terms(*got)

@@ -16,8 +16,13 @@ Either ends in one gcd. The inverse of a is the product of its other
 Galois conjugates sigma_k(a) (k prime to N, k != 1; sigma_k sends zeta to
 zeta^k) divided by the norm, a times that product, which is rational.
 Phi_N itself is the product of (x^d - 1)^mu(N/d) over the divisors d of N,
-built on ints; a conductor above MAX_CONDUCTOR = 2^18 raises CapacityError
-before it is factored. Fraction entries are made only to print (``coeffs``).
+built on ints; a conductor above MAX_CONDUCTOR = 2^18 is refused before
+it is factored. Fraction entries are made only to print (``coeffs``).
+
+Every size limit of the package refuses through ``check_limit``, which
+raises CapacityError (exit code 4 on the command line) in one sentence
+form; the only other refusal, ``_check_digits``, names a value too long
+to print. So CapacityError is raised in this module only.
 
 Every value has one form. A rational is a Fraction, and a
 CyclotomicNumber is always irrational: values come only from ``zeta``,
@@ -66,6 +71,19 @@ class CapacityError(Exception):
     """Raised when a computation would exceed one of the stated size limits."""
 
 
+def check_limit(count, limit, what, unit):
+    """Raise CapacityError when ``what`` needs more than ``limit`` ``unit``.
+
+    This is the one refusal of every size limit. A count of up to 64 bits
+    is printed in digits, a longer one as 2^k or over 2^k, so a refusal
+    never converts a huge int to text.
+    """
+    if count > limit:
+        k = count.bit_length() - 1
+        shown = count if k < 64 else f"2^{k}" if count == 1 << k else f"over 2^{k}"
+        raise CapacityError(f"{what} needs {shown} {unit}, above the limit {limit}")
+
+
 # Phi_N has up to N + 1 coefficients and a scalar of Q(zeta_N) phi(N)
 # numerators, so the conductor is refused above this, before N is factored.
 MAX_CONDUCTOR = 1 << 18
@@ -88,7 +106,7 @@ def cyclotomic_polynomial(N):
     """Coefficients of Phi_N, low degree first, as ints.
 
     Phi_N is the product of (x^d - 1)^mu(N/d) over the divisors d of N.
-    N above MAX_CONDUCTOR raises CapacityError.
+    N above MAX_CONDUCTOR is refused through ``check_limit``.
     mu(N/d) is nonzero only for d = N/e with e a product of distinct
     primes of N, and is then (-1)^(number of those primes). The factors
     with mu = +1 are multiplied in first and those with mu = -1 then
@@ -96,10 +114,7 @@ def cyclotomic_polynomial(N):
     """
     if N < 1:
         raise ValueError("conductor must be >= 1")
-    if N > MAX_CONDUCTOR:
-        raise CapacityError(
-            f"conductor {N} is above the limit {MAX_CONDUCTOR}"
-        )
+    check_limit(N, MAX_CONDUCTOR, "Q(zeta_N)", "roots of unity")
     primes = _prime_factors(N)
     up, down = [], []
     for mask in range(1 << len(primes)):

@@ -195,9 +195,24 @@ def test_theta_of_a_ribbon_of_twos(capsys):
         ("theta", "S[1]", "--q", "zeta", "--N", "4000037"),
         ("bases", "--n", "23", "--N", "2"),
         ("bases", "--n", "40", "--N", "2"),
+        # Counts past 4300 digits are printed as powers of two.
+        ("bases", "--n", "20000", "--N", "2"),
+        ("bases", "--n", "20000", "--N", "2", "--format", "json"),
+        ("det-theta", "--n", "8000", "--q", "2"),
+        ("verify", "det", "--n", "8000"),
+        ("theta", "S[20000]", "--q", "2", "--to", "S"),
+        ("expand", "S[" + ",".join(["1"] * 15000) + "]", "--to", "R"),
+        ("internal", "R[" + ",".join(["1"] * 15000) + "]",
+         "R[" + ",".join(["1"] * 15000) + "]"),
+        # One word pair, but every word of the product has 400 parts.
+        ("internal", "S[" + ",".join(["1"] * 400) + "]",
+         "S[" + ",".join(["1"] * 400) + "]"),
+        ("internal", "S[400]", "S[" + ",".join(["1"] * 400) + "]"),
     ],
     ids=["theta-twos-10", "theta-twos-22", "expand-conductor", "theta-conductor",
-         "bases-23", "bases-40"],
+         "bases-23", "bases-40", "bases-20000", "bases-20000-json",
+         "det-theta-8000", "verify-det-8000", "theta-S20000", "expand-ones-15000",
+         "internal-ones-15000", "internal-S-ones-400", "internal-S400-ones-400"],
 )
 def test_refused_within_a_second(capsys, argv):
     start = time.monotonic()

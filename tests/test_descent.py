@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from nsympeak.compositions import compositions_of, descent_composition
-from nsympeak import descent
+from nsympeak import descent, elements
 from nsympeak.descent import MAX_WORD_PAIRS, CapacityError, internal_product
 from nsympeak.elements import NsymElement, R, S, linear_combination, one, zero
 from nsympeak.peak import PeakContext, rho_basis, rho_membership
@@ -165,6 +165,10 @@ def test_capacity_limit():
         internal_product(big, S(*[1] * 24) + S(24))
     # Only same-weight pairs count.
     assert internal_product(big, R(*[1] * 23)) == zero("R")
+    # One pair, but every word of the product has 23 parts: 2^22 ribbons,
+    # refused before the matrix recursion runs.
+    with pytest.raises(CapacityError, match=str(elements.MAX_EXPANSION_TERMS)):
+        internal_product(S(*[1] * 23), S(*[1] * 23))
 
 
 def test_pairs_are_counted_after_merging():

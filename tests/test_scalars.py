@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from nsympeak.scalars import (
+    CapacityError,
     CyclotomicNumber,
+    check_limit,
     cyclotomic_polynomial,
     euler_phi,
     is_rational,
@@ -148,3 +150,18 @@ def test_scalar_pow_negative_exponents():
     assert scalar_pow(Fraction(2), -2) == Fraction(1, 4)
     z = zeta(5)
     assert scalar_pow(z, -1) * z == 1
+
+
+def test_check_limit():
+    # A count past Python's 4300-digit conversion limit is shown as a
+    # power of two, so the refusal is a CapacityError, not a ValueError.
+    with pytest.raises(CapacityError) as info:
+        check_limit(10**5000, 5, "a request", "terms")
+    assert len(str(info.value)) < 200 and "over 2^16609" in str(info.value)
+    with pytest.raises(CapacityError, match="needs 2\\^20000 terms, above the limit 5"):
+        check_limit(1 << 20000, 5, "a request", "terms")
+    with pytest.raises(CapacityError, match="needs 6 terms, above the limit 5"):
+        check_limit(6, 5, "a request", "terms")
+    with pytest.raises(CapacityError, match="needs 18446744073709551615 terms"):
+        check_limit((1 << 64) - 1, 5, "a request", "terms")
+    check_limit(5, 5, "a request", "terms")
