@@ -511,7 +511,7 @@ def _series_suite(kind):
 def _deforms_to_signed(ctx, order):
     """At N = 2 the root-deformed tangent element is minus the plain one."""
     t = tangent_element_series(ctx, order)
-    return tangent_zeta_element_series(ctx, order) == t.scale(Fraction(-1))
+    return tangent_zeta_element_series(ctx, order) == -t
 
 
 def _suite_tangent_zeta(notes, ns, order):
@@ -538,7 +538,7 @@ def _suite_det(notes, N, n, max_n, q):
     if q is not None:
         qs = [_parse_q(q, N)]
     else:
-        qs = [Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(5, 7)]
+        qs = [2, Fraction(1, 2), -3, Fraction(5, 7)]
     for n in ns:
         for value in qs:
             if det_theta(n, value) != det_formula(n, value):
@@ -567,7 +567,7 @@ def _suite_theta1_psi(notes, ns, max_n):
                 yield f"N={N} n={n}: hook expansion"
             yield None
     star_max = 6
-    for q in (Fraction(2), Fraction(1, 2)):
+    for q in (2, Fraction(1, 2)):
         for n in range(1, star_max + 1):
             gen = theta_q_generator(n, q)
             for I in compositions_of(n):
@@ -599,7 +599,7 @@ def _suite_peak_classical(notes, max_n):
     exp_max = min(max_n, 7)
     for n in range(exp_max + 1):
         for I in compositions_of(n):
-            want = theta_q(R(*I), Fraction(-1), "R")
+            want = theta_q(R(*I), -1, "R")
             got = linear_combination(
                 "R",
                 (

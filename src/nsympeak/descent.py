@@ -49,11 +49,13 @@ def _first_rows(total, J):
     as (its nonzero entries, the nonzero column sums left over)."""
     if not J:
         return (((), ()),) if total == 0 else ()
-    j = J[0]
+    j, rest = J[0], J[1:]
+    # An entry below total - sum(rest) leaves more than the later columns
+    # hold, so every row started here can be completed.
     return tuple(
         ((x,) * (x > 0) + head, (j - x,) * (x < j) + left)
-        for x in range(min(total, j) + 1)
-        for head, left in _first_rows(total - x, J[1:])
+        for x in range(max(0, total - sum(rest)), min(total, j) + 1)
+        for head, left in _first_rows(total - x, rest)
     )
 
 

@@ -3,8 +3,8 @@
 An NsymElement is a finite linear combination of basis words indexed by
 compositions, stored as a basis tag ('S' for products of complete
 functions, 'R' for ribbons) plus a dict mapping composition tuples to
-nonzero scalars. Scalars are Fractions or CyclotomicNumbers from the
-scalars module; ints are accepted anywhere and widened. The empty
+nonzero scalars: ints, Fractions or CyclotomicNumbers of the scalars
+module (a bool coefficient is read as the int 0 or 1). The empty
 composition indexes the unit, and mixed weights in one element are fine.
 
 The two bases are exchanged by triangular sums over reverse refinement:
@@ -47,15 +47,12 @@ from .scalars import (
     scalar_to_text, split_terms,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 MAX_EXPANSION_TERMS = 1 << 21
 
 
 def _as_scalar(c):
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, (Fraction, CyclotomicNumber)):
         return c
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
@@ -97,7 +94,7 @@ class NsymElement:
     # -- inspection ---------------------------------------------------------
 
     def coefficient(self, comp):
-        return self.terms.get(check_composition(comp), _ZERO)
+        return self.terms.get(check_composition(comp), 0)
 
     def weights(self):
         return sorted({sum(comp) for comp in self.terms})
@@ -280,16 +277,16 @@ def linear_combination(basis, pairs):
 
 def S(*parts):
     """The product S_{i_1} ... S_{i_r} of complete functions."""
-    return NsymElement("S", {check_composition(parts): _ONE})
+    return NsymElement("S", {check_composition(parts): 1})
 
 
 def R(*parts):
     """The ribbon indexed by the given composition."""
-    return NsymElement("R", {check_composition(parts): _ONE})
+    return NsymElement("R", {check_composition(parts): 1})
 
 
 def one(basis="S"):
-    return NsymElement(basis, {(): _ONE})
+    return NsymElement(basis, {(): 1})
 
 
 def zero(basis="S"):

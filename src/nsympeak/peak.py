@@ -43,7 +43,6 @@ module's ``check_limit``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, product
 from operator import mul
 
@@ -76,7 +75,6 @@ from .elements import (
 from .scalars import check_limit, join_terms, scalar_pow, split_terms, zeta, zeta_pow
 from .series import series_inverse, series_product
 
-_ONE = Fraction(1)
 
 MAX_MEMBERSHIP_WEIGHT = 20
 
@@ -141,7 +139,7 @@ def _require_G(I, ctx):
 def sigma_basis(I, ctx):
     """Sigma_I: the sum of R_J over the lower set of I in the split poset."""
     I = _require_G(I, ctx)
-    return NsymElement._trusted("R", {J: _ONE for J in ctx.lower(I)})
+    return NsymElement._trusted("R", {J: 1 for J in ctx.lower(I)})
 
 
 def _rho_t(I, t, ctx, sign):
@@ -165,7 +163,7 @@ def rho_t_basis(I, t, ctx):
 
 def rho_basis(I, ctx):
     """rho_I: the alternating Sigma-sum over J in G below I."""
-    return rho_t_basis(I, Fraction(-1), ctx)
+    return rho_t_basis(I, -1, ctx)
 
 
 def rho_t_primed_basis(I, t, ctx):
@@ -336,7 +334,7 @@ def classical_peak_function(I):
         {
             composition_from_descents(
                 [d for s, e in zip(starts, es) for d in range(s or 1, e + 1)], n
-            ): _ONE
+            ): 1
             for es in product(*ends)
         },
     )
@@ -352,7 +350,7 @@ def theta_minus1_ribbon_expansion(I):
     I = check_composition(I)
     n = sum(I)
     if n == 0:
-        return {(): _ONE}
+        return {(): 1}
     # The words whose descents lie in the gate are the coarsenings of the
     # composition cut at the gate (n itself is never a descent).
     cuts = sorted(admissible_peaks(I) - {n})
@@ -361,7 +359,7 @@ def theta_minus1_ribbon_expansion(I):
     for J in lower_set(gate):
         d = descent_set(J)
         if is_valid_peak_set(d, n):
-            out[J] = Fraction(2) ** (len(d) + 1)
+            out[J] = 2 ** (len(d) + 1)
     return out
 
 
@@ -380,7 +378,7 @@ def decomp_theta_S(I, ctx):
     I = check_composition(I)
     n = sum(I)
     if n == 0:
-        return {(): _ONE}
+        return {(): 1}
     di = descent_set(I)
     li = len(I)
     out = {}
@@ -388,7 +386,7 @@ def decomp_theta_S(I, ctx):
         if not di <= descent_set(J):
             continue
         hooks = aligned_positions(I, J)
-        coeff = _ONE if (li - len(J)) % 2 == 0 else -_ONE
+        coeff = 1 if (li - len(J)) % 2 == 0 else -1
         exp = n
         for l in hooks:
             exp -= J[l - 1]
@@ -409,12 +407,12 @@ def decomp_theta_R(I, ctx):
     I = check_composition(I)
     n = sum(I)
     if n == 0:
-        return {(): _ONE}
+        return {(): 1}
     li = len(I)
     out = {}
     for J in ctx.G(n):
         a = alpha_stat(I, J)
-        coeff = _ONE if (li - len(J)) % 2 == 0 else -_ONE
+        coeff = 1 if (li - len(J)) % 2 == 0 else -1
         coeff = coeff * ctx.zeta_power(a) * (1 - ctx.zeta_power(J[-1]))
         if coeff:
             out[J] = coeff
@@ -431,9 +429,9 @@ def decomp_S_on_rho(I, ctx):
     I = check_composition(I)
     n = sum(I)
     if n == 0:
-        return {(): _ONE}
+        return {(): 1}
     lead = scalar_pow(1 - ctx.zeta, len(I))
-    twist = list(accumulate([-ctx.zeta] * n, mul, initial=_ONE))
+    twist = list(accumulate([-ctx.zeta] * n, mul, initial=1))
     out = {}
     for J in ctx.G(n):
         h = h_stat(I, J)
@@ -456,9 +454,9 @@ def decomp_R_on_rho(I, ctx):
     I = check_composition(I)
     n = sum(I)
     if n == 0:
-        return {(): _ONE}
-    hooks = list(accumulate([1 - ctx.zeta] * n, mul, initial=_ONE))
-    twist = list(accumulate([-ctx.zeta] * n, mul, initial=_ONE))
+        return {(): 1}
+    hooks = list(accumulate([1 - ctx.zeta] * n, mul, initial=1))
+    twist = list(accumulate([-ctx.zeta] * n, mul, initial=1))
     out = {}
     for J in ctx.G(n):
         b = b_stat(I, J)
@@ -496,7 +494,7 @@ def _block_series(ctx, order, coeff, js):
 def tangent_element_series(ctx, order):
     """The alternating sum of the block generators, graded by weight."""
     return _block_series(
-        ctx, order, lambda i, j: _ONE if i % 2 else -_ONE, range(1, ctx.N)
+        ctx, order, lambda i, j: 1 if i % 2 else -1, range(1, ctx.N)
     )
 
 
@@ -508,13 +506,13 @@ def rho_ones_series(ctx, order, t=None):
     below actually satisfies); with t omitted, degree n carries
     (-1)^n rho_(1^n).
     """
-    pairs = [(one("R"), _ONE)]
+    pairs = [(one("R"), 1)]
     for n in range(1, order + 1):
         ones = (1,) * n
         if t is None:
-            pairs.append((rho_basis(ones, ctx), _ONE if n % 2 == 0 else -_ONE))
+            pairs.append((rho_basis(ones, ctx), 1 if n % 2 == 0 else -1))
         else:
-            pairs.append((rho_t_basis(ones, t, ctx), _ONE))
+            pairs.append((rho_t_basis(ones, t, ctx), 1))
     return linear_combination("R", pairs)
 
 
@@ -578,11 +576,11 @@ def lemma_rnij_series(ctx, j, order):
         raise ValueError(f"need 1 <= j <= N-1, got j={j}")
 
     s_multiples = NsymElement(
-        "S", {(d,) if d else (): _ONE for d in range(0, order + 1, N)}
+        "S", {(d,) if d else (): 1 for d in range(0, order + 1, N)}
     )
-    s_congruent = NsymElement("S", {(d,): _ONE for d in range(j, order + 1, N)})
+    s_congruent = NsymElement("S", {(d,): 1 for d in range(j, order + 1, N)})
     block = _block_series(
-        ctx, order, lambda i, _: -_ONE if i % 2 else _ONE, (j,)
+        ctx, order, lambda i, _: -1 if i % 2 else 1, (j,)
     )
     first = block == series_product(
         series_inverse(s_multiples, order), s_congruent, order
@@ -591,7 +589,7 @@ def lemma_rnij_series(ctx, j, order):
     # One plus the block series over all j is sigma_N = 1 - t.
     total = one("R") - tangent_element_series(ctx, order)
     lam = NsymElement(
-        "R", {(1,) * d: -_ONE if d % 2 else _ONE for d in range(order + 1)}
+        "R", {(1,) * d: -1 if d % 2 else 1 for d in range(order + 1)}
     )
     second = series_inverse(total, order) == series_product(
         lam, s_multiples, order

@@ -1,12 +1,13 @@
 """Exact scalar arithmetic over Q and over the cyclotomic fields Q(zeta_N).
 
-Rationals are plain ``fractions.Fraction`` objects. A cyclotomic number is
-its coordinate vector on 1, zeta, ..., zeta^(phi(N)-1): a polynomial in
-zeta reduced modulo the N-th cyclotomic polynomial Phi_N, so division
-always works (the quotient ring is a field). As in FLINT's fmpq_poly and
-ANTIC's nf_elem, the vector is stored as phi(N) integer numerators over
-one common denominator: ``nums`` and ``den``, with den > 0 and
-gcd(den, *nums) == 1, so every value has exactly one form.
+Rationals are Python ints and ``fractions.Fraction`` objects. A
+cyclotomic number is its coordinate vector on 1, zeta, ...,
+zeta^(phi(N)-1): a polynomial in zeta reduced modulo the N-th
+cyclotomic polynomial Phi_N, so division always works (the quotient ring
+is a field). As in FLINT's fmpq_poly and ANTIC's nf_elem, the vector is
+stored as phi(N) integer numerators over one common denominator:
+``nums`` and ``den``, with den > 0 and gcd(den, *nums) == 1, so every
+value has exactly one form.
 
 A sum brings both vectors to one denominator, cross-multiplying only when
 the denominators differ. A product is the schoolbook product of the
@@ -24,17 +25,23 @@ raises CapacityError (exit code 4 on the command line) in one sentence
 form; the only other refusal, ``_check_digits``, names a value too long
 to print. So CapacityError is raised in this module only.
 
-Every value has one form. A rational is a Fraction, and a
-CyclotomicNumber is always irrational: values come only from ``zeta``,
-``zeta_pow``, ``make_cyclotomic``, the text and JSON readers and
-arithmetic, and each of them ends in one step that returns a Fraction
-when the coordinates above degree 0 vanish and reduces by one gcd
-otherwise. So equality and hashing compare the stored form, an instance
-is never zero, and the degenerate conductors N = 1 (zeta = 1) and N = 2
-(zeta = -1) collapse into Q. The class has no public constructor and
-serves isinstance checks. Mixing two irrational values of different
-conductors raises the conductor-mismatch ValueError of ``conductor``;
-there is no automatic conductor lifting.
+Every value has one form. A rational is an int when it is an integer
+and a Fraction with denominator > 1 otherwise, and a CyclotomicNumber is
+always irrational. Values come only from ``zeta``, ``zeta_pow``,
+``make_cyclotomic``, ``scalar_inv``, ``scalar_pow``, the text and JSON
+readers and arithmetic; each of them makes a rational through
+``_rational`` (an int when the denominator divides the numerator), and
+a cyclotomic result through ``_demoted``, which returns a rational when
+the coordinates above degree 0 vanish and reduces by one gcd otherwise.
+So equality and hashing compare the stored form, an instance is never
+zero, and the degenerate conductors N = 1 (zeta = 1) and N = 2
+(zeta = -1) collapse into Q. Python's own arithmetic on two rationals is
+not this module's: a Fraction result stays a Fraction even when it is an
+integer, and compares and hashes as that int. Since ``1 / 3`` is a float,
+no code applies ``/`` to a scalar; ``scalar_inv`` divides exactly. The
+class has no public constructor and serves isinstance checks. Mixing two
+irrational values of different conductors raises the conductor-mismatch
+ValueError of ``conductor``; there is no automatic conductor lifting.
 
 The module also owns the integer zeta-columns: ``split_terms`` writes a
 dict of scalars as phi(N) integer dicts over one common denominator,
@@ -48,7 +55,7 @@ polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
 carried out of band. This module owns the one reader of typed-in numbers:
 read_signed_sum reads scalar text, element literals (with the words of
 nsympeak.textforms) and the CLI's --q, and _read_rational is the one place
-digits become a Fraction, refused past sys.get_int_max_str_digits(). The
+digits become a rational, refused past sys.get_int_max_str_digits(). The
 JSON reader takes integers only: a float, a bool or a string where a
 number belongs is refused.
 """
@@ -62,10 +69,6 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class CapacityError(Exception):
     """Raised when a computation would exceed one of the stated size limits."""
@@ -169,12 +172,20 @@ def _reduce(N, a, den):
     return _demoted(N, _fold(N, a), den)
 
 
+def _rational(p, q):
+    """The rational p/q of the ints p and q != 0: an int when q divides
+    p, otherwise a Fraction. The readers, scalar_inv and every cyclotomic
+    result that lands in Q make their rational here."""
+    d, r = divmod(p, q)
+    return Fraction(p, q) if r else d
+
+
 def _demoted(N, nums, den):
     """The scalar nums/den (a list of ints over an int den > 0) built
-    without validation: a Fraction when nums[1:] vanish, otherwise
-    reduced by one gcd. Every CyclotomicNumber is made here."""
+    without validation: a rational (``_rational``) when nums[1:] vanish,
+    otherwise reduced by one gcd. Every CyclotomicNumber is made here."""
     if not any(nums[1:]):
-        return Fraction(nums[0], den)
+        return _rational(nums[0], den)
     g = math.gcd(den, *nums)
     if g != 1:
         nums = [v // g for v in nums]
@@ -312,7 +323,7 @@ class CyclotomicNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = _ONE
+        result = 1
         base = self
         while k:
             if k & 1:
@@ -346,7 +357,7 @@ def make_cyclotomic(N, coeffs):
 
 
 def zeta(N):
-    """A primitive N-th root of unity as a Scalar (Fraction when N <= 2)."""
+    """A primitive N-th root of unity as a Scalar (an int when N <= 2)."""
     if N < 1:
         raise ValueError("conductor must be >= 1")
     return _reduce(N, [0, 1] if N > 1 else [1], 1)
@@ -360,11 +371,16 @@ def zeta_pow(N, k):
 
 def scalar_pow(x, k):
     """x**k for a Scalar x and integer k (negative k inverts first)."""
-    return (x if isinstance(x, CyclotomicNumber) else Fraction(x)) ** k
+    if not k:
+        return 1  # a Fraction's ** 0 is Fraction(1)
+    return (scalar_inv(x) if k < 0 else x) ** abs(k)
 
 
 def scalar_inv(x):
-    return x.inverse() if isinstance(x, CyclotomicNumber) else _ONE / Fraction(x)
+    """1/x for a nonzero Scalar x; ZeroDivisionError for 0."""
+    if isinstance(x, CyclotomicNumber):
+        return x.inverse()
+    return _rational(x.denominator, x.numerator)
 
 
 def is_rational(x):
@@ -421,7 +437,7 @@ def join_terms(N, den, parts):
     """Inverse of split_terms: {key: scalar}, keys that cancelled dropped.
 
     Each key's scalar is its column of the parts over den, reduced by
-    one gcd (a Fraction over Q, where N is None and there is one part).
+    one gcd (a rational over Q, where N is None and there is one part).
     """
     out = {}
     for key in dict.fromkeys(chain.from_iterable(parts)):
@@ -467,10 +483,8 @@ def _check_digits(x):
 
 def scalar_to_text(x):
     """Render a Scalar: "p/q" for rationals, a polynomial in z otherwise."""
-    if isinstance(x, int):
-        x = Fraction(x)
     _check_digits(x)
-    if isinstance(x, Fraction):
+    if is_rational(x):
         return str(x)
     parts = []
     for k, c in enumerate(x.coeffs):
@@ -534,7 +548,7 @@ def _read_rational(text, pos, stop):
     den = typed_int(m.group(2) or "1", m.start(2))
     if not den:
         raise ParseError("zero denominator", pos)
-    return Fraction(num, den), m.end()
+    return _rational(num, den), m.end()
 
 
 def _read_z_power(text, pos, stop):
@@ -575,7 +589,7 @@ def read_signed_sum(text, N=None, read_word=None, start=0, stop=None):
         after = _SPACE.match(text, pos, stop).end()
         if coeff is None or text.startswith("*", after, stop):
             if coeff is None:
-                coeff = _ONE
+                coeff = 1
             else:
                 pos = _SPACE.match(text, after + 1, stop).end()
             found = read_atom(text, pos, stop)
@@ -590,17 +604,18 @@ def read_signed_sum(text, N=None, read_word=None, start=0, stop=None):
 
 def _z_polynomial(terms, N):
     """The scalar that read_signed_sum terms over the powers of z spell,
-    z standing for zeta_N; a Fraction when no term has a power of z."""
+    z standing for zeta_N; a rational when no term has a power of z."""
     coeffs = {}
     for pos, c, k in terms:
         if k is not None and (N is None or N < 1):
             raise ParseError("a z-polynomial scalar needs a conductor N >= 1", pos)
         k = k % N if k else 0  # z^N = 1
-        coeffs[k] = coeffs.get(k, _ZERO) + c
+        coeffs[k] = coeffs.get(k, 0) + c
     top = max(coeffs)
     if not top:
-        return coeffs[0]
-    return make_cyclotomic(N, [coeffs.get(k, _ZERO) for k in range(top + 1)])
+        c = coeffs[0]
+        return _rational(c.numerator, c.denominator)
+    return make_cyclotomic(N, [coeffs.get(k, 0) for k in range(top + 1)])
 
 
 def scalar_from_text(text, N=None):
@@ -609,10 +624,8 @@ def scalar_from_text(text, N=None):
 
 
 def scalar_to_json(x):
-    if isinstance(x, int):
-        x = Fraction(x)
     _check_digits(x)
-    if isinstance(x, Fraction):
+    if is_rational(x):
         return {"num": x.numerator, "den": x.denominator}
     return {
         "N": x.N,
@@ -634,7 +647,7 @@ def _fraction_from_json(obj):
     num, den = json_int(obj["num"], '"num"'), json_int(obj["den"], '"den"')
     if den == 0:
         raise ValueError("zero denominator in a JSON coefficient")
-    return Fraction(num, den)
+    return _rational(num, den)
 
 
 def scalar_from_json(obj):

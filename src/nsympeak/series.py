@@ -31,15 +31,14 @@ checked against. theta_q is triangular in the S basis, so its
 determinant on one weight is the product of the diagonal coefficients of
 the S-word images, and it is compared with the closed product formula.
 
-Scalars stay exact throughout: Fractions, or cyclotomics when q is a
-root of unity. Polynomial identities in q are checked by evaluating both
-sides at enough rational points, not by symbolic q.
+Scalars stay exact throughout: ints and Fractions, or cyclotomics when
+q is a root of unity. Polynomial identities in q are checked by
+evaluating both sides at enough rational points, not by symbolic q.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import accumulate
 
 from .compositions import compositions_of, num_compositions
@@ -47,8 +46,6 @@ from .elements import (
     NsymElement, S, add_term, check_expansion, linear_combination, multiply
 )
 from .scalars import scalar_inv, scalar_pow, zeta
-
-_ONE = Fraction(1)
 
 # The work, in terms added (``_recursion_terms``), above which a request
 # is transformed through S words. Near it, theta of S[2^9, 1] printed as
@@ -109,7 +106,7 @@ def series_inverse(F, order):
     return NsymElement._trusted("S", {K: v for words in inv for K, v in words})
 
 
-def sigma_series(order, q=_ONE):
+def sigma_series(order, q=1):
     """sigma(qt) up to weight ``order``: the sum of q^k S_k (S_0 the unit)."""
     return NsymElement(
         "S", {(k,) if k else (): scalar_pow(q, k) for k in range(order + 1)}
@@ -265,7 +262,7 @@ def _extend(F, q, scale, basis):
     return linear_combination(
         basis,
         (
-            (_image(I, c, ribbons, q, scale, basis), _ONE)
+            (_image(I, c, ribbons, q, scale, basis), 1)
             for I, c in F.terms.items()
         ),
     )
@@ -291,7 +288,7 @@ def Theta(F, N, basis="S"):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _extend(F, zeta(N), _ONE, basis)
+    return _extend(F, zeta(N), 1, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +308,7 @@ def det_theta(n, q):
     # 4^(n-1) bounds the 3^(n-1) image terms and the determinant's size
     # (at n = 12: 4,711 digits at q = 2 and 12,473 at q = -3).
     check_expansion(num_compositions(n) ** 2, "transform determinant")
-    det = _ONE
+    det = 1
     for I in compositions_of(n):
         det = det * theta_q(S(*I), q).coefficient(I)
     return det

@@ -189,3 +189,16 @@ def test_pairs_are_counted_after_merging():
     assert F.basis == "S" and counts == {11: 512}
     with pytest.raises(CapacityError, match=str(1024 * 512)):
         internal_product(R(*[1] * 11), merged)
+
+
+def test_rows_tried_can_complete():
+    # S^(n,n) * S^(n,n) has one word per matrix [[a, n-a], [n-a, a]],
+    # a = 0 and a = n both giving S^(n,n). A first row is only started
+    # when the later columns can take the rest, so the rows cached stay
+    # near n, not near n^2 / 2.
+    descent._first_rows.cache_clear()
+    descent._word_product.cache_clear()
+    product = descent._word_product((200, 200), (200, 200))
+    assert len(product) == 200 and product[(200, 200)] == 2
+    assert product[(100, 100, 100, 100)] == 1
+    assert descent._first_rows.cache_info().currsize < 2000

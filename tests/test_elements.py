@@ -24,8 +24,12 @@ from nsympeak.scalars import zeta
 def test_constructors_normalize():
     e = NsymElement("S", {(2,): 1, (1, 1): 0})
     assert e.terms == {(2,): Fraction(1)}
-    assert isinstance(e.coefficient((2,)), Fraction)
+    assert type(e.coefficient((2,))) is int
     assert e.coefficient((1, 1)) == 0
+    assert type(S(2).coefficient((2,))) is int
+    # A bool coefficient is read as the int it stands for.
+    flag = NsymElement("S", {(1,): True})
+    assert type(flag.terms[(1,)]) is int and str(flag) == "S[1]"
     assert S(2, 1).terms == {(2, 1): Fraction(1)}
     assert R(3).basis == "R"
     assert not zero("R")

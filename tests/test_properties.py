@@ -2,7 +2,7 @@
 against the Fraction-tuple oracle, the text and JSON round trips,
 one-pass linear combinations, the peak round trips and the {-1, 0, 1}
 linear maps against their per-term oracles, and the transform against
-its S-word chain."""
+its S-word chain, with every coefficient on the way an exact scalar."""
 
 import json
 import math
@@ -13,12 +13,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nsympeak.compositions import compositions_of
+from nsympeak.descent import internal_product
 from nsympeak.elements import (
     NsymElement,
     R,
     add_term,
     coords_to_text,
     linear_combination,
+    multiply,
     one,
     r_to_s,
     s_to_r,
@@ -34,11 +36,12 @@ from nsympeak.peak import (
     sigma_lambda_N,
     tangent_element_series,
 )
-from nsympeak.series import Theta, theta_q
+from nsympeak.series import Theta, series_inverse, theta_q
 from nsympeak.scalars import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
+    is_rational,
     make_cyclotomic,
     scalar_from_json,
     scalar_from_text,
@@ -209,7 +212,11 @@ def test_inverse(drawn):
     x = make_cyclotomic(N, p)
     assume(x != 0)
     assert x * scalar_inv(x) == 1
-    assert 1 / x == scalar_inv(x)
+    # Fraction and CyclotomicNumber divide exactly; an int does not (1 / 3
+    # is a float), which is why the package divides with scalar_inv.
+    assert Fraction(1) / x == scalar_inv(x)
+    if type(x) is not int:
+        assert 1 / x == scalar_inv(x)
 
 
 @PROPERTY
@@ -218,8 +225,11 @@ def test_cancelling_sum_demotes(drawn, r):
     N, (p,) = drawn
     x = make_cyclotomic(N, p)
     for value in (x + (r - x), (x + r) - x, (r + x) + (-x)):
-        assert type(value) is Fraction
         assert value == r
+        if isinstance(x, CyclotomicNumber):
+            _assert_canonical(value)
+        else:  # Python's own sums of two rationals
+            assert type(value) in (int, Fraction)
 
 
 @PROPERTY
@@ -253,14 +263,18 @@ def _coordinates(x, N):
     if isinstance(x, (CyclotomicNumber, FractionCyclotomic)):
         assert x.N == N
         return tuple(x.coeffs)
-    assert type(x) is Fraction
-    return (x,) + (Fraction(0),) * (euler_phi(N) - 1)
+    assert type(x) in (int, Fraction)
+    return (Fraction(x),) + (Fraction(0),) * (euler_phi(N) - 1)
 
 
 def _assert_canonical(x):
-    """A rational is a Fraction; an irrational has phi(N) int numerators,
-    some above degree 0, over an int den > 0 sharing no factor with them."""
+    """A rational is an int, or a Fraction with den > 1; an irrational
+    has phi(N) int numerators, some above degree 0, over an int den > 0
+    sharing no factor with them."""
+    if type(x) is int:
+        return
     if type(x) is Fraction:
+        assert x.denominator > 1
         return
     assert type(x) is CyclotomicNumber
     assert len(x.nums) == euler_phi(x.N)
@@ -270,9 +284,15 @@ def _assert_canonical(x):
     assert any(x.nums[1:])
 
 
-def _agrees(got, want, N):
-    _assert_canonical(got)
-    assert type(got) is Fraction or type(want) is FractionCyclotomic
+def _agrees(got, want, N, made_here=True):
+    """got has want's coordinates, and is in canonical form when the
+    scalars module made it; Python's own arithmetic on two rationals may
+    leave an integer as a Fraction."""
+    if made_here:
+        _assert_canonical(got)
+    else:
+        assert type(got) in (int, Fraction)
+    assert is_rational(got) or type(want) is FractionCyclotomic
     assert _coordinates(got, N) == _coordinates(want, N)
 
 
@@ -280,12 +300,15 @@ def _agrees(got, want, N):
 @given(oracle_pairs(2), oracle_fractions, st.integers(-3, 3))
 def test_arithmetic_matches_fraction_tuple_oracle(drawn, r, k):
     N, ((x, xo), (y, yo)) = drawn
-    for got, want in (
-        (x, xo), (-x, -xo), (x + y, xo + yo), (x - y, xo - yo),
-        (x * y, xo * yo), (x + r, xo + r), (r - x, r - xo), (x * r, xo * r),
-        (r * y, r * yo),
+    # An operation is the scalars module's when an operand is irrational.
+    ox, oy = isinstance(x, CyclotomicNumber), isinstance(y, CyclotomicNumber)
+    for got, want, made_here in (
+        (x, xo, True), (-x, -xo, True), (x + y, xo + yo, ox or oy),
+        (x - y, xo - yo, ox or oy), (x * y, xo * yo, ox or oy),
+        (x + r, xo + r, ox), (r - x, r - xo, ox), (x * r, xo * r, ox),
+        (r * y, r * yo, oy),
     ):
-        _agrees(got, want, N)
+        _agrees(got, want, N, made_here)
     assert (x == y) == (_coordinates(x, N) == _coordinates(y, N))
     if x:
         want = xo.inverse() if isinstance(xo, FractionCyclotomic) else 1 / xo
@@ -309,15 +332,21 @@ def test_equal_values_hash_equal(drawn, r):
     if y:
         routes.append(((x * y) * scalar_inv(y), x))
     for a, b in routes:
-        _assert_canonical(a)
+        # A rational route may end in Python's own arithmetic, which can
+        # leave an integer as a Fraction; it hashes as the int all the same.
+        if isinstance(a, CyclotomicNumber):
+            _assert_canonical(a)
+        else:
+            assert type(a) in (int, Fraction)
         assert a == b
         assert hash(a) == hash(b)
     # There is no raw constructor; a rational coordinate vector is built
-    # as a Fraction, which compares and hashes as the rational it is.
+    # as an int or a Fraction, which compares and hashes as the rational
+    # it is.
     with pytest.raises(TypeError):
         CyclotomicNumber(N, [r])
     built = make_cyclotomic(N, [r])
-    assert type(built) is Fraction
+    _assert_canonical(built)
     assert built == r
     assert hash(built) == hash(r)
 
@@ -334,7 +363,7 @@ def test_scalar_text_and_json_round_trip(drawn):
         scalar_from_text(scalar_to_text(x), N),
         scalar_from_json(json.loads(json.dumps(scalar_to_json(x)))),
     ):
-        assert type(back) is type(x)
+        _assert_canonical(back)
         assert back == x
 
 
@@ -437,6 +466,15 @@ def cancelling_terms(draw, words, N):
     return terms
 
 
+def _assert_exact_coefficients(*found):
+    """Each coefficient of the elements or coordinate dicts found is an
+    int, a Fraction or a CyclotomicNumber: never a float or a bool."""
+    for F in found:
+        terms = F.terms if isinstance(F, NsymElement) else F or {}
+        for c in terms.values():
+            assert type(c) in (int, Fraction, CyclotomicNumber), repr(c)
+
+
 def _exact(coords):
     """coords with each scalar as its JSON form, so the type and the
     conductor are compared too."""
@@ -471,6 +509,7 @@ def test_peak_maps_match_per_term_oracle(data):
         (expand_rho_coords, expand_rho_per_term),
     ):
         got, want = fast(coords, ctx), oracle(coords, ctx)
+        _assert_exact_coefficients(got)
         assert _exact(got.terms) == _exact(want.terms)
     inside = expand_sigma_coords(coords, ctx)
     stray = R(*data.draw(compositions(n))).scale(data.draw(mixed_scalars(N)))
@@ -481,14 +520,17 @@ def test_peak_maps_match_per_term_oracle(data):
             (membership, membership_per_term),
             (rho_membership, rho_membership_per_term),
         ):
-            assert _exact(fast(F, ctx)) == _exact(oracle(F, ctx))
+            got = fast(F, ctx)
+            _assert_exact_coefficients(got)
+            assert _exact(got) == _exact(oracle(F, ctx))
 
 
 # q with the conductors of the coefficients it may meet: a rational q
 # meets any field, zeta_N only Q and Q(zeta_N).
 TRANSFORM_QS = [
-    (Fraction(2), ORACLE_FIELDS), (Fraction(1, 2), ORACLE_FIELDS),
-    (Fraction(-1), ORACLE_FIELDS), (Fraction(1), ORACLE_FIELDS),
+    (2, ORACLE_FIELDS), (Fraction(1, 2), ORACLE_FIELDS),
+    (-1, ORACLE_FIELDS), (1, ORACLE_FIELDS), (0, ORACLE_FIELDS),
+    (-3, ORACLE_FIELDS), (Fraction(5, 7), ORACLE_FIELDS),
     (zeta(3), (1, 3)), (zeta(4), (1, 4)),
 ]
 
@@ -504,7 +546,13 @@ def test_transform_matches_the_S_word_chain(data):
     for basis in "SR":
         got = theta_q(F, q, basis)
         assert got.basis == basis
+        _assert_exact_coefficients(got, F.to_basis(basis))
         assert _exact(got.to_basis("S").terms) == _exact(want.terms)
+    # The other operations on the same coefficients stay exact too.
+    unit = F - F.homogeneous_component(0) + one("S")
+    _assert_exact_coefficients(
+        multiply(F, F), internal_product(F, F), series_inverse(unit, MAX_WEIGHT)
+    )
     if N in (1, 3, 4):
         root = N if N > 1 else data.draw(st.sampled_from((1, 2, 3, 4)))
         want = theta_by_S_words(F, zeta(root), 1)

@@ -89,15 +89,20 @@ def test_inverse_and_division():
     one_minus = 1 - zeta(3)
     inv = scalar_inv(one_minus)
     assert inv == make_cyclotomic(3, [Fraction(2, 3), Fraction(1, 3)])
-    # No raw instance holds a rational: one is built only as a Fraction.
+    # No raw instance holds a rational: an integer is built as an int,
+    # any other rational as a Fraction.
     with pytest.raises(TypeError):
         CyclotomicNumber(5, [2])
-    assert type(make_cyclotomic(5, [2])) is Fraction
+    assert type(make_cyclotomic(5, [2])) is int
     assert make_cyclotomic(5, [2]) == Fraction(2)
     assert hash(make_cyclotomic(5, [2])) == hash(Fraction(2))
+    half = make_cyclotomic(5, [Fraction(1, 2)])
+    assert type(half) is Fraction and half.denominator == 2
     assert scalar_inv(make_cyclotomic(2, [Fraction(-2, 3)])) == Fraction(-3, 2)
     with pytest.raises(ZeroDivisionError):
         scalar_inv(make_cyclotomic(5, [0]))
+    with pytest.raises(ZeroDivisionError):
+        scalar_inv(0)
     with pytest.raises(ZeroDivisionError):
         zeta(5) / 0
 
@@ -132,6 +137,8 @@ def test_text_forms_round_trip():
 
 def test_text_form_examples():
     assert scalar_to_text(Fraction(1, 2)) == "1/2"
+    # A sum that lands on an integer is read as the int.
+    assert type(scalar_from_text("1/2 + 1/2")) is int
     assert scalar_to_text(zeta(3)) == "z"
     assert scalar_to_text(1 - zeta(3)) == "1 - z"
     assert scalar_from_text("1/2 - z + z^2", 5) == make_cyclotomic(
@@ -144,10 +151,17 @@ def test_json_forms_round_trip():
     for x in values:
         assert scalar_from_json(scalar_to_json(x)) == x
     assert scalar_to_json(Fraction(3, 4)) == {"num": 3, "den": 4}
+    back = scalar_from_json({"num": 4, "den": -2})
+    assert type(back) is int and back == -2
 
 
 def test_scalar_pow_negative_exponents():
     assert scalar_pow(Fraction(2), -2) == Fraction(1, 4)
+    # An int never meets a negative ** (which would give a float).
+    assert scalar_pow(2, -1) == Fraction(1, 2)
+    assert type(scalar_pow(2, -1)) is Fraction
+    minus_one = scalar_pow(-1, -3)
+    assert type(minus_one) is int and minus_one == -1
     z = zeta(5)
     assert scalar_pow(z, -1) * z == 1
 
