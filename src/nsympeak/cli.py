@@ -29,11 +29,11 @@ Exit codes: 0 success, 1 a verification check failed or a suite ran no
 checks, 2 usage or parse errors, 3 the element fell outside the
 requested span (NOT_MEMBER), 4 a size limit, refused before the work
 through ``scalars.check_limit``: ``descent.MAX_WORD_PAIRS``,
-``elements.MAX_EXPANSION_TERMS``, ``peak.MAX_MEMBERSHIP_WEIGHT`` or
-``scalars.MAX_CONDUCTOR``, or an exact value to print with more digits
-than Python converts to text (``sys.get_int_max_str_digits()``).  The
-README tabulates what each limit counts.  ``series.MAX_RECURSION_TERMS``
-refuses nothing: past it ``theta`` builds through S words.
+``elements.MAX_EXPANSION_TERMS``, ``series.MAX_RECURSION_TERMS``,
+``peak.MAX_MEMBERSHIP_WEIGHT`` or ``scalars.MAX_CONDUCTOR``, or an exact
+value to print with more digits than Python converts to text
+(``sys.get_int_max_str_digits()``).  The README tabulates what each
+limit counts.
 
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called

@@ -22,9 +22,8 @@ Both are built over the input's own words, in the basis the caller reads:
 an S word's image is the product of its parts' generator images, and a
 ribbon's follows the ribbon product rule R_H R_a = R_(H.a) + R_(H glued
 to a) (ibid., section 3), so ribbons are not expanded into S words.
-Past a stated amount of work the transform goes through S words in the
-S basis instead, where the limits of the S words and of the basis
-change apply.
+A request whose work passes MAX_RECURSION_TERMS is refused before
+anything is built.
 The series definition of the generator, the degree-n coefficient of
 sigma_{qt}(A)^{-1} sigma_t(A), stays as the oracle the closed form is
 checked against. theta_q is triangular in the S basis, so its
@@ -45,11 +44,11 @@ from .compositions import compositions_of, num_compositions
 from .elements import (
     NsymElement, S, add_term, check_expansion, linear_combination, multiply
 )
-from .scalars import scalar_inv, scalar_pow, zeta
+from .scalars import check_limit, scalar_inv, scalar_pow, zeta
 
-# The work, in terms added (``_recursion_terms``), above which a request
-# is transformed through S words. Near it, theta of S[2^9, 1] printed as
-# ribbons took 6.6 s at zeta_3 and 10 s at zeta_7 on a 2-CPU Xeon machine.
+# The work, in terms read and added (``_recursion_terms``), above which a
+# transform is refused. Near it, theta of S[2^9, 1] printed as ribbons
+# took 6.6 s at zeta_3 and 10 s at zeta_7 on a 2-CPU Xeon machine.
 MAX_RECURSION_TERMS = 1 << 19
 
 
@@ -203,14 +202,16 @@ def _at_most_words(x, w):
 
 
 def _recursion_terms(F, scale, basis):
-    """Bound the work of ``_image`` on F's words in ``basis``: one per
-    product plus the terms it adds, summed until it passes
-    MAX_RECURSION_TERMS.
+    """Bound the work of ``_image`` on F's words in ``basis``: one per word
+    and per product, plus the terms of the generator images it reads and
+    the terms it adds, summed until it passes MAX_RECURSION_TERMS.
 
-    A product image(H) * G_a adds |image(H)| |G_a| terms, twice that on
-    ribbons (concatenated and glued), and a glued word adds its image's
-    terms. An image of weight w has at most 2^(w-1) words; G_a has at
-    most a terms in R and 2^(a-1) in S, and none when ``scale`` is zero.
+    G_a, the image of S_a, has at most a terms in R and 2^(a-1) in S, and
+    none when ``scale`` is zero. A word's first images are read and then
+    seeded with its coefficient, so they count twice. A product
+    image(H) * G_a reads G_a and adds |image(H)| |G_a| terms, twice that
+    on ribbons (concatenated and glued), and a glued word adds its image's
+    terms. An image of weight w has at most 2^(w-1) words.
     """
     def gen(a):
         return 0 if not scale else a if basis == "R" else 1 << (a - 1)
@@ -221,17 +222,19 @@ def _recursion_terms(F, scale, basis):
         weights = list(accumulate(I))
         if F.basis == "S":
             size = gen(I[0]) if I else 0
+            total += 1 + 2 * size
             for a, w in zip(I[1:], weights[1:]):
                 added = size * gen(a) * times
-                total += 1 + added
+                total += 1 + gen(a) + added
                 size = _at_most_words(added, w)
         else:
             row = [gen(s) for s in weights]
+            total += 1 + 2 * sum(row)
             for k in range(1, len(I)):
                 head = row[k - 1]
                 for m, s in enumerate(accumulate(I[k:]), k):
                     added = head * gen(s) * times + row[m]
-                    total += 1 + added
+                    total += 1 + gen(s) + added
                     row[m] = _at_most_words(added, weights[m])
                 if total > MAX_RECURSION_TERMS:
                     break
@@ -243,22 +246,14 @@ def _recursion_terms(F, scale, basis):
 def _extend(F, q, scale, basis):
     """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q)
     to F, in ``basis``: ``_image`` of each of F's own words, S words or
-    ribbons.
-
-    S words transformed in the S basis are refused, before anything is
-    built, above MAX_EXPANSION_TERMS S words, counted as 2^(|I|-l(I)) per
-    word I. Any other pair of bases runs ``_image`` when its work, bounded
-    by ``_recursion_terms``, is at most MAX_RECURSION_TERMS; a larger
-    request is transformed as F's S words in the S basis and then changed
-    to ``basis``, and those steps' own limits apply.
+    ribbons. It is refused through ``check_limit``, before anything is
+    built, when its work, bounded by ``_recursion_terms``, passes
+    MAX_RECURSION_TERMS.
     """
     if basis not in ("S", "R"):
         raise ValueError(f"unknown basis {basis!r}")
+    check_limit(_recursion_terms(F, scale, basis), MAX_RECURSION_TERMS, "transform", "terms")
     ribbons = F.basis == "R"
-    if F.basis == basis == "S":
-        check_expansion(sum(1 << (sum(I) - len(I)) for I in F.terms), "transform")
-    elif _recursion_terms(F, scale, basis) > MAX_RECURSION_TERMS:
-        return _extend(F.to_basis("S"), q, scale, "S").to_basis(basis)
     return linear_combination(
         basis,
         (
@@ -273,8 +268,8 @@ def theta_q(F, q, basis="S"):
 
     ``basis`` names the representation the caller reads, as
     ``NsymElement.to_basis`` does. The image is built over F's own words
-    in that basis, ribbons by the ribbon product rule, unless the work
-    passes MAX_RECURSION_TERMS (see ``_extend``).
+    in that basis, ribbons by the ribbon product rule; a request whose
+    work passes MAX_RECURSION_TERMS is refused (see ``_extend``).
     """
     return _extend(F, q, 1 - q, basis)
 

@@ -8,6 +8,7 @@ import pytest
 
 from nsympeak import cli
 from nsympeak.elements import MAX_EXPANSION_TERMS
+from nsympeak.series import MAX_RECURSION_TERMS
 
 
 def run(capsys, *argv):
@@ -129,14 +130,15 @@ def test_membership_capacity(capsys):
 
 
 def test_theta_capacity(capsys):
-    # The image of S[2^22] may have 2^22 S words; 2^21 is the limit.
+    # The image of S[2^22] in S reads and adds about 2^23 terms; 2^19 is
+    # the limit.
     twos = "S[" + ",".join(["2"] * 22) + "]"
     start = time.monotonic()
     rc, out, err = run(capsys, "theta", twos, "--q", "2", "--to", "S")
     assert time.monotonic() - start < 1
     assert rc == 4
     assert out == ""
-    assert err.startswith("error:") and str(MAX_EXPANSION_TERMS) in err
+    assert err.startswith("error:") and str(MAX_RECURSION_TERMS) in err
 
 
 def test_theta_of_a_long_word_of_ones(capsys):
@@ -191,6 +193,9 @@ def test_theta_of_a_ribbon_of_twos(capsys):
         ("theta", "S[" + ",".join(["2"] * 10) + "]", "--q", "zeta", "--N", "3",
          "--to", "R"),
         ("theta", "S[" + ",".join(["2"] * 22) + "]", "--q", "2"),
+        ("theta", "S[" + ",".join(["2"] * 20) + "]", "--q", "2", "--to", "S"),
+        ("theta", "R[2,2,2,2,2,2,2,2,1]", "--q", "zeta", "--N", "3",
+         "--to", "S"),
         ("expand", "(z)*S[1]", "--N", "4000037", "--to", "R"),
         ("theta", "S[1]", "--q", "zeta", "--N", "4000037"),
         ("bases", "--n", "23", "--N", "2"),
@@ -209,7 +214,8 @@ def test_theta_of_a_ribbon_of_twos(capsys):
          "S[" + ",".join(["1"] * 400) + "]"),
         ("internal", "S[400]", "S[" + ",".join(["1"] * 400) + "]"),
     ],
-    ids=["theta-twos-10", "theta-twos-22", "expand-conductor", "theta-conductor",
+    ids=["theta-twos-10", "theta-twos-22", "theta-twos-20-S",
+         "theta-ribbon-twos-S", "expand-conductor", "theta-conductor",
          "bases-23", "bases-40", "bases-20000", "bases-20000-json",
          "det-theta-8000", "verify-det-8000", "theta-S20000", "expand-ones-15000",
          "internal-ones-15000", "internal-S-ones-400", "internal-S400-ones-400"],

@@ -153,24 +153,49 @@ def test_normalized_transform_matches_the_S_word_chain():
                         assert got == want, (word, N, basis)
 
 
-def test_transform_past_the_recursion_limit_goes_through_S_words(monkeypatch):
-    # With no room for the recursion, every request but S words in the
-    # S basis is transformed as S words in S and changed to its basis.
+def test_transform_past_the_recursion_limit_is_refused(monkeypatch):
+    # With no room for the recursion, every nonempty word in either basis
+    # is refused before a generator image is built.
     monkeypatch.setattr(series, "MAX_RECURSION_TERMS", 0)
+    series._generator.cache_clear()
     q = zeta(3)
-    for n in range(6):
+    for n in range(1, 6):
         for I in compositions_of(n):
             for word in (S(*I), R(*I)):
-                want = theta_by_S_words(word, q, 1 - q)
                 for basis in "SR":
-                    got = theta_q(word, q, basis)
-                    assert got.basis == basis
-                    assert got == want
+                    with pytest.raises(CapacityError):
+                        theta_q(word, q, basis)
+    assert series._generator.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "q", [2, Fraction(1, 2), zeta(3), 1], ids=["2", "1/2", "zeta3", "1"]
+)
+def test_recursion_count_bounds_the_work(monkeypatch, q):
+    # The count is the transform's only guard: it covers the image it
+    # returns and every generator image it reads.
+    generator, reads = series._generator, []
+
+    def recorded(*args):
+        image = generator(*args)
+        reads.append(len(image.terms))
+        return image
+
+    monkeypatch.setattr(series, "_generator", recorded)
+    for n in range(8):
+        for I in compositions_of(n):
+            for word in (S(*I), R(*I)):
+                for basis in "SR":
+                    reads.clear()
+                    terms = len(theta_q(word, q, basis).terms) + sum(reads)
+                    count = series._recursion_terms(word, 1 - q, basis)
+                    assert count >= terms, (word, basis)
 
 
 def test_transform_refuses_large_S_images_in_time():
-    # The recursion in R would add about 7 * 10^5 terms for S[2^10];
-    # through S words, the change to ribbons is refused before it runs.
+    # The recursion in R would read and add about 7 * 10^5 terms for
+    # S[2^10], and far more for S[2^22]: both are refused before anything
+    # is built.
     with pytest.raises(CapacityError):
         theta_q(S(*[2] * 10), zeta(3), "R")
     with pytest.raises(CapacityError):
