@@ -30,10 +30,11 @@ checks, 2 usage or parse errors, 3 the element fell outside the
 requested span (NOT_MEMBER), 4 a size limit, refused before the work
 through ``scalars.check_limit``: ``descent.MAX_WORD_PAIRS``,
 ``elements.MAX_EXPANSION_TERMS``, ``series.MAX_RECURSION_TERMS``,
-``peak.MAX_MEMBERSHIP_WEIGHT`` or ``scalars.MAX_CONDUCTOR``, or an exact
-value to print with more digits than Python converts to text
-(``sys.get_int_max_str_digits()``).  The README tabulates what each
-limit counts.
+``peak.MAX_MEMBERSHIP_WEIGHT``, ``compositions.MAX_WEIGHT`` or
+``scalars.MAX_CONDUCTOR``, or an exact value to print with more digits
+than Python converts to text (``sys.get_int_max_str_digits()``); a
+request that runs out of memory (``MemoryError``) exits 4 as well.  The
+README tabulates what each limit counts.
 
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called
@@ -106,6 +107,7 @@ from .textforms import (
     BASIS_NAMES,
     coords_to_text,
     composition_to_text,
+    element_to_json,
     parse_any_element,
     terms_to_json,
 )
@@ -158,7 +160,9 @@ def _print_terms(name, terms, fmt):
 def _print_in_basis(element, target, N, fmt):
     peak = _peak_basis(target)
     if peak is None:
-        return _print_terms(target, element.to_basis(target).terms, fmt)
+        element = element.to_basis(target)
+        print(json.dumps(element_to_json(element)) if fmt == "json" else element)
+        return 0
     coords = peak[1](element, _need_ctx(N, f"target basis {target}"))
     if coords is None:
         raise NotMemberError(
@@ -589,7 +593,7 @@ def _suite_peak_classical(notes, max_n):
             pk = classical_peak_function(I)
             if not pk:
                 yield f"n={n} I={composition_to_text(I)}: empty peak function"
-            support = set(pk.to_basis("R").terms)
+            support = set(pk.to_basis("R").codes)
             if support & seen:
                 yield f"n={n} I={composition_to_text(I)}: supports overlap"
             seen |= support
@@ -802,6 +806,11 @@ def main(argv=None):
         return 3
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        # An admitted request that outgrew the memory (the membership
+        # peel near MAX_MEMBERSHIP_WEIGHT can) fails like a size limit.
+        print("error: out of memory", file=sys.stderr)
         return 4
     except ValueError as exc:
         # UsageError, ElementParseError and every other input error.

@@ -1,14 +1,21 @@
 """Composition-level combinatorics.
 
-A composition of n is represented as a plain tuple of positive ints, the
+A composition of n is spelled as a plain tuple of positive ints, the
 empty tuple being the unique composition of 0. Subsets of [1, n-1] (descent
 sets, peak sets) are frozensets of ints. Permutations are tuples of images,
 so ``perm[i-1]`` is the image of i.
 
 Compositions of n correspond to subsets of [1, n-1] through the descent set
-D(I) = {i_1, i_1+i_2, ...}. The canonical ordering used everywhere for
-deterministic output is: by weight, then by the numeric value of the
-descent-set bitmask (bit d-1 set iff d is a descent).
+D(I) = {i_1, i_1+i_2, ...}. The elements of the library store a word as
+one int, its code: the bitset of its partial sums, bit s-1 set for each
+partial sum s, the weight n included (``encode``; ``decode`` inverts it,
+and the unit's code is 0). So the weight is ``code.bit_length()``, the
+length is ``code.bit_count()``, D(I) is the code minus its top bit, the
+concatenation of I and J is ``a | b << n`` (n = |I|), and gluing J to
+the last part of I is the same with I's top bit cleared. The canonical
+order used everywhere for deterministic output is the numeric order of
+the codes: by weight, then by the descent-set bitmask (bit d-1 set iff
+d is a descent).
 
 The module also carries the order-N split poset on compositions of n
 (cover moves replace one part i_k by (j, i_k - j) with j in [1, N-1]), the
@@ -17,28 +24,40 @@ alignment statistics used by the transform decomposition formulas.
 
 Lower sets of the split poset have a closed form: J lies below I iff D(J)
 is a subset of D(I) that keeps the descent after every part i_k >= N.
-``lower_set`` enumerates them directly in canonical order; with no N it
-gives the reverse-refinement interval {J : D(J) contained in D(I)} that
-the S/R basis change sums over, and ``compositions_of(n)`` is that
-interval below (1^n). The index families F and G and the peak
-compositions are built the same way, one unit at a time, a word dropped
-as soon as one of its finished parts leaves the family.
+``lower_codes`` enumerates them on codes, in canonical order: the forced
+bits (the top bit and the descents after a part >= N) OR'd with each
+submask of the free ones. With no N every descent is free, which gives
+the reverse-refinement interval {J : D(J) contained in D(I)} that the
+S/R basis change sums over. The tuple spellings ``lower_set`` and
+``compositions_of(n)`` (the interval below (1^n)) decode it. The index
+families F and G and the peak compositions are built one unit at a
+time, a word dropped as soon as one of its finished parts leaves the
+family.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .scalars import check_limit
+
+# A word's code holds one bit per unit of its weight, so a heavier word
+# is refused (``check_composition``) before its code is built.
+MAX_WEIGHT = 1 << 24
+
 
 def check_composition(parts):
     """parts as a tuple; ValueError unless each part is an int >= 1
-    (a bool or a float is refused, not truncated)."""
+    (a bool or a float is refused, not truncated), and CapacityError,
+    through ``check_limit``, above MAX_WEIGHT."""
     parts = tuple(parts)
     for p in parts:
         if type(p) is not int:
             raise ValueError(f"composition parts must be ints, not {p!r}: {parts}")
         if p < 1:
             raise ValueError(f"composition parts must be >= 1: {parts}")
+    if sum(parts) > MAX_WEIGHT:
+        check_limit(sum(parts), MAX_WEIGHT, "a word's code", "bits")
     return parts
 
 
@@ -52,18 +71,46 @@ def descent_set(parts):
     return frozenset(out)
 
 
-def descent_bitmask(parts):
-    mask = 0
-    acc = 0
-    for p in parts[:-1]:
+# ---------------------------------------------------------------------------
+# words as integer codes
+
+
+def encode(parts):
+    """The code of a composition: bit s-1 set for each partial sum s."""
+    code = acc = 0
+    for p in parts:
         acc += p
-        mask |= 1 << (acc - 1)
-    return mask
+        code |= 1 << acc
+    return code >> 1
+
+
+def decode(code):
+    """The composition whose code is ``code``: one part per set bit, a
+    part one more than the run of clear bits below its bit.
+
+    Peeling a part off the low end costs a pass over the code, so a word
+    of more than a dozen parts is split as a binary string instead, in
+    one pass over its width whatever its length.
+    """
+    if code.bit_count() > 12:
+        return tuple([len(run) + 1 for run in bin(code)[:1:-1].split("1")[:-1]])
+    parts = []
+    while code:
+        part = (code & -code).bit_length()
+        parts.append(part)
+        code >>= part
+    return tuple(parts)
 
 
 def canonical_key(parts):
-    """Sort key implementing the canonical composition order."""
-    return (sum(parts), descent_bitmask(parts))
+    """Sort key implementing the canonical composition order: the code."""
+    return encode(parts)
+
+
+def code_display_key(code):
+    """Sort key of printed output, read from the code: ascending weight
+    (the top bit), and within one weight the other bits run downward."""
+    return code ^ ((1 << code.bit_length() >> 1) - 1)
 
 
 def display_key(parts):
@@ -73,7 +120,7 @@ def display_key(parts):
     descent set contains another's prints before it; this is the order
     basis expansions are conventionally written in.
     """
-    return (sum(parts), -descent_bitmask(parts))
+    return code_display_key(encode(parts))
 
 
 def composition_from_descents(descents, n):
@@ -167,8 +214,8 @@ def _unit_by_unit(n, may_grow, may_cut):
     """The compositions of n built one unit at a time: each word grows
     its last part p by one if may_grow(p) and starts a new part after p
     if may_cut(p). A cut is a higher descent than any before it, so
-    listing grown words before cut ones keeps canonical order, as in
-    ``lower_set``."""
+    listing grown words before cut ones keeps canonical order with no
+    sort."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -185,27 +232,43 @@ def _unit_by_unit(n, may_grow, may_cut):
 # the order-N split poset
 
 
-def lower_set(I, N=None):
-    """All J below I in the order-N split poset (J coarser), I included.
+def lower_codes(code, N=None):
+    """The codes of all J below the word coded ``code`` in the order-N
+    split poset (J coarser), itself included, in canonical order.
 
     Closed form: D(J) is a subset of D(I) that keeps the descent after
     every part i_k >= N, because a run of parts of I merges into one part
     iff each non-final part of the run is < N (merge it right to left).
     With N None every descent may go: {J : D(J) contained in D(I)}.
-    J is built part by part; each cut is a higher bit than the ones
-    before it, so listing merged words before kept ones gives canonical
-    order with no sort.
+    The lower set is the forced bits (the top bit and the kept descents)
+    OR'd with each submask of the free descents; adding the free bits
+    from the lowest up, each time to every word so far, lists the codes
+    in ascending order with no sort.
     """
-    if not I:
-        return [()]
-    out = [(I[0],)]
-    for prev, p in zip(I, I[1:]):
-        kept = [J + (p,) for J in out]
-        if N is None or prev < N:
-            out = [J[:-1] + (J[-1] + p,) for J in out] + kept
-        else:
-            out = kept
+    free = code ^ (1 << code.bit_length() >> 1)
+    if N is not None:
+        # Descent d (bit d-1) is free when the part ending at d is < N,
+        # that is when a partial sum s, 0 included, has d-N < s < d: the
+        # partial sums (bit s) smeared up by 0 .. N-2 places reach bit d-1.
+        reach = min(N - 1, code.bit_length())
+        near, width = (code << 1 | 1) if reach > 0 else 0, 1
+        while width < reach:
+            step = min(width, reach - width)
+            near |= near << step
+            width += step
+        free &= near
+    out = [code ^ free]
+    while free:
+        low = free & -free
+        out += [J | low for J in out]
+        free ^= low
     return out
+
+
+def lower_set(I, N=None):
+    """All J below I in the order-N split poset, canonical order, as
+    tuples (``lower_codes`` decoded)."""
+    return [decode(J) for J in lower_codes(encode(I), N)]
 
 
 # ---------------------------------------------------------------------------

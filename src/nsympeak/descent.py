@@ -8,9 +8,11 @@ Lascoux, Leclerc, Retakh and Thibon, *Noncommutative symmetric
 functions*, 1995, section 5).  Components of different weights multiply
 to zero.  When R_I stands for the sum of the permutations of descent
 composition I, F * G is the class product of G's classes by F's, with
-(s t)(i) = s(t(i)).  A product needing more than MAX_WORD_PAIRS pairs of
-S words, counted after each operand's S words have merged, is refused
-through ``scalars.check_limit``, and so is, through
+(s t)(i) = s(t(i)).  The matrix formula runs on composition tuples:
+the operands' S words are decoded from their codes, and the result is
+encoded as it becomes an element.  A product needing more than
+MAX_WORD_PAIRS pairs of S words, counted after each operand's S words
+have merged, is refused through ``scalars.check_limit``, and so is, through
 ``elements.check_expansion``, one whose longest S words at the shared
 weights already stand for more than MAX_EXPANSION_TERMS ribbons; both
 counts come before anything is built.
@@ -19,7 +21,7 @@ counts come before anything is built.
 import collections
 import functools
 
-from .compositions import num_compositions
+from .compositions import decode, num_compositions
 from .elements import CapacityError, NsymElement, check_expansion
 from .scalars import check_limit
 
@@ -34,12 +36,12 @@ def _words_by_weight(F):
     holding one ribbon is counted without expanding it; an element with
     two ribbons of one weight is expanded first.
     """
-    per_weight = collections.Counter(sum(I) for I in F.terms)
+    per_weight = collections.Counter(I.bit_length() for I in F.codes)
     if F.basis == "R" and max(per_weight.values(), default=0) > 1:
         F = F.to_basis("S")
     counts = collections.Counter()
-    for I in F.terms:
-        counts[sum(I)] += 1 if F.basis == "S" else num_compositions(len(I))
+    for I in F.codes:
+        counts[I.bit_length()] += 1 if F.basis == "S" else num_compositions(I.bit_count())
     return F, counts
 
 
@@ -79,10 +81,10 @@ def _word_product(I, J):
 
 
 def _words_by_coefficient(F):
-    """{coefficient: [S words]} for F in the S basis."""
+    """{coefficient: [S words, as tuples]} for F in the S basis."""
     out = collections.defaultdict(list)
-    for I, a in F.to_basis("S").terms.items():
-        out[a].append(I)
+    for I, a in F.to_basis("S").codes.items():
+        out[a].append(decode(I))
     return out
 
 
@@ -103,7 +105,7 @@ def internal_product(F, G):
     parts = [(F.homogeneous_component(n), G.homogeneous_component(n))
              for n in f_words.keys() & g_words.keys()]
     # The longest S word of each shared weight bounds the ribbons from below.
-    longest = (max(len(I) for h in f_g for I in h.terms) for f_g in parts)
+    longest = (max(I.bit_count() for h in f_g for I in h.codes) for f_g in parts)
     check_expansion(sum(map(num_compositions, longest)), "internal product in ribbons")
     out = {}
     for f, g in parts:

@@ -2,18 +2,24 @@
 
 An NsymElement is a finite linear combination of basis words indexed by
 compositions, stored as a basis tag ('S' for products of complete
-functions, 'R' for ribbons) plus a dict mapping composition tuples to
-nonzero scalars: ints, Fractions or CyclotomicNumbers of the scalars
-module (a bool coefficient is read as the int 0 or 1). The empty
-composition indexes the unit, and mixed weights in one element are fine.
+functions, 'R' for ribbons) plus ``codes``, a dict mapping each word's
+integer code (``compositions.encode``: the bitset of its partial sums,
+0 for the unit) to a nonzero scalar: an int, a Fraction or a
+CyclotomicNumber of the scalars module (a bool coefficient is read as
+the int 0 or 1, and an integer-valued Fraction is stored as its int).
+Mixed weights in one element are fine. Every map here runs on the
+codes; composition tuples are the public spelling, converted only at
+the edges: the constructors, ``coefficient``, the read-only
+tuple-keyed ``terms`` view, and text (``coords_to_text``).
 
 The two bases are exchanged by triangular sums over reverse refinement:
 S^I is the sum of R_J over the compositions J coarser than or equal to I
 (those with D(J) contained in D(I)), and R_I is the alternating sum of
-S^J over the same interval. Products concatenate compositions in
-the S basis; in the R basis the two-term ribbon rule applies
-(concatenate, or glue at the seam). Elements are immutable values: all
-operations return new objects.
+S^J over the same interval. Products concatenate codes in the S basis
+(``a | b << n``, n the weight of a); in the R basis the two-term ribbon
+rule applies (concatenate, or glue at the seam: the same with a's top
+bit cleared). Elements are immutable values: all operations return new
+objects.
 
 One element holds scalars of at most one conductor: the constructor
 refuses two conductors with the scalars module's conductor-mismatch
@@ -33,13 +39,16 @@ on the command line).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
 from .compositions import (
     check_composition,
-    display_key,
-    lower_set,
+    code_display_key,
+    decode,
+    encode,
+    lower_codes,
     num_compositions,
 )
 from .scalars import (
@@ -67,25 +76,25 @@ def check_expansion(total, what):
 class NsymElement:
     """A linear combination of S words or ribbons; see the module docstring."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis", "codes")
 
     def __init__(self, basis, terms):
         if basis not in ("S", "R"):
             raise ValueError(f"basis must be 'S' or 'R', got {basis!r}")
         clean = {}
         for comp, coeff in terms.items():
-            add_term(clean, check_composition(comp), _as_scalar(coeff))
+            add_term(clean, encode(check_composition(comp)), _as_scalar(coeff))
         conductor(clean.values())
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "codes", clean)
 
     @classmethod
-    def _trusted(cls, basis, terms):
-        """Wrap a dict whose keys are compositions and whose values are
+    def _trusted(cls, basis, codes):
+        """Wrap a dict whose keys are word codes and whose values are
         nonzero scalars of one conductor, as ``add_term`` leaves them."""
         F = object.__new__(cls)
         object.__setattr__(F, "basis", basis)
-        object.__setattr__(F, "terms", terms)
+        object.__setattr__(F, "codes", codes)
         return F
 
     def __setattr__(self, name, value):
@@ -93,16 +102,21 @@ class NsymElement:
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The terms as a read-only mapping from composition tuples."""
+        return _TermsView(self.codes)
+
     def coefficient(self, comp):
-        return self.terms.get(check_composition(comp), 0)
+        return self.codes.get(encode(check_composition(comp)), 0)
 
     def weights(self):
-        return sorted({sum(comp) for comp in self.terms})
+        return sorted(set(map(int.bit_length, self.codes)))
 
     def homogeneous_component(self, n):
         return NsymElement._trusted(
             self.basis,
-            {c: v for c, v in self.terms.items() if sum(c) == n},
+            {c: v for c, v in self.codes.items() if c.bit_length() == n},
         )
 
     def is_homogeneous(self):
@@ -113,10 +127,11 @@ class NsymElement:
     def __add__(self, other):
         if not isinstance(other, NsymElement):
             return NotImplemented
-        merged = dict(self.terms)
-        for comp, coeff in other.to_basis(self.basis).terms.items():
-            add_term(merged, comp, coeff)
-        return NsymElement(self.basis, merged)
+        merged = dict(self.codes)
+        for code, coeff in other.to_basis(self.basis).codes.items():
+            add_term(merged, code, coeff)
+        conductor(merged.values())  # the two may come from two fields
+        return NsymElement._trusted(self.basis, merged)
 
     def __sub__(self, other):
         if not isinstance(other, NsymElement):
@@ -125,19 +140,19 @@ class NsymElement:
 
     def __neg__(self):
         return NsymElement._trusted(
-            self.basis, {c: -v for c, v in self.terms.items()}
+            self.basis, {c: -v for c, v in self.codes.items()}
         )
 
     def scale(self, scalar):
         """scalar times self; a scalar of another conductor raises ValueError."""
         scalar = _as_scalar(scalar)
-        if not scalar:
-            return NsymElement._trusted(self.basis, {})
-        # Nonzero times nonzero is nonzero, and a product of two
-        # conductors raises the mismatch, so the terms stay clean.
-        return NsymElement._trusted(
-            self.basis, {c: scalar * v for c, v in self.terms.items()}
-        )
+        out = {}
+        if scalar:
+            # Nonzero times nonzero is nonzero, and a product of two
+            # conductors raises the mismatch, so the terms stay clean.
+            for c, v in self.codes.items():
+                add_term(out, c, scalar * v)
+        return NsymElement._trusted(self.basis, out)
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction, CyclotomicNumber)):
@@ -169,25 +184,56 @@ class NsymElement:
     def __eq__(self, other):
         if not isinstance(other, NsymElement):
             return NotImplemented
-        return self.terms == other.to_basis(self.basis).terms
+        return self.codes == other.to_basis(self.basis).codes
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.codes)
 
     def __str__(self):
-        return coords_to_text(self.terms, self.basis)
+        return codes_to_text(self.codes, self.basis)
 
     __repr__ = __str__
 
 
+class _TermsView(Mapping):
+    """An element's terms as a read-only mapping {composition: scalar},
+    decoded from its codes as they are read."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes):
+        self._codes = codes
+
+    def __getitem__(self, comp):
+        try:
+            code = encode(check_composition(comp))
+        except (TypeError, ValueError, CapacityError):
+            raise KeyError(comp) from None
+        return self._codes[code]
+
+    def __iter__(self):
+        return map(decode, self._codes)
+
+    def __len__(self):
+        return len(self._codes)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 def coords_to_text(coords, name):
     """Render {comp: coeff} as a signed sum of name[...] words, unit as 1."""
-    if not coords:
+    return codes_to_text({encode(comp): c for comp, c in coords.items()}, name)
+
+
+def codes_to_text(codes, name):
+    """Render {code: coeff} as ``coords_to_text`` does, in display order."""
+    if not codes:
         return "0"
     out = []
-    for comp in sorted(coords, key=display_key):
-        word = name + "[" + ",".join(map(str, comp)) + "]" if comp else "1"
-        text = _coeff_text(coords[comp], word)
+    for code in sorted(codes, key=code_display_key):
+        word = name + "[" + ",".join(map(str, decode(code))) + "]" if code else "1"
+        text = _coeff_text(codes[code], word)
         if not out:
             out.append(text)
         elif text.startswith("-"):
@@ -214,59 +260,71 @@ def _coeff_text(coeff, word):
 
 
 def lower_sums(parts, lower, signed=False):
-    """Push each integer part {I: v} forward to {J: sum of +-v} over J in lower(I).
+    """Push each integer part {I: v} forward to {J: sum of +-v} over J in
+    lower(I), I and J word codes.
 
-    The sign is (-1)^(l(I) - l(J)) when signed, + otherwise; lower(I)
-    is computed once per word for all the parts.
+    The sign is (-1)^(l(I) - l(J)) when signed, + otherwise. That is
+    (-1)^l(I) (-1)^l(J), the lengths being the bits of the codes, so a
+    signed sum negates the odd-length words on the way in and on the way
+    out. lower(I) is computed once per word for all the parts.
     """
+    if signed:
+        parts = [_odd_negated(part) for part in parts]
     outs = [{} for _ in parts]
     for I in dict.fromkeys(chain.from_iterable(parts)):
-        even, odd = lower(I), ()
-        if signed:
-            li = len(I)
-            odd = [J for J in even if (li - len(J)) & 1]
-            even = [J for J in even if not (li - len(J)) & 1]
+        lower_I = lower(I)
         for part, out in zip(parts, outs):
             v = part.get(I)
             if v:
                 get = out.get
-                for J in even:
+                for J in lower_I:
                     out[J] = get(J, 0) + v
-                for J in odd:
-                    out[J] = get(J, 0) - v
-    return outs
+    return [_odd_negated(out) for out in outs] if signed else outs
+
+
+def _odd_negated(part):
+    return {I: -v if I.bit_count() & 1 else v for I, v in part.items()}
 
 
 # ---------------------------------------------------------------------------
 # linear combinations
 
 
-def add_term(terms, comp, c):
-    """Add c to terms[comp] in place, dropping the entry when it cancels."""
-    cur = terms.get(comp)
+def add_term(terms, key, c):
+    """Add c to terms[key] in place, dropping the entry when it cancels.
+
+    An integer-valued Fraction is stored as its int, so every
+    coefficient keeps one form without another scalar operation.
+    """
+    cur = terms.get(key)
     if cur is not None:
         c = cur + c
-    if c:
-        terms[comp] = c
+    if not c:
+        terms.pop(key, None)
+    elif type(c) is Fraction and c.denominator == 1:
+        terms[key] = c.numerator
     else:
-        terms.pop(comp, None)
+        terms[key] = c
 
 
 def linear_combination(basis, pairs):
     """The sum of c*F over the (F, c) pairs, built in one pass in ``basis``.
 
-    A coefficient equal to 1 adds F's terms without multiplying them.
+    A coefficient equal to 1 adds F's terms without multiplying them, and
+    copies them when nothing is there yet.
     """
     terms = {}
     for F, c in pairs:
         F = F.to_basis(basis)
-        if c == 1:
-            for comp, v in F.terms.items():
-                add_term(terms, comp, v)
+        if c == 1 and not terms:
+            terms.update(F.codes)
+        elif c == 1:
+            for code, v in F.codes.items():
+                add_term(terms, code, v)
         else:
             c = _as_scalar(c)
-            for comp, v in F.terms.items():
-                add_term(terms, comp, c * v)
+            for code, v in F.codes.items():
+                add_term(terms, code, c * v)
     conductor(terms.values())  # the pairs may come from two fields
     return NsymElement._trusted(basis, terms)
 
@@ -277,12 +335,12 @@ def linear_combination(basis, pairs):
 
 def S(*parts):
     """The product S_{i_1} ... S_{i_r} of complete functions."""
-    return NsymElement("S", {check_composition(parts): 1})
+    return NsymElement("S", {parts: 1})
 
 
 def R(*parts):
     """The ribbon indexed by the given composition."""
-    return NsymElement("R", {check_composition(parts): 1})
+    return NsymElement("R", {parts: 1})
 
 
 def one(basis="S"):
@@ -313,9 +371,11 @@ def r_to_s(F):
 
 def _change_basis(F, basis, signed):
     # Each word I has one coarsening per composition of its length l(I).
-    check_expansion(sum(num_compositions(len(I)) for I in F.terms), "basis change")
-    N, den, parts = split_terms(F.terms)
-    parts = lower_sums(parts, lower_set, signed)
+    check_expansion(
+        sum(num_compositions(I.bit_count()) for I in F.codes), "basis change"
+    )
+    N, den, parts = split_terms(F.codes)
+    parts = lower_sums(parts, lower_codes, signed)
     return NsymElement._trusted(basis, join_terms(N, den, parts))
 
 
@@ -323,29 +383,26 @@ def _change_basis(F, basis, signed):
 # products and the coproduct
 
 
-def _ribbon_word_product(I, J):
-    """The two index compositions of R_I * R_J (concatenation and glue)."""
-    if not I:
-        return [J]
-    if not J:
-        return [I]
-    return [I + J, I[:-1] + (I[-1] + J[0],) + J[1:]]
-
-
 def multiply(F, G):
-    """Outer product; operands in different bases are aligned to F's basis."""
+    """Outer product; operands in different bases are aligned to F's basis.
+
+    The code of I followed by J is ``a | b << n``, n the weight of I. In
+    the R basis R_I R_J adds that word and, when I and J are not the
+    unit, J glued to I's last part: the same code without I's top bit.
+    """
     G = G.to_basis(F.basis)
+    right = G.codes.items()
+    ribbons = F.basis == "R"
     out = {}
-    if F.basis == "S":
-        for I, a in F.terms.items():
-            for J, b in G.terms.items():
-                add_term(out, I + J, a * b)
-    else:
-        for I, a in F.terms.items():
-            for J, b in G.terms.items():
-                ab = a * b
-                for K in _ribbon_word_product(I, J):
-                    add_term(out, K, ab)
+    for a, x in F.codes.items():
+        n = a.bit_length()
+        seam = 1 << n >> 1 if ribbons else 0
+        for b, y in right:
+            xy = x * y
+            K = a | b << n
+            add_term(out, K, xy)
+            if seam and b:
+                add_term(out, K ^ seam, xy)
     return NsymElement._trusted(F.basis, out)
 
 

@@ -39,6 +39,14 @@ every other word there is shorter, so the coordinate of J is read off
 each component's residue the same way. An element heavier than
 MAX_MEMBERSHIP_WEIGHT is refused before the peel, through the scalars
 module's ``check_limit``.
+
+Like the elements, every map here runs on word codes (see the
+compositions module): a PeakContext keeps the lower sets, the G words in
+peel order and the G test on codes. Coordinate dicts, in and out, are
+keyed by composition tuples, the public spelling: the expansions encode
+their coordinates once, membership decodes its answer once, and pi_N and
+the rho(t) bases hand decoded coordinates to ``expand_sigma_coords``.
+The closed decompositions and their statistics work on tuples.
 """
 
 from __future__ import annotations
@@ -53,14 +61,16 @@ from .compositions import (
     alpha_stat,
     b_stat,
     check_composition,
-    composition_from_descents,
     compositions_of,
+    decode,
     descent_set,
+    encode,
     epsilon,
     epsilon_inv,
     h_stat,
     is_in_G,
     is_valid_peak_set,
+    lower_codes,
     lower_set,
     peak_set_of_composition,
 )
@@ -80,9 +90,14 @@ MAX_MEMBERSHIP_WEIGHT = 20
 
 
 class PeakContext:
-    """Caches for one order N: the G families and poset lower sets."""
+    """Caches for one order N: the G families and the poset lower sets.
 
-    __slots__ = ("N", "zeta", "_G", "_lower")
+    The public methods take and return composition tuples; the peak maps
+    read the code versions (``_G_by_length``, ``_lower_codes``,
+    ``_lower_in_G`` and ``_in_G``).
+    """
+
+    __slots__ = ("N", "zeta", "_G", "_G_codes", "_lower", "_lower_G", "_runs")
 
     def __init__(self, N):
         if N < 2:
@@ -93,7 +108,10 @@ class PeakContext:
         self.N = N
         self.zeta = zeta(N)
         self._G = {}
+        self._G_codes = {}
         self._lower = {}
+        self._lower_G = {}
+        self._runs = ("0" * (N - 1), "0" * N)
 
     def G(self, n):
         got = self._G.get(n)
@@ -102,18 +120,42 @@ class PeakContext:
             self._G[n] = got
         return got
 
-    def lower(self, I):
-        got = self._lower.get(I)
+    def _G_by_length(self, n):
+        """The codes of G(n), longest words first, canonical order within
+        one length: the order the membership peel reads them in."""
+        got = self._G_codes.get(n)
         if got is None:
-            got = tuple(lower_set(I, self.N))
-            self._lower[I] = got
+            got = sorted(map(encode, self.G(n)), key=int.bit_count, reverse=True)
+            self._G_codes[n] = got
+        return got
+
+    def lower(self, I):
+        return tuple(map(decode, self._lower_codes(encode(I))))
+
+    def _lower_codes(self, code):
+        got = self._lower.get(code)
+        if got is None:
+            got = lower_codes(code, self.N)
+            self._lower[code] = got
         return got
 
     def in_G(self, I):
         return is_in_G(I, self.N)
 
-    def lower_in_G(self, I):
-        return [J for J in self.lower(I) if is_in_G(J, self.N)]
+    def _in_G(self, code):
+        """in_G on a code: no part above N (no run of N clear bits below
+        the top bit) and a last part below N (fewer than N - 1 clear bits
+        right under it)."""
+        last, run = self._runs
+        bits = bin(code)[3:]
+        return not (bits.startswith(last) or run in bits)
+
+    def _lower_in_G(self, code):
+        got = self._lower_G.get(code)
+        if got is None:
+            got = [J for J in self._lower_codes(code) if self._in_G(J)]
+            self._lower_G[code] = got
+        return got
 
     def zeta_power(self, k):
         return zeta_pow(self.N, k)
@@ -123,13 +165,15 @@ class PeakContext:
 
 
 def _require_G(I, ctx):
+    """The code of I, or ValueError unless I is a composition in G."""
     I = check_composition(I)
-    if not ctx.in_G(I):
+    code = encode(I)
+    if not ctx._in_G(code):
         raise ValueError(
             f"{I} is not in the order-{ctx.N} index family "
             f"(parts in [1,{ctx.N}], last part in [1,{ctx.N - 1}])"
         )
-    return I
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +182,19 @@ def _require_G(I, ctx):
 
 def sigma_basis(I, ctx):
     """Sigma_I: the sum of R_J over the lower set of I in the split poset."""
-    I = _require_G(I, ctx)
-    return NsymElement._trusted("R", {J: 1 for J in ctx.lower(I)})
+    lower = ctx._lower_codes(_require_G(I, ctx))
+    return NsymElement._trusted("R", dict.fromkeys(lower, 1))
 
 
 def _rho_t(I, t, ctx, sign):
     """Sum of t^(l(I) + sign*l(J)) Sigma_J over the J in G below I."""
     I = _require_G(I, ctx)
-    li = len(I)
+    li = I.bit_count()
     return expand_sigma_coords(
-        {J: scalar_pow(t, li + sign * len(J)) for J in ctx.lower_in_G(I)},
+        {
+            decode(J): scalar_pow(t, li + sign * J.bit_count())
+            for J in ctx._lower_in_G(I)
+        },
         ctx,
     )
 
@@ -188,13 +235,18 @@ def T_basis(K, ctx):
 
 
 def _split_G(coords, ctx):
+    """split_terms of the coordinates, keyed by the codes of their words."""
     return split_terms({_require_G(J, ctx): c for J, c in coords.items()})
+
+
+def _decoded(codes):
+    return {decode(J): c for J, c in codes.items()}
 
 
 def expand_sigma_coords(coords, ctx):
     """Turn {J: c} Sigma-coordinates into a ribbon-basis element."""
     N, den, parts = _split_G(coords, ctx)
-    parts = lower_sums(parts, ctx.lower)
+    parts = lower_sums(parts, ctx._lower_codes)
     return NsymElement._trusted("R", join_terms(N, den, parts))
 
 
@@ -205,7 +257,7 @@ def expand_rho_coords(coords, ctx):
     I, so the coordinates move to the Sigma family first.
     """
     N, den, parts = _split_G(coords, ctx)
-    parts = lower_sums(lower_sums(parts, ctx.lower_in_G, True), ctx.lower)
+    parts = lower_sums(lower_sums(parts, ctx._lower_in_G, True), ctx._lower_codes)
     return NsymElement._trusted("R", join_terms(N, den, parts))
 
 
@@ -227,7 +279,8 @@ def expand_T_coords(coords, ctx):
 def pi_N(F, ctx):
     """Send S^I to Sigma_I when I is in G, to zero otherwise, linearly."""
     return expand_sigma_coords(
-        {I: c for I, c in F.to_basis("S").terms.items() if ctx.in_G(I)}, ctx
+        {decode(I): c for I, c in F.to_basis("S").codes.items() if ctx._in_G(I)},
+        ctx,
     )
 
 
@@ -238,19 +291,21 @@ def _sigma_parts(F, ctx):
     if len(ws) > 1:
         raise ValueError(f"membership needs a homogeneous element, weights {ws}")
     check_limit(max(ws, default=0), MAX_MEMBERSHIP_WEIGHT, "membership", "weight units")
-    N, den, parts = split_terms(Fr.terms)
+    N, den, parts = split_terms(Fr.codes)
     if not ws:
         return N, den, parts
-    candidates = sorted(ctx.G(ws[0]), key=len, reverse=True)
+    candidates = ctx._G_by_length(ws[0])
+    lower = ctx._lower_codes
     coords = []
     for residual in parts:
         got = {}
+        get = residual.get
         for J in candidates:
-            c = residual.get(J)
+            c = get(J)
             if c:
                 got[J] = c
-                for K in ctx.lower(J):
-                    residual[K] = residual.get(K, 0) - c
+                for K in lower(J):
+                    residual[K] = get(K, 0) - c
         if any(residual.values()):
             return None
         coords.append(got)
@@ -267,7 +322,7 @@ def membership(F, ctx):
     MAX_MEMBERSHIP_WEIGHT (refused through ``check_limit`` above it).
     """
     got = _sigma_parts(F, ctx)
-    return None if got is None else join_terms(*got)
+    return None if got is None else _decoded(join_terms(*got))
 
 
 def rho_membership(F, ctx):
@@ -280,7 +335,7 @@ def rho_membership(F, ctx):
     if got is None:
         return None
     N, den, parts = got
-    return join_terms(N, den, lower_sums(parts, ctx.lower_in_G))
+    return _decoded(join_terms(N, den, lower_sums(parts, ctx._lower_in_G)))
 
 
 def T_membership(F, ctx):
@@ -301,9 +356,10 @@ def in_T_ideal(F, N):
     Those words span the left ideal generated by the complete functions
     of degree not divisible by N; the unit (empty word) is outside it.
     """
-    Fs = F.to_basis("S")
-    for K in Fs.terms:
-        if not K or K[-1] % N == 0:
+    for K in F.to_basis("S").codes:
+        n = K.bit_length()
+        # The last part is the weight less the highest descent.
+        if not K or (n - (K ^ 1 << n >> 1).bit_length()) % N == 0:
             return False
     return True
 
@@ -318,7 +374,8 @@ def classical_peak_function(I):
     J has peak set P exactly when D(J) is a union of runs of consecutive
     positions, one from each p in P and optionally one from 1, each
     ending at least two before the next starts and the last by n - 1.
-    The words are built from every choice of run ends.
+    The codes are built from every choice of run ends: the run of
+    descents a..e is the bits a-1..e-1.
     """
     I = check_composition(I)
     n = sum(I)
@@ -329,12 +386,11 @@ def classical_peak_function(I):
         return one("R")
     starts = [0, *peaks]  # the run from 0 is the optional run from 1
     ends = [range(s, t - 1) for s, t in zip(starts, [*peaks, n + 1])]
+    top = 1 << (n - 1)
     return NsymElement._trusted(
         "R",
         {
-            composition_from_descents(
-                [d for s, e in zip(starts, es) for d in range(s or 1, e + 1)], n
-            ): 1
+            top | sum((1 << e) - (1 << (s or 1) - 1) for s, e in zip(starts, es)): 1
             for es in product(*ends)
         },
     )

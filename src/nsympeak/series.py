@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate
 
-from .compositions import compositions_of, num_compositions
+from .compositions import compositions_of, decode, num_compositions
 from .elements import (
     NsymElement, S, add_term, check_expansion, linear_combination, multiply
 )
@@ -57,10 +57,10 @@ MAX_RECURSION_TERMS = 1 << 19
 
 
 def _by_weight(F):
-    """F's S-basis terms grouped by weight: {weight: [(word, coeff), ...]}."""
+    """F's S-basis terms grouped by weight: {weight: [(code, coeff), ...]}."""
     out = {}
-    for I, c in F.to_basis("S").terms.items():
-        out.setdefault(sum(I), []).append((I, c))
+    for I, c in F.to_basis("S").codes.items():
+        out.setdefault(I.bit_length(), []).append((I, c))
     return out
 
 
@@ -72,12 +72,13 @@ def series_product(F, G, order):
     """
     right = _by_weight(G)
     terms = {}
-    for I, a in F.to_basis("S").terms.items():
-        room = order - sum(I)
+    for I, a in F.to_basis("S").codes.items():
+        n = I.bit_length()
+        room = order - n
         for w, words in right.items():
             if w <= room:
                 for J, b in words:
-                    add_term(terms, I + J, a * b)
+                    add_term(terms, I | J << n, a * b)
     return NsymElement._trusted("S", terms)
 
 
@@ -93,16 +94,20 @@ def series_inverse(F, order):
     if head is None:
         raise ValueError("series inverse needs an invertible scalar constant term")
     c = scalar_inv(head[0][1])
-    inv = [[((), c)]]
+    inv = [[(0, c)]]
     for n in range(1, order + 1):
         acc = {}
         for d, words in parts.items():
             if d <= n:
                 for I, a in words:
                     for J, b in inv[n - d]:
-                        add_term(acc, I + J, a * b)
+                        add_term(acc, I | J << d, a * b)
         inv.append([(K, -c * v) for K, v in acc.items()])
-    return NsymElement._trusted("S", {K: v for words in inv for K, v in words})
+    terms = {}
+    for words in inv:
+        for K, v in words:
+            add_term(terms, K, v)
+    return NsymElement._trusted("S", terms)
 
 
 def sigma_series(order, q=1):
@@ -121,10 +126,11 @@ def psi(n):
     if n < 1:
         raise ValueError("power sums start at weight 1")
     inv = series_inverse(sigma_series(n - 1), n - 1)
-    return NsymElement._trusted(
-        "S",
-        {J + (n - sum(J),): (n - sum(J)) * b for J, b in inv.terms.items()},
-    )
+    terms = {}
+    for J, b in inv.codes.items():
+        # J followed by the part n - |J|: the partial sum n joins J's bits.
+        add_term(terms, J | 1 << n >> 1, (n - J.bit_length()) * b)
+    return NsymElement._trusted("S", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +154,11 @@ def hook_sum(n, q):
 
     (1-q) times it is theta_q(S_n); at q = 1 it is the power sum psi(n).
     """
-    return NsymElement(
-        "R", {(1,) * i + (n - i,): scalar_pow(-q, i) for i in range(n)}
-    )
+    terms = {}
+    for i in range(n):
+        # (1^i, n-i) has the partial sums 1, ..., i and n.
+        add_term(terms, 1 << n >> 1 | (1 << i) - 1, scalar_pow(-q, i))
+    return NsymElement._trusted("R", terms)
 
 
 @functools.cache
@@ -160,7 +168,7 @@ def _generator(n, q, scale, basis):
 
 
 def _image(I, c, ribbons, q, scale, basis):
-    """c times the image of the S word I, or of the ribbon R_I when
+    """c times the image of the S word coded I, or of the ribbon R_I when
     ``ribbons``, in ``basis``.
 
     image(H.a) = image(H) * G_a, G_a the image of S_a. Ribbons multiply
@@ -178,7 +186,8 @@ def _image(I, c, ribbons, q, scale, basis):
         return gen(a) if c == 1 else gen(a).scale(c)
 
     if not I:
-        return NsymElement._trusted(basis, {(): c})
+        return NsymElement._trusted(basis, {0: c})
+    I = decode(I)
     if not ribbons:
         image = seeded(I[0])
         for a in I[1:]:
@@ -189,8 +198,8 @@ def _image(I, c, ribbons, q, scale, basis):
         head = row[k - 1]
         for m, s in enumerate(accumulate(I[k:]), k):
             image = multiply(head, gen(s))
-            for K, v in row[m].terms.items():
-                add_term(image.terms, K, -v)
+            for K, v in row[m].codes.items():
+                add_term(image.codes, K, -v)
             row[m] = image
     return row[-1]
 
@@ -204,7 +213,9 @@ def _at_most_words(x, w):
 def _recursion_terms(F, scale, basis):
     """Bound the work of ``_image`` on F's words in ``basis``: one per word
     and per product, plus the terms of the generator images it reads and
-    the terms it adds, summed until it passes MAX_RECURSION_TERMS.
+    the terms it adds, summed until it passes MAX_RECURSION_TERMS (so a
+    count past the limit is where summing stopped, not the full count).
+    Each word's parts and partial sums are decoded from its code.
 
     G_a, the image of S_a, has at most a terms in R and 2^(a-1) in S, and
     none when ``scale`` is zero. A word's first images are read and then
@@ -218,7 +229,8 @@ def _recursion_terms(F, scale, basis):
 
     times = 2 if basis == "R" else 1
     total = 0
-    for I in F.terms:
+    for code in F.codes:
+        I = decode(code)
         weights = list(accumulate(I))
         if F.basis == "S":
             size = gen(I[0]) if I else 0
@@ -246,9 +258,11 @@ def _recursion_terms(F, scale, basis):
 def _extend(F, q, scale, basis):
     """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q)
     to F, in ``basis``: ``_image`` of each of F's own words, S words or
-    ribbons. It is refused through ``check_limit``, before anything is
-    built, when its work, bounded by ``_recursion_terms``, passes
-    MAX_RECURSION_TERMS.
+    ribbons, each read from its code. It is refused through
+    ``check_limit``, before anything is built, when its work, bounded by
+    ``_recursion_terms``, passes MAX_RECURSION_TERMS. That count stops
+    once it is past the limit, so the refusal names the count where it
+    stopped, a lower bound of the request's full count.
     """
     if basis not in ("S", "R"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -258,7 +272,7 @@ def _extend(F, q, scale, basis):
         basis,
         (
             (_image(I, c, ribbons, q, scale, basis), 1)
-            for I, c in F.terms.items()
+            for I, c in F.codes.items()
         ),
     )
 

@@ -28,16 +28,18 @@ JSON uses one stable shape for both cases::
     {"basis": "R", "terms": [{"comp": [2,1], "coeff": {"num": 1, "den": 1}}]}
 
 with coefficients encoded as in :mod:`nsympeak.scalars`; the irrational
-ones must share one conductor. Composition parts, like the numbers of a
-coefficient, must be JSON integers: a float, a bool or a string is
-refused, not coerced.  JSON output round-trips through
-:func:`parse_any_element`.
+ones must share one conductor. Terms print in display order, read from
+the integer codes of the words (an element's own ``codes``; a
+tuple-keyed coordinate dict is encoded first), each word decoded once.
+Composition parts, like the numbers of a coefficient, must be JSON
+integers: a float, a bool or a string is refused, not coerced.  JSON
+output round-trips through :func:`parse_any_element`.
 """
 
 import json
 import re
 
-from .compositions import check_composition, display_key
+from .compositions import check_composition, code_display_key, decode, encode
 # coords_to_text is the element printer, re-exported as part of this API.
 from .elements import NsymElement, add_term, coords_to_text
 # The literal grammar's errors are the reader's: one class, two names.
@@ -118,17 +120,22 @@ def element_from_text(text, N=None, default_basis="S"):
 
 
 def terms_to_json(name, terms):
+    return codes_to_json(name, {encode(comp): c for comp, c in terms.items()})
+
+
+def codes_to_json(name, codes):
+    """The JSON form of {code: coeff}, in the printed order."""
     return {
         "basis": name,
         "terms": [
-            {"comp": list(comp), "coeff": scalar_to_json(terms[comp])}
-            for comp in sorted(terms, key=display_key)
+            {"comp": list(decode(code)), "coeff": scalar_to_json(codes[code])}
+            for code in sorted(codes, key=code_display_key)
         ],
     }
 
 
 def element_to_json(element):
-    return terms_to_json(element.basis, element.terms)
+    return codes_to_json(element.basis, element.codes)
 
 
 def terms_from_json(obj):

@@ -1,6 +1,9 @@
 """Reference helpers that only the tests use.
 
 Each one restates something the library computes another way: the
+split poset's lower sets and the ribbon product rule on composition
+tuples (the library runs both on integer codes), the canonical order
+from descent sets, the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
 form of position sets, the {-1, 0, 1} linear maps (S<->R, the
@@ -35,6 +38,39 @@ from nsympeak.elements import NsymElement, S, add_term, multiply
 from nsympeak.peak import expand_rho_coords
 from nsympeak.scalars import scalar_inv
 from nsympeak.series import hook_sum, theta_q
+
+
+def lower_set_by_parts(I, N=None):
+    """All J below I in the order-N split poset, canonical order, built
+    on tuples part by part: a part of I merges into the one before it
+    when that part of I is < N (always when N is None). Each cut is a
+    higher descent than the ones before it, so listing merged words
+    before kept ones gives canonical order with no sort."""
+    if not I:
+        return [()]
+    out = [(I[0],)]
+    for prev, p in zip(I, I[1:]):
+        kept = [J + (p,) for J in out]
+        if N is None or prev < N:
+            out = [J[:-1] + (J[-1] + p,) for J in out] + kept
+        else:
+            out = kept
+    return out
+
+
+def ribbon_word_product(I, J):
+    """The index compositions of R_I * R_J on tuples: the concatenation
+    and, when neither is the unit, J glued to the last part of I."""
+    if not I:
+        return [J]
+    if not J:
+        return [I]
+    return [I + J, I[:-1] + (I[-1] + J[0],) + J[1:]]
+
+
+def canonical_order_key(I):
+    """(weight, descent bitmask) of a tuple, bit d-1 set for descent d."""
+    return sum(I), sum(1 << (d - 1) for d in descent_set(I))
 
 
 def split_successors(I, N):

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from nsympeak import cli
+from nsympeak import cli, peak
+from nsympeak.compositions import MAX_WEIGHT
 from nsympeak.elements import MAX_EXPANSION_TERMS
 from nsympeak.series import MAX_RECURSION_TERMS
 
@@ -127,6 +128,40 @@ def test_membership_capacity(capsys):
     assert rc == 4
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "R[2,1]", "--to", "Sigma", "--N", "3"),
+        ("theta", "S[2,1]", "--q", "2", "--to", "Sigma", "--N", "3"),
+    ],
+    ids=["expand", "theta"],
+)
+def test_out_of_memory_exits_4(capsys, monkeypatch, argv, fmt):
+    # The membership peel behind --to Sigma can outgrow the memory of an
+    # admitted request; that ends as a size limit does, not in a traceback.
+    def peel(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(peak, "membership", peel)
+    monkeypatch.setattr(cli, "membership", peel)
+    rc, out, err = run(capsys, *argv, "--format", fmt)
+    assert rc == 4
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_word_weight_capacity(capsys):
+    # A word's code holds one bit per unit of weight.
+    rc, out, err = run(capsys, "expand", f"S[{MAX_WEIGHT + 1}]", "--to", "R")
+    assert rc == 4
+    assert out == ""
+    assert err.count("\n") == 1 and str(MAX_WEIGHT) in err
+    rc, out, _ = run(capsys, "convert", f"S[{MAX_WEIGHT - 1},1]")
+    assert rc == 0
+    assert out == f"S[{MAX_WEIGHT - 1},1]\n"
 
 
 def test_theta_capacity(capsys):

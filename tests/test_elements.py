@@ -36,6 +36,29 @@ def test_constructors_normalize():
     assert one("S").terms == {(): Fraction(1)}
 
 
+def test_integer_valued_fractions_are_stored_as_ints():
+    half = S(1).scale(Fraction(1, 2))
+    total = half + half
+    assert total.terms == {(1,): 1}
+    assert type(total.terms[(1,)]) is int
+    product = multiply(half, S(1).scale(2))
+    assert product.terms == {(1, 1): 1}
+    assert type(product.terms[(1, 1)]) is int
+    assert type(half.scale(2).coefficient((1,))) is int
+
+
+def test_terms_view_is_read_only_and_keyed_by_tuples():
+    F = S(2, 1) - S(1).scale(Fraction(1, 3)) + one("S")
+    assert F.codes == {0b110: 1, 0b1: Fraction(-1, 3), 0: 1}
+    assert dict(F.terms) == {(2, 1): 1, (1,): Fraction(-1, 3), (): 1}
+    assert len(F.terms) == 3 and (2, 1) in F.terms and (1, 2) not in F.terms
+    assert F.terms.get((2.5,)) is None and F.terms.get("S[1]") is None
+    with pytest.raises(TypeError):
+        F.terms[(1,)] = 2
+    with pytest.raises(AttributeError):
+        F.codes = {}
+
+
 def test_bad_inputs():
     with pytest.raises(ValueError):
         S(0, 1)

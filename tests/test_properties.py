@@ -467,12 +467,14 @@ def cancelling_terms(draw, words, N):
 
 
 def _assert_exact_coefficients(*found):
-    """Each coefficient of the elements or coordinate dicts found is an
-    int, a Fraction or a CyclotomicNumber: never a float or a bool."""
+    """Each coefficient of the elements or coordinate dicts found is in
+    its one canonical form (``_assert_canonical``): an int, a Fraction
+    with denominator > 1 or an irrational CyclotomicNumber, never a float,
+    a bool or an integer-valued Fraction."""
     for F in found:
-        terms = F.terms if isinstance(F, NsymElement) else F or {}
+        terms = F.codes if isinstance(F, NsymElement) else F or {}
         for c in terms.values():
-            assert type(c) in (int, Fraction, CyclotomicNumber), repr(c)
+            _assert_canonical(c)
 
 
 def _exact(coords):
