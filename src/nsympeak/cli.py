@@ -808,8 +808,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except MemoryError:
-        # An admitted request that outgrew the memory (the membership
-        # peel near MAX_MEMBERSHIP_WEIGHT can) fails like a size limit.
+        # An admitted request that outgrows the memory fails like a
+        # size limit.
         print("error: out of memory", file=sys.stderr)
         return 4
     except ValueError as exc:

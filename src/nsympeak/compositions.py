@@ -29,10 +29,13 @@ bits (the top bit and the descents after a part >= N) OR'd with each
 submask of the free ones. With no N every descent is free, which gives
 the reverse-refinement interval {J : D(J) contained in D(I)} that the
 S/R basis change sums over. The tuple spellings ``lower_set`` and
-``compositions_of(n)`` (the interval below (1^n)) decode it. The index
-families F and G and the peak compositions are built one unit at a
-time, a word dropped as soon as one of its finished parts leaves the
-family.
+``compositions_of(n)`` (the interval below (1^n)) decode it.
+``lower_inverse`` inverts the sum of a dict of values over the order-N
+lower sets one descent at a time, by the same rule for which descents
+are free and with no lower set enumerated; the peak module solves for
+Sigma coordinates with it. The index families F and G and the peak
+compositions are built one unit at a time, a word dropped as soon as
+one of its finished parts leaves the family.
 """
 
 from __future__ import annotations
@@ -263,6 +266,31 @@ def lower_codes(code, N=None):
         out += [J | low for J in out]
         free ^= low
     return out
+
+
+def lower_inverse(values, N):
+    """The inverse of summing over order-N lower sets: the {code: int} x
+    whose sum of x[I] over the I with J in lower_codes(I, N) is values[J]
+    for every J, zeros left out. The words are all of one weight.
+
+    That sum is one step per descent b, from the highest down: every
+    word W with the descent b adds its value to W without it when the
+    part of W ending at b is < N. A step reads only the descents below
+    b, still those of the word it started from, so the steps drop
+    exactly the descents that lower_codes frees. Subtracting undoes a
+    step, so the inverse runs the steps from the lowest b up, subtracting.
+    """
+    out = dict(values)
+    n = next(iter(values), 0).bit_length()
+    for b in range(1, n):
+        bit = 1 << b - 1
+        # b is free when a partial sum s of W has b-N < s < b: 0 when
+        # b < N, else a bit among the N-1 just below bit b-1.
+        near = -1 if b < N else (1 << N - 1) - 1 << b - N
+        for W, v in [(W, v) for W, v in out.items() if v and W & bit and W & near]:
+            J = W ^ bit
+            out[J] = out.get(J, 0) - v
+    return {W: v for W, v in out.items() if v}
 
 
 def lower_set(I, N=None):

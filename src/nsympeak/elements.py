@@ -24,8 +24,8 @@ objects.
 One element holds scalars of at most one conductor: the constructor
 refuses two conductors with the scalars module's conductor-mismatch
 ValueError. That is what lets the maps whose coefficients are all in
-{-1, 0, 1} (the basis changes here, the Sigma/rho expansions and the
-membership peel in the peak module) run on integers. Such a map commutes
+{-1, 0, 1} (the basis changes here, the Sigma/rho expansions and
+membership in the peak module) run on integers. Such a map commutes
 with taking the zeta-coordinates of a Q(zeta_N) coefficient, so the
 coefficients are written once as the scalars module's integer
 zeta-columns (``split_terms``), ``lower_sums`` runs the map on each

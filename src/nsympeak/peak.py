@@ -29,29 +29,27 @@ handed to ``expand_sigma_coords``, which adds each coordinate over its
 lower set in one pass; rho coordinates move to Sigma coordinates first,
 T coordinates along the block bijection (T_K = Sigma_{epsilon^-1(K)}).
 
-Those expansions, the membership peel and the rho push-forward all have
+Those expansions, membership and the rho push-forward all have
 coefficients in {-1, 0, 1}, so they run on the integer zeta-columns of
-the scalars module: ``split_terms`` once on the way in, integer adds over
-the lower sets (``elements.lower_sums``), ``join_terms`` once per output
-word on the way out.
-The peel runs component by component: J is in its own lower set and
-every other word there is shorter, so the coordinate of J is read off
-each component's residue the same way. An element heavier than
-MAX_MEMBERSHIP_WEIGHT is refused before the peel, through the scalars
-module's ``check_limit``.
+the scalars module: ``split_terms`` once on the way in, on each column
+integer adds over the lower sets (``elements.lower_sums``) or, for
+membership, their inverse (``compositions.lower_inverse``), and
+``join_terms`` once per output word on the way out. An element heavier
+than MAX_MEMBERSHIP_WEIGHT is refused before membership starts, through
+the scalars module's ``check_limit``.
 
 Like the elements, every map here runs on word codes (see the
-compositions module): a PeakContext keeps the lower sets, the G words in
-peel order and the G test on codes. Coordinate dicts, in and out, are
-keyed by composition tuples, the public spelling: the expansions encode
-their coordinates once, membership decodes its answer once, and pi_N and
-the rho(t) bases hand decoded coordinates to ``expand_sigma_coords``.
+compositions module): a PeakContext keeps the lower sets and the G test
+on codes. Coordinate dicts, in and out, are keyed by composition tuples,
+the public spelling: the expansions encode their coordinates once,
+membership decodes its answer once, and pi_N and the rho(t) bases hand
+decoded coordinates to ``expand_sigma_coords``.
 The closed decompositions and their statistics work on tuples.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from operator import mul
 
 from .compositions import (
@@ -71,6 +69,7 @@ from .compositions import (
     is_in_G,
     is_valid_peak_set,
     lower_codes,
+    lower_inverse,
     lower_set,
     peak_set_of_composition,
 )
@@ -93,11 +92,11 @@ class PeakContext:
     """Caches for one order N: the G families and the poset lower sets.
 
     The public methods take and return composition tuples; the peak maps
-    read the code versions (``_G_by_length``, ``_lower_codes``,
-    ``_lower_in_G`` and ``_in_G``).
+    read the code versions (``_lower_codes``, ``_lower_in_G`` and
+    ``_in_G``).
     """
 
-    __slots__ = ("N", "zeta", "_G", "_G_codes", "_lower", "_lower_G", "_runs")
+    __slots__ = ("N", "zeta", "_G", "_lower", "_lower_G", "_runs")
 
     def __init__(self, N):
         if N < 2:
@@ -108,7 +107,6 @@ class PeakContext:
         self.N = N
         self.zeta = zeta(N)
         self._G = {}
-        self._G_codes = {}
         self._lower = {}
         self._lower_G = {}
         self._runs = ("0" * (N - 1), "0" * N)
@@ -118,15 +116,6 @@ class PeakContext:
         if got is None:
             got = tuple(G_set(n, self.N))
             self._G[n] = got
-        return got
-
-    def _G_by_length(self, n):
-        """The codes of G(n), longest words first, canonical order within
-        one length: the order the membership peel reads them in."""
-        got = self._G_codes.get(n)
-        if got is None:
-            got = sorted(map(encode, self.G(n)), key=int.bit_count, reverse=True)
-            self._G_codes[n] = got
         return got
 
     def lower(self, I):
@@ -285,40 +274,27 @@ def pi_N(F, ctx):
 
 
 def _sigma_parts(F, ctx):
-    """membership's peel, returning (N, den, parts) as split_terms does."""
+    """F's Sigma coordinates as split_terms writes them, (N, den, parts),
+    or None when F is outside."""
     Fr = F.to_basis("R")
     ws = Fr.weights()
     if len(ws) > 1:
         raise ValueError(f"membership needs a homogeneous element, weights {ws}")
     check_limit(max(ws, default=0), MAX_MEMBERSHIP_WEIGHT, "membership", "weight units")
     N, den, parts = split_terms(Fr.codes)
-    if not ws:
-        return N, den, parts
-    candidates = ctx._G_by_length(ws[0])
-    lower = ctx._lower_codes
-    coords = []
-    for residual in parts:
-        got = {}
-        get = residual.get
-        for J in candidates:
-            c = get(J)
-            if c:
-                got[J] = c
-                for K in lower(J):
-                    residual[K] = get(K, 0) - c
-        if any(residual.values()):
-            return None
-        coords.append(got)
-    return N, den, coords
+    parts = [lower_inverse(part, ctx.N) for part in parts]
+    if not all(map(ctx._in_G, chain.from_iterable(parts))):
+        return None
+    return N, den, parts
 
 
 def membership(F, ctx):
     """Coordinates of F in the Sigma basis, or None when F is outside.
 
-    The system is triangular: Sigma_J is R_J plus ribbons of strictly
-    smaller length, so peeling candidates by decreasing length makes
-    each coordinate read off directly; a nonzero final residue proves
-    non-membership. Input must be homogeneous, of weight at most
+    Sigma_I is the sum of the ribbons over the lower set of I, for every
+    composition I, so inverting that sum (``lower_inverse``) writes the
+    ribbons of F as a unique sum of Sigma_I; F is inside exactly when
+    every I there is in G. Input must be homogeneous, of weight at most
     MAX_MEMBERSHIP_WEIGHT (refused through ``check_limit`` above it).
     """
     got = _sigma_parts(F, ctx)

@@ -47,7 +47,7 @@ The module also owns the integer zeta-columns: ``split_terms`` writes a
 dict of scalars as phi(N) integer dicts over one common denominator,
 read straight off the stored numerators, and ``join_terms`` rebuilds one
 scalar per key. Maps whose coefficients are all in {-1, 0, 1} (the basis
-changes, the Sigma/rho expansions and the membership peel) run on those
+changes, the Sigma/rho expansions and membership) run on those
 integers in nsympeak.elements and nsympeak.peak.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as

@@ -1,9 +1,9 @@
 """Reference helpers that only the tests use.
 
 Each one restates something the library computes another way: the
-split poset's lower sets and the ribbon product rule on composition
-tuples (the library runs both on integer codes), the canonical order
-from descent sets, the
+split poset's lower sets, their sums one descent at a time and the
+ribbon product rule on composition tuples (the library runs them on
+integer codes), the canonical order from descent sets, the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
 form of position sets, the {-1, 0, 1} linear maps (S<->R, the
@@ -19,6 +19,7 @@ cyclotomic numbers as tuples of Fractions.
 """
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -55,6 +56,24 @@ def lower_set_by_parts(I, N=None):
             out = [J[:-1] + (J[-1] + p,) for J in out] + kept
         else:
             out = kept
+    return out
+
+
+def lower_sums_by_descents(values, N):
+    """Sum {I: v} over order-N lower sets on tuples, one descent at a
+    time: from the highest descent b down, each word with b adds its
+    value to the word with the two parts at b merged, when the part
+    ending at b is < N."""
+    out = dict(values)
+    n = sum(next(iter(values), ()))
+    for b in range(n - 1, 0, -1):
+        for W, v in list(out.items()):
+            ends = list(itertools.accumulate(W))
+            if b in ends[:-1]:
+                k = ends.index(b)
+                if W[k] < N:
+                    merged = W[:k] + (W[k] + W[k + 1],) + W[k + 2:]
+                    out[merged] = out.get(merged, 0) + v
     return out
 
 

@@ -140,13 +140,13 @@ def test_membership_capacity(capsys):
     ids=["expand", "theta"],
 )
 def test_out_of_memory_exits_4(capsys, monkeypatch, argv, fmt):
-    # The membership peel behind --to Sigma can outgrow the memory of an
-    # admitted request; that ends as a size limit does, not in a traceback.
-    def peel(*args):
+    # An admitted request can outgrow the memory; that ends as a size
+    # limit does, not in a traceback.
+    def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(peak, "membership", peel)
-    monkeypatch.setattr(cli, "membership", peel)
+    monkeypatch.setattr(peak, "membership", out_of_memory)
+    monkeypatch.setattr(cli, "membership", out_of_memory)
     rc, out, err = run(capsys, *argv, "--format", fmt)
     assert rc == 4
     assert out == ""

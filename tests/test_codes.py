@@ -1,7 +1,7 @@
 """The integer codes of words against tuple oracles: the round trip, the
-canonical and printed orders, the split poset's lower sets, and
-concatenation and gluing in products, exhaustively up to weight 10 and
-on Hypothesis draws up to weight 20."""
+canonical and printed orders, the split poset's lower sets and the
+inverse of their sums, and concatenation and gluing in products,
+exhaustively up to weight 10 and on Hypothesis draws up to weight 20."""
 
 import itertools
 
@@ -14,10 +14,16 @@ from nsympeak.compositions import (
     descent_set,
     encode,
     lower_codes,
+    lower_inverse,
     lower_set,
 )
 from nsympeak.elements import NsymElement, R, S, multiply, one, zero
-from oracles import canonical_order_key, lower_set_by_parts, ribbon_word_product
+from oracles import (
+    canonical_order_key,
+    lower_set_by_parts,
+    lower_sums_by_descents,
+    ribbon_word_product,
+)
 
 MAX_WEIGHT = 10
 WORDS = [I for n in range(MAX_WEIGHT + 1) for I in compositions_of(n)]
@@ -87,6 +93,16 @@ def test_lower_sets_every_word():
             assert lower_set_by_parts(I, N) == want
             assert [decode(J) for J in lower_codes(encode(I), N)] == want
             assert lower_set(I, N) == want
+
+
+def test_lower_sums_one_descent_at_a_time_every_word():
+    # The sum over a lower set factors into one step per descent, and
+    # lower_inverse undoes the sum.
+    for I in WORDS:
+        for N in ORDERS[1:]:
+            lower = lower_codes(encode(I), N)
+            assert lower_sums_by_descents({I: 1}, N) == {decode(J): 1 for J in lower}
+            assert lower_inverse(dict.fromkeys(lower, 1), N) == {encode(I): 1}
 
 
 def test_products_every_pair():

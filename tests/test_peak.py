@@ -59,6 +59,7 @@ from nsympeak.scalars import CyclotomicNumber, zeta
 from nsympeak.series import Theta, theta_q
 from oracles import (
     classical_peak_functions_filtered,
+    membership_per_term,
     s_to_r_per_term,
     sigma_from_rho,
 )
@@ -159,6 +160,18 @@ def test_membership_round_trip(ctx2, ctx3):
                 assert membership(elt, ctx) == coords
                 rho_coords = rho_membership(elt, ctx)
                 assert expand_rho_coords(rho_coords, ctx) == elt
+
+
+def test_membership_every_word():
+    # Exhaustive at weights <= 9: each Sigma_I solves to {I: 1}, and each
+    # ribbon gets the per-term oracle's answer, member or not.
+    for N in (2, 3, 4, 5):
+        ctx = PeakContext(N)
+        for n in range(10):
+            for I in ctx.G(n):
+                assert membership(sigma_basis(I, ctx), ctx) == {I: 1}
+            for K in compositions_of(n):
+                assert membership(R(*K), ctx) == membership_per_term(R(*K), ctx)
 
 
 def test_membership_detects_outside(ctx2):

@@ -173,6 +173,10 @@ def test_sigma_round_trip(projection):
     coords = membership(x, ctx)
     assert coords is not None
     assert expand_sigma_coords(coords, ctx) == x
+    # pi_N is the identity on the span, so each Sigma coordinate is the
+    # S-word coefficient of the same index.
+    S_terms = x.to_basis("S").terms
+    assert coords == {V: c for V, c in S_terms.items() if ctx.in_G(V)}
 
 
 @PROPERTY
