@@ -25,25 +25,27 @@ composition in G to its scalar, since Sigma and rho are not storage
 bases of NsymElement; ``expand_sigma_coords``, ``expand_rho_coords``
 and ``expand_T_coords`` turn them back into ribbon-basis elements. Every
 Sigma, rho, rho(t), T and pi_N expansion is a set of Sigma coordinates
-handed to ``expand_sigma_coords``, which adds each coordinate over its
-lower set in one pass; rho coordinates move to Sigma coordinates first,
-T coordinates along the block bijection (T_K = Sigma_{epsilon^-1(K)}).
+whose ribbons are summed over their lower sets in one pass; rho
+coordinates move to Sigma coordinates first, T coordinates along the
+block bijection (T_K = Sigma_{epsilon^-1(K)}). A coordinate that is not
+a scalar (a float, a string) raises the TypeError of ``NsymElement``.
 
 Those expansions, membership and the rho push-forward all have
 coefficients in {-1, 0, 1}, so they run on the integer zeta-columns of
 the scalars module: ``split_terms`` once on the way in, on each column
 integer adds over the lower sets (``elements.lower_sums``) or, for
 membership, their inverse (``compositions.lower_inverse``), and
-``join_terms`` once per output word on the way out. An element heavier
+``join_terms`` once on the way out. An element heavier
 than MAX_MEMBERSHIP_WEIGHT is refused before membership starts, through
 the scalars module's ``check_limit``.
 
 Like the elements, every map here runs on word codes (see the
 compositions module): a PeakContext keeps the lower sets and the G test
 on codes. Coordinate dicts, in and out, are keyed by composition tuples,
-the public spelling: the expansions encode their coordinates once,
-membership decodes its answer once, and pi_N and the rho(t) bases hand
-decoded coordinates to ``expand_sigma_coords``.
+the public spelling: the expansions check and encode their coordinates
+in one pass and membership decodes its answer once. pi_N and the rho(t)
+bases already hold codes, and hand them straight to the one Sigma
+expansion on codes that ``expand_sigma_coords`` also ends in.
 The closed decompositions and their statistics work on tuples.
 """
 
@@ -76,6 +78,7 @@ from .compositions import (
 from .elements import (
     NsymElement,
     R,
+    _as_scalar,
     linear_combination,
     lower_sums,
     multiply,
@@ -179,11 +182,8 @@ def _rho_t(I, t, ctx, sign):
     """Sum of t^(l(I) + sign*l(J)) Sigma_J over the J in G below I."""
     I = _require_G(I, ctx)
     li = I.bit_count()
-    return expand_sigma_coords(
-        {
-            decode(J): scalar_pow(t, li + sign * J.bit_count())
-            for J in ctx._lower_in_G(I)
-        },
+    return _expand_sigma(
+        {J: scalar_pow(t, li + sign * J.bit_count()) for J in ctx._lower_in_G(I)},
         ctx,
     )
 
@@ -223,20 +223,26 @@ def T_basis(K, ctx):
     return out
 
 
-def _split_G(coords, ctx):
-    """split_terms of the coordinates, keyed by the codes of their words."""
-    return split_terms({_require_G(J, ctx): c for J, c in coords.items()})
+def _G_codes(coords, ctx):
+    """{code: scalar} for the coordinates {J: c}: each J checked to be in
+    G and encoded, each c checked to be a scalar (TypeError otherwise)."""
+    return {_require_G(J, ctx): _as_scalar(c) for J, c in coords.items()}
 
 
 def _decoded(codes):
     return {decode(J): c for J, c in codes.items()}
 
 
-def expand_sigma_coords(coords, ctx):
-    """Turn {J: c} Sigma-coordinates into a ribbon-basis element."""
-    N, den, parts = _split_G(coords, ctx)
+def _expand_sigma(codes, ctx):
+    """The ribbon-basis element of the Sigma-coordinates {code: scalar}."""
+    N, den, parts = split_terms(codes)
     parts = lower_sums(parts, ctx._lower_codes)
     return NsymElement._trusted("R", join_terms(N, den, parts))
+
+
+def expand_sigma_coords(coords, ctx):
+    """Turn {J: c} Sigma-coordinates into a ribbon-basis element."""
+    return _expand_sigma(_G_codes(coords, ctx), ctx)
 
 
 def expand_rho_coords(coords, ctx):
@@ -245,7 +251,7 @@ def expand_rho_coords(coords, ctx):
     rho_I is the sum of (-1)^(l(I)-l(J)) Sigma_J over the J in G below
     I, so the coordinates move to the Sigma family first.
     """
-    N, den, parts = _split_G(coords, ctx)
+    N, den, parts = split_terms(_G_codes(coords, ctx))
     parts = lower_sums(lower_sums(parts, ctx._lower_in_G, True), ctx._lower_codes)
     return NsymElement._trusted("R", join_terms(N, den, parts))
 
@@ -267,9 +273,8 @@ def expand_T_coords(coords, ctx):
 
 def pi_N(F, ctx):
     """Send S^I to Sigma_I when I is in G, to zero otherwise, linearly."""
-    return expand_sigma_coords(
-        {decode(I): c for I, c in F.to_basis("S").codes.items() if ctx._in_G(I)},
-        ctx,
+    return _expand_sigma(
+        {I: c for I, c in F.to_basis("S").codes.items() if ctx._in_G(I)}, ctx
     )
 
 

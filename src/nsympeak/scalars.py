@@ -43,12 +43,16 @@ class has no public constructor and serves isinstance checks. Mixing two
 irrational values of different conductors raises the conductor-mismatch
 ValueError of ``conductor``; there is no automatic conductor lifting.
 
-The module also owns the integer zeta-columns: ``split_terms`` writes a
-dict of scalars as phi(N) integer dicts over one common denominator,
-read straight off the stored numerators, and ``join_terms`` rebuilds one
-scalar per key. Maps whose coefficients are all in {-1, 0, 1} (the basis
-changes, the Sigma/rho expansions and membership) run on those
-integers in nsympeak.elements and nsympeak.peak.
+The module also owns the integer zeta-columns: ``split_terms`` finds the
+conductor and the common denominator of a dict of scalars in one pass
+and writes it as phi(N) integer dicts over that denominator, read
+straight off the stored numerators, and ``join_terms`` rebuilds one
+scalar per key. Over Q there is one dict: a plain copy of the values
+when they are all integers, and on the way back each value is
+``_rational(v, den)``, with no per-key list and no ``_demoted``. Maps
+whose coefficients are all in {-1, 0, 1} (the basis changes, the
+Sigma/rho expansions and membership) run on those integers in
+nsympeak.elements and nsympeak.peak.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as
 polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
@@ -410,17 +414,26 @@ def conductor(values):
 def split_terms(terms):
     """Write {key: scalar} as integer zeta-columns: (N, den, parts).
 
-    N is the conductor (None when every value is rational), den the least
-    common denominator of all the values, and parts[k] maps each key to
-    den times the zeta^k coordinate of its scalar, zeros left out; there
-    are phi(N) parts, or one over Q. A cyclotomic value's numerators are
-    read as they are stored, scaled when its den is not the common one.
+    N is the conductor (None when every value is rational) and den the
+    least common denominator of all the values, both found in one pass;
+    parts[k] maps each key to den times the zeta^k coordinate of its
+    scalar, zeros left out; there are phi(N) parts, or one over Q. When
+    every value is an integer that one part is a plain copy of terms,
+    zero values kept. A cyclotomic value's numerators are read as they
+    are stored, scaled when its den is not the common one.
     """
-    N = conductor(terms.values())
-    den = math.lcm(*{
-        c.den if isinstance(c, CyclotomicNumber) else c.denominator
-        for c in terms.values()
-    })
+    N, den = None, 1
+    for c in terms.values():
+        if isinstance(c, CyclotomicNumber):
+            if c.N != N:  # conductor raises on a second one
+                N = c.N if N is None else conductor(terms.values())
+            d = c.den
+        else:
+            d = c.denominator
+        if den % d:
+            den = math.lcm(den, d)
+    if N is None and den == 1:
+        return None, 1, [dict(terms)]
     parts = [{} for _ in range(euler_phi(N) if N else 1)]
     for key, c in terms.items():
         if isinstance(c, CyclotomicNumber):
@@ -436,9 +449,12 @@ def split_terms(terms):
 def join_terms(N, den, parts):
     """Inverse of split_terms: {key: scalar}, keys that cancelled dropped.
 
-    Each key's scalar is its column of the parts over den, reduced by
-    one gcd (a rational over Q, where N is None and there is one part).
+    Over Q (N None, one part) each value is ``_rational(v, den)``, an
+    int when den divides it; otherwise each key's scalar is its column
+    of the parts over den, reduced by one gcd (``_demoted``).
     """
+    if N is None:
+        return {key: _rational(v, den) for key, v in parts[0].items() if v}
     out = {}
     for key in dict.fromkeys(chain.from_iterable(parts)):
         vs = [part.get(key, 0) for part in parts]

@@ -3,8 +3,17 @@
 Every test prints a single CRITERION line so the run log doubles as the
 acceptance report. Bounds are wall-clock seconds on a commodity machine;
 the full file is expected to stay under five minutes.
+
+Each verify suite runs once, at its default scale with ``--format json``,
+and its report must match its line in ``verify_reports.jsonl`` byte for
+byte. The same file is diffed against the installed ``nsympeak`` entry
+point in CI.
 """
 
+import contextlib
+import io
+import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -44,8 +53,22 @@ def _criterion(num, bound_seconds, fn):
     )
 
 
-def _verify(suite, *argv):
-    assert cli.main(["verify", suite, *argv]) == 0, f"suite {suite} failed"
+REPORTS = {
+    json.loads(line)["suite"]: line
+    for line in (pathlib.Path(__file__).parent / "verify_reports.jsonl")
+    .read_text()
+    .splitlines(keepends=True)
+}
+
+
+def _verify(suite):
+    """Run one suite, check its pinned report, and return the report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", suite, "--format", "json"])
+    assert code == 0, f"suite {suite} failed"
+    assert out.getvalue() == REPORTS[suite], f"suite {suite} report changed"
+    return out.getvalue()
 
 
 def test_criterion_1_worked_examples():
@@ -137,11 +160,10 @@ def test_criterion_8_transform_identities():
     _criterion(8, 60, lambda: _verify("theta1-psi"))
 
 
-def test_criterion_9_decompositions(capsys):
+def test_criterion_9_decompositions():
     def check():
         for suite in ("decomp-S", "decomp-R", "decomp-S-rho", "decomp-R-rho"):
-            _verify(suite)
-            out = capsys.readouterr().out
+            out = _verify(suite)
             assert "adopted reading" in out, f"{suite} did not print a reading"
 
     _criterion(9, 120, check)
@@ -177,3 +199,7 @@ def test_criterion_13_part_count():
                 assert part_count(n, i) == brute
 
     _criterion(13, 5, check)
+
+
+def test_pinned_reports_cover_every_suite():
+    assert sorted(REPORTS) == sorted(cli.SUITES)

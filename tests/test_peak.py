@@ -239,6 +239,17 @@ def test_expand_T_coords(ctx3):
         expand_T_coords({(3,): 1}, ctx3)
 
 
+@pytest.mark.parametrize("expand", [
+    expand_sigma_coords, expand_rho_coords, expand_T_coords,
+])
+@pytest.mark.parametrize("coeff", [0.5, 2.0, "x"])
+def test_expand_refuses_non_scalar_coefficients(ctx3, expand, coeff):
+    # As NsymElement does: a float is never read as an exact scalar.
+    name = type(coeff).__name__
+    with pytest.raises(TypeError, match=f"unsupported coefficient type: {name}"):
+        expand({(1,): coeff}, ctx3)
+
+
 def test_T_membership(ctx3):
     sig = sigma_basis((3, 1), ctx3)
     assert T_membership(sig, ctx3) == {(4,): 1}

@@ -1,8 +1,9 @@
 """Property tests: the scalar field axioms, the integer-numerator scalars
-against the Fraction-tuple oracle, the text and JSON round trips,
-one-pass linear combinations, the peak round trips and the {-1, 0, 1}
-linear maps against their per-term oracles, and the transform against
-its S-word chain, with every coefficient on the way an exact scalar."""
+against the Fraction-tuple oracle, the integer zeta-column round trip,
+the text and JSON round trips, one-pass linear combinations, the peak
+round trips and the {-1, 0, 1} linear maps against their per-term
+oracles, and the transform against its S-word chain, with every
+coefficient on the way an exact scalar."""
 
 import json
 import math
@@ -42,6 +43,7 @@ from nsympeak.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     is_rational,
+    join_terms,
     make_cyclotomic,
     scalar_from_json,
     scalar_from_text,
@@ -49,6 +51,7 @@ from nsympeak.scalars import (
     scalar_pow,
     scalar_to_json,
     scalar_to_text,
+    split_terms,
     zeta,
 )
 from nsympeak.textforms import (
@@ -298,6 +301,33 @@ def _agrees(got, want, N, made_here=True):
         assert type(got) in (int, Fraction)
     assert is_rational(got) or type(want) is FractionCyclotomic
     assert _coordinates(got, N) == _coordinates(want, N)
+
+
+@st.composite
+def column_terms(draw):
+    """{key: scalar} of ints, Fractions and zeros, and for one conductor
+    among 3, 4, 5 and 12 (or none) values of Q(zeta_N) among them."""
+    N = draw(st.sampled_from((None, 3, 4, 5, 12)))
+    values = fractions.map(lambda f: f.numerator if f.denominator == 1 else f)
+    if N is not None:
+        values = st.one_of(values, scalars(N))
+    return draw(st.dictionaries(st.integers(0, 40), values, max_size=8))
+
+
+@PROPERTY
+@given(column_terms())
+def test_split_join_round_trip(terms):
+    N, den, parts = split_terms(terms)
+    assert N == next(
+        (c.N for c in terms.values() if isinstance(c, CyclotomicNumber)), None
+    )
+    assert type(den) is int and den >= 1
+    assert len(parts) == (euler_phi(N) if N else 1)
+    assert all(type(v) is int for part in parts for v in part.values())
+    got = join_terms(N, den, parts)
+    assert got == {k: v for k, v in terms.items() if v}
+    for v in got.values():
+        _assert_canonical(v)
 
 
 @PROPERTY

@@ -12,6 +12,7 @@ from nsympeak.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     is_rational,
+    join_terms,
     make_cyclotomic,
     scalar_from_json,
     scalar_from_text,
@@ -19,6 +20,7 @@ from nsympeak.scalars import (
     scalar_pow,
     scalar_to_json,
     scalar_to_text,
+    split_terms,
     zeta,
     zeta_pow,
 )
@@ -179,3 +181,38 @@ def test_check_limit():
     with pytest.raises(CapacityError, match="needs 18446744073709551615 terms"):
         check_limit((1 << 64) - 1, 5, "a request", "terms")
     check_limit(5, 5, "a request", "terms")
+
+
+def test_split_terms_over_Q():
+    terms = {5: 2, 3: -1, 9: 0}
+    N, den, parts = split_terms(terms)
+    assert (N, den, parts) == (None, 1, [terms])
+    assert parts[0] is not terms  # a copy: the maps may not touch the input
+    assert join_terms(N, den, parts) == {5: 2, 3: -1}
+    N, den, parts = split_terms({1: Fraction(1, 6), 2: Fraction(-3, 4), 4: 5})
+    assert (N, den, parts) == (None, 12, [{1: 2, 2: -9, 4: 60}])
+    assert split_terms({}) == (None, 1, [{}])
+    assert join_terms(None, 1, [{}]) == {}
+
+
+def test_split_terms_mixes_rationals_into_one_field():
+    z = zeta(5)
+    N, den, parts = split_terms({1: Fraction(1, 2), 2: z / 3, 3: -1})
+    assert (N, den) == (5, 6)
+    assert parts == [{1: 3, 3: -6}, {2: 2}, {}, {}]
+    got = join_terms(N, den, parts)
+    assert got == {1: Fraction(1, 2), 2: z / 3, 3: -1}
+    assert type(got[3]) is int
+
+
+@pytest.mark.parametrize("values, first, second", [
+    ((zeta(3), zeta(4)), 3, 4),
+    ((zeta(3), 1, Fraction(1, 2), zeta(3), zeta(4)), 3, 4),
+    ((Fraction(1, 3), zeta(12), zeta(5)), 12, 5),
+])
+def test_split_terms_refuses_two_conductors(values, first, second):
+    with pytest.raises(
+        ValueError,
+        match=rf"^conductor mismatch: {first} vs {second} \(no automatic lifting\)$",
+    ):
+        split_terms(dict(enumerate(values)))
