@@ -39,7 +39,8 @@ README tabulates what each limit counts.
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called
 repeatedly in one process, and it builds its parser once: the first call
-builds it and every later call reuses it.
+builds it and every later call reuses it.  A negative rational given
+to ``--q`` as its own token (``--q -1/2``) is read as ``--q=-1/2``.
 
 Verification scales default to the acceptance scales of the test suite;
 ``SUITES`` lists the flags each suite reads to override them, and any
@@ -49,6 +50,7 @@ other flag but ``--format`` is a usage error.
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -169,6 +171,9 @@ def _print_in_basis(element, target, N, fmt):
             f"element is outside the order-{N} span (no {target} coordinates)"
         )
     return _print_terms(target, coords, fmt)
+
+
+_NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
 
 
 def _parse_q(text, N):
@@ -796,6 +801,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--q" in argv:  # argparse takes a -1/2 after it for an option
+        for i in range(len(argv) - 1, 0, -1):
+            if argv[i - 1] == "--q" and _NEGATIVE_RATIONAL.fullmatch(argv[i]):
+                argv[i - 1 : i + 1] = [f"--q={argv[i]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -92,14 +92,15 @@ MAX_MEMBERSHIP_WEIGHT = 20
 
 
 class PeakContext:
-    """Caches for one order N: the G families and the poset lower sets.
+    """Caches for one order N: the G families, the poset lower sets and
+    the powers of zeta_N it has made (only those asked for, never all N).
 
     The public methods take and return composition tuples; the peak maps
     read the code versions (``_lower_codes``, ``_lower_in_G`` and
     ``_in_G``).
     """
 
-    __slots__ = ("N", "zeta", "_G", "_lower", "_lower_G", "_runs")
+    __slots__ = ("N", "zeta", "_G", "_lower", "_lower_G", "_runs", "_zeta_powers")
 
     def __init__(self, N):
         if N < 2:
@@ -113,6 +114,7 @@ class PeakContext:
         self._lower = {}
         self._lower_G = {}
         self._runs = ("0" * (N - 1), "0" * N)
+        self._zeta_powers = {}
 
     def G(self, n):
         got = self._G.get(n)
@@ -150,7 +152,12 @@ class PeakContext:
         return got
 
     def zeta_power(self, k):
-        return zeta_pow(self.N, k)
+        """zeta_N^k, made once per exponent k mod N and then kept."""
+        k %= self.N
+        got = self._zeta_powers.get(k)
+        if got is None:
+            got = self._zeta_powers[k] = zeta_pow(self.N, k)
+        return got
 
     def __repr__(self):
         return f"PeakContext(N={self.N})"

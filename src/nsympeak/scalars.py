@@ -13,9 +13,13 @@ A sum brings both vectors to one denominator, cross-multiplying only when
 the denominators differ. A product is the schoolbook product of the
 numerators folded back below degree phi(N) through the monic integer
 polynomial Phi_N, top degree first, over the product of the denominators.
-Either ends in one gcd. The inverse of a is the product of its other
-Galois conjugates sigma_k(a) (k prime to N, k != 1; sigma_k sends zeta to
-zeta^k) divided by the norm, a times that product, which is rational.
+Either ends in one gcd, skipped when the denominator is 1, where it
+cannot change anything. An int factor of 1 returns the operand itself,
+-1 its negation and 0 the int 0, with no rebuild; negation negates the
+numerators over the same den, a form that is already canonical. The
+inverse of a is the product of its other Galois conjugates sigma_k(a)
+(k prime to N, k != 1; sigma_k sends zeta to zeta^k) divided by the
+norm, a times that product, which is rational.
 Phi_N itself is the product of (x^d - 1)^mu(N/d) over the divisors d of N,
 built on ints; a conductor above MAX_CONDUCTOR = 2^18 is refused before
 it is factored. Fraction entries are made only to print (``coeffs``).
@@ -32,7 +36,8 @@ always irrational. Values come only from ``zeta``, ``zeta_pow``,
 readers and arithmetic; each of them makes a rational through
 ``_rational`` (an int when the denominator divides the numerator), and
 a cyclotomic result through ``_demoted``, which returns a rational when
-the coordinates above degree 0 vanish and reduces by one gcd otherwise.
+the coordinates above degree 0 vanish and reduces by one gcd otherwise
+(negation and the int factors above keep a stored form as it is).
 So equality and hashing compare the stored form, an instance is never
 zero, and the degenerate conductors N = 1 (zeta = 1) and N = 2
 (zeta = -1) collapse into Q. Python's own arithmetic on two rationals is
@@ -187,16 +192,24 @@ def _rational(p, q):
 def _demoted(N, nums, den):
     """The scalar nums/den (a list of ints over an int den > 0) built
     without validation: a rational (``_rational``) when nums[1:] vanish,
-    otherwise reduced by one gcd. Every CyclotomicNumber is made here."""
+    otherwise reduced by one gcd, taken only when den > 1 (over den 1
+    it is 1)."""
     if not any(nums[1:]):
         return _rational(nums[0], den)
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums = [v // g for v in nums]
-        den //= g
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    return _stored(N, tuple(nums), den)
+
+
+def _stored(N, nums, den):
+    """The CyclotomicNumber nums/den of a form already canonical (a
+    tuple, unchecked). Every CyclotomicNumber is made here."""
     x = object.__new__(CyclotomicNumber)
     x.N = N
-    x.nums = tuple(nums)
+    x.nums = nums
     x.den = den
     return x
 
@@ -264,7 +277,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return _demoted(self.N, [-v for v in self.nums], self.den)
+        return _stored(self.N, tuple(-v for v in self.nums), self.den)
 
     def __sub__(self, other):
         got = self._plus(other, -1)
@@ -278,6 +291,8 @@ class CyclotomicNumber:
         return _demoted(self.N, [-v for v in nums], den)
 
     def __mul__(self, other):
+        if type(other) is int and -1 <= other <= 1:
+            return self if other == 1 else -self if other else 0
         if isinstance(other, CyclotomicNumber):
             self._same_field(other)
             prod = _times(self.nums, other.nums)

@@ -481,6 +481,24 @@ def test_over_long_input_number(capsys, argv):
     assert "(at position " in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "S[3]", "--q", "-1/2"),
+        ("det-theta", "--n", "2", "--q", "-5/7"),
+        ("verify", "det", "--q", "-1/2"),
+        ("theta", "S[2,1]", "--q", "-3", "--to", "S"),
+    ],
+)
+def test_negative_q_as_its_own_token(capsys, argv):
+    # argparse takes "-1/2" for an option; it reads as --q=-1/2.
+    i = argv.index("--q")
+    joined = (*argv[:i], f"--q={argv[i + 1]}", *argv[i + 2:])
+    want = run(capsys, *joined)
+    assert want[0] == 0
+    assert run(capsys, *argv) == want
+
+
 @pytest.mark.parametrize("q", ["1e10000000", "0.5"])
 def test_q_is_one_rational(capsys, q):
     # No exponent or decimal forms: 10^10000000 is never built.

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsympeak import peak
 from nsympeak.compositions import (
     F_set,
     G_set,
@@ -55,7 +56,7 @@ from nsympeak.peak import (
     tangent_zeta_series,
     theta_minus1_ribbon_expansion,
 )
-from nsympeak.scalars import CyclotomicNumber, zeta
+from nsympeak.scalars import CyclotomicNumber, zeta, zeta_pow
 from nsympeak.series import Theta, theta_q
 from oracles import (
     classical_peak_functions_filtered,
@@ -80,6 +81,30 @@ def test_context_guards():
         PeakContext(1)
     with pytest.raises(ValueError):
         PeakContext(0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 12])
+def test_context_zeta_powers(N):
+    ctx = PeakContext(N)
+    for k in range(-2 * N, 2 * N):
+        assert ctx.zeta_power(k) == zeta_pow(N, k)
+
+
+def test_context_makes_only_the_zeta_powers_asked_for(monkeypatch):
+    # At a conductor near MAX_CONDUCTOR one power holds phi(N) ints, so
+    # a table of all N powers would not fit.
+    N = 262139
+    made = []
+
+    def counted(N, k):
+        made.append(k)
+        return zeta_pow(N, k)
+
+    monkeypatch.setattr(peak, "zeta_pow", counted)
+    ctx = PeakContext(N)
+    assert ctx.zeta_power(5) == zeta_pow(N, 5)
+    assert ctx.zeta_power(5 + N) is ctx.zeta_power(5 - 3 * N)
+    assert made == [5]
 
 
 def test_context_index_family(ctx2, ctx3):
