@@ -62,6 +62,7 @@ from .compositions import (
     epsilon,
     hilbert_dim,
     hilbert_dims,
+    lower_set,
     num_compositions,
     peak_compositions_of,
 )
@@ -395,7 +396,7 @@ def _suite_basis(notes, ns, max_n):
                 yield f"N={N} n={n}: |G| != dimension table"
             members = set(fam)
             for K in fam:
-                for J in ctx.lower(K):
+                for J in lower_set(K, N):
                     if J in members and J != K and len(J) >= len(K):
                         yield (
                             f"N={N}: triangularity broken at "
@@ -416,13 +417,12 @@ def _suite_basis(notes, ns, max_n):
 def _suite_product(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
+        sigma = {I: sigma_basis(I, ctx) for n in range(max_n + 1) for I in ctx.G(n)}
         for total in range(max_n + 1):
             for a in range(total + 1):
                 for I in ctx.G(a):
-                    si = sigma_basis(I, ctx)
                     for J in ctx.G(total - a):
-                        lhs = multiply(si, sigma_basis(J, ctx))
-                        if lhs != sigma_basis(I + J, ctx):
+                        if multiply(sigma[I], sigma[J]) != sigma[I + J]:
                             yield (
                                 f"N={N} I={composition_to_text(I)} "
                                 f"J={composition_to_text(J)}"
@@ -430,7 +430,7 @@ def _suite_product(notes, ns, max_n):
                         yield None
         for n in range(max_n + 1):
             for I in ctx.G(n):
-                if T_basis(epsilon(I, N), ctx) != sigma_basis(I, ctx):
+                if T_basis(epsilon(I, N), ctx) != sigma[I]:
                     yield f"N={N} I={composition_to_text(I)}: T identity"
                 yield None
 

@@ -24,23 +24,31 @@ alignment statistics used by the transform decomposition formulas.
 
 Lower sets of the split poset have a closed form: J lies below I iff D(J)
 is a subset of D(I) that keeps the descent after every part i_k >= N.
-``lower_codes`` enumerates them on codes, in canonical order: the forced
-bits (the top bit and the descents after a part >= N) OR'd with each
-submask of the free ones. With no N every descent is free, which gives
-the reverse-refinement interval {J : D(J) contained in D(I)} that the
-S/R basis change sums over. The tuple spellings ``lower_set`` and
-``compositions_of(n)`` (the interval below (1^n)) decode it.
-``lower_inverse`` inverts the sum of a dict of values over the order-N
-lower sets one descent at a time, by the same rule for which descents
-are free and with no lower set enumerated; the peak module solves for
-Sigma coordinates with it. The index families F and G and the peak
-compositions are built one unit at a time, a word dropped as soon as
-one of its finished parts leaves the family.
+With no N every descent is free, which gives the reverse-refinement
+interval {J : D(J) contained in D(I)} that the S/R basis change sums
+over. ``lower_codes`` enumerates the lower set of one word on codes, in
+canonical order: the forced bits (the top bit and the descents after a
+part >= N) OR'd with each submask of the free ones. The tuple spellings
+``lower_set`` and ``compositions_of(n)`` (the interval below (1^n))
+decode it. ``lower_forward`` sums a dict of values over the lower sets
+with none of them listed, one pass over the dict per position that some
+word holds, from the highest down (with N None, the fast zeta transform
+on descent sets), optionally signed and pruned to a family such as G;
+``lower_inverse`` runs the same steps from the lowest position up,
+subtracting. A word's weight adds no pass, only its descents do. One
+rule says which descents are free (``_near``), for the steps and for
+``lower_codes``.
+Every basis change, expansion, membership test and push-forward of the
+elements and peak modules is one of these two sums. The index families
+F and G and the peak compositions are built one unit at a time, a word
+dropped as soon as one of its finished parts leaves the family.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .scalars import check_limit
 
@@ -248,18 +256,14 @@ def lower_codes(code, N=None):
     from the lowest up, each time to every word so far, lists the codes
     in ascending order with no sort.
     """
-    free = code ^ (1 << code.bit_length() >> 1)
-    if N is not None:
-        # Descent d (bit d-1) is free when the part ending at d is < N,
-        # that is when a partial sum s, 0 included, has d-N < s < d: the
-        # partial sums (bit s) smeared up by 0 .. N-2 places reach bit d-1.
-        reach = min(N - 1, code.bit_length())
-        near, width = (code << 1 | 1) if reach > 0 else 0, 1
-        while width < reach:
-            step = min(width, reach - width)
-            near |= near << step
-            width += step
-        free &= near
+    free = 0
+    descents = code ^ (1 << code.bit_length() >> 1)
+    while descents:
+        bit = descents & -descents
+        s, m = _near(bit.bit_length(), N)
+        if code >> s & m:
+            free |= bit
+        descents ^= bit
     out = [code ^ free]
     while free:
         low = free & -free
@@ -268,29 +272,66 @@ def lower_codes(code, N=None):
     return out
 
 
-def lower_inverse(values, N):
-    """The inverse of summing over order-N lower sets: the {code: int} x
-    whose sum of x[I] over the I with J in lower_codes(I, N) is values[J]
-    for every J, zeros left out. The words are all of one weight.
+def _near(b, N):
+    """(s, m) with the descent b of a word W free, the part of W ending
+    at b being < N, iff ``W >> s & m``: iff a partial sum s', 0
+    included, has b-N < s' < b. Every word frees b when N is None or
+    b < N (s' = 0; then m = -1 and W holds bit b-1), and otherwise a
+    word with a bit among the N-1 just below bit b-1."""
+    return (0, -1) if N is None or b < N else (b - N, (1 << N - 1) - 1)
 
-    That sum is one step per descent b, from the highest down: every
-    word W with the descent b adds its value to W without it when the
-    part of W ending at b is < N. A step reads only the descents below
-    b, still those of the word it started from, so the steps drop
-    exactly the descents that lower_codes frees. Subtracting undoes a
-    step, so the inverse runs the steps from the lowest b up, subtracting.
-    """
-    out = dict(values)
-    n = next(iter(values), 0).bit_length()
-    for b in range(1, n):
-        bit = 1 << b - 1
-        # b is free when a partial sum s of W has b-N < s < b: 0 when
-        # b < N, else a bit among the N-1 just below bit b-1.
-        near = -1 if b < N else (1 << N - 1) - 1 << b - N
-        for W, v in [(W, v) for W, v in out.items() if v and W & bit and W & near]:
+
+def _lower_steps(values, N, sign, up, keep=None):
+    """Run the descent steps on a copy of the {code: int} values, one
+    step per position b that some word holds below the heaviest top
+    bit, from the highest down (from the lowest up if up): every word W
+    with the descent b (a set bit b-1 that is not its top bit, so the
+    words may have any weights) adds sign times its value to W without
+    b when b is free in W (``_near``). A step only clears bits, so no
+    word made holds a position that no word held at the start, and the
+    steps follow the positions held, not the weight. A word that keep
+    refuses is dropped, from values or as soon as it is made. Zeros are
+    left out of the result."""
+    out = {W: v for W, v in values.items() if keep(W)} if keep else dict(values)
+    held = functools.reduce(operator.or_, out, 0)
+    held ^= 1 << held.bit_length() >> 1  # the top bit of the heaviest word
+    while held:
+        bit = held & -held if up else 1 << held.bit_length() - 1
+        held ^= bit
+        b = bit.bit_length()
+        s, m = _near(b, N)
+        near, above = m << s, bit << 1
+        for W, v in [(W, v) for W, v in out.items() if v and W & bit and W >= above and W & near]:
             J = W ^ bit
-            out[J] = out.get(J, 0) - v
+            if keep is None or J in out or keep(J):
+                out[J] = out.get(J, 0) + sign * v
     return {W: v for W, v in out.items() if v}
+
+
+def lower_forward(values, N=None, sign=1, keep=None):
+    """The sum over order-N lower sets of the {code: int} values: the
+    dict y with y[J] the sum of sign^(l(I)-l(J)) values[I] over the I
+    with J in lower_codes(I, N), zeros left out. With keep, the sum runs
+    only over the J that keep accepts, and keep must refuse every word
+    below a refused one (as for the G family: a word finer than a word
+    in G is in G), so a refused word of values adds to no J.
+
+    The sum is one step per descent b, from the highest down: a step
+    reads only the descents below b, still those of the word it started
+    from, so the steps drop exactly the descents that lower_codes frees,
+    and each J below I is reached once, one merge per step. With N None
+    this is the fast zeta transform on the lattice of descent sets.
+    """
+    return _lower_steps(values, N, sign, False, keep)
+
+
+def lower_inverse(values, N):
+    """The inverse of ``lower_forward(x, N)``: the {code: int} x whose
+    sum over the lower sets is ``values``, zeros left out. Subtracting
+    undoes a step, so the inverse runs the steps from the lowest
+    descent up, subtracting.
+    """
+    return _lower_steps(values, N, -1, True)
 
 
 def lower_set(I, N=None):

@@ -28,8 +28,12 @@ ValueError. That is what lets the maps whose coefficients are all in
 membership in the peak module) run on integers. Such a map commutes
 with taking the zeta-coordinates of a Q(zeta_N) coefficient, so the
 coefficients are written once as the scalars module's integer
-zeta-columns (``split_terms``), ``lower_sums`` runs the map on each
-column, and ``join_terms`` rebuilds one scalar per output word.
+zeta-columns (``split_terms``), the map runs on each column as integer
+adds, and ``join_terms`` rebuilds one scalar per output word. A basis
+change is ``compositions.lower_forward`` with no N, signed for R to S:
+one pass over the column per position some word holds, so a dense
+element converts quickly and one long word costs more than listing its
+2^(l-1) words.
 
 A basis change first counts its 2^(l(I)-1) words per word I and is
 refused above MAX_EXPANSION_TERMS by ``check_expansion``, which goes
@@ -41,14 +45,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
 
 from .compositions import (
     check_composition,
     code_display_key,
     decode,
     encode,
-    lower_codes,
+    lower_forward,
     num_compositions,
 )
 from .scalars import (
@@ -256,37 +259,6 @@ def _coeff_text(coeff, word):
 
 
 # ---------------------------------------------------------------------------
-# maps on integer zeta-columns
-
-
-def lower_sums(parts, lower, signed=False):
-    """Push each integer part {I: v} forward to {J: sum of +-v} over J in
-    lower(I), I and J word codes.
-
-    The sign is (-1)^(l(I) - l(J)) when signed, + otherwise. That is
-    (-1)^l(I) (-1)^l(J), the lengths being the bits of the codes, so a
-    signed sum negates the odd-length words on the way in and on the way
-    out. lower(I) is computed once per word for all the parts.
-    """
-    if signed:
-        parts = [_odd_negated(part) for part in parts]
-    outs = [{} for _ in parts]
-    for I in dict.fromkeys(chain.from_iterable(parts)):
-        lower_I = lower(I)
-        for part, out in zip(parts, outs):
-            v = part.get(I)
-            if v:
-                get = out.get
-                for J in lower_I:
-                    out[J] = get(J, 0) + v
-    return [_odd_negated(out) for out in outs] if signed else outs
-
-
-def _odd_negated(part):
-    return {I: -v if I.bit_count() & 1 else v for I, v in part.items()}
-
-
-# ---------------------------------------------------------------------------
 # linear combinations
 
 
@@ -359,23 +331,23 @@ def s_to_r(F):
     """Expand S words into ribbons: S^I = sum of R_J over J coarser than I."""
     if F.basis != "S":
         raise ValueError(f"expected an S-basis element, got basis {F.basis!r}")
-    return _change_basis(F, "R", False)
+    return _change_basis(F, "R", 1)
 
 
 def r_to_s(F):
     """Expand ribbons into S words by the alternating triangular sum."""
     if F.basis != "R":
         raise ValueError(f"expected an R-basis element, got basis {F.basis!r}")
-    return _change_basis(F, "S", True)
+    return _change_basis(F, "S", -1)
 
 
-def _change_basis(F, basis, signed):
+def _change_basis(F, basis, sign):
     # Each word I has one coarsening per composition of its length l(I).
     check_expansion(
         sum(num_compositions(I.bit_count()) for I in F.codes), "basis change"
     )
     N, den, parts = split_terms(F.codes)
-    parts = lower_sums(parts, lower_codes, signed)
+    parts = [lower_forward(part, None, sign) for part in parts]
     return NsymElement._trusted(basis, join_terms(N, den, parts))
 
 

@@ -25,7 +25,7 @@ composition in G to its scalar, since Sigma and rho are not storage
 bases of NsymElement; ``expand_sigma_coords``, ``expand_rho_coords``
 and ``expand_T_coords`` turn them back into ribbon-basis elements. Every
 Sigma, rho, rho(t), T and pi_N expansion is a set of Sigma coordinates
-whose ribbons are summed over their lower sets in one pass; rho
+whose ribbons are summed over their lower sets; rho
 coordinates move to Sigma coordinates first, T coordinates along the
 block bijection (T_K = Sigma_{epsilon^-1(K)}). A coordinate that is not
 a scalar (a float, a string) raises the TypeError of ``NsymElement``.
@@ -33,16 +33,20 @@ a scalar (a float, a string) raises the TypeError of ``NsymElement``.
 Those expansions, membership and the rho push-forward all have
 coefficients in {-1, 0, 1}, so they run on the integer zeta-columns of
 the scalars module: ``split_terms`` once on the way in, on each column
-integer adds over the lower sets (``elements.lower_sums``) or, for
-membership, their inverse (``compositions.lower_inverse``), and
-``join_terms`` once on the way out. An element heavier
-than MAX_MEMBERSHIP_WEIGHT is refused before membership starts, through
-the scalars module's ``check_limit``.
+the sum over the order-N lower sets one descent at a time
+(``compositions.lower_forward``) or, for membership, its inverse
+(``compositions.lower_inverse``), and ``join_terms`` once on the way
+out. The rho maps prune the forward steps to G: a word coarser than one
+outside G is outside G, so a step that leaves G is dropped at once and
+no lower set is listed. A single Sigma or rho(t) word lists its lower
+set (``compositions.lower_codes``). An element heavier than
+MAX_MEMBERSHIP_WEIGHT is refused before membership starts, through the
+scalars module's ``check_limit``.
 
 Like the elements, every map here runs on word codes (see the
-compositions module): a PeakContext keeps the lower sets and the G test
-on codes. Coordinate dicts, in and out, are keyed by composition tuples,
-the public spelling: the expansions check and encode their coordinates
+compositions module): a PeakContext tests G on codes (``_in_G``).
+Coordinate dicts, in and out, are keyed by composition tuples, the
+public spelling: the expansions check and encode their coordinates
 in one pass and membership decodes its answer once. pi_N and the rho(t)
 bases already hold codes, and hand them straight to the one Sigma
 expansion on codes that ``expand_sigma_coords`` also ends in.
@@ -71,6 +75,7 @@ from .compositions import (
     is_in_G,
     is_valid_peak_set,
     lower_codes,
+    lower_forward,
     lower_inverse,
     lower_set,
     peak_set_of_composition,
@@ -80,7 +85,6 @@ from .elements import (
     R,
     _as_scalar,
     linear_combination,
-    lower_sums,
     multiply,
     one,
 )
@@ -92,15 +96,14 @@ MAX_MEMBERSHIP_WEIGHT = 20
 
 
 class PeakContext:
-    """Caches for one order N: the G families, the poset lower sets and
-    the powers of zeta_N it has made (only those asked for, never all N).
+    """Caches for one order N: the G families and the powers of zeta_N
+    it has made (only those asked for, never all N).
 
     The public methods take and return composition tuples; the peak maps
-    read the code versions (``_lower_codes``, ``_lower_in_G`` and
-    ``_in_G``).
+    read the G test on codes, ``_in_G``.
     """
 
-    __slots__ = ("N", "zeta", "_G", "_lower", "_lower_G", "_runs", "_zeta_powers")
+    __slots__ = ("N", "zeta", "_G", "_runs", "_zeta_powers")
 
     def __init__(self, N):
         if N < 2:
@@ -111,8 +114,6 @@ class PeakContext:
         self.N = N
         self.zeta = zeta(N)
         self._G = {}
-        self._lower = {}
-        self._lower_G = {}
         self._runs = ("0" * (N - 1), "0" * N)
         self._zeta_powers = {}
 
@@ -121,16 +122,6 @@ class PeakContext:
         if got is None:
             got = tuple(G_set(n, self.N))
             self._G[n] = got
-        return got
-
-    def lower(self, I):
-        return tuple(map(decode, self._lower_codes(encode(I))))
-
-    def _lower_codes(self, code):
-        got = self._lower.get(code)
-        if got is None:
-            got = lower_codes(code, self.N)
-            self._lower[code] = got
         return got
 
     def in_G(self, I):
@@ -143,13 +134,6 @@ class PeakContext:
         last, run = self._runs
         bits = bin(code)[3:]
         return not (bits.startswith(last) or run in bits)
-
-    def _lower_in_G(self, code):
-        got = self._lower_G.get(code)
-        if got is None:
-            got = [J for J in self._lower_codes(code) if self._in_G(J)]
-            self._lower_G[code] = got
-        return got
 
     def zeta_power(self, k):
         """zeta_N^k, made once per exponent k mod N and then kept."""
@@ -181,7 +165,7 @@ def _require_G(I, ctx):
 
 def sigma_basis(I, ctx):
     """Sigma_I: the sum of R_J over the lower set of I in the split poset."""
-    lower = ctx._lower_codes(_require_G(I, ctx))
+    lower = lower_codes(_require_G(I, ctx), ctx.N)
     return NsymElement._trusted("R", dict.fromkeys(lower, 1))
 
 
@@ -190,7 +174,11 @@ def _rho_t(I, t, ctx, sign):
     I = _require_G(I, ctx)
     li = I.bit_count()
     return _expand_sigma(
-        {J: scalar_pow(t, li + sign * J.bit_count()) for J in ctx._lower_in_G(I)},
+        {
+            J: scalar_pow(t, li + sign * J.bit_count())
+            for J in lower_codes(I, ctx.N)
+            if ctx._in_G(J)
+        },
         ctx,
     )
 
@@ -243,7 +231,7 @@ def _decoded(codes):
 def _expand_sigma(codes, ctx):
     """The ribbon-basis element of the Sigma-coordinates {code: scalar}."""
     N, den, parts = split_terms(codes)
-    parts = lower_sums(parts, ctx._lower_codes)
+    parts = [lower_forward(part, ctx.N) for part in parts]
     return NsymElement._trusted("R", join_terms(N, den, parts))
 
 
@@ -256,10 +244,14 @@ def expand_rho_coords(coords, ctx):
     """Turn {J: c} rho-coordinates into a ribbon-basis element.
 
     rho_I is the sum of (-1)^(l(I)-l(J)) Sigma_J over the J in G below
-    I, so the coordinates move to the Sigma family first.
+    I, so the coordinates move to the Sigma family first: a signed
+    forward sum pruned to G.
     """
     N, den, parts = split_terms(_G_codes(coords, ctx))
-    parts = lower_sums(lower_sums(parts, ctx._lower_in_G, True), ctx._lower_codes)
+    parts = [
+        lower_forward(lower_forward(part, ctx.N, -1, ctx._in_G), ctx.N)
+        for part in parts
+    ]
     return NsymElement._trusted("R", join_terms(N, den, parts))
 
 
@@ -317,13 +309,15 @@ def rho_membership(F, ctx):
     """Coordinates of F in the rho family, or None when outside.
 
     Each Sigma_I is the sign-free sum of rho_J over the J in G below I,
-    so the Sigma coordinates push forward by summing over lower sets.
+    so the Sigma coordinates push forward by the forward sum over the
+    lower sets, pruned to G.
     """
     got = _sigma_parts(F, ctx)
     if got is None:
         return None
     N, den, parts = got
-    return _decoded(join_terms(N, den, lower_sums(parts, ctx._lower_in_G)))
+    parts = [lower_forward(part, ctx.N, keep=ctx._in_G) for part in parts]
+    return _decoded(join_terms(N, den, parts))
 
 
 def T_membership(F, ctx):
@@ -659,15 +653,15 @@ def morphism_check(ctx, n_max):
     ok = True
     counterexample = None
     failure = None
+    words = {I: NsymElement("S", {I: 1}) for n in range(n_max + 1) for I in compositions_of(n)}
+    images = {I: pi_N(word, ctx) for I, word in words.items()}
     for total in range(n_max + 1):
         for a in range(total + 1):
             for I in compositions_of(a):
-                left = NsymElement("S", {I: 1})
                 left_in_ideal = bool(I) and I[-1] % N != 0
                 for J in compositions_of(total - a):
-                    right = NsymElement("S", {J: 1})
-                    lhs = pi_N(multiply(left, right), ctx)
-                    rhs = multiply(pi_N(left, ctx), pi_N(right, ctx))
+                    lhs = pi_N(multiply(words[I], words[J]), ctx)
+                    rhs = multiply(images[I], images[J])
                     if left_in_ideal:
                         if lhs != rhs:
                             ok = False

@@ -1,21 +1,22 @@
 """Reference helpers that only the tests use.
 
 Each one restates something the library computes another way: the
-split poset's lower sets, their sums one descent at a time and the
+split poset's lower sets, sums over them listed part by part and the
 ribbon product rule on composition tuples (the library runs them on
 integer codes), the canonical order from descent sets, the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
 form of position sets, the {-1, 0, 1} linear maps (S<->R, the
 Sigma/rho expansions and membership) with one scalar add per term
-instead of integer zeta-components, the transform's dense matrix on
-one weight with its determinant by Gaussian elimination, the
-transform itself as one product of S-basis generator images per S
-word, the
-classical peak functions by filtering every ribbon by its peak set,
-the index families F and G and the peak compositions by filtering
-every composition of n, Phi_N by dividing x^N - 1 by Phi_d for every proper divisor d, and
-cyclotomic numbers as tuples of Fractions.
+over lower sets listed part by part (``lower_set_by_parts``), instead
+of integer zeta-columns summed one descent at a time, the transform's
+dense matrix on one weight with its determinant by Gaussian
+elimination, the transform itself as one product of S-basis generator
+images per S word, the classical peak functions by filtering every
+ribbon by its peak set, the index families F and G and the peak
+compositions by filtering every composition of n, Phi_N by dividing
+x^N - 1 by Phi_d for every proper divisor d, and cyclotomic numbers as
+tuples of Fractions.
 """
 
 import functools
@@ -59,22 +60,16 @@ def lower_set_by_parts(I, N=None):
     return out
 
 
-def lower_sums_by_descents(values, N):
-    """Sum {I: v} over order-N lower sets on tuples, one descent at a
-    time: from the highest descent b down, each word with b adds its
-    value to the word with the two parts at b merged, when the part
-    ending at b is < N."""
-    out = dict(values)
-    n = sum(next(iter(values), ()))
-    for b in range(n - 1, 0, -1):
-        for W, v in list(out.items()):
-            ends = list(itertools.accumulate(W))
-            if b in ends[:-1]:
-                k = ends.index(b)
-                if W[k] < N:
-                    merged = W[:k] + (W[k] + W[k + 1],) + W[k + 2:]
-                    out[merged] = out.get(merged, 0) + v
-    return out
+def lower_sums_by_parts(values, N=None, sign=1, keep=None):
+    """Sum {I: v} over order-N lower sets listed by ``lower_set_by_parts``:
+    each I adds sign^(l(I)-l(J)) v to every J below it that keep accepts
+    (every J when keep is None), zeros left out."""
+    out = {}
+    for I, v in values.items():
+        for J in lower_set_by_parts(I, N):
+            if keep is None or keep(J):
+                out[J] = out.get(J, 0) + sign ** (len(I) - len(J)) * v
+    return {J: v for J, v in out.items() if v}
 
 
 def ribbon_word_product(I, J):
@@ -146,9 +141,8 @@ def sigma_from_rho(I, ctx):
     """Rebuild Sigma_I as the sign-free sum of rho_J over J in G below I."""
     if not ctx.in_G(I):
         raise ValueError(f"{I} is not in the order-{ctx.N} index family")
-    return expand_rho_coords(
-        {J: Fraction(1) for J in ctx.lower(I) if ctx.in_G(J)}, ctx
-    )
+    lower = lower_set_by_parts(I, ctx.N)
+    return expand_rho_coords({J: Fraction(1) for J in lower if ctx.in_G(J)}, ctx)
 
 
 def positions_to_text(positions):
@@ -176,7 +170,7 @@ def s_to_r_per_term(F):
     """S^I = sum of R_J over J coarser than I, term by term."""
     out = {}
     for I, coeff in F.terms.items():
-        for J in lower_set(I):
+        for J in lower_set_by_parts(I):
             add_term(out, J, coeff)
     return NsymElement("R", out)
 
@@ -187,7 +181,7 @@ def r_to_s_per_term(F):
     for I, coeff in F.terms.items():
         li = len(I)
         neg = -coeff
-        for J in lower_set(I):
+        for J in lower_set_by_parts(I):
             add_term(out, J, neg if (li - len(J)) % 2 else coeff)
     return NsymElement("S", out)
 
@@ -195,7 +189,7 @@ def r_to_s_per_term(F):
 def expand_sigma_per_term(coords, ctx):
     terms = {}
     for J, c in coords.items():
-        for K in ctx.lower(J):
+        for K in lower_set_by_parts(J, ctx.N):
             add_term(terms, K, c)
     return NsymElement("R", terms)
 
@@ -205,7 +199,7 @@ def expand_rho_per_term(coords, ctx):
     for I, c in coords.items():
         li = len(I)
         neg = -c
-        for J in ctx.lower(I):
+        for J in lower_set_by_parts(I, ctx.N):
             if ctx.in_G(J):
                 add_term(sig, J, neg if (li - len(J)) % 2 else c)
     return expand_sigma_per_term(sig, ctx)
@@ -223,7 +217,7 @@ def membership_per_term(F, ctx):
                 continue
             coords[J] = c
             neg = -c
-            for K in ctx.lower(J):
+            for K in lower_set_by_parts(J, ctx.N):
                 add_term(residual, K, neg)
     if residual:
         return None
@@ -236,7 +230,7 @@ def rho_membership_per_term(F, ctx):
         return None
     out = {}
     for I, c in sig.items():
-        for J in ctx.lower(I):
+        for J in lower_set_by_parts(I, ctx.N):
             if ctx.in_G(J):
                 add_term(out, J, c)
     return out

@@ -164,6 +164,28 @@ def test_word_weight_capacity(capsys):
     assert out == f"S[{MAX_WEIGHT - 1},1]\n"
 
 
+HALF = MAX_WEIGHT // 2
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("expand", f"S[{MAX_WEIGHT}]", "--to", "R"), f"R[{MAX_WEIGHT}]\n"),
+        (("expand", f"R[{HALF},{HALF}]", "--to", "S"),
+         f"S[{HALF},{HALF}] - S[{MAX_WEIGHT}]\n"),
+    ],
+    ids=["S-max-weight-to-R", "R-two-halves-to-S"],
+)
+def test_heavy_words_in_time(capsys, argv, want):
+    # A basis change steps only through the positions its words hold, so
+    # a word of few parts costs little whatever its weight.
+    start = time.monotonic()
+    rc, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 5
+    assert rc == 0 and err == ""
+    assert out == want
+
+
 def test_theta_capacity(capsys):
     # The image of S[2^22] in S reads and adds about 2^23 terms; 2^19 is
     # the limit.

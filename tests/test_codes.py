@@ -1,7 +1,8 @@
 """The integer codes of words against tuple oracles: the round trip, the
-canonical and printed orders, the split poset's lower sets and the
-inverse of their sums, and concatenation and gluing in products,
-exhaustively up to weight 10 and on Hypothesis draws up to weight 20."""
+canonical and printed orders, the split poset's lower sets, the sums
+over them one descent at a time and their inverse, and concatenation
+and gluing in products, exhaustively up to weight 10 and on Hypothesis
+draws up to weight 20."""
 
 import itertools
 
@@ -13,7 +14,9 @@ from nsympeak.compositions import (
     decode,
     descent_set,
     encode,
+    is_in_G,
     lower_codes,
+    lower_forward,
     lower_inverse,
     lower_set,
 )
@@ -21,7 +24,7 @@ from nsympeak.elements import NsymElement, R, S, multiply, one, zero
 from oracles import (
     canonical_order_key,
     lower_set_by_parts,
-    lower_sums_by_descents,
+    lower_sums_by_parts,
     ribbon_word_product,
 )
 
@@ -95,14 +98,51 @@ def test_lower_sets_every_word():
             assert lower_set(I, N) == want
 
 
+def _G_test(N):
+    """The G family of order N (order 3 for N None) as a test on codes."""
+    return lambda J: is_in_G(decode(J), N or 3)
+
+
 def test_lower_sums_one_descent_at_a_time_every_word():
-    # The sum over a lower set factors into one step per descent, and
-    # lower_inverse undoes the sum.
-    for I in WORDS:
-        for N in ORDERS[1:]:
-            lower = lower_codes(encode(I), N)
-            assert lower_sums_by_descents({I: 1}, N) == {decode(J): 1 for J in lower}
-            assert lower_inverse(dict.fromkeys(lower, 1), N) == {encode(I): 1}
+    # One word at a time, so each J below I shows its own sign; under the
+    # G test a word outside G sums to nothing. lower_inverse undoes the sum.
+    for N in ORDERS:
+        in_G = _G_test(N)
+        keep_tuple = lambda J: in_G(encode(J))
+        for I in WORDS:
+            code = encode(I)
+            for sign in (1, -1):
+                for keep, oracle_keep in ((None, None), (in_G, keep_tuple)):
+                    got = lower_forward({code: 1}, N, sign, keep)
+                    want = lower_sums_by_parts({I: 1}, N, sign, oracle_keep)
+                    assert got == {encode(J): v for J, v in want.items()}
+            assert lower_inverse(lower_forward({code: 1}, N), N) == {code: 1}
+
+
+@st.composite
+def word_values(draw):
+    """{word: int} of mixed weights <= 12, values in [-2, 2] (zeros
+    included), with the negated values of some words on a second word
+    of their lower set, so that sums cancel."""
+    values = draw(st.dictionaries(words(max_weight=12), st.integers(-2, 2), max_size=8))
+    for I, v in list(values.items()):
+        if draw(st.booleans()):
+            J = draw(st.sampled_from(lower_set_by_parts(I)))
+            values[J] = values.get(J, 0) - v
+    return values
+
+
+@PROPERTY
+@given(word_values(), st.sampled_from(ORDERS), st.sampled_from((1, -1)), st.booleans())
+def test_lower_forward_to_weight_12(values, N, sign, pruned):
+    keep = _G_test(N) if pruned else None
+    codes = {encode(I): v for I, v in values.items()}
+    got = lower_forward(codes, N, sign, keep)
+    want = lower_sums_by_parts(values, N, sign, keep and (lambda J: keep(encode(J))))
+    assert got == {encode(J): v for J, v in want.items()}
+    assert all(got.values())
+    nonzero = {I: v for I, v in codes.items() if v}
+    assert lower_inverse(lower_forward(codes, N), N) == nonzero
 
 
 def test_products_every_pair():
