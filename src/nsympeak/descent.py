@@ -8,21 +8,23 @@ Lascoux, Leclerc, Retakh and Thibon, *Noncommutative symmetric
 functions*, 1995, section 5).  Components of different weights multiply
 to zero.  When R_I stands for the sum of the permutations of descent
 composition I, F * G is the class product of G's classes by F's, with
-(s t)(i) = s(t(i)).  The matrix formula runs on composition tuples:
-the operands' S words are decoded from their codes, and the result is
-encoded as it becomes an element.  A product needing more than
-MAX_WORD_PAIRS pairs of S words, counted after each operand's S words
-have merged, is refused through ``scalars.check_limit``, and so is, through
-``elements.check_expansion``, one whose longest S words at the shared
-weights already stand for more than MAX_EXPANSION_TERMS ribbons; both
-counts come before anything is built.
+(s t)(i) = s(t(i)).  The matrix formula reads each operand S word as
+a tuple of parts (the row and column sums) and builds the words of the
+product as integer codes, one row at a time by shifts; the counts merge
+into a {code: scalar} dict that becomes the S-basis result as it is.
+A product needing more than MAX_WORD_PAIRS pairs of S words, counted
+after each operand's S words have merged, is refused through
+``scalars.check_limit``, and so is, through ``elements.check_expansion``,
+one whose longest S words at the shared weights already stand for more
+than MAX_EXPANSION_TERMS ribbons; both counts come before anything is
+built.
 """
 
 import collections
 import functools
 
 from .compositions import decode, num_compositions
-from .elements import CapacityError, NsymElement, check_expansion
+from .elements import CapacityError, NsymElement, add_term, check_expansion
 from .scalars import check_limit
 
 MAX_WORD_PAIRS = 1 << 18
@@ -47,15 +49,19 @@ def _words_by_weight(F):
 
 @functools.cache
 def _first_rows(total, J):
-    """Each first row of M with sum ``total`` under the column sums J,
-    as (its nonzero entries, the nonzero column sums left over)."""
+    """Each first row of M with sum ``total`` under the column sums J, as
+    (the code of its nonzero entries, the nonzero column sums left over).
+
+    An entry x goes on in front of the code ``head`` of the entries after
+    it as ``(1 << x >> 1) | head << x``, which is ``head`` when x = 0.
+    """
     if not J:
-        return (((), ()),) if total == 0 else ()
+        return ((0, ()),) if total == 0 else ()
     j, rest = J[0], J[1:]
     # An entry below total - sum(rest) leaves more than the later columns
     # hold, so every row started here can be completed.
     return tuple(
-        ((x,) * (x > 0) + head, (j - x,) * (x < j) + left)
+        ((1 << x >> 1) | head << x, (j - x,) * (x < j) + left)
         for x in range(max(0, total - sum(rest)), min(total, j) + 1)
         for head, left in _first_rows(total - x, rest)
     )
@@ -63,19 +69,20 @@ def _first_rows(total, J):
 
 @functools.cache
 def _word_product(I, J):
-    """S^I * S^J as {K: multiplicity}; I and J have the same weight.
+    """S^I * S^J as {code: multiplicity}; I and J are tuples of one weight.
 
     The first row of M is chosen first, and the remaining rows form a
     matrix for I[1:] and the leftover column sums, zero columns dropped.
+    A first row weighs I[0], so a word is ``head | rest << I[0]``.
     The returned dict is shared by every caller and must not be changed.
     """
     if not I:
-        return {(): 1}
+        return {0: 1}
     out = {}
-    rest = I[1:]
-    for head, left in _first_rows(I[0], J):
+    n, rest = I[0], I[1:]
+    for head, left in _first_rows(n, J):
         for K, c in _word_product(rest, left).items():
-            K = head + K
+            K = head | K << n
             out[K] = out.get(K, 0) + c
     return out
 
@@ -113,11 +120,12 @@ def internal_product(F, G):
         g_groups = _words_by_coefficient(g)
         for a, f_list in f_groups.items():
             for b, g_list in g_groups.items():
-                counts = collections.Counter()
+                counts = {}
                 for I in f_list:
                     for J in g_list:
-                        counts.update(_word_product(I, J))
+                        for K, c in _word_product(I, J).items():
+                            counts[K] = counts.get(K, 0) + c
                 ab = a * b
                 for K, c in counts.items():
-                    out[K] = out.get(K, 0) + ab * c
-    return NsymElement("S", out).to_basis("R")
+                    add_term(out, K, ab * c)
+    return NsymElement._trusted("S", out).to_basis("R")

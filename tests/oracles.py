@@ -3,7 +3,9 @@
 Each one restates something the library computes another way: the
 split poset's lower sets, sums over them listed part by part and the
 ribbon product rule on composition tuples (the library runs them on
-integer codes), the canonical order from descent sets, the
+integer codes), the internal product's S-word products by listing
+every matrix with the given row sums (the library chooses one row at
+a time and builds word codes), the canonical order from descent sets, the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
 form of position sets, the {-1, 0, 1} linear maps (S<->R, the
@@ -80,6 +82,23 @@ def ribbon_word_product(I, J):
     if not J:
         return [I]
     return [I + J, I[:-1] + (I[-1] + J[0],) + J[1:]]
+
+
+def word_product_by_matrices(I, J):
+    """S^I * S^J as {K: multiplicity} on tuples, by listing matrices: each
+    row i of I is every weak composition of i into l(J) entries, every
+    tuple of rows whose column sums are J is a matrix, and each matrix
+    adds one to the word read row by row, zeros dropped."""
+    rows = [
+        [r for r in itertools.product(range(i + 1), repeat=len(J)) if sum(r) == i]
+        for i in I
+    ]
+    out = {}
+    for M in itertools.product(*rows):
+        if all(sum(col) == j for col, j in zip(zip(*M), J)):
+            K = tuple(x for row in M for x in row if x)
+            out[K] = out.get(K, 0) + 1
+    return out
 
 
 def canonical_order_key(I):

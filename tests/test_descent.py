@@ -3,7 +3,9 @@
 The oracle buckets all of S_n by descent composition and multiplies
 class sums permutation by permutation, (s t)(i) = s(t(i)).  It shares no
 code with the matrix formula in ``nsympeak.descent``, and it is only
-affordable up to weight 7.
+affordable up to weight 7.  The matrix formula's word products are also
+checked against ``oracles.word_product_by_matrices``, which lists every
+matrix with the given row sums instead of choosing rows one at a time.
 """
 
 import collections
@@ -14,12 +16,20 @@ from fractions import Fraction
 
 import pytest
 
-from nsympeak.compositions import compositions_of, descent_composition
+from nsympeak.compositions import (
+    compositions_of,
+    decode,
+    descent_composition,
+    encode,
+)
 from nsympeak import descent, elements
 from nsympeak.descent import MAX_WORD_PAIRS, CapacityError, internal_product
 from nsympeak.elements import NsymElement, R, S, linear_combination, one, zero
 from nsympeak.peak import PeakContext, rho_basis, rho_membership
+from nsympeak.scalars import zeta
 from nsympeak.series import psi
+
+from oracles import word_product_by_matrices
 
 
 @functools.cache
@@ -112,15 +122,29 @@ def test_weight_zero_and_cross_weight():
     assert internal_product(f, g) == R(1, 1) + R(2, 1)
 
 
+def _assert_clean(F):
+    """F's codes are what the constructor makes of its terms: an int for
+    every integer value, and no zero value."""
+    rebuilt = NsymElement(F.basis, dict(F.terms)).codes
+    assert F.codes == rebuilt
+    assert all(type(v) is type(rebuilt[K]) for K, v in F.codes.items())
+    assert all(F.codes.values())
+
+
 def test_bilinearity():
-    a = Fraction(3, 7)
-    f, g = R(2, 1) + 2 * R(3), R(1, 1, 1) - R(1, 2)
-    lhs = internal_product(f.scale(a), g)
-    assert lhs == internal_product(f, g).scale(a)
-    h = R(2, 1)
-    assert internal_product(f + h, g) == (
-        internal_product(f, g) + internal_product(h, g)
-    )
+    # Over Q and over Q(z): the scalars and the operands' coefficients.
+    z = zeta(3)
+    for a, b in ((Fraction(3, 7), 2), (z, z + 2)):
+        f, g = R(2, 1) + R(3).scale(b), R(1, 1, 1) - R(1, 2)
+        lhs = internal_product(f.scale(a), g)
+        assert lhs == internal_product(f, g).scale(a)
+        assert lhs == internal_product(f, g.scale(a))
+        h = R(2, 1) + S(1, 2).scale(a * a)
+        assert internal_product(f + h, g) == (
+            internal_product(f, g) + internal_product(h, g)
+        )
+        _assert_clean(lhs)
+        _assert_clean(internal_product(f + h, g))
 
 
 def test_mass_conservation():
@@ -199,6 +223,61 @@ def test_rows_tried_can_complete():
     descent._first_rows.cache_clear()
     descent._word_product.cache_clear()
     product = descent._word_product((200, 200), (200, 200))
-    assert len(product) == 200 and product[(200, 200)] == 2
-    assert product[(100, 100, 100, 100)] == 1
+    assert len(product) == 200 and product[encode((200, 200))] == 2
+    assert product[encode((100,) * 4)] == 1
     assert descent._first_rows.cache_info().currsize < 2000
+
+
+def test_word_product_against_matrix_oracle():
+    pairs = [
+        (I, J)
+        for n in range(6)
+        for I in compositions_of(n)
+        for J in compositions_of(n)
+    ]
+    assert len(pairs) == 342
+    pairs += [
+        ((3, 4), (2, 5)),
+        ((1,) * 6, (2, 2, 2)),
+        ((2, 1, 3, 2), (1, 3, 1, 3)),
+        ((1,) * 8, (3, 5)),
+        ((4, 4), (1,) * 8),
+        ((1, 2, 1, 2, 1), (2, 3, 2)),
+    ]
+    for I, J in pairs:
+        product = descent._word_product(I, J)
+        assert {decode(K): c for K, c in product.items()} == (
+            word_product_by_matrices(I, J)
+        ), (I, J)
+
+
+def test_integer_results_stored_as_ints():
+    # (1/2 * 2) and z * z^2 are integers, stored as ints.
+    half = internal_product(R(2, 1).scale(Fraction(1, 2)), R(1, 2).scale(2))
+    assert half == internal_product(R(2, 1), R(1, 2))
+    z = zeta(3)
+    unit = internal_product(S(2, 1).scale(z), S(1, 1, 1).scale(z * z))
+    assert unit == internal_product(S(2, 1), S(1, 1, 1))
+    for F in (half, unit):
+        assert F and all(type(v) is int for v in F.codes.values())
+        _assert_clean(F)
+
+
+def test_cancelled_words_not_stored():
+    # S^(1,1) * S^(1,1) = 2 S^(1,1) and S^(2) * S^(1,1) = S^(1,1), so the
+    # two coefficient groups cancel at weight 2; weight 3 is left.
+    F = internal_product(S(1, 1) - S(2).scale(2) + S(2, 1), S(1, 1) + S(3))
+    assert F == S(2, 1).to_basis("R")
+    _assert_clean(F)
+    assert internal_product(S(1, 1) - S(2).scale(2), S(1, 1)).codes == {}
+
+
+def test_two_conductors_refused():
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        internal_product(R(2, 1).scale(zeta(3)), R(1, 2).scale(zeta(4)))
+    # Weight by weight only one operand is cyclotomic, but the result
+    # would hold both fields.
+    f = R(1).scale(zeta(3)) + R(2)
+    g = R(1) + R(2).scale(zeta(5))
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        internal_product(f, g)
