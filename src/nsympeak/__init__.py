@@ -35,7 +35,9 @@ from .compositions import (
     ribbon_factorization,
 )
 from .descent import internal_product
-from .elements import CapacityError, NsymElement, R, S, coproduct_S, multiply, one, zero
+from .elements import (
+    CapacityError, NsymElement, R, S, all_words, coproduct_S, multiply, one, zero
+)
 from .peak import (
     PeakContext,
     T_basis,
@@ -63,6 +65,7 @@ from .peak import (
 from .scalars import CyclotomicNumber, make_cyclotomic, zeta, zeta_pow
 from .series import (
     Theta,
+    Theta_images,
     det_formula,
     det_theta,
     hook_sum,
@@ -72,6 +75,7 @@ from .series import (
     sigma_series,
     theta_q,
     theta_q_generator,
+    theta_q_images,
 )
 
 __version__ = "0.1.0"
@@ -86,6 +90,8 @@ __all__ = [
     "T_basis",
     "T_membership",
     "Theta",
+    "Theta_images",
+    "all_words",
     "classical_peak_function",
     "compositions_of",
     "conjugate",
@@ -137,6 +143,7 @@ __all__ = [
     "theta_minus1_ribbon_expansion",
     "theta_q",
     "theta_q_generator",
+    "theta_q_images",
     "zero",
     "zeta",
     "zeta_pow",

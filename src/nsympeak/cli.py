@@ -58,6 +58,7 @@ from .compositions import (
     F_set,
     G_set,
     compositions_of,
+    decode,
     display_key,
     epsilon,
     hilbert_dim,
@@ -68,7 +69,8 @@ from .compositions import (
 )
 from .descent import internal_product
 from .elements import (
-    CapacityError, NsymElement, R, S, check_expansion, linear_combination, multiply
+    CapacityError, NsymElement, S, all_words, check_expansion, linear_combination,
+    multiply,
 )
 from .peak import (
     PeakContext,
@@ -98,11 +100,13 @@ from .peak import (
 )
 from .series import (
     Theta,
+    Theta_images,
     det_formula,
     det_theta,
     psi,
     theta_q,
     theta_q_generator,
+    theta_q_images,
     theta_q_series,
 )
 from .scalars import read_signed_sum, scalar_inv, scalar_to_json, scalar_to_text, zeta
@@ -390,6 +394,7 @@ ADOPTED_READINGS = {
 def _suite_basis(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
+        images = Theta_images(all_words("S", 0, max_n), N, "R")
         for n in range(max_n + 1):
             fam = ctx.G(n)
             if len(fam) != hilbert_dim(n, N):
@@ -403,8 +408,9 @@ def _suite_basis(notes, ns, max_n):
                             f"{composition_to_text(J)} inside {composition_to_text(K)}"
                         )
                 yield None
-            for K in compositions_of(n):
-                image = Theta(NsymElement("S", {K: 1}), N, "R")
+            # The words of weight n are the next images; zip reads the
+            # list first, so it stops without taking one more image.
+            for K, (_, image) in zip(compositions_of(n), images):
                 if membership(image, ctx) is None:
                     yield f"N={N}: transform of S{composition_to_text(K)} outside span"
                 yield None
@@ -483,21 +489,21 @@ def _decomp_suite(kind):
     # The functions are looked up when the suite runs, not when SUITES is
     # built, so a wrapper rebound on their module (bench/tracer.py) runs.
     def checks(notes, ns, max_n):
-        formula, base, expander = {
-            "decomp-S": (decomp_theta_S, S, expand_sigma_coords),
-            "decomp-R": (decomp_theta_R, R, expand_sigma_coords),
-            "decomp-S-rho": (decomp_S_on_rho, S, expand_rho_coords),
-            "decomp-R-rho": (decomp_R_on_rho, R, expand_rho_coords),
+        formula, basis, expander = {
+            "decomp-S": (decomp_theta_S, "S", expand_sigma_coords),
+            "decomp-R": (decomp_theta_R, "R", expand_sigma_coords),
+            "decomp-S-rho": (decomp_S_on_rho, "S", expand_rho_coords),
+            "decomp-R-rho": (decomp_R_on_rho, "R", expand_rho_coords),
         }[kind]
         notes.append(ADOPTED_READINGS[kind])
         for N in ns:
             ctx = PeakContext(N)
-            for n in range(max_n + 1):
-                for I in compositions_of(n):
-                    got = expander(formula(I, ctx), ctx)
-                    if got != theta_q(base(*I), ctx.zeta, "R"):
-                        yield f"N={N} I={composition_to_text(I)}"
-                    yield None
+            words = all_words(basis, 0, max_n)
+            for code, want in theta_q_images(words, ctx.zeta, "R"):
+                I = decode(code)
+                if expander(formula(I, ctx), ctx) != want:
+                    yield f"N={N} I={composition_to_text(I)}"
+                yield None
 
     return checks
 
@@ -577,12 +583,12 @@ def _suite_theta1_psi(notes, ns, max_n):
             yield None
     star_max = 6
     for q in (2, Fraction(1, 2)):
+        images = theta_q_images(all_words("S", 1, star_max), q, "R")
         for n in range(1, star_max + 1):
             gen = theta_q_generator(n, q)
-            for I in compositions_of(n):
-                word = NsymElement("S", {I: 1})
-                star = internal_product(word, gen)
-                if theta_q(word, q, "R") != star:
+            for I, (_, image) in zip(compositions_of(n), images):
+                star = internal_product(NsymElement("S", {I: 1}), gen)
+                if image != star:
                     yield f"q={q} I={composition_to_text(I)}: star identity"
                 yield None
 
@@ -606,19 +612,18 @@ def _suite_peak_classical(notes, max_n):
                 yield f"n={n} I={composition_to_text(I)}: peak function outside"
             yield None
     exp_max = min(max_n, 7)
-    for n in range(exp_max + 1):
-        for I in compositions_of(n):
-            want = theta_q(R(*I), -1, "R")
-            got = linear_combination(
-                "R",
-                (
-                    (classical_peak_function(J), c)
-                    for J, c in theta_minus1_ribbon_expansion(I).items()
-                ),
-            )
-            if got != want:
-                yield f"I={composition_to_text(I)}: expansion mismatch"
-            yield None
+    for code, want in theta_q_images(all_words("R", 0, exp_max), -1, "R"):
+        I = decode(code)
+        got = linear_combination(
+            "R",
+            (
+                (classical_peak_function(J), c)
+                for J, c in theta_minus1_ribbon_expansion(I).items()
+            ),
+        )
+        if got != want:
+            yield f"I={composition_to_text(I)}: expansion mismatch"
+        yield None
 
 
 def _suite_rnij(notes, ns, order):

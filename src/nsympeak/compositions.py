@@ -565,6 +565,12 @@ def num_compositions(n):
     return 1 if n == 0 else 1 << (n - 1)
 
 
+def at_most_compositions(x, n):
+    """min(x, num_compositions(n)), without building 2^(n-1) when x is
+    smaller."""
+    return x if x.bit_length() < n else min(x, num_compositions(n))
+
+
 def part_count(n, i):
     """Total multiplicity of the part i over all compositions of n.
 

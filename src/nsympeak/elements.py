@@ -47,6 +47,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .compositions import (
+    at_most_compositions,
     check_composition,
     code_display_key,
     decode,
@@ -315,6 +316,17 @@ def R(*parts):
     return NsymElement("R", {parts: 1})
 
 
+def all_words(basis, lo, hi):
+    """The sum of every word of weight lo to hi in ``basis``, each with
+    coefficient 1 (none unless 0 <= lo <= hi). Their codes are the ints
+    from 2^(lo-1) (0 when lo is 0) up to 2^hi - 1, so the words run in
+    canonical order. More than MAX_EXPANSION_TERMS words are refused
+    through ``check_expansion``."""
+    codes = range(1 << lo >> 1, 1 << hi) if 0 <= lo <= hi else range(0)
+    check_expansion(codes.stop - codes.start, f"listing every word of weight {lo} to {hi}")
+    return NsymElement._trusted(basis, dict.fromkeys(codes, 1))
+
+
 def one(basis="S"):
     return NsymElement(basis, {(): 1})
 
@@ -342,9 +354,14 @@ def r_to_s(F):
 
 
 def _change_basis(F, basis, sign):
-    # Each word I has one coarsening per composition of its length l(I).
+    # Each word I has one coarsening per composition of its length l(I),
+    # and the result has at most one word per composition of each weight.
+    per_weight = {}
+    for I in F.codes:
+        w = I.bit_length()
+        per_weight[w] = per_weight.get(w, 0) + num_compositions(I.bit_count())
     check_expansion(
-        sum(num_compositions(I.bit_count()) for I in F.codes), "basis change"
+        sum(at_most_compositions(x, w) for w, x in per_weight.items()), "basis change"
     )
     N, den, parts = split_terms(F.codes)
     parts = [lower_forward(part, None, sign) for part in parts]

@@ -18,11 +18,22 @@ and theta_q extends it linearly and multiplicatively. Theta is the
 normalization theta_q/(1-q) at q = zeta_N: it extends S_n to the hook
 sum alone, which at N = 1 (zeta_1 = 1) is the power sum of weight n
 (Gelfand et al., *Noncommutative symmetric functions*, 1995, section 4).
-Both are built over the input's own words, in the basis the caller reads:
-an S word's image is the product of its parts' generator images, and a
-ribbon's follows the ribbon product rule R_H R_a = R_(H.a) + R_(H glued
-to a) (ibid., section 3), so ribbons are not expanded into S words.
-A request whose work passes MAX_RECURSION_TERMS is refused before
+Both are built over the input's own words, in the basis the caller
+reads, by one builder (``_word_images``). The image of the S word H.a is
+image(H) G_a, G_a the image of S_a, and a ribbon's follows the ribbon
+product rule R_H R_a = R_(H.a) + R_(H glued to a) (ibid., section 3), so
+ribbons are not expanded into S words. Both sub-words have smaller codes
+than the word. So the builder takes the requested words in ascending code
+order and builds, lowest first, the words below each one that are not
+built yet: every word of the closure under these steps is built once,
+with one product, and its image is dropped after its last reader, the
+readers counted over the closure first. The words of one coefficient
+share their sub-word images, and the coefficient seeds the one-part
+images and the unit, so a coefficient of 1 costs no scalar operation.
+``theta_q_images`` and ``Theta_images`` hand the images out one word at
+a time, each word refused just as it would be alone; the verify suites
+ask them for all their words at once. A theta_q or Theta request whose
+work, bounded word by word, passes MAX_RECURSION_TERMS is refused before
 anything is built.
 The series definition of the generator, the degree-n coefficient of
 sigma_{qt}(A)^{-1} sigma_t(A), stays as the oracle the closed form is
@@ -38,11 +49,12 @@ evaluating both sides at enough rational points, not by symbolic q.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
+from itertools import accumulate, chain
 
-from .compositions import compositions_of, decode, num_compositions
+from .compositions import at_most_compositions, decode, num_compositions
 from .elements import (
-    NsymElement, S, add_term, check_expansion, linear_combination, multiply
+    NsymElement, add_term, all_words, check_expansion, linear_combination,
+    multiply,
 )
 from .scalars import check_limit, scalar_inv, scalar_pow, zeta
 
@@ -167,114 +179,171 @@ def _generator(n, q, scale, basis):
     return hook_sum(n, q).scale(scale).to_basis(basis)
 
 
-def _image(I, c, ribbons, q, scale, basis):
-    """c times the image of the S word coded I, or of the ribbon R_I when
-    ``ribbons``, in ``basis``.
+def _sub_words(I, ribbons):
+    """The words whose images the image of word I is read from, each with a
+    smaller code: none for the unit and a one-part word; H for the S word
+    H.a; H and H glued to a (H with a added to its last part) for R_(H.a).
+    H is I without its top bit, and H glued to a is I without H's top bit.
+    """
+    H = I ^ (1 << I.bit_length() >> 1)
+    if not H:
+        return ()
+    if not ribbons:
+        return (H,)
+    return H, I ^ (1 << H.bit_length() >> 1)
 
-    image(H.a) = image(H) * G_a, G_a the image of S_a. Ribbons multiply
-    as R_H * R_a = R_(H.a) + R_(H glued to a), H glued to a being H with
-    a added to its last part, so the image of that word is subtracted
-    too. For R_I, row[m] holds at step k the image of
-    (i_1, ..., i_k, i_(k+1) + ... + i_(m+1)): every such word, read from
-    the prefix row[k-1] and the glued word row[m] of the step before.
-    The first generator images are seeded with c, so no image is rescaled.
+
+def _word_images(codes, ribbons, q, scale, basis, seed=1, checked=False):
+    """Yield (code, image) for each of ``codes`` in ascending code order:
+    seed times the image of the S word, or of the ribbon when ``ribbons``,
+    in ``basis``.
+
+    The images are built over the closure of the words under
+    ``_sub_words``: image(H.a) = image(H) * G_a, G_a the image of S_a,
+    and ribbons multiply as R_H * R_a = R_(H.a) + R_(H glued to a), so
+    image(R_(H.a)) = image(R_H) * G_a - image(R_(H glued to a)). A word's
+    sub-words have smaller codes, so each closure word is built once,
+    after its sub-words; the words below a requested word that are not
+    built yet are built, lowest first, just before it. Each image is kept
+    only until its last reader is built: the readers are counted over the
+    closure first. The one-part images and the unit carry ``seed``, so no
+    image is rescaled and a seed of 1 costs no scalar operation. With
+    ``checked``, each requested word's own ``_word_terms`` passes
+    ``check_limit`` before anything below it is built.
     """
     def gen(a):
         return _generator(a, q, scale, basis)
 
-    def seeded(a):
-        return gen(a) if c == 1 else gen(a).scale(c)
+    below, readers = {}, {}
+    todo = list(codes)
+    while todo:
+        X = todo.pop()
+        if X not in below:
+            below[X] = subs = _sub_words(X, ribbons)
+            for Y in subs:
+                readers[Y] = readers.get(Y, 0) + 1
+            todo += subs
+    images = {}
+    for W in sorted(codes):
+        if checked:
+            check_limit(_word_terms(W, ribbons, scale, basis), MAX_RECURSION_TERMS,
+                        "transform", "terms")
+        new, todo = {W}, list(below[W])
+        while todo:
+            X = todo.pop()
+            if X not in images and X not in new:
+                new.add(X)
+                todo += below[X]
+        for X in sorted(new):
+            subs = below[X]
+            if not X:
+                image = NsymElement._trusted(basis, {0: seed})
+            elif not subs:
+                image = gen(X.bit_length())
+                if seed != 1:
+                    image = image.scale(seed)
+            else:
+                H = subs[0]
+                image = multiply(images[H], gen(X.bit_length() - H.bit_length()))
+                if ribbons:
+                    for K, v in images[subs[1]].codes.items():
+                        add_term(image.codes, K, -v)
+            for Y in subs:
+                readers[Y] -= 1
+                if not readers[Y]:
+                    del images[Y]
+            if X in readers:
+                images[X] = image
+        yield W, image
 
-    if not I:
-        return NsymElement._trusted(basis, {0: c})
-    I = decode(I)
-    if not ribbons:
-        image = seeded(I[0])
-        for a in I[1:]:
-            image = multiply(image, gen(a))
-        return image
-    row = [seeded(s) for s in accumulate(I)]
-    for k in range(1, len(I)):
-        head = row[k - 1]
-        for m, s in enumerate(accumulate(I[k:]), k):
-            image = multiply(head, gen(s))
-            for K, v in row[m].codes.items():
-                add_term(image.codes, K, -v)
-            row[m] = image
-    return row[-1]
 
-
-def _at_most_words(x, w):
-    """min(x, 2^(w-1)), the number of compositions of w, without building
-    2^(w-1) when x is smaller."""
-    return x if x.bit_length() < w else min(x, 1 << (w - 1))
-
-
-def _recursion_terms(F, scale, basis):
-    """Bound the work of ``_image`` on F's words in ``basis``: one per word
-    and per product, plus the terms of the generator images it reads and
-    the terms it adds, summed until it passes MAX_RECURSION_TERMS (so a
-    count past the limit is where summing stopped, not the full count).
-    Each word's parts and partial sums are decoded from its code.
+def _word_terms(code, ribbons, scale, basis, total=0):
+    """total plus a bound on the work of building the image of one word,
+    as ``_word_images`` builds it on its own: one for the word and one per
+    product, plus the terms of the generator images read and the terms
+    added. A ribbon's count stops after the row of products at which it
+    passes MAX_RECURSION_TERMS.
 
     G_a, the image of S_a, has at most a terms in R and 2^(a-1) in S, and
-    none when ``scale`` is zero. A word's first images are read and then
-    seeded with its coefficient, so they count twice. A product
+    none when ``scale`` is zero. The one-part images are read and then
+    seeded with the word's coefficient, so they count twice. A product
     image(H) * G_a reads G_a and adds |image(H)| |G_a| terms, twice that
     on ribbons (concatenated and glued), and a glued word adds its image's
-    terms. An image of weight w has at most 2^(w-1) words.
+    terms. An image of weight w has at most 2^(w-1) words. A ribbon's
+    closure is the row of words (i_1, ..., i_k, i_(k+1) + ... + i_(m+1)),
+    counted one k at a time, m upward.
     """
     def gen(a):
         return 0 if not scale else a if basis == "R" else 1 << (a - 1)
 
     times = 2 if basis == "R" else 1
-    total = 0
-    for code in F.codes:
-        I = decode(code)
-        weights = list(accumulate(I))
-        if F.basis == "S":
-            size = gen(I[0]) if I else 0
-            total += 1 + 2 * size
-            for a, w in zip(I[1:], weights[1:]):
-                added = size * gen(a) * times
-                total += 1 + gen(a) + added
-                size = _at_most_words(added, w)
-        else:
-            row = [gen(s) for s in weights]
-            total += 1 + 2 * sum(row)
-            for k in range(1, len(I)):
-                head = row[k - 1]
-                for m, s in enumerate(accumulate(I[k:]), k):
-                    added = head * gen(s) * times + row[m]
-                    total += 1 + gen(s) + added
-                    row[m] = _at_most_words(added, weights[m])
-                if total > MAX_RECURSION_TERMS:
-                    break
+    I = decode(code)
+    weights = list(accumulate(I))
+    if not ribbons:
+        size = gen(I[0]) if I else 0
+        total += 1 + 2 * size
+        for a, w in zip(I[1:], weights[1:]):
+            added = size * gen(a) * times
+            total += 1 + gen(a) + added
+            size = at_most_compositions(added, w)
+        return total
+    row = [gen(s) for s in weights]
+    total += 1 + 2 * sum(row)
+    for k in range(1, len(I)):
+        head = row[k - 1]
+        for m, s in enumerate(accumulate(I[k:]), k):
+            added = head * gen(s) * times + row[m]
+            total += 1 + gen(s) + added
+            row[m] = at_most_compositions(added, weights[m])
         if total > MAX_RECURSION_TERMS:
             break
     return total
 
 
-def _extend(F, q, scale, basis):
-    """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q)
-    to F, in ``basis``: ``_image`` of each of F's own words, S words or
-    ribbons, each read from its code. It is refused through
-    ``check_limit``, before anything is built, when its work, bounded by
-    ``_recursion_terms``, passes MAX_RECURSION_TERMS. That count stops
-    once it is past the limit, so the refusal names the count where it
-    stopped, a lower bound of the request's full count.
+def _recursion_terms(F, scale, basis):
+    """Bound the work of the transform on F's words in ``basis``: the sum
+    of ``_word_terms`` over F's words, stopped once it passes
+    MAX_RECURSION_TERMS (so a count past the limit is where summing
+    stopped, not the full count)."""
+    total = 0
+    for code in F.codes:
+        total = _word_terms(code, F.basis == "R", scale, basis, total)
+        if total > MAX_RECURSION_TERMS:
+            break
+    return total
+
+
+def _term_images(F, q, scale, basis, checked=False):
+    """(code, image of F's term on that word) for each of F's words, in
+    ``basis``: one ``_word_images`` pass per coefficient of F, seeded with
+    it, so a coefficient of 1 adds no scalar operation and the words of
+    one coefficient share their sub-word images. Within a coefficient the
+    codes ascend; the coefficients come in the order F first holds them.
     """
     if basis not in ("S", "R"):
         raise ValueError(f"unknown basis {basis!r}")
-    check_limit(_recursion_terms(F, scale, basis), MAX_RECURSION_TERMS, "transform", "terms")
+    groups = {}
+    for I, c in F.codes.items():
+        groups.setdefault(c, []).append(I)
     ribbons = F.basis == "R"
-    return linear_combination(
-        basis,
-        (
-            (_image(I, c, ribbons, q, scale, basis), 1)
-            for I, c in F.codes.items()
-        ),
+    return chain.from_iterable(
+        _word_images(codes, ribbons, q, scale, basis, c, checked)
+        for c, codes in groups.items()
     )
+
+
+def _extend(F, q, scale, basis):
+    """The linear, multiplicative extension of S_n -> scale * hook_sum(n, q)
+    to F, in ``basis``: the sum of ``_term_images`` over F's own words, S
+    words or ribbons. It is refused through ``check_limit``, before
+    anything is built, when its work, bounded by ``_recursion_terms``,
+    passes MAX_RECURSION_TERMS. That count stops once it is past the
+    limit, so the refusal names the count where it stopped, a lower bound
+    of the request's full count.
+    """
+    images = _term_images(F, q, scale, basis)
+    check_limit(_recursion_terms(F, scale, basis), MAX_RECURSION_TERMS, "transform", "terms")
+    return linear_combination(basis, ((image, 1) for _, image in images))
 
 
 def theta_q(F, q, basis="S"):
@@ -300,6 +369,27 @@ def Theta(F, N, basis="S"):
     return _extend(F, zeta(N), 1, basis)
 
 
+def theta_q_images(F, q, basis="S"):
+    """Iterate over (code, theta_q of F's term on that word) for F's words,
+    in ``basis``, the words of one coefficient in ascending code order.
+
+    The words share their sub-word images (see ``_word_images``), so
+    asking for many words at once costs one product per word. Each word
+    is refused as ``theta_q`` of that word alone would be, just before
+    it is built, so a caller that consumes the images as they come is
+    refused at the same word as one calling ``theta_q`` word by word.
+    """
+    return _term_images(F, q, 1 - q, basis, checked=True)
+
+
+def Theta_images(F, N, basis="S"):
+    """Iterate over (code, Theta of F's term on that word), as
+    ``theta_q_images`` does for theta_q."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _term_images(F, zeta(N), 1, basis, checked=True)
+
+
 # ---------------------------------------------------------------------------
 # the determinant on one weight
 
@@ -318,8 +408,8 @@ def det_theta(n, q):
     # (at n = 12: 4,711 digits at q = 2 and 12,473 at q = -3).
     check_expansion(num_compositions(n) ** 2, "transform determinant")
     det = 1
-    for I in compositions_of(n):
-        det = det * theta_q(S(*I), q).coefficient(I)
+    for I, image in theta_q_images(all_words("S", n, n), q):
+        det = det * image.codes.get(I, 0)
     return det
 
 

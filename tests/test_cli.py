@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from nsympeak import cli, peak
-from nsympeak.compositions import MAX_WEIGHT
+from nsympeak import cli, peak, series
+from nsympeak.compositions import MAX_WEIGHT, compositions_of
 from nsympeak.elements import MAX_EXPANSION_TERMS
 from nsympeak.series import MAX_RECURSION_TERMS
+from nsympeak.textforms import composition_to_text
 
 
 def run(capsys, *argv):
@@ -186,6 +187,16 @@ def test_heavy_words_in_time(capsys, argv, want):
     assert out == want
 
 
+def test_expand_of_every_word_of_weight_15(capsys):
+    # 3^14 coarsenings, but at most 2^14 ribbons: the basis change runs.
+    words = " + ".join(f"S{composition_to_text(I)}" for I in compositions_of(15))
+    rc, out, err = run(capsys, "expand", words, "--to", "R")
+    assert rc == 0 and err == ""
+    assert out.count("R[") == 1 << 14
+    assert out.startswith("R[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1] + 2*R[2,1,")
+    assert out.endswith(" + 8192*R[1,14] + 16384*R[15]\n")
+
+
 def test_theta_capacity(capsys):
     # The image of S[2^22] in S reads and adds about 2^23 terms; 2^19 is
     # the limit.
@@ -196,6 +207,37 @@ def test_theta_capacity(capsys):
     assert rc == 4
     assert out == ""
     assert err.startswith("error:") and str(MAX_RECURSION_TERMS) in err
+
+
+@pytest.mark.parametrize("suite, max_n", [("decomp-R", "7"), ("basis", "9")])
+def test_verify_one_weight_past_the_default_scale(capsys, suite, max_n):
+    # The suite asks for all its transform images at once, each word
+    # checked against the recursion limit on its own: none is refused.
+    rc, out, _ = run(capsys, "verify", suite, "--max-n", max_n)
+    assert rc == 0
+    assert out.endswith(f"verify {suite}: PASS\n")
+
+
+@pytest.mark.parametrize("suite", ["basis", "decomp-S", "decomp-R-rho"])
+def test_verify_past_the_word_listing_limit_is_refused(capsys, suite):
+    # All 2^40 words of weight <= 40 would be listed first.
+    start = time.monotonic()
+    rc, out, err = run(capsys, "verify", suite, "--max-n", "40")
+    assert time.monotonic() - start < 1
+    assert (rc, out) == (4, "")
+    assert err == ("error: listing every word of weight 0 to 40 needs "
+                   f"1099511627776 terms, above the limit {MAX_EXPANSION_TERMS}\n")
+
+
+def test_verify_refused_at_the_word_theta_refuses_alone(capsys, monkeypatch):
+    # With the limit lowered, R[1^5] is the lowest word whose image alone
+    # passes it at zeta_3; the suite stops there with the same line.
+    monkeypatch.setattr(series, "MAX_RECURSION_TERMS", 200)
+    rc, out, alone = run(capsys, "theta", "R[1,1,1,1,1]", "--q", "zeta", "--N", "3", "--to", "R")
+    assert rc == 4 and out == "" and alone.startswith("error: transform needs")
+    assert run(capsys, "theta", "R[4]", "--q", "zeta", "--N", "3", "--to", "R")[0] == 0
+    rc, out, err = run(capsys, "verify", "decomp-R", "--N", "3", "--max-n", "5")
+    assert (rc, out, err) == (4, "", alone)
 
 
 def test_theta_of_a_long_word_of_ones(capsys):

@@ -12,6 +12,7 @@ from nsympeak.elements import (
     NsymElement,
     R,
     S,
+    all_words,
     coproduct_S,
     linear_combination,
     multiply,
@@ -135,6 +136,37 @@ def test_basis_change_capacity(monkeypatch):
         (S(1, 1, 1) + S(1, 1)).to_basis("R")
     with pytest.raises(CapacityError):
         R(1, 1, 1, 1).to_basis("S")
+
+
+def test_basis_change_count_is_capped_per_weight(monkeypatch):
+    # The result holds at most 2^(w-1) words of weight w, so the sum of
+    # all 2^14 S words of weight 15 counts 2^14 terms, not the 3^14
+    # coarsenings of its words. Each R_J is reached from the 2^(15-l(J))
+    # refinements of J.
+    F = all_words("S", 15, 15)
+    G = F.to_basis("R")
+    assert len(G.codes) == 1 << 14
+    assert all(c == 1 << (15 - J.bit_count()) for J, c in G.codes.items())
+    assert G.to_basis("S") == F
+    # Weight 4 holds 8 words; the unit adds one more.
+    monkeypatch.setattr(elements, "MAX_EXPANSION_TERMS", 8)
+    assert len(all_words("S", 4, 4).to_basis("R").codes) == 8
+    with pytest.raises(CapacityError, match="9 terms"):
+        (all_words("S", 4, 4) + S()).to_basis("R")
+
+
+def test_all_words(monkeypatch):
+    assert all_words("R", 0, 2) == one("R") + R(1) + R(1, 1) + R(2)
+    assert all_words("S", 3, 3) == sum((S(*I) for I in compositions_of(3)), zero())
+    assert list(all_words("S", 1, 4).codes) == list(range(1, 16))
+    for lo, hi in [(1, 0), (0, -1), (-1, 2)]:
+        assert not all_words("S", lo, hi)
+    # The 8 words of weight 4 are admitted under a limit of 8; with the
+    # lighter words too they are not.
+    monkeypatch.setattr(elements, "MAX_EXPANSION_TERMS", 8)
+    assert len(all_words("R", 4, 4).codes) == 8
+    with pytest.raises(CapacityError, match="weight 0 to 4 needs 16 terms"):
+        all_words("R", 0, 4)
 
 
 def test_basis_round_trip_exhaustive():

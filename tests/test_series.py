@@ -1,16 +1,20 @@
 """Tests for truncated series, power sums, the q-transform, determinants."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 
 from nsympeak import series
-from nsympeak.compositions import compositions_of, descent_set
-from nsympeak.elements import CapacityError, NsymElement, R, S, multiply, one, zero
+from nsympeak.compositions import compositions_of, descent_set, encode
+from nsympeak.elements import (
+    CapacityError, NsymElement, R, S, all_words, multiply, one, zero
+)
 from nsympeak.peak import PeakContext, tangent_element_series
-from nsympeak.scalars import scalar_inv, zeta
+from nsympeak.scalars import CyclotomicNumber, scalar_inv, zeta
 from nsympeak.series import (
     Theta,
+    Theta_images,
     det_formula,
     det_theta,
     hook_sum,
@@ -20,6 +24,7 @@ from nsympeak.series import (
     sigma_series,
     theta_q,
     theta_q_generator,
+    theta_q_images,
 )
 from oracles import matrix_determinant, theta_by_S_words, theta_matrix
 
@@ -129,7 +134,10 @@ _ROUTE_QS.update({f"zeta{N}": zeta(N) for N in (3, 4)})
 @pytest.mark.parametrize("q", _ROUTE_QS.values(), ids=_ROUTE_QS.keys())
 def test_transform_of_every_word_matches_the_S_word_chain(q):
     # Ribbons go through the ribbon product rule, S words through their
-    # prefixes; both output bases agree with one S-word chain per word.
+    # prefixes; both output bases agree with one S-word chain per word,
+    # word by word and when all words of weight <= 7 are asked for at
+    # once (each image then built on the sub-word images built before).
+    batch = _all_images(lambda F, basis: theta_q_images(F, q, basis))
     for n in range(8):
         for I in compositions_of(n):
             for word in (S(*I), R(*I)):
@@ -138,12 +146,14 @@ def test_transform_of_every_word_matches_the_S_word_chain(q):
                     got = theta_q(word, q, basis)
                     assert got.basis == basis
                     assert got == want, (word, basis)
+                    assert batch[word.basis, basis][encode(I)] == want
 
 
 def test_normalized_transform_matches_the_S_word_chain():
     for N in (1, 2, 3, 4):
         zN = zeta(N)
-        for n in range(7):
+        batch = _all_images(lambda F, basis: Theta_images(F, N, basis))
+        for n in range(8):
             for I in compositions_of(n):
                 for word in (S(*I), R(*I)):
                     want = theta_by_S_words(word, zN, 1)
@@ -151,6 +161,110 @@ def test_normalized_transform_matches_the_S_word_chain():
                         got = Theta(word, N, basis)
                         assert got.basis == basis
                         assert got == want, (word, N, basis)
+                        assert batch[word.basis, basis][encode(I)] == want
+
+
+def _all_images(images):
+    """{(input basis, output basis): {code: image}} over all words of
+    weight <= 7, checking that the codes come in ascending order."""
+    out = {}
+    for wbasis in "SR":
+        for basis in "SR":
+            got = dict(images(all_words(wbasis, 0, 7), basis))
+            assert list(got) == list(range(1 << 7))
+            assert all(image.basis == basis for image in got.values())
+            out[wbasis, basis] = got
+    return out
+
+
+def _word(basis, code, c=1):
+    return NsymElement._trusted(basis, {code: c})
+
+
+def test_images_of_mixed_coefficients():
+    # One image pass per coefficient; each image carries its word's
+    # coefficient, and the images add up to the transform of the sum.
+    z = zeta(3)
+    coeffs = [-1, Fraction(3, 2), z, z * z]
+    cases = [(q, 1 - q, theta_q, theta_q_images, q) for q in (2, Fraction(1, 2), -1, 1, z)]
+    cases += [(zeta(N), 1, Theta, Theta_images, N) for N in (1, 2, 3)]
+    for q, scale, transform, images, arg in cases:
+        for wbasis in "SR":
+            codes = list(all_words(wbasis, 0, 6).codes)
+            F = NsymElement._trusted(
+                wbasis, {I: coeffs[I % 4] for I in codes[::3] + codes[1::7]}
+            )
+            want = theta_by_S_words(F, q, scale)
+            for basis in "SR":
+                assert transform(F, arg, basis) == want
+                seen = []
+                for code, image in images(F, arg, basis):
+                    c = F.codes[code]
+                    assert image == theta_by_S_words(_word(wbasis, code, c), q, scale)
+                    seen.append((c, code))
+                # Coefficients in the order F first holds them, each
+                # coefficient's words in ascending code order.
+                assert seen == [
+                    (c, code) for c in dict.fromkeys(F.codes.values())
+                    for code in sorted(I for I, v in F.codes.items() if v == c)
+                ]
+
+
+@pytest.mark.parametrize("limit", [0, 40, 200, 1500])
+def test_images_refused_exactly_where_each_word_alone_is(monkeypatch, limit):
+    # The iterator checks each word's own count before building it, so a
+    # caller consuming it in order stops at the first word that theta_q
+    # refuses alone, having received every image before it.
+    monkeypatch.setattr(series, "MAX_RECURSION_TERMS", limit)
+    q = zeta(3)
+    for wbasis in "SR":
+        words = all_words(wbasis, 0, 7)
+        for basis in "SR":
+            alone = []
+            for code in words.codes:
+                try:
+                    theta_q(_word(wbasis, code), q, basis)
+                    alone.append(True)
+                except CapacityError:
+                    alone.append(False)
+            built = []
+            with pytest.raises(CapacityError) if not all(alone) else contextlib.nullcontext():
+                for code, image in theta_q_images(words, q, basis):
+                    built.append(code)
+            first = alone.index(False) if not all(alone) else len(alone)
+            assert built == list(words.codes)[:first]
+            for code, ok in zip(words.codes, alone):
+                if not ok:
+                    with pytest.raises(CapacityError):
+                        next(theta_q_images(_word(wbasis, code), q, basis))
+
+
+def test_transform_scalar_multiplications(monkeypatch):
+    # A coefficient seeds the one-part images, so sharing sub-words adds
+    # no scalar product: the counts are those of the word-by-word build
+    # (row of products for a ribbon, prefix chain for an S word).
+    z = zeta(3)
+    calls = [0]
+    mul = CyclotomicNumber.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    cases = [
+        (R(2, 1, 3).scale(2), {"S": (75, 50), "R": (72, 39)}),
+        (S(1, 2, 1, 2).scale(z), {"S": (13, 8), "R": (26, 25)}),
+        (R(3, 1, 2).scale(z), {"S": (113, 87), "R": (85, 61)}),
+    ]
+    for F, pinned in cases:
+        for basis, (at_most_q, at_most_norm) in pinned.items():
+            for transform, arg, at_most in ((theta_q, z, at_most_q),
+                                            (Theta, 3, at_most_norm)):
+                series._generator.cache_clear()
+                calls[0] = 0
+                transform(F, arg, basis)
+                assert calls[0] <= at_most, (F, basis)
 
 
 def test_transform_past_the_recursion_limit_is_refused(monkeypatch):
