@@ -18,9 +18,8 @@ the codes: by weight, then by the descent-set bitmask (bit d-1 set iff
 d is a descent).
 
 The module also carries the order-N split poset on compositions of n
-(cover moves replace one part i_k by (j, i_k - j) with j in [1, N-1]), the
-index families F and G exchanged by the block bijection epsilon, and the
-alignment statistics used by the transform decomposition formulas.
+(cover moves replace one part i_k by (j, i_k - j) with j in [1, N-1]) and
+the index families F and G exchanged by the block bijection epsilon.
 
 Lower sets of the split poset have a closed form: J lies below I iff D(J)
 is a subset of D(I) that keeps the descent after every part i_k >= N.
@@ -47,7 +46,6 @@ dropped as soon as one of its finished parts leaves the family.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 from .scalars import check_limit
@@ -203,14 +201,6 @@ def peak_set_of_composition(parts):
             out.append(d)
         prev = d
     return frozenset(out)
-
-
-def is_valid_peak_set(peaks, n):
-    """True iff ``peaks`` is the peak set of some permutation of 1..n."""
-    peaks = set(peaks)
-    if any(p < 2 or p > n - 1 for p in peaks):
-        return False
-    return all(p - 1 not in peaks for p in peaks)
 
 
 def peak_compositions_of(n):
@@ -419,7 +409,7 @@ def hilbert_dim(n, N):
 
 
 # ---------------------------------------------------------------------------
-# hook and ribbon factorizations, alignment statistics
+# hook and ribbon factorizations
 
 
 def hook_factorization(I):
@@ -449,11 +439,6 @@ def hook_factorization(I):
     return segments, len(peaks) + 1, weights_comp
 
 
-def is_hook(I):
-    """Shape (1^a, b): every part except possibly the last equals 1."""
-    return all(p == 1 for p in I[:-1])
-
-
 def ribbon_factorization(I, J):
     """Cut the ribbon J into pieces of weights given by I.
 
@@ -480,79 +465,6 @@ def ribbon_factorization(I, J):
                     remainder = J[jpos]
         segments.append(tuple(seg))
     return segments
-
-
-def h_stat(I, J):
-    """Sum of the hook heights of the pieces of ribbon_factorization(I, J).
-
-    Returns None when some piece is not a hook (the gate case); otherwise
-    the total number of leading 1s over all pieces.
-    """
-    segments = ribbon_factorization(I, J)
-    total = 0
-    for seg in segments:
-        if not is_hook(seg):
-            return None
-        total += len(seg) - 1
-    return total
-
-
-def alpha_stat(I, J):
-    """Weighted count of partial sums of J that avoid the descents of I."""
-    if sum(I) != sum(J):
-        raise ValueError(f"weight mismatch: {I} vs {J}")
-    d = descent_set(I)
-    total = 0
-    acc = 0
-    for p in J[:-1]:
-        acc += p
-        if acc not in d:
-            total += p
-    return total
-
-
-def admissible_peaks(I):
-    """Symmetric difference of the descent set with its right shift.
-
-    These are the positions where a peak may sit in the expansions of the
-    transformed ribbon; used as the gate set of ``b_stat`` and in the
-    classical expansion of the q = -1 transform.
-    """
-    d = descent_set(I)
-    shifted = frozenset(x + 1 for x in d)
-    return d ^ shifted
-
-
-def b_stat(I, J):
-    """|(1 + (D(I) - D(J))) union (D(J) - D(I))|, gated on the peaks of J.
-
-    Returns None unless P(J) is contained in admissible_peaks(I).
-    """
-    if sum(I) != sum(J):
-        raise ValueError(f"weight mismatch: {I} vs {J}")
-    if not peak_set_of_composition(J) <= admissible_peaks(I):
-        return None
-    di, dj = descent_set(I), descent_set(J)
-    return len(frozenset(x + 1 for x in di - dj) | (dj - di))
-
-
-def aligned_positions(I, J):
-    """Indices l of J at which the running sum of J meets a running sum of I.
-
-    Position l in [1, len(J)] belongs to the result iff j_1 + ... + j_l
-    equals i_1 + ... + i_k for some k in [1, len(I)]. The final position
-    always qualifies (both sides sum to the full weight).
-    """
-    if sum(I) != sum(J):
-        raise ValueError(f"weight mismatch: {I} vs {J}")
-    sums_I = set(itertools.accumulate(I))
-    out = set()
-    acc = 0
-    for l, p in enumerate(J, start=1):
-        acc += p
-        if acc in sums_I:
-            out.add(l)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

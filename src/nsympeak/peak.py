@@ -50,7 +50,11 @@ public spelling: the expansions check and encode their coordinates
 in one pass and membership decodes its answer once. pi_N and the rho(t)
 bases already hold codes, and hand them straight to the one Sigma
 expansion on codes that ``expand_sigma_coords`` also ends in.
-The closed decompositions and their statistics work on tuples.
+The closed decompositions and the q = -1 peak expansion run on codes
+too: each statistic of their formulas is a few bit operations on the
+codes of I and J. The decompositions key their coordinates by the
+compositions that a PeakContext holds for the codes of G
+(``_G_words``); the q = -1 expansion decodes its coordinates once.
 """
 
 from __future__ import annotations
@@ -60,10 +64,6 @@ from operator import mul
 
 from .compositions import (
     G_set,
-    admissible_peaks,
-    aligned_positions,
-    alpha_stat,
-    b_stat,
     check_composition,
     compositions_of,
     decode,
@@ -71,14 +71,10 @@ from .compositions import (
     encode,
     epsilon,
     epsilon_inv,
-    h_stat,
     is_in_G,
-    is_valid_peak_set,
     lower_codes,
     lower_forward,
     lower_inverse,
-    lower_set,
-    peak_set_of_composition,
 )
 from .elements import (
     NsymElement,
@@ -100,10 +96,11 @@ class PeakContext:
     it has made (only those asked for, never all N).
 
     The public methods take and return composition tuples; the peak maps
-    read the G test on codes, ``_in_G``.
+    read the G test and the G families on codes, ``_in_G`` and
+    ``_G_words``.
     """
 
-    __slots__ = ("N", "zeta", "_G", "_runs", "_zeta_powers")
+    __slots__ = ("N", "zeta", "_G", "_words", "_runs", "_zeta_powers")
 
     def __init__(self, N):
         if N < 2:
@@ -114,6 +111,7 @@ class PeakContext:
         self.N = N
         self.zeta = zeta(N)
         self._G = {}
+        self._words = {}
         self._runs = ("0" * (N - 1), "0" * N)
         self._zeta_powers = {}
 
@@ -122,6 +120,15 @@ class PeakContext:
         if got is None:
             got = tuple(G_set(n, self.N))
             self._G[n] = got
+        return got
+
+    def _G_words(self, n):
+        """{code: composition} over G(n), in the same (ascending) order:
+        the decomposition formulas walk the codes and key their output
+        by the compositions, with no decoding."""
+        got = self._words.get(n)
+        if got is None:
+            got = self._words[n] = {encode(I): I for I in self.G(n)}
         return got
 
     def in_G(self, I):
@@ -350,6 +357,21 @@ def in_T_ideal(F, N):
 # the classical order-2 layer
 
 
+def _is_peak_set(d):
+    """True iff the descent bits d (bit s-1 for the descent s) are the
+    peak set of some permutation: no descent at 1, no two adjacent."""
+    return not (d & 1 or d & d >> 1)
+
+
+def _peak_gate(I):
+    """D(I) xor (D(I) + 1) as bits below the top bit of the code I: the
+    positions where a peak may sit in the expansions of the transformed
+    R_I."""
+    top = 1 << I.bit_length() >> 1
+    d = I ^ top
+    return (d ^ d << 1) & top - 1
+
+
 def classical_peak_function(I):
     """Pi_I: the sum of ribbons R_J over J with peak set equal to D(I).
 
@@ -361,14 +383,14 @@ def classical_peak_function(I):
     """
     I = check_composition(I)
     n = sum(I)
-    peaks = sorted(descent_set(I))
-    if not is_valid_peak_set(peaks, n):
+    top = 1 << n >> 1
+    if not _is_peak_set(encode(I) ^ top):
         raise ValueError(f"descent set of {I} is not a peak set for weight {n}")
     if n == 0:
         return one("R")
+    peaks = sorted(descent_set(I))
     starts = [0, *peaks]  # the run from 0 is the optional run from 1
     ends = [range(s, t - 1) for s, t in zip(starts, [*peaks, n + 1])]
-    top = 1 << (n - 1)
     return NsymElement._trusted(
         "R",
         {
@@ -385,24 +407,36 @@ def theta_minus1_ribbon_expansion(I):
     weight whose descent set avoids consecutive positions of D(I), i.e.
     sits inside the symmetric difference of D(I) with its right shift.
     """
-    I = check_composition(I)
-    n = sum(I)
-    if n == 0:
+    I = encode(check_composition(I))
+    if not I:
         return {(): 1}
-    # The words whose descents lie in the gate are the coarsenings of the
-    # composition cut at the gate (n itself is never a descent).
-    cuts = sorted(admissible_peaks(I) - {n})
-    gate = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
-    out = {}
-    for J in lower_set(gate):
-        d = descent_set(J)
-        if is_valid_peak_set(d, n):
-            out[J] = 2 ** (len(d) + 1)
-    return out
+    # The words whose descents lie in the gate are the lower set of the
+    # gate with the top bit (n itself is never a descent).
+    top = 1 << I.bit_length() >> 1
+    return _decoded(
+        {
+            J: 2 << (J ^ top).bit_count()
+            for J in lower_codes(_peak_gate(I) | top)
+            if _is_peak_set(J ^ top)
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
 # closed decompositions of the transformed basis elements
+#
+# Each runs on the codes of I and of the J in G, and keys its output by
+# the compositions that PeakContext holds for those codes (``_G_words``).
+
+
+def _parts_at(J, X):
+    """The parts of the word coded J that end at the set bits of X (a
+    submask of J), lowest first: the part ending at bit b is b + 1 less
+    the width of the bits of J below b."""
+    while X:
+        bit = X & -X
+        X ^= bit
+        yield bit.bit_length() - (J & bit - 1).bit_length()
 
 
 def decomp_theta_S(I, ctx):
@@ -412,26 +446,33 @@ def decomp_theta_S(I, ctx):
     coefficient is (-1)^(l(I)-l(J)) zeta^(n - sum of the parts of J at
     aligned positions) times the product of (1 - zeta^(j_l)) over those
     positions. Aligned positions are where J's running sums meet I's.
+
+    The J refining I are listed directly: I's code OR'd with each
+    submask of the bits it lacks, those in G kept.
     """
-    I = check_composition(I)
-    n = sum(I)
-    if n == 0:
+    I = encode(check_composition(I))
+    if not I:
         return {(): 1}
-    di = descent_set(I)
-    li = len(I)
+    n = I.bit_length()
+    top = 1 << n - 1
+    li = I.bit_count()
+    G = ctx._G_words(n)
     out = {}
-    for J in ctx.G(n):
-        if not di <= descent_set(J):
+    # lower_codes lists the top bit OR'd with each submask L of the bits
+    # I lacks, in ascending order, so the J = I | L ascend too.
+    for L in lower_codes(~I & top - 1 | top):
+        J = I | L
+        key = G.get(J)
+        if key is None:
             continue
-        hooks = aligned_positions(I, J)
-        coeff = 1 if (li - len(J)) % 2 == 0 else -1
+        coeff = 1 if (li - J.bit_count()) % 2 == 0 else -1
         exp = n
-        for l in hooks:
-            exp -= J[l - 1]
-            coeff = coeff * (1 - ctx.zeta_power(J[l - 1]))
+        for j in _parts_at(J, I):
+            exp -= j
+            coeff = coeff * (1 - ctx.zeta_power(j))
         coeff = coeff * ctx.zeta_power(exp)
         if coeff:
-            out[J] = coeff
+            out[key] = coeff
     return out
 
 
@@ -442,18 +483,23 @@ def decomp_theta_R(I, ctx):
     (-1)^(l(I)-l(J)) zeta^a (1 - zeta^(last part of J)), where a adds up
     the non-final parts of J whose running sum is not a descent of I.
     """
-    I = check_composition(I)
-    n = sum(I)
-    if n == 0:
+    I = encode(check_composition(I))
+    if not I:
         return {(): 1}
-    li = len(I)
+    n = I.bit_length()
+    top = 1 << n - 1
+    li = I.bit_count()
+    G = ctx._G_words(n)
     out = {}
-    for J in ctx.G(n):
-        a = alpha_stat(I, J)
-        coeff = 1 if (li - len(J)) % 2 == 0 else -1
-        coeff = coeff * ctx.zeta_power(a) * (1 - ctx.zeta_power(J[-1]))
+    for J, key in G.items():
+        # I holds the top bit, so J & ~I holds only descents of J.
+        a = sum(_parts_at(J, J & ~I))
+        coeff = 1 if (li - J.bit_count()) % 2 == 0 else -1
+        # The last part is n less the highest descent.
+        last = n - (J ^ top).bit_length()
+        coeff = coeff * ctx.zeta_power(a) * (1 - ctx.zeta_power(last))
         if coeff:
-            out[J] = coeff
+            out[key] = coeff
     return out
 
 
@@ -463,21 +509,26 @@ def decomp_S_on_rho(I, ctx):
     The sum runs over J in G whose ribbon cut along I yields only hook
     pieces; the coefficient is (1-zeta)^l(I) (-zeta)^h with h the total
     number of leading ones over the pieces.
+
+    On codes, the descents of J inside the pieces are X = J & ~I, and a
+    piece is a hook when each of them follows a bit of J or I (or the
+    start): X & ~((J | I) << 1 | 1) is empty. Then h = |X|.
     """
-    I = check_composition(I)
-    n = sum(I)
-    if n == 0:
+    I = encode(check_composition(I))
+    if not I:
         return {(): 1}
-    lead = scalar_pow(1 - ctx.zeta, len(I))
+    n = I.bit_length()
+    lead = scalar_pow(1 - ctx.zeta, I.bit_count())
     twist = list(accumulate([-ctx.zeta] * n, mul, initial=1))
+    G = ctx._G_words(n)
     out = {}
-    for J in ctx.G(n):
-        h = h_stat(I, J)
-        if h is None:
+    for J, key in G.items():
+        X = J & ~I
+        if X & ~((J | I) << 1 | 1):
             continue
-        coeff = lead * twist[h]
+        coeff = lead * twist[X.bit_count()]
         if coeff:
-            out[J] = coeff
+            out[key] = coeff
     return out
 
 
@@ -488,21 +539,32 @@ def decomp_R_on_rho(I, ctx):
     positions of I; the coefficient is (1-zeta)^(number of hook pieces
     of J) times (-zeta)^b with b counting the shifted descent mismatch
     between I and J.
+
+    On codes, the peaks of J are the descents d = D(J) that neither
+    follow a descent nor sit at 1, d & ~(d << 1 | 1); the admissible
+    positions are ``_peak_gate(I)``; the hook count is one more than the
+    number of peaks.
     """
-    I = check_composition(I)
-    n = sum(I)
-    if n == 0:
+    I = encode(check_composition(I))
+    if not I:
         return {(): 1}
+    n = I.bit_length()
+    top = 1 << n - 1
+    di = I ^ top
+    gate = _peak_gate(I)
     hooks = list(accumulate([1 - ctx.zeta] * n, mul, initial=1))
     twist = list(accumulate([-ctx.zeta] * n, mul, initial=1))
+    G = ctx._G_words(n)
     out = {}
-    for J in ctx.G(n):
-        b = b_stat(I, J)
-        if b is None:
+    for J, key in G.items():
+        dj = J ^ top
+        peaks = dj & ~(dj << 1 | 1)
+        if peaks & ~gate:
             continue
-        coeff = hooks[len(peak_set_of_composition(J)) + 1] * twist[b]
+        b = ((di & ~dj) << 1 | dj & ~di).bit_count()
+        coeff = hooks[peaks.bit_count() + 1] * twist[b]
         if coeff:
-            out[J] = coeff
+            out[key] = coeff
     return out
 
 

@@ -15,7 +15,8 @@ of integer zeta-columns summed one descent at a time, the transform's
 dense matrix on one weight with its determinant by Gaussian
 elimination, the transform itself as one product of S-basis generator
 images per S word, the classical peak functions by filtering every
-ribbon by its peak set, the index families F and G and the peak
+ribbon by its peak set, the peak-set test on position sets (the
+library tests descent bits), the index families F and G and the peak
 compositions by filtering every composition of n, Phi_N by dividing
 x^N - 1 by Phi_d for every proper divisor d, and cyclotomic numbers as
 tuples of Fractions.
@@ -34,7 +35,6 @@ from nsympeak.compositions import (
     descent_set,
     is_in_F,
     is_in_G,
-    is_valid_peak_set,
     lower_set,
     peak_set_of_composition,
 )
@@ -334,6 +334,14 @@ def F_set_filtered(n, N):
 
 def G_set_filtered(n, N):
     return [I for I in compositions_of(n) if is_in_G(I, N)]
+
+
+def is_valid_peak_set(peaks, n):
+    """True iff ``peaks`` is the peak set of some permutation of 1..n."""
+    peaks = set(peaks)
+    if any(p < 2 or p > n - 1 for p in peaks):
+        return False
+    return all(p - 1 not in peaks for p in peaks)
 
 
 def peak_compositions_filtered(n):

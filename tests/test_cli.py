@@ -218,6 +218,17 @@ def test_verify_one_weight_past_the_default_scale(capsys, suite, max_n):
     assert out.endswith(f"verify {suite}: PASS\n")
 
 
+@pytest.mark.parametrize("N", ["5", "7"])
+@pytest.mark.parametrize("suite", list(cli.ADOPTED_READINGS))
+def test_verify_decompositions_at_larger_orders(capsys, suite, N):
+    # The default scale stops at N = 4 and weight 6; every word of
+    # weight <= 7 is one check.
+    rc, out, _ = run(capsys, "verify", suite, "--N", N, "--max-n", "7", "--format", "json")
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["pass"], report["checks"]) == (True, 128)
+
+
 @pytest.mark.parametrize("suite", ["basis", "decomp-S", "decomp-R-rho"])
 def test_verify_past_the_word_listing_limit_is_refused(capsys, suite):
     # All 2^40 words of weight <= 40 would be listed first.

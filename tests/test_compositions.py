@@ -8,10 +8,6 @@ import pytest
 from nsympeak.compositions import (
     F_set,
     G_set,
-    alpha_stat,
-    admissible_peaks,
-    aligned_positions,
-    b_stat,
     canonical_key,
     check_composition,
     composition_from_descents,
@@ -22,13 +18,10 @@ from nsympeak.compositions import (
     display_key,
     epsilon,
     epsilon_inv,
-    h_stat,
     hilbert_dim,
     hook_factorization,
-    is_hook,
     is_in_F,
     is_in_G,
-    is_valid_peak_set,
     lower_set,
     num_compositions,
     part_count,
@@ -41,6 +34,7 @@ from nsympeak.compositions import (
 from oracles import (
     F_set_filtered,
     G_set_filtered,
+    is_valid_peak_set,
     merge_predecessors,
     peak_compositions_filtered,
     poset_leq,
@@ -301,14 +295,8 @@ def test_hook_factorization_example():
     assert descent_set(weights) == frozenset({4, 9})
     assert sum(map(sum, segments)) == 11
     for piece in segments:
-        assert is_hook(piece)
-
-
-def test_is_hook():
-    assert is_hook((3,)) and is_hook((1, 2)) and is_hook((1, 1, 1))
-    assert not is_hook((2, 1))
-    assert not is_hook((1, 2, 1))
-    assert is_hook(())
+        # Each piece is a hook (1^a, b): every part but the last is 1.
+        assert all(p == 1 for p in piece[:-1])
 
 
 def test_ribbon_factorization_example():
@@ -324,44 +312,6 @@ def test_ribbon_factorization_everywhere():
                 segments = ribbon_factorization(I, J)
                 assert tuple(map(sum, segments)) == I
                 assert reassemble_ribbon(segments, I, J) == J
-
-
-def test_h_stat():
-    assert h_stat((3,), (1, 2)) == 1
-    assert h_stat((3,), (3,)) == 0
-    assert h_stat((3,), (2, 1)) is None
-    assert h_stat((3,), (1, 1, 1)) == 2
-    assert h_stat((1, 1), (1, 1)) == 0
-    assert h_stat((1, 1), (2,)) == 0
-
-
-def test_alpha_stat():
-    assert alpha_stat((3,), (1, 1, 1)) == 2
-    assert alpha_stat((3,), (3,)) == 0
-    assert alpha_stat((1, 1, 1), (1, 1, 1)) == 0
-
-
-def test_admissible_peaks_and_b_stat():
-    assert admissible_peaks((2,)) == frozenset()
-    assert admissible_peaks((1, 1)) == frozenset({1, 2})
-    assert admissible_peaks((2, 1)) == frozenset({2, 3})
-    assert b_stat((2,), (1, 1)) == 1
-    assert b_stat((2,), (2,)) == 0
-    for n in range(1, 7):
-        for I in compositions_of(n):
-            gate = admissible_peaks(I)
-            for J in compositions_of(n):
-                b = b_stat(I, J)
-                if peak_set_of_composition(J) <= gate:
-                    assert isinstance(b, int) and b >= 0
-                else:
-                    assert b is None
-
-
-def test_aligned_positions():
-    assert aligned_positions((3,), (1, 2)) == frozenset({2})
-    assert aligned_positions((1, 2), (1, 2)) == frozenset({1, 2})
-    assert aligned_positions((3,), (1, 1, 1)) == frozenset({3})
 
 
 def test_part_count_formula():

@@ -1,5 +1,6 @@
 """Tests for the higher-order peak subalgebras and their bases."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from nsympeak.compositions import (
     F_set,
     G_set,
     compositions_of,
+    descent_set,
     epsilon,
     hilbert_dim,
     peak_set_of_composition,
@@ -60,6 +62,7 @@ from nsympeak.scalars import CyclotomicNumber, zeta, zeta_pow
 from nsympeak.series import Theta, theta_q
 from oracles import (
     classical_peak_functions_filtered,
+    is_valid_peak_set,
     membership_per_term,
     s_to_r_per_term,
     sigma_from_rho,
@@ -336,8 +339,6 @@ def test_classical_peak_functions():
 
 
 def test_classical_supports_partition():
-    from nsympeak.compositions import descent_set, is_valid_peak_set
-
     for n in (3, 4, 5, 6):
         seen = {}
         for I in compositions_of(n):
@@ -400,6 +401,18 @@ def test_decomp_on_rho(ctx2, ctx3):
                 assert got_s == theta_q(S(*I), ctx.zeta).to_basis("R")
                 got_r = expand_rho_coords(decomp_R_on_rho(I, ctx), ctx)
                 assert got_r == theta_q(R(*I), ctx.zeta).to_basis("R")
+
+
+def test_decompositions_check_their_word(ctx3):
+    expansions = [theta_minus1_ribbon_expansion] + [
+        functools.partial(formula, ctx=ctx3)
+        for formula in (decomp_theta_S, decomp_theta_R, decomp_S_on_rho, decomp_R_on_rho)
+    ]
+    for expand in expansions:
+        for bad in [(0,), (1.0,)]:
+            with pytest.raises(ValueError):
+                expand(bad)
+        assert expand(()) == {(): 1}
 
 
 def test_normalized_transform_lands_inside(ctx2, ctx3):
