@@ -50,6 +50,7 @@ from .peak import (
     expand_rho_coords,
     expand_sigma_coords,
     in_T_ideal,
+    in_sigma_span,
     membership,
     pi_N,
     rho_basis,
@@ -114,6 +115,7 @@ __all__ = [
     "hook_factorization",
     "hook_sum",
     "in_T_ideal",
+    "in_sigma_span",
     "internal_product",
     "is_in_F",
     "is_in_G",

@@ -85,6 +85,7 @@ from .peak import (
     expand_rho_coords,
     expand_sigma_coords,
     in_T_ideal,
+    in_sigma_span,
     lemma_rnij_series,
     membership,
     morphism_check,
@@ -410,8 +411,10 @@ def _suite_basis(notes, ns, max_n):
                 yield None
             # The words of weight n are the next images; zip reads the
             # list first, so it stops without taking one more image.
-            for K, (_, image) in zip(compositions_of(n), images):
-                if membership(image, ctx) is None:
+            words = compositions_of(n)
+            batch = (image for _, (_, image) in zip(words, images))
+            for K, inside in zip(words, in_sigma_span(batch, ctx)):
+                if not inside:
                     yield f"N={N}: transform of S{composition_to_text(K)} outside span"
                 yield None
     notes.append(
@@ -445,12 +448,12 @@ def _suite_projector(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
         for n in range(max_n + 1):
-            for K in compositions_of(n):
-                word = NsymElement("S", {K: 1})
-                image = pi_N(word, ctx)
+            words = compositions_of(n)
+            images = [pi_N(NsymElement("S", {K: 1}), ctx) for K in words]
+            for K, image, inside in zip(words, images, in_sigma_span(images, ctx)):
                 if pi_N(image, ctx) != image:
                     yield f"N={N} K={composition_to_text(K)}: not idempotent"
-                if image and membership(image, ctx) is None:
+                if not inside:
                     yield f"N={N} K={composition_to_text(K)}: image not in span"
                 if ctx.in_G(K) and image != sigma_basis(K, ctx):
                     yield f"N={N} K={composition_to_text(K)}: wrong fixed image"
@@ -600,15 +603,15 @@ def _suite_peak_classical(notes, max_n):
         if len(reps) != hilbert_dim(n, 2):
             yield f"n={n}: peak count != dimension"
         seen = set()
-        for I in reps:
-            pk = classical_peak_function(I)
+        pks = [classical_peak_function(I) for I in reps]
+        for I, pk, inside in zip(reps, pks, in_sigma_span(pks, ctx)):
             if not pk:
                 yield f"n={n} I={composition_to_text(I)}: empty peak function"
             support = set(pk.to_basis("R").codes)
             if support & seen:
                 yield f"n={n} I={composition_to_text(I)}: supports overlap"
             seen |= support
-            if membership(pk, ctx) is None:
+            if not inside:
                 yield f"n={n} I={composition_to_text(I)}: peak function outside"
             yield None
     exp_max = min(max_n, 7)

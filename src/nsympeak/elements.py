@@ -27,12 +27,13 @@ ValueError. That is what lets the maps whose coefficients are all in
 {-1, 0, 1} (the basis changes here, the Sigma/rho expansions and
 membership in the peak module) run on integers. Such a map commutes
 with taking the zeta-coordinates of a Q(zeta_N) coefficient, so the
-coefficients are written once as the scalars module's integer
-zeta-columns (``split_terms``), the map runs on each column as integer
-adds, and ``join_terms`` rebuilds one scalar per output word. A basis
-change is ``compositions.lower_forward`` with no N, signed for R to S:
-one pass over the column per position some word holds, so a dense
-element converts quickly and one long word costs more than listing its
+coefficients are written once as the scalars module's packed integer
+zeta-columns (``split_terms``: one int per word holding all its
+columns), the map runs once on those ints as integer adds, and
+``join_terms`` rebuilds one scalar per output word. A basis change is
+``compositions.lower_forward`` with no N, signed for R to S: one pass
+over the words per position some word holds, so a dense element
+converts quickly and one long word costs more than listing its
 2^(l-1) words.
 
 A basis change first counts its 2^(l(I)-1) words per word I and is
@@ -363,9 +364,10 @@ def _change_basis(F, basis, sign):
     check_expansion(
         sum(at_most_compositions(x, w) for w, x in per_weight.items()), "basis change"
     )
-    N, den, parts = split_terms(F.codes)
-    parts = [lower_forward(part, None, sign) for part in parts]
-    return NsymElement._trusted(basis, join_terms(N, den, parts))
+    N, den, width, packed = split_terms(F.codes, max(per_weight, default=0))
+    return NsymElement._trusted(
+        basis, join_terms(N, den, width, lower_forward(packed, None, sign))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,15 @@ block bijection (T_K = Sigma_{epsilon^-1(K)}). A coordinate that is not
 a scalar (a float, a string) raises the TypeError of ``NsymElement``.
 
 Those expansions, membership and the rho push-forward all have
-coefficients in {-1, 0, 1}, so they run on the integer zeta-columns of
-the scalars module: ``split_terms`` once on the way in, on each column
-the sum over the order-N lower sets one descent at a time
-(``compositions.lower_forward``) or, for membership, its inverse
-(``compositions.lower_inverse``), and ``join_terms`` once on the way
-out. The rho maps prune the forward steps to G: a word coarser than one
+coefficients in {-1, 0, 1}, so they run on the packed integer
+zeta-columns of the scalars module: ``split_terms`` once on the way in
+(one int per word), one pass of the sum over the order-N lower sets one
+descent at a time (``compositions.lower_forward``) or, for membership,
+its inverse (``compositions.lower_inverse``), and ``join_terms`` once
+on the way out. ``in_sigma_span`` tests a whole batch of elements at
+once: their packed ints lie side by side (``stack_terms``), so one
+inverse serves the batch, and membership is its one-element case.
+The rho maps prune the forward steps to G: a word coarser than one
 outside G is outside G, so a step that leaves G is dropped at once and
 no lower set is listed. A single Sigma or rho(t) word lists its lower
 set (``compositions.lower_codes``). An element heavier than
@@ -59,7 +62,7 @@ compositions that a PeakContext holds for the codes of G
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 from operator import mul
 
 from .compositions import (
@@ -84,7 +87,9 @@ from .elements import (
     multiply,
     one,
 )
-from .scalars import check_limit, join_terms, scalar_pow, split_terms, zeta, zeta_pow
+from .scalars import (
+    check_limit, join_terms, scalar_pow, split_terms, stack_terms, zeta, zeta_pow,
+)
 from .series import series_inverse, series_product
 
 
@@ -235,11 +240,17 @@ def _decoded(codes):
     return {decode(J): c for J, c in codes.items()}
 
 
+def _weight(codes):
+    """The largest weight among the codes (0 for none)."""
+    return max(codes, default=0).bit_length()
+
+
 def _expand_sigma(codes, ctx):
     """The ribbon-basis element of the Sigma-coordinates {code: scalar}."""
-    N, den, parts = split_terms(codes)
-    parts = [lower_forward(part, ctx.N) for part in parts]
-    return NsymElement._trusted("R", join_terms(N, den, parts))
+    N, den, width, packed = split_terms(codes, _weight(codes))
+    return NsymElement._trusted(
+        "R", join_terms(N, den, width, lower_forward(packed, ctx.N))
+    )
 
 
 def expand_sigma_coords(coords, ctx):
@@ -254,12 +265,12 @@ def expand_rho_coords(coords, ctx):
     I, so the coordinates move to the Sigma family first: a signed
     forward sum pruned to G.
     """
-    N, den, parts = split_terms(_G_codes(coords, ctx))
-    parts = [
-        lower_forward(lower_forward(part, ctx.N, -1, ctx._in_G), ctx.N)
-        for part in parts
-    ]
-    return NsymElement._trusted("R", join_terms(N, den, parts))
+    codes = _G_codes(coords, ctx)
+    N, den, width, packed = split_terms(codes, 2 * _weight(codes))
+    sigma = lower_forward(packed, ctx.N, -1, ctx._in_G)
+    return NsymElement._trusted(
+        "R", join_terms(N, den, width, lower_forward(sigma, ctx.N))
+    )
 
 
 def expand_T_coords(coords, ctx):
@@ -284,19 +295,58 @@ def pi_N(F, ctx):
     )
 
 
-def _sigma_parts(F, ctx):
-    """F's Sigma coordinates as split_terms writes them, (N, den, parts),
-    or None when F is outside."""
+def _ribbons(F):
+    """F's ribbon coordinates and its weight, once F is checked to be
+    homogeneous and at most MAX_MEMBERSHIP_WEIGHT heavy."""
     Fr = F.to_basis("R")
     ws = Fr.weights()
     if len(ws) > 1:
         raise ValueError(f"membership needs a homogeneous element, weights {ws}")
-    check_limit(max(ws, default=0), MAX_MEMBERSHIP_WEIGHT, "membership", "weight units")
-    N, den, parts = split_terms(Fr.codes)
-    parts = [lower_inverse(part, ctx.N) for part in parts]
-    if not all(map(ctx._in_G, chain.from_iterable(parts))):
+    n = max(ws, default=0)
+    check_limit(n, MAX_MEMBERSHIP_WEIGHT, "membership", "weight units")
+    return Fr.codes, n
+
+
+def _sigma_stack(elements, ctx, passes):
+    """Split the ribbon coordinates of each element as it is read, wide
+    enough for passes times its weight descent steps, stack the splits
+    (``stack_terms``) and invert the sum over the lower sets once:
+    (frames, nonzero, the stacked Sigma coordinates)."""
+    frames, stacked, nonzero = stack_terms(
+        (split_terms(codes, passes * n), passes * n)
+        for codes, n in map(_ribbons, elements)
+    )
+    return frames, nonzero, lower_inverse(stacked, ctx.N)
+
+
+def in_sigma_span(elements, ctx):
+    """For each element F, whether F lies in the span of the Sigma_I, I
+    in G: ``membership(F, ctx) is not None``, for a whole batch at once.
+
+    The elements' packed coordinates lie side by side in one int per
+    ribbon, so the sum over the lower sets is inverted once for the
+    batch, and F is outside exactly when its segment is nonzero at some
+    I outside G. The elements are read one at a time, each refused as
+    membership refuses it; they may have different weights, and two
+    conductors among them raise the conductor-mismatch ValueError.
+    """
+    frames, nonzero, sigma = _sigma_stack(elements, ctx, 1)
+    inside = [True] * len(frames)
+    for I, x in sigma.items():
+        if not ctx._in_G(I):
+            for i in nonzero(x):
+                inside[i] = False
+    return inside
+
+
+def _sigma_parts(F, ctx, passes):
+    """F's Sigma coordinates as split_terms writes them, (N, den, width,
+    packed), wide enough for passes times its weight steps, or None when
+    F is outside. It is the one-element case of ``in_sigma_span``."""
+    (frame,), _, sigma = _sigma_stack([F], ctx, passes)
+    if not all(map(ctx._in_G, sigma)):
         return None
-    return N, den, parts
+    return *frame, sigma
 
 
 def membership(F, ctx):
@@ -308,7 +358,7 @@ def membership(F, ctx):
     every I there is in G. Input must be homogeneous, of weight at most
     MAX_MEMBERSHIP_WEIGHT (refused through ``check_limit`` above it).
     """
-    got = _sigma_parts(F, ctx)
+    got = _sigma_parts(F, ctx, 1)
     return None if got is None else _decoded(join_terms(*got))
 
 
@@ -319,12 +369,12 @@ def rho_membership(F, ctx):
     so the Sigma coordinates push forward by the forward sum over the
     lower sets, pruned to G.
     """
-    got = _sigma_parts(F, ctx)
+    got = _sigma_parts(F, ctx, 2)
     if got is None:
         return None
-    N, den, parts = got
-    parts = [lower_forward(part, ctx.N, keep=ctx._in_G) for part in parts]
-    return _decoded(join_terms(N, den, parts))
+    N, den, width, sigma = got
+    rho = lower_forward(sigma, ctx.N, keep=ctx._in_G)
+    return _decoded(join_terms(N, den, width, rho))
 
 
 def T_membership(F, ctx):

@@ -48,16 +48,19 @@ class has no public constructor and serves isinstance checks. Mixing two
 irrational values of different conductors raises the conductor-mismatch
 ValueError of ``conductor``; there is no automatic conductor lifting.
 
-The module also owns the integer zeta-columns: ``split_terms`` finds the
-conductor and the common denominator of a dict of scalars in one pass
-and writes it as phi(N) integer dicts over that denominator, read
-straight off the stored numerators, and ``join_terms`` rebuilds one
-scalar per key. Over Q there is one dict: a plain copy of the values
-when they are all integers, and on the way back each value is
-``_rational(v, den)``, with no per-key list and no ``_demoted``. Maps
-whose coefficients are all in {-1, 0, 1} (the basis changes, the
-Sigma/rho expansions and membership) run on those integers in
-nsympeak.elements and nsympeak.peak.
+The module also owns the packed integer zeta-columns: ``split_terms``
+finds the conductor and the common denominator of a dict of scalars in
+one pass and writes each value as one int, its phi(N) integer columns
+over that denominator side by side in signed fields of ``width`` bits
+(Kronecker substitution), read straight off the stored numerators;
+``join_terms`` reads the columns back off each int's bytes and rebuilds
+one scalar per key, and ``stack_terms`` lays the packed ints of several
+dicts side by side, one byte-aligned segment each. Over Q there is one
+plain column: the values themselves when they are all integers, and on
+the way back each value is ``_rational(v, den)``, with no per-key list
+and no ``_demoted``. Maps whose coefficients are all in {-1, 0, 1} (the
+basis changes, the Sigma/rho expansions and membership) run once on
+those ints in nsympeak.elements and nsympeak.peak, not once per column.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as
 polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
@@ -77,7 +80,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 class CapacityError(Exception):
     """Raised when a computation would exceed one of the stated size limits."""
@@ -407,7 +410,7 @@ def is_rational(x):
 
 
 # ---------------------------------------------------------------------------
-# integer zeta-columns
+# packed integer zeta-columns
 
 
 def conductor(values):
@@ -418,64 +421,181 @@ def conductor(values):
     N = None
     for c in values:
         if isinstance(c, CyclotomicNumber) and c.N != N:
-            if N is not None:
-                raise ValueError(
-                    f"conductor mismatch: {N} vs {c.N} (no automatic lifting)"
-                )
-            N = c.N
+            N = _same_conductor(N, c.N)
     return N
 
 
-def split_terms(terms):
-    """Write {key: scalar} as integer zeta-columns: (N, den, parts).
+def _same_conductor(N, M):
+    """M, when N is None or M: otherwise the conductor-mismatch ValueError."""
+    if N is not None and N != M:
+        raise ValueError(f"conductor mismatch: {N} vs {M} (no automatic lifting)")
+    return M
+
+
+def _layout(N, width):
+    """(B, half, zero) for phi(N) fields of width bits (one field when N
+    is None): B bytes a field, half = 2^(width-1), and zero the little-
+    endian bytes of the fields all zero, each stored as its value plus
+    half."""
+    B = width >> 3
+    half = 1 << width - 1
+    return B, half, half.to_bytes(B, "little") * (euler_phi(N) if N else 1)
+
+
+def split_terms(terms, steps=0):
+    """Write {key: scalar} as packed integer zeta-columns: (N, den, width,
+    packed).
 
     N is the conductor (None when every value is rational) and den the
-    least common denominator of all the values, both found in one pass;
-    parts[k] maps each key to den times the zeta^k coordinate of its
-    scalar, zeros left out; there are phi(N) parts, or one over Q. When
-    every value is an integer that one part is a plain copy of terms,
-    zero values kept. A cyclotomic value's numerators are read as they
-    are stored, scaled when its den is not the common one.
+    least common denominator of all the values, both found in one pass.
+    packed maps each key to one int: the sum of c_k << k * width over the
+    phi(N) zeta^k coordinates c_k of den times its scalar, zeros left
+    out. Over Q there is one plain column and no width (None): packed
+    holds den times each value, and when every value is an integer it is
+    terms itself, zero values kept; no map of this package mutates it.
+
+    Otherwise width is a whole number of bytes, at least b + steps + 2
+    bits, with b the bit length of the largest |c_k|. That is wide
+    enough for ``steps`` descent steps of the compositions module's
+    sums, which only add whole packed values: a step adds at most one
+    value into each key, so it at most doubles the largest |c_k| of the
+    result, and after the steps every |c_k| < 2^(b + steps) <=
+    2^(width - 2). A field of width bits holds each value in
+    [-2^(width-1), 2^(width-1)) in exactly one way, so the sums of
+    packed ints are the packed column sums, and a packed int is zero
+    exactly when all its columns are: the steps test values against
+    zero as they are. Each map on the columns is then one pass over
+    packed, not phi(N).
     """
     N, den = None, 1
     for c in terms.values():
         if isinstance(c, CyclotomicNumber):
-            if c.N != N:  # conductor raises on a second one
-                N = c.N if N is None else conductor(terms.values())
+            if c.N != N:
+                N = _same_conductor(N, c.N)
             d = c.den
         else:
             d = c.denominator
         if den % d:
             den = math.lcm(den, d)
-    if N is None and den == 1:
-        return None, 1, [dict(terms)]
-    parts = [{} for _ in range(euler_phi(N) if N else 1)]
-    for key, c in terms.items():
-        if isinstance(c, CyclotomicNumber):
-            m = den // c.den
-            for part, v in zip(parts, c.nums):
-                if v:
-                    part[key] = v * m
-        elif c:
-            parts[0][key] = c.numerator * (den // c.denominator)
-    return N, den, parts
+    if N is None:
+        if den == 1:
+            return None, 1, None, terms
+        return None, den, None, {
+            key: c.numerator * (den // c.denominator) for key, c in terms.items() if c
+        }
+    # Products by 1 and -1 return their operand, so an element's values
+    # are mostly shared objects: each is scaled and packed once, keyed by
+    # id (terms keeps them all alive until the end).
+    columns = {}
+    for c in terms.values():
+        if id(c) not in columns:
+            if isinstance(c, CyclotomicNumber):
+                m = den // c.den
+                columns[id(c)] = c.nums if m == 1 else [v * m for v in c.nums]
+            else:
+                columns[id(c)] = [c.numerator * (den // c.denominator)]
+    width = _width(max(map(abs, chain.from_iterable(columns.values()))), steps)
+    B, half, zero = _layout(N, width)
+    bias = int.from_bytes(zero, "little")
+    for i, vs in columns.items():
+        if len(vs) == 1:  # a rational: its int is column 0 as it is
+            columns[i] = vs[0]
+        else:
+            fields = b"".join([(v + half).to_bytes(B, "little") for v in vs])
+            columns[i] = int.from_bytes(fields, "little") - bias
+    return N, den, width, {
+        key: x for key, c in terms.items() if (x := columns[id(c)])
+    }
 
 
-def join_terms(N, den, parts):
+def _width(top, steps):
+    """Whole bytes, in bits, of at least top.bit_length() + steps + 2."""
+    return (top.bit_length() + steps + 9) // 8 * 8
+
+
+def join_terms(N, den, width, packed):
     """Inverse of split_terms: {key: scalar}, keys that cancelled dropped.
 
-    Over Q (N None, one part) each value is ``_rational(v, den)``, an
-    int when den divides it; otherwise each key's scalar is its column
-    of the parts over den, reduced by one gcd (``_demoted``).
+    Over Q (N None) each value is ``_rational(v, den)``, an int when den
+    divides it; otherwise each key's scalar is its phi(N) columns over
+    den, read off the bytes of the packed int, reduced by one gcd
+    (``_demoted``).
     """
     if N is None:
-        return {key: _rational(v, den) for key, v in parts[0].items() if v}
-    out = {}
-    for key in dict.fromkeys(chain.from_iterable(parts)):
-        vs = [part.get(key, 0) for part in parts]
-        if any(vs):
-            out[key] = _demoted(N, vs, den)
+        return {key: _rational(v, den) for key, v in packed.items() if v}
+    B, half, zero = _layout(N, width)
+    bias, size = int.from_bytes(zero, "little"), len(zero)
+    out, made = {}, {}  # made: equal packed ints share one scalar
+    for key, x in packed.items():
+        if x:
+            c = made.get(x)
+            if c is None:
+                fields = (x + bias).to_bytes(size, "little")
+                c = made[x] = _demoted(
+                    N,
+                    [int.from_bytes(fields[i:i + B], "little") - half for i in range(0, size, B)],
+                    den,
+                )
+            out[key] = c
     return out
+
+
+def stack_terms(splits):
+    """Lay the packed ints of split_terms results side by side:
+    (frames, stacked, nonzero).
+
+    splits yields (split, steps) pairs and is read one at a time: each
+    packed dict is laid before the next pair is read, so nothing needs
+    to keep it. frames lists the (N, den, width) of each split, over Q
+    the width the stack chose (None for a lone split). Split i
+    takes segment i: its phi(N_i) fields of its own width, or over Q one
+    field as wide as split_terms would make it for its steps; each
+    segment is a whole number of bytes. stacked[key] is the sum of
+    packed_i[key] << offset_i over the splits, built as one byte row per
+    key with one to_bytes per split that holds the key (a gap filled
+    with zero fields) and one from_bytes, so in time and space linear in
+    its size. A map of the compositions module runs on stacked as on
+    one split, and each segment stays inside its width as long as that
+    split's steps allow; ``nonzero(x)`` lists the i whose segment of
+    such an x is not zero. With one split, stacked is its packed. Two
+    conductors among the splits raise the conductor-mismatch ValueError.
+    """
+    splits = iter(splits)
+    head = list(islice(splits, 2))
+    if len(head) < 2:
+        frames = [split[:3] for split, _ in head]
+        return frames, head[0][0][3] if head else {}, lambda x: [0] if x else []
+    N, frames, starts, rows = None, [], [], {}
+    zeros = bytearray()  # the zero segments of the splits laid so far
+    for (M, den, width, packed), steps in chain(head, splits):
+        if M is None:
+            width = _width(max(map(abs, packed.values()), default=0), steps)
+        else:
+            N = _same_conductor(N, M)
+        frames.append((M, den, width))
+        zero = _layout(M, width)[2]
+        n, b = len(zero), int.from_bytes(zero, "little")
+        starts.append(len(zeros))
+        for key, v in packed.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = bytearray(zeros)
+            else:
+                row += zeros[len(row):]
+            row += (v + b).to_bytes(n, "little")
+        zeros += zero
+    del head, packed  # every split is laid: no packed dict is needed now
+    bias, size = int.from_bytes(zeros, "little"), len(zeros)
+    for key, row in rows.items():
+        row += zeros[len(row):]
+        rows[key] = int.from_bytes(row, "little") - bias
+    spans = list(zip(starts, starts[1:] + [size]))
+
+    def nonzero(x):
+        fields = (x + bias).to_bytes(size, "little")
+        return [i for i, (s, e) in enumerate(spans) if fields[s:e] != zeros[s:e]]
+
+    return frames, rows, nonzero
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ every matrix with the given row sums (the library chooses one row at
 a time and builds word codes), the canonical order from descent sets, the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
-form of position sets, the {-1, 0, 1} linear maps (S<->R, the
-Sigma/rho expansions and membership) with one scalar add per term
-over lower sets listed part by part (``lower_set_by_parts``), instead
-of integer zeta-columns summed one descent at a time, the transform's
+form of position sets, the integer zeta-columns as one dict per
+column with each map run on every column alone (the library packs a
+key's columns into one int and makes one pass), the {-1, 0, 1} linear
+maps (S<->R, the Sigma/rho expansions and membership) with one scalar
+add per term over lower sets listed part by part
+(``lower_set_by_parts``), instead of packed zeta-columns summed one
+descent at a time, the transform's
 dense matrix on one weight with its determinant by Gaussian
 elimination, the transform itself as one product of S-basis generator
 images per S word, the classical peak functions by filtering every
@@ -40,7 +43,7 @@ from nsympeak.compositions import (
 )
 from nsympeak.elements import NsymElement, S, add_term, multiply
 from nsympeak.peak import expand_rho_coords
-from nsympeak.scalars import scalar_inv
+from nsympeak.scalars import CyclotomicNumber, euler_phi, make_cyclotomic, scalar_inv
 from nsympeak.series import hook_sum, theta_q
 
 
@@ -179,6 +182,51 @@ def positions_from_text(text):
         return frozenset(int(p) for p in body.split(","))
     except ValueError as exc:
         raise ValueError(f"bad position-set text {text!r}") from exc
+
+
+# ---------------------------------------------------------------------------
+# integer zeta-columns, one dict per column
+
+
+def split_columns(terms):
+    """{key: scalar} as integer zeta-columns, one dict each: (N, den,
+    parts), read off the public coordinates. den is the least common
+    denominator of all the coordinates and parts[k] maps each key to den
+    times its zeta^k coordinate, zeros left out; there are phi(N) parts,
+    or one over Q. The library packs the columns of a key into one int."""
+    N = None
+    for c in terms.values():
+        if isinstance(c, CyclotomicNumber):
+            N = c.N
+    coords = {
+        key: c.coeffs if isinstance(c, CyclotomicNumber) else (Fraction(c),)
+        for key, c in terms.items()
+    }
+    den = math.lcm(1, *(f.denominator for cs in coords.values() for f in cs))
+    parts = [{} for _ in range(euler_phi(N) if N else 1)]
+    for key, cs in coords.items():
+        for part, f in zip(parts, cs):
+            if f:
+                part[key] = int(f * den)
+    return N, den, parts
+
+
+def join_columns(N, den, parts):
+    """Inverse of split_columns: {key: scalar}, keys that cancelled
+    dropped, each scalar rebuilt from its column by make_cyclotomic."""
+    out = {}
+    for key in dict.fromkeys(itertools.chain.from_iterable(parts)):
+        cs = [Fraction(part.get(key, 0), den) for part in parts]
+        if any(cs):
+            out[key] = make_cyclotomic(N, cs) if N else cs[0]
+    return out
+
+
+def per_column(f, terms):
+    """The map f on {key: int} dicts run on each zeta-column of terms
+    on its own, the route the library replaced by one packed pass."""
+    N, den, parts = split_columns(terms)
+    return join_columns(N, den, [f(part) for part in parts])
 
 
 # ---------------------------------------------------------------------------

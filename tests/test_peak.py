@@ -41,6 +41,7 @@ from nsympeak.peak import (
     expand_rho_coords,
     expand_sigma_coords,
     in_T_ideal,
+    in_sigma_span,
     lemma_rnij_series,
     membership,
     morphism_check,
@@ -62,8 +63,10 @@ from nsympeak.scalars import CyclotomicNumber, zeta, zeta_pow
 from nsympeak.series import Theta, theta_q
 from oracles import (
     classical_peak_functions_filtered,
+    expand_rho_per_term,
     is_valid_peak_set,
     membership_per_term,
+    rho_membership_per_term,
     s_to_r_per_term,
     sigma_from_rho,
 )
@@ -206,6 +209,71 @@ def test_membership_detects_outside(ctx2):
     # Perturbing a member by a ribbon outside the span must fail.
     elt = sigma_basis((2, 1), ctx2) + R(3)
     assert membership(elt, ctx2) is None
+
+
+def test_in_sigma_span_matches_membership(ctx3):
+    # One batch of mixed weights and kinds: transform images, Sigma and
+    # rho elements, every ribbon of weight <= 6 (the negative controls)
+    # and a member perturbed by a ribbon.
+    words = [I for n in range(7) for I in compositions_of(n)]
+    batch = [Theta(S(*I), 3) for I in words]
+    batch += [theta_q(S(*I), q) for I in words[:16] for q in (zeta(3), 2)]
+    batch += [f(I, ctx3) for n in range(7) for I in ctx3.G(n) for f in (sigma_basis, rho_basis)]
+    batch += [R(*K) for K in words]
+    batch.append(sigma_basis((2, 1), ctx3) + R(3))
+    want = [membership(F, ctx3) is not None for F in batch]
+    assert in_sigma_span(batch, ctx3) == want
+    assert in_sigma_span(iter(batch), ctx3) == want
+    ribbons = want[-len(words) - 1:-1]
+    assert True in ribbons and False in ribbons and not want[-1]
+
+
+def test_in_sigma_span_batches(ctx2, ctx3):
+    assert in_sigma_span([], ctx3) == []
+    # Segments of different widths: one element far wider than the rest.
+    big = 1 << 300
+    inside = Theta(S(2, 1), 3)
+    batch = [
+        R(1, 1), inside.scale(big), R(3), (inside + R(3)).scale(big),
+        sigma_basis((1, 2), ctx3).scale(Fraction(1, big)), R(1, 2), zero("R"),
+    ]
+    want = [membership(F, ctx3) is not None for F in batch]
+    assert want == [True, True, False, False, True, False, True]
+    assert in_sigma_span(batch, ctx3) == want
+    # Worst-case magnitudes at weight 8 beside small ones: 2^6 - 1 on
+    # every ribbon with the signs by length, and every Sigma_I of G, over
+    # Q and over Q(zeta_3); the inverse grows them by up to 2^7.
+    top = (1 << 6) - 1
+    z = zeta(3)
+    for c in (top, top * z, top * (1 - z)):
+        ribbons = NsymElement("R", {K: (-1) ** len(K) * c for K in compositions_of(8)})
+        sigmas = expand_sigma_coords({I: c for I in ctx3.G(8)}, ctx3)
+        batch = [R(1, 1), ribbons, sigmas, R(3), sigmas + ribbons, sigmas.scale(-1)]
+        want = [membership(F, ctx3) is not None for F in batch]
+        assert want == [True, False, True, False, False, True]
+        assert in_sigma_span(batch, ctx3) == want
+    with pytest.raises(
+        ValueError, match=r"^conductor mismatch: 3 vs 4 \(no automatic lifting\)$"
+    ):
+        in_sigma_span([Theta(S(2), 3), R(2), R(2).scale(zeta(4))], ctx3)
+    # Each element is refused as membership refuses it.
+    with pytest.raises(ValueError, match="homogeneous"):
+        in_sigma_span([R(2), R(2) + R(3)], ctx2)
+    with pytest.raises(CapacityError):
+        in_sigma_span([R(2), R(21)], ctx2)
+
+
+def test_rho_maps_at_worst_case_magnitudes(ctx3):
+    # The rho maps make two passes of descent steps over one packed int
+    # per word, so its fields must be wide enough for both.
+    top = (1 << 6) - 1
+    for c in (top, top * zeta(3)):
+        coords = {I: (-1) ** len(I) * c for I in ctx3.G(8)}
+        F = expand_rho_coords(coords, ctx3)
+        assert F == expand_rho_per_term(coords, ctx3)
+        assert rho_membership(F, ctx3) == coords
+        F = expand_sigma_coords(coords, ctx3)
+        assert rho_membership(F, ctx3) == rho_membership_per_term(F, ctx3)
 
 
 def test_rho_internal_products(ctx3):

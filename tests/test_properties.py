@@ -9,11 +9,12 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nsympeak.compositions import compositions_of
+from nsympeak.compositions import compositions_of, lower_forward, lower_inverse
 from nsympeak.descent import internal_product
 from nsympeak.elements import (
     NsymElement,
@@ -68,14 +69,17 @@ from oracles import (
     expand_sigma_per_term,
     fraction_cyclotomic,
     membership_per_term,
+    per_column,
     r_to_s_per_term,
     rho_membership_per_term,
     s_to_r_per_term,
+    split_columns,
     theta_by_S_words,
 )
 
 MAX_WEIGHT = 6
 CONTEXTS = {N: PeakContext(N) for N in (2, 3, 4)}
+PACKED_CONTEXTS = {N: PeakContext(N) for N in (3, 5, 7, 12)}
 PROPERTY = settings(max_examples=40, deadline=None)
 
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
@@ -315,19 +319,90 @@ def column_terms(draw):
 
 
 @PROPERTY
-@given(column_terms())
-def test_split_join_round_trip(terms):
-    N, den, parts = split_terms(terms)
+@given(column_terms(), st.integers(0, 16))
+def test_split_join_round_trip(terms, steps):
+    N, den, width, packed = split_terms(terms, steps)
     assert N == next(
         (c.N for c in terms.values() if isinstance(c, CyclotomicNumber)), None
     )
+    # One int per key holds the oracle's columns over the same den, column
+    # k from bit k * width, in whole bytes with room for steps doublings.
+    N_, den_, parts = split_columns(terms)
+    assert (N, den) == (N_, den_)
     assert type(den) is int and den >= 1
-    assert len(parts) == (euler_phi(N) if N else 1)
-    assert all(type(v) is int for part in parts for v in part.values())
-    got = join_terms(N, den, parts)
+    assert all(type(x) is int for x in packed.values())
+    assert {key for key, x in packed.items() if x} == set(chain.from_iterable(parts))
+    if N is None:
+        assert width is None and {k: x for k, x in packed.items() if x} == parts[0]
+    else:
+        top = max(abs(v) for part in parts for v in part.values())
+        assert width % 8 == 0 and top.bit_length() + steps + 2 <= width
+        for key, x in packed.items():
+            assert x == sum(part.get(key, 0) << k * width for k, part in enumerate(parts))
+    got = join_terms(N, den, width, packed)
     assert got == {k: v for k, v in terms.items() if v}
     for v in got.values():
         _assert_canonical(v)
+
+
+# Every map the library runs on packed columns, with the number of
+# passes it makes: the sums over the lower sets, signed, pruned to G and
+# inverted, the rho push-forward and the rho expansion.
+def _packed_maps(ctx):
+    N, G = ctx.N, ctx._in_G
+    return [
+        (1, lambda v: lower_forward(v, None)),
+        (1, lambda v: lower_forward(v, None, -1)),
+        (1, lambda v: lower_forward(v, N)),
+        (1, lambda v: lower_forward(v, N, -1)),
+        (1, lambda v: lower_forward(v, N, 1, G)),
+        (1, lambda v: lower_forward(v, N, -1, G)),
+        (1, lambda v: lower_inverse(v, N)),
+        (2, lambda v: lower_forward(lower_inverse(v, N), N, keep=G)),
+        (2, lambda v: lower_forward(lower_forward(v, N, -1, G), N)),
+    ]
+
+
+# A value's sign by (word code, column): the same everywhere, by column,
+# or (-1)^l(I), which makes every signed sum over a lower set add up.
+SIGN_PATTERNS = {
+    "plus": lambda I, k: 1,
+    "minus": lambda I, k: -1,
+    "column": lambda I, k: (-1) ** k,
+    "length": lambda I, k: (-1) ** I.bit_count(),
+}
+
+
+@PROPERTY
+@given(
+    st.sampled_from((3, 5, 7, 12)),
+    st.integers(1, 80),
+    st.sampled_from(sorted(SIGN_PATTERNS) + ["random"]),
+    st.randoms(use_true_random=False),
+)
+def test_packed_sums_equal_column_sums(N, b, pattern, rnd):
+    # Worst-case magnitudes, +-(2^b - 1) in every column of every word of
+    # weight <= 8 (the codes below 2^8), so the sums grow as far as the
+    # width bound allows for.
+    sign = SIGN_PATTERNS.get(pattern, lambda I, k: rnd.choice((-1, 1)))
+    top = (1 << b) - 1
+    terms = {
+        I: make_cyclotomic(N, [sign(I, k) * top for k in range(euler_phi(N))])
+        for I in range(1 << 8)
+    }
+    for passes, f in _packed_maps(PACKED_CONTEXTS[N]):
+        N_, den, width, packed = split_terms(terms, passes * 8)
+        assert join_terms(N_, den, width, f(packed)) == per_column(f, terms)
+
+
+def test_packed_sums_at_a_large_conductor():
+    # One term at N = 60060, phi(N) = 11520 columns of 20 bits.
+    N, top = 60060, (1 << 20) - 1
+    terms = {0b10111: make_cyclotomic(N, [top if k % 3 else -top for k in range(11520)])}
+    for f in (lambda v: lower_forward(v, N, -1), lambda v: lower_inverse(v, N)):
+        N_, den, width, packed = split_terms(terms, 5)
+        got = join_terms(N_, den, width, f(packed))
+        assert len(got) == 8 and got == per_column(f, terms)
 
 
 # The rational operand: a Fraction object, or a plain int, -1, 0 and 1

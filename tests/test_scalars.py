@@ -21,6 +21,7 @@ from nsympeak.scalars import (
     scalar_to_json,
     scalar_to_text,
     split_terms,
+    stack_terms,
     zeta,
     zeta_pow,
 )
@@ -185,24 +186,62 @@ def test_check_limit():
 
 def test_split_terms_over_Q():
     terms = {5: 2, 3: -1, 9: 0}
-    N, den, parts = split_terms(terms)
-    assert (N, den, parts) == (None, 1, [terms])
-    assert parts[0] is not terms  # a copy: the maps may not touch the input
-    assert join_terms(N, den, parts) == {5: 2, 3: -1}
-    N, den, parts = split_terms({1: Fraction(1, 6), 2: Fraction(-3, 4), 4: 5})
-    assert (N, den, parts) == (None, 12, [{1: 2, 2: -9, 4: 60}])
-    assert split_terms({}) == (None, 1, [{}])
-    assert join_terms(None, 1, [{}]) == {}
+    N, den, width, packed = split_terms(terms, 5)
+    # One plain column, no width: integer input is handed over as it is,
+    # zeros kept, and no map mutates it.
+    assert (N, den, width) == (None, 1, None)
+    assert packed is terms
+    assert join_terms(N, den, width, packed) == {5: 2, 3: -1}
+    assert terms == {5: 2, 3: -1, 9: 0}
+    N, den, width, packed = split_terms({1: Fraction(1, 6), 2: Fraction(-3, 4), 4: 5})
+    assert (N, den, width, packed) == (None, 12, None, {1: 2, 2: -9, 4: 60})
+    assert join_terms(N, den, width, packed) == {
+        1: Fraction(1, 6), 2: Fraction(-3, 4), 4: 5
+    }
+    assert split_terms({}) == (None, 1, None, {})
+    assert join_terms(None, 1, None, {}) == {}
 
 
 def test_split_terms_mixes_rationals_into_one_field():
     z = zeta(5)
-    N, den, parts = split_terms({1: Fraction(1, 2), 2: z / 3, 3: -1})
-    assert (N, den) == (5, 6)
-    assert parts == [{1: 3, 3: -6}, {2: 2}, {}, {}]
-    got = join_terms(N, den, parts)
-    assert got == {1: Fraction(1, 2), 2: z / 3, 3: -1}
+    terms = {1: Fraction(1, 2), 2: z / 3, 3: -1, 4: 2 * z * z - z}
+    N, den, width, packed = split_terms(terms)
+    # Four bits for |12|, no steps and two more, in whole bytes.
+    assert (N, den, width) == (5, 6, 8)
+    assert split_terms(terms, 2)[2] == 8
+    assert split_terms(terms, 3)[2] == 16
+    # Column k of a key sits in bits k*width up: the rationals in column 0
+    # alone, a negative column borrowing from the ones above it.
+    assert packed == {1: 3, 2: 2 << 8, 3: -6, 4: (-6 << 8) + (12 << 16)}
+    got = join_terms(N, den, width, packed)
+    assert got == terms
     assert type(got[3]) is int
+    assert join_terms(N, den, width, {1: 0, 2: 6 + (6 << 8)}) == {2: Fraction(1) + z}
+
+
+def test_stack_terms_lays_splits_side_by_side():
+    z = zeta(3)
+    a = split_terms({1: 1 + z, 3: -2})  # two 8-bit fields
+    b = split_terms({3: Fraction(1, 2), 5: 7})  # over Q: one field
+    c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
+    assert [x[2] for x in (a, b, c)] == [8, None, 48]
+    # |14| and two steps take 8 bits for b, one more step 16.
+    frames, stacked, _ = stack_terms([(b, 3), (c, 0)])
+    assert frames == [(None, 2, 16), (3, 1, 48)]
+    assert stacked[3] == b[3][3] + (c[3][3] << 16)
+    frames, stacked, nonzero = stack_terms(iter([(a, 0), (b, 2), (c, 0)]))
+    assert frames == [(3, 1, 8), (None, 2, 8), (3, 1, 48)]
+    assert stacked == {
+        1: a[3][1],
+        3: a[3][3] + (b[3][3] << 16) + (c[3][3] << 24),
+        5: b[3][5] << 16,
+    }
+    assert [nonzero(x) for x in stacked.values()] == [[0], [0, 1, 2], [1]]
+    assert nonzero(0) == []
+    assert nonzero(-1 << 24) == [2]
+    assert stack_terms([(a, 0)])[:2] == ([(3, 1, 8)], a[3])
+    assert stack_terms([(a, 0)])[1] is a[3]
+    assert stack_terms([])[:2] == ([], {})
 
 
 @pytest.mark.parametrize("values, first, second", [
@@ -211,8 +250,9 @@ def test_split_terms_mixes_rationals_into_one_field():
     ((Fraction(1, 3), zeta(12), zeta(5)), 12, 5),
 ])
 def test_split_terms_refuses_two_conductors(values, first, second):
-    with pytest.raises(
-        ValueError,
-        match=rf"^conductor mismatch: {first} vs {second} \(no automatic lifting\)$",
-    ):
+    message = rf"^conductor mismatch: {first} vs {second} \(no automatic lifting\)$"
+    with pytest.raises(ValueError, match=message):
         split_terms(dict(enumerate(values)))
+    # Splits of one conductor each may not be stacked together either.
+    with pytest.raises(ValueError, match=message):
+        stack_terms((split_terms({0: c}), 0) for c in values)
