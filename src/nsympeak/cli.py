@@ -444,19 +444,35 @@ def _suite_product(notes, ns, max_n):
                 yield None
 
 
+def _projector_images(words, ctx, failed):
+    """pi_N(S^K) for each K of words, checked as it is made, so no image
+    outlives its read. For a K that fails either check, failed[K] is its
+    (idempotence, fixed-image) pair of messages, None for a check it
+    passes."""
+    for K in words:
+        image = pi_N(NsymElement("S", {K: 1}), ctx)
+        idempotent = pi_N(image, ctx) == image
+        fixed = not ctx.in_G(K) or image == sigma_basis(K, ctx)
+        if not (idempotent and fixed):
+            failed[K] = (
+                None if idempotent else "not idempotent",
+                None if fixed else "wrong fixed image",
+            )
+        yield image
+
+
 def _suite_projector(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
         for n in range(max_n + 1):
-            words = compositions_of(n)
-            images = [pi_N(NsymElement("S", {K: 1}), ctx) for K in words]
-            for K, image, inside in zip(words, images, in_sigma_span(images, ctx)):
-                if pi_N(image, ctx) != image:
-                    yield f"N={N} K={composition_to_text(K)}: not idempotent"
-                if not inside:
-                    yield f"N={N} K={composition_to_text(K)}: image not in span"
-                if ctx.in_G(K) and image != sigma_basis(K, ctx):
-                    yield f"N={N} K={composition_to_text(K)}: wrong fixed image"
+            words, failed = compositions_of(n), {}
+            inside = in_sigma_span(_projector_images(words, ctx, failed), ctx)
+            for K, in_span in zip(words, inside):
+                idempotence, fixed = failed.get(K, (None, None))
+                span = None if in_span else "image not in span"
+                for message in (idempotence, span, fixed):
+                    if message:
+                        yield f"N={N} K={composition_to_text(K)}: {message}"
                 yield None
 
 

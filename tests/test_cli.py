@@ -875,6 +875,51 @@ def test_verify_pinned_report(capsys, suite, flag, line):
     assert out == line + "\n"
 
 
+def _eager_projector(ns, max_n):
+    """The projector suite's messages with every image of a weight held,
+    checked after the span test: the order the streamed suite keeps."""
+    for N in ns:
+        ctx = peak.PeakContext(N)
+        for n in range(max_n + 1):
+            words = compositions_of(n)
+            images = [cli.pi_N(cli.NsymElement("S", {K: 1}), ctx) for K in words]
+            for K, image, inside in zip(words, images, peak.in_sigma_span(images, ctx)):
+                name = f"N={N} K={composition_to_text(K)}"
+                if cli.pi_N(image, ctx) != image:
+                    yield f"{name}: not idempotent"
+                if not inside:
+                    yield f"{name}: image not in span"
+                if ctx.in_G(K) and image != cli.sigma_basis(K, ctx):
+                    yield f"{name}: wrong fixed image"
+                yield None
+
+
+def test_projector_suite_failures_keep_their_order(monkeypatch):
+    # A broken pi_N and Sigma make each of the three checks fail on some
+    # words, alone and together; the suite, which checks each image as
+    # it is made, reports them in the order of the eager loop.
+    real_pi, real_sigma = cli.pi_N, cli.sigma_basis
+
+    def broken_pi(F, ctx):
+        K = next(iter(F.terms)) if len(F.terms) == 1 else ()
+        if K[:1] == (2,):
+            return F  # idempotent, mostly outside the span
+        if K[:1] == (1,) and len(K) > 2:
+            return real_pi(F, ctx) + F  # not idempotent
+        return real_pi(F, ctx)
+
+    def broken_sigma(K, ctx):
+        sigma = real_sigma(K, ctx)
+        return sigma + sigma if len(K) == 2 else sigma
+
+    monkeypatch.setattr(cli, "pi_N", broken_pi)
+    monkeypatch.setattr(cli, "sigma_basis", broken_sigma)
+    got = list(cli._suite_projector([], (2, 3), 5))
+    assert got == list(_eager_projector((2, 3), 5))
+    for kind in ("not idempotent", "image not in span", "wrong fixed image"):
+        assert any(m and m.endswith(kind) for m in got)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])

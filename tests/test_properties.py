@@ -39,6 +39,7 @@ from nsympeak.peak import (
     tangent_element_series,
 )
 from nsympeak.series import Theta, series_inverse, theta_q
+from nsympeak import scalars as scalar_module
 from nsympeak.scalars import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -465,6 +466,103 @@ def test_equal_values_hash_equal(drawn, r):
     _assert_canonical(built)
     assert built == r
     assert hash(built) == hash(r)
+
+
+def _cold_memo():
+    scalar_module._memo.clear()
+    scalar_module._memo_size = 0
+
+
+def _run_ops(N, pool, ops):
+    """Apply ops to a pool of (scalar, oracle) pairs, each result joining
+    the pool, and check every result against the oracle's. A binary op
+    runs in both orders, so x - r and r - x both meet the memo."""
+    pool = list(pool)
+    for op, i, j, r in ops:
+        x = pool[i % len(pool)]
+        y = (r, r) if j is None else pool[j % len(pool)]
+        if op == "neg":
+            pairs, f = [(x, x)], lambda a, _: -a
+        else:
+            pairs = [(x, y), (y, x)]
+            f = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[op]
+        for (a, ao), (b, bo) in pairs:
+            got, want = f(a, b), f(ao, bo)
+            ours = isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber)
+            _agrees(got, want, N, ours)
+            pool.append((got, want))
+    return pool
+
+
+@st.composite
+def op_sequences(draw):
+    """A conductor, three (scalar, oracle) pairs and a sequence of sums,
+    differences, products and negations over them and their results,
+    some with a rational operand on either side."""
+    N = draw(st.sampled_from((3, 5, 7, 12)))
+    poly = st.lists(oracle_fractions, min_size=1, max_size=N + 1)
+    pool = [draw(poly) for _ in range(3)]
+    step = st.tuples(
+        st.sampled_from(("+", "-", "*", "neg")),
+        st.integers(0, 40),
+        st.none() | st.integers(0, 40),
+        oracle_rationals,
+    )
+    return N, pool, draw(st.lists(step, min_size=1, max_size=16))
+
+
+@PROPERTY
+@given(op_sequences())
+def test_memoized_arithmetic_matches_oracle(drawn):
+    # Each sequence runs on an empty memo, again on the memo it left, and
+    # on equal but distinct operands, which must find the same entries.
+    N, polys, ops = drawn
+    pool = [(make_cyclotomic(N, p), fraction_cyclotomic(N, p)) for p in polys]
+    _cold_memo()
+    cold = _run_ops(N, pool, ops)
+    entries = len(scalar_module._memo)
+    warm = _run_ops(N, pool, ops)
+    rebuilt = [(make_cyclotomic(N, p), o) for p, (_, o) in zip(polys, pool)]
+    assert all(
+        a is not b for (a, _), (b, _) in zip(pool, rebuilt)
+        if isinstance(a, CyclotomicNumber)
+    )
+    again = _run_ops(N, rebuilt, ops)
+    assert [x for x, _ in cold] == [x for x, _ in warm] == [x for x, _ in again]
+    assert len(scalar_module._memo) == entries  # the later runs only hit
+
+
+class _CountingMemo(dict):
+    """A memo dict that counts the times it is emptied."""
+
+    emptied = 0
+
+    def clear(self):
+        self.emptied += 1
+        super().clear()
+
+
+def test_memo_stays_within_its_budget(monkeypatch):
+    # Distinct values until the memo overflows, at a small conductor and
+    # at N = 60060 (phi = 11,520: a third entry passes the budget), then
+    # one operation whose entry alone is larger than the budget.
+    budget = scalar_module.MEMO_BUDGET
+    for N, count in ((7, budget // 16), (60060, 3)):
+        memo = _CountingMemo()
+        monkeypatch.setattr(scalar_module, "_memo", memo)
+        monkeypatch.setattr(scalar_module, "_memo_size", 0)
+        x, phi = zeta(N), euler_phi(N)
+        for k in range(2, 2 + count):
+            for op in (lambda: x * k, lambda: x + k, lambda: -(x * k)):
+                op()
+                assert scalar_module._memo_size <= budget
+        assert memo.emptied >= 2
+        # Each entry is charged phi numerators for each value it holds.
+        assert scalar_module._memo_size == sum(len(key) * phi for key in memo)
+    emptied = memo.emptied
+    y = zeta(65537) + 1  # phi = 65,536
+    assert (memo.emptied, memo, scalar_module._memo_size) == (emptied + 1, {}, 0)
+    assert y == zeta(65537) + 1 and y is not zeta(65537) + 1
 
 
 ROUND_TRIP_FIELDS = (1, 3, 4, 5)

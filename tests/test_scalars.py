@@ -115,6 +115,28 @@ def test_conductor_mismatch_rejected():
         zeta(3) + zeta(4)
 
 
+def test_memo_keys_on_exact_types_and_conductors():
+    # 2.0 == 2 and True == 1, and each hashes as the int, so a memo keyed
+    # on the bare operand would answer a float or a bool from an int's
+    # entry. Warm entries for the int 2 must not change what they do.
+    z = zeta(3)
+    assert z * 2 is z * 2 and z + 2 is z + 2  # the second answer is shared
+    for op in (lambda: z * 2.0, lambda: 2.0 * z, lambda: z + 2.0, lambda: z - 2.0):
+        with pytest.raises(TypeError):
+            op()
+    for got, want in ((z * True, z), (z * Fraction(2), z * 2)):
+        assert type(got) is CyclotomicNumber and got == want
+    # zeta_3 and zeta_4 store the same numerators, (0, 1) over 1.
+    assert z.nums == zeta(4).nums
+    warmed = [z * z, zeta(4) * zeta(4), z * zeta(3)]
+    assert warmed[2] is warmed[0]  # an equal operand finds the entry
+    for _ in range(2):
+        with pytest.raises(ValueError, match="conductor mismatch: 3 vs 4"):
+            z * zeta(4)
+        with pytest.raises(ValueError, match="conductor mismatch: 4 vs 3"):
+            zeta(4) + z
+
+
 def test_rational_embedding_consistency():
     z = zeta(3)
     assert z + 1 - 1 == z
