@@ -27,11 +27,11 @@ With no N every descent is free, which gives the reverse-refinement
 interval {J : D(J) contained in D(I)} that the S/R basis change sums
 over. ``lower_codes`` enumerates the lower set of one word on codes, in
 canonical order: the forced bits (the top bit and the descents after a
-part >= N) OR'd with each submask of the free ones. The tuple spellings
-``lower_set`` and ``compositions_of(n)`` (the interval below (1^n))
-decode it. ``lower_forward`` sums a dict of values over the lower sets
-with none of them listed, one pass over the dict per position that some
-word holds, from the highest down (with N None, the fast zeta transform
+part >= N) OR'd with each submask of the free ones. The tuple spelling
+``lower_set`` decodes it; ``compositions_of(n)``, the interval below
+(1^n), decodes the range of n-bit codes. ``lower_forward`` sums a dict
+of values over the lower sets with none of them listed, one pass over
+the dict per position that some word holds, from the highest down (with N None, the fast zeta transform
 on descent sets), optionally signed and pruned to a family such as G;
 ``lower_inverse`` runs the same steps from the lowest position up,
 subtracting. A word's weight adds no pass, only its descents do. One
@@ -150,10 +150,11 @@ def composition_from_descents(descents, n):
 
 
 def compositions_of(n):
-    """All 2^(n-1) compositions of n in canonical (descent bitmask) order."""
+    """All 2^(n-1) compositions of n in canonical (descent bitmask)
+    order: the words whose codes have n bits, decoded."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return lower_set((1,) * n)
+    return [decode(c) for c in range(1 << n >> 1, 1 << n)]
 
 
 def conjugate(parts):

@@ -38,7 +38,8 @@ descent at a time (``compositions.lower_forward``) or, for membership,
 its inverse (``compositions.lower_inverse``), and ``join_terms`` once
 on the way out. ``in_sigma_span`` tests a whole batch of elements at
 once: their packed ints lie side by side (``stack_terms``), so one
-inverse serves the batch, and membership is its one-element case.
+inverse serves the batch. Membership, which also needs the
+coordinates, splits and inverts its one element on its own.
 The rho maps prune the forward steps to G: a word coarser than one
 outside G is outside G, so a step that leaves G is dropped at once and
 no lower set is listed. A single Sigma or rho(t) word lists its lower
@@ -83,7 +84,6 @@ from .elements import (
     NsymElement,
     R,
     _as_scalar,
-    linear_combination,
     multiply,
     one,
 )
@@ -105,7 +105,7 @@ class PeakContext:
     ``_G_words``.
     """
 
-    __slots__ = ("N", "zeta", "_G", "_words", "_runs", "_zeta_powers")
+    __slots__ = ("N", "zeta", "_words", "_runs", "_zeta_powers")
 
     def __init__(self, N):
         if N < 2:
@@ -115,25 +115,20 @@ class PeakContext:
             )
         self.N = N
         self.zeta = zeta(N)
-        self._G = {}
         self._words = {}
         self._runs = ("0" * (N - 1), "0" * N)
         self._zeta_powers = {}
 
     def G(self, n):
-        got = self._G.get(n)
-        if got is None:
-            got = tuple(G_set(n, self.N))
-            self._G[n] = got
-        return got
+        return tuple(self._G_words(n).values())
 
     def _G_words(self, n):
-        """{code: composition} over G(n), in the same (ascending) order:
-        the decomposition formulas walk the codes and key their output
-        by the compositions, with no decoding."""
+        """{code: composition} over G(n), in ascending code order (the
+        order of G): the decomposition formulas walk the codes and key
+        their output by the compositions, with no decoding."""
         got = self._words.get(n)
         if got is None:
-            got = self._words[n] = {encode(I): I for I in self.G(n)}
+            got = self._words[n] = {encode(I): I for I in G_set(n, self.N)}
         return got
 
     def in_G(self, I):
@@ -307,18 +302,6 @@ def _ribbons(F):
     return Fr.codes, n
 
 
-def _sigma_stack(elements, ctx, passes):
-    """Split the ribbon coordinates of each element as it is read, wide
-    enough for passes times its weight descent steps, stack the splits
-    (``stack_terms``) and invert the sum over the lower sets once:
-    (frames, nonzero, the stacked Sigma coordinates)."""
-    frames, stacked, nonzero = stack_terms(
-        (split_terms(codes, passes * n), passes * n)
-        for codes, n in map(_ribbons, elements)
-    )
-    return frames, nonzero, lower_inverse(stacked, ctx.N)
-
-
 def in_sigma_span(elements, ctx):
     """For each element F, whether F lies in the span of the Sigma_I, I
     in G: ``membership(F, ctx) is not None``, for a whole batch at once.
@@ -330,9 +313,11 @@ def in_sigma_span(elements, ctx):
     membership refuses it; they may have different weights, and two
     conductors among them raise the conductor-mismatch ValueError.
     """
-    frames, nonzero, sigma = _sigma_stack(elements, ctx, 1)
-    inside = [True] * len(frames)
-    for I, x in sigma.items():
+    count, stacked, nonzero = stack_terms(
+        (split_terms(codes, n), n) for codes, n in map(_ribbons, elements)
+    )
+    inside = [True] * count
+    for I, x in lower_inverse(stacked, ctx.N).items():
         if not ctx._in_G(I):
             for i in nonzero(x):
                 inside[i] = False
@@ -342,11 +327,14 @@ def in_sigma_span(elements, ctx):
 def _sigma_parts(F, ctx, passes):
     """F's Sigma coordinates as split_terms writes them, (N, den, width,
     packed), wide enough for passes times its weight steps, or None when
-    F is outside. It is the one-element case of ``in_sigma_span``."""
-    (frame,), _, sigma = _sigma_stack([F], ctx, passes)
+    F is outside: its ribbons split and the sum over the lower sets
+    inverted, as ``in_sigma_span`` does for a batch."""
+    codes, n = _ribbons(F)
+    N, den, width, packed = split_terms(codes, passes * n)
+    sigma = lower_inverse(packed, ctx.N)
     if not all(map(ctx._in_G, sigma)):
         return None
-    return *frame, sigma
+    return N, den, width, sigma
 
 
 def membership(F, ctx):
@@ -655,15 +643,20 @@ def rho_ones_series(ctx, order, t=None):
     sign-free normalization is the one the geometric-series identity
     below actually satisfies); with t omitted, degree n carries
     (-1)^n rho_(1^n).
+
+    Every J in G(n) lies below 1^n, so rho_(1^n)(t) is the sum of
+    t^(n - l(J)) Sigma_J over all of G(n), and (-1)^n rho_(1^n) that of
+    (-1)^l(J) Sigma_J: the series is one Sigma expansion over G.
     """
-    pairs = [(one("R"), 1)]
-    for n in range(1, order + 1):
-        ones = (1,) * n
-        if t is None:
-            pairs.append((rho_basis(ones, ctx), 1 if n % 2 == 0 else -1))
-        else:
-            pairs.append((rho_t_basis(ones, t, ctx), 1))
-    return linear_combination("R", pairs)
+    return _expand_sigma(
+        {
+            J: (-1 if J.bit_count() & 1 else 1) if t is None
+            else scalar_pow(t, n - J.bit_count())
+            for n in range(order + 1)
+            for J in ctx._G_words(n)
+        },
+        ctx,
+    )
 
 
 def tangent_series(ctx, order):

@@ -56,9 +56,12 @@ is looked up first in one module dict, ``_memo``, keyed by the operation
 and its operands' values, ``(op, self, other)`` (``("neg", self)`` for a
 negation), and stored there on a miss, so while its entry is held a
 repeat returns the one object made the first time, as ``x * 1``
-returns x; a value's hash is computed once and kept. The int factors 1, -1 and 0 are answered before
-the memo. It answers only when the other operand's type is exactly
-CyclotomicNumber, int or Fraction: a float 2.0 and a bool True equal
+returns x; a value's hash is computed once and kept. One wrapper,
+``_memoized``, builds the sum and difference operators around their
+arithmetic. The product is written out so that its int factors 1, -1
+and 0 are answered before the memo, and so is the negation, which has
+no other operand. The memo answers only when the other operand's type
+is exactly CyclotomicNumber, int or Fraction: a float 2.0 and a bool True equal
 and hash as ints, so a looser key would answer them from an int's
 entry, where the arithmetic refuses the float and computes the bool.
 Each entry is charged phi(N) numerators per value it holds (its
@@ -77,10 +80,11 @@ over that denominator side by side in signed fields of ``width`` bits
 (Kronecker substitution), read straight off the stored numerators;
 ``join_terms`` reads the columns back off each int's bytes and rebuilds
 one scalar per key, and ``stack_terms`` lays the packed ints of several
-dicts side by side, one byte-aligned segment each. Over Q there is one
-plain column: the values themselves when they are all integers, and on
-the way back each value is ``_rational(v, den)``, with no per-key list
-and no ``_demoted``. Maps whose coefficients are all in {-1, 0, 1} (the
+dicts side by side, one byte-aligned segment each, for a map that only
+asks which segments end nonzero. Over Q there is one plain column: the
+values themselves when they are all integers, and on the way back each
+value is ``_rational(v, den)``, with no per-key list and no
+``_demoted``. Maps whose coefficients are all in {-1, 0, 1} (the
 basis changes, the Sigma/rho expansions and membership) run once on
 those ints in nsympeak.elements and nsympeak.peak, not once per column.
 
@@ -102,7 +106,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 class CapacityError(Exception):
     """Raised when a computation would exceed one of the stated size limits."""
@@ -251,6 +255,21 @@ def _times(a, b):
     return out
 
 
+def _memoized(op, compute):
+    """The binary operator of CyclotomicNumber that answers compute(self,
+    other) from the operation memo under (op, self, other) when other's
+    type is exactly one of _KEYED, and stores it there on a miss."""
+    def operator(self, other):
+        if type(other) not in _KEYED:
+            return compute(self, other)
+        key = (op, self, other)
+        if (got := _memo.get(key)) is None:
+            got = _remember(key, compute(self, other), 3 * len(self.nums))
+        return got
+
+    return operator
+
+
 class CyclotomicNumber:
     """An element of Q(zeta_N): the polynomial in zeta mod Phi_N with
     coefficients nums[k] / den.
@@ -272,20 +291,17 @@ class CyclotomicNumber:
         """The zeta-coordinates as reduced Fractions, made on each read."""
         return tuple(Fraction(v, self.den) for v in self.nums)
 
-    def _same_field(self, other):
-        if other.N != self.N:
-            conductor((self, other))  # raises the mismatch
-
     # -- ring operations ---------------------------------------------------
     # Each dunder below answers from the operation memo (``_memo``) when
     # the other operand's type is exactly one of _KEYED, and otherwise,
-    # or on a miss, runs the arithmetic of the private method beside it.
+    # or on a miss, runs the arithmetic of the private method beside it;
+    # all but __mul__ and __neg__ are built by ``_memoized``.
 
     def _plus(self, other, sign):
         """(nums, den) of self + sign*other, or None if other is no scalar."""
         a, da = self.nums, self.den
         if isinstance(other, CyclotomicNumber):
-            self._same_field(other)
+            _same_conductor(self.N, other.N)
             b, db = other.nums, other.den
             if sign < 0:
                 b = [-y for y in b]
@@ -316,7 +332,7 @@ class CyclotomicNumber:
 
     def _mul(self, other):
         if isinstance(other, CyclotomicNumber):
-            self._same_field(other)
+            _same_conductor(self.N, other.N)
             prod = _times(self.nums, other.nums)
             return _reduce(self.N, prod, self.den * other.den)
         if isinstance(other, (int, Fraction)):
@@ -326,37 +342,15 @@ class CyclotomicNumber:
             )
         return NotImplemented
 
-    def __add__(self, other):
-        if type(other) not in _KEYED:
-            return self._add(other)
-        key = ("+", self, other)
-        if (got := _memo.get(key)) is None:
-            got = _remember(key, self._add(other), 3 * len(self.nums))
-        return got
-
-    __radd__ = __add__
+    __add__ = __radd__ = _memoized("+", _add)
+    __sub__ = _memoized("-", _sub)
+    __rsub__ = _memoized("r-", _rsub)
 
     def __neg__(self):
         key = ("neg", self)
         if (got := _memo.get(key)) is None:
             got = _stored(self.N, tuple(-v for v in self.nums), self.den)
             _remember(key, got, 2 * len(self.nums))
-        return got
-
-    def __sub__(self, other):
-        if type(other) not in _KEYED:
-            return self._sub(other)
-        key = ("-", self, other)
-        if (got := _memo.get(key)) is None:
-            got = _remember(key, self._sub(other), 3 * len(self.nums))
-        return got
-
-    def __rsub__(self, other):
-        if type(other) not in _KEYED:
-            return self._rsub(other)
-        key = ("r-", self, other)
-        if (got := _memo.get(key)) is None:
-            got = _remember(key, self._rsub(other), 3 * len(self.nums))
         return got
 
     def __mul__(self, other):
@@ -635,37 +629,30 @@ def join_terms(N, den, width, packed):
 
 def stack_terms(splits):
     """Lay the packed ints of split_terms results side by side:
-    (frames, stacked, nonzero).
+    (count, stacked, nonzero).
 
     splits yields (split, steps) pairs and is read one at a time: each
     packed dict is laid before the next pair is read, so nothing needs
-    to keep it. frames lists the (N, den, width) of each split, over Q
-    the width the stack chose (None for a lone split). Split i
-    takes segment i: its phi(N_i) fields of its own width, or over Q one
-    field as wide as split_terms would make it for its steps; each
-    segment is a whole number of bytes. stacked[key] is the sum of
+    to keep it. count is the number of splits. Split i takes segment i:
+    its phi(N_i) fields of its own width, or over Q one field as wide as
+    split_terms would make it for its steps; each segment is a whole
+    number of bytes. stacked[key] is the sum of
     packed_i[key] << offset_i over the splits, built as one byte row per
     key with one to_bytes per split that holds the key (a gap filled
     with zero fields) and one from_bytes, so in time and space linear in
     its size. A map of the compositions module runs on stacked as on
     one split, and each segment stays inside its width as long as that
     split's steps allow; ``nonzero(x)`` lists the i whose segment of
-    such an x is not zero. With one split, stacked is its packed. Two
-    conductors among the splits raise the conductor-mismatch ValueError.
+    such an x is not zero. Two conductors among the splits raise the
+    conductor-mismatch ValueError.
     """
-    splits = iter(splits)
-    head = list(islice(splits, 2))
-    if len(head) < 2:
-        frames = [split[:3] for split, _ in head]
-        return frames, head[0][0][3] if head else {}, lambda x: [0] if x else []
-    N, frames, starts, rows = None, [], [], {}
+    N, starts, rows = None, [], {}
     zeros = bytearray()  # the zero segments of the splits laid so far
-    for (M, den, width, packed), steps in chain(head, splits):
+    for (M, _, width, packed), steps in splits:
         if M is None:
             width = _width(max(map(abs, packed.values()), default=0), steps)
         else:
             N = _same_conductor(N, M)
-        frames.append((M, den, width))
         zero = _layout(M, width)[2]
         n, b = len(zero), int.from_bytes(zero, "little")
         starts.append(len(zeros))
@@ -677,7 +664,7 @@ def stack_terms(splits):
                 row += zeros[len(row):]
             row += (v + b).to_bytes(n, "little")
         zeros += zero
-    del head, packed  # every split is laid: no packed dict is needed now
+    packed = None  # every split is laid: no packed dict is needed now
     bias, size = int.from_bytes(zeros, "little"), len(zeros)
     for key, row in rows.items():
         row += zeros[len(row):]
@@ -688,7 +675,7 @@ def stack_terms(splits):
         fields = (x + bias).to_bytes(size, "little")
         return [i for i, (s, e) in enumerate(spans) if fields[s:e] != zeros[s:e]]
 
-    return frames, rows, nonzero
+    return len(starts), rows, nonzero
 
 
 # ---------------------------------------------------------------------------

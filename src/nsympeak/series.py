@@ -30,11 +30,13 @@ with one product, and its image is dropped after its last reader, the
 readers counted over the closure first. The words of one coefficient
 share their sub-word images, and the coefficient seeds the one-part
 images and the unit, so a coefficient of 1 costs no scalar operation.
-``theta_q_images`` and ``Theta_images`` hand the images out one word at
-a time, each word refused just as it would be alone; the verify suites
-ask them for all their words at once. A theta_q or Theta request whose
-work, bounded word by word, passes MAX_RECURSION_TERMS is refused before
-anything is built.
+Every requested word is checked on its own, just before it is built,
+so ``theta_q_images`` and ``Theta_images``, which hand the images out
+one word at a time (the verify suites ask them for all their words at
+once), refuse each word just as it would be refused alone. A theta_q or
+Theta request whose work, summed over its words, passes
+MAX_RECURSION_TERMS is refused before anything is built; when the sum
+is within the limit, so is every word's own count.
 The series definition of the generator, the degree-n coefficient of
 sigma_{qt}(A)^{-1} sigma_t(A), stays as the oracle the closed form is
 checked against. theta_q is triangular in the S basis, so its
@@ -193,7 +195,7 @@ def _sub_words(I, ribbons):
     return H, I ^ (1 << H.bit_length() >> 1)
 
 
-def _word_images(codes, ribbons, q, scale, basis, seed=1, checked=False):
+def _word_images(codes, ribbons, q, scale, basis, seed=1):
     """Yield (code, image) for each of ``codes`` in ascending code order:
     seed times the image of the S word, or of the ribbon when ``ribbons``,
     in ``basis``.
@@ -207,9 +209,9 @@ def _word_images(codes, ribbons, q, scale, basis, seed=1, checked=False):
     built yet are built, lowest first, just before it. Each image is kept
     only until its last reader is built: the readers are counted over the
     closure first. The one-part images and the unit carry ``seed``, so no
-    image is rescaled and a seed of 1 costs no scalar operation. With
-    ``checked``, each requested word's own ``_word_terms`` passes
-    ``check_limit`` before anything below it is built.
+    image is rescaled and a seed of 1 costs no scalar operation. Each
+    requested word's own ``_word_terms`` passes ``check_limit`` before
+    anything below it is built.
     """
     def gen(a):
         return _generator(a, q, scale, basis)
@@ -225,9 +227,8 @@ def _word_images(codes, ribbons, q, scale, basis, seed=1, checked=False):
             todo += subs
     images = {}
     for W in sorted(codes):
-        if checked:
-            check_limit(_word_terms(W, ribbons, scale, basis), MAX_RECURSION_TERMS,
-                        "transform", "terms")
+        check_limit(_word_terms(W, ribbons, scale, basis), MAX_RECURSION_TERMS,
+                    "transform", "terms")
         new, todo = {W}, list(below[W])
         while todo:
             X = todo.pop()
@@ -313,7 +314,7 @@ def _recursion_terms(F, scale, basis):
     return total
 
 
-def _term_images(F, q, scale, basis, checked=False):
+def _term_images(F, q, scale, basis):
     """(code, image of F's term on that word) for each of F's words, in
     ``basis``: one ``_word_images`` pass per coefficient of F, seeded with
     it, so a coefficient of 1 adds no scalar operation and the words of
@@ -327,7 +328,7 @@ def _term_images(F, q, scale, basis, checked=False):
         groups.setdefault(c, []).append(I)
     ribbons = F.basis == "R"
     return chain.from_iterable(
-        _word_images(codes, ribbons, q, scale, basis, c, checked)
+        _word_images(codes, ribbons, q, scale, basis, c)
         for c, codes in groups.items()
     )
 
@@ -339,7 +340,9 @@ def _extend(F, q, scale, basis):
     anything is built, when its work, bounded by ``_recursion_terms``,
     passes MAX_RECURSION_TERMS. That count stops once it is past the
     limit, so the refusal names the count where it stopped, a lower bound
-    of the request's full count.
+    of the request's full count. A sum within the limit is a full count,
+    so each word's own count, checked as its image is built, is within
+    it too.
     """
     images = _term_images(F, q, scale, basis)
     check_limit(_recursion_terms(F, scale, basis), MAX_RECURSION_TERMS, "transform", "terms")
@@ -379,7 +382,7 @@ def theta_q_images(F, q, basis="S"):
     it is built, so a caller that consumes the images as they come is
     refused at the same word as one calling ``theta_q`` word by word.
     """
-    return _term_images(F, q, 1 - q, basis, checked=True)
+    return _term_images(F, q, 1 - q, basis)
 
 
 def Theta_images(F, N, basis="S"):
@@ -387,7 +390,7 @@ def Theta_images(F, N, basis="S"):
     ``theta_q_images`` does for theta_q."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _term_images(F, zeta(N), 1, basis, checked=True)
+    return _term_images(F, zeta(N), 1, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,9 @@ def test_in_sigma_span_batches(ctx2, ctx3):
     want = [membership(F, ctx3) is not None for F in batch]
     assert want == [True, True, False, False, True, False, True]
     assert in_sigma_span(batch, ctx3) == want
+    # A batch of one is laid as any other, over Q and over Q(zeta_3).
+    for F, inside_alone in zip(batch, want):
+        assert in_sigma_span([F], ctx3) == [inside_alone]
     # Worst-case magnitudes at weight 8 beside small ones: 2^6 - 1 on
     # every ribbon with the signs by length, and every Sigma_I of G, over
     # Q and over Q(zeta_3); the inverse grows them by up to 2^7.
@@ -504,6 +507,23 @@ def test_tangent_series(ctx2, ctx3):
     ones = rho_ones_series(ctx2, 4)
     assert ones.homogeneous_component(1) == -rho_basis((1,), ctx2)
     assert ones.homogeneous_component(2) == rho_basis((1, 1), ctx2)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_rho_ones_series_is_the_sum_of_its_degrees(N):
+    # The closed sum over G(n) against the series built degree by degree
+    # from the rho(t) and rho bases of (1^n).
+    ctx = PeakContext(N)
+    for t in (None, -1, 0, 2, Fraction(1, 2), ctx.zeta):
+        want = one("R")
+        for order in range(9):
+            if order:
+                ones = (1,) * order
+                if t is None:
+                    want = want + rho_basis(ones, ctx).scale((-1) ** order)
+                else:
+                    want = want + rho_t_basis(ones, t, ctx)
+            assert rho_ones_series(ctx, order, t) == want, (t, order)
 
 
 def test_sigma_lambda_identity(ctx2, ctx3):

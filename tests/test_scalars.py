@@ -248,11 +248,11 @@ def test_stack_terms_lays_splits_side_by_side():
     c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
     assert [x[2] for x in (a, b, c)] == [8, None, 48]
     # |14| and two steps take 8 bits for b, one more step 16.
-    frames, stacked, _ = stack_terms([(b, 3), (c, 0)])
-    assert frames == [(None, 2, 16), (3, 1, 48)]
+    count, stacked, _ = stack_terms([(b, 3), (c, 0)])
+    assert count == 2
     assert stacked[3] == b[3][3] + (c[3][3] << 16)
-    frames, stacked, nonzero = stack_terms(iter([(a, 0), (b, 2), (c, 0)]))
-    assert frames == [(3, 1, 8), (None, 2, 8), (3, 1, 48)]
+    count, stacked, nonzero = stack_terms(iter([(a, 0), (b, 2), (c, 0)]))
+    assert count == 3
     assert stacked == {
         1: a[3][1],
         3: a[3][3] + (b[3][3] << 16) + (c[3][3] << 24),
@@ -261,9 +261,14 @@ def test_stack_terms_lays_splits_side_by_side():
     assert [nonzero(x) for x in stacked.values()] == [[0], [0, 1, 2], [1]]
     assert nonzero(0) == []
     assert nonzero(-1 << 24) == [2]
-    assert stack_terms([(a, 0)])[:2] == ([(3, 1, 8)], a[3])
-    assert stack_terms([(a, 0)])[1] is a[3]
-    assert stack_terms([])[:2] == ([], {})
+    # A stack of one is laid as any other and equals the split's packed.
+    for split in (a, b):
+        count, stacked, nonzero = stack_terms([(split, 2)])
+        assert (count, stacked) == (1, split[3])
+        assert [nonzero(x) for x in stacked.values()] == [[0], [0]]
+        assert nonzero(0) == []
+    count, stacked, nonzero = stack_terms([])
+    assert (count, stacked, nonzero(0)) == (0, {}, [])
 
 
 @pytest.mark.parametrize("values, first, second", [

@@ -282,6 +282,29 @@ def test_transform_past_the_recursion_limit_is_refused(monkeypatch):
     assert series._generator.cache_info().currsize == 0
 
 
+def test_sum_refused_up_front_while_each_word_fits():
+    # Two rules: theta_q refuses on the count summed over its words,
+    # before any image is built; the iterators check each word's own
+    # count. With a limit that every word fits but the sum does not,
+    # theta_q refuses the sum whole and theta_q_images yields every word.
+    q = zeta(3)
+    for F in (all_words("S", 1, 6), all_words("R", 1, 6)):
+        for basis in "SR":
+            # Each word's full count, taken at the package's own limit.
+            limit = max(series._word_terms(code, F.basis == "R", 1 - q, basis)
+                        for code in F.codes)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(series, "MAX_RECURSION_TERMS", limit)
+                total = series._recursion_terms(F, 1 - q, basis)
+                assert total > limit
+                series._generator.cache_clear()
+                message = f"^transform needs {total} terms, above the limit {limit}$"
+                with pytest.raises(CapacityError, match=message):
+                    theta_q(F, q, basis)
+                assert series._generator.cache_info().currsize == 0
+                assert [code for code, _ in theta_q_images(F, q, basis)] == list(F.codes)
+
+
 @pytest.mark.parametrize(
     "q", [2, Fraction(1, 2), zeta(3), 1], ids=["2", "1/2", "zeta3", "1"]
 )
