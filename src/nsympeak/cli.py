@@ -63,7 +63,7 @@ from .compositions import (
     epsilon,
     hilbert_dim,
     hilbert_dims,
-    lower_set,
+    lower_codes,
     num_compositions,
     peak_compositions_of,
 )
@@ -395,27 +395,26 @@ ADOPTED_READINGS = {
 def _suite_basis(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
-        images = Theta_images(all_words("S", 0, max_n), N, "R")
+        images = Theta_images(all_words("S", 0, max_n), N, "S")
         for n in range(max_n + 1):
-            fam = ctx.G(n)
+            fam = ctx._G_words(n)
             if len(fam) != hilbert_dim(n, N):
                 yield f"N={N} n={n}: |G| != dimension table"
-            members = set(fam)
             for K in fam:
-                for J in lower_set(K, N):
-                    if J in members and J != K and len(J) >= len(K):
+                for J in lower_codes(K, N):
+                    if J in fam and J != K and J.bit_count() >= K.bit_count():
                         yield (
                             f"N={N}: triangularity broken at "
-                            f"{composition_to_text(J)} inside {composition_to_text(K)}"
+                            f"{composition_to_text(fam[J])} inside {composition_to_text(fam[K])}"
                         )
                 yield None
-            # The words of weight n are the next images; zip reads the
-            # list first, so it stops without taking one more image.
-            words = compositions_of(n)
-            batch = (image for _, (_, image) in zip(words, images))
-            for K, inside in zip(words, in_sigma_span(batch, ctx)):
+            # The codes of weight n are the next images' codes; zip reads
+            # the range first, so it stops without taking one more image.
+            codes = range(1 << n >> 1, 1 << n)
+            batch = (image for _, (_, image) in zip(codes, images))
+            for K, inside in zip(codes, in_sigma_span(batch, ctx)):
                 if not inside:
-                    yield f"N={N}: transform of S{composition_to_text(K)} outside span"
+                    yield f"N={N}: transform of S{composition_to_text(decode(K))} outside span"
                 yield None
     notes.append(
         "independence: each Sigma uses only strictly shorter words below "

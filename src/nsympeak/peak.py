@@ -37,9 +37,12 @@ zeta-columns of the scalars module: ``split_terms`` once on the way in
 descent at a time (``compositions.lower_forward``) or, for membership,
 its inverse (``compositions.lower_inverse``), and ``join_terms`` once
 on the way out. ``in_sigma_span`` tests a whole batch of elements at
-once: their packed ints lie side by side (``stack_terms``), so one
-inverse serves the batch. Membership, which also needs the
-coordinates, splits and inverts its one element on its own.
+once: their packed ints lie side by side (``stack_terms``), each
+element in its own basis, so an S element (a transform image, sparse
+in S and dense in ribbons) is stacked as it is, the S rows change to
+ribbons once per batch (``lower_forward`` with no N), and one inverse
+serves the batch. Membership, which also needs the coordinates, turns
+its one element into ribbons, and splits and inverts it on its own.
 The rho maps prune the forward steps to G: a word coarser than one
 outside G is outside G, so a step that leaves G is dropped at once and
 no lower set is listed. A single Sigma or rho(t) word lists its lower
@@ -290,32 +293,65 @@ def pi_N(F, ctx):
     )
 
 
-def _ribbons(F):
-    """F's ribbon coordinates and its weight, once F is checked to be
-    homogeneous and at most MAX_MEMBERSHIP_WEIGHT heavy."""
-    Fr = F.to_basis("R")
-    ws = Fr.weights()
+def _checked_weight(F):
+    """F's weight, once F is checked to be homogeneous and at most
+    MAX_MEMBERSHIP_WEIGHT heavy."""
+    ws = F.weights()
     if len(ws) > 1:
         raise ValueError(f"membership needs a homogeneous element, weights {ws}")
     n = max(ws, default=0)
     check_limit(n, MAX_MEMBERSHIP_WEIGHT, "membership", "weight units")
-    return Fr.codes, n
+    return n
+
+
+def _ribbons(F):
+    """F's ribbon coordinates and its weight, checked by
+    ``_checked_weight``."""
+    Fr = F.to_basis("R")
+    return Fr.codes, _checked_weight(Fr)
+
+
+def _own_split(F):
+    """(split, steps, basis) for ``in_sigma_span``: F's coordinates in its
+    own basis, split wide enough for 2n steps of an S element of weight
+    n or n steps of a ribbon element, after ``_checked_weight``'s checks."""
+    n = _checked_weight(F)
+    steps = 2 * n if F.basis == "S" else n
+    return split_terms(F.codes, steps), steps, F.basis
 
 
 def in_sigma_span(elements, ctx):
     """For each element F, whether F lies in the span of the Sigma_I, I
     in G: ``membership(F, ctx) is not None``, for a whole batch at once.
 
-    The elements' packed coordinates lie side by side in one int per
-    ribbon, so the sum over the lower sets is inverted once for the
-    batch, and F is outside exactly when its segment is nonzero at some
-    I outside G. The elements are read one at a time, each refused as
-    membership refuses it; they may have different weights, and two
-    conductors among them raise the conductor-mismatch ValueError.
+    Each element is split in its own basis, S or R, and its packed
+    coordinates lie in its own segment of one layout, in the rows of its
+    basis (``stack_terms``). The S rows change to ribbons once for the
+    batch (S^I is the sum of the R_J over the J coarser than I:
+    ``lower_forward`` with no N), the ribbon rows are added, and the sum
+    over the lower sets is inverted once; F is outside exactly when its
+    segment is nonzero at some I outside G. Every segment sits in the
+    rows of one basis only, so adding the rows adds no two segments.
+
+    The widths suffice: a descent step changes a word of weight n only
+    at a descent below n, so an element of weight n meets at most n - 1
+    steps of each pass, and a step adds at most one value into each key,
+    so it at most doubles the largest entry of a segment. A ribbon
+    element meets the inverse only, at most n - 1 <= n steps; an S
+    element meets the change to ribbons and the inverse, at most
+    2(n - 1) <= 2n steps, so its split with steps = 2n keeps every
+    entry inside its width (see ``split_terms``).
+
+    The elements are read one at a time, each refused as membership
+    refuses it (a basis change keeps the weights, so the refusals and
+    their messages do not depend on the basis); they may have different
+    weights and bases, and two conductors among them raise the
+    conductor-mismatch ValueError.
     """
-    count, stacked, nonzero = stack_terms(
-        (split_terms(codes, n), n) for codes, n in map(_ribbons, elements)
-    )
+    count, rows, nonzero = stack_terms(map(_own_split, elements), ("S", "R"))
+    stacked = lower_forward(rows.pop("S"))  # popped: freed before the inverse
+    for J, x in rows["R"].items():
+        stacked[J] = stacked.get(J, 0) + x
     inside = [True] * count
     for I, x in lower_inverse(stacked, ctx.N).items():
         if not ctx._in_G(I):

@@ -81,12 +81,15 @@ over that denominator side by side in signed fields of ``width`` bits
 ``join_terms`` reads the columns back off each int's bytes and rebuilds
 one scalar per key, and ``stack_terms`` lays the packed ints of several
 dicts side by side, one byte-aligned segment each, for a map that only
-asks which segments end nonzero. Over Q there is one plain column: the
-values themselves when they are all integers, and on the way back each
-value is ``_rational(v, den)``, with no per-key list and no
-``_demoted``. Maps whose coefficients are all in {-1, 0, 1} (the
-basis changes, the Sigma/rho expansions and membership) run once on
-those ints in nsympeak.elements and nsympeak.peak, not once per column.
+asks which segments end nonzero; each dict goes into the rows of its
+own side (its basis), all sides sharing one layout, so a map can run
+on one side's rows before they are added to another's. Over Q there is
+one plain column: the values themselves when they are all integers,
+and on the way back each value is ``_rational(v, den)``, with no
+per-key list and no ``_demoted``. Maps whose coefficients are all in
+{-1, 0, 1} (the basis changes, the Sigma/rho expansions and
+membership) run once on those ints in nsympeak.elements and
+nsympeak.peak, not once per column.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as
 polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
@@ -627,28 +630,34 @@ def join_terms(N, den, width, packed):
     return out
 
 
-def stack_terms(splits):
-    """Lay the packed ints of split_terms results side by side:
-    (count, stacked, nonzero).
+def stack_terms(splits, sides):
+    """Lay the packed ints of split_terms results side by side, each in
+    the rows of its own side: (count, rows, nonzero).
 
-    splits yields (split, steps) pairs and is read one at a time: each
-    packed dict is laid before the next pair is read, so nothing needs
-    to keep it. count is the number of splits. Split i takes segment i:
-    its phi(N_i) fields of its own width, or over Q one field as wide as
-    split_terms would make it for its steps; each segment is a whole
-    number of bytes. stacked[key] is the sum of
-    packed_i[key] << offset_i over the splits, built as one byte row per
-    key with one to_bytes per split that holds the key (a gap filled
-    with zero fields) and one from_bytes, so in time and space linear in
-    its size. A map of the compositions module runs on stacked as on
-    one split, and each segment stays inside its width as long as that
-    split's steps allow; ``nonzero(x)`` lists the i whose segment of
-    such an x is not zero. Two conductors among the splits raise the
+    splits yields (split, steps, side) triples, side one of ``sides``,
+    and is read one at a time: each packed dict is laid before the next
+    triple is read, so nothing needs to keep it. count is the number of
+    splits. Split i takes segment i of one layout that every side
+    shares: its phi(N_i) fields of its own width, or over Q one field as
+    wide as split_terms would make it for its steps; each segment is a
+    whole number of bytes. rows maps each of ``sides`` to its row dict,
+    empty when no split has that side: rows[side][key] is the sum of
+    packed_i[key] << offset_i over the splits i of that side, built as
+    one byte row per key with one to_bytes per split that holds the key
+    (a gap filled with zero fields) and one from_bytes, so in time and
+    space linear in its size. A map of the compositions module runs on a
+    row dict as on one split, and each segment stays inside its width as
+    long as that split's steps allow. Since segment i is nonzero in the
+    rows of split i's side only, the sum of two sides' ints on a key is
+    again their stack, segment by segment, with no carry between
+    segments. ``nonzero(x)`` lists the i whose segment of such an x is
+    not zero. Two conductors among the splits raise the
     conductor-mismatch ValueError.
     """
-    N, starts, rows = None, [], {}
+    N, starts = None, []
+    rows = {side: {} for side in sides}
     zeros = bytearray()  # the zero segments of the splits laid so far
-    for (M, _, width, packed), steps in splits:
+    for (M, _, width, packed), steps, side in splits:
         if M is None:
             width = _width(max(map(abs, packed.values()), default=0), steps)
         else:
@@ -656,19 +665,21 @@ def stack_terms(splits):
         zero = _layout(M, width)[2]
         n, b = len(zero), int.from_bytes(zero, "little")
         starts.append(len(zeros))
+        laid = rows[side]
         for key, v in packed.items():
-            row = rows.get(key)
+            row = laid.get(key)
             if row is None:
-                row = rows[key] = bytearray(zeros)
+                row = laid[key] = bytearray(zeros)
             else:
                 row += zeros[len(row):]
             row += (v + b).to_bytes(n, "little")
         zeros += zero
     packed = None  # every split is laid: no packed dict is needed now
     bias, size = int.from_bytes(zeros, "little"), len(zeros)
-    for key, row in rows.items():
-        row += zeros[len(row):]
-        rows[key] = int.from_bytes(row, "little") - bias
+    for laid in rows.values():
+        for key, row in laid.items():
+            row += zeros[len(row):]
+            laid[key] = int.from_bytes(row, "little") - bias
     spans = list(zip(starts, starts[1:] + [size]))
 
     def nonzero(x):

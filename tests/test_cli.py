@@ -920,6 +920,28 @@ def test_projector_suite_failures_keep_their_order(monkeypatch):
         assert any(m and m.endswith(kind) for m in got)
 
 
+def test_basis_suite_names_an_image_outside_the_span(monkeypatch):
+    # Two images pushed outside the span by the ribbon R_3 (outside at
+    # N = 3): one kept in S, one turned into ribbons, so the batch of
+    # weight 3 mixes both bases. The suite names each word once, in order.
+    real = cli.Theta_images
+    pushed = {0b101: "S", 0b110: "R"}  # S[1,2] and S[2,1]
+    off = cli.NsymElement("R", {(3,): 1})
+
+    def broken(F, N, basis):
+        for K, image in real(F, N, basis):
+            if K in pushed:
+                image = image.to_basis(pushed[K]) + off.to_basis(pushed[K])
+            yield K, image
+
+    monkeypatch.setattr(cli, "Theta_images", broken)
+    got = [m for m in cli._suite_basis([], (3,), 5) if m]
+    assert got == [
+        "N=3: transform of S[1,2] outside span",
+        "N=3: transform of S[2,1] outside span",
+    ]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])

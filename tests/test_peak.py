@@ -14,6 +14,8 @@ from nsympeak.compositions import (
     descent_set,
     epsilon,
     hilbert_dim,
+    lower_forward,
+    lower_inverse,
     peak_set_of_composition,
 )
 from nsympeak.descent import internal_product
@@ -22,6 +24,7 @@ from nsympeak.elements import (
     NsymElement,
     R,
     S,
+    all_words,
     multiply,
     one,
     r_to_s,
@@ -59,13 +62,14 @@ from nsympeak.peak import (
     tangent_zeta_series,
     theta_minus1_ribbon_expansion,
 )
-from nsympeak.scalars import CyclotomicNumber, zeta, zeta_pow
-from nsympeak.series import Theta, theta_q
+from nsympeak.scalars import CyclotomicNumber, make_cyclotomic, zeta, zeta_pow
+from nsympeak.series import Theta, Theta_images, theta_q
 from oracles import (
     classical_peak_functions_filtered,
     expand_rho_per_term,
     is_valid_peak_set,
     membership_per_term,
+    per_column,
     rho_membership_per_term,
     s_to_r_per_term,
     sigma_from_rho,
@@ -264,6 +268,69 @@ def test_in_sigma_span_batches(ctx2, ctx3):
         in_sigma_span([R(2), R(2) + R(3)], ctx2)
     with pytest.raises(CapacityError):
         in_sigma_span([R(2), R(21)], ctx2)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 7])
+def test_in_sigma_span_by_basis(N):
+    # Inside: the transform images of every S word of weight <= 8, built
+    # in S. Outside or not: the S words themselves and random sums of S
+    # words, with a cyclotomic coefficient now and then. Each batch is
+    # tested in S, in ribbons and in both bases alternately.
+    ctx = PeakContext(N)
+    rnd = random.Random(N)
+    z = zeta(N)
+    images = [image for _, image in Theta_images(all_words("S", 0, 8), N, "S")]
+    words = [NsymElement._trusted("S", {K: 1}) for K in range(1 << 8)]
+    sums = []
+    for n in range(9):
+        codes = range(1 << n >> 1, 1 << n)
+        for _ in range(6):
+            picks = rnd.sample(codes, min(len(codes), rnd.randint(1, 4)))
+            coeffs = [rnd.choice((1, -2, Fraction(1, 3), z, 1 - z)) for _ in picks]
+            sums.append(NsymElement._trusted("S", dict(zip(picks, coeffs))))
+        sums.append(images[rnd.choice(codes)] + sums[-1])  # an image's code is its index
+    batch = images + words + sums
+    want = [membership(F, ctx) is not None for F in batch]
+    assert all(want[:len(images)]) and not all(want)
+    ribbons = [F.to_basis("R") for F in batch]
+    mixed = [F if i % 2 else R for i, (F, R) in enumerate(zip(batch, ribbons))]
+    assert {F.basis for F in mixed} == {"S", "R"}
+    for each in (batch, ribbons, mixed):
+        assert in_sigma_span(each, ctx) == want
+        assert in_sigma_span(iter(each), ctx) == want
+
+
+def test_in_sigma_span_at_wide_coefficients(ctx3):
+    # 198-bit columns leave the S elements' fields no room but the width
+    # that their 2n steps add. The sum of every S word of weight 8 doubles
+    # at every step of its change to ribbons (R_8 collects 2^7 of them).
+    # Each answer is read off the exact Sigma coordinates, each column
+    # mapped on its own on unbounded ints.
+    top = (1 << 198) - 1
+    N, z = 3, zeta(3)
+    wide = make_cyclotomic(N, [top, -top])
+    every = NsymElement("S", {K: 1 for K in compositions_of(8)})
+    signed = NsymElement("S", {K: (-1) ** len(K) for K in compositions_of(8)})
+    image = Theta(S(3, 1, 2, 2), N)
+    batch = [
+        R(1, 1), every.scale(top), every.scale(wide), signed.scale(wide * z),
+        image.scale(wide), image.scale(top) + S(8), S(2, 1),
+        image.scale(wide).to_basis("R"), every.scale(wide) + image.scale(top),
+        zero("S"), (every + signed).scale(wide),
+    ]
+
+    def sigma(v):
+        return lower_inverse(lower_forward(v), N)
+
+    want = []
+    for F in batch:
+        got = per_column(sigma if F.basis == "S" else lambda v: lower_inverse(v, N), F.codes)
+        want.append(all(map(ctx3._in_G, got)))
+    assert True in want and False in want
+    assert want == [membership(F, ctx3) is not None for F in batch]
+    assert in_sigma_span(batch, ctx3) == want
+    for F, inside in zip(batch, want):
+        assert in_sigma_span([F], ctx3) == [inside]
 
 
 def test_rho_maps_at_worst_case_magnitudes(ctx3):

@@ -248,11 +248,12 @@ def test_stack_terms_lays_splits_side_by_side():
     c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
     assert [x[2] for x in (a, b, c)] == [8, None, 48]
     # |14| and two steps take 8 bits for b, one more step 16.
-    count, stacked, _ = stack_terms([(b, 3), (c, 0)])
+    count, rows, _ = stack_terms([(b, 3, "R"), (c, 0, "R")], ("R",))
     assert count == 2
-    assert stacked[3] == b[3][3] + (c[3][3] << 16)
-    count, stacked, nonzero = stack_terms(iter([(a, 0), (b, 2), (c, 0)]))
+    assert rows["R"][3] == b[3][3] + (c[3][3] << 16)
+    count, rows, nonzero = stack_terms(iter([(a, 0, "R"), (b, 2, "R"), (c, 0, "R")]), ("R",))
     assert count == 3
+    stacked = rows["R"]
     assert stacked == {
         1: a[3][1],
         3: a[3][3] + (b[3][3] << 16) + (c[3][3] << 24),
@@ -263,12 +264,38 @@ def test_stack_terms_lays_splits_side_by_side():
     assert nonzero(-1 << 24) == [2]
     # A stack of one is laid as any other and equals the split's packed.
     for split in (a, b):
-        count, stacked, nonzero = stack_terms([(split, 2)])
-        assert (count, stacked) == (1, split[3])
-        assert [nonzero(x) for x in stacked.values()] == [[0], [0]]
+        count, rows, nonzero = stack_terms([(split, 2, "R")], ("R",))
+        assert (count, rows) == (1, {"R": split[3]})
+        assert [nonzero(x) for x in rows["R"].values()] == [[0], [0]]
         assert nonzero(0) == []
-    count, stacked, nonzero = stack_terms([])
-    assert (count, stacked, nonzero(0)) == (0, {}, [])
+    count, rows, nonzero = stack_terms([], ("S", "R"))
+    assert (count, rows, nonzero(0)) == (0, {"S": {}, "R": {}}, [])
+
+
+def test_stack_terms_lays_each_side_in_one_layout():
+    z = zeta(3)
+    a = split_terms({1: 1 + z, 3: -2})  # two 8-bit fields
+    b = split_terms({3: Fraction(1, 2), 5: 7})  # over Q: one field
+    c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
+    # The segments follow the order of the splits, whatever their sides.
+    count, rows, nonzero = stack_terms([(a, 0, "S"), (b, 2, "R"), (c, 0, "S")], ("S", "R"))
+    assert count == 3
+    assert rows == {
+        "S": {1: a[3][1], 3: a[3][3] + (c[3][3] << 24)},
+        "R": {3: b[3][3] << 16, 5: b[3][5] << 16},
+    }
+    # Each segment is nonzero on one side only, so the sides' sum on a
+    # key is the stack of all three splits there, with no carry.
+    total = {k: rows["S"].get(k, 0) + rows["R"].get(k, 0) for k in (1, 3, 5)}
+    _, one_side, _ = stack_terms([(a, 0, "R"), (b, 2, "R"), (c, 0, "R")], ("R",))
+    assert total == one_side["R"]
+    assert [nonzero(x) for x in total.values()] == [[0], [0, 1, 2], [1]]
+    assert nonzero(rows["S"][3]) == [0, 2] and nonzero(rows["R"][3]) == [1]
+    # A side that no split takes is an empty row dict.
+    count, rows, nonzero = stack_terms([(c, 0, "S"), (a, 0, "S")], ("S", "R"))
+    assert count == 2 and rows["R"] == {}
+    assert rows["S"] == {1: a[3][1] << 12 * 8, 3: c[3][3] + (a[3][3] << 12 * 8)}
+    assert nonzero(rows["S"][1]) == [1]
 
 
 @pytest.mark.parametrize("values, first, second", [
@@ -282,4 +309,4 @@ def test_split_terms_refuses_two_conductors(values, first, second):
         split_terms(dict(enumerate(values)))
     # Splits of one conductor each may not be stacked together either.
     with pytest.raises(ValueError, match=message):
-        stack_terms((split_terms({0: c}), 0) for c in values)
+        stack_terms(((split_terms({0: c}), 0, "R") for c in values), ("R",))
