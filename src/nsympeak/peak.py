@@ -304,13 +304,6 @@ def _checked_weight(F):
     return n
 
 
-def _ribbons(F):
-    """F's ribbon coordinates and its weight, checked by
-    ``_checked_weight``."""
-    Fr = F.to_basis("R")
-    return Fr.codes, _checked_weight(Fr)
-
-
 def _own_split(F):
     """(split, steps, basis) for ``in_sigma_span``: F's coordinates in its
     own basis, split wide enough for 2n steps of an S element of weight
@@ -364,9 +357,9 @@ def _sigma_parts(F, ctx, passes):
     """F's Sigma coordinates as split_terms writes them, (N, den, width,
     packed), wide enough for passes times its weight steps, or None when
     F is outside: its ribbons split and the sum over the lower sets
-    inverted, as ``in_sigma_span`` does for a batch."""
-    codes, n = _ribbons(F)
-    N, den, width, packed = split_terms(codes, passes * n)
+    inverted, as ``in_sigma_span`` does for a batch of ribbon elements."""
+    Fr = F.to_basis("R")
+    N, den, width, packed = split_terms(Fr.codes, passes * _checked_weight(Fr))
     sigma = lower_inverse(packed, ctx.N)
     if not all(map(ctx._in_G, sigma)):
         return None
