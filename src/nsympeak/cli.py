@@ -77,13 +77,14 @@ from .peak import (
     T_basis,
     T_membership,
     classical_peak_function,
-    decomp_R_on_rho,
-    decomp_S_on_rho,
-    decomp_theta_R,
-    decomp_theta_S,
+    decomp_R_on_rho_codes,
+    decomp_S_on_rho_codes,
+    decomp_theta_R_codes,
+    decomp_theta_S_codes,
     expand_T_coords,
     expand_rho_coords,
     expand_sigma_coords,
+    expansions_match,
     in_T_ideal,
     in_sigma_span,
     lemma_rnij_series,
@@ -106,7 +107,6 @@ from .series import (
     det_theta,
     psi,
     theta_q,
-    theta_q_generator,
     theta_q_images,
     theta_q_series,
 )
@@ -392,6 +392,20 @@ ADOPTED_READINGS = {
 }
 
 
+# The most words that one stacked pass of ``verify basis`` or of a
+# decomp-* suite holds: each weight's words are cut into stacks of this
+# many, so a pass's memory does not grow with the weight. At the default
+# scales every weight is one stack (weight 8 has 128 words).
+STACK_WORDS = 128
+
+
+def _stacks(n):
+    """The codes of the words of weight n, ascending, cut into ranges of
+    at most STACK_WORDS."""
+    codes = range(1 << n >> 1, 1 << n)
+    return [codes[i:i + STACK_WORDS] for i in range(0, len(codes), STACK_WORDS)]
+
+
 def _suite_basis(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
@@ -408,14 +422,14 @@ def _suite_basis(notes, ns, max_n):
                             f"{composition_to_text(fam[J])} inside {composition_to_text(fam[K])}"
                         )
                 yield None
-            # The codes of weight n are the next images' codes; zip reads
+            # The codes of a stack are the next images' codes; zip reads
             # the range first, so it stops without taking one more image.
-            codes = range(1 << n >> 1, 1 << n)
-            batch = (image for _, (_, image) in zip(codes, images))
-            for K, inside in zip(codes, in_sigma_span(batch, ctx)):
-                if not inside:
-                    yield f"N={N}: transform of S{composition_to_text(decode(K))} outside span"
-                yield None
+            for codes in _stacks(n):
+                batch = (image for _, (_, image) in zip(codes, images))
+                for K, inside in zip(codes, in_sigma_span(batch, ctx)):
+                    if not inside:
+                        yield f"N={N}: transform of S{composition_to_text(decode(K))} outside span"
+                    yield None
     notes.append(
         "independence: each Sigma uses only strictly shorter words below "
         "it, so the family is triangular with unit diagonal"
@@ -504,24 +518,36 @@ def _suite_ideal(notes, ns, max_n):
 
 
 def _decomp_suite(kind):
+    """The checks of one closed decomposition: for every word I of
+    weight <= max_n, S^I or R_I, the formula's coordinates expand to the
+    transform of the word at q = zeta_N.
+
+    The words of each weight are checked in stacks of at most
+    STACK_WORDS, one stacked pass a stack (``expansions_match``): a
+    word's coordinates, on the codes of G, and its transform image, in
+    the word's own basis (S images are sparse in S), share one segment,
+    and the word fails exactly when that segment does not cancel.
+    """
     # The functions are looked up when the suite runs, not when SUITES is
     # built, so a wrapper rebound on their module (bench/tracer.py) runs.
     def checks(notes, ns, max_n):
-        formula, basis, expander = {
-            "decomp-S": (decomp_theta_S, "S", expand_sigma_coords),
-            "decomp-R": (decomp_theta_R, "R", expand_sigma_coords),
-            "decomp-S-rho": (decomp_S_on_rho, "S", expand_rho_coords),
-            "decomp-R-rho": (decomp_R_on_rho, "R", expand_rho_coords),
+        formula, basis, family = {
+            "decomp-S": (decomp_theta_S_codes, "S", "Sigma"),
+            "decomp-R": (decomp_theta_R_codes, "R", "Sigma"),
+            "decomp-S-rho": (decomp_S_on_rho_codes, "S", "rho"),
+            "decomp-R-rho": (decomp_R_on_rho_codes, "R", "rho"),
         }[kind]
         notes.append(ADOPTED_READINGS[kind])
         for N in ns:
             ctx = PeakContext(N)
-            words = all_words(basis, 0, max_n)
-            for code, want in theta_q_images(words, ctx.zeta, "R"):
-                I = decode(code)
-                if expander(formula(I, ctx), ctx) != want:
-                    yield f"N={N} I={composition_to_text(I)}"
-                yield None
+            images = theta_q_images(all_words(basis, 0, max_n), ctx.zeta, basis)
+            for n in range(max_n + 1):
+                for codes in _stacks(n):
+                    pairs = ((formula(I, ctx), image) for I, (_, image) in zip(codes, images))
+                    for I, match in zip(codes, expansions_match(pairs, family, ctx)):
+                        if not match:
+                            yield f"N={N} I={composition_to_text(decode(I))}"
+                        yield None
 
     return checks
 
@@ -601,9 +627,12 @@ def _suite_theta1_psi(notes, ns, max_n):
             yield None
     star_max = 6
     for q in (2, Fraction(1, 2)):
+        # The series truncated at star_max agrees with theta_q_generator in
+        # every degree up to it.
+        gens = theta_q_series(q, star_max)
         images = theta_q_images(all_words("S", 1, star_max), q, "R")
         for n in range(1, star_max + 1):
-            gen = theta_q_generator(n, q)
+            gen = gens.homogeneous_component(n)
             for I, (_, image) in zip(compositions_of(n), images):
                 star = internal_product(NsymElement("S", {I: 1}), gen)
                 if image != star:

@@ -59,9 +59,17 @@ bases already hold codes, and hand them straight to the one Sigma
 expansion on codes that ``expand_sigma_coords`` also ends in.
 The closed decompositions and the q = -1 peak expansion run on codes
 too: each statistic of their formulas is a few bit operations on the
-codes of I and J. The decompositions key their coordinates by the
-compositions that a PeakContext holds for the codes of G
+codes of I and J. Each decomposition's body is its ``decomp_*_codes``
+core, {J code: c} for the code of I; the public ``decomp_*`` key that
+by the compositions that a PeakContext holds for the codes of G
 (``_G_words``); the q = -1 expansion decodes its coordinates once.
+``expansions_match`` checks a batch of such coordinates against the
+transform images in one stacked pass: each pair's coordinates and
+image are split together (``split_sides``) and share one segment, the
+coordinates are expanded and the image rows subtracted on the packed
+ints, and a pair matches when its segment cancels. The verify suites
+cut each weight's words into stacks of a fixed number of words, so a
+pass's memory does not grow with the weight.
 """
 
 from __future__ import annotations
@@ -91,7 +99,8 @@ from .elements import (
     one,
 )
 from .scalars import (
-    check_limit, join_terms, scalar_pow, split_terms, stack_terms, zeta, zeta_pow,
+    check_limit, join_terms, scalar_pow, split_sides, split_terms, stack_terms, zeta,
+    zeta_pow,
 )
 from .series import series_inverse, series_product
 
@@ -305,12 +314,14 @@ def _checked_weight(F):
 
 
 def _own_split(F):
-    """(split, steps, basis) for ``in_sigma_span``: F's coordinates in its
-    own basis, split wide enough for 2n steps of an S element of weight
-    n or n steps of a ribbon element, after ``_checked_weight``'s checks."""
+    """(split, steps) for ``in_sigma_span``: F's coordinates in its own
+    basis, on that basis's side, split wide enough for 2n steps of an S
+    element of weight n or n steps of a ribbon element, after
+    ``_checked_weight``'s checks."""
     n = _checked_weight(F)
     steps = 2 * n if F.basis == "S" else n
-    return split_terms(F.codes, steps), steps, F.basis
+    N, den, width, packed = split_terms(F.codes, steps)
+    return (N, den, width, {F.basis: packed}), steps
 
 
 def in_sigma_span(elements, ctx):
@@ -319,12 +330,13 @@ def in_sigma_span(elements, ctx):
 
     Each element is split in its own basis, S or R, and its packed
     coordinates lie in its own segment of one layout, in the rows of its
-    basis (``stack_terms``). The S rows change to ribbons once for the
-    batch (S^I is the sum of the R_J over the J coarser than I:
-    ``lower_forward`` with no N), the ribbon rows are added, and the sum
-    over the lower sets is inverted once; F is outside exactly when its
-    segment is nonzero at some I outside G. Every segment sits in the
-    rows of one basis only, so adding the rows adds no two segments.
+    basis (``stack_terms``, one side per element). The S rows change to
+    ribbons once for the batch (S^I is the sum of the R_J over the J
+    coarser than I: ``lower_forward`` with no N), the ribbon rows are
+    added, and the sum over the lower sets is inverted once; F is
+    outside exactly when its segment is nonzero at some I outside G.
+    Every segment sits in the rows of one basis only, so adding the rows
+    adds no two segments.
 
     The widths suffice: a descent step changes a word of weight n only
     at a descent below n, so an element of weight n meets at most n - 1
@@ -339,7 +351,9 @@ def in_sigma_span(elements, ctx):
     refuses it (a basis change keeps the weights, so the refusals and
     their messages do not depend on the basis); they may have different
     weights and bases, and two conductors among them raise the
-    conductor-mismatch ValueError.
+    conductor-mismatch ValueError. The stack, and so the memory, grows
+    with the batch: ``verify basis`` hands over each weight's transform
+    images in batches of a fixed number of words.
     """
     count, rows, nonzero = stack_terms(map(_own_split, elements), ("S", "R"))
     stacked = lower_forward(rows.pop("S"))  # popped: freed before the inverse
@@ -492,8 +506,10 @@ def theta_minus1_ribbon_expansion(I):
 # ---------------------------------------------------------------------------
 # closed decompositions of the transformed basis elements
 #
-# Each runs on the codes of I and of the J in G, and keys its output by
-# the compositions that PeakContext holds for those codes (``_G_words``).
+# Each formula's body runs on codes (``decomp_*_codes``): it takes the
+# code of I and returns {J code: c} over the J in G (``ctx._G_words``).
+# The public decomp_* functions check I and key that dict by the
+# compositions that PeakContext holds for the codes of G.
 
 
 def _parts_at(J, X):
@@ -506,6 +522,14 @@ def _parts_at(J, X):
         yield bit.bit_length() - (J & bit - 1).bit_length()
 
 
+def _on_words(core, I, ctx):
+    """core's {J code: c} for the composition I (checked and encoded),
+    keyed by the compositions J of G."""
+    I = encode(check_composition(I))
+    G = ctx._G_words(I.bit_length())
+    return {G[J]: c for J, c in core(I, ctx).items()}
+
+
 def decomp_theta_S(I, ctx):
     """Sigma-coordinates of the order-N transform of S^I.
 
@@ -513,13 +537,18 @@ def decomp_theta_S(I, ctx):
     coefficient is (-1)^(l(I)-l(J)) zeta^(n - sum of the parts of J at
     aligned positions) times the product of (1 - zeta^(j_l)) over those
     positions. Aligned positions are where J's running sums meet I's.
+    """
+    return _on_words(decomp_theta_S_codes, I, ctx)
+
+
+def decomp_theta_S_codes(I, ctx):
+    """``decomp_theta_S`` on codes: {J code: c} for the code I.
 
     The J refining I are listed directly: I's code OR'd with each
     submask of the bits it lacks, those in G kept.
     """
-    I = encode(check_composition(I))
     if not I:
-        return {(): 1}
+        return {0: 1}
     n = I.bit_length()
     top = 1 << n - 1
     li = I.bit_count()
@@ -529,8 +558,7 @@ def decomp_theta_S(I, ctx):
     # I lacks, in ascending order, so the J = I | L ascend too.
     for L in lower_codes(~I & top - 1 | top):
         J = I | L
-        key = G.get(J)
-        if key is None:
+        if J not in G:
             continue
         coeff = 1 if (li - J.bit_count()) % 2 == 0 else -1
         exp = n
@@ -539,7 +567,7 @@ def decomp_theta_S(I, ctx):
             coeff = coeff * (1 - ctx.zeta_power(j))
         coeff = coeff * ctx.zeta_power(exp)
         if coeff:
-            out[key] = coeff
+            out[J] = coeff
     return out
 
 
@@ -550,15 +578,18 @@ def decomp_theta_R(I, ctx):
     (-1)^(l(I)-l(J)) zeta^a (1 - zeta^(last part of J)), where a adds up
     the non-final parts of J whose running sum is not a descent of I.
     """
-    I = encode(check_composition(I))
+    return _on_words(decomp_theta_R_codes, I, ctx)
+
+
+def decomp_theta_R_codes(I, ctx):
+    """``decomp_theta_R`` on codes: {J code: c} for the code I."""
     if not I:
-        return {(): 1}
+        return {0: 1}
     n = I.bit_length()
     top = 1 << n - 1
     li = I.bit_count()
-    G = ctx._G_words(n)
     out = {}
-    for J, key in G.items():
+    for J in ctx._G_words(n):
         # I holds the top bit, so J & ~I holds only descents of J.
         a = sum(_parts_at(J, J & ~I))
         coeff = 1 if (li - J.bit_count()) % 2 == 0 else -1
@@ -566,7 +597,7 @@ def decomp_theta_R(I, ctx):
         last = n - (J ^ top).bit_length()
         coeff = coeff * ctx.zeta_power(a) * (1 - ctx.zeta_power(last))
         if coeff:
-            out[key] = coeff
+            out[J] = coeff
     return out
 
 
@@ -576,26 +607,30 @@ def decomp_S_on_rho(I, ctx):
     The sum runs over J in G whose ribbon cut along I yields only hook
     pieces; the coefficient is (1-zeta)^l(I) (-zeta)^h with h the total
     number of leading ones over the pieces.
-
-    On codes, the descents of J inside the pieces are X = J & ~I, and a
-    piece is a hook when each of them follows a bit of J or I (or the
-    start): X & ~((J | I) << 1 | 1) is empty. Then h = |X|.
     """
-    I = encode(check_composition(I))
+    return _on_words(decomp_S_on_rho_codes, I, ctx)
+
+
+def decomp_S_on_rho_codes(I, ctx):
+    """``decomp_S_on_rho`` on codes: {J code: c} for the code I.
+
+    The descents of J inside the pieces are X = J & ~I, and a piece is a
+    hook when each of them follows a bit of J or I (or the start): X &
+    ~((J | I) << 1 | 1) is empty. Then h = |X|.
+    """
     if not I:
-        return {(): 1}
+        return {0: 1}
     n = I.bit_length()
     lead = scalar_pow(1 - ctx.zeta, I.bit_count())
     twist = list(accumulate([-ctx.zeta] * n, mul, initial=1))
-    G = ctx._G_words(n)
     out = {}
-    for J, key in G.items():
+    for J in ctx._G_words(n):
         X = J & ~I
         if X & ~((J | I) << 1 | 1):
             continue
         coeff = lead * twist[X.bit_count()]
         if coeff:
-            out[key] = coeff
+            out[J] = coeff
     return out
 
 
@@ -606,24 +641,28 @@ def decomp_R_on_rho(I, ctx):
     positions of I; the coefficient is (1-zeta)^(number of hook pieces
     of J) times (-zeta)^b with b counting the shifted descent mismatch
     between I and J.
-
-    On codes, the peaks of J are the descents d = D(J) that neither
-    follow a descent nor sit at 1, d & ~(d << 1 | 1); the admissible
-    positions are ``_peak_gate(I)``; the hook count is one more than the
-    number of peaks.
     """
-    I = encode(check_composition(I))
+    return _on_words(decomp_R_on_rho_codes, I, ctx)
+
+
+def decomp_R_on_rho_codes(I, ctx):
+    """``decomp_R_on_rho`` on codes: {J code: c} for the code I.
+
+    The peaks of J are the descents d = D(J) that neither follow a
+    descent nor sit at 1, d & ~(d << 1 | 1); the admissible positions
+    are ``_peak_gate(I)``; the hook count is one more than the number of
+    peaks.
+    """
     if not I:
-        return {(): 1}
+        return {0: 1}
     n = I.bit_length()
     top = 1 << n - 1
     di = I ^ top
     gate = _peak_gate(I)
     hooks = list(accumulate([1 - ctx.zeta] * n, mul, initial=1))
     twist = list(accumulate([-ctx.zeta] * n, mul, initial=1))
-    G = ctx._G_words(n)
     out = {}
-    for J, key in G.items():
+    for J in ctx._G_words(n):
         dj = J ^ top
         peaks = dj & ~(dj << 1 | 1)
         if peaks & ~gate:
@@ -631,8 +670,56 @@ def decomp_R_on_rho(I, ctx):
         b = ((di & ~dj) << 1 | dj & ~di).bit_count()
         coeff = hooks[peaks.bit_count() + 1] * twist[b]
         if coeff:
-            out[key] = coeff
+            out[J] = coeff
     return out
+
+
+def expansions_match(pairs, family, ctx):
+    """For each (coords, image) pair, whether the coordinates {J code: c}
+    on the ``family`` basis ("Sigma" or "rho", every J in G) expand to
+    image, an element in S or R: ``expand_sigma_coords`` (or
+    ``expand_rho_coords``) of the decoded coordinates == image, for a
+    whole batch of pairs at once.
+
+    Each pair's two dicts are split over one conductor, denominator and
+    width (``split_sides``) and both lie in the pair's one segment of
+    one layout (``stack_terms``): the coordinates in the family's rows,
+    the image in the rows of its basis. The rho rows move to Sigma (the
+    signed forward sum pruned to G of ``expand_rho_coords``), the Sigma
+    rows to ribbons (the sum over the lower sets), the S rows to ribbons
+    (``lower_forward`` with no N), and the image rows are subtracted
+    from the expansion's, as packed ints: no scalar is negated. A pair
+    matches exactly when its segment is zero at every key.
+
+    The widths suffice with steps = 2n for a pair of weight n: a descent
+    step changes a word of weight n only at a descent below n, so a pass
+    meets at most n - 1 steps, and a step adds at most one value into
+    each key, so it at most doubles the largest entry of a segment. The
+    coordinates meet at most two passes (rho to Sigma, Sigma to
+    ribbons), the image at most one (S to ribbons), so each side meets
+    at most 2(n - 1) steps, and the difference at most doubles once
+    more: 2(n - 1) + 1 <= 2n doublings of the largest value on either
+    side, which the split keeps inside its width (see ``split_terms``).
+    """
+    def split(pair):
+        coords, image = pair
+        steps = 2 * max(_weight(coords), _weight(image.codes))
+        return split_sides({family: coords, image.basis: image.codes}, steps), steps
+
+    count, rows, nonzero = stack_terms(map(split, pairs), (family, "S", "R"))
+    sums = rows.pop(family)
+    if family == "rho":
+        sums = lower_forward(sums, ctx.N, -1, ctx._in_G)
+    sums = lower_forward(sums, ctx.N)
+    for images in (lower_forward(rows.pop("S")), rows.pop("R")):
+        for K, x in images.items():
+            sums[K] = sums.get(K, 0) - x
+    match = [True] * count
+    for x in sums.values():
+        if x:
+            for i in nonzero(x):
+                match[i] = False
+    return match
 
 
 # ---------------------------------------------------------------------------

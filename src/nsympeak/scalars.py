@@ -80,13 +80,16 @@ over that denominator side by side in signed fields of ``width`` bits
 (Kronecker substitution), read straight off the stored numerators;
 ``join_terms`` reads the columns back off each int's bytes and rebuilds
 one scalar per key, and ``stack_terms`` lays the packed ints of several
-dicts side by side, one byte-aligned segment each, for a map that only
-asks which segments end nonzero; each dict goes into the rows of its
-own side (its basis), all sides sharing one layout, so a map can run
-on one side's rows before they are added to another's. Over Q there is
-one plain column: the values themselves when they are all integers,
-and on the way back each value is ``_rational(v, den)``, with no
-per-key list and no ``_demoted``. Maps whose coefficients are all in
+splits side by side, one byte-aligned segment each, for a map that only
+asks which segments end nonzero; each split carries its packed dicts
+by side (a basis, or a coordinate family), every side of a split lands
+in that split's one segment, and all sides share one layout, so a map
+can run on one side's rows before they are added to or subtracted
+from another's. ``split_sides`` splits the dicts of several sides over
+one conductor, denominator and width, through ``split_terms``. Over Q
+there is one plain column: the values themselves when they are all
+integers, and on the way back each value is ``_rational(v, den)``, with
+no per-key list and no ``_demoted``. Maps whose coefficients are all in
 {-1, 0, 1} (the basis changes, the Sigma/rho expansions and
 membership) run once on those ints in nsympeak.elements and
 nsympeak.peak, not once per column.
@@ -630,51 +633,71 @@ def join_terms(N, den, width, packed):
     return out
 
 
-def stack_terms(splits, sides):
-    """Lay the packed ints of split_terms results side by side, each in
-    the rows of its own side: (count, rows, nonzero).
+def split_sides(sides, steps=0):
+    """split_terms of the {key: scalar} dicts of sides, {side: terms},
+    as one dict: (N, den, width, {side: packed}), every side over one
+    conductor, one common denominator and one width, wide enough for
+    steps descent steps of the largest value on any side."""
+    N, den, width, packed = split_terms(
+        {(side, key): c for side, terms in sides.items() for key, c in terms.items()},
+        steps,
+    )
+    out = {side: {} for side in sides}
+    for (side, key), x in packed.items():
+        out[side][key] = x
+    return N, den, width, out
 
-    splits yields (split, steps, side) triples, side one of ``sides``,
-    and is read one at a time: each packed dict is laid before the next
-    triple is read, so nothing needs to keep it. count is the number of
+
+def stack_terms(splits, sides):
+    """Lay the packed ints of split_terms results side by side: (count,
+    rows, nonzero).
+
+    splits yields (split, steps) pairs, split being (N, den, width,
+    {side: packed}) with each side one of ``sides`` (``split_sides``
+    writes one; a split_terms result takes its packed dict under one
+    side), and is read one at a time: each split is laid before the next
+    pair is read, so nothing needs to keep it. count is the number of
     splits. Split i takes segment i of one layout that every side
     shares: its phi(N_i) fields of its own width, or over Q one field as
-    wide as split_terms would make it for its steps; each segment is a
-    whole number of bytes. rows maps each of ``sides`` to its row dict,
-    empty when no split has that side: rows[side][key] is the sum of
-    packed_i[key] << offset_i over the splits i of that side, built as
-    one byte row per key with one to_bytes per split that holds the key
-    (a gap filled with zero fields) and one from_bytes, so in time and
-    space linear in its size. A map of the compositions module runs on a
-    row dict as on one split, and each segment stays inside its width as
-    long as that split's steps allow. Since segment i is nonzero in the
-    rows of split i's side only, the sum of two sides' ints on a key is
-    again their stack, segment by segment, with no carry between
-    segments. ``nonzero(x)`` lists the i whose segment of such an x is
-    not zero. Two conductors among the splits raise the
-    conductor-mismatch ValueError.
+    wide as split_terms would make it for its steps and the largest
+    value on any of its sides; each segment is a whole number of bytes.
+    rows maps each of ``sides`` to its row dict, empty when no split has
+    that side: rows[side][key] is the sum of packed_i[side][key] <<
+    offset_i over the splits i that hold that side, built as one byte
+    row per key with one to_bytes per split that holds the key (a gap
+    filled with zero fields) and one from_bytes, so in time and space
+    linear in its size. Every side of split i lands in segment i. A map
+    of the compositions module runs on a row dict as on one split, and
+    each segment stays inside its width as long as that split's steps
+    allow; so the sum or difference of two sides' ints on a key is again
+    their stack, segment by segment, with no carry between segments,
+    while each of its fields stays inside the width. ``nonzero(x)``
+    lists the i whose segment of such an x is not zero. Two conductors
+    among the splits raise the conductor-mismatch ValueError.
     """
     N, starts = None, []
     rows = {side: {} for side in sides}
     zeros = bytearray()  # the zero segments of the splits laid so far
-    for (M, _, width, packed), steps, side in splits:
+    for (M, _, width, sided), steps in splits:
         if M is None:
-            width = _width(max(map(abs, packed.values()), default=0), steps)
+            values = chain.from_iterable(packed.values() for packed in sided.values())
+            width = _width(max(map(abs, values), default=0), steps)
         else:
             N = _same_conductor(N, M)
         zero = _layout(M, width)[2]
         n, b = len(zero), int.from_bytes(zero, "little")
         starts.append(len(zeros))
-        laid = rows[side]
-        for key, v in packed.items():
-            row = laid.get(key)
-            if row is None:
-                row = laid[key] = bytearray(zeros)
-            else:
-                row += zeros[len(row):]
-            row += (v + b).to_bytes(n, "little")
+        for side, packed in sided.items():
+            laid = rows[side]
+            for key, v in packed.items():
+                row = laid.get(key)
+                if row is None:
+                    row = laid[key] = bytearray(zeros)
+                else:
+                    row += zeros[len(row):]
+                row += (v + b).to_bytes(n, "little")
         zeros += zero
-    packed = None  # every split is laid: no packed dict is needed now
+    sided = packed = None  # every split is laid: no packed dict is needed now
     bias, size = int.from_bytes(zeros, "little"), len(zeros)
     for laid in rows.values():
         for key, row in laid.items():

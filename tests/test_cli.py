@@ -7,8 +7,8 @@ import time
 import pytest
 
 from nsympeak import cli, peak, series
-from nsympeak.compositions import MAX_WEIGHT, compositions_of
-from nsympeak.elements import MAX_EXPANSION_TERMS
+from nsympeak.compositions import MAX_WEIGHT, compositions_of, decode
+from nsympeak.elements import MAX_EXPANSION_TERMS, all_words
 from nsympeak.series import MAX_RECURSION_TERMS
 from nsympeak.textforms import composition_to_text
 
@@ -940,6 +940,91 @@ def test_basis_suite_names_an_image_outside_the_span(monkeypatch):
         "N=3: transform of S[1,2] outside span",
         "N=3: transform of S[2,1] outside span",
     ]
+
+
+# Each decomp-* suite's code-keyed formula, the basis of its words and
+# the per-word expansion it replaced.
+_DECOMP_FORMULAS = {
+    "decomp-S": ("decomp_theta_S_codes", "S", peak.expand_sigma_coords),
+    "decomp-R": ("decomp_theta_R_codes", "R", peak.expand_sigma_coords),
+    "decomp-S-rho": ("decomp_S_on_rho_codes", "S", peak.expand_rho_coords),
+    "decomp-R-rho": ("decomp_R_on_rho_codes", "R", peak.expand_rho_coords),
+}
+
+
+def _per_word_report(suite, N, max_n):
+    """(checks, counterexample) of a decomp-* suite by the per-word route:
+    each word's coordinates, keyed by compositions, expanded on their own
+    and compared with its transform in ribbons, up to the first word that
+    differs. It reads the formula through cli, as the suite does."""
+    name, basis, expand = _DECOMP_FORMULAS[suite]
+    formula = getattr(cli, name)
+    ctx = peak.PeakContext(N)
+    checks = 0
+    for I, want in series.theta_q_images(all_words(basis, 0, max_n), ctx.zeta, "R"):
+        G = ctx._G_words(I.bit_length())
+        if expand({G[J]: c for J, c in formula(I, ctx).items()}, ctx) != want:
+            return checks, f"N={N} I={composition_to_text(decode(I))}"
+        checks += 1
+    return checks, None
+
+
+def _perturbations(suite, N):
+    """(word, change) pairs, change mapping the word's true coordinates to
+    wrong ones: zeta added to one coefficient; a coefficient put on a G
+    word outside the support (decomp-R's support is all of G, so there a
+    coefficient is dropped instead)."""
+    ctx = peak.PeakContext(N)
+    formula = getattr(peak, _DECOMP_FORMULAS[suite][0])
+    z = ctx.zeta
+    yield 0b1011, lambda coords: {**coords, min(coords): coords[min(coords)] + z}
+    for I in range(1 << 4, 1 << 6):
+        missing = sorted(set(ctx._G_words(I.bit_length())) - set(formula(I, ctx)))
+        if missing:
+            yield I, lambda coords: {**coords, missing[-1]: 1 - z}
+            return
+    assert suite == "decomp-R"
+    yield 0b1101, lambda coords: {J: c for J, c in coords.items() if J != max(coords)}
+
+
+def _perturb(monkeypatch, suite, word, change):
+    name = _DECOMP_FORMULAS[suite][0]
+    real = getattr(peak, name)
+
+    def formula(I, ctx):
+        coords = real(I, ctx)
+        return change(coords) if I == word else coords
+
+    monkeypatch.setattr(cli, name, formula)
+
+
+@pytest.mark.parametrize("N", [2, 5])
+@pytest.mark.parametrize("suite", list(_DECOMP_FORMULAS))
+def test_decomp_suite_catches_a_wrong_formula(capsys, monkeypatch, suite, N):
+    # N = 2 stacks one rational column a word, N = 5 four zeta-columns.
+    # The stacked report names the word the per-word route names, after
+    # as many checks.
+    for word, change in _perturbations(suite, N):
+        _perturb(monkeypatch, suite, word, change)
+        rc, out, _ = run(capsys, "verify", suite, "--N", str(N), "--max-n", "6", "--format", "json")
+        report = json.loads(out)
+        checks, counterexample = _per_word_report(suite, N, 6)
+        assert counterexample is not None
+        assert (rc, report["checks"], report["counterexample"]) == (1, checks, counterexample)
+
+
+@pytest.mark.parametrize("suite", list(_DECOMP_FORMULAS))
+def test_decomp_suite_catches_a_wrong_formula_in_a_later_stack(capsys, monkeypatch, suite):
+    # Weight 9 has 256 words, two stacks of 128; the wrong word sits in the
+    # second, so the check count is its code.
+    word = (1 << 8) + 128 + 17
+    assert cli.STACK_WORDS == 128
+    _perturb(monkeypatch, suite, word, lambda coords: {**coords, max(coords): 2})
+    rc, out, _ = run(capsys, "verify", suite, "--N", "3", "--max-n", "9", "--format", "json")
+    report = json.loads(out)
+    want = (word, f"N=3 I={composition_to_text(decode(word))}")
+    assert _per_word_report(suite, 3, 9) == want
+    assert (rc, report["checks"], report["counterexample"]) == (1, *want)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

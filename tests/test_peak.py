@@ -43,6 +43,7 @@ from nsympeak.peak import (
     expand_T_coords,
     expand_rho_coords,
     expand_sigma_coords,
+    expansions_match,
     in_T_ideal,
     in_sigma_span,
     lemma_rnij_series,
@@ -63,7 +64,7 @@ from nsympeak.peak import (
     theta_minus1_ribbon_expansion,
 )
 from nsympeak.scalars import CyclotomicNumber, make_cyclotomic, zeta, zeta_pow
-from nsympeak.series import Theta, Theta_images, theta_q
+from nsympeak.series import Theta, Theta_images, theta_q, theta_q_images
 from oracles import (
     classical_peak_functions_filtered,
     expand_rho_per_term,
@@ -539,6 +540,56 @@ def test_decomp_on_rho(ctx2, ctx3):
                 assert got_s == theta_q(S(*I), ctx.zeta).to_basis("R")
                 got_r = expand_rho_coords(decomp_R_on_rho(I, ctx), ctx)
                 assert got_r == theta_q(R(*I), ctx.zeta).to_basis("R")
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_expansions_match_per_pair(N):
+    # Each closed formula's coordinates, on codes, against the transform of
+    # its word: S images in S and in ribbons, R images in ribbons, all in
+    # one batch per family. Then the same pairs made wrong: zeta added to
+    # one coefficient, a G word added, a 198-bit scale on one side only.
+    # The first two pairs grow the most: every G word of weight 5 at a
+    # 198-bit value, against no image (its ribbon 1^5 collects them all),
+    # and no coordinates against every S word of weight 5 at that value
+    # (its ribbon R_5 collects them all); a width with no room for the
+    # steps carries them into the next segment. Each answer is the
+    # per-pair expansion compared with the image.
+    ctx = PeakContext(N)
+    z, top = ctx.zeta, (1 << 198) - 1
+    heavy = [
+        (dict.fromkeys(ctx._G_words(5), top), NsymElement._trusted("R", {})),
+        ({}, NsymElement._trusted("S", dict.fromkeys(range(16, 32), top))),
+    ]
+    cores = {
+        ("Sigma", "S"): peak.decomp_theta_S_codes,
+        ("Sigma", "R"): peak.decomp_theta_R_codes,
+        ("rho", "S"): peak.decomp_S_on_rho_codes,
+        ("rho", "R"): peak.decomp_R_on_rho_codes,
+    }
+    for family in ("Sigma", "rho"):
+        expand = expand_sigma_coords if family == "Sigma" else expand_rho_coords
+        pairs = list(heavy)
+        for basis in ("S", "R"):
+            core = cores[family, basis]
+            for I, image in theta_q_images(all_words(basis, 0, 5), z, basis):
+                coords = core(I, ctx)
+                G = sorted(ctx._G_words(I.bit_length()))
+                pairs.append((coords, image))
+                pairs.append((coords, image.to_basis("R")))
+                J = G[I % len(G)]
+                pairs.append(({**coords, J: coords.get(J, 0) + z}, image))
+                pairs.append(({**coords, G[-1]: 1}, image))
+                wide = {K: c * top for K, c in coords.items()}
+                pairs.append((wide, image.scale(top)))
+                pairs.append((wide, image))
+        want = []
+        for coords, image in pairs:
+            G = ctx._G_words(max(coords, default=0).bit_length())
+            got = expand({G[J]: c for J, c in coords.items() if c}, ctx)
+            want.append(got == image)
+        assert True in want and False in want
+        assert expansions_match(pairs, family, ctx) == want
+        assert expansions_match(iter(pairs[::-1]), family, ctx) == want[::-1]
 
 
 def test_decompositions_check_their_word(ctx3):

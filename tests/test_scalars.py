@@ -20,6 +20,7 @@ from nsympeak.scalars import (
     scalar_pow,
     scalar_to_json,
     scalar_to_text,
+    split_sides,
     split_terms,
     stack_terms,
     zeta,
@@ -241,6 +242,13 @@ def test_split_terms_mixes_rationals_into_one_field():
     assert join_terms(N, den, width, {1: 0, 2: 6 + (6 << 8)}) == {2: Fraction(1) + z}
 
 
+def _on(side, split, steps):
+    """A split_terms result with its packed dict under one side, and its
+    steps: one item of what stack_terms reads."""
+    N, den, width, packed = split
+    return (N, den, width, {side: packed}), steps
+
+
 def test_stack_terms_lays_splits_side_by_side():
     z = zeta(3)
     a = split_terms({1: 1 + z, 3: -2})  # two 8-bit fields
@@ -248,10 +256,12 @@ def test_stack_terms_lays_splits_side_by_side():
     c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
     assert [x[2] for x in (a, b, c)] == [8, None, 48]
     # |14| and two steps take 8 bits for b, one more step 16.
-    count, rows, _ = stack_terms([(b, 3, "R"), (c, 0, "R")], ("R",))
+    count, rows, _ = stack_terms([_on("R", b, 3), _on("R", c, 0)], ("R",))
     assert count == 2
     assert rows["R"][3] == b[3][3] + (c[3][3] << 16)
-    count, rows, nonzero = stack_terms(iter([(a, 0, "R"), (b, 2, "R"), (c, 0, "R")]), ("R",))
+    count, rows, nonzero = stack_terms(
+        iter([_on("R", a, 0), _on("R", b, 2), _on("R", c, 0)]), ("R",)
+    )
     assert count == 3
     stacked = rows["R"]
     assert stacked == {
@@ -264,7 +274,7 @@ def test_stack_terms_lays_splits_side_by_side():
     assert nonzero(-1 << 24) == [2]
     # A stack of one is laid as any other and equals the split's packed.
     for split in (a, b):
-        count, rows, nonzero = stack_terms([(split, 2, "R")], ("R",))
+        count, rows, nonzero = stack_terms([_on("R", split, 2)], ("R",))
         assert (count, rows) == (1, {"R": split[3]})
         assert [nonzero(x) for x in rows["R"].values()] == [[0], [0]]
         assert nonzero(0) == []
@@ -278,7 +288,9 @@ def test_stack_terms_lays_each_side_in_one_layout():
     b = split_terms({3: Fraction(1, 2), 5: 7})  # over Q: one field
     c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
     # The segments follow the order of the splits, whatever their sides.
-    count, rows, nonzero = stack_terms([(a, 0, "S"), (b, 2, "R"), (c, 0, "S")], ("S", "R"))
+    count, rows, nonzero = stack_terms(
+        [_on("S", a, 0), _on("R", b, 2), _on("S", c, 0)], ("S", "R")
+    )
     assert count == 3
     assert rows == {
         "S": {1: a[3][1], 3: a[3][3] + (c[3][3] << 24)},
@@ -287,15 +299,88 @@ def test_stack_terms_lays_each_side_in_one_layout():
     # Each segment is nonzero on one side only, so the sides' sum on a
     # key is the stack of all three splits there, with no carry.
     total = {k: rows["S"].get(k, 0) + rows["R"].get(k, 0) for k in (1, 3, 5)}
-    _, one_side, _ = stack_terms([(a, 0, "R"), (b, 2, "R"), (c, 0, "R")], ("R",))
+    _, one_side, _ = stack_terms(
+        [_on("R", a, 0), _on("R", b, 2), _on("R", c, 0)], ("R",)
+    )
     assert total == one_side["R"]
     assert [nonzero(x) for x in total.values()] == [[0], [0, 1, 2], [1]]
     assert nonzero(rows["S"][3]) == [0, 2] and nonzero(rows["R"][3]) == [1]
     # A side that no split takes is an empty row dict.
-    count, rows, nonzero = stack_terms([(c, 0, "S"), (a, 0, "S")], ("S", "R"))
+    count, rows, nonzero = stack_terms([_on("S", c, 0), _on("S", a, 0)], ("S", "R"))
     assert count == 2 and rows["R"] == {}
     assert rows["S"] == {1: a[3][1] << 12 * 8, 3: c[3][3] + (a[3][3] << 12 * 8)}
     assert nonzero(rows["S"][1]) == [1]
+    # Both sides of one split land in its one segment.
+    N, den, width, sided = split_sides({"S": {1: 1 + z}, "R": {1: -2, 3: 5}})
+    assert (N, den, width) == (3, 1, 8)
+    count, rows, nonzero = stack_terms([_on("S", c, 0), ((N, den, width, sided), 0)], ("S", "R"))
+    assert count == 2
+    assert rows["S"] == {3: c[3][3], 1: sided["S"][1] << 12 * 8}
+    assert rows["R"] == {k: x << 12 * 8 for k, x in sided["R"].items()}
+    assert nonzero(rows["R"][3]) == [1]
+
+
+def test_split_sides_shares_one_denominator_and_width():
+    z = zeta(5)
+    N, den, width, sided = split_sides(
+        {"a": {1: Fraction(1, 2)}, "b": {1: z / 3, 2: (1 << 30) * z}, "c": {}}, 4
+    )
+    # One conductor, the least common denominator of every side and the
+    # width of the largest value on any side: 33 bits, 4 steps and two more.
+    assert (N, den, width) == (5, 6, 40)
+    assert sided["c"] == {}
+    assert join_terms(N, den, width, sided["a"]) == {1: Fraction(1, 2)}
+    assert join_terms(N, den, width, sided["b"]) == {1: z / 3, 2: (1 << 30) * z}
+    # Over Q with integer values each side keeps its own keys.
+    assert split_sides({"a": {1: 2, 3: -1}, "b": {1: 2}}) == (
+        None, 1, None, {"a": {1: 2, 3: -1}, "b": {1: 2}}
+    )
+    assert split_sides({}) == (None, 1, None, {})
+
+
+def _random_terms(rng, N, size):
+    z = zeta(N)
+    values = [1, -1, 2, Fraction(1, 3), z, 1 - z, z * z - Fraction(3, 2), -z]
+    return {rng.randrange(1, 64): rng.choice(values) for _ in range(size)}
+
+
+def test_stack_terms_two_sides_cancel_exactly_when_equal():
+    rng = random.Random(31)
+    z = zeta(5)
+    top = (1 << 198) - 1  # 198 bits: at steps 0 the width is 200, no byte slack
+    pairs = [
+        ({1: top, 2: z}, {1: top, 2: z}),
+        ({1: top * z}, {1: -top * z}),  # a difference of 2^199 - 2, just inside
+        ({1: top, 3: -top}, {1: top, 3: -top + 1}),
+        ({}, {}),  # both sides empty
+        ({}, {4: 1}),  # an empty side against a term
+        ({4: z}, {}),
+        ({2: Fraction(1, 2), 3: 7}, {2: Fraction(1, 2), 3: 7}),  # a split over Q
+        ({2: Fraction(1, 2)}, {2: Fraction(1, 3)}),
+        ({5: 1 - z}, {5: 1 - z, 6: z}),  # a key on one side only
+    ]
+    for _ in range(40):
+        terms = _random_terms(rng, 5, rng.randrange(0, 8))
+        other = dict(terms)
+        if terms and rng.random() < 0.5:
+            key = rng.choice(list(terms))
+            other[key] = other[key] + rng.choice([1, z, Fraction(1, 7)])
+            if not other[key]:
+                del other[key]
+        pairs.append((terms, other))
+    steps = 0
+    for cut in (pairs[:9], pairs, pairs[::-1]):
+        splits = [(split_sides({"x": a, "y": b}, steps), steps) for a, b in cut]
+        count, rows, nonzero = stack_terms(iter(splits), ("x", "y"))
+        assert count == len(cut)
+        diff = dict(rows["x"])
+        for key, x in rows["y"].items():
+            diff[key] = diff.get(key, 0) - x
+        differ = set()
+        for x in diff.values():
+            differ.update(nonzero(x))
+        assert differ == {i for i, (a, b) in enumerate(cut) if a != b}
+    assert len({a == b for a, b in pairs[9:]}) == 2  # both outcomes drawn
 
 
 @pytest.mark.parametrize("values, first, second", [
@@ -309,4 +394,4 @@ def test_split_terms_refuses_two_conductors(values, first, second):
         split_terms(dict(enumerate(values)))
     # Splits of one conductor each may not be stacked together either.
     with pytest.raises(ValueError, match=message):
-        stack_terms(((split_terms({0: c}), 0, "R") for c in values), ("R",))
+        stack_terms((_on("R", split_terms({0: c}), 0) for c in values), ("R",))
