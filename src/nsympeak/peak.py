@@ -37,12 +37,13 @@ zeta-columns of the scalars module: ``split_terms`` once on the way in
 descent at a time (``compositions.lower_forward``) or, for membership,
 its inverse (``compositions.lower_inverse``), and ``join_terms`` once
 on the way out. ``in_sigma_span`` tests a whole batch of elements at
-once: their packed ints lie side by side (``stack_terms``), each
-element in its own basis, so an S element (a transform image, sparse
-in S and dense in ribbons) is stacked as it is, the S rows change to
-ribbons once per batch (``lower_forward`` with no N), and one inverse
-serves the batch. Membership, which also needs the coordinates, turns
-its one element into ribbons, and splits and inverts it on its own.
+once: their dicts are stacked over one denominator and width
+(``stack_terms``), each element in its own segment and in the rows of
+its own basis, so an S element (a transform image, sparse in S and
+dense in ribbons) is stacked as it is, the S rows change to ribbons once
+per batch (``lower_forward`` with no N), and one inverse serves the
+batch. Membership, which also needs the coordinates, turns its one
+element into ribbons, and splits and inverts it on its own.
 The rho maps prune the forward steps to G: a word coarser than one
 outside G is outside G, so a step that leaves G is dropped at once and
 no lower set is listed. A single Sigma or rho(t) word lists its lower
@@ -64,12 +65,12 @@ core, {J code: c} for the code of I; the public ``decomp_*`` key that
 by the compositions that a PeakContext holds for the codes of G
 (``_G_words``); the q = -1 expansion decodes its coordinates once.
 ``expansions_match`` checks a batch of such coordinates against the
-transform images in one stacked pass: each pair's coordinates and
-image are split together (``split_sides``) and share one segment, the
-coordinates are expanded and the image rows subtracted on the packed
-ints, and a pair matches when its segment cancels. The verify suites
-cut each weight's words into stacks of a fixed number of words, so a
-pass's memory does not grow with the weight.
+transform images in one stacked pass: each pair's coordinates and image
+share one segment of one stack (``stack_terms``), the coordinates are
+expanded and the image rows subtracted on the packed ints, and a pair
+matches when its segment cancels. The verify suites cut each weight's
+words into stacks of a fixed number of words, so a pass's memory does
+not grow with the weight.
 """
 
 from __future__ import annotations
@@ -95,12 +96,12 @@ from .elements import (
     NsymElement,
     R,
     _as_scalar,
+    check_expansion,
     multiply,
     one,
 )
 from .scalars import (
-    check_limit, join_terms, scalar_pow, split_sides, split_terms, stack_terms, zeta,
-    zeta_pow,
+    check_limit, join_terms, scalar_pow, split_terms, stack_terms, zeta, zeta_pow,
 )
 from .series import series_inverse, series_product
 
@@ -313,39 +314,31 @@ def _checked_weight(F):
     return n
 
 
-def _own_split(F):
-    """(split, steps) for ``in_sigma_span``: F's coordinates in its own
-    basis, on that basis's side, split wide enough for 2n steps of an S
-    element of weight n or n steps of a ribbon element, after
-    ``_checked_weight``'s checks."""
-    n = _checked_weight(F)
-    steps = 2 * n if F.basis == "S" else n
-    N, den, width, packed = split_terms(F.codes, steps)
-    return (N, den, width, {F.basis: packed}), steps
-
-
 def in_sigma_span(elements, ctx):
     """For each element F, whether F lies in the span of the Sigma_I, I
     in G: ``membership(F, ctx) is not None``, for a whole batch at once.
 
-    Each element is split in its own basis, S or R, and its packed
-    coordinates lie in its own segment of one layout, in the rows of its
-    basis (``stack_terms``, one side per element). The S rows change to
-    ribbons once for the batch (S^I is the sum of the R_J over the J
-    coarser than I: ``lower_forward`` with no N), the ribbon rows are
-    added, and the sum over the lower sets is inverted once; F is
-    outside exactly when its segment is nonzero at some I outside G.
-    Every segment sits in the rows of one basis only, so adding the rows
-    adds no two segments.
+    The elements' coefficient dicts are stacked as they are, each in its
+    own basis, S or R: one conductor, denominator and width for the
+    batch, and each element's packed coordinates in its own segment, in
+    the rows of its basis (``stack_terms``, one side per element). The
+    S rows change to ribbons once for the batch (S^I is the sum of the
+    R_J over the J coarser than I: ``lower_forward`` with no N), the
+    ribbon rows are added, and the sum over the lower sets is inverted
+    once; F is outside exactly when its segment is nonzero at some I
+    outside G. Every segment sits in the rows of one basis only, so
+    adding the rows adds no two segments.
 
-    The widths suffice: a descent step changes a word of weight n only
+    The width suffices: a descent step changes a word of weight n only
     at a descent below n, so an element of weight n meets at most n - 1
     steps of each pass, and a step adds at most one value into each key,
     so it at most doubles the largest entry of a segment. A ribbon
     element meets the inverse only, at most n - 1 <= n steps; an S
     element meets the change to ribbons and the inverse, at most
-    2(n - 1) <= 2n steps, so its split with steps = 2n keeps every
-    entry inside its width (see ``split_terms``).
+    2(n - 1) <= 2n steps. Each element asks for those steps, 2n for S
+    and n for R, and the stack's one width covers the largest of them
+    over the largest value in the batch, so every entry of every segment
+    stays inside it (see ``split_terms``).
 
     The elements are read one at a time, each refused as membership
     refuses it (a basis change keeps the weights, so the refusals and
@@ -355,7 +348,11 @@ def in_sigma_span(elements, ctx):
     with the batch: ``verify basis`` hands over each weight's transform
     images in batches of a fixed number of words.
     """
-    count, rows, nonzero = stack_terms(map(_own_split, elements), ("S", "R"))
+    def item(F):
+        n = _checked_weight(F)
+        return {F.basis: F.codes}, 2 * n if F.basis == "S" else n
+
+    count, rows, nonzero = stack_terms(map(item, elements), ("S", "R"))
     stacked = lower_forward(rows.pop("S"))  # popped: freed before the inverse
     for J, x in rows["R"].items():
         stacked[J] = stacked.get(J, 0) + x
@@ -582,20 +579,29 @@ def decomp_theta_R(I, ctx):
 
 
 def decomp_theta_R_codes(I, ctx):
-    """``decomp_theta_R`` on codes: {J code: c} for the code I."""
+    """``decomp_theta_R`` on codes: {J code: c} for the code I.
+
+    A coefficient depends only on l(J) mod 2, a mod N and the last part
+    mod N, so each of those at most 2N^2 values is made once per word, on
+    its first J, and looked up for the rest of G(n).
+    """
     if not I:
         return {0: 1}
+    N = ctx.N
     n = I.bit_length()
     top = 1 << n - 1
     li = I.bit_count()
-    out = {}
+    table, out = {}, {}
     for J in ctx._G_words(n):
-        # I holds the top bit, so J & ~I holds only descents of J.
-        a = sum(_parts_at(J, J & ~I))
-        coeff = 1 if (li - J.bit_count()) % 2 == 0 else -1
-        # The last part is n less the highest descent.
-        last = n - (J ^ top).bit_length()
-        coeff = coeff * ctx.zeta_power(a) * (1 - ctx.zeta_power(last))
+        # I holds the top bit, so J & ~I holds only descents of J. The
+        # last part is n less the highest descent.
+        a = sum(_parts_at(J, J & ~I)) % N
+        last = (n - (J ^ top).bit_length()) % N
+        key = ((li - J.bit_count()) & 1, a, last)
+        coeff = table.get(key)
+        if coeff is None:
+            sign = -1 if key[0] else 1
+            coeff = table[key] = sign * ctx.zeta_power(a) * (1 - ctx.zeta_power(last))
         if coeff:
             out[J] = coeff
     return out
@@ -681,17 +687,18 @@ def expansions_match(pairs, family, ctx):
     ``expand_rho_coords``) of the decoded coordinates == image, for a
     whole batch of pairs at once.
 
-    Each pair's two dicts are split over one conductor, denominator and
-    width (``split_sides``) and both lie in the pair's one segment of
-    one layout (``stack_terms``): the coordinates in the family's rows,
-    the image in the rows of its basis. The rho rows move to Sigma (the
-    signed forward sum pruned to G of ``expand_rho_coords``), the Sigma
-    rows to ribbons (the sum over the lower sets), the S rows to ribbons
-    (``lower_forward`` with no N), and the image rows are subtracted
-    from the expansion's, as packed ints: no scalar is negated. A pair
-    matches exactly when its segment is zero at every key.
+    Each pair's two dicts are stacked as they are, over one conductor,
+    denominator and width for the whole batch, and both lie in the
+    pair's one segment (``stack_terms``): the coordinates in the
+    family's rows, the image in the rows of its basis. The rho rows move
+    to Sigma (the signed forward sum pruned to G of
+    ``expand_rho_coords``), the Sigma rows to ribbons (the sum over the
+    lower sets), the S rows to ribbons (``lower_forward`` with no N),
+    and the image rows are subtracted from the expansion's, as packed
+    ints: no scalar is negated. A pair matches exactly when its segment
+    is zero at every key.
 
-    The widths suffice with steps = 2n for a pair of weight n: a descent
+    The width suffices with steps = 2n for a pair of weight n: a descent
     step changes a word of weight n only at a descent below n, so a pass
     meets at most n - 1 steps, and a step adds at most one value into
     each key, so it at most doubles the largest entry of a segment. The
@@ -699,14 +706,15 @@ def expansions_match(pairs, family, ctx):
     ribbons), the image at most one (S to ribbons), so each side meets
     at most 2(n - 1) steps, and the difference at most doubles once
     more: 2(n - 1) + 1 <= 2n doublings of the largest value on either
-    side, which the split keeps inside its width (see ``split_terms``).
+    side. The stack's one width covers the largest steps over the
+    largest value in the batch (see ``split_terms``).
     """
-    def split(pair):
+    def item(pair):
         coords, image = pair
         steps = 2 * max(_weight(coords), _weight(image.codes))
-        return split_sides({family: coords, image.basis: image.codes}, steps), steps
+        return {family: coords, image.basis: image.codes}, steps
 
-    count, rows, nonzero = stack_terms(map(split, pairs), (family, "S", "R"))
+    count, rows, nonzero = stack_terms(map(item, pairs), (family, "S", "R"))
     sums = rows.pop(family)
     if family == "rho":
         sums = lower_forward(sums, ctx.N, -1, ctx._in_G)
@@ -732,7 +740,17 @@ def expansions_match(pairs, family, ctx):
 
 
 def _block_series(ctx, order, coeff, js):
-    """coeff(i, j) R_(N^i j) in degree N*i+j, over i >= 0 and j in js."""
+    """coeff(i, j) R_(N^i j) in degree N*i+j, over i >= 0 and j in js.
+
+    Every series identity builds its block series first, so a series
+    truncated at ``order`` is refused here, before any product or
+    inverse, when its up to 2^order - 1 nonempty words are more than
+    ``check_expansion`` admits. The count is capped at 2^65 - 1, which
+    the refusal names as over 2^64, so a huge order builds no huge int.
+    """
+    check_expansion(
+        (1 << min(max(order, 0), 65)) - 1, f"a series truncated at order {order}"
+    )
     N = ctx.N
     return NsymElement(
         "R",

@@ -79,20 +79,20 @@ one pass and writes each value as one int, its phi(N) integer columns
 over that denominator side by side in signed fields of ``width`` bits
 (Kronecker substitution), read straight off the stored numerators;
 ``join_terms`` reads the columns back off each int's bytes and rebuilds
-one scalar per key, and ``stack_terms`` lays the packed ints of several
-splits side by side, one byte-aligned segment each, for a map that only
-asks which segments end nonzero; each split carries its packed dicts
-by side (a basis, or a coordinate family), every side of a split lands
-in that split's one segment, and all sides share one layout, so a map
-can run on one side's rows before they are added to or subtracted
-from another's. ``split_sides`` splits the dicts of several sides over
-one conductor, denominator and width, through ``split_terms``. Over Q
-there is one plain column: the values themselves when they are all
-integers, and on the way back each value is ``_rational(v, den)``, with
-no per-key list and no ``_demoted``. Maps whose coefficients are all in
-{-1, 0, 1} (the basis changes, the Sigma/rho expansions and
-membership) run once on those ints in nsympeak.elements and
-nsympeak.peak, not once per column.
+one scalar per key. ``stack_terms`` lays the {key: scalar} dicts of
+several items side by side for a map that only asks which items end
+nonzero: it finds one conductor, one common denominator and one width
+for the whole stack, packs each distinct scalar object once, and gives
+each item one segment of phi(N) fields at a fixed stride; each item
+carries its dicts by side (a basis, or a coordinate family), every side
+of an item lands in that item's one segment, and all sides share the
+layout, so a map can run on one side's rows before they are added to
+or subtracted from another's. Over Q there is one plain column: the
+values themselves when they are all integers, and on the way back each
+value is ``_rational(v, den)``, with no per-key list and no
+``_demoted``. Maps whose coefficients are all in {-1, 0, 1} (the basis
+changes, the Sigma/rho expansions and membership) run once on those
+ints in nsympeak.elements and nsympeak.peak, not once per column.
 
 Text form: rationals render as "p/q" or "p"; cyclotomic numbers as
 polynomials in the symbol "z", e.g. "1/2 - z + z^2", with the conductor
@@ -633,83 +633,77 @@ def join_terms(N, den, width, packed):
     return out
 
 
-def split_sides(sides, steps=0):
-    """split_terms of the {key: scalar} dicts of sides, {side: terms},
-    as one dict: (N, den, width, {side: packed}), every side over one
-    conductor, one common denominator and one width, wide enough for
-    steps descent steps of the largest value on any side."""
-    N, den, width, packed = split_terms(
-        {(side, key): c for side, terms in sides.items() for key, c in terms.items()},
-        steps,
-    )
-    out = {side: {} for side in sides}
-    for (side, key), x in packed.items():
-        out[side][key] = x
-    return N, den, width, out
+def stack_terms(items, sides):
+    """Lay the {key: scalar} dicts of several items side by side over one
+    conductor, one common denominator and one width: (count, rows,
+    nonzero).
 
+    items yields ({side: {key: scalar}}, steps) pairs, each side one of
+    ``sides``; count is the number of items. The width must be known
+    before any segment is laid, so the items are read first and held,
+    and their distinct scalar objects, keyed by id, are split once by
+    ``split_terms``, with the largest steps: one conductor, the least
+    common denominator of every value and one width for the largest
+    |column| and those steps, so wide enough for every item's steps.
+    Each object is then written once as the bytes of one whole segment,
+    phi(N) fields (over Q one field; a rational in a cyclotomic stack is
+    column 0 followed by phi(N) - 1 zero fields). Item i takes segment
+    i, at a fixed stride, and every side of it lands there; its dicts
+    are dropped as soon as it is laid. rows maps each of ``sides`` to
+    its row dict, empty when no item has that side: rows[side][key] is
+    the sum over the items i that hold the key of its packed value <<
+    offset_i, built as one byte row per key (a gap filled with zero
+    fields) and one from_bytes, so in time and space linear in its size.
 
-def stack_terms(splits, sides):
-    """Lay the packed ints of split_terms results side by side: (count,
-    rows, nonzero).
-
-    splits yields (split, steps) pairs, split being (N, den, width,
-    {side: packed}) with each side one of ``sides`` (``split_sides``
-    writes one; a split_terms result takes its packed dict under one
-    side), and is read one at a time: each split is laid before the next
-    pair is read, so nothing needs to keep it. count is the number of
-    splits. Split i takes segment i of one layout that every side
-    shares: its phi(N_i) fields of its own width, or over Q one field as
-    wide as split_terms would make it for its steps and the largest
-    value on any of its sides; each segment is a whole number of bytes.
-    rows maps each of ``sides`` to its row dict, empty when no split has
-    that side: rows[side][key] is the sum of packed_i[side][key] <<
-    offset_i over the splits i that hold that side, built as one byte
-    row per key with one to_bytes per split that holds the key (a gap
-    filled with zero fields) and one from_bytes, so in time and space
-    linear in its size. Every side of split i lands in segment i. A map
-    of the compositions module runs on a row dict as on one split, and
-    each segment stays inside its width as long as that split's steps
-    allow; so the sum or difference of two sides' ints on a key is again
-    their stack, segment by segment, with no carry between segments,
-    while each of its fields stays inside the width. ``nonzero(x)``
-    lists the i whose segment of such an x is not zero. Two conductors
-    among the splits raise the conductor-mismatch ValueError.
+    A map of the compositions module runs on a row dict as on one
+    split_terms result, and each segment stays inside the width as long
+    as its item's steps allow; so the sum or difference of two sides'
+    ints on a key is again their stack, segment by segment, with no
+    carry between segments, while each field stays inside the width.
+    ``nonzero(x)`` lists the i whose segment of such an x is not zero.
+    Two conductors in the stack raise the conductor-mismatch ValueError.
     """
-    N, starts = None, []
+    most, held, seen = 0, [], {}
+    for sided, steps in items:
+        held.append(sided)
+        most = max(most, steps)
+        for terms in sided.values():
+            for c in terms.values():
+                seen[id(c)] = c
+    # One split of the distinct objects, keyed by id; seen keeps each of
+    # them alive, so no id is reused while the items are laid.
+    N, den, width, packed = split_terms(seen, most)
+    if width is None:
+        width = _width(max(map(abs, packed.values()), default=0), most)
+    zero = _layout(N, width)[2]
+    count, n, b = len(held), len(zero), int.from_bytes(zero, "little")
+    segments = {k: (packed.get(k, 0) + b).to_bytes(n, "little") for k in seen}
+    zeros = zero * count
     rows = {side: {} for side in sides}
-    zeros = bytearray()  # the zero segments of the splits laid so far
-    for (M, _, width, sided), steps in splits:
-        if M is None:
-            values = chain.from_iterable(packed.values() for packed in sided.values())
-            width = _width(max(map(abs, values), default=0), steps)
-        else:
-            N = _same_conductor(N, M)
-        zero = _layout(M, width)[2]
-        n, b = len(zero), int.from_bytes(zero, "little")
-        starts.append(len(zeros))
-        for side, packed in sided.items():
+    for i, sided in enumerate(held):
+        held[i] = None  # laid: its dicts are not needed now
+        start = i * n
+        for side, terms in sided.items():
             laid = rows[side]
-            for key, v in packed.items():
+            for key, c in terms.items():
                 row = laid.get(key)
                 if row is None:
-                    row = laid[key] = bytearray(zeros)
-                else:
-                    row += zeros[len(row):]
-                row += (v + b).to_bytes(n, "little")
-        zeros += zero
-    sided = packed = None  # every split is laid: no packed dict is needed now
-    bias, size = int.from_bytes(zeros, "little"), len(zeros)
+                    row = laid[key] = bytearray(zeros[:start])
+                elif len(row) < start:
+                    row += zeros[len(row):start]
+                row += segments[id(c)]
+    sided = terms = None  # every item is laid: no dict of one is needed now
+    bias = int.from_bytes(zeros, "little")
     for laid in rows.values():
         for key, row in laid.items():
             row += zeros[len(row):]
             laid[key] = int.from_bytes(row, "little") - bias
-    spans = list(zip(starts, starts[1:] + [size]))
 
     def nonzero(x):
-        fields = (x + bias).to_bytes(size, "little")
-        return [i for i, (s, e) in enumerate(spans) if fields[s:e] != zeros[s:e]]
+        fields = (x + bias).to_bytes(len(zeros), "little")
+        return [i for i in range(count) if fields[i * n:i * n + n] != zero]
 
-    return len(starts), rows, nonzero
+    return count, rows, nonzero
 
 
 # ---------------------------------------------------------------------------

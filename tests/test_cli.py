@@ -1039,6 +1039,29 @@ def test_tangent_refuses_a_negative_order(capsys):
     assert (rc, out, err) == (2, "", "error: --order must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tangent", "--N", "2", "--order", "40"],
+    ["tangent", "--N", "3", "--order", str(10**12)],
+    ["verify", "tangent", "--N", "2", "--order", "40"],
+    ["verify", "tangent-zeta", "--order", "40"],
+    ["verify", "sigma-lambda", "--order", "40"],
+    ["verify", "rnij-series", "--order", "40"],
+])
+def test_series_orders_past_the_limit_are_refused_at_once(capsys, argv):
+    # A series truncated at order k may hold 2^k - 1 words: past the
+    # expansion limit it is refused before any product or inverse.
+    start = time.monotonic()
+    rc, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (rc, out) == (4, "")
+    order = argv[-1]
+    shown = "1099511627775" if order == "40" else "over 2^64"
+    assert err == (
+        f"error: a series truncated at order {order} needs {shown} terms, "
+        "above the limit 2097152\n"
+    )
+
+
 _ONES_24 = "R[" + ",".join(["1"] * 24) + "]"
 
 # One argv per outcome: each exit code main returns, argparse's own

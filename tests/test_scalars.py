@@ -20,7 +20,6 @@ from nsympeak.scalars import (
     scalar_pow,
     scalar_to_json,
     scalar_to_text,
-    split_sides,
     split_terms,
     stack_terms,
     zeta,
@@ -242,40 +241,54 @@ def test_split_terms_mixes_rationals_into_one_field():
     assert join_terms(N, den, width, {1: 0, 2: 6 + (6 << 8)}) == {2: Fraction(1) + z}
 
 
-def _on(side, split, steps):
-    """A split_terms result with its packed dict under one side, and its
-    steps: one item of what stack_terms reads."""
-    N, den, width, packed = split
-    return (N, den, width, {side: packed}), steps
+def _segments(x, count, phi, width):
+    """The stacked int x read back as count segments of phi signed fields
+    of width bits each, segment by segment: the oracle of the layout."""
+    half = 1 << width - 1
+    fields = count * phi
+    x += sum(half << k * width for k in range(fields))
+    values = [(x >> k * width & (1 << width) - 1) - half for k in range(fields)]
+    return [values[i:i + phi] for i in range(0, fields, phi)]
 
 
 def test_stack_terms_lays_splits_side_by_side():
     z = zeta(3)
-    a = split_terms({1: 1 + z, 3: -2})  # two 8-bit fields
-    b = split_terms({3: Fraction(1, 2), 5: 7})  # over Q: one field
-    c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
-    assert [x[2] for x in (a, b, c)] == [8, None, 48]
-    # |14| and two steps take 8 bits for b, one more step 16.
-    count, rows, _ = stack_terms([_on("R", b, 3), _on("R", c, 0)], ("R",))
+    a = {1: 1 + z, 3: -2}
+    b = {3: Fraction(1, 2), 5: 7}
+    c = {3: (1 << 40) * z}
+    # One stack, one layout: over the common denominator 2 the largest
+    # column is 2^41, so every segment is two fields of 48 bits (96 bits).
+    assert [split_terms(t)[2] for t in (a, b, c)] == [8, None, 48]
+    count, rows, _ = stack_terms([({"R": b}, 3), ({"R": c}, 0)], ("R",))
     assert count == 2
-    assert rows["R"][3] == b[3][3] + (c[3][3] << 16)
+    # |2^41| and three steps still fit 48 bits.
+    assert rows["R"][3] == 1 + ((1 << 41 + 48) << 96)
     count, rows, nonzero = stack_terms(
-        iter([_on("R", a, 0), _on("R", b, 2), _on("R", c, 0)]), ("R",)
+        iter([({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)]), ("R",)
     )
     assert count == 3
     stacked = rows["R"]
     assert stacked == {
-        1: a[3][1],
-        3: a[3][3] + (b[3][3] << 16) + (c[3][3] << 24),
-        5: b[3][5] << 16,
+        1: 2 + (2 << 48),
+        3: -4 + (1 << 96) + ((1 << 41 + 48) << 192),
+        5: 14 << 96,
     }
+    assert [_segments(x, 3, 2, 48) for x in stacked.values()] == [
+        [[2, 2], [0, 0], [0, 0]],
+        [[-4, 0], [1, 0], [0, 1 << 41]],
+        [[0, 0], [14, 0], [0, 0]],
+    ]
     assert [nonzero(x) for x in stacked.values()] == [[0], [0, 1, 2], [1]]
     assert nonzero(0) == []
-    assert nonzero(-1 << 24) == [2]
-    # A stack of one is laid as any other and equals the split's packed.
-    for split in (a, b):
-        count, rows, nonzero = stack_terms([_on("R", split, 2)], ("R",))
-        assert (count, rows) == (1, {"R": split[3]})
+    assert nonzero(-1 << 192) == [2]
+    # Segment i starts at a fixed stride of i * 96 bits.
+    assert [nonzero(1 << 96 * i) for i in range(3)] == [[0], [1], [2]]
+    # The top field of segment 0 at either end of its signed range.
+    assert nonzero(((1 << 47) - 1) << 48) == [0] and nonzero(-1 << 95) == [0]
+    # A stack of one is laid as any other and equals split_terms' packed.
+    for terms in (a, b):
+        count, rows, nonzero = stack_terms([({"R": terms}, 2)], ("R",))
+        assert (count, rows) == (1, {"R": split_terms(terms, 2)[3]})
         assert [nonzero(x) for x in rows["R"].values()] == [[0], [0]]
         assert nonzero(0) == []
     count, rows, nonzero = stack_terms([], ("S", "R"))
@@ -284,58 +297,112 @@ def test_stack_terms_lays_splits_side_by_side():
 
 def test_stack_terms_lays_each_side_in_one_layout():
     z = zeta(3)
-    a = split_terms({1: 1 + z, 3: -2})  # two 8-bit fields
-    b = split_terms({3: Fraction(1, 2), 5: 7})  # over Q: one field
-    c = split_terms({3: (1 << 40) * z})  # two 48-bit fields
-    # The segments follow the order of the splits, whatever their sides.
+    a = {1: 1 + z, 3: -2}
+    b = {3: Fraction(1, 2), 5: 7}
+    c = {3: (1 << 40) * z}
+    # The segments follow the order of the items, whatever their sides.
     count, rows, nonzero = stack_terms(
-        [_on("S", a, 0), _on("R", b, 2), _on("S", c, 0)], ("S", "R")
+        [({"S": a}, 0), ({"R": b}, 2), ({"S": c}, 0)], ("S", "R")
     )
     assert count == 3
     assert rows == {
-        "S": {1: a[3][1], 3: a[3][3] + (c[3][3] << 24)},
-        "R": {3: b[3][3] << 16, 5: b[3][5] << 16},
+        "S": {1: 2 + (2 << 48), 3: -4 + ((1 << 41 + 48) << 192)},
+        "R": {3: 1 << 96, 5: 14 << 96},
     }
     # Each segment is nonzero on one side only, so the sides' sum on a
-    # key is the stack of all three splits there, with no carry.
+    # key is the stack of all three items there, with no carry.
     total = {k: rows["S"].get(k, 0) + rows["R"].get(k, 0) for k in (1, 3, 5)}
     _, one_side, _ = stack_terms(
-        [_on("R", a, 0), _on("R", b, 2), _on("R", c, 0)], ("R",)
+        [({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)], ("R",)
     )
     assert total == one_side["R"]
     assert [nonzero(x) for x in total.values()] == [[0], [0, 1, 2], [1]]
     assert nonzero(rows["S"][3]) == [0, 2] and nonzero(rows["R"][3]) == [1]
-    # A side that no split takes is an empty row dict.
-    count, rows, nonzero = stack_terms([_on("S", c, 0), _on("S", a, 0)], ("S", "R"))
+    # A side that no item takes is an empty row dict.
+    count, rows, nonzero = stack_terms([({"S": c}, 0), ({"S": a}, 0)], ("S", "R"))
     assert count == 2 and rows["R"] == {}
-    assert rows["S"] == {1: a[3][1] << 12 * 8, 3: c[3][3] + (a[3][3] << 12 * 8)}
+    assert rows["S"] == {1: (1 + (1 << 48)) << 96, 3: (1 << 40 + 48) - (2 << 96)}
     assert nonzero(rows["S"][1]) == [1]
-    # Both sides of one split land in its one segment.
-    N, den, width, sided = split_sides({"S": {1: 1 + z}, "R": {1: -2, 3: 5}})
-    assert (N, den, width) == (3, 1, 8)
-    count, rows, nonzero = stack_terms([_on("S", c, 0), ((N, den, width, sided), 0)], ("S", "R"))
+    # Both sides of one item land in its one segment.
+    count, rows, nonzero = stack_terms(
+        [({"S": c}, 0), ({"S": {1: 1 + z}, "R": {1: -2, 3: 5}}, 0)], ("S", "R")
+    )
     assert count == 2
-    assert rows["S"] == {3: c[3][3], 1: sided["S"][1] << 12 * 8}
-    assert rows["R"] == {k: x << 12 * 8 for k, x in sided["R"].items()}
+    assert rows["S"] == {3: 1 << 40 + 48, 1: (1 + (1 << 48)) << 96}
+    assert rows["R"] == {1: -2 << 96, 3: 5 << 96}
     assert nonzero(rows["R"][3]) == [1]
 
 
-def test_split_sides_shares_one_denominator_and_width():
+def test_stack_terms_shares_one_denominator_and_width():
     z = zeta(5)
-    N, den, width, sided = split_sides(
-        {"a": {1: Fraction(1, 2)}, "b": {1: z / 3, 2: (1 << 30) * z}, "c": {}}, 4
+    count, rows, nonzero = stack_terms(
+        [
+            ({"a": {1: Fraction(1, 2)}}, 8),
+            ({"b": {1: z / 3, 2: (1 << 30) * z}, "c": {}}, 0),
+        ],
+        ("a", "b", "c"),
     )
-    # One conductor, the least common denominator of every side and the
-    # width of the largest value on any side: 33 bits, 4 steps and two more.
-    assert (N, den, width) == (5, 6, 40)
-    assert sided["c"] == {}
-    assert join_terms(N, den, width, sided["a"]) == {1: Fraction(1, 2)}
-    assert join_terms(N, den, width, sided["b"]) == {1: z / 3, 2: (1 << 30) * z}
-    # Over Q with integer values each side keeps its own keys.
-    assert split_sides({"a": {1: 2, 3: -1}, "b": {1: 2}}) == (
-        None, 1, None, {"a": {1: 2, 3: -1}, "b": {1: 2}}
-    )
-    assert split_sides({}) == (None, 1, None, {})
+    # One conductor, the least common denominator of every item and the
+    # width of the largest value in the stack: 6 * 2^30 has 33 bits, the
+    # largest steps, another item's, are 8, and two more take 43 bits, so
+    # 48; a segment is phi(5) = 4 fields, 192 bits.
+    assert count == 2 and rows["c"] == {}
+    assert rows["a"] == {1: 3}
+    assert rows["b"] == {1: 2 << 48 << 192, 2: (6 << 30) << 48 << 192}
+    assert nonzero(1 << 190) == [0] and nonzero(1 << 192) == [1]
+    assert _segments(rows["b"][2], 2, 4, 48) == [[0] * 4, [0, 6 << 30, 0, 0]]
+    # Over Q with integer values each side keeps its own keys, and a
+    # stack of one holds the integers themselves.
+    count, rows, _ = stack_terms([({"a": {1: 2, 3: -1}, "b": {1: 2}}, 0)], ("a", "b"))
+    assert (count, rows) == (1, {"a": {1: 2, 3: -1}, "b": {1: 2}})
+    count, rows, nonzero = stack_terms([({}, 0)], ())
+    assert (count, rows, nonzero(0)) == (1, {}, [])
+
+
+def test_stack_terms_lays_a_rational_over_every_field():
+    z = zeta(5)
+    # Over den 2 the largest column is 6: 8-bit fields, 32-bit segments.
+    items = [({"R": {1: Fraction(1, 2)}}, 0), ({"R": {1: z}}, 0), ({"R": {2: 3}}, 0)]
+    count, rows, nonzero = stack_terms(items, ("R",))
+    assert count == 3
+    # A rational is column 0 followed by phi(5) - 1 zero fields, so the
+    # next segment starts one stride, 32 bits, later.
+    assert rows["R"] == {1: 1 + (2 << 8 << 32), 2: 6 << 64}
+    assert [_segments(x, 3, 4, 8) for x in rows["R"].values()] == [
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [6, 0, 0, 0]],
+    ]
+    assert nonzero(rows["R"][1]) == [0, 1] and nonzero(rows["R"][2]) == [2]
+    assert nonzero(-1 << 64) == [2] and nonzero(rows["R"][1] - 1) == [1]
+
+
+def test_stack_terms_of_fresh_equal_scalars_matches_each_split():
+    z = zeta(5)
+
+    def items():
+        # Each value is made afresh, so equal values are distinct objects
+        # and an object freed once its item is read may hand its id on.
+        for k in range(40):
+            x = make_cyclotomic(5, [k % 3, 1, Fraction(1, 1 + k % 2)])
+            y = make_cyclotomic(5, [k % 3, 1, Fraction(1, 1 + k % 2)])
+            if k % 4 == 0:
+                y = y + z
+            yield {"x": {k % 7: x, 9: k % 5}, "y": {k % 7: y, 9: k % 5}}, 0
+
+    want = list(items())
+    count, rows, nonzero = stack_terms(items(), ("x", "y"))
+    assert count == 40
+    differ = set()
+    for key, x in rows["x"].items():
+        differ.update(nonzero(x - rows["y"][key]))
+    assert differ == {k for k in range(40) if k % 4 == 0}
+    # Read back over the common denominator 2 (8-bit fields: the largest
+    # column is 8), each segment holds its item's values: what split_terms
+    # writes for the item alone.
+    for key, x in rows["x"].items():
+        for i, fields in enumerate(_segments(x, 40, 4, 8)):
+            alone = join_terms(*split_terms(want[i][0]["x"]))
+            assert make_cyclotomic(5, [Fraction(v, 2) for v in fields]) == alone.get(key, 0)
 
 
 def _random_terms(rng, N, size):
@@ -355,7 +422,7 @@ def test_stack_terms_two_sides_cancel_exactly_when_equal():
         ({}, {}),  # both sides empty
         ({}, {4: 1}),  # an empty side against a term
         ({4: z}, {}),
-        ({2: Fraction(1, 2), 3: 7}, {2: Fraction(1, 2), 3: 7}),  # a split over Q
+        ({2: Fraction(1, 2), 3: 7}, {2: Fraction(1, 2), 3: 7}),  # a rational column
         ({2: Fraction(1, 2)}, {2: Fraction(1, 3)}),
         ({5: 1 - z}, {5: 1 - z, 6: z}),  # a key on one side only
     ]
@@ -369,9 +436,11 @@ def test_stack_terms_two_sides_cancel_exactly_when_equal():
                 del other[key]
         pairs.append((terms, other))
     steps = 0
-    for cut in (pairs[:9], pairs, pairs[::-1]):
-        splits = [(split_sides({"x": a, "y": b}, steps), steps) for a, b in cut]
-        count, rows, nonzero = stack_terms(iter(splits), ("x", "y"))
+    # The first six share the denominator 1: there the 198-bit values
+    # take the width to exactly 200 bits, four fields a 800-bit segment.
+    for cut in (pairs[:6], pairs[:9], pairs, pairs[::-1]):
+        items = [({"x": a, "y": b}, steps) for a, b in cut]
+        count, rows, nonzero = stack_terms(iter(items), ("x", "y"))
         assert count == len(cut)
         diff = dict(rows["x"])
         for key, x in rows["y"].items():
@@ -380,6 +449,10 @@ def test_stack_terms_two_sides_cancel_exactly_when_equal():
         for x in diff.values():
             differ.update(nonzero(x))
         assert differ == {i for i, (a, b) in enumerate(cut) if a != b}
+        if cut == pairs[:6]:
+            assert [nonzero(1 << 800 * i) for i in range(6)] == [[i] for i in range(6)]
+            assert nonzero(((1 << 199) - 1) << 600) == [0] and nonzero(-1 << 799) == [0]
+            assert _segments(diff[1], 6, 4, 200)[1] == [0, (1 << 199) - 2, 0, 0]
     assert len({a == b for a, b in pairs[9:]}) == 2  # both outcomes drawn
 
 
@@ -394,4 +467,7 @@ def test_split_terms_refuses_two_conductors(values, first, second):
         split_terms(dict(enumerate(values)))
     # Splits of one conductor each may not be stacked together either.
     with pytest.raises(ValueError, match=message):
-        stack_terms((_on("R", split_terms({0: c}), 0) for c in values), ("R",))
+        stack_terms((({"R": {0: c}}, 0) for c in values), ("R",))
+    # And one item of two conductors is refused as split_terms refuses it.
+    with pytest.raises(ValueError, match=message):
+        stack_terms([({"S": {}, "R": dict(enumerate(values))}, 0)], ("S", "R"))
