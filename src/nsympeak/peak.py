@@ -597,11 +597,11 @@ def decomp_theta_R_codes(I, ctx):
         # last part is n less the highest descent.
         a = sum(_parts_at(J, J & ~I)) % N
         last = (n - (J ^ top).bit_length()) % N
-        key = ((li - J.bit_count()) & 1, a, last)
-        coeff = table.get(key)
+        odd = (li - J.bit_count()) & 1
+        coeff = table.get((odd, a, last))
         if coeff is None:
-            sign = -1 if key[0] else 1
-            coeff = table[key] = sign * ctx.zeta_power(a) * (1 - ctx.zeta_power(last))
+            coeff = (-1 if odd else 1) * ctx.zeta_power(a) * (1 - ctx.zeta_power(last))
+            table[odd, a, last] = coeff
         if coeff:
             out[J] = coeff
     return out
