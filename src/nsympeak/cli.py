@@ -392,20 +392,6 @@ ADOPTED_READINGS = {
 }
 
 
-# The most words that one stacked pass of ``verify basis`` or of a
-# decomp-* suite holds: each weight's words are cut into stacks of this
-# many, so a pass's memory does not grow with the weight. At the default
-# scales every weight is one stack (weight 8 has 128 words).
-STACK_WORDS = 128
-
-
-def _stacks(n):
-    """The codes of the words of weight n, ascending, cut into ranges of
-    at most STACK_WORDS."""
-    codes = range(1 << n >> 1, 1 << n)
-    return [codes[i:i + STACK_WORDS] for i in range(0, len(codes), STACK_WORDS)]
-
-
 def _suite_basis(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
@@ -422,14 +408,14 @@ def _suite_basis(notes, ns, max_n):
                             f"{composition_to_text(fam[J])} inside {composition_to_text(fam[K])}"
                         )
                 yield None
-            # The codes of a stack are the next images' codes; zip reads
+            # The codes of weight n are the next images' codes; zip reads
             # the range first, so it stops without taking one more image.
-            for codes in _stacks(n):
-                batch = (image for _, (_, image) in zip(codes, images))
-                for K, inside in zip(codes, in_sigma_span(batch, ctx)):
-                    if not inside:
-                        yield f"N={N}: transform of S{composition_to_text(decode(K))} outside span"
-                    yield None
+            codes = range(1 << n >> 1, 1 << n)
+            batch = (image for _, (_, image) in zip(codes, images))
+            for K, inside in zip(codes, in_sigma_span(batch, ctx)):
+                if not inside:
+                    yield f"N={N}: transform of S{composition_to_text(decode(K))} outside span"
+                yield None
     notes.append(
         "independence: each Sigma uses only strictly shorter words below "
         "it, so the family is triangular with unit diagonal"
@@ -522,11 +508,11 @@ def _decomp_suite(kind):
     weight <= max_n, S^I or R_I, the formula's coordinates expand to the
     transform of the word at q = zeta_N.
 
-    The words of each weight are checked in stacks of at most
-    STACK_WORDS, one stacked pass a stack (``expansions_match``): a
-    word's coordinates, on the codes of G, and its transform image, in
-    the word's own basis (S images are sparse in S), share one segment,
-    and the word fails exactly when that segment does not cancel.
+    Every word is checked in one call of ``expansions_match``, which
+    cuts the pairs into stacks: a word's coordinates, on the codes of G,
+    and its transform image, in the word's own basis (S images are
+    sparse in S), share one segment, and the word fails exactly when
+    that segment does not cancel.
     """
     # The functions are looked up when the suite runs, not when SUITES is
     # built, so a wrapper rebound on their module (bench/tracer.py) runs.
@@ -541,13 +527,13 @@ def _decomp_suite(kind):
         for N in ns:
             ctx = PeakContext(N)
             images = theta_q_images(all_words(basis, 0, max_n), ctx.zeta, basis)
-            for n in range(max_n + 1):
-                for codes in _stacks(n):
-                    pairs = ((formula(I, ctx), image) for I, (_, image) in zip(codes, images))
-                    for I, match in zip(codes, expansions_match(pairs, family, ctx)):
-                        if not match:
-                            yield f"N={N} I={composition_to_text(decode(I))}"
-                        yield None
+            pairs = ((formula(I, ctx), image) for I, image in images)
+            # The words' codes run from 0 up, so each answer's index is
+            # its word's code.
+            for I, match in enumerate(expansions_match(pairs, family, ctx)):
+                if not match:
+                    yield f"N={N} I={composition_to_text(decode(I))}"
+                yield None
 
     return checks
 

@@ -36,14 +36,16 @@ zeta-columns of the scalars module: ``split_terms`` once on the way in
 (one int per word), one pass of the sum over the order-N lower sets one
 descent at a time (``compositions.lower_forward``) or, for membership,
 its inverse (``compositions.lower_inverse``), and ``join_terms`` once
-on the way out. ``in_sigma_span`` tests a whole batch of elements at
-once: their dicts are stacked over one denominator and width
-(``stack_terms``), each element in its own segment and in the rows of
-its own basis, so an S element (a transform image, sparse in S and
-dense in ribbons) is stacked as it is, the S rows change to ribbons once
-per batch (``lower_forward`` with no N), and one inverse serves the
-batch. Membership, which also needs the coordinates, turns its one
-element into ribbons, and splits and inverts it on its own.
+on the way out; the Sigma and rho expansions share one move to ribbons
+(``_ribbons``). ``in_sigma_span`` tests a whole batch of elements, cut
+into stacks of at most STACK_WORDS elements: a stack's dicts are laid
+over one denominator and width (``stack_terms``), each element in its
+own segment and in the rows of its own basis, so an S element (a
+transform image, sparse in S and dense in ribbons) is stacked as it is,
+the S rows change to ribbons once per stack (``lower_forward`` with no
+N, in ``_image_ribbons``), and one inverse serves the stack. Membership,
+which also needs the coordinates, turns its one element into ribbons,
+and splits and inverts it on its own.
 The rho maps prune the forward steps to G: a word coarser than one
 outside G is outside G, so a step that leaves G is dropped at once and
 no lower set is listed. A single Sigma or rho(t) word lists its lower
@@ -65,17 +67,19 @@ core, {J code: c} for the code of I; the public ``decomp_*`` key that
 by the compositions that a PeakContext holds for the codes of G
 (``_G_words``); the q = -1 expansion decodes its coordinates once.
 ``expansions_match`` checks a batch of such coordinates against the
-transform images in one stacked pass: each pair's coordinates and image
-share one segment of one stack (``stack_terms``), the coordinates are
-expanded and the image rows subtracted on the packed ints, and a pair
-matches when its segment cancels. The verify suites cut each weight's
-words into stacks of a fixed number of words, so a pass's memory does
-not grow with the weight.
+transform images, one stacked pass per stack of at most STACK_WORDS
+pairs: each pair's coordinates and image share one segment of one stack
+(``stack_terms``), the coordinates are expanded (``_ribbons``) and the
+image rows (``_image_ribbons``) subtracted on the packed ints, and a
+pair matches when its segment cancels. Both stacked checks own their
+stack size, so a caller hands over a batch of any length and a pass's
+memory does not grow with it; the answers arrive once every stack of
+the batch is done.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, chain, islice, product
 from operator import mul
 
 from .compositions import (
@@ -107,6 +111,11 @@ from .series import series_inverse, series_product
 
 
 MAX_MEMBERSHIP_WEIGHT = 20
+
+# The most items that one stacked pass of ``in_sigma_span`` or
+# ``expansions_match`` holds: a batch is cut into stacks of this many, so
+# a pass's memory does not grow with the batch.
+STACK_WORDS = 128
 
 
 class PeakContext:
@@ -193,12 +202,13 @@ def _rho_t(I, t, ctx, sign):
     """Sum of t^(l(I) + sign*l(J)) Sigma_J over the J in G below I."""
     I = _require_G(I, ctx)
     li = I.bit_count()
-    return _expand_sigma(
+    return _expand(
         {
             J: scalar_pow(t, li + sign * J.bit_count())
             for J in lower_codes(I, ctx.N)
             if ctx._in_G(J)
         },
+        "Sigma",
         ctx,
     )
 
@@ -253,32 +263,35 @@ def _weight(codes):
     return max(codes, default=0).bit_length()
 
 
-def _expand_sigma(codes, ctx):
-    """The ribbon-basis element of the Sigma-coordinates {code: scalar}."""
-    N, den, width, packed = split_terms(codes, _weight(codes))
+def _ribbons(packed, family, ctx):
+    """The ribbon rows of the packed coordinates {code: int} on the
+    ``family`` basis, "Sigma" or "rho": the sum over the lower sets, after
+    the signed forward sum pruned to G for rho (rho_I is the sum of
+    (-1)^(l(I)-l(J)) Sigma_J over the J in G below I). Each pass meets at
+    most n - 1 steps at weight n."""
+    if family == "rho":
+        packed = lower_forward(packed, ctx.N, -1, ctx._in_G)
+    return lower_forward(packed, ctx.N)
+
+
+def _expand(codes, family, ctx):
+    """The ribbon-basis element of the {code: scalar} coordinates on the
+    ``family`` basis, "Sigma" or "rho", split wide enough for its passes."""
+    N, den, width, packed = split_terms(codes, (2 if family == "rho" else 1) * _weight(codes))
     return NsymElement._trusted(
-        "R", join_terms(N, den, width, lower_forward(packed, ctx.N))
+        "R", join_terms(N, den, width, _ribbons(packed, family, ctx))
     )
 
 
 def expand_sigma_coords(coords, ctx):
     """Turn {J: c} Sigma-coordinates into a ribbon-basis element."""
-    return _expand_sigma(_G_codes(coords, ctx), ctx)
+    return _expand(_G_codes(coords, ctx), "Sigma", ctx)
 
 
 def expand_rho_coords(coords, ctx):
-    """Turn {J: c} rho-coordinates into a ribbon-basis element.
-
-    rho_I is the sum of (-1)^(l(I)-l(J)) Sigma_J over the J in G below
-    I, so the coordinates move to the Sigma family first: a signed
-    forward sum pruned to G.
-    """
-    codes = _G_codes(coords, ctx)
-    N, den, width, packed = split_terms(codes, 2 * _weight(codes))
-    sigma = lower_forward(packed, ctx.N, -1, ctx._in_G)
-    return NsymElement._trusted(
-        "R", join_terms(N, den, width, lower_forward(sigma, ctx.N))
-    )
+    """Turn {J: c} rho-coordinates into a ribbon-basis element: they move
+    to the Sigma family first (``_ribbons``)."""
+    return _expand(_G_codes(coords, ctx), "rho", ctx)
 
 
 def expand_T_coords(coords, ctx):
@@ -298,8 +311,8 @@ def expand_T_coords(coords, ctx):
 
 def pi_N(F, ctx):
     """Send S^I to Sigma_I when I is in G, to zero otherwise, linearly."""
-    return _expand_sigma(
-        {I: c for I, c in F.to_basis("S").codes.items() if ctx._in_G(I)}, ctx
+    return _expand(
+        {I: c for I, c in F.to_basis("S").codes.items() if ctx._in_G(I)}, "Sigma", ctx
     )
 
 
@@ -314,20 +327,40 @@ def _checked_weight(F):
     return n
 
 
+def _stacked(items, check):
+    """check(rows, clear)'s flags for each stack of at most STACK_WORDS of
+    the items (``stack_terms``), in order, as one list once every stack
+    is done. A stack is laid and checked before the next item is read."""
+    items, out = iter(items), []
+    for first in items:
+        out += check(*stack_terms(chain((first,), islice(items, STACK_WORDS - 1))))
+    return out
+
+
+def _image_ribbons(rows):
+    """The S and R rows of a stack, popped from rows, summed in ribbons:
+    the S rows change to ribbons first (S^I is the sum of the R_J over the
+    J coarser than I: ``lower_forward`` with no N). Each segment sits in
+    the rows of one basis only, so the sum adds no two segments."""
+    out = lower_forward(rows.pop("S", {}))
+    for J, x in rows.pop("R", {}).items():
+        out[J] = out.get(J, 0) + x
+    return out
+
+
 def in_sigma_span(elements, ctx):
     """For each element F, whether F lies in the span of the Sigma_I, I
     in G: ``membership(F, ctx) is not None``, for a whole batch at once.
 
-    The elements' coefficient dicts are stacked as they are, each in its
-    own basis, S or R: one conductor, denominator and width for the
-    batch, and each element's packed coordinates in its own segment, in
-    the rows of its basis (``stack_terms``, one side per element). The
-    S rows change to ribbons once for the batch (S^I is the sum of the
-    R_J over the J coarser than I: ``lower_forward`` with no N), the
-    ribbon rows are added, and the sum over the lower sets is inverted
-    once; F is outside exactly when its segment is nonzero at some I
-    outside G. Every segment sits in the rows of one basis only, so
-    adding the rows adds no two segments.
+    The batch is cut into stacks of at most STACK_WORDS elements, one
+    stacked pass a stack, so its memory does not grow with the batch.
+    A stack's coefficient dicts are stacked as they are, each in its own
+    basis, S or R: one conductor, denominator and width for the stack,
+    and each element's packed coordinates in its own segment, in the rows
+    of its basis (``stack_terms``). The S rows change to ribbons once for
+    the stack and the ribbon rows are added (``_image_ribbons``), and the
+    sum over the lower sets is inverted once; F is outside exactly when
+    its segment is nonzero at some I outside G.
 
     The width suffices: a descent step changes a word of weight n only
     at a descent below n, so an element of weight n meets at most n - 1
@@ -337,31 +370,28 @@ def in_sigma_span(elements, ctx):
     element meets the change to ribbons and the inverse, at most
     2(n - 1) <= 2n steps. Each element asks for those steps, 2n for S
     and n for R, and the stack's one width covers the largest of them
-    over the largest value in the batch, so every entry of every segment
+    over the largest value in the stack, so every entry of every segment
     stays inside it (see ``split_terms``).
 
     The elements are read one at a time, each refused as membership
-    refuses it (a basis change keeps the weights, so the refusals and
-    their messages do not depend on the basis); they may have different
-    weights and bases, and two conductors among them raise the
-    conductor-mismatch ValueError. The stack, and so the memory, grows
-    with the batch: ``verify basis`` hands over each weight's transform
-    images in batches of a fixed number of words.
+    refuses it as it is read (a basis change keeps the weights, so the
+    refusals and their messages do not depend on the basis); they may
+    have different weights and bases. Two conductors within one stack
+    raise the conductor-mismatch ValueError when that stack is laid,
+    after all its elements are read: so a batch holding both a refused
+    element and a second conductor meets the refusal first when the
+    refused element is in the same stack or an earlier one. The answers
+    arrive as one list once every stack of the batch is done.
     """
     def item(F):
         n = _checked_weight(F)
         return {F.basis: F.codes}, 2 * n if F.basis == "S" else n
 
-    count, rows, nonzero = stack_terms(map(item, elements), ("S", "R"))
-    stacked = lower_forward(rows.pop("S"))  # popped: freed before the inverse
-    for J, x in rows["R"].items():
-        stacked[J] = stacked.get(J, 0) + x
-    inside = [True] * count
-    for I, x in lower_inverse(stacked, ctx.N).items():
-        if not ctx._in_G(I):
-            for i in nonzero(x):
-                inside[i] = False
-    return inside
+    def check(rows, clear):
+        sigma = lower_inverse(_image_ribbons(rows), ctx.N)
+        return clear(x for I, x in sigma.items() if not ctx._in_G(I))
+
+    return _stacked(map(item, elements), check)
 
 
 def _sigma_parts(F, ctx, passes):
@@ -687,16 +717,19 @@ def expansions_match(pairs, family, ctx):
     ``expand_rho_coords``) of the decoded coordinates == image, for a
     whole batch of pairs at once.
 
+    The batch is cut into stacks of at most STACK_WORDS pairs, one
+    stacked pass a stack, so its memory does not grow with the batch.
     Each pair's two dicts are stacked as they are, over one conductor,
-    denominator and width for the whole batch, and both lie in the
-    pair's one segment (``stack_terms``): the coordinates in the
-    family's rows, the image in the rows of its basis. The rho rows move
-    to Sigma (the signed forward sum pruned to G of
-    ``expand_rho_coords``), the Sigma rows to ribbons (the sum over the
-    lower sets), the S rows to ribbons (``lower_forward`` with no N),
-    and the image rows are subtracted from the expansion's, as packed
+    denominator and width for the stack, and both lie in the pair's one
+    segment (``stack_terms``): the coordinates in the family's rows, the
+    image in the rows of its basis. The family rows move to ribbons as
+    ``expand_rho_coords`` and ``expand_sigma_coords`` move them
+    (``_ribbons``), the image rows are summed in ribbons
+    (``_image_ribbons``) and subtracted from the expansion's, as packed
     ints: no scalar is negated. A pair matches exactly when its segment
-    is zero at every key.
+    is zero at every key. Two conductors within one stack raise the
+    conductor-mismatch ValueError when that stack is laid, and the
+    answers arrive as one list once every stack of the batch is done.
 
     The width suffices with steps = 2n for a pair of weight n: a descent
     step changes a word of weight n only at a descent below n, so a pass
@@ -707,27 +740,20 @@ def expansions_match(pairs, family, ctx):
     at most 2(n - 1) steps, and the difference at most doubles once
     more: 2(n - 1) + 1 <= 2n doublings of the largest value on either
     side. The stack's one width covers the largest steps over the
-    largest value in the batch (see ``split_terms``).
+    largest value in the stack (see ``split_terms``).
     """
     def item(pair):
         coords, image = pair
         steps = 2 * max(_weight(coords), _weight(image.codes))
         return {family: coords, image.basis: image.codes}, steps
 
-    count, rows, nonzero = stack_terms(map(item, pairs), (family, "S", "R"))
-    sums = rows.pop(family)
-    if family == "rho":
-        sums = lower_forward(sums, ctx.N, -1, ctx._in_G)
-    sums = lower_forward(sums, ctx.N)
-    for images in (lower_forward(rows.pop("S")), rows.pop("R")):
-        for K, x in images.items():
+    def check(rows, clear):
+        sums = _ribbons(rows.pop(family, {}), family, ctx)
+        for K, x in _image_ribbons(rows).items():
             sums[K] = sums.get(K, 0) - x
-    match = [True] * count
-    for x in sums.values():
-        if x:
-            for i in nonzero(x):
-                match[i] = False
-    return match
+        return clear(sums.values())
+
+    return _stacked(map(item, pairs), check)
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +808,14 @@ def rho_ones_series(ctx, order, t=None):
     t^(n - l(J)) Sigma_J over all of G(n), and (-1)^n rho_(1^n) that of
     (-1)^l(J) Sigma_J: the series is one Sigma expansion over G.
     """
-    return _expand_sigma(
+    return _expand(
         {
             J: (-1 if J.bit_count() & 1 else 1) if t is None
             else scalar_pow(t, n - J.bit_count())
             for n in range(order + 1)
             for J in ctx._G_words(n)
         },
+        "Sigma",
         ctx,
     )
 

@@ -81,13 +81,15 @@ over that denominator side by side in signed fields of ``width`` bits
 ``join_terms`` reads the columns back off each int's bytes and rebuilds
 one scalar per key. ``stack_terms`` lays the {key: scalar} dicts of
 several items side by side for a map that only asks which items end
-nonzero: it finds one conductor, one common denominator and one width
-for the whole stack, packs each distinct scalar object once, and gives
-each item one segment of phi(N) fields at a fixed stride; each item
-carries its dicts by side (a basis, or a coordinate family), every side
-of an item lands in that item's one segment, and all sides share the
-layout, so a map can run on one side's rows before they are added to
-or subtracted from another's. Over Q there is one plain column: the
+zero (``clear``): it finds one conductor, one common denominator and
+one width for the whole stack, packs each distinct value once, and
+gives each item one segment of phi(N) fields at a fixed stride; each
+item carries its dicts by side (a basis, or a coordinate family), every
+side of an item lands in that item's one segment, and all sides share
+the layout, so a map can run on one side's rows before they are added
+to or subtracted from another's. A stack holds every item it is given;
+its callers in nsympeak.peak cut their batches into stacks of a fixed
+number of items. Over Q there is one plain column: the
 values themselves when they are all integers, and on the way back each
 value is ``_rational(v, den)``, with no per-key list and no
 ``_demoted``. Maps whose coefficients are all in {-1, 0, 1} (the basis
@@ -101,7 +103,8 @@ read_signed_sum reads scalar text, element literals (with the words of
 nsympeak.textforms) and the CLI's --q, and _read_rational is the one place
 digits become a rational, refused past sys.get_int_max_str_digits(). The
 JSON reader takes integers only: a float, a bool or a string where a
-number belongs is refused.
+number belongs is refused, as is anything but a list where a list
+belongs.
 """
 
 from __future__ import annotations
@@ -633,25 +636,24 @@ def join_terms(N, den, width, packed):
     return out
 
 
-def stack_terms(items, sides):
+def stack_terms(items):
     """Lay the {key: scalar} dicts of several items side by side over one
-    conductor, one common denominator and one width: (count, rows,
-    nonzero).
+    conductor, one common denominator and one width: (rows, clear).
 
-    items yields ({side: {key: scalar}}, steps) pairs, each side one of
-    ``sides``; count is the number of items. The width must be known
+    items yields ({side: {key: scalar}}, steps) pairs, a side being any
+    name (a basis, or a coordinate family). The width must be known
     before any segment is laid, so the items are read first and held,
-    and their distinct scalar objects, keyed by id, are split once by
-    ``split_terms``, with the largest steps: one conductor, the least
+    and their distinct values, keyed by value, are split once by
+    ``split_terms`` with the largest steps: one conductor, the least
     common denominator of every value and one width for the largest
     |column| and those steps, so wide enough for every item's steps.
-    Each object is then written once as the bytes of one whole segment,
-    phi(N) fields (over Q one field; a rational in a cyclotomic stack is
-    column 0 followed by phi(N) - 1 zero fields). Item i takes segment
-    i, at a fixed stride, and every side of it lands there; its dicts
-    are dropped as soon as it is laid. rows maps each of ``sides`` to
-    its row dict, empty when no item has that side: rows[side][key] is
-    the sum over the items i that hold the key of its packed value <<
+    Each distinct value is then written once as the bytes of one whole
+    segment, phi(N) fields (over Q one field; a rational in a cyclotomic
+    stack is column 0 followed by phi(N) - 1 zero fields). Item i takes
+    segment i, at a fixed stride, and every side of it lands there; its
+    dicts are dropped as soon as it is laid. rows maps each side that
+    some item holds to its row dict: rows[side][key] is the sum over the
+    items i that hold the key on that side of its packed value <<
     offset_i, built as one byte row per key (a gap filled with zero
     fields) and one from_bytes, so in time and space linear in its size.
 
@@ -660,31 +662,36 @@ def stack_terms(items, sides):
     as its item's steps allow; so the sum or difference of two sides'
     ints on a key is again their stack, segment by segment, with no
     carry between segments, while each field stays inside the width.
-    ``nonzero(x)`` lists the i whose segment of such an x is not zero.
-    Two conductors in the stack raise the conductor-mismatch ValueError.
+    ``clear(xs)`` gives one flag per item, in order: whether its segment
+    is zero in every int of such ints xs. Two conductors in the stack
+    raise the conductor-mismatch ValueError once every item is read.
     """
-    most, held, seen = 0, [], {}
+    most, held, objects = 0, [], {}
     for sided, steps in items:
         held.append(sided)
         most = max(most, steps)
         for terms in sided.values():
             for c in terms.values():
-                seen[id(c)] = c
-    # One split of the distinct objects, keyed by id; seen keeps each of
-    # them alive, so no id is reused while the items are laid.
-    N, den, width, packed = split_terms(seen, most)
+                objects[id(c)] = c
+    # One split of the distinct values. Equal values are often distinct
+    # objects (products of ints make new ints), so they are keyed by
+    # value here, once per object; the laying below looks each object up
+    # by id, which every held item keeps unique.
+    values = dict.fromkeys(objects.values())
+    N, den, width, packed = split_terms(dict(zip(values, values)), most)
     if width is None:
         width = _width(max(map(abs, packed.values()), default=0), most)
     zero = _layout(N, width)[2]
-    count, n, b = len(held), len(zero), int.from_bytes(zero, "little")
-    segments = {k: (packed.get(k, 0) + b).to_bytes(n, "little") for k in seen}
-    zeros = zero * count
-    rows = {side: {} for side in sides}
+    n, b = len(zero), int.from_bytes(zero, "little")
+    values = {c: (packed.get(c, 0) + b).to_bytes(n, "little") for c in values}
+    segments = {i: values[c] for i, c in objects.items()}
+    zeros = zero * len(held)
+    rows = {}
     for i, sided in enumerate(held):
         held[i] = None  # laid: its dicts are not needed now
         start = i * n
         for side, terms in sided.items():
-            laid = rows[side]
+            laid = rows.setdefault(side, {})
             for key, c in terms.items():
                 row = laid.get(key)
                 if row is None:
@@ -699,11 +706,16 @@ def stack_terms(items, sides):
             row += zeros[len(row):]
             laid[key] = int.from_bytes(row, "little") - bias
 
-    def nonzero(x):
-        fields = (x + bias).to_bytes(len(zeros), "little")
-        return [i for i in range(count) if fields[i * n:i * n + n] != zero]
+    def clear(xs):
+        # A segment of x is zero exactly when its biased bytes are the
+        # zero fields', so when (x + bias) ^ bias is zero there.
+        acc = 0
+        for x in xs:
+            acc |= (x + bias) ^ bias
+        fields, empty = acc.to_bytes(len(zeros), "little"), bytes(n)
+        return [fields[i:i + n] == empty for i in range(0, len(zeros), n)]
 
-    return count, rows, nonzero
+    return rows, clear
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +914,14 @@ def json_int(value, what):
     return value
 
 
+def json_list(value, what):
+    """value if it is a list, as JSON's what must be; ValueError for an
+    object, a string or anything else."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON list, not {json.dumps(value, default=repr)}")
+    return value
+
+
 def _fraction_from_json(obj):
     num, den = json_int(obj["num"], '"num"'), json_int(obj["den"], '"den"')
     if den == 0:
@@ -912,5 +932,5 @@ def _fraction_from_json(obj):
 def scalar_from_json(obj):
     if "num" in obj:
         return _fraction_from_json(obj)
-    coeffs = [_fraction_from_json(c) for c in obj["coeffs"]]
+    coeffs = [_fraction_from_json(c) for c in json_list(obj["coeffs"], '"coeffs"')]
     return make_cyclotomic(json_int(obj["N"], '"N"'), coeffs)

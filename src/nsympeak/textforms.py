@@ -45,8 +45,8 @@ from .elements import NsymElement, add_term, coords_to_text
 # The literal grammar's errors are the reader's: one class, two names.
 from .scalars import ParseError as ElementParseError
 from .scalars import (
-    conductor, json_int, read_signed_sum, scalar_from_json, scalar_to_json,
-    typed_int,
+    conductor, json_int, json_list, read_signed_sum, scalar_from_json,
+    scalar_to_json, typed_int,
 )
 
 BASIS_NAMES = ("S", "R", "Sigma", "rho", "T")
@@ -142,7 +142,7 @@ def terms_from_json(obj):
     """Inverse of terms_to_json: (basis name, {comp: coeff})."""
     try:
         name = obj["basis"]
-        entries = list(obj["terms"])
+        entries = json_list(obj["terms"], '"terms"')
     except (KeyError, TypeError) as exc:
         raise ValueError(
             'a JSON element needs a "basis" and a list of "terms"'
@@ -152,12 +152,10 @@ def terms_from_json(obj):
     terms = {}
     for entry in entries:
         try:
-            parts = entry["comp"]
+            parts = json_list(entry["comp"], '"comp"')
             coeff = scalar_from_json(entry["coeff"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad JSON term {json.dumps(entry)}") from exc
-        if not isinstance(parts, list):
-            raise ValueError(f"bad JSON term {json.dumps(entry)}")
         comp = check_composition([json_int(p, 'a "comp" part') for p in parts])
         add_term(terms, comp, coeff)
     conductor(terms.values())

@@ -408,6 +408,24 @@ def test_json_numbers_must_be_integers(capsys, field, bad):
     assert err == f"error: {what} must be a JSON integer, not {json.dumps(bad)}\n"
 
 
+@pytest.mark.parametrize("field", ["terms", "coeffs", "comp"])
+@pytest.mark.parametrize("bad", [{}, "", 3], ids=["object", "string", "number"])
+def test_json_lists_must_be_lists(capsys, field, bad):
+    # An empty object or string was read as an empty list: 0, exit 0.
+    coeff = {"N": 3, "coeffs": [{"num": 0, "den": 1}, {"num": 1, "den": 1}]}
+    obj = {"basis": "S", "terms": [{"comp": [1, 2], "coeff": coeff}]}
+    assert run(capsys, "expand", json.dumps(obj)) == (0, "(z)*R[1,2] + (z)*R[3]\n", "")
+    if field == "terms":
+        obj["terms"] = bad
+    elif field == "coeffs":
+        coeff["coeffs"] = bad
+    else:
+        obj["terms"][0]["comp"] = bad
+    rc, out, err = run(capsys, "expand", json.dumps(obj))
+    assert (rc, out) == (2, "")
+    assert err == f'error: "{field}" must be a JSON list, not {json.dumps(bad)}\n'
+
+
 def test_hilbert_rows(capsys):
     rc, out, _ = run(capsys, "hilbert", "--N", "2", "--max-n", "6")
     assert rc == 0
@@ -1015,10 +1033,10 @@ def test_decomp_suite_catches_a_wrong_formula(capsys, monkeypatch, suite, N):
 
 @pytest.mark.parametrize("suite", list(_DECOMP_FORMULAS))
 def test_decomp_suite_catches_a_wrong_formula_in_a_later_stack(capsys, monkeypatch, suite):
-    # Weight 9 has 256 words, two stacks of 128; the wrong word sits in the
-    # second, so the check count is its code.
+    # The 512 words up to weight 9 are one batch, cut into four stacks of
+    # 128; the wrong word sits in the last, so the check count is its code.
     word = (1 << 8) + 128 + 17
-    assert cli.STACK_WORDS == 128
+    assert peak.STACK_WORDS == 128
     _perturb(monkeypatch, suite, word, lambda coords: {**coords, max(coords): 2})
     rc, out, _ = run(capsys, "verify", suite, "--N", "3", "--max-n", "9", "--format", "json")
     report = json.loads(out)

@@ -12,6 +12,7 @@ from nsympeak.compositions import (
     G_set,
     compositions_of,
     descent_set,
+    encode,
     epsilon,
     hilbert_dim,
     lower_forward,
@@ -68,6 +69,7 @@ from nsympeak.series import Theta, Theta_images, theta_q, theta_q_images
 from oracles import (
     classical_peak_functions_filtered,
     expand_rho_per_term,
+    expand_sigma_per_term,
     is_valid_peak_set,
     membership_per_term,
     per_column,
@@ -590,6 +592,85 @@ def test_expansions_match_per_pair(N):
         assert True in want and False in want
         assert expansions_match(pairs, family, ctx) == want
         assert expansions_match(iter(pairs[::-1]), family, ctx) == want[::-1]
+
+
+# A batch of 300 is cut into stacks of 128, 128 and 44: the items at 0,
+# 127, 128 and 299 are the first and last of a stack.
+_STACK_EDGES = (0, 127, 128, 299)
+
+
+def _random_coords(rnd, ctx, n):
+    """A few random coordinates on G(n), now and then 2^100 times larger."""
+    z = ctx.zeta
+    G = ctx.G(n)
+    big = 1 << 100 if rnd.random() < 0.1 else 1
+    return {J: big * rnd.choice((1, -1, 2, z, 1 - z, Fraction(1, 3)))
+            for J in rnd.sample(G, min(3, len(G)))}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_in_sigma_span_across_stacks(N):
+    # 300 elements of weights 3 to 7 in S and R, members of the span built
+    # by the per-term expansion, except a ribbon outside added at each
+    # stack edge. Each answer is the per-term peel's.
+    ctx = PeakContext(N)
+    rnd = random.Random(300 + N)
+    outside = {n: next(R(*K) for K in compositions_of(n)
+                       if membership_per_term(R(*K), ctx) is None) for n in range(3, 8)}
+    batch = []
+    for i in range(300):
+        n = 3 + i % 5
+        F = expand_sigma_per_term(_random_coords(rnd, ctx, n), ctx)
+        if i in _STACK_EDGES:
+            F = F + outside[n]
+        batch.append(F.to_basis("S") if i % 3 else F)
+    want = [membership_per_term(F, ctx) is not None for F in batch]
+    assert [i for i, inside in enumerate(want) if not inside] == list(_STACK_EDGES)
+    assert in_sigma_span(batch, ctx) == want
+    assert in_sigma_span(iter(batch), ctx) == want
+    assert in_sigma_span(batch[:128], ctx) == want[:128]
+    assert in_sigma_span(batch[:256], ctx) == want[:256]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("family", ["Sigma", "rho"])
+def test_expansions_match_across_stacks(N, family):
+    # 300 pairs of weights 1 to 7: random coordinates against their
+    # per-term expansion, in R or S, made wrong at each stack edge by a
+    # ribbon added to the image. Each answer is the per-term expansion's.
+    ctx = PeakContext(N)
+    rnd = random.Random(N)
+    expand = expand_sigma_per_term if family == "Sigma" else expand_rho_per_term
+    pairs, want = [], []
+    for i in range(300):
+        n = 1 + i % 7
+        coords = _random_coords(rnd, ctx, n)
+        image = expand(coords, ctx)
+        if i in _STACK_EDGES:
+            image = image + R(*(1,) * n)
+        want.append(expand(coords, ctx) == image)
+        codes = {encode(J): c for J, c in coords.items()}
+        pairs.append((codes, image.to_basis("S") if i % 2 else image))
+    assert [i for i, match in enumerate(want) if not match] == list(_STACK_EDGES)
+    assert expansions_match(pairs, family, ctx) == want
+    assert expansions_match(iter(pairs), family, ctx) == want
+
+
+def test_stacked_refusals_by_stack(ctx3):
+    # A stack is laid once its elements are read: an element refused as it
+    # is read is met before a second conductor in its own stack or a later
+    # one, and after a second conductor in an earlier stack.
+    lumpy, other = R(2) + R(3), R(2).scale(zeta(4))
+    batch = [Theta(S(2), 3)] * 300
+    for refused, mixed in ((5, 100), (100, 5), (100, 200)):
+        each = list(batch)
+        each[refused], each[mixed] = lumpy, other
+        with pytest.raises(ValueError, match="homogeneous"):
+            in_sigma_span(each, ctx3)
+    each = list(batch)
+    each[5], each[200] = other, lumpy
+    with pytest.raises(ValueError, match=r"^conductor mismatch: 3 vs 4"):
+        in_sigma_span(each, ctx3)
 
 
 def test_decompositions_check_their_word(ctx3):

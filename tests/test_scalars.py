@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsympeak import scalars
 from nsympeak.scalars import (
     CapacityError,
     CyclotomicNumber,
@@ -251,6 +252,19 @@ def _segments(x, count, phi, width):
     return [values[i:i + phi] for i in range(0, fields, phi)]
 
 
+def _stack(items):
+    """stack_terms(items) read as (count, rows, nonzero): the number of
+    items (the flags of clear over no ints, all True), the rows, and for
+    one int the items whose segment of it is not zero, off clear."""
+    rows, clear = stack_terms(items)
+
+    def nonzero(x):
+        return [i for i, ok in enumerate(clear([x])) if not ok]
+
+    assert all(clear([]))
+    return len(clear([])), rows, nonzero
+
+
 def test_stack_terms_lays_splits_side_by_side():
     z = zeta(3)
     a = {1: 1 + z, 3: -2}
@@ -259,13 +273,11 @@ def test_stack_terms_lays_splits_side_by_side():
     # One stack, one layout: over the common denominator 2 the largest
     # column is 2^41, so every segment is two fields of 48 bits (96 bits).
     assert [split_terms(t)[2] for t in (a, b, c)] == [8, None, 48]
-    count, rows, _ = stack_terms([({"R": b}, 3), ({"R": c}, 0)], ("R",))
+    count, rows, _ = _stack([({"R": b}, 3), ({"R": c}, 0)])
     assert count == 2
     # |2^41| and three steps still fit 48 bits.
     assert rows["R"][3] == 1 + ((1 << 41 + 48) << 96)
-    count, rows, nonzero = stack_terms(
-        iter([({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)]), ("R",)
-    )
+    count, rows, nonzero = _stack(iter([({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)]))
     assert count == 3
     stacked = rows["R"]
     assert stacked == {
@@ -285,14 +297,20 @@ def test_stack_terms_lays_splits_side_by_side():
     assert [nonzero(1 << 96 * i) for i in range(3)] == [[0], [1], [2]]
     # The top field of segment 0 at either end of its signed range.
     assert nonzero(((1 << 47) - 1) << 48) == [0] and nonzero(-1 << 95) == [0]
+    # clear flags an item only when its segment is zero in every int: over
+    # some ints, over all of them, over an iterator of them.
+    _, clear = stack_terms(iter([({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)]))
+    assert clear([stacked[1], stacked[5]]) == [False, False, True]
+    assert clear(stacked.values()) == [False, False, False]
+    assert clear(iter([0, -1 << 192, 0])) == [True, True, False]
     # A stack of one is laid as any other and equals split_terms' packed.
     for terms in (a, b):
-        count, rows, nonzero = stack_terms([({"R": terms}, 2)], ("R",))
+        count, rows, nonzero = _stack([({"R": terms}, 2)])
         assert (count, rows) == (1, {"R": split_terms(terms, 2)[3]})
         assert [nonzero(x) for x in rows["R"].values()] == [[0], [0]]
         assert nonzero(0) == []
-    count, rows, nonzero = stack_terms([], ("S", "R"))
-    assert (count, rows, nonzero(0)) == (0, {"S": {}, "R": {}}, [])
+    count, rows, nonzero = _stack([])
+    assert (count, rows, nonzero(0)) == (0, {}, [])
 
 
 def test_stack_terms_lays_each_side_in_one_layout():
@@ -301,9 +319,7 @@ def test_stack_terms_lays_each_side_in_one_layout():
     b = {3: Fraction(1, 2), 5: 7}
     c = {3: (1 << 40) * z}
     # The segments follow the order of the items, whatever their sides.
-    count, rows, nonzero = stack_terms(
-        [({"S": a}, 0), ({"R": b}, 2), ({"S": c}, 0)], ("S", "R")
-    )
+    count, rows, nonzero = _stack([({"S": a}, 0), ({"R": b}, 2), ({"S": c}, 0)])
     assert count == 3
     assert rows == {
         "S": {1: 2 + (2 << 48), 3: -4 + ((1 << 41 + 48) << 192)},
@@ -312,20 +328,18 @@ def test_stack_terms_lays_each_side_in_one_layout():
     # Each segment is nonzero on one side only, so the sides' sum on a
     # key is the stack of all three items there, with no carry.
     total = {k: rows["S"].get(k, 0) + rows["R"].get(k, 0) for k in (1, 3, 5)}
-    _, one_side, _ = stack_terms(
-        [({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)], ("R",)
-    )
+    one_side, _ = stack_terms([({"R": a}, 0), ({"R": b}, 2), ({"R": c}, 0)])
     assert total == one_side["R"]
     assert [nonzero(x) for x in total.values()] == [[0], [0, 1, 2], [1]]
     assert nonzero(rows["S"][3]) == [0, 2] and nonzero(rows["R"][3]) == [1]
-    # A side that no item takes is an empty row dict.
-    count, rows, nonzero = stack_terms([({"S": c}, 0), ({"S": a}, 0)], ("S", "R"))
-    assert count == 2 and rows["R"] == {}
+    # A side that no item takes has no row dict.
+    count, rows, nonzero = _stack([({"S": c}, 0), ({"S": a}, 0)])
+    assert count == 2 and "R" not in rows
     assert rows["S"] == {1: (1 + (1 << 48)) << 96, 3: (1 << 40 + 48) - (2 << 96)}
     assert nonzero(rows["S"][1]) == [1]
     # Both sides of one item land in its one segment.
-    count, rows, nonzero = stack_terms(
-        [({"S": c}, 0), ({"S": {1: 1 + z}, "R": {1: -2, 3: 5}}, 0)], ("S", "R")
+    count, rows, nonzero = _stack(
+        [({"S": c}, 0), ({"S": {1: 1 + z}, "R": {1: -2, 3: 5}}, 0)]
     )
     assert count == 2
     assert rows["S"] == {3: 1 << 40 + 48, 1: (1 + (1 << 48)) << 96}
@@ -335,12 +349,11 @@ def test_stack_terms_lays_each_side_in_one_layout():
 
 def test_stack_terms_shares_one_denominator_and_width():
     z = zeta(5)
-    count, rows, nonzero = stack_terms(
+    count, rows, nonzero = _stack(
         [
             ({"a": {1: Fraction(1, 2)}}, 8),
             ({"b": {1: z / 3, 2: (1 << 30) * z}, "c": {}}, 0),
-        ],
-        ("a", "b", "c"),
+        ]
     )
     # One conductor, the least common denominator of every item and the
     # width of the largest value in the stack: 6 * 2^30 has 33 bits, the
@@ -353,9 +366,9 @@ def test_stack_terms_shares_one_denominator_and_width():
     assert _segments(rows["b"][2], 2, 4, 48) == [[0] * 4, [0, 6 << 30, 0, 0]]
     # Over Q with integer values each side keeps its own keys, and a
     # stack of one holds the integers themselves.
-    count, rows, _ = stack_terms([({"a": {1: 2, 3: -1}, "b": {1: 2}}, 0)], ("a", "b"))
+    count, rows, _ = _stack([({"a": {1: 2, 3: -1}, "b": {1: 2}}, 0)])
     assert (count, rows) == (1, {"a": {1: 2, 3: -1}, "b": {1: 2}})
-    count, rows, nonzero = stack_terms([({}, 0)], ())
+    count, rows, nonzero = _stack([({}, 0)])
     assert (count, rows, nonzero(0)) == (1, {}, [])
 
 
@@ -363,7 +376,7 @@ def test_stack_terms_lays_a_rational_over_every_field():
     z = zeta(5)
     # Over den 2 the largest column is 6: 8-bit fields, 32-bit segments.
     items = [({"R": {1: Fraction(1, 2)}}, 0), ({"R": {1: z}}, 0), ({"R": {2: 3}}, 0)]
-    count, rows, nonzero = stack_terms(items, ("R",))
+    count, rows, nonzero = _stack(items)
     assert count == 3
     # A rational is column 0 followed by phi(5) - 1 zero fields, so the
     # next segment starts one stride, 32 bits, later.
@@ -390,12 +403,10 @@ def test_stack_terms_of_fresh_equal_scalars_matches_each_split():
             yield {"x": {k % 7: x, 9: k % 5}, "y": {k % 7: y, 9: k % 5}}, 0
 
     want = list(items())
-    count, rows, nonzero = stack_terms(items(), ("x", "y"))
-    assert count == 40
-    differ = set()
-    for key, x in rows["x"].items():
-        differ.update(nonzero(x - rows["y"][key]))
-    assert differ == {k for k in range(40) if k % 4 == 0}
+    rows, clear = stack_terms(items())
+    assert len(clear([])) == 40
+    same = clear(x - rows["y"][key] for key, x in rows["x"].items())
+    assert {k for k, ok in enumerate(same) if not ok} == {k for k in range(40) if k % 4 == 0}
     # Read back over the common denominator 2 (8-bit fields: the largest
     # column is 8), each segment holds its item's values: what split_terms
     # writes for the item alone.
@@ -403,6 +414,38 @@ def test_stack_terms_of_fresh_equal_scalars_matches_each_split():
         for i, fields in enumerate(_segments(x, 40, 4, 8)):
             alone = join_terms(*split_terms(want[i][0]["x"]))
             assert make_cyclotomic(5, [Fraction(v, 2) for v in fields]) == alone.get(key, 0)
+
+
+@pytest.mark.parametrize("N", [2, 5])
+def test_stack_terms_packs_each_distinct_value_once(monkeypatch, N):
+    # Values made afresh are distinct objects even when equal (products of
+    # ints over Q make new ints), so the stack keys them by value: the one
+    # split sees each distinct value once, and the rows are those of a
+    # stack whose equal values are one object.
+    big, z = 1 << 70, zeta(N)
+    shared = [-big, 0, big]
+
+    def items(fresh):
+        for i in range(20):
+            one = make_cyclotomic(N, [0, 1]) if fresh else z
+            ints = [(k % 3 - 1) * big if fresh else shared[k % 3] for k in range(30)]
+            yield {"R": dict(enumerate(ints)), "S": {k: one * (i % 2 + 1) for k in range(5)}}, i
+
+    def values(fresh):
+        return [c for sided, _ in items(fresh) for t in sided.values() for c in t.values()]
+
+    assert len({id(c) for c in values(True)}) > 5 == len(set(values(True)))
+    sizes = []
+    split = scalars.split_terms
+
+    def counted(terms, steps=0):
+        sizes.append(len(terms))
+        return split(terms, steps)
+
+    monkeypatch.setattr(scalars, "split_terms", counted)
+    rows, clear = stack_terms(items(True))
+    assert sizes == [5] and len(clear([])) == 20
+    assert (rows, sizes) == (stack_terms(items(False))[0], [5, 5])
 
 
 def _random_terms(rng, N, size):
@@ -440,15 +483,17 @@ def test_stack_terms_two_sides_cancel_exactly_when_equal():
     # take the width to exactly 200 bits, four fields a 800-bit segment.
     for cut in (pairs[:6], pairs[:9], pairs, pairs[::-1]):
         items = [({"x": a, "y": b}, steps) for a, b in cut]
-        count, rows, nonzero = stack_terms(iter(items), ("x", "y"))
+        count, rows, nonzero = _stack(iter(items))
         assert count == len(cut)
-        diff = dict(rows["x"])
-        for key, x in rows["y"].items():
+        diff = dict(rows.get("x", {}))
+        for key, x in rows.get("y", {}).items():
             diff[key] = diff.get(key, 0) - x
         differ = set()
         for x in diff.values():
             differ.update(nonzero(x))
         assert differ == {i for i, (a, b) in enumerate(cut) if a != b}
+        _, clear = stack_terms(iter(items))
+        assert clear(diff.values()) == [a == b for a, b in cut]
         if cut == pairs[:6]:
             assert [nonzero(1 << 800 * i) for i in range(6)] == [[i] for i in range(6)]
             assert nonzero(((1 << 199) - 1) << 600) == [0] and nonzero(-1 << 799) == [0]
@@ -467,7 +512,7 @@ def test_split_terms_refuses_two_conductors(values, first, second):
         split_terms(dict(enumerate(values)))
     # Splits of one conductor each may not be stacked together either.
     with pytest.raises(ValueError, match=message):
-        stack_terms((({"R": {0: c}}, 0) for c in values), ("R",))
+        stack_terms((({"R": {0: c}}, 0) for c in values))
     # And one item of two conductors is refused as split_terms refuses it.
     with pytest.raises(ValueError, match=message):
-        stack_terms([({"S": {}, "R": dict(enumerate(values))}, 0)], ("S", "R"))
+        stack_terms([({"S": {}, "R": dict(enumerate(values))}, 0)])
