@@ -53,6 +53,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice, tee
 
 from .compositions import (
     F_set,
@@ -60,6 +61,7 @@ from .compositions import (
     compositions_of,
     decode,
     display_key,
+    encode,
     epsilon,
     hilbert_dim,
     hilbert_dims,
@@ -408,10 +410,8 @@ def _suite_basis(notes, ns, max_n):
                             f"{composition_to_text(fam[J])} inside {composition_to_text(fam[K])}"
                         )
                 yield None
-            # The codes of weight n are the next images' codes; zip reads
-            # the range first, so it stops without taking one more image.
             codes = range(1 << n >> 1, 1 << n)
-            batch = (image for _, (_, image) in zip(codes, images))
+            batch = (image for _, image in islice(images, len(codes)))
             for K, inside in zip(codes, in_sigma_span(batch, ctx)):
                 if not inside:
                     yield f"N={N}: transform of S{composition_to_text(decode(K))} outside span"
@@ -443,35 +443,22 @@ def _suite_product(notes, ns, max_n):
                 yield None
 
 
-def _projector_images(words, ctx, failed):
-    """pi_N(S^K) for each K of words, checked as it is made, so no image
-    outlives its read. For a K that fails either check, failed[K] is its
-    (idempotence, fixed-image) pair of messages, None for a check it
-    passes."""
-    for K in words:
-        image = pi_N(NsymElement("S", {K: 1}), ctx)
-        idempotent = pi_N(image, ctx) == image
-        fixed = not ctx.in_G(K) or image == sigma_basis(K, ctx)
-        if not (idempotent and fixed):
-            failed[K] = (
-                None if idempotent else "not idempotent",
-                None if fixed else "wrong fixed image",
-            )
-        yield image
-
-
 def _suite_projector(notes, ns, max_n):
     for N in ns:
         ctx = PeakContext(N)
         for n in range(max_n + 1):
-            words, failed = compositions_of(n), {}
-            inside = in_sigma_span(_projector_images(words, ctx, failed), ctx)
-            for K, in_span in zip(words, inside):
-                idempotence, fixed = failed.get(K, (None, None))
-                span = None if in_span else "image not in span"
-                for message in (idempotence, span, fixed):
-                    if message:
-                        yield f"N={N} K={composition_to_text(K)}: {message}"
+            words = compositions_of(n)
+            # Each image is read beside its answer, so the tee holds at
+            # most the one stack that in_sigma_span has read ahead.
+            images, batch = tee(pi_N(NsymElement("S", {K: 1}), ctx) for K in words)
+            for K, image, inside in zip(words, images, in_sigma_span(batch, ctx)):
+                name = f"N={N} K={composition_to_text(K)}"
+                if pi_N(image, ctx) != image:
+                    yield f"{name}: not idempotent"
+                if not inside:
+                    yield f"{name}: image not in span"
+                if ctx.in_G(K) and image != sigma_basis(K, ctx):
+                    yield f"{name}: wrong fixed image"
                 yield None
 
 
@@ -632,17 +619,20 @@ def _suite_peak_classical(notes, max_n):
         reps = peak_compositions_of(n)
         if len(reps) != hilbert_dim(n, 2):
             yield f"n={n}: peak count != dimension"
-        seen = set()
-        pks = [classical_peak_function(I) for I in reps]
-        for I, pk, inside in zip(reps, pks, in_sigma_span(pks, ctx)):
+        # Each ribbon J of Pi_I must have peak set D(I): the descents of J
+        # that neither follow a descent nor sit at 1. So no two peak
+        # functions of a weight share a ribbon.
+        top = 1 << n >> 1
+        pks, batch = tee(map(classical_peak_function, reps))
+        for I, pk, inside in zip(reps, pks, in_sigma_span(batch, ctx)):
+            name = f"n={n} I={composition_to_text(I)}"
             if not pk:
-                yield f"n={n} I={composition_to_text(I)}: empty peak function"
-            support = set(pk.to_basis("R").codes)
-            if support & seen:
-                yield f"n={n} I={composition_to_text(I)}: supports overlap"
-            seen |= support
+                yield f"{name}: empty peak function"
+            peaks = encode(I) ^ top
+            if any((d := J ^ top) & ~(d << 1 | 1) != peaks for J in pk.to_basis("R").codes):
+                yield f"{name}: ribbon with another peak set"
             if not inside:
-                yield f"n={n} I={composition_to_text(I)}: peak function outside"
+                yield f"{name}: peak function outside"
             yield None
     exp_max = min(max_n, 7)
     for code, want in theta_q_images(all_words("R", 0, exp_max), -1, "R"):

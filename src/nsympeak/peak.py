@@ -73,8 +73,10 @@ pairs: each pair's coordinates and image share one segment of one stack
 image rows (``_image_ribbons``) subtracted on the packed ints, and a
 pair matches when its segment cancels. Both stacked checks own their
 stack size, so a caller hands over a batch of any length and a pass's
-memory does not grow with it; the answers arrive once every stack of
-the batch is done.
+memory does not grow with it. Both are generators: each stack's answers
+are yielded as soon as that stack is checked, before the next item is
+read, and a refusal is raised when the answers reach its stack. A
+caller that stops reading stops the checks.
 """
 
 from __future__ import annotations
@@ -328,13 +330,13 @@ def _checked_weight(F):
 
 
 def _stacked(items, check):
-    """check(rows, clear)'s flags for each stack of at most STACK_WORDS of
-    the items (``stack_terms``), in order, as one list once every stack
-    is done. A stack is laid and checked before the next item is read."""
-    items, out = iter(items), []
+    """Yield check(rows, clear)'s flags for each stack of at most
+    STACK_WORDS of the items (``stack_terms``), in order, stack by stack:
+    a stack is read, laid and checked when its first answer is asked
+    for, and no item of the next stack is read before."""
+    items = iter(items)
     for first in items:
-        out += check(*stack_terms(chain((first,), islice(items, STACK_WORDS - 1))))
-    return out
+        yield from check(*stack_terms(chain((first,), islice(items, STACK_WORDS - 1))))
 
 
 def _image_ribbons(rows):
@@ -349,8 +351,9 @@ def _image_ribbons(rows):
 
 
 def in_sigma_span(elements, ctx):
-    """For each element F, whether F lies in the span of the Sigma_I, I
-    in G: ``membership(F, ctx) is not None``, for a whole batch at once.
+    """Yield, for each element F, whether F lies in the span of the
+    Sigma_I, I in G: ``membership(F, ctx) is not None``, for a whole
+    batch of elements.
 
     The batch is cut into stacks of at most STACK_WORDS elements, one
     stacked pass a stack, so its memory does not grow with the batch.
@@ -381,7 +384,9 @@ def in_sigma_span(elements, ctx):
     after all its elements are read: so a batch holding both a refused
     element and a second conductor meets the refusal first when the
     refused element is in the same stack or an earlier one. The answers
-    arrive as one list once every stack of the batch is done.
+    arrive stack by stack, as each stack is checked, so either error is
+    raised only when the answers reach its stack, and the elements of a
+    stack are not read until its first answer is asked for.
     """
     def item(F):
         n = _checked_weight(F)
@@ -711,11 +716,11 @@ def decomp_R_on_rho_codes(I, ctx):
 
 
 def expansions_match(pairs, family, ctx):
-    """For each (coords, image) pair, whether the coordinates {J code: c}
-    on the ``family`` basis ("Sigma" or "rho", every J in G) expand to
-    image, an element in S or R: ``expand_sigma_coords`` (or
+    """Yield, for each (coords, image) pair, whether the coordinates
+    {J code: c} on the ``family`` basis ("Sigma" or "rho", every J in G)
+    expand to image, an element in S or R: ``expand_sigma_coords`` (or
     ``expand_rho_coords``) of the decoded coordinates == image, for a
-    whole batch of pairs at once.
+    whole batch of pairs.
 
     The batch is cut into stacks of at most STACK_WORDS pairs, one
     stacked pass a stack, so its memory does not grow with the batch.
@@ -727,9 +732,10 @@ def expansions_match(pairs, family, ctx):
     (``_ribbons``), the image rows are summed in ribbons
     (``_image_ribbons``) and subtracted from the expansion's, as packed
     ints: no scalar is negated. A pair matches exactly when its segment
-    is zero at every key. Two conductors within one stack raise the
-    conductor-mismatch ValueError when that stack is laid, and the
-    answers arrive as one list once every stack of the batch is done.
+    is zero at every key. The answers arrive stack by stack, as each
+    stack is checked, and no pair of the next stack is read before; two
+    conductors within one stack raise the conductor-mismatch ValueError
+    when the answers reach that stack.
 
     The width suffices with steps = 2n for a pair of weight n: a descent
     step changes a word of weight n only at a descent below n, so a pass

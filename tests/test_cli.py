@@ -1045,6 +1045,55 @@ def test_decomp_suite_catches_a_wrong_formula_in_a_later_stack(capsys, monkeypat
     assert (rc, report["checks"], report["counterexample"]) == (1, *want)
 
 
+def test_decomp_suite_stops_at_the_failing_stack(capsys, monkeypatch):
+    # The answers arrive stack by stack, so a formula wrong at the word
+    # code 5 is reported once the first stack is checked: the formula is
+    # called for that stack's words, not for all 1,024 up to weight 10.
+    calls = []
+    _perturb(monkeypatch, "decomp-R", 5, lambda coords: {**coords, max(coords): 2})
+    wrong = cli.decomp_theta_R_codes
+
+    def counted(I, ctx):
+        calls.append(I)
+        return wrong(I, ctx)
+
+    monkeypatch.setattr(cli, "decomp_theta_R_codes", counted)
+    rc, out, _ = run(capsys, "verify", "decomp-R", "--N", "3", "--max-n", "10", "--format", "json")
+    report = json.loads(out)
+    assert (rc, report["checks"], report["counterexample"]) == (1, 5, "N=3 I=[1,2]")
+    assert len(calls) <= peak.STACK_WORDS
+
+
+def _peak_classical_report(capsys, monkeypatch, change):
+    """verify peak-classical --max-n 6 with Pi_(2,2,2) changed by change."""
+    real = cli.classical_peak_function
+
+    def broken(I):
+        pk = real(I)
+        return change(pk) if I == (2, 2, 2) else pk
+
+    monkeypatch.setattr(cli, "classical_peak_function", broken)
+    rc, out, _ = run(capsys, "verify", "peak-classical", "--max-n", "6", "--format", "json")
+    return rc, json.loads(out)["counterexample"]
+
+
+def test_peak_classical_names_a_ribbon_with_another_peak_set(capsys, monkeypatch):
+    # R[1^6] has no peak, so it belongs to Pi_(6), not to Pi_(2,2,2).
+    ones = cli.NsymElement("R", {(1,) * 6: 1})
+    got = _peak_classical_report(capsys, monkeypatch, lambda pk: pk + ones)
+    assert got == (1, "n=6 I=[2,2,2]: ribbon with another peak set")
+
+
+def test_peak_classical_names_a_peak_function_outside(capsys, monkeypatch):
+    def dropped(pk):
+        ribbons = dict(pk.terms)
+        del ribbons[min(ribbons)]
+        return cli.NsymElement("R", ribbons)
+
+    got = _peak_classical_report(capsys, monkeypatch, dropped)
+    assert got == (1, "n=6 I=[2,2,2]: peak function outside")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])

@@ -3,6 +3,7 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -229,14 +230,14 @@ def test_in_sigma_span_matches_membership(ctx3):
     batch += [R(*K) for K in words]
     batch.append(sigma_basis((2, 1), ctx3) + R(3))
     want = [membership(F, ctx3) is not None for F in batch]
-    assert in_sigma_span(batch, ctx3) == want
-    assert in_sigma_span(iter(batch), ctx3) == want
+    assert list(in_sigma_span(batch, ctx3)) == want
+    assert list(in_sigma_span(iter(batch), ctx3)) == want
     ribbons = want[-len(words) - 1:-1]
     assert True in ribbons and False in ribbons and not want[-1]
 
 
 def test_in_sigma_span_batches(ctx2, ctx3):
-    assert in_sigma_span([], ctx3) == []
+    assert list(in_sigma_span([], ctx3)) == []
     # Segments of different widths: one element far wider than the rest.
     big = 1 << 300
     inside = Theta(S(2, 1), 3)
@@ -246,10 +247,10 @@ def test_in_sigma_span_batches(ctx2, ctx3):
     ]
     want = [membership(F, ctx3) is not None for F in batch]
     assert want == [True, True, False, False, True, False, True]
-    assert in_sigma_span(batch, ctx3) == want
+    assert list(in_sigma_span(batch, ctx3)) == want
     # A batch of one is laid as any other, over Q and over Q(zeta_3).
     for F, inside_alone in zip(batch, want):
-        assert in_sigma_span([F], ctx3) == [inside_alone]
+        assert list(in_sigma_span([F], ctx3)) == [inside_alone]
     # Worst-case magnitudes at weight 8 beside small ones: 2^6 - 1 on
     # every ribbon with the signs by length, and every Sigma_I of G, over
     # Q and over Q(zeta_3); the inverse grows them by up to 2^7.
@@ -261,16 +262,16 @@ def test_in_sigma_span_batches(ctx2, ctx3):
         batch = [R(1, 1), ribbons, sigmas, R(3), sigmas + ribbons, sigmas.scale(-1)]
         want = [membership(F, ctx3) is not None for F in batch]
         assert want == [True, False, True, False, False, True]
-        assert in_sigma_span(batch, ctx3) == want
+        assert list(in_sigma_span(batch, ctx3)) == want
     with pytest.raises(
         ValueError, match=r"^conductor mismatch: 3 vs 4 \(no automatic lifting\)$"
     ):
-        in_sigma_span([Theta(S(2), 3), R(2), R(2).scale(zeta(4))], ctx3)
+        list(in_sigma_span([Theta(S(2), 3), R(2), R(2).scale(zeta(4))], ctx3))
     # Each element is refused as membership refuses it.
     with pytest.raises(ValueError, match="homogeneous"):
-        in_sigma_span([R(2), R(2) + R(3)], ctx2)
+        list(in_sigma_span([R(2), R(2) + R(3)], ctx2))
     with pytest.raises(CapacityError):
-        in_sigma_span([R(2), R(21)], ctx2)
+        list(in_sigma_span([R(2), R(21)], ctx2))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7])
@@ -299,8 +300,8 @@ def test_in_sigma_span_by_basis(N):
     mixed = [F if i % 2 else R for i, (F, R) in enumerate(zip(batch, ribbons))]
     assert {F.basis for F in mixed} == {"S", "R"}
     for each in (batch, ribbons, mixed):
-        assert in_sigma_span(each, ctx) == want
-        assert in_sigma_span(iter(each), ctx) == want
+        assert list(in_sigma_span(each, ctx)) == want
+        assert list(in_sigma_span(iter(each), ctx)) == want
 
 
 def test_in_sigma_span_at_wide_coefficients(ctx3):
@@ -331,9 +332,9 @@ def test_in_sigma_span_at_wide_coefficients(ctx3):
         want.append(all(map(ctx3._in_G, got)))
     assert True in want and False in want
     assert want == [membership(F, ctx3) is not None for F in batch]
-    assert in_sigma_span(batch, ctx3) == want
+    assert list(in_sigma_span(batch, ctx3)) == want
     for F, inside in zip(batch, want):
-        assert in_sigma_span([F], ctx3) == [inside]
+        assert list(in_sigma_span([F], ctx3)) == [inside]
 
 
 def test_rho_maps_at_worst_case_magnitudes(ctx3):
@@ -590,8 +591,8 @@ def test_expansions_match_per_pair(N):
             got = expand({G[J]: c for J, c in coords.items() if c}, ctx)
             want.append(got == image)
         assert True in want and False in want
-        assert expansions_match(pairs, family, ctx) == want
-        assert expansions_match(iter(pairs[::-1]), family, ctx) == want[::-1]
+        assert list(expansions_match(pairs, family, ctx)) == want
+        assert list(expansions_match(iter(pairs[::-1]), family, ctx)) == want[::-1]
 
 
 # A batch of 300 is cut into stacks of 128, 128 and 44: the items at 0,
@@ -626,10 +627,10 @@ def test_in_sigma_span_across_stacks(N):
         batch.append(F.to_basis("S") if i % 3 else F)
     want = [membership_per_term(F, ctx) is not None for F in batch]
     assert [i for i, inside in enumerate(want) if not inside] == list(_STACK_EDGES)
-    assert in_sigma_span(batch, ctx) == want
-    assert in_sigma_span(iter(batch), ctx) == want
-    assert in_sigma_span(batch[:128], ctx) == want[:128]
-    assert in_sigma_span(batch[:256], ctx) == want[:256]
+    assert list(in_sigma_span(batch, ctx)) == want
+    assert list(in_sigma_span(iter(batch), ctx)) == want
+    assert list(in_sigma_span(batch[:128], ctx)) == want[:128]
+    assert list(in_sigma_span(batch[:256], ctx)) == want[:256]
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -652,8 +653,8 @@ def test_expansions_match_across_stacks(N, family):
         codes = {encode(J): c for J, c in coords.items()}
         pairs.append((codes, image.to_basis("S") if i % 2 else image))
     assert [i for i, match in enumerate(want) if not match] == list(_STACK_EDGES)
-    assert expansions_match(pairs, family, ctx) == want
-    assert expansions_match(iter(pairs), family, ctx) == want
+    assert list(expansions_match(pairs, family, ctx)) == want
+    assert list(expansions_match(iter(pairs), family, ctx)) == want
 
 
 def test_stacked_refusals_by_stack(ctx3):
@@ -666,11 +667,40 @@ def test_stacked_refusals_by_stack(ctx3):
         each = list(batch)
         each[refused], each[mixed] = lumpy, other
         with pytest.raises(ValueError, match="homogeneous"):
-            in_sigma_span(each, ctx3)
+            list(in_sigma_span(each, ctx3))
     each = list(batch)
     each[5], each[200] = other, lumpy
     with pytest.raises(ValueError, match=r"^conductor mismatch: 3 vs 4"):
-        in_sigma_span(each, ctx3)
+        list(in_sigma_span(each, ctx3))
+
+
+def _one_stack_at_most(item):
+    """item at every draw, failing the test at a draw past the first stack."""
+    for drawn in range(peak.STACK_WORDS + 1):
+        assert drawn < peak.STACK_WORDS, "read past the first stack"
+        yield item
+
+
+def test_stacked_checks_answer_stack_by_stack(ctx3):
+    # Each stack's answers are yielded before the next item is read: the
+    # whole first stack answers from a batch that fails the test once a
+    # second stack is drawn (the Sigma coordinates of a transform image
+    # match as Sigma coordinates, not as rho ones). A refused item after
+    # the first stack is met only when the answers reach its stack.
+    first = list(islice(in_sigma_span(_one_stack_at_most(Theta(S(2), 3)), ctx3),
+                        peak.STACK_WORDS))
+    assert first == [True] * peak.STACK_WORDS
+    I = encode((2, 1))
+    pair = (peak.decomp_theta_R_codes(I, ctx3), theta_q(R(2, 1), ctx3.zeta))
+    for family, match in (("Sigma", True), ("rho", False)):
+        answers = expansions_match(_one_stack_at_most(pair), family, ctx3)
+        assert next(answers) is match
+        assert list(islice(answers, peak.STACK_WORDS - 1)) == [match] * (peak.STACK_WORDS - 1)
+    batch = [Theta(S(2), 3)] * peak.STACK_WORDS + [R(2) + R(3)]
+    answers = in_sigma_span(batch, ctx3)
+    assert list(islice(answers, peak.STACK_WORDS)) == [True] * peak.STACK_WORDS
+    with pytest.raises(ValueError, match="homogeneous"):
+        next(answers)
 
 
 def test_decompositions_check_their_word(ctx3):
