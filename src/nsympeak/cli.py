@@ -635,12 +635,14 @@ def _suite_peak_classical(notes, max_n):
                 yield f"{name}: peak function outside"
             yield None
     exp_max = min(max_n, 7)
+    # Few peak functions recur across the expansions: each is built once.
+    peak_function = functools.cache(classical_peak_function)
     for code, want in theta_q_images(all_words("R", 0, exp_max), -1, "R"):
         I = decode(code)
         got = linear_combination(
             "R",
             (
-                (classical_peak_function(J), c)
+                (peak_function(J), c)
                 for J, c in theta_minus1_ribbon_expansion(I).items()
             ),
         )

@@ -16,8 +16,8 @@ A product needing more than MAX_WORD_PAIRS pairs of S words, counted
 after each operand's S words have merged, is refused through
 ``scalars.check_limit``, and so is, through ``elements.check_expansion``,
 one whose longest S words at the shared weights already stand for more
-than MAX_EXPANSION_TERMS ribbons; both counts come before anything is
-built.
+than MAX_EXPANSION_TERMS ribbons; both counts come from one pass over
+each operand (``_by_weight``), before anything is built.
 """
 
 import collections
@@ -30,21 +30,30 @@ from .scalars import check_limit
 MAX_WORD_PAIRS = 1 << 18
 
 
-def _words_by_weight(F):
-    """F, expanded into S words where that merges words, and how many S
-    words each weight of it holds once merged.
+def _by_weight(F):
+    """F's basis, once merged, and {n: [S words, longest, terms]} for each
+    weight n of F, in one pass: how many S words the weight holds, the
+    most parts of one of them, and the weight's {code: scalar} terms.
 
     The 2^(l(I)-1) S words of one ribbon R_I are distinct, so a weight
-    holding one ribbon is counted without expanding it; an element with
-    two ribbons of one weight is expanded first.
+    holding one ribbon is counted without expanding it, and I itself is
+    its longest S word; an element with two ribbons of one weight is
+    expanded to S first, whole, and its merged words are counted.
     """
-    per_weight = collections.Counter(I.bit_length() for I in F.codes)
-    if F.basis == "R" and max(per_weight.values(), default=0) > 1:
+    if F.basis == "R" and len(set(map(int.bit_length, F.codes))) < len(F.codes):
         F = F.to_basis("S")
-    counts = collections.Counter()
-    for I in F.codes:
-        counts[I.bit_length()] += 1 if F.basis == "S" else num_compositions(I.bit_count())
-    return F, counts
+    ribbons = F.basis == "R"
+    out = {}
+    for I, c in F.codes.items():
+        n, length = I.bit_length(), I.bit_count()
+        group = out.get(n)
+        if group is None:
+            out[n] = [num_compositions(length) if ribbons else 1, length, {I: c}]
+        else:  # S words: a ribbon is alone at its weight
+            group[0] += 1
+            group[1] = max(group[1], length)
+            group[2][I] = c
+    return F.basis, out
 
 
 @functools.cache
@@ -87,10 +96,11 @@ def _word_product(I, J):
     return out
 
 
-def _words_by_coefficient(F):
-    """{coefficient: [S words, as tuples]} for F in the S basis."""
+def _words_by_coefficient(basis, terms):
+    """{coefficient: [S words, as tuples]} for the terms of one weight in
+    ``basis``; a lone ribbon is expanded to its S words here."""
     out = collections.defaultdict(list)
-    for I, a in F.to_basis("S").codes.items():
+    for I, a in NsymElement._trusted(basis, terms).to_basis("S").codes.items():
         out[a].append(decode(I))
     return out
 
@@ -99,27 +109,28 @@ def internal_product(F, G):
     """F * G, returned in the ribbon basis.
 
     Both operands may be inhomogeneous.  Each same-weight pair of S words,
-    S^I from F and S^J from G, contributes S^I * S^J by the matrix formula;
-    the pairs are counted over the merged S words (``_words_by_weight``).
-    Every word of S^I * S^J has at least max(l(I), l(J)) parts, so the
-    result's ribbons are bounded from below, and refused, before any
-    product is built; a product that would cancel to zero is refused too.
-    Words are grouped by coefficient, so most of the summing is on integers.
+    S^I from F and S^J from G, contributes S^I * S^J by the matrix formula.
+    Each operand is grouped by weight in one pass (``_by_weight``), and
+    the pairs are counted over its merged S words.  Every word of
+    S^I * S^J has at least max(l(I), l(J)) parts, so the result's ribbons
+    are bounded from below, and refused, before any product is built or
+    any lone ribbon expanded; a product that would cancel to zero is
+    refused too.  Words are grouped by coefficient, so most of the
+    summing is on integers.
     """
-    (F, f_words), (G, g_words) = _words_by_weight(F), _words_by_weight(G)
-    pairs = sum(c * g_words[n] for n, c in f_words.items())
+    (f_basis, f_groups), (g_basis, g_groups) = _by_weight(F), _by_weight(G)
+    shared = f_groups.keys() & g_groups.keys()
+    pairs = sum(f_groups[n][0] * g_groups[n][0] for n in shared)
     check_limit(pairs, MAX_WORD_PAIRS, "internal product", "S-word pairs")
-    parts = [(F.homogeneous_component(n), G.homogeneous_component(n))
-             for n in f_words.keys() & g_words.keys()]
     # The longest S word of each shared weight bounds the ribbons from below.
-    longest = (max(I.bit_count() for h in f_g for I in h.codes) for f_g in parts)
+    longest = (max(f_groups[n][1], g_groups[n][1]) for n in shared)
     check_expansion(sum(map(num_compositions, longest)), "internal product in ribbons")
     out = {}
-    for f, g in parts:
-        f_groups = _words_by_coefficient(f)
-        g_groups = _words_by_coefficient(g)
-        for a, f_list in f_groups.items():
-            for b, g_list in g_groups.items():
+    for n in shared:
+        f_words = _words_by_coefficient(f_basis, f_groups[n][2])
+        g_words = _words_by_coefficient(g_basis, g_groups[n][2])
+        for a, f_list in f_words.items():
+            for b, g_list in g_words.items():
                 counts = {}
                 for I in f_list:
                     for J in g_list:

@@ -100,7 +100,6 @@ from .compositions import (
 )
 from .elements import (
     NsymElement,
-    R,
     _as_scalar,
     check_expansion,
     multiply,
@@ -238,16 +237,22 @@ def rho_t_primed_basis(I, t, ctx):
 
 
 def T_basis(K, ctx):
-    """T_K: the product of the ribbons R_(N^i j) over the parts N*i+j of K."""
+    """T_K: the product of the ribbons R_(N^i j) over the parts N*i+j of K,
+    in order (the unit for the empty K).
+
+    Each ribbon is laid as the code of N^i j, and the product starts from
+    the first one.
+    """
     K = check_composition(K)
     N = ctx.N
-    out = one("R")
+    out = None
     for part in K:
         i, j = divmod(part, N)
         if j == 0:
             raise ValueError(f"part {part} of {K} is divisible by N={N}")
-        out = multiply(out, R(*((N,) * i + (j,))))
-    return out
+        ribbon = NsymElement._trusted("R", {encode((N,) * i + (j,)): 1})
+        out = ribbon if out is None else multiply(out, ribbon)
+    return one("R") if out is None else out
 
 
 def _G_codes(coords, ctx):
@@ -628,9 +633,15 @@ def decomp_theta_R_codes(I, ctx):
     li = I.bit_count()
     table, out = {}, {}
     for J in ctx._G_words(n):
-        # I holds the top bit, so J & ~I holds only descents of J. The
+        # I holds the top bit, so J & ~I holds only descents of J: a adds
+        # up the parts of J ending there (as ``_parts_at``, inline). The
         # last part is n less the highest descent.
-        a = sum(_parts_at(J, J & ~I)) % N
+        a, X = 0, J & ~I
+        while X:
+            bit = X & -X
+            X ^= bit
+            a += bit.bit_length() - (J & bit - 1).bit_length()
+        a %= N
         last = (n - (J ^ top).bit_length()) % N
         odd = (li - J.bit_count()) & 1
         coeff = table.get((odd, a, last))
@@ -920,19 +931,26 @@ def morphism_check(ctx, n_max):
     (None when ok). counterexample is a pair violating the equality once
     that hypothesis is dropped (evidence the hypothesis is needed), or
     None if the search found none.
+
+    S^I S^J is the word S^(I.J) by definition, so the left side is the
+    image of I.J, read from the images of every word of weight <= n_max
+    (one pi_N each); the right side is one product of two images.
     """
     N = ctx.N
     ok = True
     counterexample = None
     failure = None
-    words = {I: NsymElement("S", {I: 1}) for n in range(n_max + 1) for I in compositions_of(n)}
-    images = {I: pi_N(word, ctx) for I, word in words.items()}
+    images = {
+        I: pi_N(NsymElement("S", {I: 1}), ctx)
+        for n in range(n_max + 1)
+        for I in compositions_of(n)
+    }
     for total in range(n_max + 1):
         for a in range(total + 1):
             for I in compositions_of(a):
                 left_in_ideal = bool(I) and I[-1] % N != 0
                 for J in compositions_of(total - a):
-                    lhs = pi_N(multiply(words[I], words[J]), ctx)
+                    lhs = images[I + J]
                     rhs = multiply(images[I], images[J])
                     if left_in_ideal:
                         if lhs != rhs:

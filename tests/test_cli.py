@@ -7,8 +7,8 @@ import time
 import pytest
 
 from nsympeak import cli, peak, series
-from nsympeak.compositions import MAX_WEIGHT, compositions_of, decode
-from nsympeak.elements import MAX_EXPANSION_TERMS, all_words
+from nsympeak.compositions import MAX_WEIGHT, compositions_of, decode, epsilon_inv
+from nsympeak.elements import MAX_EXPANSION_TERMS, NsymElement, R, S, all_words
 from nsympeak.series import MAX_RECURSION_TERMS
 from nsympeak.textforms import composition_to_text
 
@@ -1092,6 +1092,65 @@ def test_peak_classical_names_a_peak_function_outside(capsys, monkeypatch):
 
     got = _peak_classical_report(capsys, monkeypatch, dropped)
     assert got == (1, "n=6 I=[2,2,2]: peak function outside")
+
+
+def _morphism_report(capsys):
+    rc, out, _ = run(capsys, "verify", "morphism", "--format", "json")
+    return rc, json.loads(out)["counterexample"]
+
+
+def test_morphism_names_the_first_pair_of_a_wrong_image(capsys, monkeypatch):
+    # pi_N(S^(1,1)) is the left side of the pair S^1 S^1.
+    real = peak.pi_N
+
+    def broken(F, ctx):
+        image = real(F, ctx)
+        return image + R(2) if F == S(1, 1) else image
+
+    monkeypatch.setattr(peak, "pi_N", broken)
+    assert _morphism_report(capsys) == (1, "N=2 I=[1] J=[1]")
+
+
+def test_morphism_names_the_first_pair_of_a_wrong_product(capsys, monkeypatch):
+    # Pi_2(S^1) = R_1 and R_1 R_1 has two ribbons; one is dropped.
+    real = peak.multiply
+
+    def dropped(F, G):
+        codes = dict(real(F, G).codes)
+        if len(codes) > 1:
+            del codes[max(codes)]
+        return NsymElement._trusted(F.basis, codes)
+
+    monkeypatch.setattr(peak, "multiply", dropped)
+    assert _morphism_report(capsys) == (1, "N=2 I=[1] J=[1]")
+
+
+def test_peak_classical_names_a_wrong_expansion(capsys, monkeypatch):
+    real = cli.theta_minus1_ribbon_expansion
+
+    def broken(I):
+        coords = real(I)
+        if I == (1, 2):
+            J = min(coords)
+            coords[J] += 1
+        return coords
+
+    monkeypatch.setattr(cli, "theta_minus1_ribbon_expansion", broken)
+    rc, out, _ = run(capsys, "verify", "peak-classical", "--format", "json")
+    assert (rc, json.loads(out)["counterexample"]) == (1, "I=[1,2]: expansion mismatch")
+
+
+def test_product_names_a_wrong_T_basis_element(capsys, monkeypatch):
+    real = cli.T_basis
+
+    def broken(K, ctx):
+        T = real(K, ctx)
+        return T + R(1) if (K, ctx.N) == ((3,), 2) else T
+
+    monkeypatch.setattr(cli, "T_basis", broken)
+    rc, out, _ = run(capsys, "verify", "product", "--format", "json")
+    I = composition_to_text(epsilon_inv((3,), 2))
+    assert (rc, json.loads(out)["counterexample"]) == (1, f"N=2 I={I}: T identity")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -205,14 +205,63 @@ def test_pairs_are_counted_after_merging():
     )
     # One ribbon's 2^(l-1) S words are distinct: R[1^10] * R[1^10] is
     # exactly at the limit, counted without expanding.
-    _, counts = descent._words_by_weight(R(*[1] * 10))
-    assert counts == {10: 512} and 512 * 512 == MAX_WORD_PAIRS
+    basis, groups = descent._by_weight(R(*[1] * 10))
+    assert basis == "R" and {n: g[0] for n, g in groups.items()} == {10: 512}
+    assert 512 * 512 == MAX_WORD_PAIRS
     # R[1^11] + R[2,1^9] merges to 512 S words: 1024 * 512 pairs.
     merged = R(*[1] * 11) + R(2, *[1] * 9)
-    F, counts = descent._words_by_weight(merged)
-    assert F.basis == "S" and counts == {11: 512}
+    basis, groups = descent._by_weight(merged)
+    assert basis == "S" and {n: g[0] for n, g in groups.items()} == {11: 512}
     with pytest.raises(CapacityError, match=str(1024 * 512)):
         internal_product(R(*[1] * 11), merged)
+
+
+def test_weights_are_grouped_in_one_pass():
+    # Per weight: the S words once merged, the most parts of one, the terms.
+    F = S(2, 1) + 3 * S(1, 1, 1) + S(4) + 5 * S()
+    assert descent._by_weight(F) == ("S", {
+        3: [2, 3, {encode((2, 1)): 1, encode((1, 1, 1)): 3}],
+        4: [1, 1, {encode((4,)): 1}],
+        0: [1, 0, {0: 5}],
+    })
+    # A lone ribbon counts its 2^(l-1) S words and is kept as it is.
+    assert descent._by_weight(R(1, 2, 1) + 2 * R(3)) == ("R", {
+        4: [4, 3, {encode((1, 2, 1)): 1}],
+        3: [1, 1, {encode((3,)): 2}],
+    })
+
+
+def _product_by_matrices(F, G):
+    """F * G summed over the same-weight pairs of their S words, each word
+    product listed by ``oracles.word_product_by_matrices``."""
+    out = {}
+    for I, a in F.to_basis("S").terms.items():
+        for J, b in G.to_basis("S").terms.items():
+            if sum(I) == sum(J):
+                for K, m in word_product_by_matrices(I, J).items():
+                    out[K] = out.get(K, 0) + a * b * m
+    return NsymElement("S", out)
+
+
+def test_internal_product_against_matrix_oracle():
+    z = zeta(3)
+    half = Fraction(1, 2)
+    # Two ribbons at weight 4, so F merges to S; weight 5 is F's alone.
+    F = NsymElement("R", {
+        (2, 2): 3, (1, 3): half, (1, 2): z, (2,): 3, (1, 1, 1, 1, 1): -1,
+    })
+    # Weight 6 is G's alone.
+    G = NsymElement("S", {
+        (4,): z, (1, 3): z, (2, 1, 1): -2, (3,): Fraction(2, 3), (1, 1): 3,
+        (6,): 1,
+    })
+    # One ribbon per weight: each stays a lone ribbon until expanded.
+    H = NsymElement("R", {(1, 2, 1): z, (2, 1): -half, (1, 1): 2, (5,): z})
+    K = NsymElement("R", {(3, 1): 2, (1, 1, 1): 2, (2,): z, (1, 1, 1, 1, 1, 1): 1})
+    for F_, G_ in [(F, G), (G, F), (H, K), (K, H), (F, H), (G, K), (F, F)]:
+        got = internal_product(F_, G_)
+        assert got.basis == "R" and got, (F_, G_)
+        assert got == _product_by_matrices(F_, G_), (F_, G_)
 
 
 def test_rows_tried_can_complete():

@@ -385,6 +385,23 @@ def test_T_basis(ctx3):
     )
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_T_basis_is_the_ribbon_product_chain(N):
+    # Oracle: the unit times R_(N^i j) for each part N*i+j of K, in order.
+    ctx = PeakContext(N)
+    for n in range(7):
+        for K in compositions_of(n):
+            if any(part % N == 0 for part in K):
+                with pytest.raises(ValueError, match=f"divisible by N={N}"):
+                    T_basis(K, ctx)
+                continue
+            chain = one("R")
+            for part in K:
+                i, j = divmod(part, N)
+                chain = multiply(chain, R(*((N,) * i + (j,))))
+            assert T_basis(K, ctx) == chain, K
+
+
 def test_T_identity(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         for n in range(6):
