@@ -634,8 +634,9 @@ def decomp_theta_R_codes(I, ctx):
     table, out = {}, {}
     for J in ctx._G_words(n):
         # I holds the top bit, so J & ~I holds only descents of J: a adds
-        # up the parts of J ending there (as ``_parts_at``, inline). The
-        # last part is n less the highest descent.
+        # up the parts of J ending there, as ``_parts_at`` would, inline
+        # because the generator's steps were most of this loop. The last
+        # part is n less the highest descent.
         a, X = 0, J & ~I
         while X:
             bit = X & -X
