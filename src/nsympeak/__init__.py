@@ -72,7 +72,6 @@ from .series import (
     hook_sum,
     psi,
     series_inverse,
-    series_product,
     sigma_series,
     theta_q,
     theta_q_generator,
@@ -136,7 +135,6 @@ __all__ = [
     "rho_t_primed_basis",
     "ribbon_factorization",
     "series_inverse",
-    "series_product",
     "sigma_basis",
     "sigma_lambda_N",
     "sigma_series",

@@ -44,6 +44,7 @@ on the command line).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -374,21 +375,31 @@ def _change_basis(F, basis, sign):
 # products and the coproduct
 
 
-def multiply(F, G):
+def multiply(F, G, order=None):
     """Outer product; operands in different bases are aligned to F's basis.
 
     The code of I followed by J is ``a | b << n``, n the weight of I. In
     the R basis R_I R_J adds that word and, when I and J are not the
     unit, J glued to I's last part: the same code without I's top bit.
+
+    With ``order`` given, the product is truncated at that weight, as a
+    product of series read off the grading: only the pairs whose weights
+    add up to at most ``order`` are multiplied. G's words are sorted by
+    code, which sorts them by weight, so each word of F reads the prefix
+    of G's words that fits beside it (none past ``order``).
     """
     G = G.to_basis(F.basis)
     right = G.codes.items()
+    if order is not None:
+        right = sorted(right)
+        weights = [b.bit_length() for b, _ in right]
     ribbons = F.basis == "R"
     out = {}
     for a, x in F.codes.items():
         n = a.bit_length()
+        words = right if order is None else right[:bisect_right(weights, order - n)]
         seam = 1 << n >> 1 if ribbons else 0
-        for b, y in right:
+        for b, y in words:
             xy = x * y
             K = a | b << n
             add_term(out, K, xy)

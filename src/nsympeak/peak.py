@@ -108,7 +108,7 @@ from .elements import (
 from .scalars import (
     check_limit, join_terms, scalar_pow, split_terms, stack_terms, zeta, zeta_pow,
 )
-from .series import series_inverse, series_product
+from .series import series_inverse
 
 
 MAX_MEMBERSHIP_WEIGHT = 20
@@ -779,8 +779,10 @@ def expansions_match(pairs, family, ctx):
 #
 # These series live over the grading of Sym itself: the coefficient in
 # degree d is homogeneous of weight d, so a series truncated at ``order``
-# is the element of its words of weight <= order, and the truncated
-# product and inverse of the series module track the graded components.
+# is the element of its words of weight <= order. ``multiply`` given the
+# order and ``series_inverse`` track the graded components in the first
+# operand's basis, so a series of block ribbons is inverted and multiplied
+# as ribbons and compared with the rho side, built in R, as it is.
 
 
 def _block_series(ctx, order, coeff, js):
@@ -856,7 +858,7 @@ def sigma_lambda_N(ctx, order):
     """
     sig = one("R") - tangent_element_series(ctx, order)
     lam = rho_ones_series(ctx, order)
-    return sig, lam, series_product(sig, lam, order) == one()
+    return sig, lam, multiply(sig, lam, order) == one()
 
 
 def tangent_zeta_element_series(ctx, order):
@@ -904,7 +906,7 @@ def lemma_rnij_series(ctx, j, order):
     block = _block_series(
         ctx, order, lambda i, _: -1 if i % 2 else 1, (j,)
     )
-    first = block == series_product(
+    first = block == multiply(
         series_inverse(s_multiples, order), s_congruent, order
     )
 
@@ -913,9 +915,7 @@ def lemma_rnij_series(ctx, j, order):
     lam = NsymElement(
         "R", {(1,) * d: -1 if d % 2 else 1 for d in range(order + 1)}
     )
-    second = series_inverse(total, order) == series_product(
-        lam, s_multiples, order
-    )
+    second = series_inverse(total, order) == multiply(lam, s_multiples, order)
     return first, second
 
 

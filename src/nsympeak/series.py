@@ -2,11 +2,15 @@
 
 The series here are t-series whose degree-d coefficient is homogeneous
 of weight d, so each one is an NsymElement whose words all have weight
-at most a truncation ``order``: t is read off the grading. The one
-truncated product and the one truncated inverse never build a word
-heavier than ``order``. The generating series sigma(t) of complete
-functions is such an element, and the power sums are read off the
-logarithmic derivative sigma^{-1} sigma'.
+at most a truncation ``order``: t is read off the grading. The
+truncated product is ``elements.multiply`` given that order, and the
+truncated inverse is a recursion of such products, so neither builds a
+word heavier than ``order``. Both run in the first operand's basis:
+ribbons multiply by the ribbon rule in ``multiply``, and S words by
+concatenation, so no series is written in another basis to be
+multiplied. The generating series sigma(t) of complete functions is such
+an element, in S words, and the power sums are read off the logarithmic
+derivative sigma^{-1} sigma'.
 
 The transform theta_q sends S_n to S_n((1-q)A). Its generator has the
 closed hook form (Krob-Leclerc-Thibon, *Noncommutative symmetric
@@ -70,58 +74,38 @@ MAX_RECURSION_TERMS = 1 << 19
 # truncated series
 
 
-def _by_weight(F):
-    """F's S-basis terms grouped by weight: {weight: [(code, coeff), ...]}."""
-    out = {}
-    for I, c in F.to_basis("S").codes.items():
-        out.setdefault(I.bit_length(), []).append((I, c))
-    return out
-
-
-def series_product(F, G, order):
-    """The product F*G truncated at weight ``order``, in the S basis.
-
-    Only the pairs of words whose weights add up to at most ``order``
-    are multiplied.
-    """
-    right = _by_weight(G)
-    terms = {}
-    for I, a in F.to_basis("S").codes.items():
-        n = I.bit_length()
-        room = order - n
-        for w, words in right.items():
-            if w <= room:
-                for J, b in words:
-                    add_term(terms, I | J << n, a * b)
-    return NsymElement._trusted("S", terms)
-
-
 def series_inverse(F, order):
-    """The two-sided inverse of F truncated at weight ``order``, in the S basis.
+    """The two-sided inverse of F truncated at weight ``order``, in F's basis.
 
     F needs an invertible scalar constant term c. The inverse's weight-n
     component is -1/c times the sum over d in [1, n] of F's weight-d
-    component times the inverse's weight-(n-d) component.
+    component times the inverse's weight-(n-d) component: one
+    ``multiply`` per pair, so ribbons multiply by the ribbon rule there,
+    and one scalar product by -1/c per coordinate.
     """
-    parts = _by_weight(F)
-    head = parts.pop(0, None)
-    if head is None:
+    if 0 not in F.codes:
         raise ValueError("series inverse needs an invertible scalar constant term")
-    c = scalar_inv(head[0][1])
-    inv = [[(0, c)]]
+    c = scalar_inv(F.codes[0])
+    neg = -c
+    parts = [(d, F.homogeneous_component(d)) for d in F.weights()[1:]]
+    inv = [NsymElement._trusted(F.basis, {0: c})]
+    terms = {0: c}
     for n in range(1, order + 1):
         acc = {}
-        for d, words in parts.items():
+        for d, part in parts:
             if d <= n:
-                for I, a in words:
-                    for J, b in inv[n - d]:
-                        add_term(acc, I | J << d, a * b)
-        inv.append([(K, -c * v) for K, v in acc.items()])
-    terms = {}
-    for words in inv:
-        for K, v in words:
-            add_term(terms, K, v)
-    return NsymElement._trusted("S", terms)
+                product = multiply(part, inv[n - d]).codes
+                if not acc:
+                    acc = product  # a fresh dict, so it is summed in place
+                    continue
+                for K, v in product.items():
+                    add_term(acc, K, v)
+        coords = {}
+        for K, v in acc.items():
+            add_term(coords, K, neg * v)
+        terms.update(coords)
+        inv.append(NsymElement._trusted(F.basis, coords))
+    return NsymElement._trusted(F.basis, terms)
 
 
 def sigma_series(order, q=1):
@@ -153,7 +137,7 @@ def psi(n):
 
 def theta_q_series(q, order):
     """sigma_{qt}^{-1} sigma_t up to weight ``order``: the generators' oracle."""
-    return series_product(
+    return multiply(
         series_inverse(sigma_series(order, q), order), sigma_series(order), order
     )
 

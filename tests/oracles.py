@@ -16,7 +16,9 @@ add per term over lower sets listed part by part
 (``lower_set_by_parts``), instead of packed zeta-columns summed one
 descent at a time, the transform's
 dense matrix on one weight with its determinant by Gaussian
-elimination, the transform itself as one product of S-basis generator
+elimination, the truncated product and inverse of series with a loop
+of their own over S words (the library runs both in the operands'
+basis through one product), the transform itself as one product of S-basis generator
 images per S word, the classical peak functions by filtering every
 ribbon by its peak set, the peak-set test on position sets (the
 library tests descent bits), the index families F and G and the peak
@@ -301,6 +303,64 @@ def rho_membership_per_term(F, ctx):
             if ctx.in_G(J):
                 add_term(out, J, c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# truncated series over S words
+
+
+def _by_weight(F):
+    """F's S-basis terms grouped by weight: {weight: [(code, coeff), ...]}."""
+    out = {}
+    for I, c in F.to_basis("S").codes.items():
+        out.setdefault(I.bit_length(), []).append((I, c))
+    return out
+
+
+def series_product_by_S_words(F, G, order):
+    """The product F*G truncated at weight ``order``, in the S basis.
+
+    Only the pairs of words whose weights add up to at most ``order``
+    are multiplied.
+    """
+    right = _by_weight(G)
+    terms = {}
+    for I, a in F.to_basis("S").codes.items():
+        n = I.bit_length()
+        room = order - n
+        for w, words in right.items():
+            if w <= room:
+                for J, b in words:
+                    add_term(terms, I | J << n, a * b)
+    return NsymElement._trusted("S", terms)
+
+
+def series_inverse_by_S_words(F, order):
+    """The two-sided inverse of F truncated at weight ``order``, in the S basis.
+
+    F needs an invertible scalar constant term c. The inverse's weight-n
+    component is -1/c times the sum over d in [1, n] of F's weight-d
+    component times the inverse's weight-(n-d) component.
+    """
+    parts = _by_weight(F)
+    head = parts.pop(0, None)
+    if head is None:
+        raise ValueError("series inverse needs an invertible scalar constant term")
+    c = scalar_inv(head[0][1])
+    inv = [[(0, c)]]
+    for n in range(1, order + 1):
+        acc = {}
+        for d, words in parts.items():
+            if d <= n:
+                for I, a in words:
+                    for J, b in inv[n - d]:
+                        add_term(acc, I | J << d, a * b)
+        inv.append([(K, -c * v) for K, v in acc.items()])
+    terms = {}
+    for words in inv:
+        for K, v in words:
+            add_term(terms, K, v)
+    return NsymElement._trusted("S", terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for truncated series, power sums, the q-transform, determinants."""
 
 import contextlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from nsympeak import series
-from nsympeak.compositions import compositions_of, descent_set, encode
+from nsympeak.compositions import compositions_of, decode, descent_set, encode
 from nsympeak.elements import (
     CapacityError, NsymElement, R, S, all_words, multiply, one, zero
 )
@@ -20,13 +21,18 @@ from nsympeak.series import (
     hook_sum,
     psi,
     series_inverse,
-    series_product,
     sigma_series,
     theta_q,
     theta_q_generator,
     theta_q_images,
 )
-from oracles import matrix_determinant, theta_by_S_words, theta_matrix
+from oracles import (
+    matrix_determinant,
+    series_inverse_by_S_words,
+    series_product_by_S_words,
+    theta_by_S_words,
+    theta_matrix,
+)
 
 
 def _psi_direct(n):
@@ -51,8 +57,8 @@ def test_power_sums_are_alternating_hooks():
 def test_sigma_series_inverse():
     sig = sigma_series(6)
     inv = series_inverse(sig, 6)
-    assert series_product(inv, sig, 6) == one()
-    assert series_product(sig, inv, 6) == one()
+    assert multiply(inv, sig, 6) == one()
+    assert multiply(sig, inv, 6) == one()
 
 
 def test_series_plumbing():
@@ -65,14 +71,24 @@ def test_series_plumbing():
         series_inverse(zero(), 3)
     scaled = sigma_series(3, q=2)
     assert scaled.homogeneous_component(2) == 4 * S(2)
+    # An order below F's lowest weight, or below zero, leaves no pair.
+    assert multiply(S(2, 1) + S(4), sig, 2) == zero()
+    assert multiply(sig, sig, -1) == zero()
+    assert multiply(sig, sig, 0) == one()
+    # A G in the other basis is aligned to F's, truncated the same way.
+    aligned = multiply(R(1), sig, 2)
+    assert aligned.basis == "R"
+    assert aligned.codes == multiply(R(1), sig.to_basis("R"), 2).codes
+    assert aligned == R(1) + R(1, 1) + R(2)
 
 
 def test_truncation_builds_no_heavier_word():
     sig = sigma_series(5)
-    assert series_product(sig, sig, 3).weights() == [0, 1, 2, 3]
+    assert multiply(sig, sig, 3).weights() == [0, 1, 2, 3]
     assert series_inverse(sig, 3).weights() == [0, 1, 2, 3]
     # Words of an operand above the order are ignored, not multiplied.
-    assert series_product(S(4), sig, 3) == zero()
+    assert multiply(S(4), sig, 3) == zero()
+    assert multiply(sig, S(4), 3) == zero()
 
 
 def test_add_keeps_the_basis_of_each_coefficient():
@@ -87,7 +103,44 @@ def test_add_keeps_the_basis_of_each_coefficient():
         ).terms
     # Products and inverses still read ribbon coefficients correctly.
     mixed = one("R") + R(1, 1)
-    assert series_product(mixed, series_inverse(mixed, 3), 3) == one()
+    assert multiply(mixed, series_inverse(mixed, 3), 3) == one()
+
+
+def _series(rng, basis, order, values, head):
+    """head plus up to two random words of each weight 1 to ``order``, in
+    ``basis``, their coefficients drawn from ``values``."""
+    terms = {(): head}
+    for w in range(1, order + 1):
+        for _ in range(2):
+            terms[decode(rng.randrange(1 << w >> 1, 1 << w))] = rng.choice(values)
+    return NsymElement(basis, terms)
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction", "zeta"])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_own_basis_series_match_the_S_word_oracles(N, kind):
+    # The inverse and the truncated product run in F's basis through
+    # multiply; the oracles run over S words, each with a loop of its own.
+    z = zeta(N)
+    values = {
+        "int": (1, -1, 2, -3),
+        "Fraction": (1, Fraction(-2, 3), Fraction(1, 2), -1),
+        "zeta": (1, 1 - z, z, -z * z),
+    }[kind]
+    rng = random.Random(f"{N} {kind}")
+    blocks = tangent_element_series(PeakContext(N), 12)
+    for order in (0, 1, 5, 12):
+        for f_basis, g_basis in ("RR", "SS", "RS", "SR"):
+            # The block ribbons reach past small orders, so words heavier
+            # than the order are in F too.
+            F = _series(rng, f_basis, order, values, values[1]) + blocks
+            G = _series(rng, g_basis, order, values, values[2])
+            inv = series_inverse(F, order)
+            assert inv.basis == f_basis
+            assert inv == series_inverse_by_S_words(F, order)
+            product = multiply(F, G, order)
+            assert product.basis == f_basis
+            assert product == series_product_by_S_words(F, G, order)
 
 
 def test_generator_images():
