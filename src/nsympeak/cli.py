@@ -297,12 +297,10 @@ def cmd_tangent(args):
     if order < 0:
         raise UsageError(f"--order must be >= 0, got {order}")
     results = {
-        "geometric-inverse": tangent_series(ctx, order)[2],
-        "sigma-lambda": sigma_lambda_N(ctx, order)[2],
-        "root-deformed": tangent_zeta_series(ctx, order)[2],
+        key: verdict
+        for suite in ("tangent", "sigma-lambda", "tangent-zeta")
+        for key, verdict, _ in SERIES_CHECKS[suite](ctx, order, [])
     }
-    if args.N == 2:
-        results["order-2-specialization"] = _deforms_to_signed(ctx, order)
     ok = all(results.values())
     if args.format == "json":
         print(json.dumps({"N": args.N, "order": order, "results": results}))
@@ -362,7 +360,10 @@ def cmd_bases(args):
 # that passed and a counterexample for one that failed.  cmd_verify stops
 # at the first counterexample and does not resume the suite, so a yielded
 # counterexample ends the suite and a note added after a suite's loops
-# appears only on a pass.
+# appears only on a pass.  The four series suites (tangent, tangent-zeta,
+# sigma-lambda, rnij-series) share one loop, ``_series_suite``, over the
+# checks that ``SERIES_CHECKS`` states once per suite; ``cmd_tangent``
+# reports the first three suites' checks at one root order.
 
 
 ADOPTED_READINGS = {
@@ -525,42 +526,51 @@ def _decomp_suite(kind):
     return checks
 
 
+def _tangent_zeta_checks(ctx, order, notes):
+    yield "root-deformed", tangent_zeta_series(ctx, order)[2], f"N={ctx.N} order={order}"
+    if ctx.N == 2:
+        plain = tangent_element_series(ctx, order)
+        signed = tangent_zeta_element_series(ctx, order) == -plain
+        yield "order-2-specialization", signed, "N=2: deformed element is not minus the plain one"
+        notes.append("N=2: the deformation reproduces the classical signed case")
+
+
+def _rnij_checks(ctx, order, notes):
+    for j in range(1, ctx.N):
+        first, second = lemma_rnij_series(ctx, j, order)
+        yield None, first, f"N={ctx.N} j={j}: single-block series"
+        yield None, second, f"N={ctx.N} j={j}: inverse product series"
+
+
+# The series identities on the block ribbons R_(N^i j) at one root order:
+# suite: checks(ctx, order, notes), yielding for each check the key that
+# `nsympeak tangent` reports it under (None for a check it does not
+# report), the verdict and the counterexample.  The identity functions
+# are looked up when a check runs, so a wrapper rebound on this module
+# (bench/tracer.py) runs.
+SERIES_CHECKS = {
+    "tangent": lambda ctx, order, notes: [
+        ("geometric-inverse", tangent_series(ctx, order)[2], f"N={ctx.N} order={order}")
+    ],
+    "sigma-lambda": lambda ctx, order, notes: [
+        ("sigma-lambda", sigma_lambda_N(ctx, order)[2], f"N={ctx.N} order={order}")
+    ],
+    "tangent-zeta": _tangent_zeta_checks,
+    "rnij-series": _rnij_checks,
+}
+
+
 def _series_suite(kind):
-    """Checks a series identity's verdict (item [2]); looked up at run time."""
+    """The checks of one ``SERIES_CHECKS`` entry at each root order."""
 
     def checks(notes, ns, order):
-        identity = {"tangent": tangent_series, "sigma-lambda": sigma_lambda_N}[kind]
         if order <= 0:
             return  # both sides are the constant series 1, or no terms
         for N in ns:
-            if not identity(PeakContext(N), order)[2]:
-                yield f"N={N} order={order}"
-            yield None
+            for _, verdict, counterexample in SERIES_CHECKS[kind](PeakContext(N), order, notes):
+                yield None if verdict else counterexample
 
     return checks
-
-
-def _deforms_to_signed(ctx, order):
-    """At N = 2 the root-deformed tangent element is minus the plain one."""
-    t = tangent_element_series(ctx, order)
-    return tangent_zeta_element_series(ctx, order) == -t
-
-
-def _suite_tangent_zeta(notes, ns, order):
-    if order <= 0:
-        return  # both sides are the constant series 1, or no terms
-    for N in ns:
-        ctx = PeakContext(N)
-        if not tangent_zeta_series(ctx, order)[2]:
-            yield f"N={N} order={order}"
-        yield None
-        if N == 2:
-            if not _deforms_to_signed(ctx, order):
-                yield "N=2: deformed element is not minus the plain one"
-            yield None
-            notes.append(
-                "N=2: the deformation reproduces the classical signed case"
-            )
 
 
 def _suite_det(notes, N, n, max_n, q):
@@ -651,17 +661,6 @@ def _suite_peak_classical(notes, max_n):
         yield None
 
 
-def _suite_rnij(notes, ns, order):
-    if order <= 0:
-        return  # both sides are the constant series 1, or no terms
-    for N in ns:
-        ctx = PeakContext(N)
-        for j in range(1, N):
-            first, second = lemma_rnij_series(ctx, j, order)
-            yield None if first else f"N={N} j={j}: single-block series"
-            yield None if second else f"N={N} j={j}: inverse product series"
-
-
 # name: (checks, default root orders, {flag it reads: default scale}).
 # A suite with root orders also reads --N, which runs that order alone;
 # the others fix their orders themselves.  Any other flag but --format
@@ -677,12 +676,12 @@ SUITES = {
         for kind in ADOPTED_READINGS
     },
     "tangent": (_series_suite("tangent"), (2, 3, 4), {"order": 8}),
-    "tangent-zeta": (_suite_tangent_zeta, (2, 3, 4), {"order": 8}),
+    "tangent-zeta": (_series_suite("tangent-zeta"), (2, 3, 4), {"order": 8}),
     "sigma-lambda": (_series_suite("sigma-lambda"), (2, 3, 4), {"order": 8}),
     "det": (_suite_det, (), {"N": None, "n": None, "max_n": 5, "q": None}),
     "theta1-psi": (_suite_theta1_psi, (2, 3, 4), {"max_n": 10}),
     "peak-classical": (_suite_peak_classical, (), {"max_n": 8}),
-    "rnij-series": (_suite_rnij, (2, 3), {"order": 9}),
+    "rnij-series": (_series_suite("rnij-series"), (2, 3), {"order": 9}),
 }
 
 

@@ -828,10 +828,11 @@ def rho_ones_series(ctx, order, t=None):
     t^(n - l(J)) Sigma_J over all of G(n), and (-1)^n rho_(1^n) that of
     (-1)^l(J) Sigma_J: the series is one Sigma expansion over G.
     """
+    powers = None if t is None else [scalar_pow(t, k) for k in range(order + 1)]
     return _expand(
         {
             J: (-1 if J.bit_count() & 1 else 1) if t is None
-            else scalar_pow(t, n - J.bit_count())
+            else powers[n - J.bit_count()]
             for n in range(order + 1)
             for J in ctx._G_words(n)
         },

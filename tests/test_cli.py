@@ -639,6 +639,97 @@ def test_tangent_report(capsys):
     rc, out, _ = run(capsys, "tangent", "--N", "3", "--order", "4")
     assert rc == 0
     assert "order-2-specialization" not in out
+    # The JSON report keeps the text report's key order; the N = 2
+    # specialization comes last and only at N = 2.  At order 0 every
+    # identity reads 1 = 1, and the report still runs each check.
+    keys = ["geometric-inverse", "sigma-lambda", "root-deformed"]
+    for N, order, extra in [(2, 4, ["order-2-specialization"]), (3, 4, []),
+                            (2, 0, ["order-2-specialization"]), (3, 0, [])]:
+        rc, out, _ = run(capsys, "tangent", "--N", str(N), "--order", str(order),
+                         "--format", "json")
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj == {"N": N, "order": order,
+                       "results": dict.fromkeys(keys + extra, True)}
+        assert list(obj) == ["N", "order", "results"]
+        assert list(obj["results"]) == keys + extra
+        rc, out, _ = run(capsys, "tangent", "--N", str(N), "--order", str(order))
+        assert rc == 0
+        assert out == f"N={N} order={order}\n" + "".join(
+            f"{key}: PASS\n" for key in keys + extra
+        )
+
+
+def _false_verdict(identity):
+    """The identity with its verdict turned false, both sides kept."""
+    def broken(ctx, order):
+        lhs, rhs, _ = identity(ctx, order)
+        return lhs, rhs, False
+    return broken
+
+
+def _scaled_element(series):
+    """The element series times 2: still an element, no longer -t at N = 2."""
+    def broken(ctx, order):
+        return series(ctx, order).scale(2)
+    return broken
+
+
+# (function broken in cli, how, the suite that fails, its report, the
+# tangent report's key that reads FAIL or None).
+SERIES_FAULTS = [
+    ("tangent_series", _false_verdict, "tangent",
+     '{"suite": "tangent", "pass": false, "checks": 0, '
+     '"counterexample": "N=2 order=8", "notes": []}', "geometric-inverse"),
+    ("sigma_lambda_N", _false_verdict, "sigma-lambda",
+     '{"suite": "sigma-lambda", "pass": false, "checks": 0, '
+     '"counterexample": "N=2 order=8", "notes": []}', "sigma-lambda"),
+    ("tangent_zeta_series", _false_verdict, "tangent-zeta",
+     '{"suite": "tangent-zeta", "pass": false, "checks": 0, '
+     '"counterexample": "N=2 order=8", "notes": []}', "root-deformed"),
+    ("tangent_zeta_element_series", _scaled_element, "tangent-zeta",
+     '{"suite": "tangent-zeta", "pass": false, "checks": 1, '
+     '"counterexample": "N=2: deformed element is not minus the plain one", '
+     '"notes": []}', "order-2-specialization"),
+    ("lemma_rnij_series", lambda f: lambda ctx, j, order: (False, True),
+     "rnij-series",
+     '{"suite": "rnij-series", "pass": false, "checks": 0, '
+     '"counterexample": "N=2 j=1: single-block series", "notes": []}', None),
+    ("lemma_rnij_series", lambda f: lambda ctx, j, order: (True, False),
+     "rnij-series",
+     '{"suite": "rnij-series", "pass": false, "checks": 1, '
+     '"counterexample": "N=2 j=1: inverse product series", "notes": []}', None),
+]
+
+
+@pytest.mark.parametrize("name,fault,suite,report,key", SERIES_FAULTS,
+                         ids=[f[0] for f in SERIES_FAULTS[:4]]
+                         + ["lemma_rnij_series-first", "lemma_rnij_series-second"])
+def test_series_checks_report_a_broken_identity(capsys, monkeypatch, name, fault,
+                                                suite, report, key):
+    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+    rc, out, _ = run(capsys, "verify", suite, "--format", "json")
+    assert (rc, out) == (1, report + "\n")
+    obj = json.loads(report)
+    rc, out, _ = run(capsys, "verify", suite)
+    assert rc == 1
+    assert out.splitlines()[-3:] == [
+        f"verify {suite}: {obj['checks']} checks",
+        f"verify {suite}: counterexample: {obj['counterexample']}",
+        f"verify {suite}: FAIL",
+    ]
+    if key is None:
+        return
+    rc, out, _ = run(capsys, "tangent", "--N", "2", "--order", "6")
+    assert rc == 1
+    failed = [line for line in out.splitlines() if line.endswith(": FAIL")]
+    assert failed == [f"{key}: FAIL"]
+    assert len(out.splitlines()) == 5
+    rc, out, _ = run(capsys, "tangent", "--N", "2", "--order", "6", "--format", "json")
+    assert rc == 1
+    results = json.loads(out)["results"]
+    assert [k for k, v in results.items() if v is not True] == [key]
+    assert results[key] is False
 
 
 def test_bases_listing(capsys):
