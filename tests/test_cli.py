@@ -898,13 +898,14 @@ def test_verify_det_reads_N_with_zeta(capsys):
         ["sigma-lambda", "--order", "-1"],
         ["rnij-series", "--order", "-1"],
         ["morphism", "--max-n", "0"],
+        ["theta1-psi", "--max-n", "-1"],
     ],
     ids=lambda argv: "-".join(argv).replace("--", ""),
 )
 def test_verify_degenerate_scale_runs_no_checks(capsys, argv):
     # At order 0 both sides of a series identity are the constant 1, a
-    # negative order has no terms to compare, and at max-n 0 no product
-    # has its left factor in the ideal.
+    # negative order has no terms to compare, at max-n 0 no product has
+    # its left factor in the ideal, and a negative max-n has no weight.
     rc, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert rc == 1
     assert json.loads(out) == {
@@ -1321,3 +1322,47 @@ def test_main_repeats_with_one_parser(capsys, monkeypatch):
     assert {0, 1, 2, 3, 4, ("SystemExit", 0), ("SystemExit", 2)} <= codes
     for _ in range(2):
         assert [_outcome(capsys, argv) for argv in REPEATED_ARGVS] == want
+
+
+# Root, help, usage and error paths besides REPEATED_ARGVS (which has
+# no arguments at all and an unknown command already).
+DISPATCH_ARGVS = [
+    ["-h"],
+    ["-h", "expand"],
+    ["Expand", "S[1]"],
+    ["exp", "S[1]"],
+    ["--", "expand", "S[1]"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["expand", "S[1]", "--bogus"],
+    ["expand", "S[1]", "x", "y"],
+    ["expand", "S[1]", "--fo", "json"],
+    ["theta", "S[2]", "--q", "-1/2"],
+    ["hilbert", "--N"],
+    ["internal", "R[1]"],
+]
+
+
+def test_command_parser_answers_as_the_root_parser(capsys):
+    # The root parser hands a command's arguments to the same command
+    # parser that main runs on its own, so both routes must answer alike.
+    def through_root(argv):
+        try:
+            code = cli._run(cli.build_parser().parse_args(cli._joined_q(argv)))
+        except SystemExit as stop:
+            code = ("SystemExit", stop.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for argv in REPEATED_ARGVS + DISPATCH_ARGVS:
+        assert _outcome(capsys, argv) == through_root(argv), argv
+
+
+def test_each_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    _outcome(capsys, ["internal", "R[1]", "R[1]"])
+    assert cli.build_parser.cache_info().currsize == 1
+    # The root parser reuses the internal parser and builds the others.
+    for _ in range(2):
+        _outcome(capsys, ["frobnicate"])
+    info = cli.build_parser.cache_info()
+    assert info.misses == info.currsize == 1 + len(cli.COMMANDS)
