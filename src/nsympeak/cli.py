@@ -1,16 +1,7 @@
 """Command line front end.
 
-Subcommands::
-
-    expand     rewrite an element in a chosen basis
-    convert    reprint an element without changing basis (text or JSON)
-    hilbert    dimension table for one root order
-    verify     named property sweeps with counterexample reporting
-    internal   internal product of two homogeneous elements
-    theta      apply the one-parameter transform to an element
-    det-theta  transform determinant on one weight against the closed form
-    tangent    tangent-series identity report for one root order
-    bases      index families and the block bijection at one weight
+``COMMANDS`` states each subcommand: the help line ``nsympeak -h``
+lists, the handler and the arguments.
 
 Elements are written in the literal grammar of :mod:`nsympeak.textforms`
 (for example ``"2*S[2,1] - 1/3*S[1,1,2]"`` or ``"rho[1,1,1]"``) or as
@@ -162,6 +153,13 @@ def _element_from_terms(name, terms, N):
     return peak[0](terms, _need_ctx(N, f"a {name} literal"))
 
 
+def _read_elements(N, *texts):
+    """(basis name or None, element) for each input element, a literal or
+    its JSON; all are parsed before any is built."""
+    parsed = [parse_any_element(text, N) for text in texts]
+    return [(name, _element_from_terms(name, terms, N)) for name, terms in parsed]
+
+
 def _print_terms(name, terms, fmt):
     if fmt == "json":
         print(json.dumps(terms_to_json(name, terms)))
@@ -207,8 +205,7 @@ def _parse_q(text, N):
 
 
 def cmd_expand(args):
-    name, terms = parse_any_element(args.expr, args.N)
-    element = _element_from_terms(name, terms, args.N)
+    [(_, element)] = _read_elements(args.N, args.expr)
     return _print_in_basis(element, args.to, args.N, args.format)
 
 
@@ -236,10 +233,7 @@ def cmd_hilbert(args):
 
 
 def cmd_internal(args):
-    name_a, terms_a = parse_any_element(args.expr_a, args.N)
-    name_b, terms_b = parse_any_element(args.expr_b, args.N)
-    el_a = _element_from_terms(name_a, terms_a, args.N)
-    el_b = _element_from_terms(name_b, terms_b, args.N)
+    (name_a, el_a), (name_b, el_b) = _read_elements(args.N, args.expr_a, args.expr_b)
     wa = el_a.weights()
     wb = el_b.weights()
     if len(wa) > 1 or len(wb) > 1:
@@ -255,8 +249,7 @@ def cmd_internal(args):
 
 
 def cmd_theta(args):
-    name, terms = parse_any_element(args.expr, args.N)
-    element = _element_from_terms(name, terms, args.N)
+    [(_, element)] = _read_elements(args.N, args.expr)
     q = _parse_q(args.q, args.N)
     basis = "S" if args.to == "S" else "R"
     if args.normalized:
@@ -741,18 +734,39 @@ def cmd_verify(args):
 # parser wiring
 
 
-# name: the help line the root parser lists; build_parser(name) states
-# the command's arguments and its handler.
+def _arg(*flags, **keywords):
+    """One argument of a command, as add_argument takes it."""
+    return flags, keywords
+
+
+_EXPR = _arg("expr")
+_TO = _arg("--to", default="R", choices=BASIS_NAMES)
+_Q = _arg("--q", required=True, help='a rational or "zeta"')
+_PEAK_N = _arg("--N", type=int, help="root order for peak bases")
+
+# name: (the help line the root parser lists, the handler, the arguments
+# in usage order); build_parser adds --format after them on each command.
 COMMANDS = {
-    "expand": "rewrite an element in a chosen basis",
-    "convert": "reprint an element (text or JSON)",
-    "hilbert": "dimension table for one root order",
-    "verify": "run a named property sweep",
-    "internal": "internal product of two homogeneous elements",
-    "theta": "apply the one-parameter transform",
-    "det-theta": "transform determinant vs the closed formula",
-    "tangent": "tangent-series identity report for one root order",
-    "bases": "index families and the block bijection at one weight",
+    "expand": ("rewrite an element in a chosen basis", cmd_expand, [_EXPR, _TO, _PEAK_N]),
+    "convert": ("reprint an element (text or JSON)", cmd_convert, [_EXPR, _PEAK_N]),
+    "hilbert": ("dimension table for one root order", cmd_hilbert, [
+        _arg("--N", type=int, required=True), _arg("--max-n", type=int, default=12)]),
+    "verify": ("run a named property sweep", cmd_verify, [
+        _arg("suite"), _arg("--N", type=int), _arg("--n", type=int),
+        _arg("--max-n", type=int), _arg("--q"), _arg("--order", type=int)]),
+    "internal": ("internal product of two homogeneous elements", cmd_internal, [
+        _arg("expr_a"), _arg("expr_b"),
+        _arg("--to", default="auto", choices=("auto", *BASIS_NAMES)), _PEAK_N]),
+    "theta": ("apply the one-parameter transform", cmd_theta, [
+        _EXPR, _Q,
+        _arg("--normalized", action="store_true", help="divide each generator image by 1 - zeta"),
+        _TO, _PEAK_N]),
+    "det-theta": ("transform determinant vs the closed formula", cmd_det_theta, [
+        _arg("--n", type=int, required=True), _Q, _PEAK_N]),
+    "tangent": ("tangent-series identity report for one root order", cmd_tangent, [
+        _arg("--N", type=int, required=True), _arg("--order", type=int, default=8)]),
+    "bases": ("index families and the block bijection at one weight", cmd_bases, [
+        _arg("--n", type=int, required=True), _arg("--N", type=int, required=True)]),
 }
 
 
@@ -764,9 +778,12 @@ def build_parser(command=None):
 
     The root parser's subcommands are the commands' own parsers, so a
     process builds each at most once.  The parsers are shared: callers
-    must not mutate them (add arguments, set defaults).  They are built on
-    first use, not at import, so the handlers they record are the
-    ``cmd_*`` functions bound at that time.
+    must not mutate them (add arguments, set defaults).  The handlers
+    they record are the ``cmd_*`` functions ``COMMANDS`` took at import,
+    so a wrapper rebound on this module later (bench/tracer.py) is not
+    the one a request runs.  The tracer loses nothing by it: its named
+    counters count no ``cmd_*`` function, and a call from cli into cli
+    opens no span.
     """
     if command is None:
         parser = argparse.ArgumentParser(
@@ -780,59 +797,16 @@ def build_parser(command=None):
             required=True,
             parser_class=lambda prog: build_parser(prog.split()[1]),
         )
-        for name, summary in COMMANDS.items():
+        for name, (summary, _, _) in COMMANDS.items():
             sub.add_parser(name, help=summary)
         return parser
+    _, handler, arguments = COMMANDS[command]
     p = argparse.ArgumentParser(prog=f"nsympeak {command}")
-    if command in ("expand", "convert", "theta"):
-        p.add_argument("expr")
-    if command == "expand":
-        p.add_argument("--to", default="R", choices=BASIS_NAMES)
-        p.set_defaults(handler=cmd_expand)
-    elif command == "convert":
-        p.set_defaults(handler=cmd_convert)
-    elif command == "hilbert":
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--max-n", type=int, default=12)
-        p.set_defaults(handler=cmd_hilbert)
-    elif command == "verify":
-        p.add_argument("suite")
-        p.add_argument("--N", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--max-n", type=int, dest="max_n")
-        p.add_argument("--q")
-        p.add_argument("--order", type=int)
-        p.set_defaults(handler=cmd_verify)
-    elif command == "internal":
-        p.add_argument("expr_a")
-        p.add_argument("expr_b")
-        p.add_argument("--to", default="auto", choices=("auto", *BASIS_NAMES))
-        p.set_defaults(handler=cmd_internal)
-    elif command == "theta":
-        p.add_argument("--q", required=True, help='a rational or "zeta"')
-        p.add_argument(
-            "--normalized",
-            action="store_true",
-            help="divide each generator image by 1 - zeta",
-        )
-        p.add_argument("--to", default="R", choices=BASIS_NAMES)
-        p.set_defaults(handler=cmd_theta)
-    elif command == "det-theta":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--q", required=True, help='a rational or "zeta"')
-        p.set_defaults(handler=cmd_det_theta)
-    elif command == "tangent":
-        p.add_argument("--N", type=int, required=True)
-        p.add_argument("--order", type=int, default=8)
-        p.set_defaults(handler=cmd_tangent)
-    elif command == "bases":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--N", type=int, required=True)
-        p.set_defaults(handler=cmd_bases)
-    if command in ("expand", "convert", "internal", "theta", "det-theta"):
-        p.add_argument("--N", type=int, help="root order for peak bases")
+    for flags, keywords in arguments:
+        p.add_argument(*flags, **keywords)
     # Last on every command, so each one's usage line ends with it.
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(handler=handler)
     return p
 
 

@@ -939,7 +939,6 @@ def morphism_check(ctx, n_max):
     (one pi_N each); the right side is one product of two images.
     """
     N = ctx.N
-    ok = True
     counterexample = None
     failure = None
     images = {
@@ -955,10 +954,8 @@ def morphism_check(ctx, n_max):
                     lhs = images[I + J]
                     rhs = multiply(images[I], images[J])
                     if left_in_ideal:
-                        if lhs != rhs:
-                            ok = False
-                            if failure is None:
-                                failure = (I, J)
+                        if lhs != rhs and failure is None:
+                            failure = (I, J)
                     elif lhs != rhs and counterexample is None:
                         counterexample = (I, J)
-    return ok, counterexample, failure
+    return failure is None, counterexample, failure

@@ -60,14 +60,36 @@ def composition_to_text(parts):
     return "[" + ",".join(str(p) for p in parts) + "]"
 
 
-def composition_from_text(text):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"composition text must be bracketed: {text!r}")
-    body = text[1:-1]
-    return check_composition(
-        [int(p) for p in body.split(",")] if body.strip() else ()
-    )
+def composition_from_text(text, position=0):
+    """The composition of bracketed text such as ``[2,1]`` that starts at
+    position of the input.  A part that int() refuses is an
+    ElementParseError at that part: an empty part, one that is not only
+    digits, or one past the digit limit, which the number reader
+    (``typed_int``) refuses as it does every typed number."""
+    stripped = text.strip()
+    if not (stripped.startswith("[") and stripped.endswith("]")):
+        raise ValueError(f"composition text must be bracketed: {stripped!r}")
+    body = stripped[1:-1]
+    try:
+        parts = [int(p) for p in body.split(",")] if body.strip() else ()
+    except ValueError:
+        _refuse_part(body, position + text.index("[") + 1)
+        raise
+    return check_composition(parts)
+
+
+def _refuse_part(body, at):
+    """Raise the ElementParseError of the first part of body (which starts
+    at position at) that is empty, not only digits or too long."""
+    for piece in body.split(","):
+        part = piece.strip()
+        where = at + piece.index(part) if part else at
+        if not part:
+            raise ElementParseError("empty composition part", where)
+        if not (part.isascii() and part.isdigit()):
+            raise ElementParseError(f"composition part {part!r} is not a number", where)
+        typed_int(part, where)
+        at += len(piece) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +121,9 @@ def parse_element_terms(text, N=None):
             raise ElementParseError(f"mixed basis words {basis} and {name}", pos)
         basis = name
         try:
-            return composition_from_text(text[m.end(1):m.end()]), m.end()
+            return composition_from_text(text[m.end(1):m.end()], m.end(1)), m.end()
+        except ElementParseError:
+            raise  # a part's error, at the part
         except ValueError as exc:
             raise ElementParseError(str(exc), pos) from exc
 

@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -1366,3 +1367,14 @@ def test_each_parser_is_built_once(capsys):
         _outcome(capsys, ["frobnicate"])
     info = cli.build_parser.cache_info()
     assert info.misses == info.currsize == 1 + len(cli.COMMANDS)
+
+
+def test_command_help_is_pinned(monkeypatch):
+    # Each command's -h, byte for byte at a fixed terminal width; the root
+    # parser's listing differs across Python versions and is left to
+    # test_command_parser_answers_as_the_root_parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = json.loads((Path(__file__).parent / "command_help.json").read_text())
+    assert list(pinned) == list(cli.COMMANDS)
+    for name, text in pinned.items():
+        assert cli.build_parser(name).format_help() == text, name

@@ -1,5 +1,6 @@
 """Tests for the text and JSON forms of compositions and elements."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,36 @@ def test_parse_errors_carry_positions():
         parse_element_terms("2*")
     with pytest.raises(ElementParseError):
         parse_element_terms("S[0]")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("S[1,,2]", "empty composition part", 4),
+        ("2*R[3,]", "empty composition part", 6),
+        ("S[ ,1]", "empty composition part", 2),
+        ("R[1 2]", "composition part '1 2' is not a number", 2),
+        ("S[2, 10  3]", "composition part '10  3' is not a number", 5),
+        # A part read as a number but not a part is refused at the word.
+        ("2*S[0]", "composition parts must be >= 1: (0,)", 2),
+    ],
+)
+def test_composition_part_errors(text, message, position):
+    with pytest.raises(ElementParseError) as info:
+        parse_element_terms(text)
+    assert (info.value.message, info.value.position) == (message, position)
+
+
+def test_long_composition_part_is_a_typed_number():
+    # Refused by the one number reader, with the digit count, at the part.
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ElementParseError) as info:
+        parse_element_terms("S[2," + "1" * digits + "]")
+    assert info.value.position == 4
+    assert info.value.message.startswith(f"a typed number has {digits} digits")
+    with pytest.raises(ElementParseError) as info:
+        composition_from_text(" [1,,2]", 10)
+    assert info.value.position == 14
 
 
 def test_mixed_basis_rejected():
