@@ -12,9 +12,11 @@ tree answers every request in one subprocess of this interpreter, with
 ``nsympeak.cli.main(argv)`` once per request.  The requests are the
 benchmark catalogues of ``bench/workloads.py`` (``cli_mix_catalogue()``
 and ``internal_cold_catalogue()``), its ``MALFORMED`` and
-``KNOWN_DEFECTS`` inputs, and ``-h`` on the root and on each command of
-``cli.COMMANDS``.  Every request whose answers differ is printed with
-the fields that differ; the exit status is 1 if any does, else 0.
+``KNOWN_DEFECTS`` inputs, ``-h`` on the root and on each command of
+``cli.COMMANDS``, and the error and size-limit requests of
+``ERROR_ARGVS``, which the catalogues do not reach.  Every request whose
+answers differ is printed with the fields that differ, each argument
+past 40 characters cut short; the exit status is 1 if any does, else 0.
 """
 
 import json
@@ -48,6 +50,31 @@ for line in sys.stdin:
 FIELDS = ("exit code", "stdout", "stderr")
 
 
+# Malformed literals and JSON, a request with two faults, and requests
+# at the internal product's limits: R[2^k,1] has k + 1 parts in either
+# form and is refused; R[1^n] is taken as R[n].
+ERROR_ARGVS = [
+    ["expand", "S[1,,2]"],
+    ["expand", "S[1,]"],
+    ["expand", "S[,]"],
+    ["expand", "R[1 2]"],
+    ["expand", "S[a]"],
+    ["expand", "S[1,x]", "--to", "R"],
+    ["expand", '{"basis": "S", "terms": 3}'],
+    ["expand", '{"basis": "R", "terms": {"comp": [1]}}'],
+    ["expand", '{"basis": "S", "terms": [{"comp": 1, "coeff": 1}]}'],
+    ["internal", "Sigma[30]", "S[1,"],
+    *(["internal", word, word] for word in (
+        "R[" + "2," * 10 + "1]",
+        "R[" + "2," * 7499 + "1]",
+        "R[" + "1," * 10 + "1]",
+        "R[" + "1," * 23 + "1]",
+        "R[" + "1," * 14999 + "1]",
+        "S[" + "1," * 399 + "1]",
+    )),
+]
+
+
 def default_argvs():
     """The requests compared by default, each once, in catalogue order."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
@@ -60,7 +87,7 @@ def default_argvs():
     for catalogue in (workloads.cli_mix_catalogue(), workloads.internal_cold_catalogue()):
         for entries in catalogue.values():
             argvs += entries
-    argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS
+    argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS + ERROR_ARGVS
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 
@@ -89,6 +116,15 @@ def differences(src_a, src_b, argvs):
     return found
 
 
+def shown(argv, width=40):
+    """argv as a shell line, each argument longer than ``width`` cut short
+    and followed by its length."""
+    return shlex.join(
+        arg if len(arg) <= width else f"{arg[:width]}... ({len(arg)} chars)"
+        for arg in argv
+    )
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (1, 2):
@@ -98,7 +134,7 @@ def main(argv=None):
     argvs = default_argvs()
     found = differences(parent, src, argvs)
     for request, fields in found:
-        print(f"differs ({', '.join(fields)}): {shlex.join(request)}")
+        print(f"differs ({', '.join(fields)}): {shown(request)}")
     print(f"{len(argvs)} requests, {len(found)} differ")
     return 1 if found else 0
 

@@ -9,6 +9,7 @@ import pytest
 
 from nsympeak import cli, peak, series
 from nsympeak.compositions import MAX_WEIGHT, compositions_of, decode, epsilon_inv
+from nsympeak.descent import MAX_WORD_PAIRS
 from nsympeak.elements import MAX_EXPANSION_TERMS, NsymElement, R, S, all_words
 from nsympeak.series import MAX_RECURSION_TERMS
 from nsympeak.textforms import composition_to_text
@@ -98,13 +99,18 @@ def test_internal_weight_mismatch(capsys):
 
 
 def test_internal_capacity(capsys):
-    ones = "R[" + ",".join(["1"] * 24) + "]"
+    # R[2^10,1] has 11 parts in either form: 2^10 S words a side.
+    twos = "R[" + "2," * 10 + "1]"
     start = time.monotonic()
-    rc, out, err = run(capsys, "internal", ones, ones)
+    rc, out, err = run(capsys, "internal", twos, twos)
     assert time.monotonic() - start < 1
     assert rc == 4
     assert out == ""
     assert err.startswith("error:") and "S-word pairs" in err
+    assert err == (
+        "error: internal product needs 1048576 S-word pairs, "
+        f"above the limit {MAX_WORD_PAIRS}\n"
+    )
     # Weight 9 is no longer out of reach.
     rc, out, _ = run(capsys, "internal", "R[9]", "R[9]")
     assert rc == 0
@@ -318,8 +324,7 @@ def test_theta_of_a_ribbon_of_twos(capsys):
         ("verify", "det", "--n", "8000"),
         ("theta", "S[20000]", "--q", "2", "--to", "S"),
         ("expand", "S[" + ",".join(["1"] * 15000) + "]", "--to", "R"),
-        ("internal", "R[" + ",".join(["1"] * 15000) + "]",
-         "R[" + ",".join(["1"] * 15000) + "]"),
+        ("internal", "R[" + "2," * 7499 + "1]", "R[" + "2," * 7499 + "1]"),
         # One word pair, but every word of the product has 400 parts.
         ("internal", "S[" + ",".join(["1"] * 400) + "]",
          "S[" + ",".join(["1"] * 400) + "]"),
@@ -329,7 +334,7 @@ def test_theta_of_a_ribbon_of_twos(capsys):
          "theta-ribbon-twos-S", "expand-conductor", "theta-conductor",
          "bases-23", "bases-40", "bases-20000", "bases-20000-json",
          "det-theta-8000", "verify-det-8000", "theta-S20000", "expand-ones-15000",
-         "internal-ones-15000", "internal-S-ones-400", "internal-S400-ones-400"],
+         "internal-twos-7499", "internal-S-ones-400", "internal-S400-ones-400"],
 )
 def test_refused_within_a_second(capsys, argv):
     start = time.monotonic()
@@ -338,6 +343,17 @@ def test_refused_within_a_second(capsys, argv):
     assert rc == 4
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("n", [9, 11, 24, 15000])
+def test_internal_ribbon_of_ones_answered_within_a_second(capsys, n):
+    # R[1^n], the class of the longest permutation, squares to R[n]; it
+    # is taken as R[n], one S word, on each side.
+    ones = "R[" + ",".join(["1"] * n) + "]"
+    start = time.monotonic()
+    rc, out, err = run(capsys, "internal", ones, ones)
+    assert time.monotonic() - start < 1
+    assert (rc, out, err) == (0, f"R[{n}]\n", "")
 
 
 @pytest.mark.parametrize(
@@ -1281,7 +1297,7 @@ def test_series_orders_past_the_limit_are_refused_at_once(capsys, argv):
     )
 
 
-_ONES_24 = "R[" + ",".join(["1"] * 24) + "]"
+_TWOS_10 = "R[" + "2," * 10 + "1]"
 
 # One argv per outcome: each exit code main returns, argparse's own
 # errors (SystemExit 2) and help (SystemExit 0).
@@ -1292,7 +1308,7 @@ REPEATED_ARGVS = [
     ["expand", "R[3]", "--to", "Sigma", "--N", "3"],
     ["tangent", "--N", "2", "--order", "-1"],
     ["verify", "basis", "--order", "3"],
-    ["internal", _ONES_24, _ONES_24],
+    ["internal", _TWOS_10, _TWOS_10],
     ["hilbert", "--N", "2", "--max-n", "x"],
     ["expand", "S[1]", "--to", "Q"],
     ["frobnicate"],

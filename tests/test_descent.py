@@ -15,11 +15,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsympeak.compositions import (
     compositions_of,
     decode,
     descent_composition,
+    descent_set,
     encode,
 )
 from nsympeak import descent, elements
@@ -180,15 +182,24 @@ def test_order_3_span_closed_at_weight_9():
 
 
 def test_capacity_limit():
-    # R[1^24] stands for 2^23 S words; the pairs are counted before
-    # anything is expanded.
-    big = R(*[1] * 24)
+    # R[2^18,1] has 19 parts either way, so it stands for 2^18 S words
+    # in both forms; the pairs are counted before anything is expanded.
+    big = R(*[2] * 18, 1)
     with pytest.raises(CapacityError, match=str(MAX_WORD_PAIRS)):
         internal_product(big, big)
     with pytest.raises(CapacityError):
-        internal_product(big, S(*[1] * 24) + S(24))
+        internal_product(big, S(*[1] * 37) + S(37))
     # Only same-weight pairs count.
-    assert internal_product(big, R(*[1] * 23)) == zero("R")
+    assert internal_product(big, R(*[2] * 18)) == zero("R")
+    # R[1^24] is taken as R[24], one S word.  R[1^24] * R[1^24] is then
+    # R[24] * R[24] = R[24] read reversed.  Against an S operand, here
+    # 2 R[24] + R[12,12], each result ribbon is read by ~: R[24] as
+    # R[1^24], R[12,12] as R[1^11,2,1^11].
+    ones = R(*[1] * 24)
+    assert internal_product(ones, ones) == R(24)
+    assert internal_product(ones, S(24) + S(12, 12)) == (
+        2 * ones + R(*[1] * 11, 2, *[1] * 11)
+    )
     # One pair, but every word of the product has 23 parts: 2^22 ribbons,
     # refused before the matrix recursion runs.
     with pytest.raises(CapacityError, match=str(elements.MAX_EXPANSION_TERMS)):
@@ -203,17 +214,22 @@ def test_pairs_are_counted_after_merging():
     assert internal_product(every, every) == internal_product(
         S(*[1] * 7), S(*[1] * 7)
     )
-    # One ribbon's 2^(l-1) S words are distinct: R[1^10] * R[1^10] is
-    # exactly at the limit, counted without expanding.
-    basis, groups = descent._by_weight(R(*[1] * 10))
-    assert basis == "R" and {n: g[0] for n, g in groups.items()} == {10: 512}
+    # One ribbon's 2^(l-1) S words are distinct: R[2^9,1] * R[2^9,1],
+    # 10 parts in either form, is exactly at the limit, counted without
+    # expanding.
+    basis, groups = descent._by_weight(R(*[2] * 9, 1))
+    assert basis == "R" and {n: g[0] for n, g in groups.items()} == {19: 512}
     assert 512 * 512 == MAX_WORD_PAIRS
-    # R[1^11] + R[2,1^9] merges to 512 S words: 1024 * 512 pairs.
+    # R[1^11] + R[2,1^9] merges to 512 S words: 1024 * 512 pairs against
+    # R[1^11] written as its 1024 S words, where no form is chosen.
     merged = R(*[1] * 11) + R(2, *[1] * 9)
     basis, groups = descent._by_weight(merged)
     assert basis == "S" and {n: g[0] for n, g in groups.items()} == {11: 512}
     with pytest.raises(CapacityError, match=str(1024 * 512)):
-        internal_product(R(*[1] * 11), merged)
+        internal_product(R(*[1] * 11).to_basis("S"), merged)
+    # A lone R[1^11] is taken as R[11], one S word: 512 pairs, and
+    # R_(1^n) * R_K = R_K~ ((2,1^9)~ = (10,1)).
+    assert internal_product(R(*[1] * 11), merged) == R(11) + R(10, 1)
 
 
 def test_weights_are_grouped_in_one_pass():
@@ -231,14 +247,18 @@ def test_weights_are_grouped_in_one_pass():
     })
 
 
-def _product_by_matrices(F, G):
+_matrices = functools.cache(word_product_by_matrices)
+
+
+def _product_by_matrices(F, G, word_product=_matrices):
     """F * G summed over the same-weight pairs of their S words, each word
-    product listed by ``oracles.word_product_by_matrices``."""
+    product listed by ``oracles.word_product_by_matrices`` (or given by
+    ``word_product`` on tuples); no ribbon is taken in its other form."""
     out = {}
     for I, a in F.to_basis("S").terms.items():
         for J, b in G.to_basis("S").terms.items():
             if sum(I) == sum(J):
-                for K, m in word_product_by_matrices(I, J).items():
+                for K, m in word_product(I, J).items():
                     out[K] = out.get(K, 0) + a * b * m
     return NsymElement("S", out)
 
@@ -262,6 +282,97 @@ def test_internal_product_against_matrix_oracle():
         got = internal_product(F_, G_)
         assert got.basis == "R" and got, (F_, G_)
         assert got == _product_by_matrices(F_, G_), (F_, G_)
+
+
+def _complement_word(K):
+    """c(K) on tuples: the composition whose descent set is the rest of
+    {1, ..., n - 1}."""
+    n = sum(K)
+    cuts = sorted(set(range(1, n)) - descent_set(K)) + [n]
+    return tuple(b - a for a, b in zip([0] + cuts, cuts))
+
+
+def test_longest_class_maps_ribbons_to_ribbons():
+    # R_(1^n), the class of the longest permutation, acts on ribbons by
+    # the conjugate from the left and the complement from the right:
+    # R_(1^n) * R_K = R_K~ and R_K * R_(1^n) = R_c(K), K~ = rev(c(K)).
+    # R_I * R_J is the class product of J by I.
+    checked = 0
+    for n in range(1, 7):
+        ones = (1,) * n
+        for K in compositions_of(n):
+            c = _complement_word(K)
+            assert _class_product(K, ones) == {c[::-1]: 1}, K
+            assert _class_product(ones, K) == {c: 1}, K
+            code = encode(K)
+            assert decode(descent._complement(code)) == c
+            assert decode(descent._reverse(code)) == K[::-1]
+            assert decode(descent._conjugate(code)) == c[::-1]
+            checked += 1
+    assert checked == 63
+
+
+def test_every_word_pair_against_matrix_oracle():
+    # Each ribbon of more than (n + 1) / 2 parts is taken in its other
+    # form, whichever side it is on; S words never are.
+    pairs = 0
+    for n in range(7):
+        for I in compositions_of(n):
+            for J in compositions_of(n):
+                for F, G in ((R(*I), R(*J)), (R(*I), S(*J)), (S(*I), R(*J))):
+                    assert internal_product(F, G) == _product_by_matrices(F, G), (F, G)
+                    pairs += 1
+    assert pairs == 3 * 1366
+
+
+def test_one_side_flips_at_a_weight():
+    # Inhomogeneous operands, one ribbon per weight.  F is flipped at
+    # weights 3, 5 and 6, G at 4 and 6; weight 2 flips on neither side,
+    # and F alone holds weight 7.
+    z = zeta(3)
+    half = Fraction(1, 2)
+    F = NsymElement("R", {
+        (2,): 5, (1, 1, 1): z, (2, 2): half, (1, 1, 1, 1, 1): -1,
+        (1, 2, 1, 2): 3, (4, 3): z,
+    })
+    G = NsymElement("R", {
+        (2,): Fraction(2, 3), (3,): 2, (1, 1, 1, 1): z, (2, 1, 2): half,
+        (2, 1, 1, 1, 1): 1,
+    })
+    (f_basis, f_groups), (g_basis, g_groups) = descent._by_weight(F), descent._by_weight(G)
+    shared = f_groups.keys() & g_groups.keys()
+    assert descent._shorter_forms(f_basis, f_groups, shared, descent._conjugate) == {3, 5, 6}
+    assert descent._shorter_forms(g_basis, g_groups, shared, descent._complement) == {4, 6}
+    G_S = G.to_basis("S")
+    for a in (1, -2, Fraction(3, 7), z + 2):
+        for F_, G_ in [(F.scale(a), G), (G, F.scale(a)), (F, G_S.scale(a)),
+                       (G_S, F), (F, F), (G.scale(a), G)]:
+            got = internal_product(F_, G_)
+            assert got.basis == "R" and got, (F_, G_)
+            assert got == _product_by_matrices(F_, G_), (F_, G_)
+            _assert_clean(got)
+
+
+def _word_products(I, J):
+    """S^I * S^J on tuples, from the matrix formula's word product, which
+    ``test_word_product_against_matrix_oracle`` checks."""
+    return {decode(K): c for K, c in descent._word_product(I, J).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.sampled_from(compositions_of(n)), st.sampled_from(compositions_of(n)))),
+    st.sampled_from("RS"),
+    st.sampled_from([1, -3, Fraction(5, 2), zeta(3), 1 - zeta(3)]),
+)
+def test_random_ribbon_products(pair, basis, a):
+    # A ribbon against a ribbon or an S word of its weight, on either
+    # side, against the sum over every S word of both operands.
+    I, J = pair
+    F, G = R(*I).scale(a), NsymElement(basis, {J: 1})
+    for F_, G_ in ((F, G), (G, F)):
+        assert internal_product(F_, G_) == _product_by_matrices(F_, G_, _word_products)
 
 
 def test_rows_tried_can_complete():
@@ -328,5 +439,11 @@ def test_two_conductors_refused():
     # would hold both fields.
     f = R(1).scale(zeta(3)) + R(2)
     g = R(1) + R(2).scale(zeta(5))
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        internal_product(f, g)
+    # Weight 2 is taken in its other form on both sides, weight 3 on
+    # neither.
+    f = R(1, 1).scale(zeta(3)) + R(3)
+    g = R(1, 1) + R(3).scale(zeta(5))
     with pytest.raises(ValueError, match="conductor mismatch"):
         internal_product(f, g)

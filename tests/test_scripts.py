@@ -31,11 +31,16 @@ def test_check_report(report, checks, rc):
     assert (done.stderr == "") == (rc == 0)
 
 
-def test_same_outputs(tmp_path, monkeypatch, capsys):
+def _same_outputs():
     spec = importlib.util.spec_from_file_location(
         "same_outputs", ROOT / "scripts" / "same_outputs.py")
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
+    return same_outputs
+
+
+def test_same_outputs(tmp_path, monkeypatch, capsys):
+    same_outputs = _same_outputs()
     src = ROOT / "src"
     argvs = [["-h"], ["theta", "-h"], ["expand", "S[1,1]", "--to", "R"], ["hilbert"]]
     assert same_outputs.differences(src, src, argvs) == []
@@ -52,3 +57,30 @@ def test_same_outputs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "differs (stdout): theta -h\n4 requests, 1 differ\n")
     assert same_outputs.main([str(src)]) == 0
+
+
+def test_same_outputs_error_argvs(tmp_path):
+    same_outputs = _same_outputs()
+    src = ROOT / "src"
+    errors = same_outputs.ERROR_ARGVS
+    argvs = same_outputs.default_argvs()
+    assert all(argv in argvs for argv in errors)
+    # Ten malformed requests exit 2; of the internal products, the
+    # ribbons R[2^k,1] are refused in both forms and R[1^n] is answered.
+    codes = [code for code, _, _ in same_outputs.answers(src, errors)]
+    assert codes == [2] * 10 + [4, 4, 0, 0, 0, 4]
+    # A copy of the tree that never takes a ribbon in its other form
+    # refuses exactly the three R[1^n] products.
+    shutil.copytree(src / "nsympeak", tmp_path / "nsympeak",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    descent = tmp_path / "nsympeak" / "descent.py"
+    old = "if 2 * length > n + 1:"
+    assert descent.read_text().count(old) == 1
+    descent.write_text(descent.read_text().replace(old, "if False:"))
+    ones = [argv for argv in errors if argv[0] == "internal" and argv[1].startswith("R[1,")]
+    assert len(ones) == 3
+    assert same_outputs.differences(tmp_path, src, errors) == [
+        (argv, ["exit code", "stdout", "stderr"]) for argv in ones]
+    assert same_outputs.shown(ones[-1]) == (
+        "internal 'R[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,... (30002 chars)' "
+        "'R[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,... (30002 chars)'")
