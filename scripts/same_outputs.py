@@ -13,8 +13,9 @@ tree answers every request in one subprocess of this interpreter, with
 benchmark catalogues of ``bench/workloads.py`` (``cli_mix_catalogue()``
 and ``internal_cold_catalogue()``), its ``MALFORMED`` and
 ``KNOWN_DEFECTS`` inputs, ``-h`` on the root and on each command of
-``cli.COMMANDS``, and the error and size-limit requests of
-``ERROR_ARGVS``, which the catalogues do not reach.  Every request whose
+``cli.COMMANDS``, the error and size-limit requests of
+``ERROR_ARGVS`` and the internal products on Fraction and cyclotomic
+coefficients of ``SCALAR_ARGVS``, which the catalogues do not reach.  Every request whose
 answers differ is printed with the fields that differ, each argument
 past 40 characters cut short; the exit status is 1 if any does, else 0.
 """
@@ -75,6 +76,28 @@ ERROR_ARGVS = [
 ]
 
 
+def _zeta_json(N, k):
+    """The JSON element zeta_N^k * R[2,1]."""
+    coeffs = [{"num": int(i == k), "den": 1} for i in range(k + 1)]
+    return json.dumps({"basis": "R", "terms": [
+        {"comp": [2, 1], "coeff": {"N": N, "coeffs": coeffs}}]})
+
+
+# Internal products on the scalars that the catalogues do not carry:
+# Fraction coefficients, z on one operand or both, ribbons taken in their
+# other form with z on them, and two conductors, which are refused.
+SCALAR_ARGVS = [
+    ["internal", "1/2*R[2,1] - 3/7*R[1,2]", "2/3*S[1,2] + 5/12*S[3]"],
+    ["internal", "(1 + z)*R[2,2] - 1/3*R[4]", "R[1,3] - 7/12*R[2,2]", "--N", "3"],
+    ["internal", "(z^2 - 1/2)*R[1,2,1]", "(3*z + 1)*S[2,2] + (z^3)*S[1,3]", "--N", "5"],
+    ["internal", "(z - 1/2)*R[1,1,1,2]", "(z^3)*S[2,3] - 2*S[5]", "--N", "5"],
+    ["internal", "(z)*R[1,1,2,1]", "(1 - z)*R[2,1,1,1]", "--N", "3"],
+    ["internal", "S[1,1,1,1,1]", "(z)*R[1,2,1,1]", "--N", "3", "--format", "json"],
+    ["internal", _zeta_json(3, 1), _zeta_json(3, 1), "--to", "S"],
+    ["internal", _zeta_json(3, 1), _zeta_json(5, 2)],
+]
+
+
 def default_argvs():
     """The requests compared by default, each once, in catalogue order."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
@@ -87,7 +110,7 @@ def default_argvs():
     for catalogue in (workloads.cli_mix_catalogue(), workloads.internal_cold_catalogue()):
         for entries in catalogue.values():
             argvs += entries
-    argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS + ERROR_ARGVS
+    argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS + ERROR_ARGVS + SCALAR_ARGVS
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 

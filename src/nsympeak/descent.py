@@ -10,8 +10,27 @@ to zero.  When R_I stands for the sum of the permutations of descent
 composition I, F * G is the class product of G's classes by F's, with
 (s t)(i) = s(t(i)).  The matrix formula reads each operand S word as
 a tuple of parts (the row and column sums) and builds the words of the
-product as integer codes, one row at a time by shifts; the counts merge
-into a {code: scalar} dict that becomes the S-basis result as it is.
+product as integer codes, one row at a time by shifts.
+
+The sum runs on plain integers from the operands to the ribbons.  At
+each shared weight both operands' terms are split once into the
+scalars module's packed integer zeta-columns over one denominator and
+one width (``scalars.split_terms``): over Q an int per word, the value
+times the denominator, and over Q(zeta_N) an int holding the phi(N)
+columns side by side in fields of that width.  Each pair of S words
+multiplies its two ints once; the product of two packed ints is the
+packed product polynomial in zeta (Kronecker substitution), with
+2 phi(N) - 1 fields, and the width is chosen up front so that no field
+of the sum, nor of its change to ribbons, can carry.  The sum changes to
+ribbons on those ints (``compositions.lower_forward``), and
+``scalars.join_terms`` folds each result int through Phi_N once and
+builds its scalar.
+
+The first row of each matrix is chosen in the product's own loop
+(``_first_rows``), and the rest is read from ``_word_product``, a
+process-wide memo: it holds the products of proper suffixes of the
+operands' S words with the column sums left over, which recur across
+pairs and requests, and never a pair of the operands' own words.
 
 A ribbon R_I of weight n stands for 2^(l(I)-1) S words, but it may be
 expanded in whichever of two forms has fewer parts.  R_(1^n), the class
@@ -31,12 +50,12 @@ each operand (``_by_weight``), before anything is built, and read the
 forms that are expanded.
 """
 
-import collections
 import functools
+import math
 
-from .compositions import decode, num_compositions
-from .elements import CapacityError, NsymElement, add_term, check_expansion
-from .scalars import check_limit
+from .compositions import decode, lower_codes, lower_forward, num_compositions
+from .elements import CapacityError, NsymElement, check_basis_change, check_expansion
+from .scalars import check_limit, conductor, join_terms, split_terms
 
 MAX_WORD_PAIRS = 1 << 18
 
@@ -107,15 +126,6 @@ def _word_product(I, J):
     return out
 
 
-def _words_by_coefficient(basis, terms):
-    """{coefficient: [S words, as tuples]} for the terms of one weight in
-    ``basis``; a lone ribbon is expanded to its S words here."""
-    out = collections.defaultdict(list)
-    for I, a in NsymElement._trusted(basis, terms).to_basis("S").codes.items():
-        out[a].append(decode(I))
-    return out
-
-
 def _complement(K):
     """c(K): the word whose descents are those that K lacks at its weight."""
     return K ^ ((1 << K.bit_length() >> 1) - 1)
@@ -164,6 +174,67 @@ def _shorter_forms(basis, groups, shared, flip):
     return flipped
 
 
+def _s_words(basis, packed):
+    """An operand's packed terms at one weight as S words. In R the
+    weight holds one ribbon R_I (``_by_weight``), the alternating sum of
+    the S^J with D(J) in D(I): each J takes the int of R_I times
+    (-1)^(l(I) - l(J))."""
+    if basis != "R":
+        return packed
+    [(I, x)] = packed.items()
+    return {J: -x if (I ^ J).bit_count() & 1 else x for J in lower_codes(I)}
+
+
+def _packed_sum(n, f_basis, f_group, g_basis, g_group):
+    """The S-basis sum of F * G at the weight n, as packed integer
+    zeta-columns: (N, den, width, {code: int}), zeros kept.
+
+    Both operands' stored terms at n are split once, together
+    (``split_terms``): one conductor, one denominator and one width. A
+    lone ribbon is expanded to its S words on those ints (``_s_words``).
+    Each pair of S words multiplies its two ints once, and every matrix
+    of the pair adds that product to the word it reads. Over Q the ints
+    are the values times den and need no width. Otherwise the product of
+    two packed ints is the packed product polynomial (Kronecker
+    substitution), which ``join_terms`` folds through Phi_N; rationals
+    are packed as column 0, so one side may be rational.
+
+    The width is bounded up front. A field of a product is a sum of at
+    most phi(N) products of two columns, so below phi(N) b^2 with b the
+    largest column. The sum adds one product per matrix summed, and
+    those number at most the pairs times C(n + l l', n): a pair's
+    matrices have at most l x l' entries summing to n, l and l' the
+    most parts of a word on each side. The change to ribbons then adds
+    at most 2^(n-1) words into one. So ``split_terms`` is asked for room
+    for phi(N) b^2 times 2^steps, steps being the bit length of that
+    matrix count plus n.
+
+    The first rows of each pair are chosen here (``_first_rows``) and
+    only the rest of each matrix is read from ``_word_product``, so the
+    memo holds subproblems, never a pair of the operands' own words.
+    """
+    (f_words, f_length, f_terms), (g_words, g_length, g_terms) = f_group, g_group
+    matrices = f_words * g_words * math.comb(n + f_length * g_length, n)
+    terms = {(0, I): c for I, c in f_terms.items()}
+    terms.update(((1, J), c) for J, c in g_terms.items())
+    N, den, width, packed = split_terms(terms, matrices.bit_length() + n, product=True)
+    f, g = {}, {}
+    for (side, I), x in packed.items():
+        (g if side else f)[I] = x
+    g = [(decode(J), y) for J, y in _s_words(g_basis, g).items()]
+    out = {}
+    for I, x in _s_words(f_basis, f).items():
+        I = decode(I)
+        first, rest = (I[0], I[1:]) if I else (0, ())
+        for J, y in g:
+            xy = x * y
+            for head, left in _first_rows(first, J):
+                for K, c in _word_product(rest, left).items():
+                    K = head | K << first
+                    out[K] = out.get(K, 0) + xy * c
+    return N, den * den, width, out
+
+
 def internal_product(F, G):
     """F * G, returned in the ribbon basis.
 
@@ -179,8 +250,16 @@ def internal_product(F, G):
     ribbons are bounded from below, and refused, before any product is
     built or any lone ribbon expanded; a product that would cancel to
     zero is refused too.  Both counts read the forms that are expanded.
-    Words are grouped by coefficient, so most of the summing is on
-    integers.
+
+    Each shared weight is summed on plain integers (``_packed_sum``):
+    packed zeta-columns, the product of two of them read as Kronecker
+    fields.  The sums of every weight are counted as one basis change
+    (``check_basis_change``), then each changes to ribbons on its ints
+    (``lower_forward``) and is read back by one ``join_terms``.  Two
+    conductors at one weight are refused when that weight is split; at
+    two weights, when the ribbons of both hold irrational values, as
+    adding the two weights' scalars would.  Only subproblems stay in
+    the ``_word_product`` memo.
     """
     (f_basis, f_groups), (g_basis, g_groups) = _by_weight(F), _by_weight(G)
     shared = f_groups.keys() & g_groups.keys()
@@ -192,21 +271,13 @@ def internal_product(F, G):
     longest = (max(f_groups[n][1], g_groups[n][1]) for n in shared)
     check_expansion(sum(map(num_compositions, longest)), "internal product in ribbons")
     back = {n: _MAP_BACK[n in f_flipped, n in g_flipped] for n in f_flipped | g_flipped}
-    out = {}
-    for n in shared:
-        f_words = _words_by_coefficient(f_basis, f_groups[n][2])
-        g_words = _words_by_coefficient(g_basis, g_groups[n][2])
-        for a, f_list in f_words.items():
-            for b, g_list in g_words.items():
-                counts = {}
-                for I in f_list:
-                    for J in g_list:
-                        for K, c in _word_product(I, J).items():
-                            counts[K] = counts.get(K, 0) + c
-                ab = a * b
-                for K, c in counts.items():
-                    add_term(out, K, ab * c)
-    ribbons = NsymElement._trusted("S", out).to_basis("R").codes
+    sums = [_packed_sum(n, f_basis, f_groups[n], g_basis, g_groups[n]) for n in shared]
+    check_basis_change([K for *_, out in sums for K, v in out.items() if v])
+    ribbons = {}
+    for N, den, width, out in sums:
+        ribbons.update(join_terms(N, den, width, lower_forward(out), product=True))
+    if len({N for N, *_ in sums} - {None}) > 1:
+        conductor(ribbons.values())
     if back:
         ribbons = _mapped_back(ribbons, back)
     return NsymElement._trusted("R", ribbons)

@@ -44,6 +44,7 @@ on the command line).
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
@@ -233,13 +234,18 @@ def coords_to_text(coords, name):
 
 
 def codes_to_text(codes, name):
-    """Render {code: coeff} as ``coords_to_text`` does, in display order."""
+    """Render {code: coeff} as ``coords_to_text`` does, in display order.
+
+    Each word's text comes from ``_word_text``, a cache of the last
+    WORD_TEXTS words printed, so the words that recur from answer to
+    answer are decoded and formatted once; the cache holds at most that
+    many entries however many distinct words are printed.
+    """
     if not codes:
         return "0"
     out = []
     for code in sorted(codes, key=code_display_key):
-        word = name + "[" + ",".join(map(str, decode(code))) + "]" if code else "1"
-        text = _coeff_text(codes[code], word)
+        text = _coeff_text(codes[code], _word_text(name, code))
         if not out:
             out.append(text)
         elif text.startswith("-"):
@@ -247,6 +253,16 @@ def codes_to_text(codes, name):
         else:
             out.append(" + " + text)
     return "".join(out)
+
+
+WORD_TEXTS = 1 << 9
+
+
+@functools.lru_cache(maxsize=WORD_TEXTS)
+def _word_text(name, code):
+    """The text of the word ``code`` in the basis ``name``: name[parts],
+    or 1 for the unit."""
+    return name + "[" + ",".join(map(str, decode(code))) + "]" if code else "1"
 
 
 def _coeff_text(coeff, word):
@@ -355,17 +371,29 @@ def r_to_s(F):
     return _change_basis(F, "S", -1)
 
 
+def check_basis_change(codes):
+    """Refuse, through ``check_expansion``, a basis change of the words
+    ``codes`` (a collection): each word I has one coarsening per
+    composition of its length l(I), and the result has at most one word
+    per composition of each weight. Returns the heaviest weight, 0 for
+    no word.
+
+    The words of weights up to top stand for at most 2^top words in the
+    other basis, so no word is counted unless 2^top is over the limit."""
+    top = max(codes, default=0).bit_length()
+    if top >= MAX_EXPANSION_TERMS.bit_length():
+        per_weight = {}
+        for I in codes:
+            w = I.bit_length()
+            per_weight[w] = per_weight.get(w, 0) + num_compositions(I.bit_count())
+        check_expansion(
+            sum(at_most_compositions(x, w) for w, x in per_weight.items()), "basis change"
+        )
+    return top
+
+
 def _change_basis(F, basis, sign):
-    # Each word I has one coarsening per composition of its length l(I),
-    # and the result has at most one word per composition of each weight.
-    per_weight = {}
-    for I in F.codes:
-        w = I.bit_length()
-        per_weight[w] = per_weight.get(w, 0) + num_compositions(I.bit_count())
-    check_expansion(
-        sum(at_most_compositions(x, w) for w, x in per_weight.items()), "basis change"
-    )
-    N, den, width, packed = split_terms(F.codes, max(per_weight, default=0))
+    N, den, width, packed = split_terms(F.codes, check_basis_change(F.codes))
     return NsymElement._trusted(
         basis, join_terms(N, den, width, lower_forward(packed, None, sign))
     )

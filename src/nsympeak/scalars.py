@@ -79,7 +79,11 @@ one pass and writes each value as one int, its phi(N) integer columns
 over that denominator side by side in signed fields of ``width`` bits
 (Kronecker substitution), read straight off the stored numerators;
 ``join_terms`` reads the columns back off each int's bytes and rebuilds
-one scalar per key. ``stack_terms`` lays the {key: scalar} dicts of
+one scalar per key. With ``product``, the width has room for products
+of two packed ints, each the packed product polynomial in zeta with
+2 phi(N) - 1 fields, and the join folds those through Phi_N once per
+distinct int: the internal product multiplies its operands' ints so.
+``stack_terms`` lays the {key: scalar} dicts of
 several items side by side for a map that only asks which items end
 zero (``clear``): it finds one conductor, one common denominator and
 one width for the whole stack, packs each distinct value once, and
@@ -528,17 +532,18 @@ def _same_conductor(N, M):
     return M
 
 
-def _layout(N, width):
+def _layout(N, width, product=False):
     """(B, half, zero) for phi(N) fields of width bits (one field when N
-    is None): B bytes a field, half = 2^(width-1), and zero the little-
-    endian bytes of the fields all zero, each stored as its value plus
-    half."""
+    is None; 2 phi(N) - 1 with product): B bytes a field, half =
+    2^(width-1), and zero the little-endian bytes of the fields all
+    zero, each stored as its value plus half."""
     B = width >> 3
     half = 1 << width - 1
-    return B, half, half.to_bytes(B, "little") * (euler_phi(N) if N else 1)
+    fields = 1 if N is None else 2 * euler_phi(N) - 1 if product else euler_phi(N)
+    return B, half, half.to_bytes(B, "little") * fields
 
 
-def split_terms(terms, steps=0):
+def split_terms(terms, steps=0, product=False):
     """Write {key: scalar} as packed integer zeta-columns: (N, den, width,
     packed).
 
@@ -562,6 +567,16 @@ def split_terms(terms, steps=0):
     exactly when all its columns are: the steps test values against
     zero as they are. Each map on the columns is then one pass over
     packed, not phi(N).
+
+    With product, the width also holds the products of two packed values
+    (Kronecker substitution): the product of two packed ints is the
+    packed product polynomial in zeta, with 2 phi(N) - 1 fields, each a
+    sum of at most phi(N) products of two columns, so below phi(N) m^2
+    with m the largest |c_k|. The width is then at least the bit length
+    of phi(N) m^2, plus steps, plus 2: a sum of up to 2^steps such
+    products stays inside it, the descent steps above included when
+    ``steps`` counts them. ``join_terms`` with product folds such ints
+    back through Phi_N.
     """
     N, den = None, 1
     for c in terms.values():
@@ -590,7 +605,8 @@ def split_terms(terms, steps=0):
                 columns[id(c)] = c.nums if m == 1 else [v * m for v in c.nums]
             else:
                 columns[id(c)] = [c.numerator * (den // c.denominator)]
-    width = _width(max(map(abs, chain.from_iterable(columns.values()))), steps)
+    top = max(map(abs, chain.from_iterable(columns.values())))
+    width = _width(top * top * euler_phi(N) if product else top, steps)
     B, half, zero = _layout(N, width)
     bias = int.from_bytes(zero, "little")
     for i, vs in columns.items():
@@ -609,25 +625,31 @@ def _width(top, steps):
     return (top.bit_length() + steps + 9) // 8 * 8
 
 
-def join_terms(N, den, width, packed):
+def join_terms(N, den, width, packed, product=False):
     """Inverse of split_terms: {key: scalar}, keys that cancelled dropped.
 
     Over Q (N None) each value is ``_rational(v, den)``, an int when den
-    divides it; otherwise each key's scalar is its phi(N) columns over
+    divides it (v itself over den 1); otherwise each key's scalar is its phi(N) columns over
     den, read off the bytes of the packed int, reduced by one gcd
-    (``_demoted``).
+    (``_demoted``). With product, each int holds the 2 phi(N) - 1 fields
+    of sums of products of two packed values (see ``split_terms``), and
+    the fields read are folded through Phi_N once per distinct int
+    (``_reduce``); over Q product changes nothing.
     """
     if N is None:
+        if den == 1:
+            return {key: v for key, v in packed.items() if v}
         return {key: _rational(v, den) for key, v in packed.items() if v}
-    B, half, zero = _layout(N, width)
+    B, half, zero = _layout(N, width, product)
     bias, size = int.from_bytes(zero, "little"), len(zero)
+    rebuild = _reduce if product else _demoted
     out, made = {}, {}  # made: equal packed ints share one scalar
     for key, x in packed.items():
         if x:
             c = made.get(x)
             if c is None:
                 fields = (x + bias).to_bytes(size, "little")
-                c = made[x] = _demoted(
+                c = made[x] = rebuild(
                     N,
                     [int.from_bytes(fields[i:i + B], "little") - half for i in range(0, size, B)],
                     den,

@@ -5,7 +5,10 @@ split poset's lower sets, sums over them listed part by part and the
 ribbon product rule on composition tuples (the library runs them on
 integer codes), the internal product's S-word products by listing
 every matrix with the given row sums (the library chooses one row at
-a time and builds word codes), the canonical order from descent sets, the
+a time and builds word codes), the internal product summed over every
+pair of S words by those listings, and summed in scalars with the S
+words grouped by coefficient (the library sums packed integer
+zeta-columns and keeps only subproblems in its memo), the canonical order from descent sets, the
 covers of the order-N split poset, poset order, reverse refinement,
 regluing a ribbon factorization, Sigma rebuilt from rho, the text
 form of position sets, the integer zeta-columns as one dict per
@@ -30,22 +33,27 @@ tuples of Fractions.
 import functools
 import itertools
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
+from nsympeak import descent
 from nsympeak.compositions import (
     canonical_key,
     composition_from_descents,
     compositions_of,
+    decode,
     descent_set,
     is_in_F,
     is_in_G,
     lower_set,
+    num_compositions,
     peak_set_of_composition,
 )
-from nsympeak.elements import NsymElement, S, add_term, multiply
+from nsympeak.elements import NsymElement, S, add_term, check_expansion, multiply
 from nsympeak.peak import expand_rho_coords
-from nsympeak.scalars import CyclotomicNumber, euler_phi, make_cyclotomic, scalar_inv
+from nsympeak.scalars import (
+    CyclotomicNumber, check_limit, euler_phi, make_cyclotomic, scalar_inv,
+)
 from nsympeak.series import hook_sum, theta_q
 
 
@@ -104,6 +112,68 @@ def word_product_by_matrices(I, J):
             K = tuple(x for row in M for x in row if x)
             out[K] = out.get(K, 0) + 1
     return out
+
+
+_matrices = functools.cache(word_product_by_matrices)
+
+
+def product_by_matrices(F, G, word_product=_matrices):
+    """F * G summed over the same-weight pairs of their S words, each word
+    product listed by ``word_product_by_matrices`` (or given by
+    ``word_product`` on tuples); no ribbon is taken in its other form."""
+    out = {}
+    for I, a in F.to_basis("S").terms.items():
+        for J, b in G.to_basis("S").terms.items():
+            if sum(I) == sum(J):
+                for K, m in word_product(I, J).items():
+                    out[K] = out.get(K, 0) + a * b * m
+    return NsymElement("S", out)
+
+
+def _words_by_coefficient(basis, terms):
+    """{coefficient: [S words, as tuples]} for the terms of one weight in
+    ``basis``; a lone ribbon is expanded to its S words here."""
+    out = defaultdict(list)
+    for I, a in NsymElement._trusted(basis, terms).to_basis("S").codes.items():
+        out[a].append(decode(I))
+    return out
+
+
+def internal_product_by_coefficient(F, G):
+    """F * G as the library summed it before its sums ran on packed ints:
+    the same weights, forms, limits and word products, but the S words
+    grouped by coefficient, each group pair's word counts summed on
+    ints and multiplied once by the two scalars, and the sum added term
+    by term in scalars before one change to ribbons.  Every pair of the
+    operands' own S words is read from the ``_word_product`` memo."""
+    (f_basis, f_groups), (g_basis, g_groups) = descent._by_weight(F), descent._by_weight(G)
+    shared = f_groups.keys() & g_groups.keys()
+    f_flipped = descent._shorter_forms(f_basis, f_groups, shared, descent._conjugate)
+    g_flipped = descent._shorter_forms(g_basis, g_groups, shared, descent._complement)
+    pairs = sum(f_groups[n][0] * g_groups[n][0] for n in shared)
+    check_limit(pairs, descent.MAX_WORD_PAIRS, "internal product", "S-word pairs")
+    # The longest S word of each shared weight bounds the ribbons from below.
+    longest = (max(f_groups[n][1], g_groups[n][1]) for n in shared)
+    check_expansion(sum(map(num_compositions, longest)), "internal product in ribbons")
+    back = {n: descent._MAP_BACK[n in f_flipped, n in g_flipped] for n in f_flipped | g_flipped}
+    out = {}
+    for n in shared:
+        f_words = _words_by_coefficient(f_basis, f_groups[n][2])
+        g_words = _words_by_coefficient(g_basis, g_groups[n][2])
+        for a, f_list in f_words.items():
+            for b, g_list in g_words.items():
+                counts = {}
+                for I in f_list:
+                    for J in g_list:
+                        for K, c in descent._word_product(I, J).items():
+                            counts[K] = counts.get(K, 0) + c
+                ab = a * b
+                for K, c in counts.items():
+                    add_term(out, K, ab * c)
+    ribbons = NsymElement._trusted("S", out).to_basis("R").codes
+    if back:
+        ribbons = descent._mapped_back(ribbons, back)
+    return NsymElement._trusted("R", ribbons)
 
 
 def canonical_order_key(I):

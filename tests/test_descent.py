@@ -31,7 +31,7 @@ from nsympeak.peak import PeakContext, rho_basis, rho_membership
 from nsympeak.scalars import zeta
 from nsympeak.series import psi
 
-from oracles import word_product_by_matrices
+from oracles import product_by_matrices as _product_by_matrices, word_product_by_matrices
 
 
 @functools.cache
@@ -247,22 +247,6 @@ def test_weights_are_grouped_in_one_pass():
     })
 
 
-_matrices = functools.cache(word_product_by_matrices)
-
-
-def _product_by_matrices(F, G, word_product=_matrices):
-    """F * G summed over the same-weight pairs of their S words, each word
-    product listed by ``oracles.word_product_by_matrices`` (or given by
-    ``word_product`` on tuples); no ribbon is taken in its other form."""
-    out = {}
-    for I, a in F.to_basis("S").terms.items():
-        for J, b in G.to_basis("S").terms.items():
-            if sum(I) == sum(J):
-                for K, m in word_product(I, J).items():
-                    out[K] = out.get(K, 0) + a * b * m
-    return NsymElement("S", out)
-
-
 def test_internal_product_against_matrix_oracle():
     z = zeta(3)
     half = Fraction(1, 2)
@@ -386,6 +370,42 @@ def test_rows_tried_can_complete():
     assert len(product) == 200 and product[encode((200, 200))] == 2
     assert product[encode((100,) * 4)] == 1
     assert descent._first_rows.cache_info().currsize < 2000
+
+
+def test_memo_keeps_subproblems_only(monkeypatch):
+    # Each pair's first rows are chosen in the product's own loop, so
+    # every word that reaches the memo of _word_product, directly or by
+    # its recursion, is a proper suffix of an S word of an operand, in
+    # the form expanded: no pair of the operands' own words stays there.
+    memo = descent._word_product
+    seen = []
+
+    def spy(I, J):
+        seen.append(I)
+        return memo(I, J)
+
+    monkeypatch.setattr(descent, "_word_product", spy)
+    z = zeta(3)
+    for F, G in (
+        (R(2, 1, 2), R(1, 3, 1)),
+        (R(1, 1, 2, 1).scale(z), S(2, 3) + S(1, 4).scale(Fraction(1, 2))),
+        (S(2, 2, 1) + S(1, 4), R(2, 1, 1, 1)),
+        (R(3) + R(1, 2, 1), S(1, 2) + S(2, 2).scale(z)),
+    ):
+        memo.cache_clear()
+        seen.clear()
+        got = internal_product(F, G)
+        assert got == _product_by_matrices(F, G)
+        words = set()
+        for X, flip in ((F, descent._conjugate), (G, descent._complement)):
+            forms = [X.to_basis("S")]
+            if X.basis == "R":
+                forms.append(NsymElement._trusted(
+                    "R", {flip(K): c for K, c in X.codes.items()}).to_basis("S"))
+            words.update(decode(K) for Y in forms for K in Y.codes)
+        assert seen and memo.cache_info().currsize > 0
+        for I in seen:
+            assert any(len(I) < len(W) and W[len(W) - len(I):] == I for W in words), I
 
 
 def test_word_product_against_matrix_oracle():

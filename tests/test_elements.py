@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nsympeak import elements
-from nsympeak.compositions import compositions_of
+from nsympeak.compositions import code_display_key, compositions_of, decode
 from nsympeak.elements import (
     CapacityError,
     NsymElement,
@@ -275,3 +275,21 @@ def test_equality_across_bases():
     assert S(1, 1) + S(2) != R(1, 1) + R(2)
     assert S(1, 1) == R(1, 1) + R(2)
     assert one("S") == one("R")
+
+
+def test_word_text_cache_stays_at_its_bound():
+    # Twice as many distinct words as the text cache holds print the
+    # same text as words formatted one by one, on a first and a second
+    # pass, and the cache holds exactly its bound.
+    bound = elements.WORD_TEXTS
+    codes = {K: (-1) ** K * (K % 3) or 1 for K in range(2 * bound, 4 * bound)}
+    want = ""
+    for K in sorted(codes, key=code_display_key):
+        c, word = codes[K], "R[" + ",".join(map(str, decode(K))) + "]"
+        text = word if c == 1 else "-" + word if c == -1 else f"{c}*{word}"
+        want += text if not want else " - " + text[1:] if c < 0 else " + " + text
+    elements._word_text.cache_clear()
+    for _ in range(2):
+        assert elements.codes_to_text(codes, "R") == want
+        info = elements._word_text.cache_info()
+        assert info.currsize == info.maxsize == bound

@@ -2,8 +2,9 @@
 against the Fraction-tuple oracle, the integer zeta-column round trip,
 the text and JSON round trips, one-pass linear combinations, the peak
 round trips and the {-1, 0, 1} linear maps against their per-term
-oracles, and the transform against its S-word chain, with every
-coefficient on the way an exact scalar."""
+oracles, the transform against its S-word chain, and the internal
+product against its summed-in-scalars oracles, with every coefficient
+on the way an exact scalar."""
 
 import json
 import math
@@ -69,8 +70,10 @@ from oracles import (
     expand_rho_per_term,
     expand_sigma_per_term,
     fraction_cyclotomic,
+    internal_product_by_coefficient,
     membership_per_term,
     per_column,
+    product_by_matrices,
     r_to_s_per_term,
     rho_membership_per_term,
     s_to_r_per_term,
@@ -774,3 +777,110 @@ def test_transform_matches_the_S_word_chain(data):
         want = theta_by_S_words(F, zeta(root), 1)
         for basis in "SR":
             assert Theta(F, root, basis) == want
+
+
+# The internal product sums packed integer zeta-columns; its oracles sum
+# scalars, one with the S words grouped by coefficient and one over every
+# pair of S words by listed matrices.
+INTERNAL_DENOMINATORS = (1, 2, 3, 7, 12)
+INTERNAL_WEIGHT = 5
+
+
+@st.composite
+def internal_coefficients(draw, N):
+    """A rational over one of INTERNAL_DENOMINATORS, or with N a value of
+    Q(zeta_N) whose zeta^k coordinate is such a rational (k >= 1)."""
+    def rational():
+        return Fraction(draw(st.integers(-9, 9).filter(bool)),
+                        draw(st.sampled_from(INTERNAL_DENOMINATORS)))
+    if N is None:
+        return rational()
+    k = draw(st.integers(1, euler_phi(N) - 1))
+    return rational() * scalar_pow(zeta(N), k) + draw(st.sampled_from((0, 1))) * rational()
+
+
+@st.composite
+def internal_operand(draw, N, weights):
+    """An operand at the given weights: in R mostly one ribbon per
+    weight, some of them long enough to be taken in their other form; in
+    S one to three words per weight."""
+    basis = draw(st.sampled_from("RS"))
+    terms = {}
+    for n in weights:
+        comps = sorted(compositions_of(n))
+        if basis == "R" and draw(st.integers(0, 2)):
+            # A lone ribbon of at least (n + 2) / 2 parts is flipped.
+            long = [I for I in comps if 2 * len(I) > n + 1] or comps
+            chosen = [draw(st.sampled_from(long))]
+        else:
+            chosen = draw(st.lists(st.sampled_from(comps), min_size=1, max_size=3, unique=True))
+        for I in chosen:
+            terms[I] = draw(internal_coefficients(N))
+    return NsymElement(basis, terms)
+
+
+@st.composite
+def internal_pairs(draw):
+    """(F, G): homogeneous or not, rational or with zeta_3, zeta_5 or
+    zeta_7 on one side or both, and sometimes with a weight m at which
+    F * G cancels to zero, alone or beside other weights:
+    (S^(1^m) - m! S^(m)) * S^(1^m) = 0, since S^(m) is the unit of
+    weight m and S^(1^m) * S^(1^m) = m! S^(1^m)."""
+    N = draw(st.sampled_from((None, 3, 5, 7)))
+    sides = draw(st.sampled_from(((True, False), (False, True), (True, True))))
+    if N is None:
+        sides = (False, False)
+    f_field, g_field = (N if side else None for side in sides)
+    m = draw(st.integers(1, 4))
+    ones = NsymElement("S", {(1,) * m: 1})
+    cancelling = (ones - NsymElement("S", {(m,): math.factorial(m)})).scale(
+        draw(internal_coefficients(f_field)))
+    ones = ones.scale(draw(internal_coefficients(g_field)))
+    mode = draw(st.sampled_from(
+        ("homogeneous",) * 3 + ("inhomogeneous",) * 2 + ("cancels", "cancels at m")))
+    if mode == "cancels":
+        return tuple(X.to_basis(draw(st.sampled_from("RS"))) for X in (cancelling, ones))
+    if mode == "homogeneous":
+        f_weights = g_weights = [draw(st.integers(0, INTERNAL_WEIGHT))]
+    else:
+        some = st.lists(st.integers(0, INTERNAL_WEIGHT), min_size=1, max_size=3, unique=True)
+        f_weights, g_weights = draw(some), draw(some)
+    F = draw(internal_operand(f_field, f_weights))
+    G = draw(internal_operand(g_field, g_weights))
+    if mode == "cancels at m" and m not in f_weights and m not in g_weights:
+        F, G = F + cancelling, G + ones
+    return F, G
+
+
+@settings(max_examples=100, deadline=None)
+@given(internal_pairs())
+def test_internal_product_matches_its_oracles(pair):
+    F, G = pair
+    got = internal_product(F, G)
+    assert got.basis == "R"
+    _assert_exact_coefficients(got)
+    want = internal_product_by_coefficient(F, G)
+    assert _exact(got.terms) == _exact(want.terms)
+    assert got == product_by_matrices(F, G)
+
+
+def test_internal_product_of_wide_coefficients():
+    # 200-bit coordinates on both sides: each field of a product of two
+    # packed values needs about 400 bits, and at weight 1 the width has
+    # no byte to spare, so one byte less carries between fields.
+    big = (1 << 200) - 1
+    z = zeta(3)
+    for a, b in (
+        (big * (1 + z), big * (1 - z)),
+        (big * z, Fraction(big, 7) * (z - 1)),
+        (Fraction(big, 12) + big * z, big),
+    ):
+        for F, G in (
+            (NsymElement("S", {(1,): a}), NsymElement("R", {(1,): b})),
+            (NsymElement("R", {(1, 2): a, (1,): b}), NsymElement("R", {(2, 1): b, (1,): a})),
+            (NsymElement("R", {(1, 1, 2): a}), NsymElement("S", {(2, 2): b, (1, 3): a})),
+        ):
+            got = internal_product(F, G)
+            _assert_exact_coefficients(got)
+            assert _exact(got.terms) == _exact(internal_product_by_coefficient(F, G).terms)
+            assert got == product_by_matrices(F, G)

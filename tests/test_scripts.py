@@ -84,3 +84,25 @@ def test_same_outputs_error_argvs(tmp_path):
     assert same_outputs.shown(ones[-1]) == (
         "internal 'R[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,... (30002 chars)' "
         "'R[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,... (30002 chars)'")
+def test_same_outputs_scalar_argvs(tmp_path):
+    same_outputs = _same_outputs()
+    src = ROOT / "src"
+    scalar = same_outputs.SCALAR_ARGVS
+    assert all(argv in same_outputs.default_argvs() for argv in scalar)
+    # Every product is answered but the one on two conductors.
+    answered = same_outputs.answers(src, scalar)
+    assert [code for code, _, _ in answered] == [0] * 7 + [2]
+    assert answered[-1][2] == "error: conductor mismatch: 3 vs 5 (no automatic lifting)\n"
+    # A copy of the tree that reads the product's sum over one operand's
+    # denominator instead of both answers the four requests on Fraction
+    # coefficients differently, and only those.
+    shutil.copytree(src / "nsympeak", tmp_path / "nsympeak",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    descent = tmp_path / "nsympeak" / "descent.py"
+    old = "return N, den * den, width, out"
+    assert descent.read_text().count(old) == 1
+    descent.write_text(descent.read_text().replace(old, "return N, den, width, out"))
+    assert same_outputs.differences(src, tmp_path, scalar) == [
+        (argv, ["stdout"]) for argv in scalar[:4]]
+
+
