@@ -608,8 +608,8 @@ def _suite_theta1_psi(notes, ns, max_n):
             yield None
     star_max = 6
     for q in (2, Fraction(1, 2)):
-        # The series truncated at star_max agrees with theta_q_generator in
-        # every degree up to it.
+        # The series truncated at star_max holds the generator image of
+        # S_n in every degree n up to it.
         gens = theta_q_series(q, star_max)
         images = theta_q_images(all_words("S", 1, star_max), q, "R")
         for n in range(1, star_max + 1):

@@ -1,9 +1,8 @@
 """Composition-level combinatorics.
 
 A composition of n is spelled as a plain tuple of positive ints, the
-empty tuple being the unique composition of 0. Subsets of [1, n-1] (descent
-sets, peak sets) are frozensets of ints. Permutations are tuples of images,
-so ``perm[i-1]`` is the image of i.
+empty tuple being the unique composition of 0. A descent set, a subset
+of [1, n-1], is a frozenset of ints.
 
 Compositions of n correspond to subsets of [1, n-1] through the descent set
 D(I) = {i_1, i_1+i_2, ...}. The elements of the library store a word as
@@ -27,9 +26,8 @@ With no N every descent is free, which gives the reverse-refinement
 interval {J : D(J) contained in D(I)} that the S/R basis change sums
 over. ``lower_codes`` enumerates the lower set of one word on codes, in
 canonical order: the forced bits (the top bit and the descents after a
-part >= N) OR'd with each submask of the free ones. The tuple spelling
-``lower_set`` decodes it; ``compositions_of(n)``, the interval below
-(1^n), decodes the range of n-bit codes. ``lower_forward`` sums a dict
+part >= N) OR'd with each submask of the free ones; ``compositions_of(n)``,
+the interval below (1^n), decodes the range of n-bit codes. ``lower_forward`` sums a dict
 of values over the lower sets with none of them listed, one pass over
 the dict per position that some word holds, from the highest down (with N None, the fast zeta transform
 on descent sets), optionally signed and pruned to a family such as G;
@@ -111,11 +109,6 @@ def decode(code):
     return tuple(parts)
 
 
-def canonical_key(parts):
-    """Sort key implementing the canonical composition order: the code."""
-    return encode(parts)
-
-
 def code_display_key(code):
     """Sort key of printed output, read from the code: ascending weight
     (the top bit), and within one weight the other bits run downward."""
@@ -132,23 +125,6 @@ def display_key(parts):
     return code_display_key(encode(parts))
 
 
-def composition_from_descents(descents, n):
-    """The unique composition of n whose descent set equals ``descents``."""
-    ds = sorted(descents)
-    if ds and (ds[0] < 1 or ds[-1] > n - 1):
-        raise ValueError(f"descent {ds} out of range for weight {n}")
-    if len(ds) != len(set(ds)):
-        raise ValueError("duplicate descents")
-    prev = 0
-    parts = []
-    for d in ds:
-        parts.append(d - prev)
-        prev = d
-    if n > prev:
-        parts.append(n - prev)
-    return tuple(parts)
-
-
 def compositions_of(n):
     """All 2^(n-1) compositions of n in canonical (descent bitmask)
     order: the words whose codes have n bits, decoded."""
@@ -157,51 +133,8 @@ def compositions_of(n):
     return [decode(c) for c in range(1 << n >> 1, 1 << n)]
 
 
-def conjugate(parts):
-    """Conjugate composition (ribbon transpose): D(I~) = {n-d : d not in D(I)}."""
-    n = sum(parts)
-    if n == 0:
-        return ()
-    d = descent_set(parts)
-    conj = {n - k for k in range(1, n) if k not in d}
-    return composition_from_descents(conj, n)
-
-
 # ---------------------------------------------------------------------------
-# permutations
-
-
-def descent_composition(perm):
-    """Composition recording {i : perm(i) > perm(i+1)}."""
-    n = len(perm)
-    descents = [i for i in range(1, n) if perm[i - 1] > perm[i]]
-    return composition_from_descents(descents, n)
-
-
-def peak_set_of_permutation(perm):
-    """{i in [2, n-1] : perm(i-1) < perm(i) > perm(i+1)}."""
-    n = len(perm)
-    return frozenset(
-        i for i in range(2, n) if perm[i - 2] < perm[i - 1] > perm[i]
-    )
-
-
-def peak_composition(perm):
-    if len(perm) < 1:
-        raise ValueError("peak composition needs n >= 1")
-    return composition_from_descents(peak_set_of_permutation(perm), len(perm))
-
-
-def peak_set_of_composition(parts):
-    """Peak set P(I): descents d_i with d_i - d_{i-1} > 1, taking d_0 = 0."""
-    ds = sorted(descent_set(parts))
-    out = []
-    prev = 0
-    for d in ds:
-        if d - prev != 1:
-            out.append(d)
-        prev = d
-    return frozenset(out)
+# peak compositions
 
 
 def peak_compositions_of(n):
@@ -325,18 +258,8 @@ def lower_inverse(values, N):
     return _lower_steps(values, N, -1, True)
 
 
-def lower_set(I, N=None):
-    """All J below I in the order-N split poset, canonical order, as
-    tuples (``lower_codes`` decoded)."""
-    return [decode(J) for J in lower_codes(encode(I), N)]
-
-
 # ---------------------------------------------------------------------------
 # index families F and G, the bijection epsilon, Hilbert dimensions
-
-
-def is_in_F(I, N):
-    return all(p % N != 0 for p in I)
 
 
 def is_in_G(I, N):
@@ -410,66 +333,7 @@ def hilbert_dim(n, N):
 
 
 # ---------------------------------------------------------------------------
-# hook and ribbon factorizations
-
-
-def hook_factorization(I):
-    """Cut I at its peak positions.
-
-    Returns (segments, hook_length, weights): the segments of I between
-    consecutive peaks, each of hook shape (1^a, b); hook_length =
-    |P(I)| + 1; and the composition of the segment weights, whose
-    descent set is exactly P(I).
-    """
-    if sum(I) < 1:
-        raise ValueError("hook factorization needs weight >= 1")
-    peaks = sorted(peak_set_of_composition(I))
-    segments = []
-    current = []
-    acc = 0
-    cuts = set(peaks)
-    for p in I:
-        current.append(p)
-        acc += p
-        if acc in cuts:
-            segments.append(tuple(current))
-            current = []
-    if current:
-        segments.append(tuple(current))
-    weights_comp = tuple(sum(seg) for seg in segments)
-    return segments, len(peaks) + 1, weights_comp
-
-
-def ribbon_factorization(I, J):
-    """Cut the ribbon J into pieces of weights given by I.
-
-    Returns the unique sequence of compositions (H_1, ..., H_r) with
-    |H_k| = i_k such that gluing them back (concatenation at part
-    boundaries of J, last-part/first-part fusion elsewhere) rebuilds J.
-    """
-    if sum(I) != sum(J):
-        raise ValueError(f"weight mismatch: {I} vs {J}")
-    segments = []
-    jpos = 0          # index of the current part of J
-    remainder = J[0] if J else 0
-    for target in I:
-        seg = []
-        need = target
-        while need > 0:
-            take = min(need, remainder)
-            seg.append(take)
-            need -= take
-            remainder -= take
-            if remainder == 0:
-                jpos += 1
-                if jpos < len(J):
-                    remainder = J[jpos]
-        segments.append(tuple(seg))
-    return segments
-
-
-# ---------------------------------------------------------------------------
-# part multiplicities
+# counting compositions
 
 
 def num_compositions(n):
@@ -484,15 +348,3 @@ def at_most_compositions(x, n):
     return x if x.bit_length() < n else min(x, num_compositions(n))
 
 
-def part_count(n, i):
-    """Total multiplicity of the part i over all compositions of n.
-
-    Counted by position: an occurrence of i is a choice of prefix weight a
-    and suffix weight c with a + i + c = n, any composition on either side.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
-    return sum(
-        num_compositions(a) * num_compositions(n - i - a)
-        for a in range(n - i + 1)
-    )

@@ -4,11 +4,10 @@ For an order N >= 2 and each weight n, the compositions in the index
 family G (parts in [1, N], last part in [1, N-1]) label a basis of a
 subalgebra of Sym_n: the sums Sigma_I of ribbons over the order-N split
 poset's lower sets. This module provides those sums, the alternating
-companions rho_I and their t-deformations, the multiplicative T basis
-indexed by the partner family F, the projector pi_N whose image is the
-subalgebra, a membership solver, and the classical order-2 layer of peak
-functions, each built directly from the descent sets with a given peak
-set.
+companions rho_I, the multiplicative T basis indexed by the partner
+family F, the projector pi_N whose image is the subalgebra, a
+membership solver, and the classical order-2 layer of peak functions,
+each built directly from the descent sets with a given peak set.
 
 It also carries the closed decomposition formulas for the transformed
 elements theta_zeta(S^I) and theta_zeta(R_I) in Sigma and rho
@@ -20,13 +19,13 @@ definition. Where the source statements of those formulas admit more
 than one reading, the implemented reading is the one that agrees with
 the oracle; the docstrings state it precisely.
 
-Decomposition results are returned as plain coordinate dicts mapping a
-composition in G to its scalar, since Sigma and rho are not storage
-bases of NsymElement; ``expand_sigma_coords``, ``expand_rho_coords``
-and ``expand_T_coords`` turn them back into ribbon-basis elements. Every
-Sigma, rho, rho(t), T and pi_N expansion is a set of Sigma coordinates
-whose ribbons are summed over their lower sets; rho
-coordinates move to Sigma coordinates first, T coordinates along the
+Coordinates on Sigma, rho and T are plain dicts mapping a composition
+to its scalar, since Sigma and rho are not storage bases of
+NsymElement; ``expand_sigma_coords``, ``expand_rho_coords`` and
+``expand_T_coords`` turn them back into ribbon-basis elements. Every
+Sigma, rho, T and pi_N expansion is a set of Sigma coordinates whose
+ribbons are summed over their lower sets; rho coordinates move to
+Sigma coordinates first, T coordinates along the
 block bijection (T_K = Sigma_{epsilon^-1(K)}). A coordinate that is not
 a scalar (a float, a string) raises the TypeError of ``NsymElement``.
 
@@ -48,8 +47,8 @@ which also needs the coordinates, turns its one element into ribbons,
 and splits and inverts it on its own.
 The rho maps prune the forward steps to G: a word coarser than one
 outside G is outside G, so a step that leaves G is dropped at once and
-no lower set is listed. A single Sigma or rho(t) word lists its lower
-set (``compositions.lower_codes``). An element heavier than
+no lower set is listed. A single Sigma word lists its lower set
+(``compositions.lower_codes``). An element heavier than
 MAX_MEMBERSHIP_WEIGHT is refused before membership starts, through the
 scalars module's ``check_limit``.
 
@@ -57,15 +56,14 @@ Like the elements, every map here runs on word codes (see the
 compositions module): a PeakContext tests G on codes (``_in_G``).
 Coordinate dicts, in and out, are keyed by composition tuples, the
 public spelling: the expansions check and encode their coordinates
-in one pass and membership decodes its answer once. pi_N and the rho(t)
-bases already hold codes, and hand them straight to the one Sigma
+in one pass and membership decodes its answer once. pi_N and the series
+of rho_(1^n) already hold codes, and hand them straight to the one Sigma
 expansion on codes that ``expand_sigma_coords`` also ends in.
 The closed decompositions and the q = -1 peak expansion run on codes
 too: each statistic of their formulas is a few bit operations on the
-codes of I and J. Each decomposition's body is its ``decomp_*_codes``
-core, {J code: c} for the code of I; the public ``decomp_*`` key that
-by the compositions that a PeakContext holds for the codes of G
-(``_G_words``); the q = -1 expansion decodes its coordinates once.
+codes of I and J. Each decomposition is its ``decomp_*_codes``
+function, {J code: c} over the codes of G (``_G_words``) for the code
+of I; the q = -1 expansion decodes its coordinates once.
 ``expansions_match`` checks a batch of such coordinates against the
 transform images, one stacked pass per stack of at most STACK_WORDS
 pairs: each pair's coordinates and image share one segment of one stack
@@ -147,8 +145,8 @@ class PeakContext:
 
     def _G_words(self, n):
         """{code: composition} over G(n), in ascending code order (the
-        order of G): the decomposition formulas walk the codes and key
-        their output by the compositions, with no decoding."""
+        order of G): the decomposition formulas and the rho_(1^n) series
+        walk the codes, and ``G`` lists the compositions."""
         got = self._words.get(n)
         if got is None:
             got = self._words[n] = {encode(I): I for I in G_set(n, self.N)}
@@ -199,41 +197,9 @@ def sigma_basis(I, ctx):
     return NsymElement._trusted("R", dict.fromkeys(lower, 1))
 
 
-def _rho_t(I, t, ctx, sign):
-    """Sum of t^(l(I) + sign*l(J)) Sigma_J over the J in G below I."""
-    I = _require_G(I, ctx)
-    li = I.bit_count()
-    return _expand(
-        {
-            J: scalar_pow(t, li + sign * J.bit_count())
-            for J in lower_codes(I, ctx.N)
-            if ctx._in_G(J)
-        },
-        "Sigma",
-        ctx,
-    )
-
-
-def rho_t_basis(I, t, ctx):
-    """The t-deformation: sum of t^(l(I)-l(J)) Sigma_J over J in G below I.
-
-    At t = -1 this is rho_I; at t = 0 it collapses to Sigma_I alone and
-    is no longer part of a basis family, though still a valid element.
-    """
-    return _rho_t(I, t, ctx, -1)
-
-
 def rho_basis(I, ctx):
     """rho_I: the alternating Sigma-sum over J in G below I."""
-    return rho_t_basis(I, -1, ctx)
-
-
-def rho_t_primed_basis(I, t, ctx):
-    """The primed deformation, with exponent l(I)+l(J) instead.
-
-    Satisfies rho'_I(t) = t^(2 l(I)) rho_I(1/t) for t != 0.
-    """
-    return _rho_t(I, t, ctx, 1)
+    return expand_rho_coords({I: 1}, ctx)
 
 
 def T_basis(K, ctx):
@@ -543,10 +509,8 @@ def theta_minus1_ribbon_expansion(I):
 # ---------------------------------------------------------------------------
 # closed decompositions of the transformed basis elements
 #
-# Each formula's body runs on codes (``decomp_*_codes``): it takes the
-# code of I and returns {J code: c} over the J in G (``ctx._G_words``).
-# The public decomp_* functions check I and key that dict by the
-# compositions that PeakContext holds for the codes of G.
+# Each formula runs on codes (``decomp_*_codes``): it takes the code of
+# I and returns {J code: c} over the J in G (``ctx._G_words``).
 
 
 def _parts_at(J, X):
@@ -559,28 +523,14 @@ def _parts_at(J, X):
         yield bit.bit_length() - (J & bit - 1).bit_length()
 
 
-def _on_words(core, I, ctx):
-    """core's {J code: c} for the composition I (checked and encoded),
-    keyed by the compositions J of G."""
-    I = encode(check_composition(I))
-    G = ctx._G_words(I.bit_length())
-    return {G[J]: c for J, c in core(I, ctx).items()}
-
-
-def decomp_theta_S(I, ctx):
-    """Sigma-coordinates of the order-N transform of S^I.
+def decomp_theta_S_codes(I, ctx):
+    """Sigma-coordinates of the order-N transform of S^I, {J code: c}
+    for the code I.
 
     The sum runs over J in G refining I (D(I) contained in D(J)); the
     coefficient is (-1)^(l(I)-l(J)) zeta^(n - sum of the parts of J at
     aligned positions) times the product of (1 - zeta^(j_l)) over those
     positions. Aligned positions are where J's running sums meet I's.
-    """
-    return _on_words(decomp_theta_S_codes, I, ctx)
-
-
-def decomp_theta_S_codes(I, ctx):
-    """``decomp_theta_S`` on codes: {J code: c} for the code I.
-
     The J refining I are listed directly: I's code OR'd with each
     submask of the bits it lacks, those in G kept.
     """
@@ -608,19 +558,13 @@ def decomp_theta_S_codes(I, ctx):
     return out
 
 
-def decomp_theta_R(I, ctx):
-    """Sigma-coordinates of the order-N transform of R_I.
+def decomp_theta_R_codes(I, ctx):
+    """Sigma-coordinates of the order-N transform of R_I, {J code: c}
+    for the code I.
 
     The sum runs over every J in G of the same weight, with coefficient
     (-1)^(l(I)-l(J)) zeta^a (1 - zeta^(last part of J)), where a adds up
     the non-final parts of J whose running sum is not a descent of I.
-    """
-    return _on_words(decomp_theta_R_codes, I, ctx)
-
-
-def decomp_theta_R_codes(I, ctx):
-    """``decomp_theta_R`` on codes: {J code: c} for the code I.
-
     A coefficient depends only on l(J) mod 2, a mod N and the last part
     mod N, so each of those at most 2N^2 values is made once per word, on
     its first J, and looked up for the rest of G(n).
@@ -654,20 +598,13 @@ def decomp_theta_R_codes(I, ctx):
     return out
 
 
-def decomp_S_on_rho(I, ctx):
-    """rho-coordinates of the order-N transform of S^I.
+def decomp_S_on_rho_codes(I, ctx):
+    """rho-coordinates of the order-N transform of S^I, {J code: c} for
+    the code I.
 
     The sum runs over J in G whose ribbon cut along I yields only hook
     pieces; the coefficient is (1-zeta)^l(I) (-zeta)^h with h the total
-    number of leading ones over the pieces.
-    """
-    return _on_words(decomp_S_on_rho_codes, I, ctx)
-
-
-def decomp_S_on_rho_codes(I, ctx):
-    """``decomp_S_on_rho`` on codes: {J code: c} for the code I.
-
-    The descents of J inside the pieces are X = J & ~I, and a piece is a
+    number of leading ones over the pieces. The descents of J inside the pieces are X = J & ~I, and a piece is a
     hook when each of them follows a bit of J or I (or the start): X &
     ~((J | I) << 1 | 1) is empty. Then h = |X|.
     """
@@ -687,21 +624,14 @@ def decomp_S_on_rho_codes(I, ctx):
     return out
 
 
-def decomp_R_on_rho(I, ctx):
-    """rho-coordinates of the order-N transform of R_I.
+def decomp_R_on_rho_codes(I, ctx):
+    """rho-coordinates of the order-N transform of R_I, {J code: c} for
+    the code I.
 
     The sum runs over J in G whose peak set sits inside the admissible
     positions of I; the coefficient is (1-zeta)^(number of hook pieces
     of J) times (-zeta)^b with b counting the shifted descent mismatch
-    between I and J.
-    """
-    return _on_words(decomp_R_on_rho_codes, I, ctx)
-
-
-def decomp_R_on_rho_codes(I, ctx):
-    """``decomp_R_on_rho`` on codes: {J code: c} for the code I.
-
-    The peaks of J are the descents d = D(J) that neither follow a
+    between I and J. The peaks of J are the descents d = D(J) that neither follow a
     descent nor sit at 1, d & ~(d << 1 | 1); the admissible positions
     are ``_peak_gate(I)``; the hook count is one more than the number of
     peaks.

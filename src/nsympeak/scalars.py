@@ -911,11 +911,6 @@ def _z_polynomial(terms, N):
     return make_cyclotomic(N, [coeffs.get(k, 0) for k in range(top + 1)])
 
 
-def scalar_from_text(text, N=None):
-    """Parse "p/q" or a z-polynomial like "1/2 - z + z^2" (needs N)."""
-    return _z_polynomial(read_signed_sum(text), N)
-
-
 def scalar_to_json(x):
     _check_digits(x)
     if is_rational(x):

@@ -142,11 +142,6 @@ def theta_q_series(q, order):
     )
 
 
-def theta_q_generator(n, q):
-    """The image of S_n from the series: degree n of sigma_{qt}^{-1} sigma_t."""
-    return theta_q_series(q, n).homogeneous_component(n)
-
-
 def hook_sum(n, q):
     """The sum of (-q)^i R_(1^i, n-i) over i < n, zero coefficients dropped.
 

@@ -17,11 +17,11 @@ after ``*``, like a term with no word, is the unit.
 A literal sticks to one basis name.  The reader is the one of
 :mod:`nsympeak.scalars` (``read_signed_sum``); this module reads words.
 
-``S`` and ``R`` literals become :class:`~nsympeak.elements.NsymElement`
-values directly.  ``Sigma``/``rho``/``T`` literals are coordinate
-vectors in the corresponding spanning family and come back as plain
-``{composition: coefficient}`` dicts tagged with the basis name; the
-caller expands them against a chosen root order.
+Every literal comes back as a plain ``{composition: coefficient}`` dict
+tagged with its basis name.  ``S`` and ``R`` terms are those of an
+:class:`~nsympeak.elements.NsymElement`; ``Sigma``/``rho``/``T`` terms
+are coordinate vectors in the corresponding spanning family, which the
+caller expands against a chosen root order.
 
 JSON uses one stable shape for both cases::
 
@@ -41,7 +41,7 @@ import re
 
 from .compositions import check_composition, code_display_key, decode, encode
 # coords_to_text is the element printer, re-exported as part of this API.
-from .elements import NsymElement, add_term, coords_to_text
+from .elements import add_term, coords_to_text
 # The literal grammar's errors are the reader's: one class, two names.
 from .scalars import ParseError as ElementParseError
 from .scalars import (
@@ -133,12 +133,6 @@ def parse_element_terms(text, N=None):
     return basis, terms
 
 
-def element_from_text(text, N=None, default_basis="S"):
-    """Parse an S or R literal into an NsymElement."""
-    basis, terms = parse_element_terms(text, N)
-    return NsymElement(basis or default_basis, terms)
-
-
 # ---------------------------------------------------------------------------
 # JSON forms
 
@@ -184,10 +178,6 @@ def terms_from_json(obj):
         add_term(terms, comp, coeff)
     conductor(terms.values())
     return name, terms
-
-
-def element_from_json(obj):
-    return NsymElement(*terms_from_json(obj))
 
 
 def parse_any_element(text, N=None):

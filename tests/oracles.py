@@ -1,33 +1,48 @@
 """Reference helpers that only the tests use.
 
-Each one restates something the library computes another way: the
-split poset's lower sets, sums over them listed part by part and the
-ribbon product rule on composition tuples (the library runs them on
-integer codes), the internal product's S-word products by listing
-every matrix with the given row sums (the library chooses one row at
-a time and builds word codes), the internal product summed over every
-pair of S words by those listings, and summed in scalars with the S
-words grouped by coefficient (the library sums packed integer
-zeta-columns and keeps only subproblems in its memo), the canonical order from descent sets, the
-covers of the order-N split poset, poset order, reverse refinement,
-regluing a ribbon factorization, Sigma rebuilt from rho, the text
-form of position sets, the integer zeta-columns as one dict per
-column with each map run on every column alone (the library packs a
-key's columns into one int and makes one pass), the {-1, 0, 1} linear
-maps (S<->R, the Sigma/rho expansions and membership) with one scalar
-add per term over lower sets listed part by part
-(``lower_set_by_parts``), instead of packed zeta-columns summed one
-descent at a time, the transform's
-dense matrix on one weight with its determinant by Gaussian
-elimination, the truncated product and inverse of series with a loop
-of their own over S words (the library runs both in the operands'
-basis through one product), the transform itself as one product of S-basis generator
-images per S word, the classical peak functions by filtering every
-ribbon by its peak set, the peak-set test on position sets (the
-library tests descent bits), the index families F and G and the peak
-compositions by filtering every composition of n, Phi_N by dividing
-x^N - 1 by Phi_d for every proper divisor d, and cyclotomic numbers as
-tuples of Fractions.
+Each one restates something the library computes another way, or is
+the subject of a worked example from the paper:
+
+- compositions and permutations on tuples: a composition from its
+  descent set, the conjugate (the reference for the code-level
+  ``descent._conjugate``), the descent and peak statistics of a
+  permutation, the peak set of a composition, the lower sets of the
+  split poset (``lower_codes`` decoded), the hook and ribbon
+  factorizations and the multiplicity of a part over all compositions;
+- the split poset's lower sets and sums over them listed part by part,
+  and the ribbon product rule on composition tuples (the library runs
+  them on integer codes);
+- the internal product's S-word products by listing every matrix with
+  the given row sums (the library chooses one row at a time and builds
+  word codes), the internal product summed over every pair of S words
+  by those listings, and summed in scalars with the S words grouped by
+  coefficient (the library sums packed integer zeta-columns and keeps
+  only subproblems in its memo);
+- the canonical order from descent sets, the covers of the order-N
+  split poset, poset order, reverse refinement and regluing a ribbon
+  factorization;
+- Sigma rebuilt from rho, and the t-deformations rho_I(t) and rho'_I(t)
+  of rho_I, read from the lower set of I;
+- the text form of position sets;
+- the integer zeta-columns as one dict per column with each map run on
+  every column alone (the library packs a key's columns into one int
+  and makes one pass);
+- the {-1, 0, 1} linear maps (S<->R, the Sigma/rho expansions and
+  membership) with one scalar add per term over lower sets listed part
+  by part (``lower_set_by_parts``), instead of packed zeta-columns
+  summed one descent at a time;
+- the truncated product and inverse of series with a loop of their own
+  over S words (the library runs both in the operands' basis through
+  one product);
+- the transform as one product of S-basis generator images per S word,
+  its dense matrix on one weight and its determinant by Gaussian
+  elimination;
+- the classical peak functions by filtering every ribbon by its peak
+  set, the peak-set test on position sets (the library tests descent
+  bits), and the index families F and G and the peak compositions by
+  filtering every composition of n;
+- Phi_N by dividing x^N - 1 by Phi_d for every proper divisor d, and
+  cyclotomic numbers as tuples of Fractions.
 """
 
 import functools
@@ -38,23 +53,163 @@ from fractions import Fraction
 
 from nsympeak import descent
 from nsympeak.compositions import (
-    canonical_key,
-    composition_from_descents,
     compositions_of,
     decode,
     descent_set,
-    is_in_F,
+    encode,
     is_in_G,
-    lower_set,
+    lower_codes,
     num_compositions,
-    peak_set_of_composition,
 )
 from nsympeak.elements import NsymElement, S, add_term, check_expansion, multiply
-from nsympeak.peak import expand_rho_coords
+from nsympeak.peak import _expand, _require_G, expand_rho_coords
 from nsympeak.scalars import (
-    CyclotomicNumber, check_limit, euler_phi, make_cyclotomic, scalar_inv,
+    CyclotomicNumber, check_limit, euler_phi, make_cyclotomic, scalar_inv, scalar_pow,
 )
 from nsympeak.series import hook_sum, theta_q
+
+
+# ---------------------------------------------------------------------------
+# compositions and permutations on tuples
+
+
+def composition_from_descents(descents, n):
+    """The unique composition of n whose descent set equals ``descents``."""
+    ds = sorted(descents)
+    if ds and (ds[0] < 1 or ds[-1] > n - 1):
+        raise ValueError(f"descent {ds} out of range for weight {n}")
+    if len(ds) != len(set(ds)):
+        raise ValueError("duplicate descents")
+    prev = 0
+    parts = []
+    for d in ds:
+        parts.append(d - prev)
+        prev = d
+    if n > prev:
+        parts.append(n - prev)
+    return tuple(parts)
+
+
+def conjugate(parts):
+    """Conjugate composition (ribbon transpose): D(I~) = {n-d : d not in D(I)}."""
+    n = sum(parts)
+    if n == 0:
+        return ()
+    d = descent_set(parts)
+    conj = {n - k for k in range(1, n) if k not in d}
+    return composition_from_descents(conj, n)
+
+
+def descent_composition(perm):
+    """Composition recording {i : perm(i) > perm(i+1)}."""
+    n = len(perm)
+    descents = [i for i in range(1, n) if perm[i - 1] > perm[i]]
+    return composition_from_descents(descents, n)
+
+
+def peak_set_of_permutation(perm):
+    """{i in [2, n-1] : perm(i-1) < perm(i) > perm(i+1)}."""
+    n = len(perm)
+    return frozenset(
+        i for i in range(2, n) if perm[i - 2] < perm[i - 1] > perm[i]
+    )
+
+
+def peak_composition(perm):
+    if len(perm) < 1:
+        raise ValueError("peak composition needs n >= 1")
+    return composition_from_descents(peak_set_of_permutation(perm), len(perm))
+
+
+def peak_set_of_composition(parts):
+    """Peak set P(I): descents d_i with d_i - d_{i-1} > 1, taking d_0 = 0."""
+    ds = sorted(descent_set(parts))
+    out = []
+    prev = 0
+    for d in ds:
+        if d - prev != 1:
+            out.append(d)
+        prev = d
+    return frozenset(out)
+
+
+def lower_set(I, N=None):
+    """All J below I in the order-N split poset, canonical order, as
+    tuples (``lower_codes`` decoded)."""
+    return [decode(J) for J in lower_codes(encode(I), N)]
+
+
+def hook_factorization(I):
+    """Cut I at its peak positions.
+
+    Returns (segments, hook_length, weights): the segments of I between
+    consecutive peaks, each of hook shape (1^a, b); hook_length =
+    |P(I)| + 1; and the composition of the segment weights, whose
+    descent set is exactly P(I).
+    """
+    if sum(I) < 1:
+        raise ValueError("hook factorization needs weight >= 1")
+    peaks = sorted(peak_set_of_composition(I))
+    segments = []
+    current = []
+    acc = 0
+    cuts = set(peaks)
+    for p in I:
+        current.append(p)
+        acc += p
+        if acc in cuts:
+            segments.append(tuple(current))
+            current = []
+    if current:
+        segments.append(tuple(current))
+    weights_comp = tuple(sum(seg) for seg in segments)
+    return segments, len(peaks) + 1, weights_comp
+
+
+def ribbon_factorization(I, J):
+    """Cut the ribbon J into pieces of weights given by I.
+
+    Returns the unique sequence of compositions (H_1, ..., H_r) with
+    |H_k| = i_k such that gluing them back (concatenation at part
+    boundaries of J, last-part/first-part fusion elsewhere) rebuilds J.
+    """
+    if sum(I) != sum(J):
+        raise ValueError(f"weight mismatch: {I} vs {J}")
+    segments = []
+    jpos = 0          # index of the current part of J
+    remainder = J[0] if J else 0
+    for target in I:
+        seg = []
+        need = target
+        while need > 0:
+            take = min(need, remainder)
+            seg.append(take)
+            need -= take
+            remainder -= take
+            if remainder == 0:
+                jpos += 1
+                if jpos < len(J):
+                    remainder = J[jpos]
+        segments.append(tuple(seg))
+    return segments
+
+
+def part_count(n, i):
+    """Total multiplicity of the part i over all compositions of n.
+
+    Counted by position: an occurrence of i is a choice of prefix weight a
+    and suffix weight c with a + i + c = n, any composition on either side.
+    """
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    return sum(
+        num_compositions(a) * num_compositions(n - i - a)
+        for a in range(n - i + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# lower sets and products listed part by part
 
 
 def lower_set_by_parts(I, N=None):
@@ -190,7 +345,7 @@ def split_successors(I, N):
         for j in range(1, N):
             if p - j >= 1:
                 out.add(I[:k] + (j, p - j) + I[k + 1:])
-    return sorted(out, key=canonical_key)
+    return sorted(out, key=encode)
 
 
 def merge_predecessors(I, N):
@@ -237,6 +392,38 @@ def sigma_from_rho(I, ctx):
         raise ValueError(f"{I} is not in the order-{ctx.N} index family")
     lower = lower_set_by_parts(I, ctx.N)
     return expand_rho_coords({J: Fraction(1) for J in lower if ctx.in_G(J)}, ctx)
+
+
+def _rho_t(I, t, ctx, sign):
+    """Sum of t^(l(I) + sign*l(J)) Sigma_J over the J in G below I."""
+    I = _require_G(I, ctx)
+    li = I.bit_count()
+    return _expand(
+        {
+            J: scalar_pow(t, li + sign * J.bit_count())
+            for J in lower_codes(I, ctx.N)
+            if ctx._in_G(J)
+        },
+        "Sigma",
+        ctx,
+    )
+
+
+def rho_t_basis(I, t, ctx):
+    """The t-deformation: sum of t^(l(I)-l(J)) Sigma_J over J in G below I.
+
+    At t = -1 this is rho_I; at t = 0 it collapses to Sigma_I alone and
+    is no longer part of a basis family, though still a valid element.
+    """
+    return _rho_t(I, t, ctx, -1)
+
+
+def rho_t_primed_basis(I, t, ctx):
+    """The primed deformation, with exponent l(I)+l(J) instead.
+
+    Satisfies rho'_I(t) = t^(2 l(I)) rho_I(1/t) for t != 0.
+    """
+    return _rho_t(I, t, ctx, 1)
 
 
 def positions_to_text(positions):
@@ -507,7 +694,7 @@ def classical_peak_functions_filtered(n):
 
 
 def F_set_filtered(n, N):
-    return [I for I in compositions_of(n) if is_in_F(I, N)]
+    return [I for I in compositions_of(n) if all(p % N for p in I)]
 
 
 def G_set_filtered(n, N):

@@ -18,20 +18,7 @@ import time
 from fractions import Fraction
 
 from nsympeak import cli
-from nsympeak.compositions import (
-    F_set,
-    G_set,
-    compositions_of,
-    descent_composition,
-    descent_set,
-    hilbert_dim,
-    hook_factorization,
-    part_count,
-    peak_composition,
-    peak_set_of_composition,
-    peak_set_of_permutation,
-    ribbon_factorization,
-)
+from nsympeak.compositions import F_set, G_set, compositions_of, descent_set, hilbert_dim
 from nsympeak.descent import internal_product
 from nsympeak.elements import R
 from nsympeak.peak import (
@@ -40,6 +27,15 @@ from nsympeak.peak import (
     rho_basis,
     rho_membership,
     sigma_basis,
+)
+from oracles import (
+    descent_composition,
+    hook_factorization,
+    part_count,
+    peak_composition,
+    peak_set_of_composition,
+    peak_set_of_permutation,
+    ribbon_factorization,
 )
 
 

@@ -18,7 +18,6 @@ from nsympeak.compositions import (
     lower_codes,
     lower_forward,
     lower_inverse,
-    lower_set,
 )
 from nsympeak.elements import NsymElement, R, S, multiply, one, zero
 from oracles import (
@@ -95,7 +94,6 @@ def test_lower_sets_every_word():
             want = _lower_by_filter(I, N)
             assert lower_set_by_parts(I, N) == want
             assert [decode(J) for J in lower_codes(encode(I), N)] == want
-            assert lower_set(I, N) == want
 
 
 def _G_test(N):

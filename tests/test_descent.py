@@ -17,13 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsympeak.compositions import (
-    compositions_of,
-    decode,
-    descent_composition,
-    descent_set,
-    encode,
-)
+from nsympeak.compositions import compositions_of, decode, descent_set, encode
 from nsympeak import descent, elements
 from nsympeak.descent import MAX_WORD_PAIRS, CapacityError, internal_product
 from nsympeak.elements import NsymElement, R, S, linear_combination, one, zero
@@ -31,7 +25,12 @@ from nsympeak.peak import PeakContext, rho_basis, rho_membership
 from nsympeak.scalars import zeta
 from nsympeak.series import psi
 
-from oracles import product_by_matrices as _product_by_matrices, word_product_by_matrices
+from oracles import (
+    conjugate,
+    descent_composition,
+    product_by_matrices as _product_by_matrices,
+    word_product_by_matrices,
+)
 
 
 @functools.cache
@@ -291,7 +290,7 @@ def test_longest_class_maps_ribbons_to_ribbons():
             code = encode(K)
             assert decode(descent._complement(code)) == c
             assert decode(descent._reverse(code)) == K[::-1]
-            assert decode(descent._conjugate(code)) == c[::-1]
+            assert decode(descent._conjugate(code)) == conjugate(K) == c[::-1]
             checked += 1
     assert checked == 63
 

@@ -1,6 +1,5 @@
 """Tests for the higher-order peak subalgebras and their bases."""
 
-import functools
 import random
 from fractions import Fraction
 from itertools import islice
@@ -10,15 +9,14 @@ import pytest
 from nsympeak import peak
 from nsympeak.compositions import (
     F_set,
-    G_set,
     compositions_of,
+    decode,
     descent_set,
     encode,
     epsilon,
     hilbert_dim,
     lower_forward,
     lower_inverse,
-    peak_set_of_composition,
 )
 from nsympeak.descent import internal_product
 from nsympeak.elements import (
@@ -38,10 +36,6 @@ from nsympeak.peak import (
     T_basis,
     T_membership,
     classical_peak_function,
-    decomp_R_on_rho,
-    decomp_S_on_rho,
-    decomp_theta_R,
-    decomp_theta_S,
     expand_T_coords,
     expand_rho_coords,
     expand_sigma_coords,
@@ -55,8 +49,6 @@ from nsympeak.peak import (
     rho_basis,
     rho_membership,
     rho_ones_series,
-    rho_t_basis,
-    rho_t_primed_basis,
     sigma_basis,
     sigma_lambda_N,
     tangent_element_series,
@@ -75,6 +67,8 @@ from oracles import (
     membership_per_term,
     per_column,
     rho_membership_per_term,
+    rho_t_basis,
+    rho_t_primed_basis,
     s_to_r_per_term,
     sigma_from_rho,
 )
@@ -147,6 +141,8 @@ def test_rho_values(ctx3):
     assert rho_basis((1, 1, 1), ctx3) == R(1, 1, 1) - R(3)
     assert rho_basis((1, 2), ctx3) == R(1, 2) + R(3)
     assert rho_basis((2, 1), ctx3) == R(2, 1) + R(3)
+    with pytest.raises(ValueError, match=r"\(1, 3\) is not in the order-3 index family"):
+        rho_basis((1, 3), ctx3)
 
 
 def test_rho_deformations(ctx2, ctx3):
@@ -532,12 +528,17 @@ def test_theta_minus1_expansion():
             assert total == theta_q(R(*I), -1).to_basis("R")
 
 
+def _coords(formula, I, ctx):
+    """formula's coordinates for the composition I, keyed by compositions."""
+    return {decode(J): c for J, c in formula(encode(I), ctx).items()}
+
+
 def test_decomp_theta_S(ctx2, ctx3):
-    assert decomp_theta_S((2,), ctx2) == {(1, 1): 2}
+    assert _coords(peak.decomp_theta_S_codes, (2,), ctx2) == {(1, 1): 2}
     for ctx in (ctx2, ctx3):
         for n in (1, 2, 3, 4):
             for I in compositions_of(n):
-                got = expand_sigma_coords(decomp_theta_S(I, ctx), ctx)
+                got = expand_sigma_coords(_coords(peak.decomp_theta_S_codes, I, ctx), ctx)
                 assert got == theta_q(S(*I), ctx.zeta).to_basis("R")
 
 
@@ -545,20 +546,20 @@ def test_decomp_theta_R(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         for n in (1, 2, 3, 4):
             for I in compositions_of(n):
-                got = expand_sigma_coords(decomp_theta_R(I, ctx), ctx)
+                got = expand_sigma_coords(_coords(peak.decomp_theta_R_codes, I, ctx), ctx)
                 assert got == theta_q(R(*I), ctx.zeta).to_basis("R")
 
 
 def test_decomp_on_rho(ctx2, ctx3):
     z = ctx3.zeta
     sq = (1 - z) * (1 - z)
-    assert decomp_S_on_rho((1, 1), ctx3) == {(2,): sq, (1, 1): sq}
+    assert _coords(peak.decomp_S_on_rho_codes, (1, 1), ctx3) == {(2,): sq, (1, 1): sq}
     for ctx in (ctx2, ctx3):
         for n in (1, 2, 3, 4):
             for I in compositions_of(n):
-                got_s = expand_rho_coords(decomp_S_on_rho(I, ctx), ctx)
+                got_s = expand_rho_coords(_coords(peak.decomp_S_on_rho_codes, I, ctx), ctx)
                 assert got_s == theta_q(S(*I), ctx.zeta).to_basis("R")
-                got_r = expand_rho_coords(decomp_R_on_rho(I, ctx), ctx)
+                got_r = expand_rho_coords(_coords(peak.decomp_R_on_rho_codes, I, ctx), ctx)
                 assert got_r == theta_q(R(*I), ctx.zeta).to_basis("R")
 
 
@@ -721,15 +722,13 @@ def test_stacked_checks_answer_stack_by_stack(ctx3):
 
 
 def test_decompositions_check_their_word(ctx3):
-    expansions = [theta_minus1_ribbon_expansion] + [
-        functools.partial(formula, ctx=ctx3)
-        for formula in (decomp_theta_S, decomp_theta_R, decomp_S_on_rho, decomp_R_on_rho)
-    ]
-    for expand in expansions:
-        for bad in [(0,), (1.0,)]:
-            with pytest.raises(ValueError):
-                expand(bad)
-        assert expand(()) == {(): 1}
+    for bad in [(0,), (1.0,)]:
+        with pytest.raises(ValueError):
+            theta_minus1_ribbon_expansion(bad)
+    assert theta_minus1_ribbon_expansion(()) == {(): 1}
+    for formula in (peak.decomp_theta_S_codes, peak.decomp_theta_R_codes,
+                    peak.decomp_S_on_rho_codes, peak.decomp_R_on_rho_codes):
+        assert formula(0, ctx3) == {0: 1}
 
 
 def test_normalized_transform_lands_inside(ctx2, ctx3):

@@ -106,3 +106,25 @@ def test_same_outputs_scalar_argvs(tmp_path):
         (argv, ["stdout"]) for argv in scalar[:4]]
 
 
+def test_unreached(tmp_path):
+    unreached = ROOT / "scripts" / "unreached.py"
+    done = subprocess.run([sys.executable, str(unreached)], cwd=ROOT,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout
+    kept = [line.split()[0] for line in done.stdout.splitlines()]
+    assert kept == ["elements.R", "elements.zero", "elements.coproduct_S", "peak.rho_basis"]
+    # A copy of the package with two new functions: one that no command
+    # calls, and one that cli reads as an attribute of a module it imports.
+    package = tmp_path / "nsympeak"
+    shutil.copytree(ROOT / "src" / "nsympeak", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "compositions.py", "a") as f:
+        f.write("\n\ndef planted():\n    pass\n\n\ndef read():\n    pass\n")
+    with open(package / "cli.py", "a") as f:
+        f.write("\n\nfrom . import compositions\n\n\ndef _read():\n"
+                "    return compositions.read()\n")
+    done = subprocess.run([sys.executable, str(unreached), str(package)],
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    flagged = [line for line in done.stdout.splitlines() if "(kept" not in line]
+    assert flagged == ["compositions.planted"]

@@ -23,8 +23,8 @@ from nsympeak.series import (
     series_inverse,
     sigma_series,
     theta_q,
-    theta_q_generator,
     theta_q_images,
+    theta_q_series,
 )
 from oracles import (
     matrix_determinant,
@@ -144,11 +144,11 @@ def test_own_basis_series_match_the_S_word_oracles(N, kind):
 
 
 def test_generator_images():
-    assert theta_q_generator(2, 2) == 2 * S(1, 1) - 3 * S(2)
-    assert theta_q_generator(1, Fraction(1, 2)) == S(1).scale(Fraction(1, 2))
+    assert theta_q_series(2, 2).homogeneous_component(2) == 2 * S(1, 1) - 3 * S(2)
+    half = theta_q_series(Fraction(1, 2), 1).homogeneous_component(1)
+    assert half == S(1).scale(Fraction(1, 2))
     # At q = 1 the transform kills every positive weight.
-    for n in (1, 2, 3):
-        assert theta_q_generator(n, 1) == zero()
+    assert theta_q_series(1, 3) == one()
 
 
 def test_theta_q_values():
@@ -175,9 +175,9 @@ def test_normalized_transform():
     # Against the series definition theta_zeta(S_n)/(1 - zeta).
     for N in (2, 3, 4):
         zN = zeta(N)
+        gens = theta_q_series(zN, 5).scale(scalar_inv(1 - zN))
         for n in range(1, 6):
-            expect = theta_q_generator(n, zN).scale(scalar_inv(1 - zN))
-            assert Theta(S(n), N) == expect
+            assert Theta(S(n), N) == gens.homogeneous_component(n)
 
 
 _ROUTE_QS = {str(q): Fraction(q) for q in ("2", "1/2", "-1", "1")}
@@ -421,8 +421,9 @@ _QS.update({f"zeta{N}": zeta(N) for N in (2, 3, 4, 5, 8)})
 
 @pytest.mark.parametrize("q", _QS.values(), ids=_QS.keys())
 def test_hook_sum_is_the_series_generator(q):
+    gens = theta_q_series(q, 8)
     for n in range(1, 9):
-        assert hook_sum(n, q).scale(1 - q) == theta_q_generator(n, q)
+        assert hook_sum(n, q).scale(1 - q) == gens.homogeneous_component(n)
 
 
 def test_hook_sum_at_one_is_psi():

@@ -12,8 +12,6 @@ from nsympeak.textforms import (
     composition_from_text,
     composition_to_text,
     coords_to_text,
-    element_from_json,
-    element_from_text,
     element_to_json,
     parse_any_element,
     parse_element_terms,
@@ -137,11 +135,10 @@ def test_mixed_basis_rejected():
 
 
 def test_element_from_text():
-    assert element_from_text("S[1,1] - 2*S[2]") == S(1, 1) - 2 * S(2)
-    assert element_from_text("3") == one("S").scale(3)
-    assert element_from_text("3", default_basis="R") == one("R").scale(3)
-    with pytest.raises(ValueError):
-        element_from_text("Sigma[2,1]")  # coordinates, not storage
+    assert parse_element_terms("S[1,1] - 2*S[2]") == ("S", {(1, 1): 1, (2,): -2})
+    # A literal with no word names no basis: the caller picks one.
+    assert parse_element_terms("3") == (None, {(): 3})
+    assert parse_element_terms("Sigma[2,1]") == ("Sigma", {(2, 1): 1})
 
 
 def test_round_trip_through_str():
@@ -153,8 +150,7 @@ def test_round_trip_through_str():
     ]
     for elt in cases:
         N = 4 if elt.coefficient((2,)) == zeta(4) else None
-        again = element_from_text(str(elt), N=N, default_basis=elt.basis)
-        assert again == elt
+        assert parse_element_terms(str(elt), N) == (elt.basis, elt.terms)
 
 
 def test_coords_to_text():
@@ -169,13 +165,11 @@ def test_json_round_trip():
     obj = element_to_json(elt)
     assert obj["basis"] == "R"
     assert {"comp": [3], "coeff": {"num": -1, "den": 2}} in obj["terms"]
-    assert element_from_json(obj) == elt
+    assert terms_from_json(obj) == ("R", elt.terms)
     z = zeta(3)
     obj2 = terms_to_json("Sigma", {(2, 1): 1 - z})
     name, terms = terms_from_json(obj2)
     assert name == "Sigma" and terms == {(2, 1): 1 - z}
-    with pytest.raises(ValueError):
-        element_from_json({"basis": "rho", "terms": []})
     with pytest.raises(ValueError):
         terms_from_json({"basis": "Q", "terms": []})
 
