@@ -14,8 +14,10 @@ benchmark catalogues of ``bench/workloads.py`` (``cli_mix_catalogue()``
 and ``internal_cold_catalogue()``), its ``MALFORMED`` and
 ``KNOWN_DEFECTS`` inputs, ``-h`` on the root and on each command of
 ``cli.COMMANDS``, the error and size-limit requests of
-``ERROR_ARGVS`` and the internal products on Fraction and cyclotomic
-coefficients of ``SCALAR_ARGVS``, which the catalogues do not reach.  Every request whose
+``ERROR_ARGVS``, the internal products on Fraction and cyclotomic
+coefficients of ``SCALAR_ARGVS`` and the series and morphism suites, the
+tangent report and the ``T`` literals of ``PEAK_ARGVS``, which the
+catalogues do not reach.  Every request whose
 answers differ is printed with the fields that differ, each argument
 past 40 characters cut short; the exit status is 1 if any does, else 0.
 """
@@ -98,6 +100,28 @@ SCALAR_ARGVS = [
 ]
 
 
+_T_TERMS = [{"comp": [4, 2], "coeff": {"num": 1, "den": 1}},
+            {"comp": [1], "coeff": {"num": 2, "den": 1}}]
+
+# The four series suites and the morphism suite past their default root
+# orders, series orders that are refused or negative, a tangent report,
+# and T literals (T_K = Sigma_{eps^-1(K)}), in text and JSON and as an
+# internal product's operand.
+PEAK_ARGVS = [
+    *(["verify", suite, "--N", N]
+      for suite in ("tangent", "tangent-zeta", "sigma-lambda", "rnij-series", "morphism")
+      for N in ("5", "7")),
+    ["verify", "rnij-series", "--order", "40"],
+    ["tangent", "--N", "3", "--order", "40"],
+    ["verify", "sigma-lambda", "--order", "-1"],
+    ["tangent", "--N", "2", "--order", "-1"],
+    ["tangent", "--N", "5", "--order", "10"],
+    ["expand", "T[4,2] + 2*T[1]", "--N", "3", "--to", "R"],
+    ["expand", json.dumps({"basis": "T", "terms": _T_TERMS}), "--N", "3", "--to", "R"],
+    ["internal", "T[4]", "Sigma[3,1]", "--N", "3"],
+]
+
+
 def default_argvs():
     """The requests compared by default, each once, in catalogue order."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
@@ -110,7 +134,7 @@ def default_argvs():
     for catalogue in (workloads.cli_mix_catalogue(), workloads.internal_cold_catalogue()):
         for entries in catalogue.values():
             argvs += entries
-    argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS + ERROR_ARGVS + SCALAR_ARGVS
+    argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS + ERROR_ARGVS + SCALAR_ARGVS + PEAK_ARGVS
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 

@@ -8,7 +8,8 @@ Gelfand-Krob-Lascoux-Leclerc-Retakh-Thibon (section 5 of
 theta_q with its root-of-unity normalization, and for each order N >= 2
 the peak subalgebra spanned by the split-poset sums Sigma_I with its
 rho and T companions, projector, membership solver, closed
-decomposition formulas and tangent-series identities.
+decomposition formulas and tangent-series identities (stated as pairs
+of sides in ``cli.SERIES_CHECKS``).
 
 Scalars are rationals or elements of the degree-N cyclotomic field;
 nothing here is floating point.
@@ -43,9 +44,6 @@ from .peak import (
     rho_basis,
     rho_membership,
     sigma_basis,
-    sigma_lambda_N,
-    tangent_series,
-    tangent_zeta_series,
     theta_minus1_ribbon_expansion,
 )
 from .scalars import CyclotomicNumber, make_cyclotomic, zeta, zeta_pow
@@ -105,10 +103,7 @@ __all__ = [
     "rho_membership",
     "series_inverse",
     "sigma_basis",
-    "sigma_lambda_N",
     "sigma_series",
-    "tangent_series",
-    "tangent_zeta_series",
     "theta_minus1_ribbon_expansion",
     "theta_q",
     "theta_q_images",

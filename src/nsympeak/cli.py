@@ -47,7 +47,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, tee
+from itertools import islice, product, tee
 
 from .compositions import (
     F_set,
@@ -66,12 +66,13 @@ from .compositions import (
 from .descent import internal_product
 from .elements import (
     CapacityError, NsymElement, S, all_words, check_expansion, linear_combination,
-    multiply,
+    multiply, one,
 )
 from .peak import (
     PeakContext,
     T_basis,
     T_membership,
+    block_series,
     classical_peak_function,
     decomp_R_on_rho_codes,
     decomp_S_on_rho_codes,
@@ -83,17 +84,13 @@ from .peak import (
     expansions_match,
     in_T_ideal,
     in_sigma_span,
-    lemma_rnij_series,
     membership,
-    morphism_check,
     pi_N,
     rho_membership,
+    rho_ones_series,
     sigma_basis,
-    sigma_lambda_N,
     tangent_element_series,
-    tangent_series,
     tangent_zeta_element_series,
-    tangent_zeta_series,
     theta_minus1_ribbon_expansion,
 )
 from .series import (
@@ -102,6 +99,7 @@ from .series import (
     det_formula,
     det_theta,
     psi,
+    series_inverse,
     theta_q,
     theta_q_images,
     theta_q_series,
@@ -293,9 +291,9 @@ def cmd_tangent(args):
     if order < 0:
         raise UsageError(f"--order must be >= 0, got {order}")
     results = {
-        key: verdict
+        key: equal
         for suite in ("tangent", "sigma-lambda", "tangent-zeta")
-        for key, verdict, _ in SERIES_CHECKS[suite](ctx, order, [])
+        for key, equal, _ in _series_verdicts(suite, ctx, order, [])
     }
     ok = all(results.values())
     if args.format == "json":
@@ -358,8 +356,8 @@ def cmd_bases(args):
 # counterexample ends the suite and a note added after a suite's loops
 # appears only on a pass.  The four series suites (tangent, tangent-zeta,
 # sigma-lambda, rnij-series) share one loop, ``_series_suite``, over the
-# checks that ``SERIES_CHECKS`` states once per suite; ``cmd_tangent``
-# reports the first three suites' checks at one root order.
+# identities that ``SERIES_CHECKS`` states, each once, as its two sides;
+# ``cmd_tangent`` reports the first three suites' checks at one root order.
 
 
 ADOPTED_READINGS = {
@@ -460,16 +458,39 @@ def _suite_projector(notes, ns, max_n):
 
 
 def _suite_morphism(notes, ns, max_n):
+    """pi_N(S^I S^J) = pi_N(S^I) pi_N(S^J) for S^I in the ideal (the left
+    factor's last part not divisible by N), one check per root order over
+    every pair of total weight <= max_n, in (total, a, I, J) order; the
+    first failing pair is the counterexample.  The first pair outside
+    the ideal where the equality fails becomes a note, evidence that the
+    hypothesis is needed.
+
+    S^I S^J is the word S^(I.J) by definition, so the left side is the
+    image of I.J, read from the images of every word of weight <= max_n
+    (one pi_N each); the right side is one product of two images.
+    """
     if max_n < 1:
         return  # no pair with its left factor in the ideal
     for N in ns:
-        ok, hypothesis_cx, failure = morphism_check(PeakContext(N), max_n)
-        if not ok:
-            I, J = failure
-            yield f"N={N} I={composition_to_text(I)} J={composition_to_text(J)}"
+        ctx = PeakContext(N)
+        images = {I: pi_N(NsymElement("S", {I: 1}), ctx)
+                  for n in range(max_n + 1) for I in compositions_of(n)}
+        outside = None
+        for total in range(max_n + 1):
+            for a in range(total + 1):
+                for I, J in product(compositions_of(a), compositions_of(total - a)):
+                    in_ideal = bool(I) and I[-1] % N != 0
+                    if not (in_ideal or outside is None):
+                        continue  # past the first failure outside, only pairs inside count
+                    if images[I + J] != multiply(images[I], images[J]):
+                        if in_ideal:
+                            yield f"N={N} I={composition_to_text(I)} J={composition_to_text(J)}"
+                        else:
+                            outside = I, J
+        del images  # let go before the next order's images are built
         yield None
-        if hypothesis_cx is not None:
-            I, J = hypothesis_cx
+        if outside is not None:
+            I, J = outside
             notes.append(
                 f"N={N}: dropping the ideal hypothesis fails first at "
                 f"I={composition_to_text(I)}, J={composition_to_text(J)} "
@@ -522,38 +543,87 @@ def _decomp_suite(kind):
     return checks
 
 
+def _tangent_checks(ctx, order, notes):
+    """(1 - t)^(-1) = the sum of (-1)^n rho_(1^n), t the alternating sum
+    of the block generators."""
+    lhs = series_inverse(one("R") - tangent_element_series(ctx, order), order)
+    yield "geometric-inverse", lhs, rho_ones_series(ctx, order), f"N={ctx.N} order={order}"
+
+
+def _sigma_lambda_checks(ctx, order, notes):
+    """sigma_N lambda_N = 1: sigma_N = 1 - t has the block generators with
+    sign (-1)^i in degree N*i+j, lambda_N has (-1)^n rho_(1^n) in degree
+    n.  Their product, in this order, telescopes to 1; this is the sign
+    normalization under which the stated product identity holds."""
+    sigma = one("R") - tangent_element_series(ctx, order)
+    lhs = multiply(sigma, rho_ones_series(ctx, order), order)
+    yield "sigma-lambda", lhs, one(), f"N={ctx.N} order={order}"
+
+
 def _tangent_zeta_checks(ctx, order, notes):
-    yield "root-deformed", tangent_zeta_series(ctx, order)[2], f"N={ctx.N} order={order}"
+    """The root-of-unity deformation: the inverse of 1 - t_zeta is the
+    plain sum of rho_(1^n)(zeta) (sign-free: expanding the geometric
+    series gives every K in G the coefficient zeta^(|K| - l(K)), which is
+    the sign-free rho deformation at zeta).  At N = 2 the deformed
+    element is minus the plain one."""
+    t_zeta = tangent_zeta_element_series(ctx, order)
+    yield ("root-deformed", series_inverse(one("R") - t_zeta, order),
+           rho_ones_series(ctx, order, ctx.zeta), f"N={ctx.N} order={order}")
     if ctx.N == 2:
-        plain = tangent_element_series(ctx, order)
-        signed = tangent_zeta_element_series(ctx, order) == -plain
-        yield "order-2-specialization", signed, "N=2: deformed element is not minus the plain one"
+        yield ("order-2-specialization", t_zeta, -tangent_element_series(ctx, order),
+               "N=2: deformed element is not minus the plain one")
         notes.append("N=2: the deformation reproduces the classical signed case")
 
 
 def _rnij_checks(ctx, order, notes):
-    for j in range(1, ctx.N):
-        first, second = lemma_rnij_series(ctx, j, order)
-        yield None, first, f"N={ctx.N} j={j}: single-block series"
-        yield None, second, f"N={ctx.N} j={j}: inverse product series"
+    """The generating series of the single-block ribbons, two identities
+    for each j in [1, N - 1]: the alternating series of R_(N^m j)
+    z^(m N + j) is the inverse of the degree-multiple-of-N complete series
+    times the degree-congruent-to-j complete series; and one plus the
+    sum of those block series over all j, which is sigma_N = 1 - t,
+    inverts to the elementary series at -z times the multiple-of-N
+    complete series.  The second identity and the first's inverse do not
+    depend on j, so each is built once, after the block series 1 - t."""
+    N = ctx.N
+    sigma = one("R") - tangent_element_series(ctx, order)
+    multiples = NsymElement("S", {(d,) if d else (): 1 for d in range(0, order + 1, N)})
+    lam = NsymElement("R", {(1,) * d: -1 if d % 2 else 1 for d in range(order + 1)})
+    second = series_inverse(sigma, order), multiply(lam, multiples, order)
+    inverse = series_inverse(multiples, order)
+    for j in range(1, N):
+        block = block_series(ctx, order, lambda i, _: -1 if i % 2 else 1, (j,))
+        congruent = NsymElement("S", {(d,): 1 for d in range(j, order + 1, N)})
+        yield None, block, multiply(inverse, congruent, order), f"N={N} j={j}: single-block series"
+        yield None, *second, f"N={N} j={j}: inverse product series"
 
 
-# The series identities on the block ribbons R_(N^i j) at one root order:
-# suite: checks(ctx, order, notes), yielding for each check the key that
-# `nsympeak tangent` reports it under (None for a check it does not
-# report), the verdict and the counterexample.  The identity functions
-# are looked up when a check runs, so a wrapper rebound on this module
-# (bench/tracer.py) runs.
+# The series identities on the block ribbons R_(N^i j) at one root order,
+# each stated once, as its two sides: suite: checks(ctx, order, notes),
+# yielding for each identity the key that `nsympeak tangent` reports it
+# under (None for one it does not report), the left side, the right side
+# and the counterexample; ``_series_verdicts`` compares the sides for
+# ``_series_suite`` and ``cmd_tangent``.  Each entry builds a block
+# series (``block_series``) before any product or inverse, so an order
+# past the expansion limit is refused first.  The builders are looked up
+# when a check runs, so a wrapper rebound on this module (bench/tracer.py)
+# runs.
 SERIES_CHECKS = {
-    "tangent": lambda ctx, order, notes: [
-        ("geometric-inverse", tangent_series(ctx, order)[2], f"N={ctx.N} order={order}")
-    ],
-    "sigma-lambda": lambda ctx, order, notes: [
-        ("sigma-lambda", sigma_lambda_N(ctx, order)[2], f"N={ctx.N} order={order}")
-    ],
+    "tangent": _tangent_checks,
+    "sigma-lambda": _sigma_lambda_checks,
     "tangent-zeta": _tangent_zeta_checks,
     "rnij-series": _rnij_checks,
 }
+
+
+def _series_verdicts(kind, ctx, order, notes):
+    """(key, whether the two sides are equal, counterexample) for each
+    check of one ``SERIES_CHECKS`` entry.  The sides are let go once
+    compared, so no check's sides are held while the next check, or the
+    next root order's, builds its own."""
+    for key, lhs, rhs, counterexample in SERIES_CHECKS[kind](ctx, order, notes):
+        equal = lhs == rhs
+        del lhs, rhs
+        yield key, equal, counterexample
 
 
 def _series_suite(kind):
@@ -563,8 +633,8 @@ def _series_suite(kind):
         if order <= 0:
             return  # both sides are the constant series 1, or no terms
         for N in ns:
-            for _, verdict, counterexample in SERIES_CHECKS[kind](PeakContext(N), order, notes):
-                yield None if verdict else counterexample
+            for _, equal, counterexample in _series_verdicts(kind, PeakContext(N), order, notes):
+                yield None if equal else counterexample
 
     return checks
 

@@ -28,7 +28,7 @@ over. ``lower_codes`` enumerates the lower set of one word on codes, in
 canonical order: the forced bits (the top bit and the descents after a
 part >= N) OR'd with each submask of the free ones; ``compositions_of(n)``,
 the interval below (1^n), decodes the range of n-bit codes. ``lower_forward`` sums a dict
-of values over the lower sets with none of them listed, one pass over
+of values over the lower sets in place, with none of them listed, one pass over
 the dict per position that some word holds, from the highest down (with N None, the fast zeta transform
 on descent sets), optionally signed and pruned to a family such as G;
 ``lower_inverse`` runs the same steps from the lowest position up,
@@ -206,7 +206,7 @@ def _near(b, N):
 
 
 def _lower_steps(values, N, sign, up, keep=None):
-    """Run the descent steps on a copy of the {code: int} values, one
+    """Run the descent steps on the {code: int} values in place, one
     step per position b that some word holds below the heaviest top
     bit, from the highest down (from the lowest up if up): every word W
     with the descent b (a set bit b-1 that is not its top bit, so the
@@ -215,8 +215,12 @@ def _lower_steps(values, N, sign, up, keep=None):
     word made holds a position that no word held at the start, and the
     steps follow the positions held, not the weight. A word that keep
     refuses is dropped, from values or as soon as it is made. Zeros are
-    left out of the result."""
-    out = {W: v for W, v in values.items() if keep(W)} if keep else dict(values)
+    dropped at the end, and values, now the result, is returned: the
+    caller hands over a dict it owns and does not read again."""
+    out = values
+    if keep:
+        for W in [W for W in out if not keep(W)]:
+            del out[W]
     held = functools.reduce(operator.or_, out, 0)
     held ^= 1 << held.bit_length() >> 1  # the top bit of the heaviest word
     while held:
@@ -229,7 +233,9 @@ def _lower_steps(values, N, sign, up, keep=None):
             J = W ^ bit
             if keep is None or J in out or keep(J):
                 out[J] = out.get(J, 0) + sign * v
-    return {W: v for W, v in out.items() if v}
+    for W in [W for W, v in out.items() if not v]:
+        del out[W]
+    return out
 
 
 def lower_forward(values, N=None, sign=1, keep=None):
@@ -244,7 +250,8 @@ def lower_forward(values, N=None, sign=1, keep=None):
     reads only the descents below b, still those of the word it started
     from, so the steps drop exactly the descents that lower_codes frees,
     and each J below I is reached once, one merge per step. With N None
-    this is the fast zeta transform on the lattice of descent sets.
+    this is the fast zeta transform on the lattice of descent sets. The
+    sum is made in values itself, which is returned: values is consumed.
     """
     return _lower_steps(values, N, sign, False, keep)
 
@@ -253,7 +260,7 @@ def lower_inverse(values, N):
     """The inverse of ``lower_forward(x, N)``: the {code: int} x whose
     sum over the lower sets is ``values``, zeros left out. Subtracting
     undoes a step, so the inverse runs the steps from the lowest
-    descent up, subtracting.
+    descent up, subtracting, in values itself, which is returned.
     """
     return _lower_steps(values, N, -1, True)
 

@@ -11,7 +11,8 @@ each built directly from the descent sets with a given peak set.
 
 It also carries the closed decomposition formulas for the transformed
 elements theta_zeta(S^I) and theta_zeta(R_I) in Sigma and rho
-coordinates, and the tangent-style series identities. The transform
+coordinates, and the block-ribbon series whose multisection identities
+``cli.SERIES_CHECKS`` states as pairs of sides. The transform
 theta_q of the series module is the oracle everywhere: each closed
 formula here is a verified view of it, never the definition, and
 theta_q's own closed hook-sum generator is checked against its series
@@ -85,7 +86,6 @@ from operator import mul
 from .compositions import (
     G_set,
     check_composition,
-    compositions_of,
     decode,
     descent_set,
     encode,
@@ -106,7 +106,6 @@ from .elements import (
 from .scalars import (
     check_limit, join_terms, scalar_pow, split_terms, stack_terms, zeta, zeta_pow,
 )
-from .series import series_inverse
 
 
 MAX_MEMBERSHIP_WEIGHT = 20
@@ -705,8 +704,10 @@ def expansions_match(pairs, family, ctx):
 
 
 # ---------------------------------------------------------------------------
-# tangent-style series identities
+# the multisection series
 #
+# The builders of the block-ribbon series whose identities
+# ``cli.SERIES_CHECKS`` states, each identity once, as its two sides.
 # These series live over the grading of Sym itself: the coefficient in
 # degree d is homogeneous of weight d, so a series truncated at ``order``
 # is the element of its words of weight <= order. ``multiply`` given the
@@ -715,7 +716,7 @@ def expansions_match(pairs, family, ctx):
 # as ribbons and compared with the rho side, built in R, as it is.
 
 
-def _block_series(ctx, order, coeff, js):
+def block_series(ctx, order, coeff, js):
     """coeff(i, j) R_(N^i j) in degree N*i+j, over i >= 0 and j in js.
 
     Every series identity builds its block series first, so a series
@@ -741,7 +742,7 @@ def _block_series(ctx, order, coeff, js):
 
 def tangent_element_series(ctx, order):
     """The alternating sum of the block generators, graded by weight."""
-    return _block_series(
+    return block_series(
         ctx, order, lambda i, j: 1 if i % 2 else -1, range(1, ctx.N)
     )
 
@@ -750,8 +751,8 @@ def rho_ones_series(ctx, order, t=None):
     """Sum over n of rho_(1^n), alternating when t is None, at t otherwise.
 
     With t given, degree n carries rho_(1^n)(t) with no extra sign (the
-    sign-free normalization is the one the geometric-series identity
-    below actually satisfies); with t omitted, degree n carries
+    sign-free normalization is the one the root-deformed identity of
+    ``cli.SERIES_CHECKS`` actually satisfies); with t omitted, degree n carries
     (-1)^n rho_(1^n).
 
     Every J in G(n) lies below 1^n, so rho_(1^n)(t) is the sum of
@@ -771,121 +772,12 @@ def rho_ones_series(ctx, order, t=None):
     )
 
 
-def tangent_series(ctx, order):
-    """Check (1 - t)^{-1} = sum of (-1)^n rho_(1^n): returns both sides."""
-    t = tangent_element_series(ctx, order)
-    lhs = series_inverse(one("R") - t, order)
-    rhs = rho_ones_series(ctx, order)
-    return lhs, rhs, lhs == rhs
-
-
-def sigma_lambda_N(ctx, order):
-    """Check that the two one-parameter series multiply to 1.
-
-    sigma_N has the block generators with sign (-1)^i in degree N*i+j;
-    lambda_N has (-1)^n rho_(1^n) in degree n. Their product (in this
-    order) telescopes to 1; this is the sign normalization under which
-    the stated product identity holds.
-    """
-    sig = one("R") - tangent_element_series(ctx, order)
-    lam = rho_ones_series(ctx, order)
-    return sig, lam, multiply(sig, lam, order) == one()
-
-
 def tangent_zeta_element_series(ctx, order):
     """The root-deformed tangent element: zeta^(j-i-1) blocks, graded.
 
     At order 2 the deformation coefficient collapses to (-1)^i, the
     negative of the plain tangent element's sign.
     """
-    return _block_series(
+    return block_series(
         ctx, order, lambda i, j: ctx.zeta_power(j - i - 1), range(1, ctx.N)
     )
-
-
-def tangent_zeta_series(ctx, order):
-    """Check the root-of-unity deformation of the tangent identity.
-
-    The inverse of 1 - t_zeta equals the plain sum of rho_(1^n)(zeta)
-    (sign-free: expanding the geometric series gives every K in G the
-    coefficient zeta^(|K| - l(K)), which is exactly the sign-free rho
-    deformation at zeta).
-    """
-    t = tangent_zeta_element_series(ctx, order)
-    lhs = series_inverse(one("R") - t, order)
-    rhs = rho_ones_series(ctx, order, t=ctx.zeta)
-    return lhs, rhs, lhs == rhs
-
-
-def lemma_rnij_series(ctx, j, order):
-    """Check the generating series of the single-block ribbons.
-
-    Two identities: the alternating series of R_(N^m j) z^(m N + j)
-    equals the inverse of the degree-multiple-of-N complete series times
-    the degree-congruent-to-j complete series; and one plus the sum of
-    those block series over all j inverts to the elementary series at -z
-    times the multiple-of-N complete series.
-    """
-    N = ctx.N
-    if not 1 <= j <= N - 1:
-        raise ValueError(f"need 1 <= j <= N-1, got j={j}")
-
-    s_multiples = NsymElement(
-        "S", {(d,) if d else (): 1 for d in range(0, order + 1, N)}
-    )
-    s_congruent = NsymElement("S", {(d,): 1 for d in range(j, order + 1, N)})
-    block = _block_series(
-        ctx, order, lambda i, _: -1 if i % 2 else 1, (j,)
-    )
-    first = block == multiply(
-        series_inverse(s_multiples, order), s_congruent, order
-    )
-
-    # One plus the block series over all j is sigma_N = 1 - t.
-    total = one("R") - tangent_element_series(ctx, order)
-    lam = NsymElement(
-        "R", {(1,) * d: -1 if d % 2 else 1 for d in range(order + 1)}
-    )
-    second = series_inverse(total, order) == multiply(lam, s_multiples, order)
-    return first, second
-
-
-# ---------------------------------------------------------------------------
-# the projector as an algebra morphism on the ideal
-
-
-def morphism_check(ctx, n_max):
-    """Sweep pi_N(S^I S^J) = pi_N(S^I) pi_N(S^J) for S^I in the ideal.
-
-    Returns (ok, counterexample, failure): ok covers all pairs with the
-    left factor's last part not divisible by N and total weight <=
-    n_max, and failure is the first such pair violating the equality
-    (None when ok). counterexample is a pair violating the equality once
-    that hypothesis is dropped (evidence the hypothesis is needed), or
-    None if the search found none.
-
-    S^I S^J is the word S^(I.J) by definition, so the left side is the
-    image of I.J, read from the images of every word of weight <= n_max
-    (one pi_N each); the right side is one product of two images.
-    """
-    N = ctx.N
-    counterexample = None
-    failure = None
-    images = {
-        I: pi_N(NsymElement("S", {I: 1}), ctx)
-        for n in range(n_max + 1)
-        for I in compositions_of(n)
-    }
-    for total in range(n_max + 1):
-        for a in range(total + 1):
-            for I in compositions_of(a):
-                left_in_ideal = bool(I) and I[-1] % N != 0
-                for J in compositions_of(total - a):
-                    lhs = images[I + J]
-                    rhs = multiply(images[I], images[J])
-                    if left_in_ideal:
-                        if lhs != rhs and failure is None:
-                            failure = (I, J)
-                    elif lhs != rhs and counterexample is None:
-                        counterexample = (I, J)
-    return failure is None, counterexample, failure

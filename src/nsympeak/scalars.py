@@ -553,7 +553,9 @@ def split_terms(terms, steps=0, product=False):
     phi(N) zeta^k coordinates c_k of den times its scalar, zeros left
     out. Over Q there is one plain column and no width (None): packed
     holds den times each value, and when every value is an integer it is
-    terms itself, zero values kept; no map of this package mutates it.
+    a copy of terms, zero values kept. packed is always a new dict, so
+    the maps of the compositions module may consume it and leave terms
+    as it was.
 
     Otherwise width is a whole number of bytes, at least b + steps + 2
     bits, with b the bit length of the largest |c_k|. That is wide
@@ -590,7 +592,7 @@ def split_terms(terms, steps=0, product=False):
             den = math.lcm(den, d)
     if N is None:
         if den == 1:
-            return None, 1, None, terms
+            return None, 1, None, dict(terms)
         return None, den, None, {
             key: c.numerator * (den // c.denominator) for key, c in terms.items() if c
         }

@@ -677,76 +677,74 @@ def test_tangent_report(capsys):
         )
 
 
-def _false_verdict(identity):
-    """The identity with its verdict turned false, both sides kept."""
-    def broken(ctx, order):
-        lhs, rhs, _ = identity(ctx, order)
-        return lhs, rhs, False
-    return broken
+_BUILT_ON_T = ["geometric-inverse", "sigma-lambda", "order-2-specialization"]
+
+# id: (builder doubled in cli, the suite that fails, its checks and
+# counterexample, the keys of the tangent report at N = 2 that read
+# FAIL).  Each id names the identity whose suite the fault breaks; every
+# builder serves more than one identity, so more keys may read FAIL.
+SERIES_FAULTS = {
+    "tangent_series": ("series_inverse", "tangent", 0, "N=2 order=8",
+                       ["geometric-inverse", "root-deformed"]),
+    "sigma_lambda_N": ("rho_ones_series", "sigma-lambda", 0, "N=2 order=8",
+                       ["geometric-inverse", "sigma-lambda", "root-deformed"]),
+    "tangent_zeta_series": ("tangent_zeta_element_series", "tangent-zeta", 0, "N=2 order=8",
+                            ["root-deformed", "order-2-specialization"]),
+    "tangent_zeta_element_series": ("tangent_element_series", "tangent-zeta", 1,
+                                    "N=2: deformed element is not minus the plain one",
+                                    _BUILT_ON_T),
+    "lemma_rnij_series-first": ("series_inverse", "rnij-series", 0,
+                                "N=2 j=1: single-block series",
+                                ["geometric-inverse", "root-deformed"]),
+    "lemma_rnij_series-second": ("tangent_element_series", "rnij-series", 1,
+                                 "N=2 j=1: inverse product series", _BUILT_ON_T),
+}
 
 
-def _scaled_element(series):
-    """The element series times 2: still an element, no longer -t at N = 2."""
-    def broken(ctx, order):
-        return series(ctx, order).scale(2)
-    return broken
-
-
-# (function broken in cli, how, the suite that fails, its report, the
-# tangent report's key that reads FAIL or None).
-SERIES_FAULTS = [
-    ("tangent_series", _false_verdict, "tangent",
-     '{"suite": "tangent", "pass": false, "checks": 0, '
-     '"counterexample": "N=2 order=8", "notes": []}', "geometric-inverse"),
-    ("sigma_lambda_N", _false_verdict, "sigma-lambda",
-     '{"suite": "sigma-lambda", "pass": false, "checks": 0, '
-     '"counterexample": "N=2 order=8", "notes": []}', "sigma-lambda"),
-    ("tangent_zeta_series", _false_verdict, "tangent-zeta",
-     '{"suite": "tangent-zeta", "pass": false, "checks": 0, '
-     '"counterexample": "N=2 order=8", "notes": []}', "root-deformed"),
-    ("tangent_zeta_element_series", _scaled_element, "tangent-zeta",
-     '{"suite": "tangent-zeta", "pass": false, "checks": 1, '
-     '"counterexample": "N=2: deformed element is not minus the plain one", '
-     '"notes": []}', "order-2-specialization"),
-    ("lemma_rnij_series", lambda f: lambda ctx, j, order: (False, True),
-     "rnij-series",
-     '{"suite": "rnij-series", "pass": false, "checks": 0, '
-     '"counterexample": "N=2 j=1: single-block series", "notes": []}', None),
-    ("lemma_rnij_series", lambda f: lambda ctx, j, order: (True, False),
-     "rnij-series",
-     '{"suite": "rnij-series", "pass": false, "checks": 1, '
-     '"counterexample": "N=2 j=1: inverse product series", "notes": []}', None),
-]
-
-
-@pytest.mark.parametrize("name,fault,suite,report,key", SERIES_FAULTS,
-                         ids=[f[0] for f in SERIES_FAULTS[:4]]
-                         + ["lemma_rnij_series-first", "lemma_rnij_series-second"])
-def test_series_checks_report_a_broken_identity(capsys, monkeypatch, name, fault,
-                                                suite, report, key):
-    monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+@pytest.mark.parametrize("name,suite,checks,counterexample,keys", SERIES_FAULTS.values(),
+                         ids=SERIES_FAULTS)
+def test_series_checks_report_a_broken_identity(capsys, monkeypatch, name, suite, checks,
+                                                counterexample, keys):
+    # The builder's series doubled: still an element of the right weights,
+    # no longer a side of any identity.
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: real(*args).scale(2))
     rc, out, _ = run(capsys, "verify", suite, "--format", "json")
-    assert (rc, out) == (1, report + "\n")
-    obj = json.loads(report)
+    assert (rc, out) == (1, json.dumps({"suite": suite, "pass": False, "checks": checks,
+                                        "counterexample": counterexample, "notes": []}) + "\n")
     rc, out, _ = run(capsys, "verify", suite)
     assert rc == 1
     assert out.splitlines()[-3:] == [
-        f"verify {suite}: {obj['checks']} checks",
-        f"verify {suite}: counterexample: {obj['counterexample']}",
+        f"verify {suite}: {checks} checks",
+        f"verify {suite}: counterexample: {counterexample}",
         f"verify {suite}: FAIL",
     ]
-    if key is None:
-        return
     rc, out, _ = run(capsys, "tangent", "--N", "2", "--order", "6")
     assert rc == 1
     failed = [line for line in out.splitlines() if line.endswith(": FAIL")]
-    assert failed == [f"{key}: FAIL"]
+    assert failed == [f"{key}: FAIL" for key in keys]
     assert len(out.splitlines()) == 5
     rc, out, _ = run(capsys, "tangent", "--N", "2", "--order", "6", "--format", "json")
     assert rc == 1
     results = json.loads(out)["results"]
-    assert [k for k, v in results.items() if v is not True] == [key]
-    assert results[key] is False
+    assert [k for k, v in results.items() if v is not True] == keys
+    assert all(results[key] is False for key in keys)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_series_checks_have_equal_sides(N):
+    # Each identity's two sides, as SERIES_CHECKS builds them, are equal
+    # elements at every order up to 9; rnij-series has 2(N - 1) checks.
+    ctx = peak.PeakContext(N)
+    counts = {"tangent": 1, "sigma-lambda": 1, "tangent-zeta": 1 + (N == 2),
+              "rnij-series": 2 * (N - 1)}
+    for kind, checks in cli.SERIES_CHECKS.items():
+        for order in range(10):
+            got = list(checks(ctx, order, []))
+            assert len(got) == counts[kind]
+            for key, lhs, rhs, counterexample in got:
+                assert isinstance(lhs, NsymElement) and isinstance(rhs, NsymElement)
+                assert lhs == rhs, (kind, order, key, counterexample)
 
 
 def test_bases_listing(capsys):
@@ -1210,19 +1208,19 @@ def _morphism_report(capsys):
 
 def test_morphism_names_the_first_pair_of_a_wrong_image(capsys, monkeypatch):
     # pi_N(S^(1,1)) is the left side of the pair S^1 S^1.
-    real = peak.pi_N
+    real = cli.pi_N
 
     def broken(F, ctx):
         image = real(F, ctx)
         return image + R(2) if F == S(1, 1) else image
 
-    monkeypatch.setattr(peak, "pi_N", broken)
+    monkeypatch.setattr(cli, "pi_N", broken)
     assert _morphism_report(capsys) == (1, "N=2 I=[1] J=[1]")
 
 
 def test_morphism_names_the_first_pair_of_a_wrong_product(capsys, monkeypatch):
     # Pi_2(S^1) = R_1 and R_1 R_1 has two ribbons; one is dropped.
-    real = peak.multiply
+    real = cli.multiply
 
     def dropped(F, G):
         codes = dict(real(F, G).codes)
@@ -1230,7 +1228,7 @@ def test_morphism_names_the_first_pair_of_a_wrong_product(capsys, monkeypatch):
             del codes[max(codes)]
         return NsymElement._trusted(F.basis, codes)
 
-    monkeypatch.setattr(peak, "multiply", dropped)
+    monkeypatch.setattr(cli, "multiply", dropped)
     assert _morphism_report(capsys) == (1, "N=2 I=[1] J=[1]")
 
 
@@ -1282,9 +1280,14 @@ def test_tangent_refuses_a_negative_order(capsys):
     ["verify", "sigma-lambda", "--order", "40"],
     ["verify", "rnij-series", "--order", "40"],
 ])
-def test_series_orders_past_the_limit_are_refused_at_once(capsys, argv):
+def test_series_orders_past_the_limit_are_refused_at_once(capsys, monkeypatch, argv):
     # A series truncated at order k may hold 2^k - 1 words: past the
-    # expansion limit it is refused before any product or inverse.
+    # expansion limit it is refused before any product or inverse, so
+    # no series is inverted.
+    def never(F, order):
+        raise AssertionError("a refused order inverted a series")
+
+    monkeypatch.setattr(cli, "series_inverse", never)
     start = time.monotonic()
     rc, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 1

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from nsympeak import peak
+from nsympeak import cli, peak
 from nsympeak.compositions import (
     F_set,
     compositions_of,
@@ -42,19 +42,14 @@ from nsympeak.peak import (
     expansions_match,
     in_T_ideal,
     in_sigma_span,
-    lemma_rnij_series,
     membership,
-    morphism_check,
     pi_N,
     rho_basis,
     rho_membership,
     rho_ones_series,
     sigma_basis,
-    sigma_lambda_N,
     tangent_element_series,
-    tangent_series,
     tangent_zeta_element_series,
-    tangent_zeta_series,
     theta_minus1_ribbon_expansion,
 )
 from nsympeak.scalars import CyclotomicNumber, make_cyclotomic, zeta, zeta_pow
@@ -477,13 +472,16 @@ def test_ideal_predicate(ctx2):
     assert not in_T_ideal(S(3, 1) + S(1, 3), 3)
 
 
-def test_morphism_on_ideal(ctx2, ctx3):
-    ok, counterexample, failure = morphism_check(ctx2, 4)
-    assert ok and failure is None
-    assert counterexample == ((2,), (1,))
-    ok, counterexample, failure = morphism_check(ctx3, 4)
-    assert ok and failure is None
-    assert counterexample == ((3,), (1,))
+def test_morphism_on_ideal():
+    # One passing check per root order; dropping the ideal hypothesis
+    # fails first at S^N S^1, noted as the evidence it is needed.
+    notes = []
+    assert list(cli.SUITES["morphism"][0](notes, (2, 3), 4)) == [None, None]
+    assert notes == [
+        f"N={N}: dropping the ideal hypothesis fails first at I=[{N}], J=[1] "
+        "(hypothesis necessary)"
+        for N in (2, 3)
+    ]
 
 
 def test_classical_peak_functions():
@@ -741,10 +739,16 @@ def test_normalized_transform_lands_inside(ctx2, ctx3):
                 assert membership(img, ctx) is not None
 
 
+def _checks(kind, ctx, order):
+    """The (key, lhs, rhs, counterexample) checks of one series identity."""
+    return list(cli.SERIES_CHECKS[kind](ctx, order, []))
+
+
 def test_tangent_series(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
-        lhs, rhs, ok = tangent_series(ctx, 7)
-        assert ok
+        [(key, lhs, rhs, _)] = _checks("tangent", ctx, 7)
+        assert key == "geometric-inverse"
+        assert lhs == rhs == rho_ones_series(ctx, 7)
         assert lhs.homogeneous_component(0) == one("R")
     t2 = tangent_element_series(ctx2, 6)
     assert t2.homogeneous_component(1) == -R(1)
@@ -773,24 +777,33 @@ def test_rho_ones_series_is_the_sum_of_its_degrees(N):
 
 def test_sigma_lambda_identity(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
-        _, _, ok = sigma_lambda_N(ctx, 7)
-        assert ok
+        [(key, lhs, rhs, _)] = _checks("sigma-lambda", ctx, 7)
+        assert key == "sigma-lambda"
+        assert lhs == rhs == one("R")
 
 
 def test_tangent_zeta(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
-        _, _, ok = tangent_zeta_series(ctx, 7)
-        assert ok
+        (key, lhs, rhs, _), *specialization = _checks("tangent-zeta", ctx, 7)
+        assert key == "root-deformed"
+        assert lhs == rhs == rho_ones_series(ctx, 7, ctx.zeta)
+        assert len(specialization) == (ctx.N == 2)
     # At order 2 the root deformation is the negated tangent element.
     tz = tangent_zeta_element_series(ctx2, 6)
     t = tangent_element_series(ctx2, 6)
     assert tz == t.scale(-1)
+    [_, (key, lhs, rhs, _)] = _checks("tangent-zeta", ctx2, 6)
+    assert (key, lhs, rhs) == ("order-2-specialization", tz, t.scale(-1))
 
 
 def test_block_generator_series(ctx2, ctx3):
-    assert lemma_rnij_series(ctx2, 1, 7) == (True, True)
-    assert lemma_rnij_series(ctx3, 1, 7) == (True, True)
-    assert lemma_rnij_series(ctx3, 2, 7) == (True, True)
+    # Two identities for each j in [1, N - 1], neither reported by
+    # `nsympeak tangent`.
+    for ctx in (ctx2, ctx3):
+        checks = _checks("rnij-series", ctx, 7)
+        assert len(checks) == 2 * (ctx.N - 1)
+        for key, lhs, rhs, _ in checks:
+            assert key is None and lhs == rhs
 
 
 def test_linear_maps_make_no_cyclotomic_adds(monkeypatch):

@@ -15,6 +15,7 @@ from itertools import chain
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nsympeak import cli
 from nsympeak.compositions import compositions_of, lower_forward, lower_inverse
 from nsympeak.descent import internal_product
 from nsympeak.elements import (
@@ -31,12 +32,13 @@ from nsympeak.elements import (
 )
 from nsympeak.peak import (
     PeakContext,
+    block_series,
     expand_rho_coords,
     expand_sigma_coords,
     membership,
     pi_N,
     rho_membership,
-    sigma_lambda_N,
+    rho_ones_series,
     tangent_element_series,
 )
 from nsympeak.series import Theta, series_inverse, theta_q
@@ -202,9 +204,16 @@ def test_rho_round_trip(projection):
 @PROPERTY
 @given(st.sampled_from(sorted(CONTEXTS)), st.integers(0, 9))
 def test_sigma_N_is_one_minus_tangent_element(N, order):
+    # sigma_N, one plus the alternating block series of every j, is
+    # 1 - t, and the sigma-lambda identity's left side is its product
+    # with lambda_N.
     ctx = CONTEXTS[N]
-    sig = sigma_lambda_N(ctx, order)[0]
-    assert sig == one("R") - tangent_element_series(ctx, order)
+    sig = one("R") - tangent_element_series(ctx, order)
+    blocks = (block_series(ctx, order, lambda i, _: (-1) ** i, (j,)) for j in range(1, N))
+    assert sum(blocks, one("R")) == sig
+    [(_, lhs, rhs, _)] = cli.SERIES_CHECKS["sigma-lambda"](ctx, order, [])
+    assert lhs == multiply(sig, rho_ones_series(ctx, order), order)
+    assert rhs == one("R")
 
 
 @PROPERTY

@@ -211,10 +211,10 @@ def test_check_limit():
 def test_split_terms_over_Q():
     terms = {5: 2, 3: -1, 9: 0}
     N, den, width, packed = split_terms(terms, 5)
-    # One plain column, no width: integer input is handed over as it is,
-    # zeros kept, and no map mutates it.
+    # One plain column, no width: integer input is handed over as a copy,
+    # zeros kept, so a map may consume it and leave terms as it was.
     assert (N, den, width) == (None, 1, None)
-    assert packed is terms
+    assert packed == terms and packed is not terms
     assert join_terms(N, den, width, packed) == {5: 2, 3: -1}
     assert terms == {5: 2, 3: -1, 9: 0}
     N, den, width, packed = split_terms({1: Fraction(1, 6), 2: Fraction(-3, 4), 4: 5})
