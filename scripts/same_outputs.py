@@ -15,9 +15,11 @@ and ``internal_cold_catalogue()``), its ``MALFORMED`` and
 ``KNOWN_DEFECTS`` inputs, ``-h`` on the root and on each command of
 ``cli.COMMANDS``, the error and size-limit requests of
 ``ERROR_ARGVS``, the internal products on Fraction and cyclotomic
-coefficients of ``SCALAR_ARGVS`` and the series and morphism suites, the
-tangent report and the ``T`` literals of ``PEAK_ARGVS``, which the
-catalogues do not reach.  Every request whose
+coefficients of ``SCALAR_ARGVS``, the series and morphism suites, the
+tangent report and the ``T`` literals of ``PEAK_ARGVS``, and the argument
+shapes of ``SHAPE_ARGVS`` (``=`` forms, abbreviations, repeats, options
+before positionals, help after arguments), which the catalogues do not
+reach.  Every request whose
 answers differ is printed with the fields that differ, each argument
 past 40 characters cut short; the exit status is 1 if any does, else 0.
 """
@@ -122,6 +124,38 @@ PEAK_ARGVS = [
 ]
 
 
+# Argument shapes the catalogues lack: values joined by =, abbreviated
+# flags, repeated flags (the last wins), options before the positionals,
+# an int with a leading space, = on a store_true flag, and help after
+# arguments.
+SHAPE_ARGVS = [
+    ["expand", "S[1,1]", "--to=R"],
+    ["expand", "S[1,1]", "--to=", "--N", "3"],
+    ["theta", "S[2]", "--q=-1/2"],
+    ["theta", "S[2]", "--q", "-1/2"],
+    ["theta", "S[2]", "--q=zeta", "--N=3", "--normalized"],
+    ["theta", "S[2]", "--q", "zeta", "--N", "3", "--normalized=1"],
+    ["expand", "S[1]", "--fo", "json"],
+    ["theta", "S[2]", "--q", "zeta", "--N", "3", "--norm"],
+    ["hilbert", "--max", "5", "--N", "2"],
+    ["hilbert", "--N", "2", "--max-n", "4", "--N", "3"],
+    ["expand", "S[2]", "--to", "S", "--to", "R", "--format", "json", "--format", "text"],
+    ["internal", "--to", "S", "--N", "3", "R[2]", "S[2]"],
+    ["internal", "R[2]", "--to", "S", "S[2]"],
+    ["expand", "--N", "3", "--to", "rho", "R[2,1,1]"],
+    ["hilbert", "--N", " 3", "--max-n", "3_0"],
+    ["bases", "--n", "3", "--N", "-1"],
+    ["det-theta", "--n", "-1", "--q", "2"],
+    ["expand", "S[1]", "--to", "R", "-h"],
+    ["internal", "R[1]", "R[1]", "--help"],
+    ["verify", "ideal", "--max-n", "2", "-h"],
+    ["expand", "S[1]", "--", "x"],
+    ["expand", "--", "S[1]"],
+    ["expand", "S[1]", "--to"],
+    ["expand", "", "--to", "R"],
+]
+
+
 def default_argvs():
     """The requests compared by default, each once, in catalogue order."""
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
@@ -135,6 +169,7 @@ def default_argvs():
         for entries in catalogue.values():
             argvs += entries
     argvs += workloads.MALFORMED + workloads.KNOWN_DEFECTS + ERROR_ARGVS + SCALAR_ARGVS + PEAK_ARGVS
+    argvs += SHAPE_ARGVS
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 

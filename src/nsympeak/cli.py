@@ -29,12 +29,17 @@ README tabulates what each limit counts.
 
 ``main(argv)`` returns the exit code instead of exiting (argparse's own
 usage errors and ``--help`` raise ``SystemExit``).  It may be called
-repeatedly in one process.  A request that names a command is parsed by
-that command's parser alone, built on the first call that names the
-command and reused by every later one; the root parser serves only help,
-a missing or unknown command, and unrecognized arguments.  A negative
-rational given to ``--q`` as its own token (``--q -1/2``) is read as
-``--q=-1/2``.
+repeatedly in one process.  A request that names a command is read
+straight from ``COMMANDS`` (``_read_args``) when every argument takes a
+shape that argparse reads alike on every supported Python: exact flags,
+``--flag=value``, values that do not start with ``-`` and pass their type
+and choices, each positional once.  Any other request that names a
+command goes to that command's argparse parser alone, built on the first
+call that needs it and reused by every later one; so argparse alone
+prints help and usage errors and resolves abbreviated flags.  The root
+parser serves only help, a missing or unknown command, and unrecognized
+arguments.  A negative rational given to ``--q`` as its own token
+(``--q -1/2``) is read as ``--q=-1/2``.
 
 Verification scales default to the acceptance scales of the test suite;
 ``SUITES`` lists the flags each suite reads to override them, and any
@@ -814,8 +819,11 @@ _TO = _arg("--to", default="R", choices=BASIS_NAMES)
 _Q = _arg("--q", required=True, help='a rational or "zeta"')
 _PEAK_N = _arg("--N", type=int, help="root order for peak bases")
 
+# Last on every command, so each one's usage line ends with it.
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
+
 # name: (the help line the root parser lists, the handler, the arguments
-# in usage order); build_parser adds --format after them on each command.
+# in usage order); every command takes _FORMAT after them.
 COMMANDS = {
     "expand": ("rewrite an element in a chosen basis", cmd_expand, [_EXPR, _TO, _PEAK_N]),
     "convert": ("reprint an element (text or JSON)", cmd_convert, [_EXPR, _PEAK_N]),
@@ -846,14 +854,18 @@ def build_parser(command=None):
     no command the root parser; each is built on the first call that asks
     for it and returned again to every later one in the process.
 
-    The root parser's subcommands are the commands' own parsers, so a
-    process builds each at most once.  The parsers are shared: callers
-    must not mutate them (add arguments, set defaults).  The handlers
-    they record are the ``cmd_*`` functions ``COMMANDS`` took at import,
-    so a wrapper rebound on this module later (bench/tracer.py) is not
-    the one a request runs.  The tracer loses nothing by it: its named
-    counters count no ``cmd_*`` function, and a call from cli into cli
-    opens no span.
+    ``main`` asks a command's parser only for the argvs ``_read_args``
+    declines: help, abbreviated flags, usage errors and any shape argparse
+    might read otherwise, so a process that sends only plain requests
+    builds no parser.  Both read each command's arguments from
+    ``COMMANDS`` and ``_FORMAT``.  The root parser's subcommands are the
+    commands' own parsers, so a process builds each at most once.  The
+    parsers are shared: callers must not mutate them (add arguments, set
+    defaults).  The handlers they and ``_read_args`` record are the
+    ``cmd_*`` functions ``COMMANDS`` took at import, so a wrapper rebound
+    on this module later (bench/tracer.py) is not the one a request runs.
+    The tracer loses nothing by it: its named counters count no ``cmd_*``
+    function, and a call from cli into cli opens no span.
     """
     if command is None:
         parser = argparse.ArgumentParser(
@@ -872,12 +884,69 @@ def build_parser(command=None):
         return parser
     _, handler, arguments = COMMANDS[command]
     p = argparse.ArgumentParser(prog=f"nsympeak {command}")
-    for flags, keywords in arguments:
+    for flags, keywords in (*arguments, _FORMAT):
         p.add_argument(*flags, **keywords)
-    # Last on every command, so each one's usage line ends with it.
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=handler)
     return p
+
+
+def _read_args(command, *tokens):
+    """The namespace ``build_parser(command)`` makes of ``tokens``, read
+    from ``COMMANDS`` alone, or None for any argv that argparse might read
+    otherwise on some Python version, or refuses.
+
+    Read: exact flags and ``--flag=value``; a ``store_true`` flag without
+    ``=``; values that do not start with ``-``, that convert by their
+    ``type`` and lie in their ``choices``; each positional once and in
+    order, options between them allowed; every required option; a
+    repeated flag's last value.  Declined: every other token that starts
+    with ``-`` (``-h``, ``--``, a prefix of a flag, a negative number),
+    ``=`` on a ``store_true`` flag, a failed conversion or choice, and a
+    missing or extra argument.
+    """
+    _, handler, arguments = COMMANDS[command]
+    options, positionals, values = {}, [], {}
+    for (name,), keywords in (*arguments, _FORMAT):
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")  # as argparse: --max-n -> max_n
+            options[name] = dest, keywords
+        else:
+            dest = name
+            positionals.append((dest, keywords))
+        values[dest] = keywords.get("default", False if "action" in keywords else None)
+    missing = {name for name, (_, keywords) in options.items() if keywords.get("required")}
+    given, read = [], []  # positional texts; (dest, keywords, text) of options
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        name, eq, text = token.partition("=")
+        if name not in options:
+            return None
+        dest, keywords = options[name]
+        missing.discard(name)
+        if "action" in keywords:  # store_true
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(tokens, "-")  # a flag at the end lacks its value
+            if text.startswith("-"):
+                return None
+        read.append((dest, keywords, text))
+    if missing or len(given) != len(positionals):
+        return None
+    for dest, keywords, text in read + [(*pos, text) for pos, text in zip(positionals, given)]:
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values, handler=handler)
 
 
 def _joined_q(argv):
@@ -916,11 +985,13 @@ def _run(args):
 def main(argv=None):
     argv = _joined_q(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in COMMANDS:
-        # Only the named command's parser runs; what it leaves over is
-        # refused as the root parser refuses it.
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _read_args(*argv)
+        if args is None:
+            # Only the named command's parser runs; what it leaves over is
+            # refused as the root parser refuses it.
+            args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+            if extras:
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     else:
         args = build_parser().parse_args(argv)
     return _run(args)

@@ -1,11 +1,14 @@
 """End-to-end tests of the command line, run in process."""
 
+import contextlib
+import io
 import json
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsympeak import cli, peak, series
 from nsympeak.compositions import MAX_WEIGHT, compositions_of, decode, epsilon_inv
@@ -1359,6 +1362,16 @@ DISPATCH_ARGVS = [
     ["theta", "S[2]", "--q", "-1/2"],
     ["hilbert", "--N"],
     ["internal", "R[1]"],
+    # Shapes that main reads from COMMANDS without argparse, and three it
+    # leaves to argparse: a value that starts with -, = on a store_true
+    # flag and a flag with no value.
+    ["theta", "S[2]", "--q=2"],
+    ["expand", "S[1,1]", "--to=R"],
+    ["hilbert", "--N", "2", "--max-n", "4", "--N", "3"],
+    ["internal", "--to", "S", "R[2]", "--N", "3", "S[2]"],
+    ["det-theta", "--n", "-1", "--q", "2"],
+    ["theta", "S[2]", "--q", "zeta", "--N", "3", "--normalized=1"],
+    ["expand", "S[1]", "--to"],
 ]
 
 
@@ -1377,10 +1390,77 @@ def test_command_parser_answers_as_the_root_parser(capsys):
         assert _outcome(capsys, argv) == through_root(argv), argv
 
 
+# What the reader's property test draws each argv from: values by the
+# kind of argument (ints, choices inside and outside their list, element
+# literals, each with the empty string and a leading -), and tokens that
+# are no value: prefixes of flags, help, the end-of-options marker and =
+# on a store_true flag.
+_INTS = ["3", "-1", " 3", "3_0", "x", "\u0663", ""]
+_LITERALS = ["S[1]", "R[2,1]", "zeta", "2/3", "basis", "-1/2", "-S[1]", ""]
+_NON_VALUES = ["-h", "--", "--normalized=1", "--fo", "--norm", "--t", "--max"]
+
+
+def _values(keywords):
+    if "type" in keywords:
+        return st.sampled_from(_INTS)
+    if "choices" in keywords:
+        return st.sampled_from([*keywords["choices"], "X", "r", "JSON", ""])
+    return st.sampled_from(_LITERALS)
+
+
+def _argvs(command):
+    """Argvs of one command: each positional and required flag once, with
+    a value drawn for it, or all but one of them, and up to four more
+    items (a flag with a value, as two tokens or joined by =, a flag alone,
+    a lone token), in any order."""
+    _, _, arguments = cli.COMMANDS[command]
+    named = [(name, keywords) for (name,), keywords in (*arguments, cli._FORMAT)]
+    options = [(name, keywords) for name, keywords in named if name.startswith("-")]
+
+    def valued(name, keywords):
+        return _values(keywords).map(lambda value: [value] if name[0] != "-" else [name, value])
+
+    item = st.one_of(
+        st.sampled_from(options).flatmap(lambda option: valued(*option)),
+        st.sampled_from(options).flatmap(lambda option: valued(*option).map(lambda pair: ["=".join(pair)])),
+        st.sampled_from(options).map(lambda option: [option[0]]),
+        st.sampled_from(_INTS + _LITERALS + _NON_VALUES).map(lambda token: [token]),
+    )
+    whole = [valued(name, keywords) for name, keywords in named
+             if name[0] != "-" or keywords.get("required")]
+    dropped = st.none() | st.integers(0, len(whole) - 1)
+    return st.tuples(st.tuples(*whole), dropped, st.lists(item, max_size=4)).flatmap(
+        lambda drawn: st.permutations(
+            [*(part for i, part in enumerate(drawn[0]) if i != drawn[1]), *drawn[2]])
+    ).map(lambda items: [command, *sum(items, [])])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(list(cli.COMMANDS)).flatmap(_argvs))
+def test_reader_reads_as_argparse_or_declines(argv):
+    # main reads an argv from COMMANDS only where the command's parser
+    # reads it the same, with nothing left over.
+    read = cli._read_args(*argv)
+    if read is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed, extras = cli.build_parser(argv[0]).parse_known_args(argv[1:])
+    except SystemExit:
+        raise AssertionError(f"argparse refuses {argv}, which the reader read") from None
+    assert extras == []
+    assert vars(read) == vars(parsed)
+
+
 def test_each_parser_is_built_once(capsys):
     cli.build_parser.cache_clear()
-    _outcome(capsys, ["internal", "R[1]", "R[1]"])
-    assert cli.build_parser.cache_info().currsize == 1
+    # A plain request is read from COMMANDS: no parser is built.
+    assert _outcome(capsys, ["internal", "R[1]", "R[1]", "--to=S"]) == (0, "S[1]\n", "")
+    assert cli.build_parser.cache_info().misses == 0
+    # A request the reader declines builds its own command's parser only.
+    _outcome(capsys, ["internal", "R[1]", "R[1]", "--fo", "json"])
+    cli.build_parser("internal")
+    assert cli.build_parser.cache_info().misses == 1
     # The root parser reuses the internal parser and builds the others.
     for _ in range(2):
         _outcome(capsys, ["frobnicate"])
